@@ -479,9 +479,11 @@ impl AutoscaleServingSim {
             });
         }
 
-        for (idx, req) in reqs.iter().enumerate() {
-            q.schedule(req.arrival, PRIO_ARRIVAL, Ev::Arrival(idx));
-        }
+        q.feed(
+            reqs.iter()
+                .enumerate()
+                .map(|(idx, req)| (req.arrival, PRIO_ARRIVAL, Ev::Arrival(idx))),
+        );
         if !trace.is_empty() {
             q.schedule(self.auto.interval, PRIO_CONTROL, Ev::ScaleTick);
         }
@@ -671,13 +673,8 @@ impl AutoscaleServingSim {
                 {
                     continue;
                 }
-                let prompts: Vec<u64> = slot
-                    .waiting
-                    .iter()
-                    .take(self.config.batch.max_batch as usize)
-                    .map(|&i| reqs[i].prompt_len)
-                    .collect();
-                match next_step(&self.config.batch, &prompts, slot.active.len()) {
+                let prompts = slot.waiting.iter().map(|&i| reqs[i].prompt_len);
+                match next_step(&self.config.batch, prompts, slot.active.len()) {
                     Some(step) => {
                         let latency = match step {
                             StepPlan::Prefill { admit } => {

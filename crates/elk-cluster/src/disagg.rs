@@ -475,9 +475,11 @@ impl DisaggServingSim {
                 (PRIO_HANDOFF, "handoff"),
             ],
         );
-        for (idx, req) in reqs.iter().enumerate() {
-            q.schedule(req.arrival, PRIO_ARRIVAL, Ev::Arrival(idx));
-        }
+        q.feed(
+            reqs.iter()
+                .enumerate()
+                .map(|(idx, req)| (req.arrival, PRIO_ARRIVAL, Ev::Arrival(idx))),
+        );
 
         while let Some(fired) = q.pop() {
             let now = q.now();
@@ -487,17 +489,14 @@ impl DisaggServingSim {
                     // on shared chips, everything occupying the same
                     // pipeline from the decode side — exactly the
                     // colocated router's view.
-                    let outstanding: Vec<usize> = (0..p_dp)
-                        .map(|i| {
-                            let own = pgroups[i].waiting.len() + pgroups[i].in_step();
-                            if shared {
-                                own + dgroups[i].outstanding()
-                            } else {
-                                own
-                            }
-                        })
-                        .collect();
-                    let pick = front.route(&outstanding);
+                    let pick = front.route_by(|i| {
+                        let own = pgroups[i].waiting.len() + pgroups[i].in_step();
+                        if shared {
+                            own + dgroups[i].outstanding()
+                        } else {
+                            own
+                        }
+                    });
                     let group = &mut pgroups[pick];
                     group.waiting.push(idx);
                     group.served += 1;
@@ -522,9 +521,7 @@ impl DisaggServingSim {
                         let to = if shared {
                             gid
                         } else {
-                            let outstanding: Vec<usize> =
-                                dgroups.iter().map(DGroup::outstanding).collect();
-                            back.route(&outstanding)
+                            back.route_by(|i| dgroups[i].outstanding())
                         };
                         let bytes = if shared {
                             Bytes::ZERO
@@ -682,13 +679,8 @@ impl DisaggServingSim {
     ) -> Option<Vec<(usize, u64)>> {
         let cfg = &self.config.batch;
         if self.config.chunk_tokens == 0 {
-            let prompts: Vec<u64> = group
-                .waiting
-                .iter()
-                .take(cfg.max_batch as usize)
-                .map(|&i| reqs[i].prompt_len)
-                .collect();
-            return match next_step(cfg, &prompts, active)? {
+            let prompts = group.waiting.iter().map(|&i| reqs[i].prompt_len);
+            return match next_step(cfg, prompts, active)? {
                 StepPlan::Prefill { admit } => {
                     let batch: Vec<(usize, u64)> = group
                         .waiting

@@ -7,8 +7,15 @@
 //! autoscaling engine ([`AutoscaleServingSim`](crate::AutoscaleServingSim))
 //! price steps here, so a shape compiled by one is a cache hit for the
 //! other and their latencies agree exactly.
+//!
+//! Each pricer memoizes its `(design, workload) → latency` answers in
+//! front of the cache: a replay prices hundreds of thousands of steps
+//! over a few dozen bucketed shapes, and a memo hit skips the cache's
+//! string keys, hashing and lock. The cache's hit counters therefore
+//! see only the first lookup of each shape per pricer.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::CompileError;
@@ -33,6 +40,10 @@ pub(crate) struct StepPricer {
     model: TransformerConfig,
     plan: ParallelismPlan,
     sim: SimOptions,
+    /// Successful [`split_step`](Self::split_step) answers. Failures are
+    /// not memoized: they abort the run, and the cache already
+    /// remembers them.
+    memo: Mutex<HashMap<(Design, Workload), Seconds>>,
 }
 
 impl StepPricer {
@@ -71,12 +82,14 @@ impl StepPricer {
             model,
             plan,
             sim,
+            memo: Mutex::new(HashMap::new()),
         }
     }
 
     /// Cumulative plan-cache counters (across all runs so far). Not
     /// part of any emitted report — the hit/miss split shifts with the
-    /// compile worker count.
+    /// compile worker count. Memoized steps do not reach the cache, so
+    /// they are not counted.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -117,12 +130,23 @@ impl StepPricer {
     /// [`pipeline_step`](Self::pipeline_step) with the serving layer's
     /// micro-batch fallback: when the full batch shape has no feasible
     /// on-chip plan, halve the batch until it compiles (a batch-1
-    /// failure is a genuine error).
+    /// failure is a genuine error). Memoized per `(design, wl)`.
     pub fn split_step(
         &self,
         design: Design,
         wl: Workload,
     ) -> Result<Seconds, (usize, CompileError)> {
+        let memo = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&t) = memo().get(&(design, wl)) {
+            return Ok(t);
+        }
+        let t = self.price_split(design, wl)?;
+        memo().insert((design, wl), t);
+        Ok(t)
+    }
+
+    /// The uncached body of [`split_step`](Self::split_step).
+    fn price_split(&self, design: Design, wl: Workload) -> Result<Seconds, (usize, CompileError)> {
         match self.pipeline_step(design, wl) {
             Ok(t) => Ok(t),
             Err((

@@ -299,16 +299,17 @@ impl ClusterServingSim {
             "cluster/kernel",
             &[(PRIO_ARRIVAL, "arrival"), (PRIO_STEP_DONE, "step_done")],
         );
-        for (idx, req) in reqs.iter().enumerate() {
-            q.schedule(req.arrival, PRIO_ARRIVAL, Ev::Arrival(idx));
-        }
+        q.feed(
+            reqs.iter()
+                .enumerate()
+                .map(|(idx, req)| (req.arrival, PRIO_ARRIVAL, Ev::Arrival(idx))),
+        );
 
         while let Some(fired) = q.pop() {
             let now = q.now();
             match fired.event {
                 Ev::Arrival(idx) => {
-                    let outstanding: Vec<usize> = groups.iter().map(Group::outstanding).collect();
-                    let pick = router.route(&outstanding);
+                    let pick = router.route_by(|g| groups[g].outstanding());
                     let group = &mut groups[pick];
                     group.waiting.push(idx);
                     group.served += 1;
@@ -355,13 +356,8 @@ impl ClusterServingSim {
                 if group.pending.is_some() {
                     continue;
                 }
-                let prompts: Vec<u64> = group
-                    .waiting
-                    .iter()
-                    .take(self.config.batch.max_batch as usize)
-                    .map(|&i| reqs[i].prompt_len)
-                    .collect();
-                let Some(step) = next_step(&self.config.batch, &prompts, group.active.len()) else {
+                let prompts = group.waiting.iter().map(|&i| reqs[i].prompt_len);
+                let Some(step) = next_step(&self.config.batch, prompts, group.active.len()) else {
                     continue;
                 };
                 let latency = match step {

@@ -333,9 +333,11 @@ impl TenantServingSim {
             .collect();
         classes.push((PRIO_TENANT_STEP_DONE, "step_done"));
         q.observe(self.obs.clone(), "tenancy/kernel", &classes);
-        for (idx, req) in reqs.iter().enumerate() {
-            q.schedule(req.arrival, req_prio[idx], Ev::Arrival(idx));
-        }
+        q.feed(
+            reqs.iter()
+                .enumerate()
+                .map(|(idx, req)| (req.arrival, req_prio[idx], Ev::Arrival(idx))),
+        );
 
         while let Some(fired) = q.pop() {
             let now = q.now();
@@ -439,13 +441,8 @@ impl TenantServingSim {
                 if group.pending.is_some() {
                     continue;
                 }
-                let prompts: Vec<u64> = group
-                    .waiting
-                    .iter()
-                    .take(self.config.batch.max_batch as usize)
-                    .map(|&i| reqs[i].prompt_len)
-                    .collect();
-                let Some(step) = next_step(&self.config.batch, &prompts, group.active.len()) else {
+                let prompts = group.waiting.iter().map(|&i| reqs[i].prompt_len);
+                let Some(step) = next_step(&self.config.batch, prompts, group.active.len()) else {
                     continue;
                 };
                 let pricer = &self.pricers[group_model[gid]];
@@ -651,12 +648,9 @@ fn admit(
     shed_depth: &mut QueueStat,
     model: usize,
 ) {
-    let outstanding: Vec<usize> = model_groups[model]
-        .iter()
-        .map(|&g| groups[g].outstanding())
-        .collect();
-    let pick = routers[model].route(&outstanding);
-    let gid = model_groups[model][pick];
+    let members = &model_groups[model];
+    let pick = routers[model].route_by(|i| groups[members[i]].outstanding());
+    let gid = members[pick];
     let group = &mut groups[gid];
     // Priority-stable insertion: before the first strictly-lower-
     // priority entry (larger number = lower priority), after every

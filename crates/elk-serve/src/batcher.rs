@@ -89,15 +89,24 @@ pub enum StepPlan {
 /// Picks the next iteration given the FIFO prompt lengths of waiting
 /// requests and the number of active (decoding) requests.
 ///
+/// The prompt lengths are read lazily and only as far as admission
+/// looks (at most the free batch slots), so an event loop can pass
+/// `waiting.iter().map(..)` straight from its queue.
+///
 /// Returns `None` when there is nothing to do (idle — the engine jumps
 /// the clock to the next arrival).
 #[must_use]
-pub fn next_step(cfg: &BatchConfig, waiting_prompts: &[u64], active: usize) -> Option<StepPlan> {
+pub fn next_step(
+    cfg: &BatchConfig,
+    waiting_prompts: impl IntoIterator<Item = u64>,
+    active: usize,
+) -> Option<StepPlan> {
     let free = (cfg.max_batch as usize).saturating_sub(active);
-    if !waiting_prompts.is_empty() && free > 0 {
+    let mut prompts = waiting_prompts.into_iter().take(free).peekable();
+    if prompts.peek().is_some() {
         let mut admit = 0;
         let mut tokens = 0u64;
-        for &p in waiting_prompts.iter().take(free) {
+        for p in prompts {
             if admit > 0 && tokens + p > cfg.max_prefill_tokens {
                 break;
             }
@@ -129,26 +138,26 @@ mod tests {
     #[test]
     fn prefill_has_priority_while_slots_free() {
         assert_eq!(
-            next_step(&cfg(), &[100, 100], 2),
+            next_step(&cfg(), [100, 100], 2),
             Some(StepPlan::Prefill { admit: 2 })
         );
     }
 
     #[test]
     fn full_batch_decodes_even_with_waiters() {
-        assert_eq!(next_step(&cfg(), &[100], 4), Some(StepPlan::Decode));
+        assert_eq!(next_step(&cfg(), [100], 4), Some(StepPlan::Decode));
     }
 
     #[test]
     fn admission_respects_token_budget() {
         // 600 + 600 > 1000: only the first fits alongside another.
         assert_eq!(
-            next_step(&cfg(), &[600, 600, 600], 0),
+            next_step(&cfg(), [600, 600, 600], 0),
             Some(StepPlan::Prefill { admit: 1 })
         );
         // A single oversized prompt is still admitted alone.
         assert_eq!(
-            next_step(&cfg(), &[5000], 0),
+            next_step(&cfg(), [5000], 0),
             Some(StepPlan::Prefill { admit: 1 })
         );
     }
@@ -156,15 +165,18 @@ mod tests {
     #[test]
     fn admission_respects_free_slots() {
         assert_eq!(
-            next_step(&cfg(), &[10, 10, 10, 10, 10], 1),
+            next_step(&cfg(), [10, 10, 10, 10, 10], 1),
             Some(StepPlan::Prefill { admit: 3 })
         );
     }
 
     #[test]
     fn idle_when_nothing_to_do() {
-        assert_eq!(next_step(&cfg(), &[], 0), None);
-        assert_eq!(next_step(&cfg(), &[], 2), Some(StepPlan::Decode));
+        assert_eq!(next_step(&cfg(), std::iter::empty(), 0), None);
+        assert_eq!(
+            next_step(&cfg(), std::iter::empty(), 2),
+            Some(StepPlan::Decode)
+        );
     }
 
     #[test]

@@ -315,11 +315,13 @@ impl ServingSim {
         trace: &RequestTrace,
         replica: usize,
     ) -> Result<ReplicaRun, CompileError> {
-        let assigned: Vec<usize> = (replica..trace.len())
-            .step_by(self.config.replicas)
-            .collect();
+        let stride = self.config.replicas;
+        let assigned: Vec<usize> = (replica..trace.len()).step_by(stride).collect();
         let reqs = &trace.requests;
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
+        // One slot per assigned request: trace index `idx` lives at
+        // `(idx - replica) / stride`.
+        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; assigned.len()];
+        let slot = |idx: usize| (idx - replica) / stride;
         let mut queue = QueueStat::new();
         let mut prefill_steps = 0u64;
         let mut decode_steps = 0u64;
@@ -340,9 +342,11 @@ impl ServingSim {
                 &[(PRIO_ARRIVAL, "arrival"), (PRIO_STEP_DONE, "step_done")],
             );
         }
-        for &idx in &assigned {
-            q.schedule(reqs[idx].arrival, PRIO_ARRIVAL, Ev::Arrival(idx));
-        }
+        q.feed(
+            assigned
+                .iter()
+                .map(|&idx| (reqs[idx].arrival, PRIO_ARRIVAL, Ev::Arrival(idx))),
+        );
 
         while let Some(fired) = q.pop() {
             let now = q.now();
@@ -366,7 +370,7 @@ impl ServingSim {
                                     completion: now,
                                     output_len: reqs[idx].output_len,
                                 };
-                                outcomes[idx] = Some(outcome);
+                                outcomes[slot(idx)] = Some(outcome);
                                 if reqs[idx].output_len > 1 {
                                     active.push(InFlight { idx, generated: 1 });
                                 }
@@ -376,7 +380,7 @@ impl ServingSim {
                             decode_steps += 1;
                             active.retain_mut(|a| {
                                 a.generated += 1;
-                                let outcome = outcomes[a.idx].as_mut().expect("prefilled");
+                                let outcome = outcomes[slot(a.idx)].as_mut().expect("prefilled");
                                 outcome.completion = now;
                                 a.generated < reqs[a.idx].output_len
                             });
@@ -391,16 +395,10 @@ impl ServingSim {
             if q.peek_time() == Some(now) || pending.is_some() {
                 continue;
             }
-            // next_step never admits more than max_batch requests, so a
-            // deep waiting queue need not be materialized in full.
-            let prompts: Vec<u64> = waiting
-                .iter()
-                .take(self.config.batch.max_batch as usize)
-                .map(|&i| reqs[i].prompt_len)
-                .collect();
             // No step to run (all-idle): the clock next moves at the
             // following arrival event — the old loop's idle-jump.
-            let Some(step) = next_step(&self.config.batch, &prompts, active.len()) else {
+            let prompts = waiting.iter().map(|&i| reqs[i].prompt_len);
+            let Some(step) = next_step(&self.config.batch, prompts, active.len()) else {
                 continue;
             };
             let latency = match step {
@@ -441,8 +439,9 @@ impl ServingSim {
         }
         Ok(ReplicaRun {
             outcomes: assigned
-                .iter()
-                .map(|&i| (i, outcomes[i].take().expect("assigned request completed")))
+                .into_iter()
+                .zip(outcomes)
+                .map(|(i, o)| (i, o.expect("assigned request completed")))
                 .collect(),
             queue,
             prefill_steps,

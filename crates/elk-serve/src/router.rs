@@ -136,23 +136,28 @@ impl Router {
             self.groups,
             "outstanding snapshot does not match the router's group count"
         );
+        self.route_by(|g| outstanding[g])
+    }
+
+    /// [`route`](Self::route) with the outstanding counts read on
+    /// demand: `outstanding(g)` is asked only for the groups the policy
+    /// compares (none under round robin), so event loops route without
+    /// building a snapshot.
+    pub fn route_by(&mut self, outstanding: impl Fn(usize) -> usize) -> usize {
         match self.policy {
             RouterPolicy::RoundRobin => {
                 let pick = self.next;
                 self.next = (self.next + 1) % self.groups;
                 pick
             }
-            RouterPolicy::LeastOutstanding => outstanding
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &n)| (n, i))
-                .map(|(i, _)| i)
+            RouterPolicy::LeastOutstanding => (0..self.groups)
+                .min_by_key(|&i| (outstanding(i), i))
                 .expect("at least one group"),
             RouterPolicy::PowerOfTwoChoices { .. } => {
                 let a = self.rng.gen_index(self.groups);
                 let b = self.rng.gen_index(self.groups);
                 // Less loaded wins; ties to the lower index.
-                if (outstanding[b], b) < (outstanding[a], a) {
+                if (outstanding(b), b) < (outstanding(a), a) {
                     b
                 } else {
                     a

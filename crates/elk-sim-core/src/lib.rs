@@ -11,6 +11,9 @@
 //!   broken first by priority class (arrivals before step completions),
 //!   then by schedule order, so the pop sequence is a pure function of
 //!   the schedule calls — never of heap internals or thread count.
+//!   Arrivals known up front are *fed* once, time-sorted, and enter the
+//!   heap only when due, so the heap stays as small as the in-flight
+//!   work.
 //! * **[`TimeWeighted`] / [`QueueStat`]** — statistics that weight a
 //!   value by how long it was *held*, not how often it was sampled.
 //!   A mean queue depth is an integral over time; averaging per-step
@@ -42,8 +45,8 @@
 //!
 //! let mut q = EventQueue::new();
 //! let mut depth = QueueStat::new();
-//! q.schedule(Seconds::new(0.0), PRIO_ARRIVAL, Ev::Arrival(0));
-//! q.schedule(Seconds::new(0.1), PRIO_ARRIVAL, Ev::Arrival(1));
+//! let arrivals = [Seconds::new(0.0), Seconds::new(0.1)];
+//! q.feed(arrivals.iter().enumerate().map(|(i, &t)| (t, PRIO_ARRIVAL, Ev::Arrival(i))));
 //!
 //! let (mut waiting, mut busy, mut served) = (Vec::new(), false, 0);
 //! while let Some(fired) = q.pop() {

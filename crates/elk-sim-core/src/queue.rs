@@ -14,9 +14,14 @@
 //! of the schedule calls — never of heap internals, hash iteration, or
 //! thread interleaving. That is what lets the serving engines promise
 //! byte-identical reports at any `--threads` count.
+//!
+//! Events known up front (a trace's arrivals) are handed over once with
+//! [`EventQueue::feed`] instead of being scheduled one by one: they wait
+//! in a time-sorted feed and enter the heap only when they are about to
+//! fire, so the heap holds the in-flight work, not the whole future.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use elk_obs::Obs;
 use elk_units::Seconds;
@@ -103,6 +108,10 @@ struct QueueObs {
 /// the past, so causality violations fail loudly instead of silently
 /// reordering history.
 ///
+/// Fed events ([`feed`](EventQueue::feed)) fire exactly as if each had
+/// been scheduled in feed order before anything else: same keys, same
+/// pop order, same clock.
+///
 /// # Examples
 ///
 /// ```
@@ -123,6 +132,8 @@ struct QueueObs {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Keyed, time-sorted events not yet moved into the heap.
+    fed: VecDeque<Entry<E>>,
     now: Seconds,
     next_seq: u64,
     processed: u64,
@@ -142,6 +153,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            fed: VecDeque::new(),
             now: Seconds::ZERO,
             next_seq: 0,
             processed: 0,
@@ -207,6 +219,67 @@ impl<E> EventQueue<E> {
         key
     }
 
+    /// Hands the queue a time-sorted batch of events before anything is
+    /// scheduled — typically every arrival of a trace. Fed event `i`
+    /// gets the key `(time, priority, i)`, and later
+    /// [`schedule`](EventQueue::schedule) calls number on from the feed
+    /// length, so every key equals the one scheduling the batch in order
+    /// would have produced.
+    ///
+    /// Fed events move into the heap only when they can fire next (see
+    /// [`pop`](EventQueue::pop)), so [`peak_len`](EventQueue::peak_len)
+    /// tracks the in-flight events instead of the whole batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if anything was scheduled or fed before, or if the times
+    /// are not non-decreasing.
+    pub fn feed(&mut self, events: impl IntoIterator<Item = (Seconds, u8, E)>) {
+        assert!(
+            self.next_seq == 0,
+            "feed must come before any other schedule or feed call"
+        );
+        let mut last = self.now;
+        for (time, priority, event) in events {
+            assert!(
+                time >= last,
+                "fed events must be time-sorted: {time} follows {last}"
+            );
+            last = time;
+            let key = EventKey {
+                time,
+                priority,
+                seq: self.next_seq,
+            };
+            self.next_seq += 1;
+            self.fed.push_back(Entry { key, event });
+        }
+    }
+
+    /// Moves fed events into the heap while they are due no later than
+    /// the heap's earliest event (or the heap is empty). Every fed event
+    /// left behind is strictly later than the heap's minimum, so the
+    /// heap's minimum is the global minimum.
+    fn admit_fed(&mut self) {
+        while let Some(front) = self.fed.front() {
+            if self
+                .heap
+                .peek()
+                .is_some_and(|top| top.key.time < front.key.time)
+            {
+                break;
+            }
+            let entry = self.fed.pop_front().expect("front exists");
+            self.heap.push(entry);
+            self.peak_len = self.peak_len.max(self.heap.len());
+            if self.fed.is_empty() {
+                // Release the drained feed's buffer: the caller is
+                // likely to fold its results while the queue lives on.
+                self.fed = VecDeque::new();
+            }
+        }
+    }
+
     /// Schedules `event` a `delay` after the current clock.
     ///
     /// # Panics
@@ -220,6 +293,7 @@ impl<E> EventQueue<E> {
     /// Fires the next event in `(time, priority, seq)` order, advancing
     /// the clock to its time. Returns `None` when the future is empty.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
+        self.admit_fed();
         let entry = self.heap.pop()?;
         self.now = entry.key.time;
         self.processed += 1;
@@ -251,19 +325,21 @@ impl<E> EventQueue<E> {
     /// at the current instant has fired.
     #[must_use]
     pub fn peek_time(&self) -> Option<Seconds> {
-        self.heap.peek().map(|e| e.key.time)
+        let heap = self.heap.peek().map(|e| e.key.time);
+        let fed = self.fed.front().map(|e| e.key.time);
+        heap.into_iter().chain(fed).min()
     }
 
-    /// Events still scheduled.
+    /// Events still to fire, fed ones included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.fed.len()
     }
 
     /// `true` when no events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.fed.is_empty()
     }
 
     /// Events fired so far — the denominator-free half of an
@@ -273,9 +349,10 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    /// The largest number of events simultaneously scheduled so far —
-    /// the kernel's peak heap size, a cheap memory-pressure proxy the
-    /// serving reports expose as `peak_event_queue_len`.
+    /// The largest number of events the heap held at once so far — a
+    /// cheap memory-pressure proxy the serving reports expose as
+    /// `peak_event_queue_len`. Fed events count only once they have
+    /// moved into the heap.
     #[must_use]
     pub fn peak_len(&self) -> usize {
         self.peak_len
@@ -404,6 +481,55 @@ mod tests {
             &buf.events[0],
             TraceEvent::Span { name, dur, .. } if name == "arrival" && *dur == Seconds::new(1.0)
         ));
+    }
+
+    #[test]
+    fn fed_keys_match_scheduling_in_feed_order() {
+        let mut q = EventQueue::new();
+        q.feed([
+            (Seconds::new(1.0), 0, "a"),
+            (Seconds::new(1.0), 3, "b"),
+            (Seconds::new(2.0), 0, "c"),
+        ]);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(Seconds::new(1.0)));
+        let a = q.pop().unwrap();
+        assert_eq!((a.event, a.key.seq), ("a", 0));
+        // Dynamic schedules number on from the feed length.
+        let d = q.schedule(Seconds::new(1.0), 1, "d");
+        assert_eq!(d.seq, 3);
+        let order: Vec<(&str, u64)> =
+            std::iter::from_fn(|| q.pop().map(|s| (s.event, s.key.seq))).collect();
+        assert_eq!(order, vec![("d", 3), ("b", 1), ("c", 2)]);
+        assert_eq!(q.events_processed(), 4);
+    }
+
+    #[test]
+    fn fed_events_enter_the_heap_only_when_due() {
+        let mut q = EventQueue::new();
+        q.feed((0..100).map(|i| (Seconds::new(f64::from(i)), 0, i)));
+        let mut fired = 0;
+        while q.pop().is_some() {
+            fired += 1;
+        }
+        assert_eq!(fired, 100);
+        assert_eq!(q.peak_len(), 1, "one due arrival at a time");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "time-sorted")]
+    fn unsorted_feed_panics() {
+        let mut q = EventQueue::new();
+        q.feed([(Seconds::new(2.0), 0, ()), (Seconds::new(1.0), 0, ())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "feed must come before")]
+    fn feeding_after_a_schedule_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(Seconds::new(1.0), 0, ());
+        q.feed([(Seconds::new(2.0), 0, ())]);
     }
 
     #[test]

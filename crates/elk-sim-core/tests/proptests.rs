@@ -1,6 +1,6 @@
 //! Property tests for the kernel's ordering and statistics contracts.
 
-use elk_sim_core::{EventQueue, TimeWeighted};
+use elk_sim_core::{EventKey, EventQueue, TimeWeighted};
 use elk_units::Seconds;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -27,7 +27,96 @@ fn permute<T>(items: &mut [T], salt: u64) {
     }
 }
 
+/// Everything a driven queue reveals: the `peek_time` answer before
+/// each pop, the popped `(key, payload)`s, the keys of the dynamic
+/// schedules, and the final event count.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    peeks: Vec<Option<Seconds>>,
+    pops: Vec<(EventKey, usize)>,
+    scheduled: Vec<EventKey>,
+    processed: u64,
+}
+
+/// Drives a queue to exhaustion, making the script's dynamic schedules
+/// after each pop. Script step `i` (cycled) is `(kind, delay,
+/// priority)`: kind 0 does nothing, 1 schedules at `now + delay`, 2
+/// schedules twice at the same instant (an equal-time tie), 3 uses
+/// `schedule` with an absolute time.
+fn drive(mut q: EventQueue<usize>, script: &[(u8, u32, u8)]) -> Observed {
+    let mut peeks = vec![q.peek_time()];
+    let mut pops = Vec::new();
+    let mut scheduled = Vec::new();
+    let mut next_id = 10_000;
+    let mut step = 0;
+    while let Some(fired) = q.pop() {
+        pops.push((fired.key, fired.event));
+        // Bound the dynamic work so every run terminates.
+        if step < 4 * script.len() && !script.is_empty() {
+            let (kind, delay, prio) = script[step % script.len()];
+            let delay = Seconds::new(f64::from(delay) * 0.125);
+            let mut add = |q: &mut EventQueue<usize>, at: Option<Seconds>| {
+                next_id += 1;
+                scheduled.push(match at {
+                    Some(t) => q.schedule(t, prio, next_id),
+                    None => q.schedule_after(delay, prio, next_id),
+                });
+            };
+            match kind {
+                1 => add(&mut q, None),
+                2 => {
+                    add(&mut q, None);
+                    add(&mut q, None);
+                }
+                3 => {
+                    let at = q.now() + delay;
+                    add(&mut q, Some(at));
+                }
+                _ => {}
+            }
+        }
+        step += 1;
+        peeks.push(q.peek_time());
+    }
+    Observed {
+        peeks,
+        pops,
+        scheduled,
+        processed: q.events_processed(),
+    }
+}
+
 proptest! {
+    // Feeding time-sorted events is indistinguishable from scheduling
+    // them all up front, even with mixed priorities, equal-time ties and
+    // dynamic schedules interleaved with the pops.
+    #[test]
+    fn feeding_matches_preloading(
+        raw in vec((0u32..40, 0u8..4), 0..40),
+        script in vec((0u8..4, 0u32..24, 0u8..4), 0..12),
+    ) {
+        let mut times: Vec<u32> = raw.iter().map(|&(t, _)| t).collect();
+        times.sort_unstable();
+        let events: Vec<(Seconds, u8, usize)> = times
+            .iter()
+            .zip(&raw)
+            .enumerate()
+            .map(|(id, (&t, &(_, p)))| (Seconds::new(f64::from(t) * 0.25), p, id))
+            .collect();
+
+        let mut preloaded = EventQueue::new();
+        for &(time, priority, id) in &events {
+            preloaded.schedule(time, priority, id);
+        }
+        let mut fed = EventQueue::new();
+        fed.feed(events.iter().copied());
+        prop_assert_eq!(fed.len(), events.len());
+
+        let fed_run = drive(fed, &script);
+        prop_assert_eq!(&fed_run, &drive(preloaded, &script));
+        prop_assert!(fed_run.pops.len() >= events.len());
+    }
+
     // Tie-breaking is permutation-invariant: as long as `(time,
     // priority)` keys are unique, insertion order cannot change the
     // pop order.

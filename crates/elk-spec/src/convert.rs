@@ -320,6 +320,41 @@ impl WorkloadSpec {
             None => Ok(system.chips),
         }
     }
+
+    /// [`shards_for`](Self::shards_for), checked against `model`:
+    /// tensor parallelism splits the attention heads and the FFN width
+    /// evenly across shards, so the shard count must divide both.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::Invalid`] for a zero shard count or one that
+    /// does not divide the model's heads or FFN width.
+    pub fn shards_for_model(
+        &self,
+        system: &SystemConfig,
+        model: &ResolvedModel,
+    ) -> Result<u64, SpecError> {
+        let shards = self.shards_for(system)?;
+        let (heads, ffn) = match model {
+            ResolvedModel::Llm(cfg) => (cfg.heads, Some(("intermediate", cfg.intermediate))),
+            ResolvedModel::Moe(cfg) => (
+                cfg.heads,
+                Some(("expert_intermediate", cfg.expert_intermediate)),
+            ),
+            ResolvedModel::Dit(cfg) => (cfg.heads, None),
+        };
+        if !heads.is_multiple_of(shards) {
+            return Err(invalid(format!(
+                "workload.shards ({shards}) must divide the model's heads ({heads})"
+            )));
+        }
+        if let Some((name, width)) = ffn.filter(|&(_, width)| !width.is_multiple_of(shards)) {
+            return Err(invalid(format!(
+                "workload.shards ({shards}) must divide the model's {name} ({width})"
+            )));
+        }
+        Ok(shards)
+    }
 }
 
 impl SimSpec {
@@ -808,6 +843,32 @@ mod tests {
         let sys = presets::ipu_pod4();
         assert_eq!(spec.shards_for(&sys).unwrap(), 4);
         assert_eq!(spec.to_workload().unwrap(), Workload::decode(32, 2048));
+    }
+
+    #[test]
+    fn shards_must_divide_heads_and_ffn_width() {
+        let sys = presets::ipu_pod4();
+        let llama = ModelSpec::Zoo {
+            zoo: "llama13".into(),
+            layers: Some(2),
+        }
+        .resolve()
+        .unwrap();
+        let with = |shards| WorkloadSpec {
+            shards: Some(shards),
+            ..WorkloadSpec::default()
+        };
+        assert_eq!(with(4).shards_for_model(&sys, &llama).unwrap(), 4);
+        let e = with(3).shards_for_model(&sys, &llama).unwrap_err();
+        assert!(matches!(e, SpecError::Invalid(_)), "{e}");
+        assert!(e.to_string().contains("heads (40)"), "{e}");
+        // 80 heads split 80 ways, but 13824 FFN columns do not.
+        let mut cfg = elk_model::zoo::llama2_13b();
+        cfg.heads = 80;
+        let e = with(80)
+            .shards_for_model(&sys, &ResolvedModel::Llm(cfg))
+            .unwrap_err();
+        assert!(e.to_string().contains("intermediate (13824)"), "{e}");
     }
 
     #[test]

@@ -16,6 +16,7 @@ use elk_serve::{RequestTrace, RouterPolicy, ServingSim};
 use elk_trace::TraceFile;
 use elk_units::Seconds;
 
+use crate::convert::ResolvedModel;
 use crate::report::{
     ClusterRunReport, CompileReport, DesignCompileReport, DesignSimRow, ServeReport,
     SimulateReport, TraceGenReport,
@@ -92,7 +93,7 @@ pub fn run_compile_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<CompileRep
     let system = spec.system.to_system()?;
     let model = spec.model.resolve()?;
     let workload = spec.workload.to_workload()?;
-    let shards = spec.workload.shards_for(&system)?;
+    let shards = spec.workload.shards_for_model(&system, &model)?;
     let sim = spec.sim.to_options()?;
     let graph = model.build(workload, shards);
 
@@ -286,7 +287,9 @@ pub fn run_serve(spec: &ScenarioSpec) -> Result<ServeReport, SpecError> {
 pub fn run_serve_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ServeReport, SpecError> {
     let system = spec.system.to_system()?;
     let model = spec.model.as_transformer()?;
-    let shards = spec.workload.shards_for(&system)?;
+    let shards = spec
+        .workload
+        .shards_for_model(&system, &ResolvedModel::Llm(model.clone()))?;
     let sim_opts = spec.sim.to_options()?;
     let config = spec.serving.to_config(model.clone(), shards, sim_opts)?;
     let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;

@@ -1,13 +1,18 @@
 //! A minimal, self-contained stand-in for the parts of `serde` this
 //! workspace uses: `Serialize` / `Deserialize` traits (with derive
-//! macros) over an in-memory [`Value`] tree.
+//! macros), a format-agnostic [`Serializer`] sink, and an in-memory
+//! [`Value`] tree.
 //!
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors this shim instead of the real crate. The data
-//! model is deliberately simple: serialization lowers any value to a
-//! [`Value`], and `serde_json` (the sibling shim) renders/parses that
-//! tree as JSON text. Field order is preserved, so output is stable
-//! across runs — which the golden-report tests rely on.
+//! model is deliberately simple. Serialization emits a value as a
+//! stream of sink calls ([`Serialize::serialize`]); `serde_json` (the
+//! sibling shim) implements the sink as a JSON text writer, so reports
+//! are written without building a tree first. [`Serialize::to_value`]
+//! collects the same calls into a [`Value`] tree for callers that edit
+//! documents, and deserialization reads from a tree. Field order is
+//! preserved, so output is stable across runs — which the
+//! golden-report tests rely on.
 //!
 //! ```
 //! use serde::Value;
@@ -89,10 +94,121 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A value that can lower itself to a [`Value`] tree.
+/// The sink a [`Serialize`] impl emits into: scalars, plus sequences
+/// and maps bracketed by begin/end calls. A map's entries alternate
+/// [`key`](Serializer::key) and one value. Begin calls carry the
+/// element count, which the impl always knows.
+pub trait Serializer {
+    /// `null` (also `None` and unit structs).
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, v: bool);
+    /// A non-negative integer.
+    fn u64(&mut self, v: u64);
+    /// A signed integer.
+    fn i64(&mut self, v: i64);
+    /// A float, non-finite ones included.
+    fn f64(&mut self, v: f64);
+    /// A string.
+    fn str(&mut self, v: &str);
+    /// Opens a sequence of `len` elements.
+    fn seq_begin(&mut self, len: usize);
+    /// Closes the innermost sequence.
+    fn seq_end(&mut self);
+    /// Opens a map of `len` entries.
+    fn map_begin(&mut self, len: usize);
+    /// The key of the next map entry; its value follows.
+    fn key(&mut self, k: &str);
+    /// Closes the innermost map.
+    fn map_end(&mut self);
+}
+
+/// A value that can emit itself into a [`Serializer`] and lower itself
+/// to a [`Value`] tree.
+///
+/// Hand-written impls may implement only [`to_value`](Self::to_value):
+/// the default [`serialize`](Self::serialize) walks the tree it builds.
+/// Derived and built-in impls emit straight into the sink and build
+/// trees with [`build_value`].
 pub trait Serialize {
     /// Lowers `self` to a [`Value`] tree.
     fn to_value(&self) -> Value;
+
+    /// Emits `self` into `out`.
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        self.to_value().serialize(out);
+    }
+}
+
+/// Collects what `v` emits into a [`Value`] tree — the
+/// [`Serialize::to_value`] of every impl that emits directly.
+pub fn build_value<T: Serialize + ?Sized>(v: &T) -> Value {
+    let mut b = ValueBuilder::default();
+    v.serialize(&mut b);
+    b.done.expect("a serialized value is complete")
+}
+
+/// A [`Serializer`] that assembles a [`Value`] tree.
+#[derive(Default)]
+struct ValueBuilder {
+    /// Open containers, innermost last; a map carries its pending key.
+    open: Vec<(Value, Option<String>)>,
+    done: Option<Value>,
+}
+
+impl ValueBuilder {
+    fn put(&mut self, v: Value) {
+        match self.open.last_mut() {
+            None => self.done = Some(v),
+            Some((Value::Seq(items), _)) => items.push(v),
+            Some((Value::Map(entries), key)) => {
+                entries.push((key.take().expect("a map value follows its key"), v));
+            }
+            Some(_) => unreachable!("only containers are open"),
+        }
+    }
+
+    fn close(&mut self) {
+        let (v, _) = self.open.pop().expect("end matches a begin");
+        self.put(v);
+    }
+}
+
+impl Serializer for ValueBuilder {
+    fn null(&mut self) {
+        self.put(Value::Null);
+    }
+    fn bool(&mut self, v: bool) {
+        self.put(Value::Bool(v));
+    }
+    fn u64(&mut self, v: u64) {
+        self.put(Value::U64(v));
+    }
+    fn i64(&mut self, v: i64) {
+        self.put(Value::I64(v));
+    }
+    fn f64(&mut self, v: f64) {
+        self.put(Value::F64(v));
+    }
+    fn str(&mut self, v: &str) {
+        self.put(Value::Str(v.to_string()));
+    }
+    fn seq_begin(&mut self, len: usize) {
+        self.open.push((Value::Seq(Vec::with_capacity(len)), None));
+    }
+    fn seq_end(&mut self) {
+        self.close();
+    }
+    fn map_begin(&mut self, len: usize) {
+        self.open.push((Value::Map(Vec::with_capacity(len)), None));
+    }
+    fn key(&mut self, k: &str) {
+        let (_, key) = self.open.last_mut().expect("a key belongs to an open map");
+        *key = Some(k.to_string());
+    }
+    fn map_end(&mut self) {
+        self.close();
+    }
 }
 
 /// A value reconstructible from a [`Value`] tree.
@@ -153,6 +269,9 @@ macro_rules! impl_unsigned {
             fn to_value(&self) -> Value {
                 Value::U64(u64::from(*self))
             }
+            fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+                out.u64(u64::from(*self));
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -178,6 +297,9 @@ impl Serialize for usize {
     fn to_value(&self) -> Value {
         Value::U64(*self as u64)
     }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.u64(*self as u64);
+    }
 }
 impl Deserialize for usize {
     fn from_value(v: &Value) -> Result<Self, Error> {
@@ -191,6 +313,9 @@ macro_rules! impl_signed {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::I64(i64::from(*self))
+            }
+            fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+                out.i64(i64::from(*self));
             }
         }
         impl Deserialize for $t {
@@ -218,6 +343,9 @@ impl Serialize for isize {
     fn to_value(&self) -> Value {
         Value::I64(*self as i64)
     }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.i64(*self as i64);
+    }
 }
 impl Deserialize for isize {
     fn from_value(v: &Value) -> Result<Self, Error> {
@@ -229,6 +357,9 @@ impl Deserialize for isize {
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::F64(*self)
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.f64(*self);
     }
 }
 impl Deserialize for f64 {
@@ -257,6 +388,9 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::F64(f64::from(*self))
     }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.f64(f64::from(*self));
+    }
 }
 impl Deserialize for f32 {
     fn from_value(v: &Value) -> Result<Self, Error> {
@@ -267,6 +401,9 @@ impl Deserialize for f32 {
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.bool(*self);
     }
 }
 impl Deserialize for bool {
@@ -281,6 +418,9 @@ impl Deserialize for bool {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.str(self);
     }
 }
 impl Deserialize for String {
@@ -299,11 +439,17 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.str(self);
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 impl Deserialize for char {
@@ -321,6 +467,9 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        (**self).serialize(out);
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -328,6 +477,12 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(x) => x.to_value(),
             None => Value::Null,
+        }
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        match self {
+            Some(x) => x.serialize(out),
+            None => out.null(),
         }
     }
 }
@@ -342,7 +497,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        self.as_slice().to_value()
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        self.as_slice().serialize(out);
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -359,13 +517,23 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        build_value(self)
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.seq_begin(self.len());
+        for x in self {
+            x.serialize(out);
+        }
+        out.seq_end();
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        (**self).serialize(out);
     }
 }
 impl<T: Deserialize> Deserialize for Box<T> {
@@ -378,7 +546,12 @@ macro_rules! impl_tuple {
     ($len:literal; $($t:ident . $idx:tt),+) => {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
+                build_value(self)
+            }
+            fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+                out.seq_begin($len);
+                $(self.$idx.serialize(out);)+
+                out.seq_end();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -396,10 +569,15 @@ impl_tuple!(4; A.0, B.1, C.2, D.3);
 
 impl<T: Serialize> Serialize for std::ops::Range<T> {
     fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("start".to_string(), self.start.to_value()),
-            ("end".to_string(), self.end.to_value()),
-        ])
+        build_value(self)
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        out.map_begin(2);
+        out.key("start");
+        self.start.serialize(out);
+        out.key("end");
+        self.end.serialize(out);
+        out.map_end();
     }
 }
 impl<T: Deserialize> Deserialize for std::ops::Range<T> {
@@ -409,13 +587,26 @@ impl<T: Deserialize> Deserialize for std::ops::Range<T> {
     }
 }
 
+/// Emits `entries` as a map, in the order given.
+fn serialize_entries<'a, V, S>(out: &mut S, entries: impl ExactSizeIterator<Item = (&'a String, V)>)
+where
+    V: Serialize,
+    S: Serializer + ?Sized,
+{
+    out.map_begin(entries.len());
+    for (k, v) in entries {
+        out.key(k);
+        v.serialize(out);
+    }
+    out.map_end();
+}
+
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+        build_value(self)
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        serialize_entries(out, self.iter());
     }
 }
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
@@ -427,15 +618,15 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
     }
 }
 
-impl<V: Serialize, S: std::hash::BuildHasher> Serialize for HashMap<String, V, S> {
+impl<V: Serialize, H: std::hash::BuildHasher> Serialize for HashMap<String, V, H> {
     fn to_value(&self) -> Value {
+        build_value(self)
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
         // Sort for deterministic output.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        serialize_entries(out, entries.into_iter());
     }
 }
 impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize for HashMap<String, V, S> {
@@ -450,6 +641,20 @@ impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize for HashMa
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, out: &mut S) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::U64(n) => out.u64(*n),
+            Value::I64(n) => out.i64(*n),
+            Value::F64(x) => out.f64(*x),
+            Value::Str(s) => out.str(s),
+            Value::Seq(items) => items.serialize(out),
+            Value::Map(entries) => {
+                serialize_entries(out, entries.iter().map(|(k, v)| (k, v)));
+            }
+        }
     }
 }
 impl Deserialize for Value {

@@ -260,78 +260,80 @@ fn parse_item(input: TokenStream) -> Item {
 
 // ---- code generation (as source strings, parsed back into tokens) ----
 
+/// `__s.key("f"); <serialize expr>;` for each named field, where `expr`
+/// maps a field name to the expression naming its value.
+fn emit_entries(fields: &[String], expr: impl Fn(&str) -> String) -> String {
+    fields
+        .iter()
+        .map(|f| {
+            format!(
+                "__s.key({f:?}); ::serde::Serialize::serialize({}, __s);",
+                expr(f)
+            )
+        })
+        .collect()
+}
+
+/// Opens a `len`-entry map (or sequence), emits `body`, and closes it.
+fn emit_block(map: bool, len: usize, body: &str) -> String {
+    let kind = if map { "map" } else { "seq" };
+    format!("__s.{kind}_begin({len}); {body} __s.{kind}_end();")
+}
+
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
-        ItemKind::NamedStruct(fields) => {
-            let entries: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Map(::std::vec![{}])", entries.join(", "))
-        }
+        ItemKind::NamedStruct(fields) => emit_block(
+            true,
+            fields.len(),
+            &emit_entries(fields, |f| format!("&self.{f}")),
+        ),
         ItemKind::TupleStruct(1) if item.transparent => {
-            "::serde::Serialize::to_value(&self.0)".to_string()
+            "::serde::Serialize::serialize(&self.0, __s);".to_string()
         }
         ItemKind::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
+            let elems: String = (0..*n)
+                .map(|i| format!("::serde::Serialize::serialize(&self.{i}, __s);"))
                 .collect();
-            format!("::serde::Value::Seq(::std::vec![{}])", elems.join(", "))
+            emit_block(false, *n, &elems)
         }
-        ItemKind::UnitStruct => "::serde::Value::Null".to_string(),
+        ItemKind::UnitStruct => "__s.null();".to_string(),
         ItemKind::Enum(variants) => {
+            // Externally tagged: a unit variant is its name; any other is
+            // a one-entry map from the name to its payload.
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
+                    let tagged =
+                        |payload: &str| emit_block(true, 1, &format!("__s.key({vn:?}); {payload}"));
                     match &v.fields {
-                        VariantFields::Unit => format!(
-                            "{name}::{vn} => ::serde::Value::Str(\
-                             ::std::string::String::from({vn:?})),"
-                        ),
+                        VariantFields::Unit => format!("{name}::{vn} => {{ __s.str({vn:?}); }}"),
                         VariantFields::Tuple(1) => format!(
-                            "{name}::{vn}(__f0) => ::serde::Value::Map(::std::vec![(\
-                             ::std::string::String::from({vn:?}), \
-                             ::serde::Serialize::to_value(__f0))]),"
+                            "{name}::{vn}(__f0) => {{ {} }}",
+                            tagged("::serde::Serialize::serialize(__f0, __s);")
                         ),
                         VariantFields::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                            let elems: Vec<String> = binds
+                            let elems: String = binds
                                 .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
+                                .map(|b| format!("::serde::Serialize::serialize({b}, __s);"))
                                 .collect();
                             format!(
-                                "{name}::{vn}({}) => ::serde::Value::Map(::std::vec![(\
-                                 ::std::string::String::from({vn:?}), \
-                                 ::serde::Value::Seq(::std::vec![{}]))]),",
+                                "{name}::{vn}({}) => {{ {} }}",
                                 binds.join(", "),
-                                elems.join(", ")
+                                tagged(&emit_block(false, *n, &elems))
                             )
                         }
-                        VariantFields::Named(fields) => {
-                            let entries: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(::std::string::String::from({f:?}), \
-                                         ::serde::Serialize::to_value({f}))"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vn} {{ {} }} => ::serde::Value::Map(::std::vec![(\
-                                 ::std::string::String::from({vn:?}), \
-                                 ::serde::Value::Map(::std::vec![{}]))]),",
-                                fields.join(", "),
-                                entries.join(", ")
-                            )
-                        }
+                        VariantFields::Named(fields) => format!(
+                            "{name}::{vn} {{ {} }} => {{ {} }}",
+                            fields.join(", "),
+                            tagged(&emit_block(
+                                true,
+                                fields.len(),
+                                &emit_entries(fields, |f| f.to_string())
+                            ))
+                        ),
                     }
                 })
                 .collect();
@@ -340,7 +342,8 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "#[automatically_derived] impl ::serde::Serialize for {name} {{ \
-         fn to_value(&self) -> ::serde::Value {{ {body} }} }}"
+         fn to_value(&self) -> ::serde::Value {{ ::serde::build_value(self) }} \
+         fn serialize<__S: ::serde::Serializer + ?::std::marker::Sized>(&self, __s: &mut __S) {{ {body} }} }}"
     )
 }
 
@@ -449,7 +452,8 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
-/// Derives `serde::Serialize` by lowering the item to a `Value` tree.
+/// Derives `serde::Serialize`: the item emits its fields straight into
+/// the sink, and `to_value` collects that emission into a tree.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);

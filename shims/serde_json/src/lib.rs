@@ -1,5 +1,10 @@
-//! JSON text serialization over the vendored serde shim's [`Value`]
-//! tree: `to_string`, `to_string_pretty`, and `from_str`.
+//! JSON text serialization for the vendored serde shim: `to_string`,
+//! `to_string_pretty`, and `from_str`.
+//!
+//! Serialization drives one JSON writer, a [`serde::Serializer`] sink
+//! that appends text as the value emits itself, so no [`Value`] tree is
+//! built on the way (a `Value` argument walks its tree into the same
+//! writer). Parsing builds a `Value` tree and deserializes from it.
 //!
 //! Output is deterministic (struct fields keep declaration order) and
 //! round-trips through the parser. Non-finite floats — which JSON
@@ -17,7 +22,9 @@
 #![warn(missing_docs)]
 
 pub use serde::Error;
-use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write as _;
+
+use serde::{Deserialize, Serialize, Serializer, Value};
 
 /// Serializes `value` as compact JSON.
 ///
@@ -25,9 +32,7 @@ use serde::{Deserialize, Serialize, Value};
 /// This implementation cannot fail, but keeps the fallible signature
 /// of the real `serde_json` for call-site compatibility.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    Ok(JsonWriter::write(value, false))
 }
 
 /// Serializes `value` as human-readable, 2-space-indented JSON.
@@ -36,9 +41,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// This implementation cannot fail, but keeps the fallible signature
 /// of the real `serde_json` for call-site compatibility.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    Ok(JsonWriter::write(value, true))
 }
 
 /// Parses JSON text into a `T`.
@@ -64,111 +67,182 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 
 // ---- emitter ----
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(x) => write_f64(out, *x),
-        Value::Str(s) => write_str(out, s),
-        Value::Seq(items) => {
-            write_block(
-                out,
-                b'[',
-                b']',
-                items.len(),
-                indent,
-                level,
-                |out, i, ind, lvl| {
-                    write_value(out, &items[i], ind, lvl);
-                },
-            );
-        }
-        Value::Map(entries) => {
-            write_block(
-                out,
-                b'{',
-                b'}',
-                entries.len(),
-                indent,
-                level,
-                |out, i, ind, lvl| {
-                    let (k, v) = &entries[i];
-                    write_str(out, k);
-                    out.push(':');
-                    if ind.is_some() {
-                        out.push(' ');
-                    }
-                    write_value(out, v, ind, lvl);
-                },
-            );
-        }
-    }
+/// Spaces per nesting level in pretty output.
+const INDENT: usize = 2;
+
+/// The JSON text sink. Compact output has no whitespace; pretty output
+/// puts every element on its own line, indented two spaces per level,
+/// and writes `[]`/`{}` for empty containers.
+struct JsonWriter {
+    out: String,
+    pretty: bool,
+    /// Open containers, innermost last: `(is_map, has_elements)`.
+    open: Vec<(bool, bool)>,
 }
 
-fn write_block(
-    out: &mut String,
-    open: u8,
-    close: u8,
-    len: usize,
-    indent: Option<usize>,
-    level: usize,
-    mut item: impl FnMut(&mut String, usize, Option<usize>, usize),
-) {
-    out.push(open as char);
-    if len == 0 {
-        out.push(close as char);
-        return;
+impl JsonWriter {
+    fn write<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+        let mut w = JsonWriter {
+            out: String::new(),
+            pretty,
+            open: Vec::new(),
+        };
+        value.serialize(&mut w);
+        w.out
     }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (level + 1)));
-        }
-        item(out, i, indent, level + 1);
-    }
-    if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * level));
-    }
-    out.push(close as char);
-}
 
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        // `{:?}` prints the shortest representation that round-trips,
-        // always with a decimal point or exponent (valid JSON).
-        out.push_str(&format!("{x:?}"));
-    } else if x.is_nan() {
-        out.push_str("\"NaN\"");
-    } else if x > 0.0 {
-        out.push_str("\"Infinity\"");
-    } else {
-        out.push_str("\"-Infinity\"");
+    /// Separator and indentation before the next element of the
+    /// innermost container.
+    fn element(&mut self) {
+        let depth = self.open.len();
+        let Some((_, has_elements)) = self.open.last_mut() else {
+            return;
+        };
+        if std::mem::replace(has_elements, true) {
+            self.out.push(',');
+        }
+        if self.pretty {
+            self.newline(depth);
+        }
     }
-}
 
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    /// Called before every value: a sequence element needs a separator,
+    /// a map value already follows its key.
+    fn value(&mut self) {
+        if matches!(self.open.last(), Some((false, _))) {
+            self.element();
+        }
+    }
+
+    fn newline(&mut self, depth: usize) {
+        self.out.push('\n');
+        for _ in 0..depth * INDENT {
+            self.out.push(' ');
+        }
+    }
+
+    fn begin(&mut self, map: bool, open: char) {
+        self.value();
+        self.out.push(open);
+        self.open.push((map, false));
+    }
+
+    fn end(&mut self, close: char) {
+        let (_, has_elements) = self.open.pop().expect("end matches a begin");
+        if has_elements && self.pretty {
+            self.newline(self.open.len());
+        }
+        self.out.push(close);
+    }
+
+    fn push_u64(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
             }
-            c => out.push(c),
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    }
+
+    fn push_str_literal(&mut self, s: &str) {
+        let out = &mut self.out;
+        out.push('"');
+        // Copy unescaped runs whole. Every byte that needs escaping is
+        // ASCII, so the run boundaries are char boundaries.
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            out.push_str(&s[run..i]);
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => {
+                    let _ = write!(out, "\\u{b:04x}");
+                }
+            }
+            run = i + 1;
+        }
+        out.push_str(&s[run..]);
+        out.push('"');
+    }
+}
+
+impl Serializer for JsonWriter {
+    fn null(&mut self) {
+        self.value();
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.value();
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.value();
+        self.push_u64(v);
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.value();
+        if v < 0 {
+            self.out.push('-');
+        }
+        self.push_u64(v.unsigned_abs());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.value();
+        if v.is_finite() {
+            // `{:?}` prints the shortest representation that round-trips,
+            // always with a decimal point or exponent (valid JSON).
+            let _ = write!(self.out, "{v:?}");
+        } else if v.is_nan() {
+            self.out.push_str("\"NaN\"");
+        } else if v > 0.0 {
+            self.out.push_str("\"Infinity\"");
+        } else {
+            self.out.push_str("\"-Infinity\"");
         }
     }
-    out.push('"');
+
+    fn str(&mut self, v: &str) {
+        self.value();
+        self.push_str_literal(v);
+    }
+
+    fn seq_begin(&mut self, _len: usize) {
+        self.begin(false, '[');
+    }
+
+    fn seq_end(&mut self) {
+        self.end(']');
+    }
+
+    fn map_begin(&mut self, _len: usize) {
+        self.begin(true, '{');
+    }
+
+    fn key(&mut self, k: &str) {
+        self.element();
+        self.push_str_literal(k);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    fn map_end(&mut self) {
+        self.end('}');
+    }
 }
 
 // ---- parser ----

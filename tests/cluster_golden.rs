@@ -277,10 +277,12 @@ fn router_scenario_serves_every_request_under_every_policy() {
         assert_eq!(row.completed, 8, "{}", row.policy);
         assert_eq!(row.per_group_requests.iter().sum::<usize>(), 8);
         assert_eq!(row.plan, ParallelismPlan::new(2, 1, 2));
-        // All 8 arrivals are scheduled up front, so the heap peaks at
-        // the full trace before the first dispatch drains it.
-        assert_eq!(row.peak_event_queue_len, 8, "{}", row.policy);
     }
+    // Arrivals are fed to the kernel and enter its heap only when due,
+    // so the heap holds the in-flight step completions plus the next
+    // arrival or two, not the whole 8-request trace.
+    let peaks: Vec<usize> = rows.iter().map(|r| r.peak_event_queue_len).collect();
+    assert_eq!(peaks, [3, 3, 3], "dp = 2 completions plus one arrival");
 
     // Thread-count invariance holds for the serving rows too.
     set_path(&mut doc, "cluster.threads", serde::Value::U64(8)).unwrap();

@@ -188,3 +188,38 @@ fn moe_skip_writes_a_structured_marker() {
     }
     let _ = std::fs::remove_dir_all(&out);
 }
+
+/// A shard count that does not divide the model's heads is a spec
+/// error (exit 2 with a message), not a panic in the graph builder.
+#[test]
+fn indivisible_shards_exit_with_a_spec_error() {
+    let dir = std::env::temp_dir().join(format!("elk-bad-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = dir.join("bad_shards.json");
+    std::fs::write(
+        &scenario,
+        r#"{"name": "bad_shards", "model": {"zoo": "llama13", "layers": 2},
+            "workload": {"shards": 3}}"#,
+    )
+    .expect("write scenario");
+    for command in ["compile", "simulate", "serve"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+            .arg(command)
+            .arg(&scenario)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .expect("spawn elk");
+        let code = output.status.code();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            matches!(code, Some(1 | 2)),
+            "`elk {command}` must fail cleanly, got {code:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("heads (40)") && stderr.contains("shards (3)"),
+            "`elk {command}` must name heads and shards: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
