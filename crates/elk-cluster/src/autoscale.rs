@@ -29,8 +29,8 @@ use elk_baselines::Design;
 use elk_hw::SystemConfig;
 use elk_model::Phase;
 use elk_obs::Obs;
-use elk_serve::{next_step, LatencyStats, RequestOutcome, RequestTrace, SloConfig, StepPlan};
-use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
+use elk_serve::{GroupCore, LatencyStats, RequestOutcome, RequestTrace, SloConfig};
+use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
 use crate::plan::ParallelismPlan;
@@ -220,9 +220,10 @@ pub struct AutoscaleReport {
 }
 
 /// Lifecycle of a group slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum GroupState {
     /// Released: no chips held, receives nothing.
+    #[default]
     Off,
     /// Provisioned, compiling its plans; receives nothing yet.
     Warming,
@@ -250,69 +251,15 @@ enum Ev {
     ScaleTick,
 }
 
-/// What a group's in-flight step will do when its completion fires.
-enum PendingStep {
-    /// Prefill of these trace indices.
-    Prefill {
-        /// Trace indices admitted into the step.
-        batch: Vec<usize>,
-    },
-    /// One decode iteration over the group's active set.
-    Decode,
-}
-
-struct InFlight {
-    idx: usize,
-    generated: u64,
-}
-
-/// One group slot's live state.
+/// One group slot's lifecycle; its serving state lives in the shared
+/// [`GroupCore`].
+#[derive(Default)]
 struct Slot {
     state: GroupState,
-    waiting: Vec<usize>,
-    active: Vec<InFlight>,
-    pending: Option<PendingStep>,
-    prefill_steps: u64,
-    decode_steps: u64,
-    queue: QueueStat,
-    served: usize,
-    /// Completion time of the slot's last step.
-    end: Seconds,
     /// When the slot was last provisioned (None while off).
     on_since: Option<Seconds>,
     /// Accumulated provisioned time from finished on-intervals.
     on_time: Seconds,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: GroupState::Off,
-            waiting: Vec::new(),
-            active: Vec::new(),
-            pending: None,
-            prefill_steps: 0,
-            decode_steps: 0,
-            queue: QueueStat::new(),
-            served: 0,
-            end: Seconds::ZERO,
-            on_since: None,
-            on_time: Seconds::ZERO,
-        }
-    }
-
-    /// Queued + in-flight requests, as the router observes them.
-    fn outstanding(&self) -> usize {
-        let in_step = match &self.pending {
-            Some(PendingStep::Prefill { batch }) => batch.len(),
-            _ => 0,
-        };
-        self.waiting.len() + self.active.len() + in_step
-    }
-
-    fn drained(&self) -> bool {
-        self.waiting.is_empty() && self.active.is_empty() && self.pending.is_none()
-    }
 }
 
 /// Trace-driven serving simulator with an elastic group fleet.
@@ -404,10 +351,7 @@ impl AutoscaleServingSim {
         ];
         let mut total = Seconds::ZERO;
         for wl in warmup {
-            total += self
-                .pricer
-                .split_step(design, wl)
-                .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
+            total += self.pricer.split_step(design, wl)?;
         }
         Ok(Seconds::new(total.as_secs() * self.auto.cold_start_steps))
     }
@@ -418,7 +362,6 @@ impl AutoscaleServingSim {
     /// # Errors
     ///
     /// Propagates compile failures as [`ClusterError::Compile`].
-    #[allow(clippy::too_many_lines)]
     pub fn run(
         &mut self,
         design: Design,
@@ -427,9 +370,8 @@ impl AutoscaleServingSim {
         let max = self.auto.max_groups as usize;
         let min = self.auto.min_groups as usize;
         let reqs = &trace.requests;
-        let mut slots: Vec<Slot> = (0..max).map(|_| Slot::new()).collect();
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let mut transitions: Vec<ScaleEvent> = Vec::new();
+        let mut core = GroupCore::new(max, trace.len());
+        let mut fleet = Fleet::new(max, min);
         let mut q: EventQueue<Ev> = EventQueue::new();
         q.observe(
             self.obs.clone(),
@@ -446,38 +388,6 @@ impl AutoscaleServingSim {
         // actually need.
         let prompt_hint = reqs.iter().map(|r| r.prompt_len).max().unwrap_or(1);
         let cold_cost = self.cold_start_cost(design, prompt_hint)?;
-        // `true` once any group's spin-up has compiled the warm-up
-        // shapes this run: later spin-ups hit the shared cache and
-        // start warm. Deliberately NOT read from PlanCache counters —
-        // those shift with the compile worker count.
-        let mut fleet_warm = false;
-
-        let ready_count = |slots: &[Slot]| {
-            slots
-                .iter()
-                .filter(|s| s.state == GroupState::Ready)
-                .count()
-        };
-
-        // The floor fleet is provisioned before the trace window opens.
-        for (gid, slot) in slots.iter_mut().enumerate().take(min) {
-            slot.state = GroupState::Ready;
-            slot.on_since = Some(Seconds::ZERO);
-            transitions.push(ScaleEvent {
-                time: Seconds::ZERO,
-                kind: ScaleEventKind::Up,
-                group: gid,
-                ready: gid,
-                cold_start: Seconds::ZERO,
-            });
-            transitions.push(ScaleEvent {
-                time: Seconds::ZERO,
-                kind: ScaleEventKind::Ready,
-                group: gid,
-                ready: gid + 1,
-                cold_start: Seconds::ZERO,
-            });
-        }
 
         q.feed(
             reqs.iter()
@@ -492,12 +402,6 @@ impl AutoscaleServingSim {
         let mut window_completed = 0usize;
         let mut window_met = 0usize;
         let mut area_prev = 0.0f64;
-        let mut scale_ups = min as u64;
-        let mut scale_downs = 0u64;
-        let mut cold_starts = 0u64;
-        let mut cold_start_total = Seconds::ZERO;
-        let mut on_now = min;
-        let mut peak_groups = min;
 
         while let Some(fired) = q.pop() {
             let now = q.now();
@@ -506,78 +410,30 @@ impl AutoscaleServingSim {
                     // Least-outstanding over the ready set, lowest
                     // index on ties — deterministic, and requests are
                     // never routed to warming or draining groups.
-                    let pick = slots
+                    let pick = fleet
+                        .slots
                         .iter()
                         .enumerate()
                         .filter(|(_, s)| s.state == GroupState::Ready)
-                        .min_by_key(|(gid, s)| (s.outstanding(), *gid))
+                        .min_by_key(|&(gid, _)| (core.groups[gid].outstanding(), gid))
                         .map(|(gid, _)| gid)
                         .expect("the fleet floor keeps >= 1 group ready");
-                    let slot = &mut slots[pick];
-                    slot.waiting.push(idx);
-                    slot.served += 1;
-                    slot.queue.record(now, slot.waiting.len());
+                    core.enqueue(pick, idx, now);
                 }
-                Ev::StepDone { gid } => {
-                    let slot = &mut slots[gid];
-                    match slot.pending.take().expect("StepDone implies a step") {
-                        PendingStep::Prefill { batch } => {
-                            slot.prefill_steps += 1;
-                            for idx in batch {
-                                let outcome = RequestOutcome {
-                                    id: reqs[idx].id,
-                                    replica: gid,
-                                    arrival: reqs[idx].arrival,
-                                    first_token: now,
-                                    completion: now,
-                                    output_len: reqs[idx].output_len,
-                                };
-                                if reqs[idx].output_len > 1 {
-                                    slot.active.push(InFlight { idx, generated: 1 });
-                                } else {
-                                    completed += 1;
-                                    window_completed += 1;
-                                    window_met += usize::from(outcome.meets(&self.config.slo));
-                                }
-                                outcomes[idx] = Some(outcome);
-                            }
-                        }
-                        PendingStep::Decode => {
-                            slot.decode_steps += 1;
-                            let slo = self.config.slo;
-                            slot.active.retain_mut(|a| {
-                                a.generated += 1;
-                                let outcome = outcomes[a.idx].as_mut().expect("prefilled");
-                                outcome.completion = now;
-                                let live = a.generated < reqs[a.idx].output_len;
-                                if !live {
-                                    completed += 1;
-                                    window_completed += 1;
-                                    window_met += usize::from(outcome.meets(&slo));
-                                }
-                                live
-                            });
-                        }
-                    }
-                    slot.end = now;
-                }
+                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |o| {
+                    completed += 1;
+                    window_completed += 1;
+                    window_met += usize::from(o.meets(&self.config.slo));
+                }),
                 Ev::GroupReady { gid } => {
-                    let slot = &mut slots[gid];
-                    debug_assert_eq!(slot.state, GroupState::Warming);
-                    slot.state = GroupState::Ready;
-                    transitions.push(ScaleEvent {
-                        time: now,
-                        kind: ScaleEventKind::Ready,
-                        group: gid,
-                        ready: ready_count(&slots),
-                        cold_start: Seconds::ZERO,
-                    });
+                    debug_assert_eq!(fleet.slots[gid].state, GroupState::Warming);
+                    fleet.slots[gid].state = GroupState::Ready;
+                    fleet.log(now, ScaleEventKind::Ready, gid, Seconds::ZERO);
                 }
                 Ev::ScaleTick => {
-                    let ready = ready_count(&slots);
-                    let area_now: f64 = slots.iter().map(|s| s.queue.area_until(now)).sum();
-                    let depth =
-                        (area_now - area_prev) / self.auto.interval.as_secs() / ready.max(1) as f64;
+                    let area_now: f64 = core.groups.iter().map(|g| g.queue.area_until(now)).sum();
+                    let ready = fleet.ready().max(1) as f64;
+                    let depth = (area_now - area_prev) / self.auto.interval.as_secs() / ready;
                     area_prev = area_now;
                     let attainment = if window_completed > 0 {
                         window_met as f64 / window_completed as f64
@@ -586,196 +442,114 @@ impl AutoscaleServingSim {
                     };
                     window_completed = 0;
                     window_met = 0;
-                    let warming = slots.iter().any(|s| s.state == GroupState::Warming);
-                    let overloaded =
-                        depth > self.auto.up_queue_depth || attainment < self.auto.slo_target;
-                    let idle =
-                        depth < self.auto.down_queue_depth && attainment >= self.auto.slo_target;
-                    // One transition per tick, and none while a group
-                    // warms — a cooldown so the controller waits for
-                    // ordered capacity before ordering more.
-                    if !warming && overloaded && ready < max {
-                        scale_ups += 1;
-                        if let Some(gid) =
-                            slots.iter().position(|s| s.state == GroupState::Draining)
-                        {
-                            // Cheapest capacity first: a draining group
-                            // is still warm and running — reactivate.
-                            slots[gid].state = GroupState::Ready;
-                            transitions.push(ScaleEvent {
-                                time: now,
-                                kind: ScaleEventKind::Up,
-                                group: gid,
-                                ready: ready_count(&slots),
-                                cold_start: Seconds::ZERO,
-                            });
-                            transitions.push(ScaleEvent {
-                                time: now,
-                                kind: ScaleEventKind::Ready,
-                                group: gid,
-                                ready: ready_count(&slots),
-                                cold_start: Seconds::ZERO,
-                            });
-                        } else if let Some(gid) =
-                            slots.iter().position(|s| s.state == GroupState::Off)
-                        {
-                            let cold = if fleet_warm { Seconds::ZERO } else { cold_cost };
-                            fleet_warm = true;
-                            if cold > Seconds::ZERO {
-                                cold_starts += 1;
-                                cold_start_total += cold;
-                            }
-                            let slot = &mut slots[gid];
-                            slot.state = GroupState::Warming;
-                            slot.on_since = Some(now);
-                            on_now += 1;
-                            peak_groups = peak_groups.max(on_now);
-                            transitions.push(ScaleEvent {
-                                time: now,
-                                kind: ScaleEventKind::Up,
-                                group: gid,
-                                ready,
-                                cold_start: cold,
-                            });
-                            q.schedule_after(cold, PRIO_CONTROL, Ev::GroupReady { gid });
-                        }
-                    } else if !warming && idle && ready > min {
-                        // Drain the highest-index ready group: lowest
-                        // indices stay the stable core of the fleet.
-                        let gid = slots
-                            .iter()
-                            .rposition(|s| s.state == GroupState::Ready)
-                            .expect("ready > min >= 1");
-                        scale_downs += 1;
-                        slots[gid].state = GroupState::Draining;
-                        transitions.push(ScaleEvent {
-                            time: now,
-                            kind: ScaleEventKind::Down,
-                            group: gid,
-                            ready: ready_count(&slots),
-                            cold_start: Seconds::ZERO,
-                        });
+                    if let Some((gid, cold)) =
+                        self.control(&mut fleet, now, depth, attainment, cold_cost)
+                    {
+                        q.schedule_after(cold, PRIO_CONTROL, Ev::GroupReady { gid });
                     }
                     if completed < trace.len() {
                         q.schedule_after(self.auto.interval, PRIO_CONTROL, Ev::ScaleTick);
                     }
                 }
             }
-            // Defer dispatch until every event at this instant has
-            // fired, then scan slots in index order (deterministic).
-            if q.peek_time() == Some(now) {
+            // Off and warming groups hold no requests, so the scan only
+            // ever starts steps on ready or draining groups.
+            let done = |gid| (PRIO_STEP_DONE, Ev::StepDone { gid });
+            let closed = core.dispatch(&mut q, &self.config.batch, reqs, done, |_, _, wl| {
+                self.pricer.split_step(design, wl)
+            })?;
+            // At the end of the instant, an idle draining group releases
+            // its chips.
+            if !closed {
                 continue;
             }
-            for gid in 0..slots.len() {
-                let slot = &mut slots[gid];
-                if !matches!(slot.state, GroupState::Ready | GroupState::Draining)
-                    || slot.pending.is_some()
-                {
-                    continue;
-                }
-                let prompts = slot.waiting.iter().map(|&i| reqs[i].prompt_len);
-                match next_step(&self.config.batch, prompts, slot.active.len()) {
-                    Some(step) => {
-                        let latency = match step {
-                            StepPlan::Prefill { admit } => {
-                                let batch: Vec<usize> = slot.waiting.drain(..admit).collect();
-                                slot.queue.record(now, slot.waiting.len());
-                                let longest = batch
-                                    .iter()
-                                    .map(|&i| reqs[i].prompt_len)
-                                    .max()
-                                    .expect("prefill admits >= 1");
-                                let wl = self.config.batch.step_workload(
-                                    Phase::Prefill,
-                                    batch.len() as u64,
-                                    longest,
-                                );
-                                let latency = self.pricer.split_step(design, wl).map_err(
-                                    |(stage, source)| ClusterError::Compile { stage, source },
-                                )?;
-                                slot.pending = Some(PendingStep::Prefill { batch });
-                                latency
-                            }
-                            StepPlan::Decode => {
-                                let deepest = slot
-                                    .active
-                                    .iter()
-                                    .map(|a| reqs[a.idx].prompt_len + a.generated)
-                                    .max()
-                                    .expect("decode requires >= 1 active");
-                                let wl = self.config.batch.step_workload(
-                                    Phase::Decode,
-                                    slot.active.len() as u64,
-                                    deepest,
-                                );
-                                let latency = self.pricer.split_step(design, wl).map_err(
-                                    |(stage, source)| ClusterError::Compile { stage, source },
-                                )?;
-                                slot.pending = Some(PendingStep::Decode);
-                                latency
-                            }
-                        };
-                        q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone { gid });
-                    }
-                    None => {
-                        // An idle draining group releases its chips.
-                        if slot.state == GroupState::Draining && slot.drained() {
-                            slot.state = GroupState::Off;
-                            if let Some(since) = slot.on_since.take() {
-                                slot.on_time += now - since;
-                            }
-                            on_now -= 1;
-                            transitions.push(ScaleEvent {
-                                time: now,
-                                kind: ScaleEventKind::Off,
-                                group: gid,
-                                ready: ready_count(&slots),
-                                cold_start: Seconds::ZERO,
-                            });
-                        }
-                    }
+            for gid in 0..max {
+                if fleet.slots[gid].state == GroupState::Draining && core.groups[gid].drained() {
+                    fleet.release(now, gid);
                 }
             }
         }
 
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("the drain completes every request"))
-            .collect();
         let sim_events = q.events_processed();
-        Ok(self.summarize(
-            design,
-            trace,
-            slots,
-            outcomes,
-            transitions,
-            Summing {
-                sim_events,
-                scale_ups,
-                scale_downs,
-                cold_starts,
-                cold_start_total,
-                peak_groups,
-            },
-        ))
+        Ok(self.summarize(design, trace, core, fleet, sim_events))
     }
 
-    /// Folds per-request outcomes into the aggregate report.
-    #[allow(clippy::too_many_lines)]
+    /// One controller decision at `now` from the window's per-group
+    /// waiting depth and SLO attainment: at most one transition per
+    /// tick, and none while a group warms — a cooldown so the
+    /// controller waits for ordered capacity before ordering more.
+    /// Returns the group whose cold start `now` began, with its delay.
+    fn control(
+        &self,
+        fleet: &mut Fleet,
+        now: Seconds,
+        depth: f64,
+        attainment: f64,
+        cold_cost: Seconds,
+    ) -> Option<(usize, Seconds)> {
+        let ready = fleet.ready();
+        let warming = fleet.slots.iter().any(|s| s.state == GroupState::Warming);
+        let overloaded = depth > self.auto.up_queue_depth || attainment < self.auto.slo_target;
+        let idle = depth < self.auto.down_queue_depth && attainment >= self.auto.slo_target;
+        let state = |want: GroupState| fleet.slots.iter().position(|s| s.state == want);
+        if !warming && overloaded && ready < fleet.slots.len() {
+            if let Some(gid) = state(GroupState::Draining) {
+                // Cheapest capacity first: a draining group is still
+                // warm and running — reactivate.
+                fleet.slots[gid].state = GroupState::Ready;
+                fleet.log(now, ScaleEventKind::Up, gid, Seconds::ZERO);
+                fleet.log(now, ScaleEventKind::Ready, gid, Seconds::ZERO);
+            } else if let Some(gid) = state(GroupState::Off) {
+                // Only the run's first spin-up compiles the warm-up
+                // shapes; later ones hit the shared cache and start
+                // warm. Deliberately NOT read from PlanCache counters —
+                // those shift with the compile worker count.
+                let cold = if fleet.warm { Seconds::ZERO } else { cold_cost };
+                fleet.warm = true;
+                fleet.slots[gid].state = GroupState::Warming;
+                fleet.slots[gid].on_since = Some(now);
+                let on = fleet.slots.iter().filter(|s| s.state != GroupState::Off);
+                fleet.peak_groups = fleet.peak_groups.max(on.count());
+                fleet.log(now, ScaleEventKind::Up, gid, cold);
+                return Some((gid, cold));
+            }
+        } else if !warming && idle && ready > self.auto.min_groups as usize {
+            // Drain the highest-index ready group: lowest indices stay
+            // the stable core of the fleet.
+            let gid = fleet
+                .slots
+                .iter()
+                .rposition(|s| s.state == GroupState::Ready)
+                .expect("ready > min >= 1");
+            fleet.slots[gid].state = GroupState::Draining;
+            fleet.log(now, ScaleEventKind::Down, gid, Seconds::ZERO);
+        }
+        None
+    }
+
+    /// Folds the run into the report: the shared group fold plus the
+    /// fleet's transition log, counters and chip-seconds.
     fn summarize(
         &self,
         design: Design,
         trace: &RequestTrace,
-        slots: Vec<Slot>,
-        outcomes: Vec<RequestOutcome>,
-        transitions: Vec<ScaleEvent>,
-        extra: Summing,
+        core: GroupCore,
+        fleet: Fleet,
+        sim_events: u64,
     ) -> AutoscaleReport {
+        let kinds = |kind| fleet.transitions.iter().filter(|e| e.kind == kind).count() as u64;
+        let (scale_ups, scale_downs) = (kinds(ScaleEventKind::Up), kinds(ScaleEventKind::Down));
+        let colds = fleet
+            .transitions
+            .iter()
+            .filter(|e| e.cold_start > Seconds::ZERO);
+        let cold_starts = colds.clone().count() as u64;
+        let cold_start_total = colds.fold(Seconds::ZERO, |t, e| t + e.cold_start);
         if self.obs.enabled() {
-            self.obs.counter("autoscale.scale_ups", extra.scale_ups);
-            self.obs.counter("autoscale.scale_downs", extra.scale_downs);
-            self.obs.counter("autoscale.cold_starts", extra.cold_starts);
-            for ev in &transitions {
+            self.obs.counter("autoscale.scale_ups", scale_ups);
+            self.obs.counter("autoscale.scale_downs", scale_downs);
+            self.obs.counter("autoscale.cold_starts", cold_starts);
+            for ev in &fleet.transitions {
                 let name = match ev.kind {
                     ScaleEventKind::Up => "up",
                     ScaleEventKind::Ready => "ready",
@@ -794,57 +568,14 @@ impl AutoscaleServingSim {
                 self.obs
                     .gauge("fleet", "ready_groups", ev.time, ev.ready as f64);
             }
-            for (idx, o) in outcomes.iter().enumerate() {
-                self.obs.histogram("autoscale.ttft", o.ttft());
-                if let Some(t) = o.tpot() {
-                    self.obs.histogram("autoscale.tpot", t);
-                }
-                self.obs.histogram("autoscale.e2e", o.e2e());
-                if !self.obs.sampled(idx) {
-                    continue;
-                }
-                let track = format!("req/{}", o.id);
-                let group = [("group", o.replica.to_string())];
-                self.obs.span(
-                    &track,
-                    "prefill",
-                    o.arrival,
-                    o.first_token - o.arrival,
-                    &group,
-                );
-                if o.completion > o.first_token {
-                    self.obs.span(
-                        &track,
-                        "decode",
-                        o.first_token,
-                        o.completion - o.first_token,
-                        &group,
-                    );
-                }
-            }
         }
-        let ttft: Vec<Seconds> = outcomes.iter().map(RequestOutcome::ttft).collect();
-        let tpot: Vec<Seconds> = outcomes.iter().filter_map(RequestOutcome::tpot).collect();
-        let e2e: Vec<Seconds> = outcomes.iter().map(RequestOutcome::e2e).collect();
-        let met = outcomes
-            .iter()
-            .filter(|o| o.meets(&self.config.slo))
-            .count();
-        let makespan = slots
-            .iter()
-            .map(|s| s.end)
-            .fold(Seconds::ZERO, Seconds::max);
-        let span = makespan.as_secs();
-        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-        let depth_area: f64 = slots.iter().map(|s| s.queue.area_until(s.end)).sum();
-        let sim_time: f64 = slots.iter().map(|s| s.end.as_secs()).sum();
-        let max_queue_depth = slots.iter().map(|s| s.queue.max_depth()).max().unwrap_or(0);
-        let prefill_steps = slots.iter().map(|s| s.prefill_steps).sum();
-        let decode_steps = slots.iter().map(|s| s.decode_steps).sum();
-        let per_group_requests = slots.iter().map(|s| s.served).collect();
+        let fold = core.fold(&self.config.slo, trace.total_output_tokens());
+        fold.record(&self.obs, "autoscale", "group");
+        let makespan = fold.makespan;
         // Groups still provisioned at the end bill until the makespan.
         let group_chips = (self.config.plan.tp * self.config.plan.pp) as f64;
-        let chip_seconds: f64 = slots
+        let chip_seconds: f64 = fleet
+            .slots
             .iter()
             .map(|s| {
                 let mut on = s.on_time;
@@ -856,62 +587,102 @@ impl AutoscaleServingSim {
                 on.as_secs() * group_chips
             })
             .sum();
-        let mut queue_depth: Vec<(Seconds, usize)> = slots
-            .into_iter()
-            .flat_map(|s| s.queue.into_samples())
-            .collect();
-        queue_depth.sort_by_key(|&(t, _)| t);
+        let l = fold.latency;
         AutoscaleReport {
             design,
             plan: self.config.plan,
             min_groups: self.auto.min_groups,
             max_groups: self.auto.max_groups,
             requests: trace.len(),
-            completed: outcomes.len(),
+            completed: fold.outcomes.len(),
             makespan,
-            ttft: LatencyStats::of(&ttft),
-            tpot: LatencyStats::of(&tpot),
-            e2e: LatencyStats::of(&e2e),
+            ttft: l.ttft,
+            tpot: l.tpot,
+            e2e: l.e2e,
             slo: self.config.slo,
-            slo_attainment: if outcomes.is_empty() {
-                0.0
-            } else {
-                met as f64 / outcomes.len() as f64
-            },
-            goodput_rps: per_sec(met as f64),
-            throughput_rps: per_sec(outcomes.len() as f64),
-            tokens_per_sec: per_sec(trace.total_output_tokens() as f64),
-            prefill_steps,
-            decode_steps,
-            per_group_requests,
-            mean_queue_depth: if sim_time > 0.0 {
-                depth_area / sim_time
-            } else {
-                0.0
-            },
-            max_queue_depth,
-            queue_depth,
-            scale_ups: extra.scale_ups,
-            scale_downs: extra.scale_downs,
-            cold_starts: extra.cold_starts,
-            cold_start_total: extra.cold_start_total,
+            slo_attainment: l.slo_attainment,
+            goodput_rps: l.goodput_rps,
+            throughput_rps: l.throughput_rps,
+            tokens_per_sec: l.tokens_per_sec,
+            prefill_steps: fold.prefill_steps,
+            decode_steps: fold.decode_steps,
+            per_group_requests: fold.per_group_requests,
+            mean_queue_depth: fold.mean_queue_depth,
+            max_queue_depth: fold.max_queue_depth,
+            queue_depth: fold.queue_depth,
+            scale_ups,
+            scale_downs,
+            cold_starts,
+            cold_start_total,
             chip_seconds,
-            peak_groups: extra.peak_groups,
-            transitions,
-            sim_events: extra.sim_events,
-            outcomes,
+            peak_groups: fleet.peak_groups,
+            transitions: fleet.transitions,
+            sim_events,
+            outcomes: fold.outcomes,
         }
     }
 }
 
-/// Controller counters threaded from the event loop to the report.
-struct Summing {
-    sim_events: u64,
-    scale_ups: u64,
-    scale_downs: u64,
-    cold_starts: u64,
-    cold_start_total: Seconds,
+/// The elastic fleet: slot lifecycles and the transition log, from
+/// which the report's scale counters derive.
+struct Fleet {
+    slots: Vec<Slot>,
+    transitions: Vec<ScaleEvent>,
+    /// Most groups simultaneously provisioned (warming included).
     peak_groups: usize,
+    /// `true` once a spin-up this run has compiled the warm-up shapes.
+    warm: bool,
+}
+
+impl Fleet {
+    /// `max` slots with the `min` floor provisioned and ready before
+    /// the trace window opens.
+    fn new(max: usize, min: usize) -> Self {
+        let mut fleet = Fleet {
+            slots: (0..max).map(|_| Slot::default()).collect(),
+            transitions: Vec::new(),
+            peak_groups: min,
+            warm: false,
+        };
+        for gid in 0..min {
+            fleet.log(Seconds::ZERO, ScaleEventKind::Up, gid, Seconds::ZERO);
+            fleet.slots[gid].state = GroupState::Ready;
+            fleet.slots[gid].on_since = Some(Seconds::ZERO);
+            fleet.log(Seconds::ZERO, ScaleEventKind::Ready, gid, Seconds::ZERO);
+        }
+        fleet
+    }
+
+    /// Ready groups.
+    fn ready(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|s| s.state == GroupState::Ready)
+            .count()
+    }
+
+    /// Logs a transition of `group`, stamped with the ready count after
+    /// it.
+    fn log(&mut self, time: Seconds, kind: ScaleEventKind, group: usize, cold_start: Seconds) {
+        let ready = self.ready();
+        self.transitions.push(ScaleEvent {
+            time,
+            kind,
+            group,
+            ready,
+            cold_start,
+        });
+    }
+
+    /// A drained group releases its chips.
+    fn release(&mut self, now: Seconds, gid: usize) {
+        let slot = &mut self.slots[gid];
+        slot.state = GroupState::Off;
+        if let Some(since) = slot.on_since.take() {
+            slot.on_time += now - since;
+        }
+        self.log(now, ScaleEventKind::Off, gid, Seconds::ZERO);
+    }
 }
 
 #[cfg(test)]

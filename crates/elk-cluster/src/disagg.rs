@@ -46,8 +46,9 @@ use elk_hw::{CollectiveModel, SystemConfig};
 use elk_model::{DType, Phase, TransformerConfig};
 use elk_obs::Obs;
 use elk_serve::{
-    next_step, BatchConfig, LatencyStats, PlanCache, RequestOutcome, RequestTrace, Router,
-    RouterPolicy, SloConfig, StepPlan,
+    decode_workload, next_step, queue_depth_fold, record_latency_histograms, BatchConfig, InFlight,
+    LatencyFold, LatencyStats, PlanCache, RequestOutcome, RequestTrace, Router, RouterPolicy,
+    SloConfig, StepPlan,
 };
 use elk_sim::SimOptions;
 use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
@@ -250,6 +251,7 @@ enum Ev {
 /// One prefill group's live state: a FIFO of prompts (partially
 /// prefilled heads return to the front) and at most one step in
 /// flight.
+#[derive(Default)]
 struct PGroup {
     waiting: Vec<usize>,
     /// `(idx, tokens)` pairs the in-flight step is processing.
@@ -261,17 +263,6 @@ struct PGroup {
 }
 
 impl PGroup {
-    fn new() -> Self {
-        PGroup {
-            waiting: Vec::new(),
-            pending: None,
-            prefill_steps: 0,
-            queue: QueueStat::new(),
-            served: 0,
-            end: Seconds::ZERO,
-        }
-    }
-
     /// Requests inside the in-flight step.
     fn in_step(&self) -> usize {
         self.pending.as_ref().map_or(0, Vec::len)
@@ -281,6 +272,7 @@ impl PGroup {
 /// One decode group's live state: landed KV arrivals stage in
 /// `arrived` until a batch slot frees, `active` decodes one token per
 /// step.
+#[derive(Default)]
 struct DGroup {
     /// Handed-off requests waiting for a decode batch slot.
     arrived: Vec<InFlight>,
@@ -296,19 +288,6 @@ struct DGroup {
 }
 
 impl DGroup {
-    fn new() -> Self {
-        DGroup {
-            arrived: Vec::new(),
-            active: Vec::new(),
-            pending: false,
-            inbound: 0,
-            decode_steps: 0,
-            queue: QueueStat::new(),
-            served: 0,
-            end: Seconds::ZERO,
-        }
-    }
-
     /// Requests a back-tier router counts against this group: decoding,
     /// staged, and in-transit.
     fn outstanding(&self) -> usize {
@@ -325,11 +304,6 @@ impl DGroup {
             self.queue.record(now, self.arrived.len());
         }
     }
-}
-
-struct InFlight {
-    idx: usize,
-    generated: u64,
 }
 
 /// Trace-driven disaggregated serving simulator for one
@@ -437,7 +411,7 @@ impl DisaggServingSim {
     /// # Errors
     ///
     /// Propagates compile failures as [`ClusterError::Compile`].
-    #[allow(clippy::too_many_lines)] // one event loop, mirrored on serve.rs
+    #[allow(clippy::too_many_lines)] // one event loop over both pools
     pub fn run(
         &mut self,
         design: Design,
@@ -450,8 +424,8 @@ impl DisaggServingSim {
         let d_dp = self.config.decode.dp as usize;
         let mut front = Router::new(policy, p_dp);
         let mut back = Router::new(policy, d_dp);
-        let mut pgroups: Vec<PGroup> = (0..p_dp).map(|_| PGroup::new()).collect();
-        let mut dgroups: Vec<DGroup> = (0..d_dp).map(|_| DGroup::new()).collect();
+        let mut pgroups: Vec<PGroup> = (0..p_dp).map(|_| PGroup::default()).collect();
+        let mut dgroups: Vec<DGroup> = (0..d_dp).map(|_| DGroup::default()).collect();
         let reqs = &trace.requests;
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
         // Per-request prefill progress and handoff bookkeeping.
@@ -736,9 +710,7 @@ impl DisaggServingSim {
             .config
             .batch
             .step_workload(Phase::Prefill, batch.len() as u64, deepest);
-        self.prefill_pricer
-            .split_step(design, wl)
-            .map_err(|(stage, source)| ClusterError::Compile { stage, source })
+        self.prefill_pricer.split_step(design, wl)
     }
 
     /// Prices one decode step over a group's active set.
@@ -748,19 +720,8 @@ impl DisaggServingSim {
         reqs: &[elk_serve::Request],
         group: &DGroup,
     ) -> Result<Seconds, ClusterError> {
-        let deepest = group
-            .active
-            .iter()
-            .map(|a| reqs[a.idx].prompt_len + a.generated)
-            .max()
-            .expect("decode requires >= 1 active");
-        let wl = self
-            .config
-            .batch
-            .step_workload(Phase::Decode, group.active.len() as u64, deepest);
-        self.decode_pricer
-            .split_step(design, wl)
-            .map_err(|(stage, source)| ClusterError::Compile { stage, source })
+        let wl = decode_workload(&self.config.batch, reqs, &group.active);
+        self.decode_pricer.split_step(design, wl)
     }
 
     /// Folds per-request outcomes into the aggregate report.
@@ -780,14 +741,10 @@ impl DisaggServingSim {
         sim_events: u64,
     ) -> DisaggServingReport {
         if self.obs.enabled() {
+            record_latency_histograms(&self.obs, "disagg", &outcomes);
             let by_id: std::collections::BTreeMap<u64, &HandoffRecord> =
                 handoffs.iter().map(|h| (h.id, h)).collect();
             for (idx, o) in outcomes.iter().enumerate() {
-                self.obs.histogram("disagg.ttft", o.ttft());
-                if let Some(t) = o.tpot() {
-                    self.obs.histogram("disagg.tpot", t);
-                }
-                self.obs.histogram("disagg.e2e", o.e2e());
                 if !self.obs.sampled(idx) {
                     continue;
                 }
@@ -821,35 +778,21 @@ impl DisaggServingSim {
                 }
             }
         }
-        let ttft: Vec<Seconds> = outcomes.iter().map(RequestOutcome::ttft).collect();
-        let tpot: Vec<Seconds> = outcomes.iter().filter_map(RequestOutcome::tpot).collect();
-        let e2e: Vec<Seconds> = outcomes.iter().map(RequestOutcome::e2e).collect();
-        let met = outcomes
-            .iter()
-            .filter(|o| o.meets(&self.config.slo))
-            .count();
         let makespan = pgroups
             .iter()
             .map(|g| g.end)
             .chain(dgroups.iter().map(|g| g.end))
             .fold(Seconds::ZERO, Seconds::max);
-        let span = makespan.as_secs();
-        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-        let tier_mean = |area: f64, time: f64| if time > 0.0 { area / time } else { 0.0 };
-        let p_area: f64 = pgroups.iter().map(|g| g.queue.area_until(g.end)).sum();
-        let p_time: f64 = pgroups.iter().map(|g| g.end.as_secs()).sum();
-        let d_area: f64 = dgroups.iter().map(|g| g.queue.area_until(g.end)).sum();
-        let d_time: f64 = dgroups.iter().map(|g| g.end.as_secs()).sum();
-        let prefill_max_queue_depth = pgroups
-            .iter()
-            .map(|g| g.queue.max_depth())
-            .max()
-            .unwrap_or(0);
-        let decode_max_queue_depth = dgroups
-            .iter()
-            .map(|g| g.queue.max_depth())
-            .max()
-            .unwrap_or(0);
+        let l = LatencyFold::of(
+            &outcomes,
+            &self.config.slo,
+            makespan,
+            trace.total_output_tokens(),
+        );
+        let (prefill_mean_queue_depth, prefill_max_queue_depth) =
+            queue_depth_fold(pgroups.iter().map(|g| (&g.queue, g.end)));
+        let (decode_mean_queue_depth, decode_max_queue_depth) =
+            queue_depth_fold(dgroups.iter().map(|g| (&g.queue, g.end)));
         let prefill_steps = pgroups.iter().map(|g| g.prefill_steps).sum();
         let decode_steps = dgroups.iter().map(|g| g.decode_steps).sum();
         let per_prefill_group_requests = pgroups.iter().map(|g| g.served).collect();
@@ -869,18 +812,14 @@ impl DisaggServingSim {
             requests: trace.len(),
             completed: outcomes.len(),
             makespan,
-            ttft: LatencyStats::of(&ttft),
-            tpot: LatencyStats::of(&tpot),
-            e2e: LatencyStats::of(&e2e),
+            ttft: l.ttft,
+            tpot: l.tpot,
+            e2e: l.e2e,
             slo: self.config.slo,
-            slo_attainment: if outcomes.is_empty() {
-                0.0
-            } else {
-                met as f64 / outcomes.len() as f64
-            },
-            goodput_rps: per_sec(met as f64),
-            throughput_rps: per_sec(outcomes.len() as f64),
-            tokens_per_sec: per_sec(trace.total_output_tokens() as f64),
+            slo_attainment: l.slo_attainment,
+            goodput_rps: l.goodput_rps,
+            throughput_rps: l.throughput_rps,
+            tokens_per_sec: l.tokens_per_sec,
             prefill_steps,
             decode_steps,
             prefill_tokens,
@@ -888,9 +827,9 @@ impl DisaggServingSim {
             per_decode_group_requests,
             kv_moved,
             handoff_total,
-            prefill_mean_queue_depth: tier_mean(p_area, p_time),
+            prefill_mean_queue_depth,
             prefill_max_queue_depth,
-            decode_mean_queue_depth: tier_mean(d_area, d_time),
+            decode_mean_queue_depth,
             decode_max_queue_depth,
             queue_depth,
             sim_events,

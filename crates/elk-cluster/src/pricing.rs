@@ -3,10 +3,10 @@
 //! through the single-flight [`PlanCache`] and composed with the
 //! stage-boundary collective cost.
 //!
-//! Both [`ClusterServingSim`](crate::ClusterServingSim) and the
-//! autoscaling engine ([`AutoscaleServingSim`](crate::AutoscaleServingSim))
-//! price steps here, so a shape compiled by one is a cache hit for the
-//! other and their latencies agree exactly.
+//! Every `elk-cluster` engine — routed, autoscaling, disaggregated and
+//! multi-tenant — prices its steps here, so equal `(tp, pp)` layouts
+//! give equal latencies, and pricers that share a cache compile each
+//! stage shape once.
 //!
 //! Each pricer memoizes its `(design, workload) → latency` answers in
 //! front of the cache: a replay prices hundreds of thousands of steps
@@ -21,11 +21,12 @@ use elk_baselines::{Design, DesignRunner};
 use elk_core::CompileError;
 use elk_hw::{CollectiveModel, SystemConfig};
 use elk_model::{TransformerConfig, Workload};
-use elk_serve::{CacheStats, PlanCache};
+use elk_serve::{split_micro_batches, CacheStats, PlanCache};
 use elk_sim::SimOptions;
 use elk_units::Seconds;
 
 use crate::plan::{ParallelismPlan, StageSpan};
+use crate::ClusterError;
 
 /// Prices pipeline steps for one `(pod, model, tp, pp)` layout. Owns
 /// the group-level [`DesignRunner`] (fitted cost model) and a handle on
@@ -128,48 +129,23 @@ impl StepPricer {
     }
 
     /// [`pipeline_step`](Self::pipeline_step) with the serving layer's
-    /// micro-batch fallback: when the full batch shape has no feasible
-    /// on-chip plan, halve the batch until it compiles (a batch-1
-    /// failure is a genuine error). Memoized per `(design, wl)`.
-    pub fn split_step(
-        &self,
-        design: Design,
-        wl: Workload,
-    ) -> Result<Seconds, (usize, CompileError)> {
+    /// micro-batch fallback ([`split_micro_batches`]), memoized per
+    /// `(design, wl)`; the halves of a split step go back through the
+    /// memo. Failures name the stage as [`ClusterError::Compile`].
+    pub fn split_step(&self, design: Design, wl: Workload) -> Result<Seconds, ClusterError> {
+        self.memo_split(design, wl)
+            .map_err(|(stage, source)| ClusterError::Compile { stage, source })
+    }
+
+    /// [`split_step`](Self::split_step) with the raw stage error.
+    fn memo_split(&self, design: Design, wl: Workload) -> Result<Seconds, (usize, CompileError)> {
         let memo = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&t) = memo().get(&(design, wl)) {
             return Ok(t);
         }
-        let t = self.price_split(design, wl)?;
+        let whole = self.pipeline_step(design, wl);
+        let t = split_micro_batches(wl, whole, |(_, e)| e, |half| self.memo_split(design, half))?;
         memo().insert((design, wl), t);
         Ok(t)
-    }
-
-    /// The uncached body of [`split_step`](Self::split_step).
-    fn price_split(&self, design: Design, wl: Workload) -> Result<Seconds, (usize, CompileError)> {
-        match self.pipeline_step(design, wl) {
-            Ok(t) => Ok(t),
-            Err((
-                _,
-                CompileError::NoFeasiblePlan { .. } | CompileError::CapacityExceeded { .. },
-            )) if wl.batch > 1 => {
-                let lo = Workload {
-                    batch: wl.batch / 2,
-                    ..wl
-                };
-                let hi = Workload {
-                    batch: wl.batch - wl.batch / 2,
-                    ..wl
-                };
-                let a = self.split_step(design, lo)?;
-                let b = if hi.batch == lo.batch {
-                    a
-                } else {
-                    self.split_step(design, hi)?
-                };
-                Ok(a + b)
-            }
-            Err(e) => Err(e),
-        }
     }
 }

@@ -24,14 +24,14 @@ use serde::Serialize;
 
 use elk_baselines::Design;
 use elk_hw::SystemConfig;
-use elk_model::{Phase, TransformerConfig};
+use elk_model::TransformerConfig;
 use elk_obs::Obs;
 use elk_serve::{
-    next_step, BatchConfig, LatencyStats, RequestOutcome, RequestTrace, Router, RouterPolicy,
-    SloConfig, StepPlan,
+    BatchConfig, GroupCore, GroupFold, LatencyStats, RequestOutcome, RequestTrace, Router,
+    RouterPolicy, SloConfig,
 };
 use elk_sim::SimOptions;
-use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
+use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
 use crate::plan::ParallelismPlan;
@@ -146,65 +146,6 @@ enum Ev {
     },
 }
 
-/// What a group's in-flight step will do when its completion fires.
-/// Crate-visible so the tenancy engine reuses the same step machinery.
-pub(crate) enum PendingStep {
-    /// Prefill of these trace indices.
-    Prefill {
-        /// Trace indices admitted into the step.
-        batch: Vec<usize>,
-    },
-    /// One decode iteration over the group's active set.
-    Decode,
-}
-
-/// One replica group's live state during the event loop.
-pub(crate) struct Group {
-    /// Waiting queue, trace indices in dispatch order (FIFO).
-    pub(crate) waiting: Vec<usize>,
-    /// Active (decoding) requests.
-    pub(crate) active: Vec<InFlight>,
-    /// The step currently running on the group's chips, if any.
-    pub(crate) pending: Option<PendingStep>,
-    pub(crate) prefill_steps: u64,
-    pub(crate) decode_steps: u64,
-    /// Waiting-queue depth trace (transitions + time-weighted area).
-    pub(crate) queue: QueueStat,
-    pub(crate) served: usize,
-    /// Completion time of the group's last step.
-    pub(crate) end: Seconds,
-}
-
-pub(crate) struct InFlight {
-    pub(crate) idx: usize,
-    pub(crate) generated: u64,
-}
-
-impl Group {
-    pub(crate) fn new() -> Self {
-        Group {
-            waiting: Vec::new(),
-            active: Vec::new(),
-            pending: None,
-            prefill_steps: 0,
-            decode_steps: 0,
-            queue: QueueStat::new(),
-            served: 0,
-            end: Seconds::ZERO,
-        }
-    }
-
-    /// Queued + in-flight requests, as a front-end router observes them:
-    /// requests inside an unfinished prefill step still count.
-    pub(crate) fn outstanding(&self) -> usize {
-        let in_step = match &self.pending {
-            Some(PendingStep::Prefill { batch }) => batch.len(),
-            _ => 0,
-        };
-        self.waiting.len() + self.active.len() + in_step
-    }
-}
-
 /// Trace-driven cluster serving simulator for one (pod, model, plan).
 ///
 /// Owns the group-level `DesignRunner` (fitted cost model) and the
@@ -284,8 +225,7 @@ impl ClusterServingSim {
     ) -> Result<ClusterServingReport, ClusterError> {
         let dp = self.config.plan.dp as usize;
         let mut router = Router::new(policy, dp);
-        let mut groups: Vec<Group> = (0..dp).map(|_| Group::new()).collect();
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
+        let mut core = GroupCore::new(dp, trace.len());
         let reqs = &trace.requests;
 
         // One shared kernel timeline: arrivals and every group's step
@@ -309,233 +249,75 @@ impl ClusterServingSim {
             let now = q.now();
             match fired.event {
                 Ev::Arrival(idx) => {
-                    let pick = router.route_by(|g| groups[g].outstanding());
-                    let group = &mut groups[pick];
-                    group.waiting.push(idx);
-                    group.served += 1;
-                    group.queue.record(now, group.waiting.len());
+                    let pick = router.route_by(|g| core.groups[g].outstanding());
+                    core.enqueue(pick, idx, now);
                 }
-                Ev::StepDone { gid } => {
-                    let group = &mut groups[gid];
-                    match group.pending.take().expect("StepDone implies a step") {
-                        PendingStep::Prefill { batch } => {
-                            group.prefill_steps += 1;
-                            for idx in batch {
-                                outcomes[idx] = Some(RequestOutcome {
-                                    id: reqs[idx].id,
-                                    replica: gid,
-                                    arrival: reqs[idx].arrival,
-                                    first_token: now,
-                                    completion: now,
-                                    output_len: reqs[idx].output_len,
-                                });
-                                if reqs[idx].output_len > 1 {
-                                    group.active.push(InFlight { idx, generated: 1 });
-                                }
-                            }
-                        }
-                        PendingStep::Decode => {
-                            group.decode_steps += 1;
-                            group.active.retain_mut(|a| {
-                                a.generated += 1;
-                                let outcome = outcomes[a.idx].as_mut().expect("prefilled");
-                                outcome.completion = now;
-                                a.generated < reqs[a.idx].output_len
-                            });
-                        }
-                    }
-                    group.end = now;
-                }
+                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |_| {}),
             }
-            // Defer dispatch until every event at this instant has
-            // fired, then scan groups in index order (deterministic).
-            if q.peek_time() == Some(now) {
-                continue;
-            }
-            for (gid, group) in groups.iter_mut().enumerate() {
-                if group.pending.is_some() {
-                    continue;
-                }
-                let prompts = group.waiting.iter().map(|&i| reqs[i].prompt_len);
-                let Some(step) = next_step(&self.config.batch, prompts, group.active.len()) else {
-                    continue;
-                };
-                let latency = match step {
-                    StepPlan::Prefill { admit } => {
-                        let batch: Vec<usize> = group.waiting.drain(..admit).collect();
-                        group.queue.record(now, group.waiting.len());
-                        let longest = batch
-                            .iter()
-                            .map(|&i| reqs[i].prompt_len)
-                            .max()
-                            .expect("prefill admits >= 1");
-                        let wl = self.config.batch.step_workload(
-                            Phase::Prefill,
-                            batch.len() as u64,
-                            longest,
-                        );
-                        let latency = self
-                            .pricer
-                            .split_step(design, wl)
-                            .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
-                        group.pending = Some(PendingStep::Prefill { batch });
-                        latency
-                    }
-                    StepPlan::Decode => {
-                        let deepest = group
-                            .active
-                            .iter()
-                            .map(|a| reqs[a.idx].prompt_len + a.generated)
-                            .max()
-                            .expect("decode requires >= 1 active");
-                        let wl = self.config.batch.step_workload(
-                            Phase::Decode,
-                            group.active.len() as u64,
-                            deepest,
-                        );
-                        let latency = self
-                            .pricer
-                            .split_step(design, wl)
-                            .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
-                        group.pending = Some(PendingStep::Decode);
-                        latency
-                    }
-                };
-                q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone { gid });
-            }
+            let done = |gid| (PRIO_STEP_DONE, Ev::StepDone { gid });
+            core.dispatch(&mut q, &self.config.batch, reqs, done, |_, _, wl| {
+                self.pricer.split_step(design, wl)
+            })?;
         }
 
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("the drain completes every request"))
-            .collect();
         if self.obs.enabled() {
             let d = self.pricer.cache_stats().since(stats_before);
             self.obs.counter("cluster.cache.lookups", d.hits + d.misses);
         }
-        Ok(summarize_groups(
+        let fold = core.fold(&self.config.slo, trace.total_output_tokens());
+        Ok(ClusterServingReport::assemble(
             design,
             policy,
-            self.config.plan,
-            self.config.slo,
+            &self.config,
             trace.len(),
-            trace.total_output_tokens(),
-            groups,
-            outcomes,
+            fold,
             (q.events_processed(), q.peak_len()),
             &self.obs,
         ))
     }
 }
 
-/// Folds per-request outcomes into the aggregate report. Shared by the
-/// plain cluster engine and the tenancy engine — the latter passes the
-/// *served* token total (rejected requests generate nothing) and an
-/// outcome list that may be shorter than the trace.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn summarize_groups(
-    design: Design,
-    policy: RouterPolicy,
-    plan: ParallelismPlan,
-    slo: SloConfig,
-    requests: usize,
-    served_tokens: u64,
-    groups: Vec<Group>,
-    outcomes: Vec<RequestOutcome>,
-    (sim_events, peak_event_queue_len): (u64, usize),
-    obs: &Obs,
-) -> ClusterServingReport {
-    if obs.enabled() {
-        // Lanes and histograms derive from the final outcome list
-        // (trace order), so they are deterministic by construction.
-        for (i, o) in outcomes.iter().enumerate() {
-            obs.histogram("cluster.ttft", o.ttft());
-            if let Some(t) = o.tpot() {
-                obs.histogram("cluster.tpot", t);
-            }
-            obs.histogram("cluster.e2e", o.e2e());
-            if !obs.sampled(i) {
-                continue;
-            }
-            let track = format!("req/{}", o.id);
-            let args = [("group", o.replica.to_string())];
-            obs.span(
-                &track,
-                "prefill",
-                o.arrival,
-                o.first_token - o.arrival,
-                &args,
-            );
-            if o.completion > o.first_token {
-                obs.span(
-                    &track,
-                    "decode",
-                    o.first_token,
-                    o.completion - o.first_token,
-                    &args,
-                );
-            }
+impl ClusterServingReport {
+    /// Builds the report from a folded run and records its request
+    /// lanes. Shared by the plain cluster engine and the tenancy engine
+    /// — the latter folds only the *served* requests and tokens
+    /// (rejected requests generate nothing).
+    pub(crate) fn assemble(
+        design: Design,
+        policy: RouterPolicy,
+        config: &ClusterServeConfig,
+        requests: usize,
+        fold: GroupFold,
+        (sim_events, peak_event_queue_len): (u64, usize),
+        obs: &Obs,
+    ) -> Self {
+        fold.record(obs, "cluster", "group");
+        let l = fold.latency;
+        ClusterServingReport {
+            design,
+            policy,
+            plan: config.plan,
+            requests,
+            completed: fold.outcomes.len(),
+            makespan: fold.makespan,
+            ttft: l.ttft,
+            tpot: l.tpot,
+            e2e: l.e2e,
+            slo: config.slo,
+            slo_attainment: l.slo_attainment,
+            goodput_rps: l.goodput_rps,
+            throughput_rps: l.throughput_rps,
+            tokens_per_sec: l.tokens_per_sec,
+            prefill_steps: fold.prefill_steps,
+            decode_steps: fold.decode_steps,
+            per_group_requests: fold.per_group_requests,
+            mean_queue_depth: fold.mean_queue_depth,
+            max_queue_depth: fold.max_queue_depth,
+            queue_depth: fold.queue_depth,
+            sim_events,
+            peak_event_queue_len,
+            outcomes: fold.outcomes,
         }
-    }
-    let ttft: Vec<Seconds> = outcomes.iter().map(RequestOutcome::ttft).collect();
-    let tpot: Vec<Seconds> = outcomes.iter().filter_map(RequestOutcome::tpot).collect();
-    let e2e: Vec<Seconds> = outcomes.iter().map(RequestOutcome::e2e).collect();
-    let met = outcomes.iter().filter(|o| o.meets(&slo)).count();
-    let makespan = groups
-        .iter()
-        .map(|g| g.end)
-        .fold(Seconds::ZERO, Seconds::max);
-    let span = makespan.as_secs();
-    let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-    // Time-weighted queue mean: each group's depth integrated over
-    // its own timeline, pooled over total simulated group-time.
-    let depth_area: f64 = groups.iter().map(|g| g.queue.area_until(g.end)).sum();
-    let sim_time: f64 = groups.iter().map(|g| g.end.as_secs()).sum();
-    let max_queue_depth = groups
-        .iter()
-        .map(|g| g.queue.max_depth())
-        .max()
-        .unwrap_or(0);
-    let prefill_steps = groups.iter().map(|g| g.prefill_steps).sum();
-    let decode_steps = groups.iter().map(|g| g.decode_steps).sum();
-    let per_group_requests = groups.iter().map(|g| g.served).collect();
-    let mut queue_depth: Vec<(Seconds, usize)> = groups
-        .into_iter()
-        .flat_map(|g| g.queue.into_samples())
-        .collect();
-    queue_depth.sort_by_key(|&(t, _)| t);
-    ClusterServingReport {
-        design,
-        policy,
-        plan,
-        requests,
-        completed: outcomes.len(),
-        makespan,
-        ttft: LatencyStats::of(&ttft),
-        tpot: LatencyStats::of(&tpot),
-        e2e: LatencyStats::of(&e2e),
-        slo,
-        slo_attainment: if outcomes.is_empty() {
-            0.0
-        } else {
-            met as f64 / outcomes.len() as f64
-        },
-        goodput_rps: per_sec(met as f64),
-        throughput_rps: per_sec(outcomes.len() as f64),
-        tokens_per_sec: per_sec(served_tokens as f64),
-        prefill_steps,
-        decode_steps,
-        per_group_requests,
-        mean_queue_depth: if sim_time > 0.0 {
-            depth_area / sim_time
-        } else {
-            0.0
-        },
-        max_queue_depth,
-        queue_depth,
-        sim_events,
-        peak_event_queue_len,
-        outcomes,
     }
 }
 

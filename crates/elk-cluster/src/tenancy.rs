@@ -1,9 +1,9 @@
 //! Multi-tenant cluster serving: SLO classes, admission control, and
 //! priority-aware scheduling over the routed replay engine.
 //!
-//! [`TenantServingSim`] wraps the same group/step machinery as
-//! [`ClusterServingSim`](crate::ClusterServingSim) with three tenancy
-//! layers in front of it:
+//! [`TenantServingSim`] runs the shared group step core
+//! ([`GroupCore`]) like [`ClusterServingSim`](crate::ClusterServingSim),
+//! with three tenancy layers in front of it:
 //!
 //! * **Admission control at the router** — each tenant draws from a
 //!   deterministic [`TokenBucket`] parameterized by its class
@@ -35,19 +35,18 @@ use serde::Serialize;
 
 use elk_baselines::Design;
 use elk_hw::SystemConfig;
-use elk_model::{zoo, Phase, TransformerConfig};
+use elk_model::{zoo, TransformerConfig};
 use elk_obs::Obs;
 use elk_serve::{
-    jain_index, next_step, LatencyStats, PlanCache, RequestOutcome, RequestTrace, Router,
-    RouterPolicy, ShedPolicy, StepPlan, TenancyConfig, TenantReport, TokenBucket,
+    jain_index, Group, GroupCore, GroupFold, LatencyFold, PlanCache, Request, RequestOutcome,
+    RequestTrace, Router, RouterPolicy, ShedPolicy, TenancyConfig, TenantReport, TokenBucket,
     MAX_CLASS_PRIORITY,
 };
 use elk_sim_core::{EventQueue, QueueStat};
 use elk_units::Seconds;
 
 use crate::pricing::StepPricer;
-use crate::serve::PendingStep;
-use crate::serve::{summarize_groups, ClusterServeConfig, ClusterServingReport, Group, InFlight};
+use crate::serve::{ClusterServeConfig, ClusterServingReport};
 use crate::ClusterError;
 
 /// Priority band for the tenancy engine's step completions: strictly
@@ -238,7 +237,6 @@ impl TenantServingSim {
     ///
     /// [`elk_trace::TraceFile::tenant_assignments`]:
     /// https://docs.rs/elk-trace
-    #[allow(clippy::too_many_lines)]
     pub fn run(
         &mut self,
         design: Design,
@@ -254,44 +252,16 @@ impl TenantServingSim {
             )));
         }
         let reqs = &trace.requests;
-
-        // Distinct tenants in first-appearance order, plus each
-        // request's tenant index. Untagged traces collapse to one
-        // "default" tenant.
-        let default_tenant = ["default".to_string()];
-        let named: &[String] = if tenants.is_empty() && !reqs.is_empty() {
-            &default_tenant
-        } else {
-            tenants
-        };
-        let mut tenant_ids: Vec<String> = Vec::new();
-        let tix: Vec<usize> = (0..reqs.len())
-            .map(|i| {
-                let name = if tenants.is_empty() {
-                    &named[0]
-                } else {
-                    &named[i]
-                };
-                match tenant_ids.iter().position(|t| t == name) {
-                    Some(p) => p,
-                    None => {
-                        tenant_ids.push(name.clone());
-                        tenant_ids.len() - 1
-                    }
-                }
-            })
-            .collect();
-        let tenant_class: Vec<usize> = tenant_ids
+        let mut book = self.tenant_book(tenants, reqs.len());
+        let req_prio: Vec<u8> = book
+            .of
             .iter()
-            .map(|t| self.tenancy.class_index_of(t))
-            .collect();
-        let req_prio: Vec<u8> = tix
-            .iter()
-            .map(|&t| self.tenancy.classes[tenant_class[t]].priority)
+            .map(|&t| self.tenancy.classes[book.class[t]].priority)
             .collect();
 
         // Per-tenant token buckets (None = the class is unlimited).
-        let mut buckets: Vec<Option<TokenBucket>> = tenant_class
+        let mut buckets: Vec<Option<TokenBucket>> = book
+            .class
             .iter()
             .map(|&c| {
                 let class = &self.tenancy.classes[c];
@@ -306,20 +276,34 @@ impl TenantServingSim {
         let model_groups: Vec<Vec<usize>> = (0..n_models)
             .map(|m| (0..dp).filter(|g| g % n_models == m).collect())
             .collect();
-        let group_model: Vec<usize> = (0..dp).map(|g| g % n_models).collect();
         let mut routers: Vec<Router> = model_groups
             .iter()
             .map(|gs| Router::new(policy, gs.len()))
             .collect();
 
-        let mut groups: Vec<Group> = (0..dp).map(|_| Group::new()).collect();
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; reqs.len()];
-        let mut disposition: Vec<Option<Disposition>> = vec![None; reqs.len()];
-
-        // Pooled waiting depth for the load shedder: a time-weighted
-        // integral over every group's waiting queue together.
+        let mut core = GroupCore::new(dp, reqs.len());
+        // The load shedder's view: every group's waiting queue pooled
+        // into one time-weighted depth.
         let mut shed_depth = QueueStat::new();
-        let mut total_waiting: usize = 0;
+        let pooled = |groups: &[Group]| groups.iter().map(|g| g.waiting.len()).sum();
+        // Routes an admitted request over its model's groups and
+        // inserts it into the waiting queue priority-first: before the
+        // first strictly-lower-priority entry (larger number = lower
+        // priority), after every equal-priority one — FIFO inside a
+        // class. With one class this is exactly a push, preserving the
+        // plain engine's order.
+        let mut admit = |idx: usize, now, core: &mut GroupCore, shed_depth: &mut QueueStat| {
+            let m = self.class_model[book.class[book.of[idx]]];
+            let members = &model_groups[m];
+            let gid = members[routers[m].route_by(|i| core.groups[members[i]].outstanding())];
+            let waiting = &core.groups[gid].waiting;
+            let pos = waiting
+                .iter()
+                .position(|&w| req_prio[w] > req_prio[idx])
+                .unwrap_or(waiting.len());
+            core.enqueue_at(gid, pos, idx, now);
+            shed_depth.record(now, pooled(&core.groups));
+        };
 
         let mut q: EventQueue<Ev> = EventQueue::new();
         // Every admissible class priority dispatches as an "arrival"
@@ -343,213 +327,131 @@ impl TenantServingSim {
             let now = q.now();
             match fired.event {
                 Ev::Arrival(idx) => {
-                    let class = &self.tenancy.classes[tenant_class[tix[idx]]];
-                    let shed = self.tenancy.shed_queue_depth.and_then(|threshold| {
-                        if !class.sheddable || now.as_secs() <= 0.0 {
-                            return None;
-                        }
-                        let mean = shed_depth.area_until(now) / now.as_secs();
-                        (mean > threshold).then_some(self.tenancy.shed_policy)
-                    });
-                    let admitted_by_bucket =
-                        buckets[tix[idx]].as_mut().is_none_or(|b| b.try_take(now));
-                    if !admitted_by_bucket {
-                        disposition[idx] = Some(Disposition::Rejected);
+                    let t = book.of[idx];
+                    let class = &self.tenancy.classes[book.class[t]];
+                    let verdict = if !buckets[t].as_mut().is_none_or(|b| b.try_take(now)) {
+                        Disposition::Rejected
                     } else {
-                        match shed {
-                            Some(ShedPolicy::Reject) => {
-                                disposition[idx] = Some(Disposition::Rejected);
-                            }
-                            Some(ShedPolicy::Defer) => {
-                                disposition[idx] = Some(Disposition::Deferred);
-                                q.schedule_after(
-                                    Seconds::new(self.tenancy.defer_s),
-                                    req_prio[idx],
-                                    Ev::Deferred(idx),
-                                );
-                            }
-                            None => {
-                                disposition[idx] = Some(Disposition::Admitted);
-                                admit(
-                                    idx,
-                                    now,
-                                    &req_prio,
-                                    &mut routers,
-                                    &model_groups,
-                                    &mut groups,
-                                    &mut total_waiting,
-                                    &mut shed_depth,
-                                    self.class_model[tenant_class[tix[idx]]],
-                                );
-                            }
+                        // Past the threshold, the load shedder applies
+                        // its policy to sheddable classes.
+                        let shed = self.tenancy.shed_queue_depth.filter(|&threshold| {
+                            class.sheddable
+                                && now.as_secs() > 0.0
+                                && shed_depth.area_until(now) / now.as_secs() > threshold
+                        });
+                        match shed.map(|_| self.tenancy.shed_policy) {
+                            Some(ShedPolicy::Reject) => Disposition::Rejected,
+                            Some(ShedPolicy::Defer) => Disposition::Deferred,
+                            None => Disposition::Admitted,
                         }
-                    }
-                }
-                Ev::Deferred(idx) => {
-                    // One-shot backpressure: the re-offer is served
-                    // unconditionally (its disposition stays Deferred).
-                    admit(
-                        idx,
-                        now,
-                        &req_prio,
-                        &mut routers,
-                        &model_groups,
-                        &mut groups,
-                        &mut total_waiting,
-                        &mut shed_depth,
-                        self.class_model[tenant_class[tix[idx]]],
-                    );
-                }
-                Ev::StepDone { gid } => {
-                    let group = &mut groups[gid];
-                    match group.pending.take().expect("StepDone implies a step") {
-                        PendingStep::Prefill { batch } => {
-                            group.prefill_steps += 1;
-                            for idx in batch {
-                                outcomes[idx] = Some(RequestOutcome {
-                                    id: reqs[idx].id,
-                                    replica: gid,
-                                    arrival: reqs[idx].arrival,
-                                    first_token: now,
-                                    completion: now,
-                                    output_len: reqs[idx].output_len,
-                                });
-                                if reqs[idx].output_len > 1 {
-                                    group.active.push(InFlight { idx, generated: 1 });
-                                }
-                            }
+                    };
+                    book.disposition[idx] = Some(verdict);
+                    match verdict {
+                        Disposition::Admitted => admit(idx, now, &mut core, &mut shed_depth),
+                        Disposition::Deferred => {
+                            let delay = Seconds::new(self.tenancy.defer_s);
+                            q.schedule_after(delay, req_prio[idx], Ev::Deferred(idx));
                         }
-                        PendingStep::Decode => {
-                            group.decode_steps += 1;
-                            group.active.retain_mut(|a| {
-                                a.generated += 1;
-                                let outcome = outcomes[a.idx].as_mut().expect("prefilled");
-                                outcome.completion = now;
-                                a.generated < reqs[a.idx].output_len
-                            });
-                        }
+                        Disposition::Rejected => {}
                     }
-                    group.end = now;
                 }
+                // One-shot backpressure: the re-offer is served
+                // unconditionally (its disposition stays Deferred).
+                Ev::Deferred(idx) => admit(idx, now, &mut core, &mut shed_depth),
+                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |_| {}),
             }
-            // Defer dispatch until every event at this instant has
-            // fired, then scan groups in index order (deterministic).
-            if q.peek_time() == Some(now) {
-                continue;
-            }
-            for (gid, group) in groups.iter_mut().enumerate() {
-                if group.pending.is_some() {
-                    continue;
+            let done = |gid| (PRIO_TENANT_STEP_DONE, Ev::StepDone { gid });
+            core.dispatch(&mut q, &self.config.batch, reqs, done, |gid, groups, wl| {
+                // A prefill drains the pooled waiting depth.
+                if groups[gid].in_step() > 0 {
+                    shed_depth.record(now, pooled(groups));
                 }
-                let prompts = group.waiting.iter().map(|&i| reqs[i].prompt_len);
-                let Some(step) = next_step(&self.config.batch, prompts, group.active.len()) else {
-                    continue;
-                };
-                let pricer = &self.pricers[group_model[gid]];
-                let latency = match step {
-                    StepPlan::Prefill { admit } => {
-                        let batch: Vec<usize> = group.waiting.drain(..admit).collect();
-                        group.queue.record(now, group.waiting.len());
-                        total_waiting -= batch.len();
-                        shed_depth.record(now, total_waiting);
-                        let longest = batch
-                            .iter()
-                            .map(|&i| reqs[i].prompt_len)
-                            .max()
-                            .expect("prefill admits >= 1");
-                        let wl = self.config.batch.step_workload(
-                            Phase::Prefill,
-                            batch.len() as u64,
-                            longest,
-                        );
-                        let latency = pricer
-                            .split_step(design, wl)
-                            .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
-                        group.pending = Some(PendingStep::Prefill { batch });
-                        latency
-                    }
-                    StepPlan::Decode => {
-                        let deepest = group
-                            .active
-                            .iter()
-                            .map(|a| reqs[a.idx].prompt_len + a.generated)
-                            .max()
-                            .expect("decode requires >= 1 active");
-                        let wl = self.config.batch.step_workload(
-                            Phase::Decode,
-                            group.active.len() as u64,
-                            deepest,
-                        );
-                        let latency = pricer
-                            .split_step(design, wl)
-                            .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
-                        group.pending = Some(PendingStep::Decode);
-                        latency
-                    }
-                };
-                q.schedule_after(latency, PRIO_TENANT_STEP_DONE, Ev::StepDone { gid });
-            }
+                self.pricers[gid % n_models].split_step(design, wl)
+            })?;
         }
 
-        Ok(self.summarize(
+        self.record_dispositions(&book, reqs);
+        let GroupCore { groups, outcomes } = core;
+        // Rejected requests never complete and generate nothing.
+        let completed: Vec<RequestOutcome> = outcomes.iter().flatten().copied().collect();
+        let served_tokens = completed.iter().map(|o| o.output_len).sum();
+        let fold = GroupFold::of(groups, completed, &self.config.slo, served_tokens);
+        let base = ClusterServingReport::assemble(
             design,
             policy,
-            trace,
-            &tenant_ids,
-            &tix,
-            &tenant_class,
-            &disposition,
-            outcomes,
-            groups,
+            &self.config,
+            trace.len(),
+            fold,
             (q.events_processed(), q.peak_len()),
-        ))
+            &self.obs,
+        );
+        Ok(self.tenant_report(base, &book, &outcomes))
     }
 
-    /// Folds the run into the tenancy report: the base aggregate plus
-    /// per-tenant slices and the fairness index.
-    #[allow(clippy::too_many_arguments)]
-    fn summarize(
-        &self,
-        design: Design,
-        policy: RouterPolicy,
-        trace: &RequestTrace,
-        tenant_ids: &[String],
-        tix: &[usize],
-        tenant_class: &[usize],
-        disposition: &[Option<Disposition>],
-        outcomes: Vec<Option<RequestOutcome>>,
-        groups: Vec<Group>,
-        sim_events: (u64, usize),
-    ) -> TenancyServingReport {
-        let reqs = &trace.requests;
-        if self.obs.enabled() {
-            // Tenant-tagged disposition markers on each sampled
-            // request's lane: the arrival→admission leg of the path.
-            for (idx, d) in disposition.iter().enumerate() {
-                let Some(d) = *d else { continue };
-                let name = match d {
-                    Disposition::Admitted => "admitted",
-                    Disposition::Rejected => "rejected",
-                    Disposition::Deferred => "deferred",
-                };
-                self.obs.counter(&format!("tenancy.{name}"), 1);
-                if !self.obs.sampled(idx) {
-                    continue;
-                }
-                let t = tix[idx];
-                let args = [
-                    ("tenant", tenant_ids[t].clone()),
-                    ("class", self.tenancy.classes[tenant_class[t]].name.clone()),
-                ];
-                self.obs.instant(
-                    &format!("req/{}", reqs[idx].id),
-                    name,
-                    reqs[idx].arrival,
-                    &args,
-                );
-            }
+    /// Resolves each request's tenant: distinct tenants in
+    /// first-appearance order, each with its class. Untagged traces
+    /// collapse to one "default" tenant.
+    fn tenant_book(&self, tenants: &[String], requests: usize) -> TenantBook {
+        let mut ids: Vec<String> = Vec::new();
+        let of = (0..requests)
+            .map(|i| {
+                let name = tenants.get(i).map_or("default", String::as_str);
+                ids.iter().position(|t| t == name).unwrap_or_else(|| {
+                    ids.push(name.to_string());
+                    ids.len() - 1
+                })
+            })
+            .collect();
+        let class = ids.iter().map(|t| self.tenancy.class_index_of(t)).collect();
+        TenantBook {
+            ids,
+            of,
+            class,
+            disposition: vec![None; requests],
         }
-        for (idx, d) in disposition.iter().enumerate() {
+    }
+
+    /// Tenant-tagged disposition markers on each sampled request's
+    /// lane (the arrival→admission leg of its path) plus per-kind
+    /// counters.
+    fn record_dispositions(&self, book: &TenantBook, reqs: &[Request]) {
+        if !self.obs.enabled() {
+            return;
+        }
+        for (idx, d) in book.disposition.iter().enumerate() {
+            let Some(d) = *d else { continue };
+            let name = match d {
+                Disposition::Admitted => "admitted",
+                Disposition::Rejected => "rejected",
+                Disposition::Deferred => "deferred",
+            };
+            self.obs.counter(&format!("tenancy.{name}"), 1);
+            if !self.obs.sampled(idx) {
+                continue;
+            }
+            let t = book.of[idx];
+            let args = [
+                ("tenant", book.ids[t].clone()),
+                ("class", self.tenancy.classes[book.class[t]].name.clone()),
+            ];
+            self.obs.instant(
+                &format!("req/{}", reqs[idx].id),
+                name,
+                reqs[idx].arrival,
+                &args,
+            );
+        }
+    }
+
+    /// The tenancy report: the base aggregate plus per-tenant slices
+    /// and the fairness index.
+    fn tenant_report(
+        &self,
+        base: ClusterServingReport,
+        book: &TenantBook,
+        outcomes: &[Option<RequestOutcome>],
+    ) -> TenancyServingReport {
+        for (idx, d) in book.disposition.iter().enumerate() {
             let d = d.expect("every arrival fired");
             debug_assert_eq!(
                 outcomes[idx].is_some(),
@@ -557,67 +459,39 @@ impl TenantServingSim {
                 "request {idx}: disposition and completion must agree"
             );
         }
-        let served_tokens: u64 = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_some())
-            .map(|(idx, _)| reqs[idx].output_len)
-            .sum();
-        let completed: Vec<RequestOutcome> = outcomes.iter().filter_map(|o| *o).collect();
-        let base = summarize_groups(
-            design,
-            policy,
-            self.config.plan,
-            self.config.slo,
-            trace.len(),
-            served_tokens,
-            groups,
-            completed,
-            sim_events,
-            &self.obs,
-        );
-
         let count = |t: usize, want: Disposition| {
-            disposition
+            book.disposition
                 .iter()
                 .enumerate()
-                .filter(|&(idx, &d)| tix[idx] == t && d == Some(want))
+                .filter(|&(idx, &d)| book.of[idx] == t && d == Some(want))
                 .count()
         };
-        let span = base.makespan.as_secs();
-        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-        let tenants: Vec<TenantReport> = tenant_ids
+        let tenants: Vec<TenantReport> = book
+            .ids
             .iter()
             .enumerate()
             .map(|(t, tenant)| {
-                let class = &self.tenancy.classes[tenant_class[t]];
-                let done: Vec<&RequestOutcome> = outcomes
+                let class = &self.tenancy.classes[book.class[t]];
+                let done: Vec<RequestOutcome> = outcomes
                     .iter()
                     .enumerate()
-                    .filter(|&(idx, _)| tix[idx] == t)
-                    .filter_map(|(_, o)| o.as_ref())
+                    .filter(|&(idx, _)| book.of[idx] == t)
+                    .filter_map(|(_, o)| *o)
                     .collect();
-                let ttft: Vec<Seconds> = done.iter().map(|o| o.ttft()).collect();
-                let tpot: Vec<Seconds> = done.iter().filter_map(|o| o.tpot()).collect();
-                let e2e: Vec<Seconds> = done.iter().map(|o| o.e2e()).collect();
-                let met = done.iter().filter(|o| o.meets(&class.slo)).count();
+                let l = LatencyFold::of(&done, &class.slo, base.makespan, 0);
                 TenantReport {
                     tenant: tenant.clone(),
                     class: class.name.clone(),
-                    arrivals: tix.iter().filter(|&&x| x == t).count(),
+                    arrivals: book.of.iter().filter(|&&x| x == t).count(),
                     admitted: count(t, Disposition::Admitted),
                     rejected: count(t, Disposition::Rejected),
                     deferred: count(t, Disposition::Deferred),
                     completed: done.len(),
-                    slo_attainment: if done.is_empty() {
-                        0.0
-                    } else {
-                        met as f64 / done.len() as f64
-                    },
-                    goodput_rps: per_sec(met as f64),
-                    ttft: LatencyStats::of(&ttft),
-                    tpot: LatencyStats::of(&tpot),
-                    e2e: LatencyStats::of(&e2e),
+                    slo_attainment: l.slo_attainment,
+                    goodput_rps: l.goodput_rps,
+                    ttft: l.ttft,
+                    tpot: l.tpot,
+                    e2e: l.e2e,
                 }
             })
             .collect();
@@ -633,40 +507,16 @@ impl TenantServingSim {
     }
 }
 
-/// Routes an admitted request to its model's least-loaded group (per
-/// the policy) and inserts it into the waiting queue priority-first,
-/// FIFO within a class.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    idx: usize,
-    now: Seconds,
-    req_prio: &[u8],
-    routers: &mut [Router],
-    model_groups: &[Vec<usize>],
-    groups: &mut [Group],
-    total_waiting: &mut usize,
-    shed_depth: &mut QueueStat,
-    model: usize,
-) {
-    let members = &model_groups[model];
-    let pick = routers[model].route_by(|i| groups[members[i]].outstanding());
-    let gid = members[pick];
-    let group = &mut groups[gid];
-    // Priority-stable insertion: before the first strictly-lower-
-    // priority entry (larger number = lower priority), after every
-    // equal-priority one — FIFO inside a class. With one class this is
-    // exactly a push, preserving the plain engine's order.
-    let prio = req_prio[idx];
-    let pos = group
-        .waiting
-        .iter()
-        .position(|&w| req_prio[w] > prio)
-        .unwrap_or(group.waiting.len());
-    group.waiting.insert(pos, idx);
-    group.served += 1;
-    group.queue.record(now, group.waiting.len());
-    *total_waiting += 1;
-    shed_depth.record(now, *total_waiting);
+/// Who each request belongs to and what admission did with it.
+struct TenantBook {
+    /// Distinct tenant ids, in first-appearance order.
+    ids: Vec<String>,
+    /// Each request's index into `ids`.
+    of: Vec<usize>,
+    /// Each tenant's class index.
+    class: Vec<usize>,
+    /// Each request's terminal disposition, once its arrival fired.
+    disposition: Vec<Option<Disposition>>,
 }
 
 #[cfg(test)]

@@ -180,7 +180,7 @@ impl Catalog {
             for op in &reps {
                 let plans = partitioner.plans(op);
                 if plans.is_empty() {
-                    return Err(no_feasible_plan(op));
+                    return Err(no_feasible_plan(op, partitioner));
                 }
                 shared.push(Arc::new(OpPlans::new(plans)));
             }
@@ -188,7 +188,7 @@ impl Catalog {
             let plan_lists = partitioner.enumerate_all_par(&reps, threads);
             for (op, plans) in reps.iter().zip(plan_lists) {
                 if plans.is_empty() {
-                    return Err(no_feasible_plan(op));
+                    return Err(no_feasible_plan(op, partitioner));
                 }
                 shared.push(Arc::new(OpPlans::new(plans)));
             }
@@ -235,10 +235,12 @@ impl Catalog {
     }
 }
 
-fn no_feasible_plan(op: &Operator) -> CompileError {
+/// `op` has no plan that fits the partitioner chip's usable per-core
+/// SRAM.
+fn no_feasible_plan(op: &Operator, partitioner: &Partitioner<'_>) -> CompileError {
     CompileError::NoFeasiblePlan {
         op: op.name().to_string(),
-        capacity: Bytes::ZERO,
+        capacity: partitioner.chip().usable_sram_per_core(),
     }
 }
 
@@ -310,6 +312,24 @@ mod tests {
             g.len()
         );
         assert!(cat.max_plans_per_op() > 10);
+    }
+
+    #[test]
+    fn infeasible_operator_reports_the_usable_sram() {
+        let sys = presets::ipu_pod4();
+        let dev = AnalyticDevice::of_chip(&sys.chip);
+        let p = Partitioner::new(&sys.chip, &dev);
+        let mut model = zoo::llama2_13b();
+        model.layers = 1;
+        let g = model.build(Workload::decode(1, 100_000_000), 4);
+        for threads in [1, 2] {
+            let err = Catalog::build_par(&g, &p, threads).expect_err("no plan fits");
+            let CompileError::NoFeasiblePlan { capacity, .. } = err else {
+                panic!("expected NoFeasiblePlan, got {err}");
+            };
+            assert_eq!(capacity, sys.chip.usable_sram_per_core());
+            assert!(capacity > Bytes::ZERO);
+        }
     }
 
     #[test]

@@ -31,6 +31,12 @@ impl<'a> Partitioner<'a> {
         }
     }
 
+    /// The chip plans are enumerated for.
+    #[must_use]
+    pub fn chip(&self) -> &'a ChipConfig {
+        self.chip
+    }
+
     /// Overrides the minimum cores a plan must occupy (plans below the
     /// maximum achievable parallelism of tiny operators are always kept).
     #[must_use]

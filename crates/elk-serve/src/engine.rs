@@ -1,30 +1,31 @@
 //! The serving engine: replays a request trace against compiled plans.
 //!
-//! Each replica is an event source on the [`elk_sim_core`] kernel:
-//! arrivals and step completions are typed events on one total-ordered
-//! queue, and the simulation clock only moves when an event fires. A
-//! scheduler step compiles (or cache-hits) the Elk plan for its
-//! bucketed workload signature and schedules its completion at the
-//! simulated step latency from [`elk_sim`]'s `SimReport`. Requests are
-//! routed round-robin across `replicas` independent chip groups that
-//! share one plan cache.
+//! Each replica is an event source on its own [`elk_sim_core`] kernel,
+//! running one group of the shared step core ([`GroupCore`]): arrivals
+//! and step completions are typed events on one total-ordered queue,
+//! and the simulation clock only moves when an event fires. A scheduler
+//! step compiles (or cache-hits) the Elk plan for its bucketed workload
+//! signature and schedules its completion at the simulated step latency
+//! from [`elk_sim`]'s `SimReport`. Requests are routed round-robin
+//! across `replicas` independent chip groups that share one plan cache.
 
 use std::sync::Arc;
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::CompileError;
 use elk_hw::SystemConfig;
-use elk_model::{Phase, TransformerConfig};
+use elk_model::TransformerConfig;
 use elk_obs::{MemRecorder, Obs, ObsBuf};
 use elk_sim::SimOptions;
-use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
+use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
-use crate::batcher::{next_step, BatchConfig, StepPlan};
+use crate::batcher::BatchConfig;
 use crate::cache::PlanCache;
-use crate::metrics::{LatencyStats, RequestOutcome, SloConfig};
+use crate::group::{split_unmemoized, GroupCore, GroupFold};
+use crate::metrics::{RequestOutcome, SloConfig};
 use crate::report::ServingReport;
-use crate::trace::RequestTrace;
+use crate::trace::{Request, RequestTrace};
 
 /// Everything a serving run is parameterized by (except the design,
 /// which is per-run so designs can share one engine and cache).
@@ -101,47 +102,20 @@ pub struct ServingSim {
     obs: Obs,
 }
 
-/// Per-request progress while in flight.
-struct InFlight {
-    /// Index into the trace's request vector.
-    idx: usize,
-    /// Tokens generated so far (1 after prefill).
-    generated: u64,
-}
-
 /// Typed events on a replica's simulation timeline.
 enum Ev {
-    /// The request at this trace index joins the waiting queue.
+    /// The request at this replica-local index joins the waiting queue.
     Arrival(usize),
     /// The in-flight scheduler step completes.
     StepDone,
 }
 
-/// What the in-flight step will do when its [`Ev::StepDone`] fires.
-enum PendingStep {
-    /// Prefill of these trace indices; each emits its first token at
-    /// completion.
-    Prefill {
-        /// Trace indices admitted into the step.
-        batch: Vec<usize>,
-    },
-    /// One decode iteration over the whole active set.
-    Decode,
-}
-
 /// One replica's event-loop output, merged deterministically by
 /// [`ServingSim::run`].
 struct ReplicaRun {
-    /// `(trace index, outcome)` for every request this replica served.
-    outcomes: Vec<(usize, RequestOutcome)>,
-    /// Waiting-queue depth trace (transitions + time-weighted area).
-    queue: QueueStat,
-    /// Prefill steps executed.
-    prefill_steps: u64,
-    /// Decode steps executed.
-    decode_steps: u64,
-    /// The replica's final clock.
-    end: Seconds,
+    /// The replica's drained group, its outcomes indexed by the
+    /// replica-local request slot.
+    core: GroupCore,
     /// Kernel events fired by this replica's timeline.
     events: u64,
     /// Peak future-event heap size on this replica's kernel.
@@ -220,8 +194,6 @@ impl ServingSim {
     ) -> Result<ServingReport, CompileError> {
         let stats_before = self.cache.stats();
         let catalogs_before = self.cache.catalogs();
-        // Round-robin request routing: replica r serves indices
-        // r, r + R, r + 2R, ... in arrival order.
         let replicas: Vec<usize> = (0..self.config.replicas).collect();
         let this = &*self;
         let runs = elk_par::try_par_map(
@@ -231,355 +203,141 @@ impl ServingSim {
         )?;
 
         // Deterministic merge in replica order (the same order the
-        // sequential loop produced).
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let mut queue_depth: Vec<(Seconds, usize)> = Vec::new();
-        let mut prefill_steps = 0u64;
-        let mut decode_steps = 0u64;
-        let mut makespan = Seconds::ZERO;
+        // sequential loop produced). Replica r served trace indices
+        // r, r + R, r + 2R, ...
+        let stride = self.config.replicas;
+        let outcomes = (0..trace.len())
+            .map(|i| {
+                let (replica, slot) = (i % stride, i / stride);
+                let outcome = runs[replica].core.outcomes[slot].expect("every request completes");
+                RequestOutcome { replica, ..outcome }
+            })
+            .collect();
+        let mut groups = Vec::with_capacity(stride);
         let mut sim_events = 0u64;
-        // The fleet-wide mean queue depth is the total depth-time area
-        // over the total simulated replica-time: each replica's depth
-        // is integrated over its own timeline, so a 5 ms decode step
-        // and a 900 ms prefill stall weigh by their durations.
-        let mut depth_area = 0.0;
-        let mut sim_time = 0.0;
-        let mut max_q = 0usize;
         let mut peak_q = 0usize;
         for run in runs {
-            for (idx, outcome) in run.outcomes {
-                outcomes[idx] = Some(outcome);
-            }
-            prefill_steps += run.prefill_steps;
-            decode_steps += run.decode_steps;
-            makespan = makespan.max(run.end);
+            groups.extend(run.core.groups);
             sim_events += run.events;
             peak_q = peak_q.max(run.peak);
-            depth_area += run.queue.area_until(run.end);
-            sim_time += run.end.as_secs();
-            max_q = max_q.max(run.queue.max_depth());
-            queue_depth.extend(run.queue.into_samples());
             // Replica buffers fold in replica index order — the same
             // order the sequential loop records in.
             if let Some(buf) = run.obs {
                 self.obs.absorb(buf);
             }
         }
+        let cache = self.cache.stats().since(stats_before);
         if self.obs.enabled() {
             // Only thread-invariant cache quantities: total lookups and
             // distinct compiled signatures. The hit/miss split (and the
             // per-design plan count) shifts with design warming, so it
             // stays out of the recorded stream.
-            let d = self.cache.stats().since(stats_before);
-            self.obs.counter("serve.cache.lookups", d.hits + d.misses);
+            self.obs
+                .counter("serve.cache.lookups", cache.hits + cache.misses);
             self.obs.counter(
                 "serve.cache.signatures",
                 (self.cache.catalogs() - catalogs_before) as u64,
             );
         }
-
-        queue_depth.sort_by_key(|&(t, _)| t);
-        let mean_q = if sim_time > 0.0 {
-            depth_area / sim_time
-        } else {
-            0.0
-        };
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every request completes"))
-            .collect();
-        Ok(self.summarize(
-            design,
-            trace,
+        let fold = GroupFold::of(
+            groups,
             outcomes,
-            queue_depth,
-            (mean_q, max_q),
-            (prefill_steps, decode_steps),
-            makespan,
-            (sim_events, peak_q),
-            self.cache.stats().since(stats_before),
-        ))
+            &self.config.slo,
+            trace.total_output_tokens(),
+        );
+        fold.record(&self.obs, "serve", "replica");
+        let l = fold.latency;
+        Ok(ServingReport {
+            design,
+            replicas: self.config.replicas,
+            requests: trace.len(),
+            completed: fold.outcomes.len(),
+            makespan: fold.makespan,
+            ttft: l.ttft,
+            tpot: l.tpot,
+            e2e: l.e2e,
+            slo: self.config.slo,
+            slo_attainment: l.slo_attainment,
+            goodput_rps: l.goodput_rps,
+            throughput_rps: l.throughput_rps,
+            tokens_per_sec: l.tokens_per_sec,
+            prefill_steps: fold.prefill_steps,
+            decode_steps: fold.decode_steps,
+            mean_queue_depth: fold.mean_queue_depth,
+            max_queue_depth: fold.max_queue_depth,
+            queue_depth: fold.queue_depth,
+            sim_events,
+            peak_event_queue_len: peak_q,
+            cache,
+            outcomes: fold.outcomes,
+        })
     }
 
-    /// Runs one replica as an event source on the simulation kernel.
+    /// Runs one replica as an event source on its own simulation
+    /// kernel, over the replica's round-robin share of the trace.
     ///
     /// Arrivals fire at class [`PRIO_ARRIVAL`] and step completions at
     /// [`PRIO_STEP_DONE`], so a step finishing at the same instant a
-    /// request arrives observes that arrival in its scheduling decision
-    /// — the same "admit everything arrived by now" semantics the old
-    /// hand-rolled loop had. Scheduling decisions are deferred until
-    /// every event at the current instant has fired.
+    /// request arrives observes that arrival in its scheduling decision.
+    /// Scheduling decisions are deferred until every event at the
+    /// current instant has fired.
     fn run_replica(
         &self,
         design: Design,
         trace: &RequestTrace,
         replica: usize,
     ) -> Result<ReplicaRun, CompileError> {
-        let stride = self.config.replicas;
-        let assigned: Vec<usize> = (replica..trace.len()).step_by(stride).collect();
-        let reqs = &trace.requests;
-        // One slot per assigned request: trace index `idx` lives at
-        // `(idx - replica) / stride`.
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; assigned.len()];
-        let slot = |idx: usize| (idx - replica) / stride;
-        let mut queue = QueueStat::new();
-        let mut prefill_steps = 0u64;
-        let mut decode_steps = 0u64;
-        let mut waiting: Vec<usize> = Vec::new(); // FIFO, trace indices
-        let mut active: Vec<InFlight> = Vec::new();
-        let mut pending: Option<PendingStep> = None;
-        let mut end = Seconds::ZERO;
+        let reqs: Vec<Request> = trace
+            .requests
+            .iter()
+            .skip(replica)
+            .step_by(self.config.replicas)
+            .cloned()
+            .collect();
+        let mut core = GroupCore::new(1, reqs.len());
 
         // A replica-local recorder: worker threads never write to the
         // shared sink directly, so the merged stream only depends on
         // the (deterministic) absorb order in `run`.
         let rec = self.obs.enabled().then(|| Arc::new(MemRecorder::new()));
+        let obs = rec
+            .clone()
+            .map_or_else(Obs::null, |r| Obs::new(r, self.obs.sample()));
         let mut q: EventQueue<Ev> = EventQueue::new();
-        if let Some(rec) = &rec {
-            q.observe(
-                Obs::new(rec.clone(), self.obs.sample()),
-                &format!("serve/replica{replica}"),
-                &[(PRIO_ARRIVAL, "arrival"), (PRIO_STEP_DONE, "step_done")],
-            );
-        }
+        q.observe(
+            obs,
+            &format!("serve/replica{replica}"),
+            &[(PRIO_ARRIVAL, "arrival"), (PRIO_STEP_DONE, "step_done")],
+        );
         q.feed(
-            assigned
-                .iter()
-                .map(|&idx| (reqs[idx].arrival, PRIO_ARRIVAL, Ev::Arrival(idx))),
+            reqs.iter()
+                .enumerate()
+                .map(|(i, req)| (req.arrival, PRIO_ARRIVAL, Ev::Arrival(i))),
         );
 
         while let Some(fired) = q.pop() {
-            let now = q.now();
+            let now: Seconds = q.now();
             match fired.event {
-                Ev::Arrival(idx) => {
-                    waiting.push(idx);
-                    queue.record(now, waiting.len());
-                }
-                Ev::StepDone => {
-                    match pending.take().expect("StepDone implies an in-flight step") {
-                        PendingStep::Prefill { batch } => {
-                            prefill_steps += 1;
-                            for idx in batch {
-                                // The prefill step emits each request's
-                                // first token.
-                                let outcome = RequestOutcome {
-                                    id: reqs[idx].id,
-                                    replica,
-                                    arrival: reqs[idx].arrival,
-                                    first_token: now,
-                                    completion: now,
-                                    output_len: reqs[idx].output_len,
-                                };
-                                outcomes[slot(idx)] = Some(outcome);
-                                if reqs[idx].output_len > 1 {
-                                    active.push(InFlight { idx, generated: 1 });
-                                }
-                            }
-                        }
-                        PendingStep::Decode => {
-                            decode_steps += 1;
-                            active.retain_mut(|a| {
-                                a.generated += 1;
-                                let outcome = outcomes[slot(a.idx)].as_mut().expect("prefilled");
-                                outcome.completion = now;
-                                a.generated < reqs[a.idx].output_len
-                            });
-                        }
-                    }
-                    end = now;
-                }
+                Ev::Arrival(i) => core.enqueue(0, i, now),
+                Ev::StepDone => core.finish_step(0, now, &reqs, |_| {}),
             }
-            // Defer the scheduling decision until everything at this
-            // instant has fired (all simultaneous arrivals admitted,
-            // the step completion applied).
-            if q.peek_time() == Some(now) || pending.is_some() {
-                continue;
-            }
-            // No step to run (all-idle): the clock next moves at the
-            // following arrival event — the old loop's idle-jump.
-            let prompts = waiting.iter().map(|&i| reqs[i].prompt_len);
-            let Some(step) = next_step(&self.config.batch, prompts, active.len()) else {
-                continue;
-            };
-            let latency = match step {
-                StepPlan::Prefill { admit } => {
-                    let batch: Vec<usize> = waiting.drain(..admit).collect();
-                    queue.record(now, waiting.len());
-                    let longest = batch
-                        .iter()
-                        .map(|&i| reqs[i].prompt_len)
-                        .max()
-                        .expect("prefill admits >= 1");
-                    let wl = self.config.batch.step_workload(
-                        Phase::Prefill,
-                        batch.len() as u64,
-                        longest,
-                    );
-                    let latency = self.split_latency(design, wl)?;
-                    pending = Some(PendingStep::Prefill { batch });
-                    latency
-                }
-                StepPlan::Decode => {
-                    let deepest = active
-                        .iter()
-                        .map(|a| reqs[a.idx].prompt_len + a.generated)
-                        .max()
-                        .expect("decode requires >= 1 active");
-                    let wl = self.config.batch.step_workload(
-                        Phase::Decode,
-                        active.len() as u64,
-                        deepest,
-                    );
-                    let latency = self.split_latency(design, wl)?;
-                    pending = Some(PendingStep::Decode);
-                    latency
-                }
-            };
-            q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone);
+            // No memo in front of the cache: its hit/miss counters are
+            // part of the report.
+            let c = &self.config;
+            let done = |_| (PRIO_STEP_DONE, Ev::StepDone);
+            core.dispatch(&mut q, &c.batch, &reqs, done, |_, _, wl| {
+                split_unmemoized(wl, &|w| {
+                    self.cache
+                        .step_latency(&self.runner, &c.model, c.shards, design, w, &c.sim)
+                })
+            })?;
         }
         Ok(ReplicaRun {
-            outcomes: assigned
-                .into_iter()
-                .zip(outcomes)
-                .map(|(i, o)| (i, o.expect("assigned request completed")))
-                .collect(),
-            queue,
-            prefill_steps,
-            decode_steps,
-            end,
+            core,
             events: q.events_processed(),
             peak: q.peak_len(),
             obs: rec.map(|r| r.take_buf()),
         })
-    }
-
-    /// Latency of one `wl` step, falling back to sequential micro-batches
-    /// when the full batch shape has no feasible on-chip plan (prefill
-    /// attention is quadratic in sequence length, so long-context steps
-    /// can exceed SRAM at batch sizes the decode path handles fine).
-    /// Splitting halves the batch until the shape compiles; a batch-1
-    /// failure is a genuine error — the request cannot run on this chip.
-    fn split_latency(
-        &self,
-        design: Design,
-        wl: elk_model::Workload,
-    ) -> Result<Seconds, CompileError> {
-        match self.cache.step_latency(
-            &self.runner,
-            &self.config.model,
-            self.config.shards,
-            design,
-            wl,
-            &self.config.sim,
-        ) {
-            Ok(t) => Ok(t),
-            Err(CompileError::NoFeasiblePlan { .. } | CompileError::CapacityExceeded { .. })
-                if wl.batch > 1 =>
-            {
-                let lo = elk_model::Workload {
-                    batch: wl.batch / 2,
-                    ..wl
-                };
-                let hi = elk_model::Workload {
-                    batch: wl.batch - wl.batch / 2,
-                    ..wl
-                };
-                let a = self.split_latency(design, lo)?;
-                let b = if hi.batch == lo.batch {
-                    a
-                } else {
-                    self.split_latency(design, hi)?
-                };
-                Ok(a + b)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Folds per-request outcomes into the aggregate report.
-    #[allow(clippy::too_many_arguments)]
-    fn summarize(
-        &self,
-        design: Design,
-        trace: &RequestTrace,
-        outcomes: Vec<RequestOutcome>,
-        queue_depth: Vec<(Seconds, usize)>,
-        (mean_q, max_q): (f64, usize),
-        (prefill_steps, decode_steps): (u64, u64),
-        makespan: Seconds,
-        (sim_events, peak_event_queue_len): (u64, usize),
-        cache: crate::cache::CacheStats,
-    ) -> ServingReport {
-        if self.obs.enabled() {
-            // Request lanes and latency histograms are derived from the
-            // merged outcomes (trace order), not from replica event
-            // loops, so they are deterministic by construction.
-            for (i, o) in outcomes.iter().enumerate() {
-                self.obs.histogram("serve.ttft", o.ttft());
-                if let Some(t) = o.tpot() {
-                    self.obs.histogram("serve.tpot", t);
-                }
-                self.obs.histogram("serve.e2e", o.e2e());
-                if !self.obs.sampled(i) {
-                    continue;
-                }
-                let track = format!("req/{}", o.id);
-                let args = [("replica", o.replica.to_string())];
-                self.obs.span(
-                    &track,
-                    "prefill",
-                    o.arrival,
-                    o.first_token - o.arrival,
-                    &args,
-                );
-                if o.completion > o.first_token {
-                    self.obs.span(
-                        &track,
-                        "decode",
-                        o.first_token,
-                        o.completion - o.first_token,
-                        &args,
-                    );
-                }
-            }
-        }
-        let ttft: Vec<Seconds> = outcomes.iter().map(RequestOutcome::ttft).collect();
-        let tpot: Vec<Seconds> = outcomes.iter().filter_map(RequestOutcome::tpot).collect();
-        let e2e: Vec<Seconds> = outcomes.iter().map(RequestOutcome::e2e).collect();
-        let met = outcomes
-            .iter()
-            .filter(|o| o.meets(&self.config.slo))
-            .count();
-        let span = makespan.as_secs();
-        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-        ServingReport {
-            design,
-            replicas: self.config.replicas,
-            requests: trace.len(),
-            completed: outcomes.len(),
-            makespan,
-            ttft: LatencyStats::of(&ttft),
-            tpot: LatencyStats::of(&tpot),
-            e2e: LatencyStats::of(&e2e),
-            slo: self.config.slo,
-            slo_attainment: if outcomes.is_empty() {
-                0.0
-            } else {
-                met as f64 / outcomes.len() as f64
-            },
-            goodput_rps: per_sec(met as f64),
-            throughput_rps: per_sec(outcomes.len() as f64),
-            tokens_per_sec: per_sec(trace.total_output_tokens() as f64),
-            prefill_steps,
-            decode_steps,
-            mean_queue_depth: mean_q,
-            max_queue_depth: max_q,
-            queue_depth,
-            sim_events,
-            peak_event_queue_len,
-            cache,
-            outcomes,
-        }
     }
 }
 

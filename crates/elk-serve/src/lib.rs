@@ -77,6 +77,7 @@
 mod batcher;
 mod cache;
 mod engine;
+mod group;
 mod metrics;
 mod report;
 mod router;
@@ -86,6 +87,10 @@ mod trace;
 pub use batcher::{next_step, BatchConfig, StepPlan};
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use engine::{ServeConfig, ServingSim};
+pub use group::{
+    decode_workload, queue_depth_fold, record_latency_histograms, split_micro_batches, Group,
+    GroupCore, GroupFold, InFlight, LatencyFold, PendingStep,
+};
 pub use metrics::{percentile, LatencyStats, RequestOutcome, SloConfig};
 pub use report::ServingReport;
 pub use router::{Router, RouterPolicy};

@@ -223,3 +223,36 @@ fn indivisible_shards_exit_with_a_spec_error() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A workload no operator plan can fit is a compile error (exit 1)
+/// whose message names the chip's real per-core SRAM budget.
+#[test]
+fn infeasible_workload_names_the_per_core_capacity() {
+    let dir = std::env::temp_dir().join(format!("elk-big-seq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = dir.join("big_seq.json");
+    std::fs::write(
+        &scenario,
+        r#"{"name": "big_seq", "model": {"zoo": "llama13", "layers": 2},
+            "workload": {"seq_len": 100000000}}"#,
+    )
+    .expect("write scenario");
+    let capacity = presets::ipu_pod4().chip.usable_sram_per_core();
+    assert!(capacity > Bytes::ZERO);
+    for command in ["compile", "simulate"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+            .arg(command)
+            .arg(&scenario)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .expect("spawn elk");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "`elk {command}`: {stderr}");
+        assert!(
+            stderr.contains(&format!("within {capacity} per core")),
+            "`elk {command}` must name the usable SRAM ({capacity}): {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
