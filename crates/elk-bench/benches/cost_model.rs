@@ -18,6 +18,10 @@ fn bench_cost(c: &mut Criterion) {
     g.bench_function("fit_600_samples_per_class", |b| {
         b.iter(|| LearnedCostModel::fit(&device, &quick))
     });
+    // The default 4,000 samples per class: the fit every design point pays.
+    g.bench_function("fit_default", |b| {
+        b.iter(|| LearnedCostModel::fit(&device, &ProfileConfig::default()))
+    });
     let model = LearnedCostModel::fit(&device, &ProfileConfig::default());
     let tile = TileShape::matmul(16, 1280, 24);
     g.bench_function("predict_tile", |b| b.iter(|| model.tile_time(&tile)));

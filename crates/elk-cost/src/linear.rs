@@ -47,15 +47,26 @@ impl LinearModel {
             xs.iter().all(|x| x.len() == d),
             "inconsistent feature widths"
         );
+        Self::fit_rows(d, xs.iter().map(Vec::as_slice).zip(ys.iter().copied()))
+    }
+
+    /// [`LinearModel::fit`] over `(row, target)` samples of width `d`, so
+    /// callers holding a subset of a sample (a tree leaf's indices) need
+    /// not clone its rows. Accumulates in sample order, exactly as `fit`.
+    pub(crate) fn fit_rows<'a, I>(d: usize, samples: I) -> Self
+    where
+        I: Iterator<Item = (&'a [f64], f64)> + Clone,
+    {
+        let count = samples.clone().count();
         if d == 0 {
-            return LinearModel::constant(ys.iter().sum::<f64>() / ys.len() as f64);
+            return LinearModel::constant(samples.map(|(_, y)| y).sum::<f64>() / count as f64);
         }
 
         // Augmented design matrix [x | 1]; normal equations A·w = b.
         let n = d + 1;
         let mut a = vec![vec![0.0f64; n]; n];
         let mut b = vec![0.0f64; n];
-        for (x, &y) in xs.iter().zip(ys) {
+        for (x, y) in samples {
             for i in 0..n {
                 let xi = if i < d { x[i] } else { 1.0 };
                 b[i] += xi * y;
@@ -65,7 +76,7 @@ impl LinearModel {
                 }
             }
         }
-        let ridge = 1e-8 * ys.len() as f64;
+        let ridge = 1e-8 * count as f64;
         for (i, row) in a.iter_mut().enumerate().take(d) {
             row[i] += ridge;
         }

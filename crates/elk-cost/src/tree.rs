@@ -73,15 +73,23 @@ impl LinearTreeModel {
     ///
     /// # Panics
     ///
-    /// Panics if `xs` and `ys` differ in length or are empty.
+    /// Panics if `xs` and `ys` differ in length or are empty, or if rows
+    /// of `xs` have inconsistent widths.
     #[must_use]
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &TreeParams) -> Self {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
         assert!(!ys.is_empty(), "cannot fit on an empty sample");
-        let idx: Vec<usize> = (0..ys.len()).collect();
-        let mut leaves = 0;
-        let root = build(xs, ys, &idx, params, 0, &mut leaves);
-        LinearTreeModel { root, leaves }
+        let d = xs[0].len();
+        assert!(
+            xs.iter().all(|x| x.len() == d),
+            "inconsistent feature widths"
+        );
+        let mut fitter = Fitter::new(xs, ys, params);
+        let root = fitter.build(0, ys.len(), 0);
+        LinearTreeModel {
+            root,
+            leaves: fitter.leaves,
+        }
     }
 
     /// Predicts the target for a feature vector.
@@ -114,90 +122,365 @@ impl LinearTreeModel {
     }
 }
 
-fn build(
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    idx: &[usize],
-    params: &TreeParams,
-    depth: u32,
-    leaves: &mut usize,
-) -> Node {
-    if depth >= params.max_depth || idx.len() < 2 * params.min_leaf {
-        return leaf(xs, ys, idx, leaves);
-    }
-    match best_split(xs, ys, idx, params) {
-        None => leaf(xs, ys, idx, leaves),
-        Some((feature, threshold)) => {
-            let (l, r): (Vec<usize>, Vec<usize>) =
-                idx.iter().partition(|&&i| xs[i][feature] <= threshold);
-            if l.len() < params.min_leaf || r.len() < params.min_leaf {
-                return leaf(xs, ys, idx, leaves);
-            }
-            Node::Split {
-                feature,
-                threshold,
-                left: Box::new(build(xs, ys, &l, params, depth + 1, leaves)),
-                right: Box::new(build(xs, ys, &r, params, depth + 1, leaves)),
-            }
-        }
-    }
+/// Working state of one fit: the samples transposed to column-major, and
+/// per-node sample orders kept in place so no node sorts or allocates.
+///
+/// Every node owns the same range `lo..hi` of `idx` and of each feature's
+/// slice of `sorted`. `idx[lo..hi]` lists the node's samples in ascending
+/// sample order (the order every sum runs in); `sorted[f·n + lo..f·n + hi]`
+/// lists them by ascending feature `f`. Splitting a node stably partitions
+/// all of these ranges, so both properties hold in its children.
+struct Fitter<'a> {
+    xs: &'a [Vec<f64>],
+    ys: &'a [f64],
+    params: &'a TreeParams,
+    /// Feature count.
+    d: usize,
+    /// Sample count.
+    n: usize,
+    /// Feature `f` of sample `i` at `cols[f·n + i]`.
+    cols: Vec<f64>,
+    idx: Vec<usize>,
+    sorted: Vec<usize>,
+    /// Per-sample side of the split being applied.
+    goes_left: Vec<bool>,
+    /// Right-hand buffer of the stable partition.
+    spill: Vec<usize>,
+    /// The current node's feature values and targets, in `idx` order.
+    node_x: Vec<f64>,
+    node_y: Vec<f64>,
+    /// The current node's distinct values of one feature, ascending.
+    vals: Vec<f64>,
+    /// The current feature's candidate thresholds, ascending.
+    thresholds: Vec<f64>,
+    leaves: usize,
 }
 
-fn leaf(xs: &[Vec<f64>], ys: &[f64], idx: &[usize], leaves: &mut usize) -> Node {
-    *leaves += 1;
-    let sub_x: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
-    let sub_y: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
-    let lo = sub_y.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = sub_y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Node::Leaf {
-        model: LinearModel::fit(&sub_x, &sub_y),
-        lo: lo / 2.0,
-        hi: hi * 2.0,
-    }
-}
-
-/// Variance-reduction split search over per-feature quantile candidates.
-fn best_split(
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    idx: &[usize],
-    params: &TreeParams,
-) -> Option<(usize, f64)> {
-    let d = xs[idx[0]].len();
-    let total_sse = sse(ys, idx);
-    let mut best: Option<(usize, f64, f64)> = None;
-
-    // `f` is a feature index into every sample's row, not a position in
-    // one slice — a range loop is the natural shape here.
-    #[allow(clippy::needless_range_loop)]
-    for f in 0..d {
-        let mut vals: Vec<f64> = idx.iter().map(|&i| xs[i][f]).collect();
-        vals.sort_by(|a, b| a.total_cmp(b));
-        vals.dedup();
-        if vals.len() < 2 {
-            continue;
+impl<'a> Fitter<'a> {
+    fn new(xs: &'a [Vec<f64>], ys: &'a [f64], params: &'a TreeParams) -> Self {
+        let (n, d) = (ys.len(), xs[0].len());
+        let cols: Vec<f64> = (0..d).flat_map(|f| xs.iter().map(move |x| x[f])).collect();
+        let mut sorted = Vec::with_capacity(d * n);
+        for col in cols.chunks_exact(n) {
+            let start = sorted.len();
+            sorted.extend(0..n);
+            sorted[start..].sort_by(|&a, &b| col[a].total_cmp(&col[b]));
         }
-        for q in 1..=params.quantiles {
-            let pos = q * (vals.len() - 1) / (params.quantiles + 1);
-            let thr = vals[pos.min(vals.len() - 2)];
-            let (l, r): (Vec<usize>, Vec<usize>) = idx.iter().partition(|&&i| xs[i][f] <= thr);
-            if l.is_empty() || r.is_empty() {
+        Fitter {
+            xs,
+            ys,
+            params,
+            d,
+            n,
+            cols,
+            idx: (0..n).collect(),
+            sorted,
+            goes_left: vec![false; n],
+            spill: vec![0; n],
+            node_x: Vec::with_capacity(n),
+            node_y: Vec::with_capacity(n),
+            vals: Vec::with_capacity(n),
+            thresholds: Vec::with_capacity(params.quantiles),
+            leaves: 0,
+        }
+    }
+
+    fn build(&mut self, lo: usize, hi: usize, depth: u32) -> Node {
+        let min_leaf = self.params.min_leaf;
+        if depth >= self.params.max_depth || hi - lo < 2 * min_leaf {
+            return self.leaf(lo, hi);
+        }
+        let Some((feature, threshold)) = self.best_split(lo, hi) else {
+            return self.leaf(lo, hi);
+        };
+        let col = &self.cols[feature * self.n..(feature + 1) * self.n];
+        let mut left = 0;
+        for &i in &self.idx[lo..hi] {
+            let goes_left = col[i] <= threshold;
+            self.goes_left[i] = goes_left;
+            left += usize::from(goes_left);
+        }
+        if left < min_leaf || hi - lo - left < min_leaf {
+            return self.leaf(lo, hi);
+        }
+        stable_partition(&mut self.idx[lo..hi], &self.goes_left, &mut self.spill);
+        for f in 0..self.d {
+            let order = &mut self.sorted[f * self.n + lo..f * self.n + hi];
+            stable_partition(order, &self.goes_left, &mut self.spill);
+        }
+        let mid = lo + left;
+        Node::Split {
+            feature,
+            threshold,
+            left: Box::new(self.build(lo, mid, depth + 1)),
+            right: Box::new(self.build(mid, hi, depth + 1)),
+        }
+    }
+
+    fn leaf(&mut self, lo: usize, hi: usize) -> Node {
+        self.leaves += 1;
+        let (xs, ys) = (self.xs, self.ys);
+        let idx = &self.idx[lo..hi];
+        let y_min = idx.iter().map(|&i| ys[i]).fold(f64::INFINITY, f64::min);
+        let y_max = idx.iter().map(|&i| ys[i]).fold(f64::NEG_INFINITY, f64::max);
+        Node::Leaf {
+            model: LinearModel::fit_rows(self.d, idx.iter().map(|&i| (xs[i].as_slice(), ys[i]))),
+            lo: y_min / 2.0,
+            hi: y_max * 2.0,
+        }
+    }
+
+    /// Variance-reduction split search over per-feature quantile
+    /// candidates. Scores every candidate with exactly the additions, in
+    /// exactly the order, of a plain two-pass SSE over each side, so ties
+    /// and near-ties resolve the same way: first feature, then first
+    /// candidate, wins.
+    fn best_split(&mut self, lo: usize, hi: usize) -> Option<(usize, f64)> {
+        let ys = self.ys;
+        self.node_y.clear();
+        self.node_y.extend(self.idx[lo..hi].iter().map(|&i| ys[i]));
+        let total_sse = sse(&self.node_y);
+        let quantiles = self.params.quantiles;
+        let mut best: Option<(usize, f64, f64)> = None;
+
+        for f in 0..self.d {
+            let col = &self.cols[f * self.n..(f + 1) * self.n];
+            self.vals.clear();
+            let order = &self.sorted[f * self.n + lo..f * self.n + hi];
+            self.vals.extend(order.iter().map(|&i| col[i]));
+            self.vals.dedup();
+            let distinct = self.vals.len();
+            if distinct < 2 {
                 continue;
             }
-            let score = sse(ys, &l) + sse(ys, &r);
-            if best.is_none_or(|(_, _, s)| score < s) {
-                best = Some((f, thr, score));
+            // Quantile positions never decrease with `q`; a repeated one
+            // scores the same and cannot win, so it is scored once.
+            self.thresholds.clear();
+            let mut last = None;
+            for q in 1..=quantiles {
+                let pos = (q * (distinct - 1) / (quantiles + 1)).min(distinct - 2);
+                if last != Some(pos) {
+                    self.thresholds.push(self.vals[pos]);
+                    last = Some(pos);
+                }
+            }
+            self.node_x.clear();
+            self.node_x.extend(self.idx[lo..hi].iter().map(|&i| col[i]));
+
+            for batch in self.thresholds.chunks(LANES) {
+                let mut lanes = [f64::NAN; LANES];
+                lanes[..batch.len()].copy_from_slice(batch);
+                let scored = score_lanes(&self.node_x, &self.node_y, &lanes);
+                for (k, &threshold) in batch.iter().enumerate() {
+                    let left = scored.count_l[k] as usize;
+                    if left == 0 || left == hi - lo {
+                        continue;
+                    }
+                    let score = scored.sse_l[k] + scored.sse_r[k];
+                    if best.is_none_or(|(_, _, s)| score < s) {
+                        best = Some((f, threshold, score));
+                    }
+                }
+            }
+        }
+        best.filter(|&(_, _, s)| s < total_sse * 0.999)
+            .map(|(f, t, _)| (f, t))
+    }
+}
+
+/// Candidate thresholds scored per pass: one per quantile of
+/// [`crate::ProfileConfig`]'s default 10, few enough for the lanes'
+/// accumulators to stay in vector registers.
+const LANES: usize = 10;
+
+/// Per-lane results of [`score_lanes`].
+struct LaneScores {
+    /// Samples on the left (`x ≤ threshold`), exact in an `f64`.
+    count_l: [f64; LANES],
+    sse_l: [f64; LANES],
+    sse_r: [f64; LANES],
+}
+
+/// Scores up to [`LANES`] candidate thresholds (unused lanes hold NaN,
+/// which sends every sample right) in two branch-free passes over a
+/// node's samples (`xs[k]`, `ys[k]` in sample order): first each side's
+/// sum and count, then each side's squared deviations from its mean.
+///
+/// Each side's sums add the same values in the same order as [`sse`]
+/// over that side alone, starting from `-0.0` as `Iterator::sum` does,
+/// so every score is bit-identical to the plain two-pass SSE. A one-pass
+/// `Σy² − (Σy)²/n` or a prefix-sum variance would change scores in the
+/// last bits and flip near-tie splits. Lanes are independent
+/// accumulators, so vectorizing across them reorders nothing.
+///
+/// A sample reaches each side's sum as `s − v`, where `v` is the
+/// negated value bit-masked to `+0.0` on the other side: `s − (+0.0)` is
+/// `s` bit for bit (`−0.0` included) and `s − (−y)` is `s + y`. An `if`
+/// choosing between `y` and the identity would be compiled back into one
+/// unpredictable branch per lane and sample.
+fn score_lanes(xs: &[f64], ys: &[f64], thresholds: &[f64; LANES]) -> LaneScores {
+    let mut count_l = [0.0; LANES];
+    let mut sum_l = [-0.0; LANES];
+    let mut sum_r = [-0.0; LANES];
+    for (&x, &y) in xs.iter().zip(ys) {
+        let neg_y = (-y).to_bits();
+        for k in 0..LANES {
+            let left = u64::from(x <= thresholds[k]).wrapping_neg();
+            count_l[k] += f64::from_bits(1.0f64.to_bits() & left);
+            sum_l[k] -= f64::from_bits(neg_y & left);
+            sum_r[k] -= f64::from_bits(neg_y & !left);
+        }
+    }
+    // An empty side gets a non-finite mean; no sample reads it, and the
+    // caller skips the candidate.
+    let m = xs.len() as f64;
+    let mut mean_l = [0.0; LANES];
+    let mut mean_r = [0.0; LANES];
+    for k in 0..LANES {
+        mean_l[k] = sum_l[k] / count_l[k];
+        mean_r[k] = sum_r[k] / (m - count_l[k]);
+    }
+    let mut sse_l = [-0.0; LANES];
+    let mut sse_r = [-0.0; LANES];
+    for (&x, &y) in xs.iter().zip(ys) {
+        for k in 0..LANES {
+            let left = u64::from(x <= thresholds[k]).wrapping_neg();
+            let mean = (mean_l[k].to_bits() & left) | (mean_r[k].to_bits() & !left);
+            let dev = y - f64::from_bits(mean);
+            let neg_sq = (-(dev * dev)).to_bits();
+            sse_l[k] -= f64::from_bits(neg_sq & left);
+            sse_r[k] -= f64::from_bits(neg_sq & !left);
+        }
+    }
+    LaneScores {
+        count_l,
+        sse_l,
+        sse_r,
+    }
+}
+
+/// Moves the samples with `goes_left` to the front of `order`, keeping
+/// the relative order on both sides. Writes every sample to both
+/// destinations and advances one, so it does not branch on the side.
+fn stable_partition(order: &mut [usize], goes_left: &[bool], spill: &mut [usize]) {
+    let (mut w, mut s) = (0, 0);
+    for r in 0..order.len() {
+        let i = order[r];
+        let left = goes_left[i];
+        order[w] = i;
+        spill[s] = i;
+        w += usize::from(left);
+        s += usize::from(!left);
+    }
+    order[w..].copy_from_slice(&spill[..s]);
+}
+
+/// Sum of squared deviations from the mean, in slice order.
+fn sse(ys: &[f64]) -> f64 {
+    let mean = ys.iter().sum::<f64>() / ys.len() as f64;
+    ys.iter().map(|&y| (y - mean).powi(2)).sum()
+}
+
+/// The split search as it was before the presorted rewrite: re-sorts
+/// every feature at every node and scores each candidate with two
+/// freshly partitioned index `Vec`s. Kept as the oracle the rewrite must
+/// match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{LinearModel, LinearTreeModel, Node, TreeParams};
+
+    pub(super) fn fit(xs: &[Vec<f64>], ys: &[f64], params: &TreeParams) -> LinearTreeModel {
+        let idx: Vec<usize> = (0..ys.len()).collect();
+        let mut leaves = 0;
+        let root = build(xs, ys, &idx, params, 0, &mut leaves);
+        LinearTreeModel { root, leaves }
+    }
+
+    fn build(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        idx: &[usize],
+        params: &TreeParams,
+        depth: u32,
+        leaves: &mut usize,
+    ) -> Node {
+        if depth >= params.max_depth || idx.len() < 2 * params.min_leaf {
+            return leaf(xs, ys, idx, leaves);
+        }
+        match best_split(xs, ys, idx, params) {
+            None => leaf(xs, ys, idx, leaves),
+            Some((feature, threshold)) => {
+                let (l, r): (Vec<usize>, Vec<usize>) =
+                    idx.iter().partition(|&&i| xs[i][feature] <= threshold);
+                if l.len() < params.min_leaf || r.len() < params.min_leaf {
+                    return leaf(xs, ys, idx, leaves);
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    left: Box::new(build(xs, ys, &l, params, depth + 1, leaves)),
+                    right: Box::new(build(xs, ys, &r, params, depth + 1, leaves)),
+                }
             }
         }
     }
-    best.filter(|&(_, _, s)| s < total_sse * 0.999)
-        .map(|(f, t, _)| (f, t))
-}
 
-fn sse(ys: &[f64], idx: &[usize]) -> f64 {
-    let n = idx.len() as f64;
-    let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / n;
-    idx.iter().map(|&i| (ys[i] - mean).powi(2)).sum()
+    fn leaf(xs: &[Vec<f64>], ys: &[f64], idx: &[usize], leaves: &mut usize) -> Node {
+        *leaves += 1;
+        let sub_x: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
+        let sub_y: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
+        let lo = sub_y.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = sub_y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        Node::Leaf {
+            model: LinearModel::fit(&sub_x, &sub_y),
+            lo: lo / 2.0,
+            hi: hi * 2.0,
+        }
+    }
+
+    /// Variance-reduction split search over per-feature quantile candidates.
+    fn best_split(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        idx: &[usize],
+        params: &TreeParams,
+    ) -> Option<(usize, f64)> {
+        let d = xs[idx[0]].len();
+        let total_sse = sse(ys, idx);
+        let mut best: Option<(usize, f64, f64)> = None;
+
+        // `f` is a feature index into every sample's row, not a position in
+        // one slice — a range loop is the natural shape here.
+        #[allow(clippy::needless_range_loop)]
+        for f in 0..d {
+            let mut vals: Vec<f64> = idx.iter().map(|&i| xs[i][f]).collect();
+            vals.sort_by(|a, b| a.total_cmp(b));
+            vals.dedup();
+            if vals.len() < 2 {
+                continue;
+            }
+            for q in 1..=params.quantiles {
+                let pos = q * (vals.len() - 1) / (params.quantiles + 1);
+                let thr = vals[pos.min(vals.len() - 2)];
+                let (l, r): (Vec<usize>, Vec<usize>) = idx.iter().partition(|&&i| xs[i][f] <= thr);
+                if l.is_empty() || r.is_empty() {
+                    continue;
+                }
+                let score = sse(ys, &l) + sse(ys, &r);
+                if best.is_none_or(|(_, _, s)| score < s) {
+                    best = Some((f, thr, score));
+                }
+            }
+        }
+        best.filter(|&(_, _, s)| s < total_sse * 0.999)
+            .map(|(f, t, _)| (f, t))
+    }
+
+    fn sse(ys: &[f64], idx: &[usize]) -> f64 {
+        let n = idx.len() as f64;
+        let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / n;
+        idx.iter().map(|&i| (ys[i] - mean).powi(2)).sum()
+    }
 }
 
 #[cfg(test)]
@@ -265,5 +548,103 @@ mod tests {
         let tree = LinearTreeModel::fit(&xs, &ys, &params);
         // 40 samples cannot split into two leaves of ≥30.
         assert_eq!(tree.leaf_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent feature widths")]
+    fn ragged_rows_rejected() {
+        let xs = vec![vec![1.0, 2.0], vec![3.0], vec![5.0, 6.0]];
+        let _ = LinearTreeModel::fit(&xs, &[1.0, 2.0, 3.0], &TreeParams::default());
+    }
+
+    /// Builds a dataset from raw draws: `base` independent columns with
+    /// `levels` distinct values each (few levels = heavy ties), then one
+    /// derived column per `extra` kind, then targets of `target` kind.
+    fn dataset(
+        n: usize,
+        base: usize,
+        levels: u32,
+        cells: &[u32],
+        extra: &[usize],
+        target: usize,
+        noise: &[u32],
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let mut row: Vec<f64> = (0..base)
+                    .map(|c| f64::from(cells[i * 4 + c] % levels) * (c + 1) as f64)
+                    .collect();
+                let x0 = row[0];
+                for &kind in extra {
+                    row.push(match kind {
+                        0 => 7.0,            // constant
+                        1 => x0,             // duplicate
+                        2 => 3.0 * x0 + 1.0, // increasing affine
+                        3 => x0 * x0 * x0,   // increasing nonlinear
+                        4 => -x0,            // decreasing
+                        _ => match cells[i * 4 + 3] % 3 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            _ => 1.0,
+                        }, // signed zeros compare equal
+                    });
+                }
+                row
+            })
+            .collect();
+        let ys = xs
+            .iter()
+            .zip(noise)
+            .map(|(x, &e)| match target {
+                // Inexact sums: summation order shows in the last bits.
+                0 => f64::from(e) / 7.0 + 0.1 * x[0],
+                // Heavy target ties.
+                1 => f64::from(e % 3),
+                // Two regimes with different slopes.
+                _ => {
+                    if x[0] > 300.0 {
+                        5.0 * x[0] - 1200.0 + f64::from(e) / 1e3
+                    } else {
+                        x[0] + f64::from(e) / 1e3
+                    }
+                }
+            })
+            .collect();
+        (xs, ys)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 512,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+        #[test]
+        fn presorted_split_search_matches_reference(
+            shape in (
+                1usize..=60,
+                1usize..=3,
+                proptest::sample::select(vec![1u32, 2, 3, 5, 1000]),
+            ),
+            cells in proptest::collection::vec(0u32..1000, 240),
+            extra in proptest::collection::vec(0usize..6, 0..=3),
+            target in 0usize..3,
+            noise in proptest::collection::vec(0u32..1000, 60),
+            params in (
+                0u32..=6,
+                proptest::sample::select(vec![0usize, 1, 2, 3, 5, 10, 30, 61]),
+                proptest::sample::select(vec![0usize, 1, 2, 3, 8, 10, 64]),
+            ),
+        ) {
+            let (n, base, levels) = shape;
+            let (xs, ys) = dataset(n, base, levels, &cells, &extra, target, &noise);
+            let params = TreeParams {
+                max_depth: params.0,
+                min_leaf: params.1,
+                quantiles: params.2,
+            };
+            let fast = LinearTreeModel::fit(&xs, &ys, &params);
+            let oracle = reference::fit(&xs, &ys, &params);
+            proptest::prop_assert_eq!(fast, oracle, "params {:?} on {:?} -> {:?}", params, xs, ys);
+        }
     }
 }
