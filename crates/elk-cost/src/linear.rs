@@ -55,9 +55,9 @@ impl LinearModel {
     /// not clone its rows. Accumulates in sample order, exactly as `fit`.
     pub(crate) fn fit_rows<'a, I>(d: usize, samples: I) -> Self
     where
-        I: Iterator<Item = (&'a [f64], f64)> + Clone,
+        I: ExactSizeIterator<Item = (&'a [f64], f64)>,
     {
-        let count = samples.clone().count();
+        let count = samples.len();
         if d == 0 {
             return LinearModel::constant(samples.map(|(_, y)| y).sum::<f64>() / count as f64);
         }

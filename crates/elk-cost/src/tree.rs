@@ -381,10 +381,9 @@ fn sse(ys: &[f64]) -> f64 {
     ys.iter().map(|&y| (y - mean).powi(2)).sum()
 }
 
-/// The split search as it was before the presorted rewrite: re-sorts
-/// every feature at every node and scores each candidate with two
-/// freshly partitioned index `Vec`s. Kept as the oracle the rewrite must
-/// match bit for bit.
+/// The direct split search: re-sorts every feature at every node and
+/// scores each candidate with two freshly partitioned index `Vec`s. The
+/// oracle the presorted search must match bit for bit.
 #[cfg(test)]
 mod reference {
     use super::{LinearModel, LinearTreeModel, Node, TreeParams};
