@@ -10,9 +10,10 @@
 //! sibling shim) implements the sink as a JSON text writer, so reports
 //! are written without building a tree first. [`Serialize::to_value`]
 //! collects the same calls into a [`Value`] tree for callers that edit
-//! documents, and deserialization reads from a tree. Field order is
-//! preserved, so output is stable across runs — which the
-//! golden-report tests rely on.
+//! documents, and deserialization reads from a tree, every JSON object
+//! through the one strict [`MapReader`] (derived and hand-written
+//! impls alike). Field order is preserved, so output is stable across
+//! runs — which the golden-report tests rely on.
 //!
 //! ```
 //! use serde::Value;
@@ -27,7 +28,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
+pub use de::MapReader;
 pub use serde_derive::{Deserialize, Serialize};
+
+mod de;
 
 /// The in-memory serialization tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,6 +220,14 @@ pub trait Deserialize: Sized {
     /// # Errors
     /// Returns an error when `v` does not have the expected shape.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// The value a struct field of this type takes when its key is
+    /// absent: `Some(None)` for `Option`, like real serde; `None` (a
+    /// missing-field error) for everything else.
+    #[must_use]
+    fn absent() -> Option<Self> {
+        None
+    }
 }
 
 // ---- helpers used by the derive-generated code ----
@@ -248,17 +260,26 @@ pub fn expect_seq<'v>(v: &'v Value, ty: &str, len: usize) -> Result<&'v [Value],
     }
 }
 
-/// Looks up and deserializes a struct field.
-///
-/// # Errors
-/// Errors when the field is missing or has the wrong shape.
-pub fn field<T: Deserialize>(map: &[(String, Value)], ty: &str, name: &str) -> Result<T, Error> {
-    let v = map
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error::msg(format!("missing field `{name}` for {ty}")))?;
-    T::from_value(v).map_err(|e| Error::msg(format!("{ty}.{name}: {e}")))
+/// The error for an enum tag outside `variants`.
+#[must_use]
+pub fn unknown_variant(ty: &str, tag: &str, variants: &[&str]) -> Error {
+    Error::msg(format!(
+        "{ty}: unknown variant `{tag}`; valid variants: {}",
+        variants.join(", ")
+    ))
+}
+
+/// The error for an enum value that is neither a variant name nor a
+/// single-key object.
+#[must_use]
+pub fn expected_variant(ty: &str, v: &Value) -> Error {
+    let found = match v {
+        Value::Map(m) => format!("an object with {} keys", m.len()),
+        other => other.kind().to_string(),
+    };
+    Error::msg(format!(
+        "{ty}: expected a variant name or a single-key object, found {found}"
+    ))
 }
 
 // ---- primitive impls ----
@@ -493,6 +514,9 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => Ok(Some(T::from_value(other)?)),
         }
     }
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -582,8 +606,8 @@ impl<T: Serialize> Serialize for std::ops::Range<T> {
 }
 impl<T: Deserialize> Deserialize for std::ops::Range<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = expect_map(v, "Range")?;
-        Ok(field(m, "Range", "start")?..field(m, "Range", "end")?)
+        let mut r = MapReader::new("Range", v)?;
+        Ok(r.req("start")?..r.req("end")?)
     }
 }
 
