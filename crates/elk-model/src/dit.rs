@@ -27,6 +27,7 @@ use crate::{
 /// assert!(g.total_flops().get() > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DitConfig {
     /// Model name.
     pub name: String,

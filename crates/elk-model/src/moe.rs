@@ -29,6 +29,7 @@ use crate::{
 /// assert!(g.total_hbm_load().get() > 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MoeConfig {
     /// Model name.
     pub name: String,

@@ -55,6 +55,7 @@ impl NormKind {
 /// assert_eq!(g.layer_spans().len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TransformerConfig {
     /// Model name.
     pub name: String,

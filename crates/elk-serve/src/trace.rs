@@ -21,6 +21,7 @@ pub struct Request {
 
 /// When requests arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at a constant mean rate (requests/second).
     Poisson {
@@ -106,6 +107,7 @@ impl ArrivalProcess {
 
 /// Distribution of a per-request token count.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum LengthDist {
     /// Every request draws the same length.
     Fixed(u64),

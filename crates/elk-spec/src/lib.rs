@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-mod de;
 mod schema;
 
 pub mod convert;

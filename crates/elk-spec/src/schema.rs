@@ -4,10 +4,11 @@
 //! level, instead of surfacing as a bare unknown-field parse error
 //! deep inside the first grid point.
 //!
-//! The tree mirrors the strict readers in [`crate::spec`]; the unit
-//! tests cross-check a sample of leaves by actually sweeping them, so
-//! the two cannot silently drift for the covered sections. When adding
-//! a spec field, add its key here too.
+//! The tree mirrors the strict readers in [`crate::spec`], which list
+//! their valid keys when they reject an unknown one. A unit test probes
+//! every object level of the tree with an unknown key and checks that
+//! list against the level's keys, so a spec field added without its
+//! key here (or the reverse) fails the build's tests.
 
 /// One level of the scenario schema.
 pub(crate) enum Node {
@@ -426,5 +427,140 @@ mod tests {
         }
         assert_eq!(keys.len(), 10, "new root sections need schema entries");
         drop(spec);
+    }
+
+    /// Scenario documents that, between them, reach every object level
+    /// of the schema: each variant body (`mesh`, `Diurnal`, `Bimodal`,
+    /// ...) appears in at least one of them, with its required fields.
+    const PROBE_BASES: [&str; 3] = [
+        r#"{"name": "a",
+            "system": {"chip": {"cores": 64, "matmul_tflops": 10.0, "vector_tflops": 1.0,
+                                "topology": {"all_to_all": {}}},
+                       "hbm": {}},
+            "model": {"transformer": {"name": "x", "layers": 2, "hidden": 1024, "heads": 8,
+                      "kv_heads": 8, "head_dim": 128, "intermediate": 3072, "vocab": 32000,
+                      "glu": true, "norm": "Rms", "rope": true, "post_norms": false}},
+            "workload": {"trace": {"generate": {
+                "rate": {"Constant": {"rate_rps": 1.0}},
+                "prompt_len": {"Uniform": {"lo": 1, "hi": 2}},
+                "output_len": {"HeavyTail": {"lo": 1, "alpha": 1.5, "cap": 9}}}}},
+            "compiler": {}, "sim": {},
+            "serving": {"trace": {"arrivals": {"Poisson": {"rate_rps": 1.0}},
+                                  "prompt_len": {"Uniform": {"lo": 1, "hi": 2}},
+                                  "output_len": {"Bimodal": {"short": [1, 2], "long": [3, 4],
+                                                             "long_weight": 0.5}}},
+                        "seq_buckets": {}, "slo": {}, "tenants": {}},
+            "observe": {},
+            "cluster": {"plan": {"tp": 1, "pp": 1, "dp": 1}, "autoscale": {},
+                        "disaggregate": {"prefill": {"tp": 1, "pp": 1, "dp": 1},
+                                         "decode": {"tp": 1, "pp": 1, "dp": 1}},
+                        "tenants": {}},
+            "sweep": {"axes": [{"path": "workload.batch", "values": [1]}]}}"#,
+        r#"{"name": "b",
+            "system": {"chip": {"cores": 64, "matmul_tflops": 10.0, "vector_tflops": 1.0,
+                                "topology": {"mesh": {"total_gib_s": 64.0}}}},
+            "model": {"moe": {"name": "m", "layers": 2, "hidden": 1024, "heads": 8,
+                      "kv_heads": 8, "head_dim": 128, "expert_intermediate": 2048,
+                      "experts": 4, "experts_per_token": 2, "vocab": 32000}},
+            "workload": {"trace": {"generate": {
+                "rate": {"Diurnal": {"mean_rps": 1.0, "amplitude": 0.5, "period_s": 1.0}},
+                "prompt_len": {"HeavyTail": {"lo": 1, "alpha": 1.5, "cap": 9}},
+                "output_len": {"Uniform": {"lo": 1, "hi": 2}}}}},
+            "serving": {"trace": {"arrivals": {"Bursty": {"rate_rps": 1.0, "burst_factor": 2.0,
+                                                          "period_s": 1.0, "duty": 0.25}},
+                                  "prompt_len": {"Bimodal": {"short": [1, 2], "long": [3, 4],
+                                                             "long_weight": 0.5}},
+                                  "output_len": {"Uniform": {"lo": 1, "hi": 2}}}}}"#,
+        r#"{"name": "c",
+            "model": {"dit": {"name": "d", "layers": 2, "hidden": 1152, "heads": 16,
+                      "head_dim": 72, "mlp_ratio": 4, "tokens": 256}},
+            "workload": {"trace": {"generate": {"rate": {"BurstTrain": {
+                "base_rps": 1.0, "burst_rps": 2.0, "period_s": 1.0, "burst_s": 0.5}}}}}}"#,
+    ];
+
+    /// Every object level of the schema tree: its dotted path (empty
+    /// for the root) and its keys.
+    fn object_levels(node: &Node, path: &str, out: &mut Vec<(String, Vec<&'static str>)>) {
+        let Node::Map(entries) = node else { return };
+        out.push((path.to_string(), entries.iter().map(|(k, _)| *k).collect()));
+        for (key, child) in entries.iter() {
+            let child_path = if path.is_empty() {
+                (*key).to_string()
+            } else {
+                format!("{path}.{key}")
+            };
+            object_levels(child, &child_path, out);
+        }
+    }
+
+    /// The sorted key list after `marker` in a strict-parse error.
+    fn listed_keys(err: &str, marker: &str) -> Option<Vec<String>> {
+        let (_, list) = err.split_once(marker)?;
+        let mut keys: Vec<String> = list.split(", ").map(str::to_string).collect();
+        keys.sort();
+        Some(keys)
+    }
+
+    /// Drift guard over the whole tree: at every object level, an
+    /// unknown probe key makes the strict parser list its valid keys
+    /// (a struct's fields, or an enum's variants), and that list must be
+    /// exactly the schema's key set for the level.
+    #[test]
+    fn every_schema_level_lists_the_strict_parsers_keys() {
+        use crate::sweep::set_path;
+        use serde::{Deserialize, Value};
+
+        const PROBE: &str = "__probe";
+        let parse = |doc: &Value| crate::ScenarioSpec::from_value(doc).map(drop);
+        let bases: Vec<Value> = PROBE_BASES
+            .iter()
+            .map(|json| serde_json::from_str(json).expect("valid probe JSON"))
+            .collect();
+        for base in &bases {
+            parse(base).expect("probe bases are valid scenarios");
+        }
+        let mut levels = Vec::new();
+        object_levels(&ROOT, "", &mut levels);
+        for (path, schema_keys) in levels {
+            let at = |doc: &Value| {
+                path.split('.')
+                    .filter(|seg| !seg.is_empty())
+                    .try_fold(doc, |v, seg| v.get(seg))
+                    .cloned()
+            };
+            let base = bases
+                .iter()
+                .find(|b| matches!(at(b), Some(Value::Map(_))))
+                .unwrap_or_else(|| panic!("no probe base has an object at `{path}`"));
+            let probe_path = |leaf: &str| {
+                if path.is_empty() {
+                    leaf.to_string()
+                } else {
+                    format!("{path}.{leaf}")
+                }
+            };
+
+            // A struct level: add the probe key next to the valid ones.
+            let mut doc = base.clone();
+            set_path(&mut doc, &probe_path(PROBE), Value::U64(1)).expect("object level");
+            let err = parse(&doc)
+                .expect_err("probe key must be rejected")
+                .to_string();
+            let listed = listed_keys(&err, &format!("`{PROBE}`; valid keys: ")).or_else(|| {
+                // An enum level: the probe replaces the variant.
+                let mut doc = base.clone();
+                let variant = Value::Map(vec![(PROBE.to_string(), Value::Map(Vec::new()))]);
+                set_path(&mut doc, &path, variant).expect("object level");
+                let err = parse(&doc).expect_err("probe variant must be rejected");
+                listed_keys(&err.to_string(), &format!("`{PROBE}`; valid variants: "))
+            });
+            let listed = listed.unwrap_or_else(|| panic!("`{path}`: no key list in: {err}"));
+            let mut expected: Vec<String> = schema_keys.iter().map(|k| k.to_string()).collect();
+            expected.sort();
+            assert_eq!(
+                listed, expected,
+                "schema keys at `{path}` differ from the strict parser's"
+            );
+        }
     }
 }

@@ -9,43 +9,57 @@
 //! { "name": "smallest", "model": { "zoo": "llama13" } }
 //! ```
 //!
-//! Unknown keys anywhere in the spec are parse errors (see the
-//! crate-private `de` module's `MapReader`), so a typo'd knob never
-//! silently runs with defaults.
+//! The serde impls are derived with real-serde attributes:
+//! `deny_unknown_fields` makes unknown keys anywhere in the spec parse
+//! errors, so a typo'd knob never silently runs with defaults, and
+//! each container's `rename` is the dotted context its errors carry.
+//! Three shapes no attribute expresses keep hand-written impls over
+//! the same strict [`MapReader`]: [`SystemSpec`] and [`ModelSpec`]
+//! pick their variant by which key is present, and [`TenancySpec`]'s
+//! `default_class` defaults from its `classes`.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, MapReader, Serialize, Serializer, Value};
 
 use elk_baselines::Design;
 use elk_model::Phase;
 use elk_serve::{ArrivalProcess, LengthDist, RouterPolicy};
 use elk_trace::{LengthModel, RateShape};
 
-use crate::de::MapReader;
 use crate::SpecError;
 
 /// One fully-described experiment: chip, model, workload, compiler,
 /// simulator, and serving configuration, plus an optional sweep grid.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "scenario", deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Scenario name — the stem of every report file it produces.
+    #[serde(deserialize_with = "non_empty")]
     pub name: String,
     /// Target system (preset or custom chip description).
+    #[serde(default)]
     pub system: SystemSpec,
     /// Model under test.
     pub model: ModelSpec,
     /// Steady-state workload for `compile` / `simulate`.
+    #[serde(default)]
     pub workload: WorkloadSpec,
     /// Compiler options: designs to run and worker threads.
+    #[serde(default)]
     pub compiler: CompilerSpec,
     /// Chip-simulator options.
+    #[serde(default)]
     pub sim: SimSpec,
     /// Request-level serving configuration for `serve`.
+    #[serde(default)]
     pub serving: ServingSpec,
     /// Deterministic observability: timeline/metrics export knobs.
+    #[serde(default)]
     pub observe: ObserveSpec,
     /// Optional multi-chip parallelism section for `elk cluster`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub cluster: Option<ClusterSpec>,
     /// Optional sweep grid for `elk sweep`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub sweep: Option<SweepSpec>,
 }
 
@@ -67,52 +81,23 @@ impl ScenarioSpec {
     }
 }
 
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("scenario", v)?;
-        let name: String = r.req("name")?;
-        if name.trim().is_empty() {
-            return Err(Error::msg(
-                "scenario: `name` must be non-empty (it is the report-file stem)",
-            ));
-        }
-        let spec = ScenarioSpec {
-            name,
-            system: r.or_else("system", SystemSpec::default)?,
-            model: r.req("model")?,
-            workload: r.or_else("workload", WorkloadSpec::default)?,
-            compiler: r.or_else("compiler", CompilerSpec::default)?,
-            sim: r.or_else("sim", SimSpec::default)?,
-            serving: r.or_else("serving", ServingSpec::default)?,
-            observe: r.or_else("observe", ObserveSpec::default)?,
-            cluster: r.opt("cluster")?,
-            sweep: r.opt("sweep")?,
-        };
-        r.finish()?;
-        Ok(spec)
+/// `deserialize_with` for strings that must not be blank: names and
+/// file paths.
+fn non_empty<T: From<String>>(v: &Value) -> Result<T, Error> {
+    let s = String::from_value(v)?;
+    if s.trim().is_empty() {
+        return Err(Error::msg("must be non-empty"));
     }
+    Ok(s.into())
 }
 
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
-        let mut m = vec![
-            ("name".into(), self.name.to_value()),
-            ("system".into(), self.system.to_value()),
-            ("model".into(), self.model.to_value()),
-            ("workload".into(), self.workload.to_value()),
-            ("compiler".into(), self.compiler.to_value()),
-            ("sim".into(), self.sim.to_value()),
-            ("serving".into(), self.serving.to_value()),
-            ("observe".into(), self.observe.to_value()),
-        ];
-        if let Some(cluster) = &self.cluster {
-            m.push(("cluster".into(), cluster.to_value()));
-        }
-        if let Some(sweep) = &self.sweep {
-            m.push(("sweep".into(), sweep.to_value()));
-        }
-        Value::Map(m)
+/// `deserialize_with` for lists that need at least one element.
+fn non_empty_list<T: Deserialize>(v: &Value) -> Result<Vec<T>, Error> {
+    let items = Vec::<T>::from_value(v)?;
+    if items.is_empty() {
+        return Err(Error::msg("the list must not be empty"));
     }
+    Ok(items)
 }
 
 // ---- system ----
@@ -145,15 +130,19 @@ impl Default for SystemSpec {
 
 impl Deserialize for SystemSpec {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("system", v)?;
+        let mut r = MapReader::strict(
+            "system",
+            &["preset", "chip", "chips", "hbm", "inter_chip_bw_gib_s"],
+            v,
+        )?;
         let spec = if r.has("preset") {
             SystemSpec::Preset(r.req("preset")?)
         } else {
             SystemSpec::Custom {
                 chip: r.req("chip")?,
-                chips: r.or("chips", 4)?,
-                hbm: r.or_else("hbm", HbmSpec::default)?,
-                inter_chip_bw_gib_s: r.or("inter_chip_bw_gib_s", 640.0)?,
+                chips: r.opt("chips")?.unwrap_or(4),
+                hbm: r.opt("hbm")?.unwrap_or_default(),
+                inter_chip_bw_gib_s: r.opt("inter_chip_bw_gib_s")?.unwrap_or(640.0),
             }
         };
         r.finish()?;
@@ -183,76 +172,63 @@ impl Serialize for SystemSpec {
 /// One custom ICCA chip. Compute rates are whole-chip numbers (the
 /// paper quotes per-chip TFLOPS); per-core rates are derived by
 /// dividing by `cores`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "chip", deny_unknown_fields)]
 pub struct ChipSpec {
     /// Chip name for reports.
+    #[serde(default = "ChipSpec::default_name")]
     pub name: String,
     /// Core count.
     pub cores: u64,
     /// Scratchpad SRAM per core, in KiB.
+    #[serde(default = "ChipSpec::default_sram_per_core_kib")]
     pub sram_per_core_kib: u64,
     /// Reserved inter-core transfer buffer per core, in KiB.
+    #[serde(default = "ChipSpec::default_io_buffer_per_core_kib")]
     pub io_buffer_per_core_kib: u64,
     /// Whole-chip peak MatMul throughput, in TFLOPS.
     pub matmul_tflops: f64,
     /// Whole-chip peak vector throughput, in TFLOPS.
     pub vector_tflops: f64,
     /// Local SRAM port bandwidth per core, in decimal GB/s.
+    #[serde(default = "ChipSpec::default_sram_bw_gb_s")]
     pub sram_bw_gb_s: f64,
     /// `"blocking"` (IPU-style) or `"concurrent"` SRAM arbitration.
+    #[serde(default = "ChipSpec::default_sram_contention")]
     pub sram_contention: String,
     /// On-chip interconnect.
+    #[serde(default)]
     pub topology: TopologySpec,
 }
 
-impl Deserialize for ChipSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("chip", v)?;
-        let spec = ChipSpec {
-            name: r.or_else("name", || "custom".to_string())?,
-            cores: r.req("cores")?,
-            sram_per_core_kib: r.or("sram_per_core_kib", 624)?,
-            io_buffer_per_core_kib: r.or("io_buffer_per_core_kib", 8)?,
-            matmul_tflops: r.req("matmul_tflops")?,
-            vector_tflops: r.req("vector_tflops")?,
-            sram_bw_gb_s: r.or("sram_bw_gb_s", 21.3)?,
-            sram_contention: r.or_else("sram_contention", || "blocking".to_string())?,
-            topology: r.or_else("topology", TopologySpec::default)?,
-        };
-        r.finish()?;
-        Ok(spec)
+/// Defaults for the optional chip fields: IPU MK2's values.
+impl ChipSpec {
+    fn default_name() -> String {
+        "custom".into()
     }
-}
-
-impl Serialize for ChipSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("name".into(), self.name.to_value()),
-            ("cores".into(), self.cores.to_value()),
-            (
-                "sram_per_core_kib".into(),
-                self.sram_per_core_kib.to_value(),
-            ),
-            (
-                "io_buffer_per_core_kib".into(),
-                self.io_buffer_per_core_kib.to_value(),
-            ),
-            ("matmul_tflops".into(), self.matmul_tflops.to_value()),
-            ("vector_tflops".into(), self.vector_tflops.to_value()),
-            ("sram_bw_gb_s".into(), self.sram_bw_gb_s.to_value()),
-            ("sram_contention".into(), self.sram_contention.to_value()),
-            ("topology".into(), self.topology.to_value()),
-        ])
+    fn default_sram_per_core_kib() -> u64 {
+        624
+    }
+    fn default_io_buffer_per_core_kib() -> u64 {
+        8
+    }
+    fn default_sram_bw_gb_s() -> f64 {
+        21.3
+    }
+    fn default_sram_contention() -> String {
+        "blocking".into()
     }
 }
 
 /// On-chip interconnect spec.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "topology", rename_all = "snake_case", deny_unknown_fields)]
 pub enum TopologySpec {
     /// Non-blocking all-to-all exchange with the given per-core link
     /// bandwidth in GiB/s (IPU MK2: 5.5).
     AllToAll {
         /// Per-core link bandwidth in GiB/s.
+        #[serde(default = "TopologySpec::ipu_core_link_gib_s")]
         core_link_gib_s: f64,
     },
     /// Near-square 2D mesh provisioned to the given aggregate bandwidth
@@ -263,61 +239,25 @@ pub enum TopologySpec {
     },
 }
 
+impl TopologySpec {
+    /// IPU MK2's per-core exchange link bandwidth, GiB/s.
+    fn ipu_core_link_gib_s() -> f64 {
+        5.5
+    }
+}
+
 impl Default for TopologySpec {
     /// IPU MK2's 5.5 GiB/s per-core all-to-all exchange.
     fn default() -> Self {
         TopologySpec::AllToAll {
-            core_link_gib_s: 5.5,
-        }
-    }
-}
-
-impl Deserialize for TopologySpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("topology", v)?;
-        let spec = if r.has("all_to_all") {
-            let body = r.raw("all_to_all").expect("checked by has");
-            let mut b = MapReader::new("topology.all_to_all", body)?;
-            let t = TopologySpec::AllToAll {
-                core_link_gib_s: b.or("core_link_gib_s", 5.5)?,
-            };
-            b.finish()?;
-            t
-        } else if r.has("mesh") {
-            let body = r.raw("mesh").expect("checked by has");
-            let mut b = MapReader::new("topology.mesh", body)?;
-            let t = TopologySpec::Mesh {
-                total_gib_s: b.req("total_gib_s")?,
-            };
-            b.finish()?;
-            t
-        } else {
-            return Err(Error::msg(
-                "topology: expected an `all_to_all` or `mesh` object",
-            ));
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for TopologySpec {
-    fn to_value(&self) -> Value {
-        match self {
-            TopologySpec::AllToAll { core_link_gib_s } => Value::Map(vec![(
-                "all_to_all".into(),
-                Value::Map(vec![("core_link_gib_s".into(), core_link_gib_s.to_value())]),
-            )]),
-            TopologySpec::Mesh { total_gib_s } => Value::Map(vec![(
-                "mesh".into(),
-                Value::Map(vec![("total_gib_s".into(), total_gib_s.to_value())]),
-            )]),
+            core_link_gib_s: Self::ipu_core_link_gib_s(),
         }
     }
 }
 
 /// Per-chip HBM spec.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "hbm", default, deny_unknown_fields)]
 pub struct HbmSpec {
     /// HBM channels (controller nodes) per chip.
     pub channels: u64,
@@ -340,33 +280,13 @@ impl Default for HbmSpec {
     }
 }
 
-impl Deserialize for HbmSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("hbm", v)?;
-        let spec = HbmSpec {
-            channels: r.or("channels", 4)?,
-            channel_bw_gib_s: r.or("channel_bw_gib_s", 1024.0)?,
-            capacity_gib: r.or("capacity_gib", 96)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for HbmSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("channels".into(), self.channels.to_value()),
-            ("channel_bw_gib_s".into(), self.channel_bw_gib_s.to_value()),
-            ("capacity_gib".into(), self.capacity_gib.to_value()),
-        ])
-    }
-}
-
 // ---- model ----
 
 /// Model under test: a zoo name (with an optional depth override for
 /// quick runs) or explicit architecture hyper-parameters.
+///
+/// The explicit bodies are the engine configs' own derived impls, which
+/// reject unknown keys.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelSpec {
     /// A model from [`elk_model::zoo`] by CLI alias (`llama13`,
@@ -385,78 +305,20 @@ pub enum ModelSpec {
     Dit(elk_model::dit::DitConfig),
 }
 
-/// Strict reader for an explicit transformer body: the derive shim's
-/// `Deserialize` would silently ignore unknown keys, so the spec layer
-/// reads every engine config field by hand and rejects the rest.
-fn parse_transformer(v: &Value) -> Result<elk_model::TransformerConfig, Error> {
-    let mut r = MapReader::new("model.transformer", v)?;
-    let cfg = elk_model::TransformerConfig {
-        name: r.req("name")?,
-        layers: r.req("layers")?,
-        hidden: r.req("hidden")?,
-        heads: r.req("heads")?,
-        kv_heads: r.req("kv_heads")?,
-        head_dim: r.req("head_dim")?,
-        intermediate: r.req("intermediate")?,
-        vocab: r.req("vocab")?,
-        glu: r.req("glu")?,
-        norm: r.req("norm")?,
-        rope: r.req("rope")?,
-        post_norms: r.req("post_norms")?,
-    };
-    r.finish()?;
-    Ok(cfg)
-}
-
-/// Strict reader for an explicit MoE body (see [`parse_transformer`]).
-fn parse_moe(v: &Value) -> Result<elk_model::moe::MoeConfig, Error> {
-    let mut r = MapReader::new("model.moe", v)?;
-    let cfg = elk_model::moe::MoeConfig {
-        name: r.req("name")?,
-        layers: r.req("layers")?,
-        hidden: r.req("hidden")?,
-        heads: r.req("heads")?,
-        kv_heads: r.req("kv_heads")?,
-        head_dim: r.req("head_dim")?,
-        expert_intermediate: r.req("expert_intermediate")?,
-        experts: r.req("experts")?,
-        experts_per_token: r.req("experts_per_token")?,
-        vocab: r.req("vocab")?,
-    };
-    r.finish()?;
-    Ok(cfg)
-}
-
-/// Strict reader for an explicit DiT body (see [`parse_transformer`]).
-fn parse_dit(v: &Value) -> Result<elk_model::dit::DitConfig, Error> {
-    let mut r = MapReader::new("model.dit", v)?;
-    let cfg = elk_model::dit::DitConfig {
-        name: r.req("name")?,
-        layers: r.req("layers")?,
-        hidden: r.req("hidden")?,
-        heads: r.req("heads")?,
-        head_dim: r.req("head_dim")?,
-        mlp_ratio: r.req("mlp_ratio")?,
-        tokens: r.req("tokens")?,
-    };
-    r.finish()?;
-    Ok(cfg)
-}
-
 impl Deserialize for ModelSpec {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("model", v)?;
+        let mut r = MapReader::strict("model", &["zoo", "layers", "transformer", "moe", "dit"], v)?;
         let spec = if r.has("zoo") {
             ModelSpec::Zoo {
                 zoo: r.req("zoo")?,
                 layers: r.opt("layers")?,
             }
-        } else if let Some(body) = r.raw("transformer") {
-            ModelSpec::Transformer(parse_transformer(body)?)
-        } else if let Some(body) = r.raw("moe") {
-            ModelSpec::Moe(parse_moe(body)?)
-        } else if let Some(body) = r.raw("dit") {
-            ModelSpec::Dit(parse_dit(body)?)
+        } else if let Some(cfg) = r.opt("transformer")? {
+            ModelSpec::Transformer(cfg)
+        } else if let Some(cfg) = r.opt("moe")? {
+            ModelSpec::Moe(cfg)
+        } else if let Some(cfg) = r.opt("dit")? {
+            ModelSpec::Dit(cfg)
         } else {
             return Err(Error::msg(
                 "model: expected one of `zoo`, `transformer`, `moe`, `dit`",
@@ -487,20 +349,24 @@ impl Serialize for ModelSpec {
 // ---- workload ----
 
 /// Steady-state workload for `compile` / `simulate`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "workload", default, deny_unknown_fields)]
 pub struct WorkloadSpec {
     /// `"decode"`, `"prefill"`, or `"training_forward"`.
+    #[serde(with = "phase_str")]
     pub phase: Phase,
     /// Requests per batch.
     pub batch: u64,
     /// Context length.
     pub seq_len: u64,
     /// Tensor-parallel shard count; defaults to the system's chip count.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub shards: Option<u64>,
     /// Request trace for replay commands (`serve`, `cluster`,
     /// `trace gen`): a recorded `elk-trace` file or a seeded generator.
     /// When set it supersedes `serving.trace`, so recorded and
     /// synthetic traces flow through one path.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub trace: Option<TraceSourceSpec>,
 }
 
@@ -518,44 +384,19 @@ impl Default for WorkloadSpec {
 }
 
 /// Where a replayed request trace comes from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(
+    rename = "workload.trace",
+    rename_all = "snake_case",
+    deny_unknown_fields
+)]
 pub enum TraceSourceSpec {
     /// A recorded `elk-trace` JSONL file (versioned header + one record
     /// per line), resolved relative to the working directory.
+    #[serde(deserialize_with = "non_empty")]
     File(String),
     /// A seeded production-shaped generator, emitted in the same format.
     Generate(TraceGenSpec),
-}
-
-impl Deserialize for TraceSourceSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("workload.trace", v)?;
-        let spec = if r.has("file") {
-            TraceSourceSpec::File(r.req("file")?)
-        } else if r.has("generate") {
-            TraceSourceSpec::Generate(r.req("generate")?)
-        } else {
-            return Err(Error::msg(
-                "workload.trace: expected a `file` or `generate` key",
-            ));
-        };
-        r.finish()?;
-        match &spec {
-            TraceSourceSpec::File(path) if path.trim().is_empty() => {
-                Err(Error::msg("workload.trace.file: path must be non-empty"))
-            }
-            _ => Ok(spec),
-        }
-    }
-}
-
-impl Serialize for TraceSourceSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            TraceSourceSpec::File(path) => Value::Map(vec![("file".into(), path.to_value())]),
-            TraceSourceSpec::Generate(g) => Value::Map(vec![("generate".into(), g.to_value())]),
-        }
-    }
 }
 
 /// Seeded trace-generator recipe (mirrors [`elk_trace::TraceGenConfig`]).
@@ -564,7 +405,8 @@ impl Serialize for TraceSourceSpec {
 /// — `{"Constant": {"rate_rps": 100.0}}`, `{"Diurnal": {...}}`,
 /// `{"BurstTrain": {...}}` — and the length models take
 /// `{"Fixed": n}`, `{"Uniform": {...}}`, or `{"HeavyTail": {...}}`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "workload.trace.generate", default, deny_unknown_fields)]
 pub struct TraceGenSpec {
     /// RNG seed.
     pub seed: u64,
@@ -573,184 +415,62 @@ pub struct TraceGenSpec {
     /// Arrival-rate shape over time.
     pub rate: RateShape,
     /// Prompt-length model.
+    #[serde(with = "length_model")]
     pub prompt_len: LengthModel,
     /// Output-length model.
+    #[serde(with = "length_model")]
     pub output_len: LengthModel,
     /// Distinct tenant ids to stamp on records (0 = untagged).
     pub tenants: u64,
 }
 
-/// Strict reader for the externally-tagged [`RateShape`] form; an
-/// unknown variant or stray knob is an error instead of silently
-/// ignored (see `parse_arrivals`).
-fn parse_rate(v: &Value) -> Result<RateShape, Error> {
-    let mut r = MapReader::new("rate", v)?;
-    let rate = if let Some(body) = r.raw("Constant") {
-        let mut b = MapReader::new("rate.Constant", body)?;
-        let shape = RateShape::Constant {
-            rate_rps: b.req("rate_rps")?,
-        };
-        b.finish()?;
-        shape
-    } else if let Some(body) = r.raw("Diurnal") {
-        let mut b = MapReader::new("rate.Diurnal", body)?;
-        let shape = RateShape::Diurnal {
-            mean_rps: b.req("mean_rps")?,
-            amplitude: b.req("amplitude")?,
-            period_s: b.req("period_s")?,
-        };
-        b.finish()?;
-        shape
-    } else if let Some(body) = r.raw("BurstTrain") {
-        let mut b = MapReader::new("rate.BurstTrain", body)?;
-        let shape = RateShape::BurstTrain {
-            base_rps: b.req("base_rps")?,
-            burst_rps: b.req("burst_rps")?,
-            period_s: b.req("period_s")?,
-            burst_s: b.req("burst_s")?,
-        };
-        b.finish()?;
-        shape
-    } else {
-        return Err(Error::msg(
-            "rate: expected a `Constant`, `Diurnal`, or `BurstTrain` object",
-        ));
-    };
-    r.finish()?;
-    Ok(rate)
-}
-
-/// Strict reader for the externally-tagged [`LengthModel`] form; see
-/// [`parse_rate`].
-fn parse_length_model(what: &'static str, v: &Value) -> Result<LengthModel, Error> {
-    let mut r = MapReader::new(what, v)?;
-    let model = if let Some(body) = r.raw("Fixed") {
-        LengthModel::Fixed {
-            tokens: u64::from_value(body).map_err(|e| Error::msg(format!("{what}.Fixed: {e}")))?,
-        }
-    } else if let Some(body) = r.raw("Uniform") {
-        let mut b = MapReader::new("Uniform", body)?;
-        let m = LengthModel::Uniform {
-            lo: b.req("lo")?,
-            hi: b.req("hi")?,
-        };
-        b.finish()?;
-        m
-    } else if let Some(body) = r.raw("HeavyTail") {
-        let mut b = MapReader::new("HeavyTail", body)?;
-        let m = LengthModel::HeavyTail {
-            lo: b.req("lo")?,
-            alpha: b.req("alpha")?,
-            cap: b.req("cap")?,
-        };
-        b.finish()?;
-        m
-    } else {
-        return Err(Error::msg(format!(
-            "{what}: expected a `Fixed`, `Uniform`, or `HeavyTail` object"
-        )));
-    };
-    r.finish()?;
-    Ok(model)
-}
-
-/// Canonical serialization of one length model.
-fn length_model_to_value(model: &LengthModel) -> Value {
-    match *model {
-        LengthModel::Fixed { tokens } => Value::Map(vec![("Fixed".into(), tokens.to_value())]),
-        LengthModel::Uniform { lo, hi } => Value::Map(vec![(
-            "Uniform".into(),
-            Value::Map(vec![
-                ("lo".into(), lo.to_value()),
-                ("hi".into(), hi.to_value()),
-            ]),
-        )]),
-        LengthModel::HeavyTail { lo, alpha, cap } => Value::Map(vec![(
-            "HeavyTail".into(),
-            Value::Map(vec![
-                ("lo".into(), lo.to_value()),
-                ("alpha".into(), alpha.to_value()),
-                ("cap".into(), cap.to_value()),
-            ]),
-        )]),
-    }
-}
-
-/// Canonical serialization of one rate shape.
-fn rate_to_value(rate: &RateShape) -> Value {
-    match *rate {
-        RateShape::Constant { rate_rps } => Value::Map(vec![(
-            "Constant".into(),
-            Value::Map(vec![("rate_rps".into(), rate_rps.to_value())]),
-        )]),
-        RateShape::Diurnal {
-            mean_rps,
-            amplitude,
-            period_s,
-        } => Value::Map(vec![(
-            "Diurnal".into(),
-            Value::Map(vec![
-                ("mean_rps".into(), mean_rps.to_value()),
-                ("amplitude".into(), amplitude.to_value()),
-                ("period_s".into(), period_s.to_value()),
-            ]),
-        )]),
-        RateShape::BurstTrain {
-            base_rps,
-            burst_rps,
-            period_s,
-            burst_s,
-        } => Value::Map(vec![(
-            "BurstTrain".into(),
-            Value::Map(vec![
-                ("base_rps".into(), base_rps.to_value()),
-                ("burst_rps".into(), burst_rps.to_value()),
-                ("period_s".into(), period_s.to_value()),
-                ("burst_s".into(), burst_s.to_value()),
-            ]),
-        )]),
-    }
-}
-
-impl Deserialize for TraceGenSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
+impl Default for TraceGenSpec {
+    /// [`elk_trace::TraceGenConfig`]'s defaults.
+    fn default() -> Self {
         let d = elk_trace::TraceGenConfig::default();
-        let mut r = MapReader::new("workload.trace.generate", v)?;
-        let rate = match r.raw("rate") {
-            None | Some(Value::Null) => d.rate,
-            Some(body) => parse_rate(body)?,
-        };
-        let prompt_len = match r.raw("prompt_len") {
-            None | Some(Value::Null) => d.prompt_len,
-            Some(body) => parse_length_model("prompt_len", body)?,
-        };
-        let output_len = match r.raw("output_len") {
-            None | Some(Value::Null) => d.output_len,
-            Some(body) => parse_length_model("output_len", body)?,
-        };
-        let spec = TraceGenSpec {
-            seed: r.or("seed", d.seed)?,
-            requests: r.or("requests", d.requests)?,
-            rate,
-            prompt_len,
-            output_len,
-            tenants: r.or("tenants", d.tenants)?,
-        };
-        r.finish()?;
-        Ok(spec)
+        TraceGenSpec {
+            seed: d.seed,
+            requests: d.requests,
+            rate: d.rate,
+            prompt_len: d.prompt_len,
+            output_len: d.output_len,
+            tenants: d.tenants,
+        }
     }
 }
 
-impl Serialize for TraceGenSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("seed".into(), self.seed.to_value()),
-            ("requests".into(), self.requests.to_value()),
-            ("rate".into(), rate_to_value(&self.rate)),
-            ("prompt_len".into(), length_model_to_value(&self.prompt_len)),
-            ("output_len".into(), length_model_to_value(&self.output_len)),
-            ("tenants".into(), self.tenants.to_value()),
-        ])
+/// [`LengthModel`]'s JSON form, which writes `Fixed` as a bare count.
+#[derive(Serialize, Deserialize)]
+#[serde(rename = "LengthModel", deny_unknown_fields)]
+enum LengthModelForm {
+    Fixed(u64),
+    Uniform { lo: u64, hi: u64 },
+    HeavyTail { lo: u64, alpha: f64, cap: u64 },
+}
+
+/// `with` module for [`LengthModel`] fields, through [`LengthModelForm`].
+mod length_model {
+    use super::{Deserialize, Error, LengthModel, LengthModelForm, Serialize, Serializer, Value};
+
+    pub(super) fn serialize<S: Serializer + ?Sized>(m: &LengthModel, out: &mut S) {
+        match *m {
+            LengthModel::Fixed { tokens } => LengthModelForm::Fixed(tokens),
+            LengthModel::Uniform { lo, hi } => LengthModelForm::Uniform { lo, hi },
+            LengthModel::HeavyTail { lo, alpha, cap } => {
+                LengthModelForm::HeavyTail { lo, alpha, cap }
+            }
+        }
+        .serialize(out);
+    }
+
+    pub(super) fn deserialize(v: &Value) -> Result<LengthModel, Error> {
+        Ok(match LengthModelForm::from_value(v)? {
+            LengthModelForm::Fixed(tokens) => LengthModel::Fixed { tokens },
+            LengthModelForm::Uniform { lo, hi } => LengthModel::Uniform { lo, hi },
+            LengthModelForm::HeavyTail { lo, alpha, cap } => {
+                LengthModel::HeavyTail { lo, alpha, cap }
+            }
+        })
     }
 }
 
@@ -776,49 +496,28 @@ pub fn phase_name(phase: Phase) -> &'static str {
     }
 }
 
-impl Deserialize for WorkloadSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("workload", v)?;
-        let phase = match r.opt::<String>("phase")? {
-            Some(name) => parse_phase(&name)?,
-            None => Phase::Decode,
-        };
-        let spec = WorkloadSpec {
-            phase,
-            batch: r.or("batch", 32)?,
-            seq_len: r.or("seq_len", 2048)?,
-            shards: r.opt("shards")?,
-            trace: r.opt("trace")?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
+/// `with` module for [`Phase`] fields: the lowercase name.
+mod phase_str {
+    use super::{Deserialize, Error, Phase, Serializer, Value};
 
-impl Serialize for WorkloadSpec {
-    fn to_value(&self) -> Value {
-        let mut m = vec![
-            ("phase".into(), phase_name(self.phase).to_value()),
-            ("batch".into(), self.batch.to_value()),
-            ("seq_len".into(), self.seq_len.to_value()),
-        ];
-        if let Some(shards) = self.shards {
-            m.push(("shards".into(), shards.to_value()));
-        }
-        if let Some(trace) = &self.trace {
-            m.push(("trace".into(), trace.to_value()));
-        }
-        Value::Map(m)
+    pub(super) fn serialize<S: Serializer + ?Sized>(phase: &Phase, out: &mut S) {
+        out.str(super::phase_name(*phase));
+    }
+
+    pub(super) fn deserialize(v: &Value) -> Result<Phase, Error> {
+        super::parse_phase(&String::from_value(v)?)
     }
 }
 
 // ---- compiler ----
 
 /// Compiler options: designs to run and worker threads.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "compiler", default, deny_unknown_fields)]
 pub struct CompilerSpec {
     /// Designs to compile, in run order. The JSON accepts a single
     /// name, `"all"`, or an array of names.
+    #[serde(with = "design_list")]
     pub design: Vec<Design>,
     /// Worker threads for catalog construction and order search
     /// (`0` = all available cores). Outputs are byte-identical at any
@@ -862,62 +561,40 @@ pub fn design_name(design: Design) -> &'static str {
     }
 }
 
-/// Parses the `design` key: one name, `"all"`, or an array of names.
-fn parse_designs(v: &Value) -> Result<Vec<Design>, Error> {
-    let names: Vec<String> = match v {
-        Value::Str(s) if s == "all" => return Ok(Design::ALL.to_vec()),
-        Value::Str(s) => vec![s.clone()],
-        Value::Seq(_) => Vec::<String>::from_value(v)?,
-        other => {
-            return Err(Error::msg(format!(
-                "design: expected a name or an array of names, found {}",
-                other.kind()
-            )))
+/// `with` module for the `design` key: one name, `"all"`, or a
+/// non-empty array of names; written back as an array of names.
+mod design_list {
+    use super::{Design, Error, Serializer, Value};
+
+    pub(super) fn serialize<S: Serializer + ?Sized>(designs: &[Design], out: &mut S) {
+        out.seq_begin(designs.len());
+        for &d in designs {
+            out.str(super::design_name(d));
         }
-    };
-    if names.is_empty() {
-        return Err(Error::msg("design: the list must not be empty"));
+        out.seq_end();
     }
-    names.iter().map(|n| parse_design(n)).collect()
-}
 
-impl Deserialize for CompilerSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("compiler", v)?;
-        let design = match r.raw("design") {
-            Some(v) => parse_designs(v).map_err(|e| Error::msg(format!("compiler.{e}")))?,
-            None => vec![Design::ElkFull],
-        };
-        let spec = CompilerSpec {
-            design,
-            threads: r.or("threads", 1)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for CompilerSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (
-                "design".into(),
-                Value::Seq(
-                    self.design
-                        .iter()
-                        .map(|&d| design_name(d).to_value())
-                        .collect(),
-                ),
-            ),
-            ("threads".into(), self.threads.to_value()),
-        ])
+    pub(super) fn deserialize(v: &Value) -> Result<Vec<Design>, Error> {
+        match v {
+            Value::Str(s) if s == "all" => Ok(Design::ALL.to_vec()),
+            Value::Str(s) => Ok(vec![super::parse_design(s)?]),
+            Value::Seq(_) => super::non_empty_list::<String>(v)?
+                .iter()
+                .map(|n| super::parse_design(n))
+                .collect(),
+            other => Err(Error::msg(format!(
+                "expected a name or an array of names, found {}",
+                other.kind()
+            ))),
+        }
     }
 }
 
 // ---- simulator ----
 
 /// Chip-simulator options (mirrors [`elk_sim::SimOptions`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "sim", default, deny_unknown_fields)]
 pub struct SimSpec {
     /// Relative magnitude of the deterministic timing noise.
     pub noise_sigma: f64,
@@ -938,34 +615,11 @@ impl Default for SimSpec {
     }
 }
 
-impl Deserialize for SimSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = SimSpec::default();
-        let mut r = MapReader::new("sim", v)?;
-        let spec = SimSpec {
-            noise_sigma: r.or("noise_sigma", d.noise_sigma)?,
-            noise_seed: r.or("noise_seed", d.noise_seed)?,
-            trace_samples: r.or("trace_samples", d.trace_samples)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for SimSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("noise_sigma".into(), self.noise_sigma.to_value()),
-            ("noise_seed".into(), self.noise_seed.to_value()),
-            ("trace_samples".into(), self.trace_samples.to_value()),
-        ])
-    }
-}
-
 // ---- serving ----
 
 /// Request-level serving configuration for `elk serve`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "serving", default, deny_unknown_fields)]
 pub struct ServingSpec {
     /// Synthetic trace recipe.
     pub trace: TraceSpec,
@@ -984,6 +638,7 @@ pub struct ServingSpec {
     /// Optional multi-tenant section: when present, the replay also
     /// runs through the tenancy engine with SLO classes and admission
     /// control.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tenants: Option<TenancySpec>,
     /// Worker threads for the serving pool (`0` = all cores).
     pub threads: usize,
@@ -1007,55 +662,14 @@ impl Default for ServingSpec {
     }
 }
 
-impl Deserialize for ServingSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = ServingSpec::default();
-        let mut r = MapReader::new("serving", v)?;
-        let spec = ServingSpec {
-            trace: r.or_else("trace", TraceSpec::default)?,
-            replicas: r.or("replicas", d.replicas)?,
-            max_batch: r.or("max_batch", d.max_batch)?,
-            max_prefill_tokens: r.or("max_prefill_tokens", d.max_prefill_tokens)?,
-            seq_buckets: r.or("seq_buckets", d.seq_buckets)?,
-            bucket_batch: r.or("bucket_batch", d.bucket_batch)?,
-            slo: r.or("slo", d.slo)?,
-            tenants: r.opt("tenants")?,
-            threads: r.or("threads", d.threads)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for ServingSpec {
-    fn to_value(&self) -> Value {
-        let mut m = vec![
-            ("trace".into(), self.trace.to_value()),
-            ("replicas".into(), self.replicas.to_value()),
-            ("max_batch".into(), self.max_batch.to_value()),
-            (
-                "max_prefill_tokens".into(),
-                self.max_prefill_tokens.to_value(),
-            ),
-            ("seq_buckets".into(), self.seq_buckets.to_value()),
-            ("bucket_batch".into(), self.bucket_batch.to_value()),
-            ("slo".into(), self.slo.to_value()),
-        ];
-        if let Some(tenants) = &self.tenants {
-            m.push(("tenants".into(), tenants.to_value()));
-        }
-        m.push(("threads".into(), self.threads.to_value()));
-        Value::Map(m)
-    }
-}
-
 /// Synthetic request-trace recipe (mirrors [`elk_serve::TraceConfig`]).
 ///
 /// The `arrivals`, `prompt_len`, and `output_len` fields reuse the
 /// engine enums' serde form directly — externally tagged with the Rust
 /// variant name, e.g. `{"Poisson": {"rate_rps": 100.0}}` or
 /// `{"Uniform": {"lo": 128, "hi": 512}}`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "trace", default, deny_unknown_fields)]
 pub struct TraceSpec {
     /// RNG seed.
     pub seed: u64,
@@ -1083,116 +697,9 @@ impl Default for TraceSpec {
     }
 }
 
-/// Strict reader for the externally-tagged [`ArrivalProcess`] form
-/// (`{"Poisson": {...}}` / `{"Bursty": {...}}`): same JSON shape as
-/// the derived impl, but an unknown variant or stray knob — e.g.
-/// `burst_factor` inside a `Poisson` body — is an error instead of
-/// silently ignored.
-fn parse_arrivals(v: &Value) -> Result<ArrivalProcess, Error> {
-    let mut r = MapReader::new("arrivals", v)?;
-    let arrivals = if let Some(body) = r.raw("Poisson") {
-        let mut b = MapReader::new("arrivals.Poisson", body)?;
-        let a = ArrivalProcess::Poisson {
-            rate_rps: b.req("rate_rps")?,
-        };
-        b.finish()?;
-        a
-    } else if let Some(body) = r.raw("Bursty") {
-        let mut b = MapReader::new("arrivals.Bursty", body)?;
-        let a = ArrivalProcess::Bursty {
-            rate_rps: b.req("rate_rps")?,
-            burst_factor: b.req("burst_factor")?,
-            period_s: b.req("period_s")?,
-            duty: b.req("duty")?,
-        };
-        b.finish()?;
-        a
-    } else {
-        return Err(Error::msg(
-            "arrivals: expected a `Poisson` or `Bursty` object",
-        ));
-    };
-    r.finish()?;
-    Ok(arrivals)
-}
-
-/// Strict reader for the externally-tagged [`LengthDist`] form
-/// (`{"Fixed": n}` / `{"Uniform": {...}}` / `{"Bimodal": {...}}`); see
-/// [`parse_arrivals`] for why the derived impl is not enough.
-fn parse_lengths(what: &'static str, v: &Value) -> Result<LengthDist, Error> {
-    let mut r = MapReader::new(what, v)?;
-    let dist = if let Some(body) = r.raw("Fixed") {
-        LengthDist::Fixed(
-            u64::from_value(body).map_err(|e| Error::msg(format!("{what}.Fixed: {e}")))?,
-        )
-    } else if let Some(body) = r.raw("Uniform") {
-        let mut b = MapReader::new("Uniform", body)?;
-        let d = LengthDist::Uniform {
-            lo: b.req("lo")?,
-            hi: b.req("hi")?,
-        };
-        b.finish()?;
-        d
-    } else if let Some(body) = r.raw("Bimodal") {
-        let mut b = MapReader::new("Bimodal", body)?;
-        let d = LengthDist::Bimodal {
-            short: b.req("short")?,
-            long: b.req("long")?,
-            long_weight: b.req("long_weight")?,
-        };
-        b.finish()?;
-        d
-    } else {
-        return Err(Error::msg(format!(
-            "{what}: expected a `Fixed`, `Uniform`, or `Bimodal` object"
-        )));
-    };
-    r.finish()?;
-    Ok(dist)
-}
-
-impl Deserialize for TraceSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = TraceSpec::default();
-        let mut r = MapReader::new("trace", v)?;
-        let arrivals = match r.raw("arrivals") {
-            None | Some(Value::Null) => d.arrivals,
-            Some(body) => parse_arrivals(body)?,
-        };
-        let prompt_len = match r.raw("prompt_len") {
-            None | Some(Value::Null) => d.prompt_len,
-            Some(body) => parse_lengths("prompt_len", body)?,
-        };
-        let output_len = match r.raw("output_len") {
-            None | Some(Value::Null) => d.output_len,
-            Some(body) => parse_lengths("output_len", body)?,
-        };
-        let spec = TraceSpec {
-            seed: r.or("seed", d.seed)?,
-            requests: r.or("requests", d.requests)?,
-            arrivals,
-            prompt_len,
-            output_len,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for TraceSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("seed".into(), self.seed.to_value()),
-            ("requests".into(), self.requests.to_value()),
-            ("arrivals".into(), self.arrivals.to_value()),
-            ("prompt_len".into(), self.prompt_len.to_value()),
-            ("output_len".into(), self.output_len.to_value()),
-        ])
-    }
-}
-
 /// Sequence-length bucket ladder (mirrors [`elk_model::SeqBuckets`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename = "seq_buckets", default, deny_unknown_fields)]
 pub struct SeqBucketsSpec {
     /// Smallest bucket (must be a power of two).
     pub min: u64,
@@ -1210,30 +717,9 @@ impl Default for SeqBucketsSpec {
     }
 }
 
-impl Deserialize for SeqBucketsSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = SeqBucketsSpec::default();
-        let mut r = MapReader::new("seq_buckets", v)?;
-        let spec = SeqBucketsSpec {
-            min: r.or("min", d.min)?,
-            max: r.or("max", d.max)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for SeqBucketsSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("min".into(), self.min.to_value()),
-            ("max".into(), self.max.to_value()),
-        ])
-    }
-}
-
 /// Latency SLO in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "slo", default, deny_unknown_fields)]
 pub struct SloSpec {
     /// Time-to-first-token bound, ms.
     pub ttft_ms: f64,
@@ -1252,49 +738,41 @@ impl Default for SloSpec {
     }
 }
 
-impl Deserialize for SloSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = SloSpec::default();
-        let mut r = MapReader::new("slo", v)?;
-        let spec = SloSpec {
-            ttft_ms: r.or("ttft_ms", d.ttft_ms)?,
-            tpot_ms: r.or("tpot_ms", d.tpot_ms)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for SloSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("ttft_ms".into(), self.ttft_ms.to_value()),
-            ("tpot_ms".into(), self.tpot_ms.to_value()),
-        ])
-    }
-}
-
 // ---- tenancy ----
 
 /// One tenant SLO class (mirrors [`elk_serve::TenantClass`], with SLO
 /// bounds in ms like the `slo` section).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "tenants.classes", deny_unknown_fields)]
 pub struct TenantClassSpec {
     /// Class name; tenant ids map onto it.
     pub name: String,
     /// Scheduling priority, `0` (highest) ..= `63`.
+    #[serde(default)]
     pub priority: u64,
     /// Per-class latency SLO.
+    #[serde(default)]
     pub slo: SloSpec,
     /// Token-bucket refill rate, requests/s; omit for unlimited.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub rate_rps: Option<f64>,
     /// Token-bucket capacity (burst allowance).
+    #[serde(default = "TenantClassSpec::default_burst")]
     pub burst: u64,
     /// Model-zoo alias served for this class; omit for the scenario's
     /// base model. Layer count is inherited from the base model.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub model: Option<String>,
     /// Whether load shedding may reject or defer this class.
+    #[serde(default)]
     pub sheddable: bool,
+}
+
+impl TenantClassSpec {
+    /// One request of burst allowance.
+    fn default_burst() -> u64 {
+        1
+    }
 }
 
 impl Default for TenantClassSpec {
@@ -1305,47 +783,10 @@ impl Default for TenantClassSpec {
             priority: 0,
             slo: SloSpec::default(),
             rate_rps: None,
-            burst: 1,
+            burst: Self::default_burst(),
             model: None,
             sheddable: false,
         }
-    }
-}
-
-impl Deserialize for TenantClassSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = TenantClassSpec::default();
-        let mut r = MapReader::new("tenants.classes", v)?;
-        let spec = TenantClassSpec {
-            name: r.req("name")?,
-            priority: r.or("priority", d.priority)?,
-            slo: r.or("slo", d.slo)?,
-            rate_rps: r.opt("rate_rps")?,
-            burst: r.or("burst", d.burst)?,
-            model: r.opt("model")?,
-            sheddable: r.or("sheddable", d.sheddable)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for TenantClassSpec {
-    fn to_value(&self) -> Value {
-        let mut m = vec![
-            ("name".into(), self.name.to_value()),
-            ("priority".into(), self.priority.to_value()),
-            ("slo".into(), self.slo.to_value()),
-        ];
-        if let Some(rate) = self.rate_rps {
-            m.push(("rate_rps".into(), rate.to_value()));
-        }
-        m.push(("burst".into(), self.burst.to_value()));
-        if let Some(model) = &self.model {
-            m.push(("model".into(), model.to_value()));
-        }
-        m.push(("sheddable".into(), self.sheddable.to_value()));
-        Value::Map(m)
     }
 }
 
@@ -1390,57 +831,48 @@ impl Default for TenancySpec {
 impl Deserialize for TenancySpec {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let d = TenancySpec::default();
-        let mut r = MapReader::new("tenants", v)?;
-        let classes: Vec<TenantClassSpec> = r.or_else("classes", || d.classes.clone())?;
-        let map = match r.raw("map") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(Value::Map(entries)) => {
-                let mut pairs = Vec::with_capacity(entries.len());
-                for (tenant, class) in entries {
-                    match class {
-                        Value::Str(c) => pairs.push((tenant.clone(), c.clone())),
-                        other => {
-                            return Err(Error::msg(format!(
-                                "tenants.map.{tenant}: expected a class name, found {}",
-                                other.kind()
-                            )))
-                        }
-                    }
+        let mut r = MapReader::strict(
+            "tenants",
+            &[
+                "classes",
+                "map",
+                "default_class",
+                "shed_queue_depth",
+                "shed_policy",
+                "defer_ms",
+            ],
+            v,
+        )?;
+        let classes: Vec<TenantClassSpec> = r.opt("classes")?.unwrap_or(d.classes);
+        let map = r
+            .read("map", |m| {
+                let mut pairs = Vec::new();
+                for (tenant, class) in serde::expect_map(m, "tenants.map")? {
+                    let class = String::from_value(class)
+                        .map_err(|e| Error::msg(format!("{tenant}: {e}")))?;
+                    pairs.push((tenant.clone(), class));
                 }
-                pairs
-            }
-            Some(other) => {
-                return Err(Error::msg(format!(
-                    "tenants.map: expected a JSON object, found {}",
-                    other.kind()
-                )))
-            }
+                Ok(pairs)
+            })?
+            .unwrap_or_default();
+        let default_class = match r.opt("default_class")? {
+            Some(name) => name,
+            None => classes.first().map_or(d.default_class, |c| c.name.clone()),
         };
-        let default_class = r.or_else("default_class", || {
-            classes
-                .first()
-                .map(|c| c.name.clone())
-                .unwrap_or_else(|| d.default_class.clone())
-        })?;
-        let spec = TenancySpec {
+        Ok(TenancySpec {
             classes,
             map,
             default_class,
             shed_queue_depth: r.opt("shed_queue_depth")?,
-            shed_policy: r.or_else("shed_policy", || d.shed_policy.clone())?,
-            defer_ms: r.or("defer_ms", d.defer_ms)?,
-        };
-        r.finish()?;
-        Ok(spec)
+            shed_policy: r.opt("shed_policy")?.unwrap_or(d.shed_policy),
+            defer_ms: r.opt("defer_ms")?.unwrap_or(d.defer_ms),
+        })
     }
 }
 
 impl Serialize for TenancySpec {
     fn to_value(&self) -> Value {
-        let mut m = vec![(
-            "classes".into(),
-            Value::Seq(self.classes.iter().map(|c| c.to_value()).collect()),
-        )];
+        let mut m = vec![("classes".into(), self.classes.to_value())];
         if !self.map.is_empty() {
             m.push((
                 "map".into(),
@@ -1470,12 +902,17 @@ impl Serialize for TenancySpec {
 /// it never changes a report — and recorded streams are byte-identical
 /// at any thread count. The `--timeline <path>` CLI flag overrides
 /// `timeline` and implies `enable`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "observe", default, deny_unknown_fields)]
 pub struct ObserveSpec {
     /// Record spans/counters/histograms during runs.
     pub enable: bool,
     /// Chrome-trace output path (relative to the working directory);
     /// omit to derive `<out>/<name>.timeline.json` when enabled.
+    #[serde(
+        skip_serializing_if = "Option::is_none",
+        deserialize_with = "non_empty"
+    )]
     pub timeline: Option<String>,
     /// Per-request lane sampling cap: the first `sample` requests of a
     /// trace get individual timeline lanes (metrics always cover all).
@@ -1493,40 +930,11 @@ impl Default for ObserveSpec {
     }
 }
 
-impl Deserialize for ObserveSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = ObserveSpec::default();
-        let mut r = MapReader::new("observe", v)?;
-        let spec = ObserveSpec {
-            enable: r.or("enable", d.enable)?,
-            timeline: r.opt("timeline")?,
-            sample: r.or("sample", d.sample)?,
-        };
-        r.finish()?;
-        match &spec.timeline {
-            Some(path) if path.trim().is_empty() => {
-                Err(Error::msg("observe.timeline: path must be non-empty"))
-            }
-            _ => Ok(spec),
-        }
-    }
-}
-
-impl Serialize for ObserveSpec {
-    fn to_value(&self) -> Value {
-        let mut m = vec![("enable".into(), self.enable.to_value())];
-        if let Some(timeline) = &self.timeline {
-            m.push(("timeline".into(), timeline.to_value()));
-        }
-        m.push(("sample".into(), self.sample.to_value()));
-        Value::Map(m)
-    }
-}
-
 // ---- cluster ----
 
 /// A fixed `(tp, pp, dp)` parallelism assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename = "cluster.plan", deny_unknown_fields)]
 pub struct PlanSpec {
     /// Tensor-parallel degree.
     pub tp: u64,
@@ -1536,48 +944,23 @@ pub struct PlanSpec {
     pub dp: u64,
 }
 
-impl Deserialize for PlanSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        plan_from("cluster.plan", v)
-    }
-}
-
-/// [`PlanSpec`] parsing with an explicit error context, so the nested
-/// pool plans under `cluster.disaggregate` report their own paths.
-fn plan_from(ctx: &'static str, v: &Value) -> Result<PlanSpec, Error> {
-    let mut r = MapReader::new(ctx, v)?;
-    let spec = PlanSpec {
-        tp: r.req("tp")?,
-        pp: r.req("pp")?,
-        dp: r.req("dp")?,
-    };
-    r.finish()?;
-    Ok(spec)
-}
-
-impl Serialize for PlanSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("tp".into(), self.tp.to_value()),
-            ("pp".into(), self.pp.to_value()),
-            ("dp".into(), self.dp.to_value()),
-        ])
-    }
-}
-
 /// Multi-chip parallelism configuration for `elk cluster`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "cluster", default, deny_unknown_fields)]
 pub struct ClusterSpec {
     /// Fixed `(tp, pp, dp)` assignment; omit for auto-parallelism
     /// search over the whole grid.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub plan: Option<PlanSpec>,
     /// Microbatches per pipeline round (default: the pipeline depth).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub microbatches: Option<u64>,
     /// Inter-chip link arrangement: `"ring"` or `"fully_connected"`.
     pub interconnect: String,
     /// Router policies for cluster serving, compared in order. The JSON
     /// accepts a single name, an array of names, or
     /// `{"power_of_two": {"seed": N}}` objects.
+    #[serde(with = "router_list")]
     pub router: Vec<RouterPolicy>,
     /// Also replay the scenario's serving trace across the replica
     /// groups (`true` by default; estimate-only scenarios switch it
@@ -1586,14 +969,17 @@ pub struct ClusterSpec {
     /// Optional autoscaling controller: when present (and `serve` is
     /// on), the replay also runs with an elastic dp fleet between
     /// `min_groups` and `max_groups` of the plan's `(tp, pp)` groups.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub autoscale: Option<AutoscaleSpec>,
     /// Optional disaggregated prefill/decode pools: when present (and
     /// `serve` is on), the replay also runs with separate prefill and
     /// decode pools and KV-cache handoff priced on the interconnect.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub disaggregate: Option<DisaggSpec>,
     /// Optional multi-tenant section: when present (and `serve` is
     /// on), the replay also runs through the tenancy engine with SLO
     /// classes, admission control, and multi-model pods.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tenants: Option<TenancySpec>,
     /// Worker threads for the plan search and compile fan-out (`0` =
     /// all cores). Reports are byte-identical at any setting.
@@ -1619,56 +1005,27 @@ impl Default for ClusterSpec {
 
 /// Disaggregated prefill/decode pool configuration (mirrors
 /// [`elk_cluster::DisaggConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename = "cluster.disaggregate", deny_unknown_fields)]
 pub struct DisaggSpec {
     /// The prefill pool's `(tp, pp, dp)` layout.
     pub prefill: PlanSpec,
     /// The decode pool's `(tp, pp, dp)` layout.
     pub decode: PlanSpec,
     /// Prompt-token cap per prefill step (`0` disables chunking).
+    #[serde(default)]
     pub chunk_tokens: u64,
     /// Map both pools onto the same groups of one pod (the degenerate
     /// config that equals colocated serving).
+    #[serde(default)]
     pub shared_chips: bool,
-}
-
-impl Deserialize for DisaggSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("cluster.disaggregate", v)?;
-        let prefill = r
-            .raw("prefill")
-            .ok_or_else(|| Error::msg("cluster.disaggregate: missing required key 'prefill'"))
-            .and_then(|body| plan_from("cluster.disaggregate.prefill", body))?;
-        let decode = r
-            .raw("decode")
-            .ok_or_else(|| Error::msg("cluster.disaggregate: missing required key 'decode'"))
-            .and_then(|body| plan_from("cluster.disaggregate.decode", body))?;
-        let spec = DisaggSpec {
-            prefill,
-            decode,
-            chunk_tokens: r.or("chunk_tokens", 0)?,
-            shared_chips: r.or("shared_chips", false)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for DisaggSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("prefill".into(), self.prefill.to_value()),
-            ("decode".into(), self.decode.to_value()),
-            ("chunk_tokens".into(), self.chunk_tokens.to_value()),
-            ("shared_chips".into(), self.shared_chips.to_value()),
-        ])
-    }
 }
 
 /// Autoscaling controller knobs (mirrors
 /// [`elk_cluster::AutoscaleConfig`], with the interval in ms like the
 /// SLO section).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "cluster.autoscale", default, deny_unknown_fields)]
 pub struct AutoscaleSpec {
     /// Fleet floor (always-on groups).
     pub min_groups: u64,
@@ -1701,43 +1058,11 @@ impl Default for AutoscaleSpec {
     }
 }
 
-impl Deserialize for AutoscaleSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = AutoscaleSpec::default();
-        let mut r = MapReader::new("cluster.autoscale", v)?;
-        let spec = AutoscaleSpec {
-            min_groups: r.or("min_groups", d.min_groups)?,
-            max_groups: r.or("max_groups", d.max_groups)?,
-            interval_ms: r.or("interval_ms", d.interval_ms)?,
-            up_queue_depth: r.or("up_queue_depth", d.up_queue_depth)?,
-            down_queue_depth: r.or("down_queue_depth", d.down_queue_depth)?,
-            slo_target: r.or("slo_target", d.slo_target)?,
-            cold_start_steps: r.or("cold_start_steps", d.cold_start_steps)?,
-        };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for AutoscaleSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("min_groups".into(), self.min_groups.to_value()),
-            ("max_groups".into(), self.max_groups.to_value()),
-            ("interval_ms".into(), self.interval_ms.to_value()),
-            ("up_queue_depth".into(), self.up_queue_depth.to_value()),
-            ("down_queue_depth".into(), self.down_queue_depth.to_value()),
-            ("slo_target".into(), self.slo_target.to_value()),
-            ("cold_start_steps".into(), self.cold_start_steps.to_value()),
-        ])
-    }
-}
-
 /// Strict reader for one router policy: a lowercase name or a
 /// `{"power_of_two": {"seed": N}}` object.
 fn parse_router(v: &Value) -> Result<RouterPolicy, Error> {
-    match v {
-        Value::Str(s) => match s.as_str() {
+    if let Value::Str(s) = v {
+        return match s.as_str() {
             "round_robin" => Ok(RouterPolicy::RoundRobin),
             "least_outstanding" => Ok(RouterPolicy::LeastOutstanding),
             "power_of_two" => Ok(RouterPolicy::PowerOfTwoChoices { seed: 2 }),
@@ -1745,151 +1070,71 @@ fn parse_router(v: &Value) -> Result<RouterPolicy, Error> {
                 "unknown router policy '{other}': expected round_robin, \
                  least_outstanding, power_of_two"
             ))),
-        },
-        Value::Map(_) => {
-            let mut r = MapReader::new("router", v)?;
-            let body = r.raw("power_of_two").ok_or_else(|| {
-                Error::msg("router: expected a policy name or a `power_of_two` object")
-            })?;
-            let mut b = MapReader::new("router.power_of_two", body)?;
-            let policy = RouterPolicy::PowerOfTwoChoices {
-                seed: b.or("seed", 2)?,
-            };
-            b.finish()?;
-            r.finish()?;
-            Ok(policy)
-        }
-        other => Err(Error::msg(format!(
-            "router: expected a name or object, found {}",
-            other.kind()
-        ))),
-    }
-}
-
-/// Parses the `router` key: one policy or an array of policies.
-fn parse_routers(v: &Value) -> Result<Vec<RouterPolicy>, Error> {
-    let policies = match v {
-        Value::Seq(items) => items
-            .iter()
-            .map(parse_router)
-            .collect::<Result<Vec<_>, _>>()?,
-        single => vec![parse_router(single)?],
-    };
-    if policies.is_empty() {
-        return Err(Error::msg("cluster.router: the list must not be empty"));
-    }
-    Ok(policies)
-}
-
-/// Canonical serialization of one router policy.
-fn router_to_value(policy: RouterPolicy) -> Value {
-    match policy {
-        RouterPolicy::PowerOfTwoChoices { seed } => Value::Map(vec![(
-            "power_of_two".into(),
-            Value::Map(vec![("seed".into(), seed.to_value())]),
-        )]),
-        other => other.name().to_value(),
-    }
-}
-
-impl Deserialize for ClusterSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let d = ClusterSpec::default();
-        let mut r = MapReader::new("cluster", v)?;
-        let router = match r.raw("router") {
-            None | Some(Value::Null) => d.router,
-            Some(body) => parse_routers(body).map_err(|e| Error::msg(format!("cluster.{e}")))?,
         };
-        let spec = ClusterSpec {
-            plan: r.opt("plan")?,
-            microbatches: r.opt("microbatches")?,
-            interconnect: r.or_else("interconnect", || d.interconnect.clone())?,
-            router,
-            serve: r.or("serve", d.serve)?,
-            autoscale: r.opt("autoscale")?,
-            disaggregate: r.opt("disaggregate")?,
-            tenants: r.opt("tenants")?,
-            threads: r.or("threads", d.threads)?,
-        };
-        r.finish()?;
-        Ok(spec)
     }
+    let body = MapReader::strict("router", &["power_of_two"], v)?
+        .raw("power_of_two")
+        .ok_or_else(|| Error::msg("router: expected a policy name or a `power_of_two` object"))?;
+    let seed = MapReader::strict("router.power_of_two", &["seed"], body)?.opt("seed")?;
+    Ok(RouterPolicy::PowerOfTwoChoices {
+        seed: seed.unwrap_or(2),
+    })
 }
 
-impl Serialize for ClusterSpec {
-    fn to_value(&self) -> Value {
-        let mut m = Vec::new();
-        if let Some(plan) = &self.plan {
-            m.push(("plan".into(), plan.to_value()));
+/// `with` module for the `router` key: one policy or a non-empty array
+/// of policies; written back as an array.
+mod router_list {
+    use super::{Error, RouterPolicy, Serialize, Serializer, Value};
+
+    pub(super) fn serialize<S: Serializer + ?Sized>(policies: &[RouterPolicy], out: &mut S) {
+        out.seq_begin(policies.len());
+        for &policy in policies {
+            match policy {
+                RouterPolicy::PowerOfTwoChoices { seed } => {
+                    out.map_begin(1);
+                    out.key("power_of_two");
+                    out.map_begin(1);
+                    out.key("seed");
+                    seed.serialize(out);
+                    out.map_end();
+                    out.map_end();
+                }
+                other => out.str(other.name()),
+            }
         }
-        if let Some(microbatches) = self.microbatches {
-            m.push(("microbatches".into(), microbatches.to_value()));
+        out.seq_end();
+    }
+
+    pub(super) fn deserialize(v: &Value) -> Result<Vec<RouterPolicy>, Error> {
+        match v {
+            Value::Seq(items) if items.is_empty() => Err(Error::msg("the list must not be empty")),
+            Value::Seq(items) => items.iter().map(super::parse_router).collect(),
+            single => Ok(vec![super::parse_router(single)?]),
         }
-        m.push(("interconnect".into(), self.interconnect.to_value()));
-        m.push((
-            "router".into(),
-            Value::Seq(self.router.iter().map(|&p| router_to_value(p)).collect()),
-        ));
-        m.push(("serve".into(), self.serve.to_value()));
-        if let Some(autoscale) = &self.autoscale {
-            m.push(("autoscale".into(), autoscale.to_value()));
-        }
-        if let Some(disaggregate) = &self.disaggregate {
-            m.push(("disaggregate".into(), disaggregate.to_value()));
-        }
-        if let Some(tenants) = &self.tenants {
-            m.push(("tenants".into(), tenants.to_value()));
-        }
-        m.push(("threads".into(), self.threads.to_value()));
-        Value::Map(m)
     }
 }
 
 // ---- sweep ----
 
 /// A grid sweep over arbitrary spec fields.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "sweep", deny_unknown_fields)]
 pub struct SweepSpec {
     /// Which runner each grid point goes through.
+    #[serde(default)]
     pub command: SweepCommand,
     /// Sweep axes; the grid is their cartesian product in file order
     /// (last axis fastest).
+    #[serde(deserialize_with = "non_empty_list")]
     pub axes: Vec<SweepAxis>,
 }
 
-impl Deserialize for SweepSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("sweep", v)?;
-        let command = match r.opt::<String>("command")? {
-            Some(name) => SweepCommand::parse(&name)?,
-            None => SweepCommand::Compile,
-        };
-        let axes: Vec<SweepAxis> = r.req("axes")?;
-        if axes.is_empty() {
-            return Err(Error::msg("sweep.axes: must contain at least one axis"));
-        }
-        let spec = SweepSpec { command, axes };
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for SweepSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("command".into(), self.command.name().to_value()),
-            (
-                "axes".into(),
-                Value::Seq(self.axes.iter().map(Serialize::to_value).collect()),
-            ),
-        ])
-    }
-}
-
 /// The runner a sweep fans its grid points through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename = "sweep.command", rename_all = "lowercase")]
 pub enum SweepCommand {
     /// `elk compile` per point.
+    #[default]
     Compile,
     /// `elk simulate` per point.
     Simulate,
@@ -1898,22 +1143,6 @@ pub enum SweepCommand {
 }
 
 impl SweepCommand {
-    /// Parses a lowercase command name.
-    ///
-    /// # Errors
-    ///
-    /// Errors on anything but `compile`, `simulate`, `serve`.
-    pub fn parse(name: &str) -> Result<Self, Error> {
-        match name {
-            "compile" => Ok(SweepCommand::Compile),
-            "simulate" => Ok(SweepCommand::Simulate),
-            "serve" => Ok(SweepCommand::Serve),
-            other => Err(Error::msg(format!(
-                "unknown sweep command '{other}': expected compile, simulate, serve"
-            ))),
-        }
-    }
-
     /// Canonical lowercase name.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -1927,44 +1156,25 @@ impl SweepCommand {
 
 /// One sweep axis: a dotted path into the scenario document and the
 /// values it takes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "sweep axis", deny_unknown_fields)]
 pub struct SweepAxis {
     /// Dotted path, e.g. `"workload.batch"` or `"system.chip.cores"`.
+    #[serde(deserialize_with = "SweepAxis::dotted_path")]
     pub path: String,
     /// Values substituted at `path`, one grid column per value.
+    #[serde(deserialize_with = "non_empty_list")]
     pub values: Vec<Value>,
 }
 
-impl Deserialize for SweepAxis {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut r = MapReader::new("sweep axis", v)?;
-        let spec = SweepAxis {
-            path: r.req("path")?,
-            values: r.req("values")?,
-        };
-        if spec.path.is_empty() || spec.path.split('.').any(str::is_empty) {
-            return Err(Error::msg(format!(
-                "sweep axis: malformed path {:?}",
-                spec.path
-            )));
+impl SweepAxis {
+    /// `deserialize_with` for `path`: non-empty dot-separated segments.
+    fn dotted_path(v: &Value) -> Result<String, Error> {
+        let path = String::from_value(v)?;
+        if path.split('.').any(str::is_empty) {
+            return Err(Error::msg(format!("malformed path {path:?}")));
         }
-        if spec.values.is_empty() {
-            return Err(Error::msg(format!(
-                "sweep axis `{}`: needs at least one value",
-                spec.path
-            )));
-        }
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for SweepAxis {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("path".into(), self.path.to_value()),
-            ("values".into(), Value::Seq(self.values.clone())),
-        ])
+        Ok(path)
     }
 }
 

@@ -4,11 +4,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
 
 use crate::format::{TraceFile, TraceRecord};
 
 /// Time-varying arrival-rate shape (requests/second).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum RateShape {
     /// Homogeneous Poisson arrivals at a constant rate.
     Constant {
