@@ -225,13 +225,71 @@ impl ResolvedModel {
     }
 }
 
+impl ResolvedModel {
+    /// Rejects a zero dimension (which the graph builders would turn
+    /// into a failed plan search or a silently wrong report) and a MoE
+    /// routing more experts per token than it has.
+    fn check_dims(&self) -> Result<(), SpecError> {
+        let (kind, dims): (&str, Vec<(&str, u64)>) = match self {
+            ResolvedModel::Llm(c) => (
+                "transformer",
+                vec![
+                    ("layers", c.layers.into()),
+                    ("hidden", c.hidden),
+                    ("heads", c.heads),
+                    ("kv_heads", c.kv_heads),
+                    ("head_dim", c.head_dim),
+                    ("intermediate", c.intermediate),
+                    ("vocab", c.vocab),
+                ],
+            ),
+            ResolvedModel::Moe(c) => (
+                "moe",
+                vec![
+                    ("layers", c.layers.into()),
+                    ("hidden", c.hidden),
+                    ("heads", c.heads),
+                    ("kv_heads", c.kv_heads),
+                    ("head_dim", c.head_dim),
+                    ("expert_intermediate", c.expert_intermediate),
+                    ("experts", c.experts),
+                    ("experts_per_token", c.experts_per_token),
+                    ("vocab", c.vocab),
+                ],
+            ),
+            ResolvedModel::Dit(c) => (
+                "dit",
+                vec![
+                    ("layers", c.layers.into()),
+                    ("hidden", c.hidden),
+                    ("heads", c.heads),
+                    ("head_dim", c.head_dim),
+                    ("mlp_ratio", c.mlp_ratio),
+                    ("tokens", c.tokens),
+                ],
+            ),
+        };
+        if let Some((name, _)) = dims.iter().find(|&&(_, v)| v == 0) {
+            return Err(invalid(format!("model.{kind}.{name} must be > 0")));
+        }
+        match self {
+            ResolvedModel::Moe(c) if c.experts_per_token > c.experts => Err(invalid(format!(
+                "model.moe.experts_per_token ({}) must not exceed experts ({})",
+                c.experts_per_token, c.experts
+            ))),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl ModelSpec {
     /// Resolves zoo names and applies the optional layer override.
     ///
     /// # Errors
     ///
     /// Returns [`SpecError::Invalid`] for an unknown zoo alias, a zero
-    /// layer override, or zero dimensions in an explicit config.
+    /// layer override, a zero dimension in an explicit config, or a MoE
+    /// with `experts_per_token > experts`.
     pub fn resolve(&self) -> Result<ResolvedModel, SpecError> {
         let model = match self {
             ModelSpec::Zoo { zoo, layers } => {
@@ -259,14 +317,7 @@ impl ModelSpec {
             ModelSpec::Moe(cfg) => ResolvedModel::Moe(cfg.clone()),
             ModelSpec::Dit(cfg) => ResolvedModel::Dit(cfg.clone()),
         };
-        let layers = match &model {
-            ResolvedModel::Llm(cfg) => cfg.layers,
-            ResolvedModel::Moe(cfg) => cfg.layers,
-            ResolvedModel::Dit(cfg) => cfg.layers,
-        };
-        if layers == 0 {
-            return Err(invalid("model: layer count must be > 0"));
-        }
+        model.check_dims()?;
         Ok(model)
     }
 
@@ -835,6 +886,53 @@ mod tests {
         };
         let e = unknown.resolve().unwrap_err().to_string();
         assert!(e.contains("mixtral"), "aliases listed: {e}");
+    }
+
+    #[test]
+    fn explicit_configs_reject_zero_dimensions() {
+        let mut llm = elk_model::zoo::llama2_13b();
+        llm.hidden = 0;
+        let e = ModelSpec::Transformer(llm).resolve().unwrap_err();
+        assert!(matches!(e, SpecError::Invalid(_)), "{e}");
+        assert!(e.to_string().contains("model.transformer.hidden"), "{e}");
+
+        let mut llm = elk_model::zoo::llama2_13b();
+        llm.kv_heads = 0;
+        let e = ModelSpec::Transformer(llm).resolve().unwrap_err();
+        assert!(e.to_string().contains("model.transformer.kv_heads"), "{e}");
+
+        let mut moe = elk_model::zoo::mixtral_8x7b();
+        moe.expert_intermediate = 0;
+        let e = ModelSpec::Moe(moe).resolve().unwrap_err();
+        assert!(
+            e.to_string().contains("model.moe.expert_intermediate"),
+            "{e}"
+        );
+
+        let mut dit = elk_model::zoo::dit_xl();
+        dit.tokens = 0;
+        let e = ModelSpec::Dit(dit).resolve().unwrap_err();
+        assert!(e.to_string().contains("model.dit.tokens"), "{e}");
+
+        let mut dit = elk_model::zoo::dit_xl();
+        dit.layers = 0;
+        let e = ModelSpec::Dit(dit).resolve().unwrap_err();
+        assert!(e.to_string().contains("model.dit.layers"), "{e}");
+    }
+
+    #[test]
+    fn moe_cannot_route_to_more_experts_than_it_has() {
+        let mut moe = elk_model::zoo::mixtral_8x7b();
+        moe.experts = 2;
+        moe.experts_per_token = 4;
+        let e = ModelSpec::Moe(moe.clone()).resolve().unwrap_err();
+        assert!(matches!(e, SpecError::Invalid(_)), "{e}");
+        assert!(e.to_string().contains("experts_per_token (4)"), "{e}");
+        moe.experts_per_token = 2;
+        assert!(
+            ModelSpec::Moe(moe).resolve().is_ok(),
+            "top-k == experts is valid"
+        );
     }
 
     #[test]

@@ -256,3 +256,64 @@ fn infeasible_workload_names_the_per_core_capacity() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An explicit model config with a zero dimension, or a MoE routing
+/// more experts per token than it has, is a spec error (exit 2) that
+/// names the field — not a failed plan search or a silently wrong
+/// report.
+#[test]
+fn invalid_explicit_model_configs_exit_2_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("elk-bad-model-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let transformer = |hidden: u64, kv_heads: u64| {
+        format!(
+            r#"{{"transformer": {{"name": "x", "layers": 2, "hidden": {hidden}, "heads": 8,
+                "kv_heads": {kv_heads}, "head_dim": 128, "intermediate": 3072, "vocab": 32000,
+                "glu": true, "norm": "Rms", "rope": true, "post_norms": false}}}}"#
+        )
+    };
+    let cases = [
+        ("zero_hidden", transformer(0, 8), "model.transformer.hidden"),
+        (
+            "zero_kv_heads",
+            transformer(1024, 0),
+            "model.transformer.kv_heads",
+        ),
+        (
+            "moe_top_k",
+            r#"{"moe": {"name": "m", "layers": 2, "hidden": 1024, "heads": 8, "kv_heads": 8,
+                "head_dim": 128, "expert_intermediate": 2048, "experts": 2,
+                "experts_per_token": 4, "vocab": 32000}}"#
+                .to_string(),
+            "experts_per_token",
+        ),
+    ];
+    for (name, model, field) in cases {
+        let scenario = dir.join(format!("{name}.json"));
+        std::fs::write(
+            &scenario,
+            format!(r#"{{"name": "{name}", "model": {model}}}"#),
+        )
+        .expect("write scenario");
+        for command in ["compile", "simulate"] {
+            let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+                .arg(command)
+                .arg(&scenario)
+                .arg("--out")
+                .arg(&dir)
+                .output()
+                .expect("spawn elk");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "`elk {command}` on {name}: {stderr}"
+            );
+            assert!(
+                stderr.contains(field),
+                "`elk {command}` on {name} must name `{field}`: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
