@@ -90,7 +90,8 @@ pub fn run(ctx: &mut Ctx) {
                     catalog
                         .op(graph.ops()[i + d].id())
                         .preload_points(0)
-                        .into_iter()
+                        .iter()
+                        .copied()
                         .take(4)
                         .collect()
                 })

@@ -40,6 +40,35 @@ pub fn allocate(
     windows: &[&[FrontierPoint]],
     capacity: Bytes,
 ) -> Option<Allocation> {
+    let mut pos = Vec::new();
+    let chosen = allocate_into(current, windows, capacity, &mut pos)?;
+    Some(Allocation {
+        current: chosen.current,
+        picks: pos.split_off(1),
+        space: chosen.space,
+        exec_time: chosen.exec_time,
+        distribute_time: chosen.distribute_time,
+    })
+}
+
+/// An [`Allocation`] without its picks, which [`allocate_into`] leaves
+/// in the caller's position buffer.
+pub(crate) struct Chosen {
+    pub(crate) current: usize,
+    pub(crate) space: Bytes,
+    pub(crate) exec_time: Seconds,
+    pub(crate) distribute_time: Seconds,
+}
+
+/// [`allocate`] over a caller-owned position buffer, so the scheduler's
+/// per-operator calls allocate nothing. On success `pos[0]` is the
+/// current operator's frontier index and `pos[1..]` the window picks.
+pub(crate) fn allocate_into(
+    current: &[FrontierPoint],
+    windows: &[&[FrontierPoint]],
+    capacity: Bytes,
+    pos: &mut Vec<usize>,
+) -> Option<Chosen> {
     assert!(!current.is_empty(), "current operator has empty frontier");
     debug_assert!(
         windows.iter().all(|w| !w.is_empty()),
@@ -47,7 +76,8 @@ pub fn allocate(
     );
 
     // Positions along each frontier; index 0 = current op, 1.. = windows.
-    let mut pos = vec![0usize; windows.len() + 1];
+    pos.clear();
+    pos.resize(windows.len() + 1, 0);
     let frontier = |item: usize| -> &[FrontierPoint] {
         if item == 0 {
             current
@@ -85,13 +115,11 @@ pub fn allocate(
     }
 
     let current_idx = pos[0];
-    let picks: Vec<usize> = pos[1..].to_vec();
-    Some(Allocation {
+    Some(Chosen {
         current: current_idx,
-        picks: picks.clone(),
         space,
         exec_time: current[current_idx].time,
-        distribute_time: windows.iter().zip(&picks).map(|(w, &i)| w[i].time).sum(),
+        distribute_time: windows.iter().zip(&pos[1..]).map(|(w, &i)| w[i].time).sum(),
     })
 }
 

@@ -52,6 +52,13 @@ pub struct OpPlans {
     pub plans: Vec<ExecutePlan>,
     /// Pareto frontier over `(exec_space, exec_time)`, fastest first.
     pub exec_frontier: Vec<FrontierPoint>,
+    /// Preload-state points of every execute-frontier position, back to
+    /// back, built once so the scheduler borrows them instead of
+    /// rebuilding one list per scheduled operator.
+    preload_points: Vec<FrontierPoint>,
+    /// Position `k`'s points are
+    /// `preload_points[preload_bounds[k]..preload_bounds[k + 1]]`.
+    preload_bounds: Vec<usize>,
 }
 
 impl OpPlans {
@@ -68,9 +75,27 @@ impl OpPlans {
             space: p.exec_space,
             time: p.exec_time,
         }));
+        let total = exec_frontier
+            .iter()
+            .map(|f| plans[f.plan_idx].preload_plans.len())
+            .sum();
+        let mut preload_points = Vec::with_capacity(total);
+        let mut preload_bounds = Vec::with_capacity(exec_frontier.len() + 1);
+        preload_bounds.push(0);
+        for f in &exec_frontier {
+            let pre = &plans[f.plan_idx].preload_plans;
+            preload_points.extend(pre.iter().enumerate().map(|(i, p)| FrontierPoint {
+                plan_idx: i,
+                space: p.preload_space,
+                time: p.distribute_time,
+            }));
+            preload_bounds.push(preload_points.len());
+        }
         OpPlans {
             plans,
             exec_frontier,
+            preload_points,
+            preload_bounds,
         }
     }
 
@@ -84,17 +109,9 @@ impl OpPlans {
     /// largest space (max broadcast) first — already a Pareto frontier by
     /// construction.
     #[must_use]
-    pub fn preload_points(&self, frontier_idx: usize) -> Vec<FrontierPoint> {
-        self.plan_at(frontier_idx)
-            .preload_plans
-            .iter()
-            .enumerate()
-            .map(|(i, p)| FrontierPoint {
-                plan_idx: i,
-                space: p.preload_space,
-                time: p.distribute_time,
-            })
-            .collect()
+    pub fn preload_points(&self, frontier_idx: usize) -> &[FrontierPoint] {
+        &self.preload_points
+            [self.preload_bounds[frontier_idx]..self.preload_bounds[frontier_idx + 1]]
     }
 
     /// The preload plan `preload_idx` of the execute plan at

@@ -5,7 +5,8 @@ use elk_model::{ModelGraph, OpId};
 use elk_partition::PreloadPlan;
 use elk_units::{Bytes, Seconds};
 
-use crate::{allocate, Catalog, CompileError, FrontierPoint};
+use crate::alloc::allocate_into;
+use crate::{Catalog, CompileError, FrontierPoint};
 
 /// Scheduler knobs. The defaults are full Elk behaviour; baselines restrict
 /// them.
@@ -76,6 +77,12 @@ pub struct Schedule {
 /// feasible preload numbers, invokes the cost-aware allocator for each,
 /// and keeps the preload number minimizing the current-to-end time
 /// (Lemma 4.1 / Theorem 4.2). Runs in `O(K·N)` allocator invocations.
+///
+/// [`Scheduler::schedule`] runs once per candidate preload order, so
+/// its per-operator work allocates nothing: pending preloads are kept
+/// in descending π position (most inserts are pushes) and borrow their
+/// frontiers from the catalog, and the window list and allocator
+/// positions live in buffers reused across operators.
 #[derive(Debug)]
 pub struct Scheduler<'a> {
     graph: &'a ModelGraph,
@@ -84,12 +91,23 @@ pub struct Scheduler<'a> {
     opts: ScheduleOptions,
 }
 
-/// A scheduled-but-not-yet-executed preload, ordered by π position.
-struct Pending {
+/// A scheduled-but-not-yet-executed preload.
+struct Pending<'a> {
     op: OpId,
     pos: usize,
     start: Seconds, // time-to-end of preload start
-    points: Vec<FrontierPoint>,
+    points: &'a [FrontierPoint],
+}
+
+/// The best preload number found so far for one operator, with the
+/// lengths it commits.
+struct Best {
+    p: usize,
+    current: usize,
+    score: Seconds,
+    exe_start: Seconds,
+    exec_len: Seconds,
+    contention: Seconds,
 }
 
 impl<'a> Scheduler<'a> {
@@ -170,20 +188,31 @@ impl<'a> Scheduler<'a> {
         let capacity = self.capacity();
 
         let mut per_op: Vec<Option<OpSchedule>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<Pending> = Vec::new();
+        // Scheduled-but-not-executed preloads in *descending* π position:
+        // the window candidates are the tail, read backwards, and an
+        // operator whose preload π places before every pending one (the
+        // common case) is a push.
+        let mut pending: Vec<Pending<'a>> = Vec::with_capacity(n);
+        // Buffers reused by every operator: the window frontiers, grown
+        // one preload at a time across `p`, and the allocator positions
+        // of the current and the best `p`.
+        let mut windows: Vec<&'a [FrontierPoint]> = Vec::new();
+        let mut alloc_pos: Vec<usize> = Vec::new();
+        let mut best_pos: Vec<usize> = Vec::new();
         let mut exe_start_next = Seconds::ZERO;
         let mut cut_next = n; // π cut of operator i+1
 
         for i in (0..n).rev() {
             let op = OpId(i);
             let plans = self.catalog.op(op);
+            let allreduce = self.system.allreduce_time(self.graph.op(op).allreduce());
 
             // Nesting constraint: anything overlapping exec(i), other than
             // op i+1 itself, must also have been allowed to overlap
             // exec(i+1) — otherwise residency would escape the window
             // accounting.
             let mut max_p = 0usize;
-            for q in &pending {
+            for q in pending.iter().rev() {
                 if q.op == OpId(i + 1) || q.pos < cut_next {
                     max_p += 1;
                 } else {
@@ -196,7 +225,7 @@ impl<'a> Scheduler<'a> {
             // Preloads that π places before op i's own preload but belong
             // to later-executing operators complete before exec(i) and are
             // unconditionally resident: the window must include them.
-            let min_p = pending.partition_point(|q| q.pos < pos[i]);
+            let min_p = pending.len() - pending.partition_point(|q| q.pos > pos[i]);
             if min_p > max_p {
                 return Err(CompileError::InvalidPreloadOrder {
                     reason: format!(
@@ -205,12 +234,19 @@ impl<'a> Scheduler<'a> {
                     ),
                 });
             }
+            // The `k`-th pending preload in ascending π position.
+            let nth = |k: usize| pending.len().checked_sub(k + 1).map(|j| &pending[j]);
 
-            let mut best: Option<(usize, crate::Allocation, Seconds, Seconds)> = None;
+            windows.clear();
+            windows.extend(pending.iter().rev().take(min_p).map(|q| q.points));
+            let mut best: Option<Best> = None;
             for p in min_p..=max_p {
-                let windows: Vec<&[FrontierPoint]> =
-                    pending[..p].iter().map(|q| q.points.as_slice()).collect();
-                let Some(alloc) = allocate(&plans.exec_frontier, &windows, capacity) else {
+                if p > min_p {
+                    windows.push(nth(p - 1).expect("p <= max_p <= pending").points);
+                }
+                let Some(alloc) =
+                    allocate_into(&plans.exec_frontier, &windows, capacity, &mut alloc_pos)
+                else {
                     if best.is_none() {
                         return Err(CompileError::CapacityExceeded {
                             op: self.graph.op(op).name().to_string(),
@@ -221,78 +257,69 @@ impl<'a> Scheduler<'a> {
                     break; // larger windows cannot become feasible again
                 };
 
-                let end_bound = if p < pending.len() {
-                    exe_start_next.max(pending[p].start)
-                } else {
-                    exe_start_next
-                };
+                let end_bound = nth(p).map_or(exe_start_next, |q| exe_start_next.max(q.start));
                 let plan = plans.plan_at(alloc.current);
                 let exec_noc = Bytes::new(plan.shift_traffic.get().saturating_mul(plan.cores_used));
                 let contention = self.contention_penalty(p, exec_noc);
-                let exec_len = alloc.exec_time
-                    + contention
-                    + self.system.allreduce_time(self.graph.op(op).allreduce());
+                let exec_len = alloc.exec_time + contention + allreduce;
+                let exe_start = end_bound + exec_len;
                 // Score includes the distribution cost the window choices
                 // impose on future executions (Fig. 11's joint objective).
-                let score = end_bound + exec_len + alloc.distribute_time;
-                let current_to_end = end_bound + exec_len;
-                if best.as_ref().is_none_or(|(_, _, s, _)| score < *s) {
-                    best = Some((p, alloc, score, current_to_end));
+                let score = exe_start + alloc.distribute_time;
+                if best.as_ref().is_none_or(|b| score < b.score) {
+                    best = Some(Best {
+                        p,
+                        current: alloc.current,
+                        score,
+                        exe_start,
+                        exec_len,
+                        contention,
+                    });
+                    std::mem::swap(&mut best_pos, &mut alloc_pos);
                 }
             }
 
-            let (p, alloc, _, _) = best.expect("min_p is always evaluated or errored");
-            let end_bound = if p < pending.len() {
-                exe_start_next.max(pending[p].start)
-            } else {
-                exe_start_next
-            };
+            let best = best.expect("min_p is always evaluated or errored");
+            let p = best.p;
             // Commit window picks with the min-space rule: an operator
             // resident in several windows keeps its smallest footprint.
-            for (q, &pick) in pending[..p].iter().zip(&alloc.picks) {
+            for (q, &pick) in pending.iter().rev().take(p).zip(&best_pos[1..]) {
                 let s = per_op[q.op.index()]
                     .as_mut()
                     .expect("window ops are already scheduled");
                 s.preload_idx = s.preload_idx.max(pick);
             }
 
-            let plan = plans.plan_at(alloc.current);
-            let exec_noc = Bytes::new(plan.shift_traffic.get().saturating_mul(plan.cores_used));
-            let contention = self.contention_penalty(p, exec_noc);
-            let exec_len = alloc.exec_time
-                + contention
-                + self.system.allreduce_time(self.graph.op(op).allreduce());
-            let exe_start = end_bound + exec_len;
-            let cut = if p < pending.len() { pending[p].pos } else { n };
+            let cut = nth(p).map_or(n, |q| q.pos);
 
             // Place op i's own preload as late as the π order allows
             // (§4.2: just before its execution or before the next preload
-            // in order, whichever is earlier).
-            let insert_at = pending.partition_point(|q| q.pos < pos[i]);
-            let next_start = pending.get(insert_at).map_or(Seconds::ZERO, |q| q.start);
-            let pre_end = exe_start.max(next_start);
-            let pre_len = self.preload_duration(plans.preload_at(alloc.current, 0));
+            // in order, whichever is earlier). `min_p` pending preloads
+            // precede it in π.
+            let next_start = nth(min_p).map_or(Seconds::ZERO, |q| q.start);
+            let pre_end = best.exe_start.max(next_start);
+            let pre_len = self.preload_duration(plans.preload_at(best.current, 0));
             pending.insert(
-                insert_at,
+                pending.len() - min_p,
                 Pending {
                     op,
                     pos: pos[i],
                     start: pre_end + pre_len,
-                    points: plans.preload_points(alloc.current),
+                    points: plans.preload_points(best.current),
                 },
             );
 
             per_op[i] = Some(OpSchedule {
                 op,
-                exec_idx: alloc.current,
+                exec_idx: best.current,
                 preload_idx: 0,
                 preload_number: p,
                 cut,
-                exec_len,
+                exec_len: best.exec_len,
                 preload_len: pre_len,
-                contention,
+                contention: best.contention,
             });
-            exe_start_next = exe_start;
+            exe_start_next = best.exe_start;
             cut_next = cut;
         }
 
@@ -326,7 +353,7 @@ impl<'a> Scheduler<'a> {
                 + self.system.allreduce_time(self.graph.op(s.op).allreduce());
             s.preload_len = self.preload_duration(pre);
         }
-        for q in &pending {
+        for q in pending.iter().rev() {
             est_total = est_total.max(q.start);
         }
         est_total = est_total.max(exe_start_next);

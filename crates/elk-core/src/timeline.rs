@@ -133,14 +133,16 @@ fn audit_memory(
         ExecStart(usize),
         ExecEnd(usize),
     }
-    let mut events: Vec<(Seconds, u8, Ev)> = Vec::with_capacity(3 * pre.len());
-    for i in 0..pre.len() {
-        // Order ties: frees before starts so back-to-back swaps don't
-        // double-count.
-        events.push((exec[i].1, 0, Ev::ExecEnd(i)));
-        events.push((exec[i].0, 1, Ev::ExecStart(i)));
-        events.push((pre[i].0, 2, Ev::PreStart(i)));
-    }
+    // Order ties: frees before starts so back-to-back swaps don't
+    // double-count; equal (time, kind) events keep operator order. Each
+    // kind is pushed as one block in operator order, which the stable
+    // sort keeps for ties and merges as presorted runs (executions run
+    // in operator order, preloads nearly so).
+    let n = pre.len();
+    let mut events: Vec<(Seconds, u8, Ev)> = Vec::with_capacity(3 * n);
+    events.extend((0..n).map(|i| (exec[i].1, 0, Ev::ExecEnd(i))));
+    events.extend((0..n).map(|i| (exec[i].0, 1, Ev::ExecStart(i))));
+    events.extend((0..n).map(|i| (pre[i].0, 2, Ev::PreStart(i))));
     events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
 
     let mut resident = Bytes::ZERO;
@@ -177,10 +179,13 @@ fn audit_memory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{identity_order, Catalog, DeviceProgram, ScheduleOptions, Scheduler};
+    use crate::{
+        candidate_orders, identity_order, Catalog, DeviceProgram, OpSpec, ReorderOptions,
+        ScheduleOptions, Scheduler,
+    };
     use elk_cost::AnalyticDevice;
     use elk_hw::presets;
-    use elk_model::{zoo, Workload};
+    use elk_model::{zoo, OpId, Workload};
     use elk_partition::Partitioner;
 
     fn sec(x: f64) -> Seconds {
@@ -265,5 +270,130 @@ mod tests {
             let b = est.preload_spans[w[1].index()];
             assert!(b.0 >= a.1, "preloads overlap in issue order");
         }
+    }
+
+    /// The audit as first written: events pushed interleaved per
+    /// operator, then stably sorted. `audit_memory` must match it
+    /// bit for bit, tie order included.
+    fn reference_audit(
+        program: &DeviceProgram,
+        pre: &[(Seconds, Seconds)],
+        exec: &[(Seconds, Seconds)],
+        capacity: Bytes,
+    ) -> (Bytes, usize, usize) {
+        #[derive(Clone, Copy)]
+        enum Ev {
+            PreStart(usize),
+            ExecStart(usize),
+            ExecEnd(usize),
+        }
+        let mut events: Vec<(Seconds, u8, Ev)> = Vec::new();
+        for i in 0..pre.len() {
+            events.push((exec[i].1, 0, Ev::ExecEnd(i)));
+            events.push((exec[i].0, 1, Ev::ExecStart(i)));
+            events.push((pre[i].0, 2, Ev::PreStart(i)));
+        }
+        events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (mut resident, mut ops) = (Bytes::ZERO, 0usize);
+        let (mut peak, mut peak_ops, mut violations) = (Bytes::ZERO, 0usize, 0usize);
+        for (_, _, ev) in events {
+            match ev {
+                Ev::PreStart(i) => {
+                    resident += program.specs[i].preload_space;
+                    ops += 1;
+                }
+                Ev::ExecStart(i) => {
+                    let spec = &program.specs[i];
+                    resident = resident.saturating_sub(spec.preload_space) + spec.exec_space;
+                }
+                Ev::ExecEnd(i) => {
+                    resident = resident.saturating_sub(program.specs[i].exec_space);
+                    ops = ops.saturating_sub(1);
+                }
+            }
+            peak = peak.max(resident);
+            peak_ops = peak_ops.max(ops);
+            if resident > capacity {
+                violations += 1;
+            }
+        }
+        (peak, peak_ops, violations)
+    }
+
+    fn assert_matches_reference(prog: &DeviceProgram, capacity: Bytes) -> PlanEstimate {
+        let est = evaluate(prog, capacity);
+        let want = reference_audit(prog, &est.preload_spans, &est.exec_spans, capacity);
+        assert_eq!(
+            (
+                est.peak_resident,
+                est.peak_resident_ops,
+                est.capacity_violations
+            ),
+            want,
+            "audit diverged from the reference at capacity {capacity}"
+        );
+        est
+    }
+
+    #[test]
+    fn audit_matches_reference_on_tied_zero_length_preloads() {
+        let system = presets::ipu_pod4();
+        let mut cfg = zoo::llama2_13b();
+        cfg.layers = 2;
+        let graph = cfg.build(Workload::decode(32, 4096), 4);
+        let dev = AnalyticDevice::of_chip(&system.chip);
+        let catalog = Catalog::build(&graph, &Partitioner::new(&system.chip, &dev)).unwrap();
+        let usable = system.chip.usable_sram_per_core();
+        let scheduler = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default());
+        let mut tied = 0usize;
+        for cand in candidate_orders(&graph, &catalog, usable, &ReorderOptions::default()) {
+            let Ok(sched) = scheduler.schedule(&cand.order) else {
+                continue;
+            };
+            let prog = DeviceProgram::lower(&graph, &catalog, &sched);
+            let est = assert_matches_reference(&prog, usable);
+            // Tighter capacities make violations, and so tie order,
+            // observable.
+            for frac in [0.9, 0.6, 0.3] {
+                assert_matches_reference(&prog, est.peak_resident.scale(frac));
+            }
+            let mut starts: Vec<Seconds> = est.preload_spans.iter().map(|s| s.0).collect();
+            starts.sort();
+            tied += starts.windows(2).filter(|w| w[0] == w[1]).count();
+        }
+        assert!(tied > 0, "no zero-length preload tied another's start");
+    }
+
+    #[test]
+    fn tied_preload_starts_apply_in_operator_order() {
+        // Op 1's preload is issued first and takes no time, so both
+        // preloads start at t = 0 with different spaces. In operator
+        // order (small op 0, then big op 1) residency reads 30 then 90,
+        // one violation at capacity 50; the other order (60, 90) would
+        // give two, and five in total instead of four.
+        let (_, template) = build(16);
+        let spec = |op: usize, preload_space: u64, exec_space: u64, preload_len: f64| OpSpec {
+            op: OpId(op),
+            preload_space: Bytes::new(preload_space),
+            exec_space: Bytes::new(exec_space),
+            preload_len: sec(preload_len),
+            exec_len: sec(1.0),
+            ..template.specs[0].clone()
+        };
+        let prog = DeviceProgram {
+            instrs: vec![
+                DeviceInstr::PreloadAsync { op: OpId(1) },
+                DeviceInstr::PreloadAsync { op: OpId(0) },
+                DeviceInstr::Execute { op: OpId(0) },
+                DeviceInstr::Execute { op: OpId(1) },
+            ],
+            specs: vec![spec(0, 30, 30, 1.0), spec(1, 60, 60, 0.0)],
+        };
+        let est = assert_matches_reference(&prog, Bytes::new(50));
+        assert_eq!(est.preload_spans[0].0, est.preload_spans[1].0);
+        // 30 | 90 (violation) | 90 at exec(0) (violation) | 60 after
+        // exec(0) ends (violation) | 60 at exec(1) (violation) | 0.
+        assert_eq!(est.capacity_violations, 4);
+        assert_eq!(est.peak_resident, Bytes::new(90));
     }
 }
