@@ -2,7 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use elk_core::{identity_order, Catalog, Compiler, CompilerOptions, ScheduleOptions, Scheduler};
+use elk_core::{
+    candidate_orders, identity_order, Catalog, Compiler, CompilerOptions, ReorderOptions,
+    ScheduleOptions, Scheduler,
+};
 use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
 use elk_hw::presets;
 use elk_model::{zoo, Workload};
@@ -55,6 +58,24 @@ fn bench_compiler(c: &mut Criterion) {
             |o| scheduler.schedule(&o).expect("schedule"),
             BatchSize::SmallInput,
         )
+    });
+
+    // The order search's inner loop at full depth: the inductive
+    // scheduler over every candidate preload order of 40-layer
+    // Llama-2-13B decode at tp2 (48 candidates, most of them rejected
+    // part-way), the shape a replica-serving plan-cache miss compiles.
+    let full = zoo::llama2_13b().build(Workload::decode(16, 2048), 2);
+    let full_catalog = Catalog::build(&full, &partitioner).expect("catalog");
+    let capacity = system.chip.usable_sram_per_core();
+    let candidates = candidate_orders(&full, &full_catalog, capacity, &ReorderOptions::default());
+    let full_scheduler = Scheduler::new(&full, &full_catalog, &system, ScheduleOptions::default());
+    g.bench_function("inductive_schedule_all_candidates", |b| {
+        b.iter(|| {
+            candidates
+                .iter()
+                .filter(|c| full_scheduler.schedule(&c.order).is_ok())
+                .count()
+        })
     });
     g.finish();
 }
