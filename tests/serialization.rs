@@ -198,7 +198,8 @@ fn every_report_writes_the_bytes_of_its_value_tree() {
     );
     assert_writer_matches_tree("tenancy run", &tenancy);
 
-    // Specs serialize through their hand-written trees.
+    // Specs serialize through their derived (and, for the system,
+    // model and tenancy specs, hand-written) impls.
     let dir = format!("{}/scenarios", env!("CARGO_MANIFEST_DIR"));
     for entry in std::fs::read_dir(dir).expect("scenarios/") {
         let name = entry.expect("entry").file_name().into_string().unwrap();

@@ -2,11 +2,14 @@
 //! strategies can produce must survive struct → JSON → struct
 //! unchanged, through both the compact and the pretty emitter.
 //!
-//! The spec types hand-write both `Serialize` and `Deserialize` (the
-//! derive shim cannot express defaults or unknown-key rejection), so
-//! the two directions can silently drift apart — a renamed key on one
-//! side only, a forgotten field — and this suite is what pins them
-//! together.
+//! Most spec types derive both `Serialize` and `Deserialize` with the
+//! real-serde attributes the derive shim understands (`default`,
+//! `rename`, `skip_serializing_if`, `with`/`deserialize_with`,
+//! `deny_unknown_fields`); `SystemSpec`, `ModelSpec` and `TenancySpec`
+//! keep hand-written impls over the shim's `MapReader`. Either way the
+//! two directions can drift apart — an attribute on one side only, a
+//! hand-written key renamed in one impl — and this suite is what pins
+//! them together.
 
 use proptest::prelude::*;
 
