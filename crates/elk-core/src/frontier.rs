@@ -376,7 +376,16 @@ mod tests {
         let plans = cat.op(OpId(2)); // attn_qkv
         for (i, fp) in plans.exec_frontier.iter().enumerate() {
             assert_eq!(plans.plan_at(i).exec_space, fp.space);
-            assert!(!plans.preload_points(i).is_empty());
+            let points = plans.preload_points(i);
+            assert!(!points.is_empty());
+            assert_eq!(points.len(), plans.plan_at(i).preload_plans.len());
+            for (k, p) in points.iter().enumerate() {
+                let pre = plans.preload_at(i, k);
+                assert_eq!(
+                    (p.plan_idx, p.space, p.time),
+                    (k, pre.preload_space, pre.distribute_time)
+                );
+            }
         }
     }
 }
