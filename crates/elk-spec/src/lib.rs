@@ -43,8 +43,6 @@
 
 #![warn(missing_docs)]
 
-mod schema;
-
 pub mod convert;
 pub mod report;
 pub mod runner;

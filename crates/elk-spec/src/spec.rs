@@ -1125,8 +1125,31 @@ pub struct SweepSpec {
     pub command: SweepCommand,
     /// Sweep axes; the grid is their cartesian product in file order
     /// (last axis fastest).
-    #[serde(deserialize_with = "non_empty_list")]
+    #[serde(deserialize_with = "SweepSpec::unshadowed_axes")]
     pub axes: Vec<SweepAxis>,
+}
+
+impl SweepSpec {
+    /// `deserialize_with` for `axes`: non-empty, and no axis sets an
+    /// earlier axis's path or an ancestor of it, which would overwrite
+    /// that axis at every point (a later descendant stays legal).
+    fn unshadowed_axes(v: &Value) -> Result<Vec<SweepAxis>, Error> {
+        let axes: Vec<SweepAxis> = non_empty_list(v)?;
+        for (i, later) in axes.iter().enumerate() {
+            let shadows = |e: &&SweepAxis| {
+                e.path
+                    .strip_prefix(later.path.as_str())
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
+            };
+            if let Some(earlier) = axes[..i].iter().find(shadows) {
+                return Err(Error::msg(format!(
+                    "axis `{}` overwrites the earlier axis `{}` at every point",
+                    later.path, earlier.path
+                )));
+            }
+        }
+        Ok(axes)
+    }
 }
 
 /// The runner a sweep fans its grid points through.
@@ -1244,6 +1267,44 @@ mod tests {
         .unwrap();
         let back = ScenarioSpec::from_json(&s.to_json()).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn sweep_axes_may_not_shadow_an_earlier_axis() {
+        let sweep = |axes: &str| {
+            ScenarioSpec::from_json(&format!(
+                r#"{{"name": "t", "model": {{"zoo": "llama13"}}, "sweep": {{"axes": {axes}}}}}"#
+            ))
+        };
+        // A repeated path, or a later ancestor of an earlier path, would
+        // overwrite the earlier axis at every point.
+        for (axes, shadowed) in [
+            (
+                r#"[{"path": "workload.batch", "values": [8, 64]},
+                    {"path": "workload.batch", "values": [16]}]"#,
+                "`workload.batch` overwrites the earlier axis `workload.batch`",
+            ),
+            (
+                r#"[{"path": "system.chip.cores", "values": [64]},
+                    {"path": "workload.seq_len", "values": [512]},
+                    {"path": "system.chip", "values": [{"cores": 32}]}]"#,
+                "`system.chip` overwrites the earlier axis `system.chip.cores`",
+            ),
+        ] {
+            let e = sweep(axes).unwrap_err().to_string();
+            assert!(e.contains(shadowed), "{e}");
+            assert!(matches!(sweep(axes), Err(SpecError::Parse(_))));
+        }
+        // A later descendant edits inside the earlier value, and a
+        // shared string prefix is not a shared segment.
+        for axes in [
+            r#"[{"path": "system.chip", "values": [{"cores": 32}]},
+                {"path": "system.chip.cores", "values": [64]}]"#,
+            r#"[{"path": "serving.trace.requests", "values": [4]},
+                {"path": "serving.tr", "values": [1]}]"#,
+        ] {
+            sweep(axes).unwrap_or_else(|e| panic!("{axes}: {e}"));
+        }
     }
 
     #[test]

@@ -5,22 +5,24 @@
 //! struct: each axis names a dotted path (`"workload.batch"`,
 //! `"system.chip.cores"`, `"compiler.design"`), and every grid point
 //! clones the document, substitutes one value per axis, and re-parses.
-//! Strict parsing then rejects typo'd paths that landed on unknown
-//! keys, and any spec field — including ones the base file left to
-//! defaults — is sweepable.
+//! Every point is parsed up front, in grid order, before any point
+//! runs: the strict parser rejects a typo'd path or an ill-typed value
+//! with its dotted level and valid keys, and any spec field — including
+//! ones the base file left to defaults — is sweepable.
 //!
-//! Points fan out over an [`elk_par`] work pool and merge in grid
-//! order, so the report is byte-identical at any `--threads` setting.
+//! The parsed points then fan out over an [`elk_par`] work pool and
+//! merge in grid order, so the report is byte-identical at any
+//! `--threads` setting.
 
 use serde::{Deserialize, Serialize, Value};
 
 use crate::report::{SweepPoint, SweepReport};
-use crate::spec::{ScenarioSpec, SweepCommand};
+use crate::spec::{ScenarioSpec, SweepCommand, SweepSpec};
 use crate::{runner, SpecError};
 
 /// Substitutes `new` at dotted `path` inside `root`, creating missing
-/// intermediate objects (strict re-parsing catches paths that create
-/// keys the schema does not know).
+/// intermediate objects (the sweep's parse pass rejects paths that
+/// create keys the spec does not know).
 ///
 /// # Errors
 ///
@@ -73,30 +75,26 @@ fn grid(axes: &[crate::spec::SweepAxis]) -> Vec<Overrides> {
     points
 }
 
-/// Runs the sweep described by the scenario document `doc`, fanning
-/// grid points across `threads` workers (`0` = all available cores).
-/// The merged report is in grid order and byte-identical at any thread
-/// count.
-///
-/// # Errors
-///
-/// Returns [`SpecError::Invalid`] when the document has no `sweep`
-/// section or an override produces an ill-formed scenario, and
-/// propagates the first failing point's error (in grid order).
-pub fn run_sweep(doc: &Value, threads: usize) -> Result<SweepReport, SpecError> {
-    let spec = ScenarioSpec::from_value(doc).map_err(SpecError::from)?;
+/// A sweep after its parse pass: the scenario's name and sweep section,
+/// and every grid point's overrides with the named spec they produce,
+/// in grid order.
+pub(crate) struct ParsedSweep {
+    scenario: String,
+    sweep: SweepSpec,
+    points: Vec<(Overrides, ScenarioSpec)>,
+}
+
+/// The parse pass: strict-parses the scenario document `doc`, then each
+/// grid point's patched document, in grid order; the first point that
+/// does not parse is the error.
+pub(crate) fn parse_sweep(doc: &Value) -> Result<ParsedSweep, SpecError> {
+    let spec = ScenarioSpec::from_value(doc)?;
     let Some(sweep) = spec.sweep else {
         return Err(SpecError::Invalid(format!(
             "scenario `{}` has no `sweep` section",
             spec.name
         )));
     };
-    // Fail a typo'd axis up front, with the valid keys at that level —
-    // not as an unknown-field parse error inside the first grid point.
-    for axis in &sweep.axes {
-        crate::schema::validate_path(&axis.path)
-            .map_err(|e| SpecError::Invalid(format!("sweep axis `{}`: {e}", axis.path)))?;
-    }
 
     // The base document is the scenario without its sweep section, so a
     // point's overrides re-parse as a plain (sweepless) scenario.
@@ -111,47 +109,67 @@ pub fn run_sweep(doc: &Value, threads: usize) -> Result<SweepReport, SpecError> 
             .collect(),
     );
 
-    let points = grid(&sweep.axes);
-    let results = elk_par::try_par_map(threads, &points, |_, overrides| {
-        run_point(&base, &spec.name, sweep.command, overrides)
+    let points = grid(&sweep.axes)
+        .into_iter()
+        .map(|overrides| {
+            let mut doc = base.clone();
+            for (path, value) in &overrides {
+                set_path(&mut doc, path, value.clone())?;
+            }
+            let mut point_spec = ScenarioSpec::from_value(&doc).map_err(|e| {
+                SpecError::Invalid(format!("sweep point {}: {e}", describe(&overrides)))
+            })?;
+            point_spec.name = format!("{}[{}]", spec.name, describe(&overrides));
+            Ok((overrides, point_spec))
+        })
+        .collect::<Result<_, SpecError>>()?;
+    Ok(ParsedSweep {
+        scenario: spec.name,
+        sweep,
+        points,
+    })
+}
+
+/// Runs the sweep described by the scenario document `doc`: every grid
+/// point is parsed first, then the parsed points fan out across
+/// `threads` workers (`0` = all available cores). The merged report is
+/// in grid order and byte-identical at any thread count.
+///
+/// # Errors
+///
+/// Returns [`SpecError::Invalid`] when the document has no `sweep`
+/// section or an override produces an ill-formed scenario (the first
+/// such point in grid order, before any point runs), and propagates
+/// the first failing point's run error (in grid order).
+pub fn run_sweep(doc: &Value, threads: usize) -> Result<SweepReport, SpecError> {
+    let parsed = parse_sweep(doc)?;
+    let command = parsed.sweep.command;
+    let results = elk_par::try_par_map(threads, &parsed.points, |_, (overrides, point_spec)| {
+        run_point(point_spec, command, overrides)
     })?;
 
     Ok(SweepReport {
-        scenario: spec.name,
-        command: sweep.command.name().to_string(),
-        axes: sweep.axes.iter().map(|a| a.path.clone()).collect(),
+        scenario: parsed.scenario,
+        command: command.name().to_string(),
+        axes: parsed.sweep.axes.iter().map(|a| a.path.clone()).collect(),
         points: results,
     })
 }
 
-/// Applies one point's overrides and runs it through `command`.
+/// Runs one parsed point through `command`.
 fn run_point(
-    base: &Value,
-    base_name: &str,
+    point_spec: &ScenarioSpec,
     command: SweepCommand,
     overrides: &Overrides,
 ) -> Result<SweepPoint, SpecError> {
-    let mut doc = base.clone();
-    for (path, value) in overrides {
-        set_path(&mut doc, path, value.clone())?;
-    }
-    let mut point_spec = ScenarioSpec::from_value(&doc)
-        .map_err(|e| SpecError::Invalid(format!("sweep point {}: {e}", describe(overrides))))?;
-    point_spec.name = format!("{base_name}[{}]", describe(overrides));
-
     let report = match command {
-        SweepCommand::Compile => runner::run_compile(&point_spec)?.to_value(),
-        SweepCommand::Simulate => runner::run_simulate(&point_spec)?.to_value(),
-        SweepCommand::Serve => runner::run_serve(&point_spec)?.to_value(),
+        SweepCommand::Compile => runner::run_compile(point_spec)?.to_value(),
+        SweepCommand::Simulate => runner::run_simulate(point_spec)?.to_value(),
+        SweepCommand::Serve => runner::run_serve(point_spec)?.to_value(),
     };
     Ok(SweepPoint {
-        name: point_spec.name,
-        overrides: Value::Map(
-            overrides
-                .iter()
-                .map(|(path, v)| (path.clone(), v.clone()))
-                .collect(),
-        ),
+        name: point_spec.name.clone(),
+        overrides: Value::Map(overrides.clone()),
         report,
     })
 }
@@ -269,7 +287,101 @@ mod tests {
               "sweep": {"axes": [{"path": "system.chip.coers", "values": [64]}]}
             }"#);
         let e = run_sweep(&scenario, 1).unwrap_err().to_string();
-        assert!(e.contains("`coers` at `system.chip`"), "{e}");
-        assert!(e.contains("cores"), "{e}");
+        assert!(e.contains("`coers`"), "{e}");
+        assert!(
+            e.contains("system.chip"),
+            "the error must name the level: {e}"
+        );
+        let (_, valid) = e.split_once("valid keys: ").expect("a valid-key list");
+        assert!(valid.split(", ").any(|k| k == "cores"), "{e}");
+    }
+
+    #[test]
+    fn every_malformed_point_fails_before_any_point_runs() {
+        // Point 1 parses but cannot run (40 heads over 3 shards); point 2
+        // does not parse. The parse pass must report point 2 first.
+        let scenario = doc(r#"{
+              "name": "s",
+              "model": {"zoo": "llama13", "layers": 2},
+              "sweep": {"axes": [{"path": "workload.shards", "values": [3]},
+                                 {"path": "workload.batch", "values": [8, "x"]}]}
+            }"#);
+        let e = run_sweep(&scenario, 1).unwrap_err().to_string();
+        assert!(
+            e.contains(r#"sweep point workload.shards=3,workload.batch="x""#),
+            "{e}"
+        );
+        assert!(!e.contains("shards (3)"), "point 1 must not have run: {e}");
+
+        // The parse pass alone accepts point 1: its failure is a run error.
+        let scenario = doc(r#"{
+              "name": "s",
+              "model": {"zoo": "llama13", "layers": 2},
+              "sweep": {"axes": [{"path": "workload.shards", "values": [3]}]}
+            }"#);
+        assert_eq!(parse_sweep(&scenario).unwrap().points.len(), 1);
+        let e = run_sweep(&scenario, 1).unwrap_err().to_string();
+        assert!(e.contains("heads (40)") && e.contains("shards (3)"), "{e}");
+    }
+
+    /// Every leaf path under `value`, dotted from `prefix`. Arrays are
+    /// leaves; empty objects have none.
+    fn leaf_paths(value: &Value, prefix: &str, out: &mut Vec<(String, Value)>) {
+        let Value::Map(entries) = value else {
+            out.push((prefix.to_string(), value.clone()));
+            return;
+        };
+        for (key, child) in entries {
+            let path = if prefix.is_empty() {
+                key.clone()
+            } else {
+                format!("{prefix}.{key}")
+            };
+            leaf_paths(child, &path, out);
+        }
+    }
+
+    /// Every field a scenario emits is sweepable: setting any leaf of
+    /// the canonical document to its own value parses back to the same
+    /// spec.
+    #[test]
+    fn every_emitted_field_is_sweepable() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("scenarios directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no scenarios in {}", dir.display());
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("readable scenario");
+            let mut base = ScenarioSpec::from_json(&text).expect("scenario parses");
+            base.sweep = None;
+            let Value::Map(canonical) = base.to_value() else {
+                unreachable!("a scenario serializes as an object")
+            };
+            let mut leaves = Vec::new();
+            leaf_paths(&Value::Map(canonical.clone()), "", &mut leaves);
+            for (path, value) in leaves {
+                let axis = Value::Map(vec![
+                    ("path".into(), Value::Str(path.clone())),
+                    ("values".into(), Value::Seq(vec![value])),
+                ]);
+                let mut entries = canonical.clone();
+                entries.push((
+                    "sweep".into(),
+                    Value::Map(vec![("axes".into(), Value::Seq(vec![axis]))]),
+                ));
+                let parsed = parse_sweep(&Value::Map(entries))
+                    .unwrap_or_else(|e| panic!("{}: `{path}`: {e}", file.display()));
+                let [(_, point)] = &parsed.points[..] else {
+                    panic!("a one-value axis has one point")
+                };
+                let mut point = point.clone();
+                point.name.clone_from(&base.name);
+                assert_eq!(point, base, "{}: sweeping `{path}`", file.display());
+            }
+        }
     }
 }

@@ -317,3 +317,34 @@ fn invalid_explicit_model_configs_exit_2_naming_the_field() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A typo'd sweep axis is a spec error (exit 2) that names the unknown
+/// key and lists the valid keys at its level, and no report is written.
+#[test]
+fn typod_sweep_axis_exits_2_listing_the_valid_keys() {
+    let dir = std::env::temp_dir().join(format!("elk-bad-axis-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = dir.join("bad_axis.json");
+    std::fs::write(
+        &scenario,
+        r#"{"name": "bad_axis", "model": {"zoo": "llama13", "layers": 2},
+            "sweep": {"axes": [{"path": "workload.bach", "values": [8, 16]}]}}"#,
+    )
+    .expect("write scenario");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+        .arg("sweep")
+        .arg(&scenario)
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("spawn elk");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("`bach`"), "must name the key: {stderr}");
+    assert!(
+        stderr.contains("valid keys: ") && stderr.contains("batch") && stderr.contains("seq_len"),
+        "must list the valid keys: {stderr}"
+    );
+    assert!(!dir.join("bad_axis.sweep.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -541,52 +541,54 @@ fn disaggregate_rejects_unknown_and_missing_keys() {
     );
 }
 
-/// The dotted sweep paths under `cluster.disaggregate` validate against
-/// the schema key tree. The probe document lists a *valid* disagg axis
-/// first and a bogus one second: `run_sweep` validates axes in order
-/// and reports the first failure, so an error naming only the bogus
-/// axis proves the valid paths passed — without running a grid point.
+/// The dotted sweep paths under `cluster.disaggregate` are sweepable,
+/// and a bogus one fails the parse pass — before any grid point runs —
+/// with the parser's dotted context and valid keys.
 #[test]
 fn disaggregate_sweep_paths_validate() {
     let mk = |axes: &str| -> serde::Value {
         serde_json::from_str(&format!(
-            r#"{{"name": "probe", "model": {{"zoo": "llama13"}},
+            r#"{{"name": "probe", "model": {{"zoo": "llama13", "layers": 2}},
+                 "workload": {{"batch": 8, "seq_len": 512}},
+                 "cluster": {{"disaggregate": {{"prefill": {{"tp": 1, "pp": 1, "dp": 1}},
+                                                "decode": {{"tp": 1, "pp": 1, "dp": 1}}}}}},
                  "sweep": {{"command": "compile", "axes": {axes}}}}}"#
         ))
         .expect("probe document is valid JSON")
     };
 
-    for good in [
-        "cluster.disaggregate.prefill.tp",
-        "cluster.disaggregate.prefill.pp",
-        "cluster.disaggregate.decode.dp",
-        "cluster.disaggregate.chunk_tokens",
-        "cluster.disaggregate.shared_chips",
-    ] {
-        let doc = mk(&format!(
-            r#"[{{"path": "{good}", "values": [1]}},
-                {{"path": "cluster.disaggregate.nope", "values": [1]}}]"#
-        ));
-        let err = run_sweep(&doc, 1)
-            .expect_err("the bogus axis must fail")
-            .to_string();
-        assert!(
-            err.contains("cluster.disaggregate.nope") && !err.contains(good),
-            "only the bogus axis may be rejected (probing `{good}`): {err}"
-        );
-        assert!(
-            err.contains("prefill") && err.contains("chunk_tokens"),
-            "the error must list the valid keys at that level: {err}"
-        );
-    }
+    let doc = mk(
+        r#"[{"path": "cluster.disaggregate.prefill.tp", "values": [1]},
+            {"path": "cluster.disaggregate.prefill.pp", "values": [1]},
+            {"path": "cluster.disaggregate.decode.dp", "values": [1]},
+            {"path": "cluster.disaggregate.chunk_tokens", "values": [256]},
+            {"path": "cluster.disaggregate.shared_chips", "values": [true]}]"#,
+    );
+    let report = run_sweep(&doc, 1).expect("every valid disaggregate path is sweepable");
+    assert_eq!(report.points.len(), 1);
 
-    // Descending through a leaf is caught too.
+    let doc = mk(r#"[{"path": "cluster.disaggregate.nope", "values": [1]}]"#);
+    let err = run_sweep(&doc, 1)
+        .expect_err("the bogus axis must fail")
+        .to_string();
+    assert!(
+        err.contains("`nope`") && err.contains("cluster.disaggregate"),
+        "the error must name the key and its dotted context: {err}"
+    );
+    let (_, valid) = err.split_once("valid keys: ").expect("a valid-key list");
+    let valid: Vec<&str> = valid.split(", ").collect();
+    assert!(
+        valid.contains(&"prefill") && valid.contains(&"chunk_tokens"),
+        "the error must list the valid keys at that level: {err}"
+    );
+
+    // Descending into a leaf is the parser's type error at that leaf.
     let doc = mk(r#"[{"path": "cluster.disaggregate.chunk_tokens.deeper", "values": [1]}]"#);
     let err = run_sweep(&doc, 1)
         .expect_err("leaf descent must fail")
         .to_string();
     assert!(
-        err.contains("cannot descend"),
-        "leaf descent needs its own diagnostic: {err}"
+        err.contains("sweep point") && err.contains("cluster.disaggregate.chunk_tokens: expected"),
+        "leaf descent must fail the parse pass at `chunk_tokens`: {err}"
     );
 }
