@@ -168,7 +168,8 @@ pub struct DisaggServingReport {
     pub requests: usize,
     /// Requests that ran to completion (the loop drains every queue).
     pub completed: usize,
-    /// Trace start to the last step retired on either pool.
+    /// Trace start to the later of the last step retired on either pool
+    /// and the last KV handoff landing.
     pub makespan: Seconds,
     /// Time-to-first-token summary (the first token is released when
     /// the KV handoff lands on the decode pool).
@@ -778,10 +779,13 @@ impl DisaggServingSim {
                 }
             }
         }
+        // A single-token request completes when its handoff lands,
+        // which is not a step, so the last landing can end the run.
         let makespan = pgroups
             .iter()
             .map(|g| g.end)
             .chain(dgroups.iter().map(|g| g.end))
+            .chain(handoffs.last().map(|h| h.handoff_done))
             .fold(Seconds::ZERO, Seconds::max);
         let l = LatencyFold::of(
             &outcomes,
@@ -1007,6 +1011,35 @@ mod tests {
         .unwrap();
         assert!(r.prefill_steps > unchunked.prefill_steps);
         assert_eq!(unchunked.prefill_tokens, total_prompt);
+    }
+
+    #[test]
+    fn makespan_covers_a_completion_at_handoff_landing() {
+        // A single-token request completes when its KV cache lands on
+        // the decode pool, which is not a step: here request 1's landing
+        // is the run's last event.
+        let req = |id, arrival, prompt_len, output_len| elk_serve::Request {
+            id,
+            arrival,
+            prompt_len,
+            output_len,
+        };
+        let trace = RequestTrace::from_requests(vec![
+            req(0, Seconds::ZERO, 300, 4),
+            req(1, Seconds::from_micros(10.0), 900, 1),
+        ]);
+        let mut sim = DisaggServingSim::new(
+            presets::ipu_pod4(),
+            tiny_config(ParallelismPlan::new(1, 1, 2), ParallelismPlan::new(1, 1, 2)),
+        )
+        .unwrap();
+        let r = sim
+            .run(Design::ElkFull, RouterPolicy::RoundRobin, &trace)
+            .unwrap();
+        let last = r.outcomes.iter().map(|o| o.completion).max().unwrap();
+        assert_eq!(last, r.outcomes[1].completion, "the landing ends the run");
+        assert_eq!(r.makespan, last);
+        assert_eq!(r.throughput_rps, 2.0 / last.as_secs());
     }
 
     #[test]
