@@ -362,19 +362,41 @@ fn tenancy_engine_output_is_pinned_for_default_and_mixed_classes() {
     ]);
 }
 
+/// Every pinned disaggregated layout:
+/// `(label, prefill pool, decode pool, shared_chips, chunk_tokens)`.
+fn disagg_layouts() -> [(&'static str, ParallelismPlan, ParallelismPlan, bool, u64); 5] {
+    let dp2 = ParallelismPlan::new(1, 1, 2);
+    [
+        ("disjoint-chunk256", dp2, dp2, false, 256),
+        ("disjoint", dp2, dp2, false, 0),
+        ("shared", dp2, dp2, true, 0),
+        ("shared-chunk256", dp2, dp2, true, 256),
+        (
+            "unequal-chunk512",
+            ParallelismPlan::new(2, 1, 1),
+            dp2,
+            false,
+            512,
+        ),
+    ]
+}
+
+fn disagg_config(prefill: ParallelismPlan, decode: ParallelismPlan) -> DisaggConfig {
+    DisaggConfig {
+        batch: batch(),
+        ..DisaggConfig::new(model(), prefill, decode)
+    }
+}
+
 #[test]
 fn disaggregated_engine_output_is_pinned() {
     let mut pins = Pins::new();
     for (name, trace, _) in traces() {
         let (rec, obs) = recorder();
+        let dp2 = ParallelismPlan::new(1, 1, 2);
         let config = DisaggConfig {
-            batch: batch(),
             chunk_tokens: 256,
-            ..DisaggConfig::new(
-                model(),
-                ParallelismPlan::new(1, 1, 2),
-                ParallelismPlan::new(1, 1, 2),
-            )
+            ..disagg_config(dp2, dp2)
         };
         let mut sim = DisaggServingSim::new(presets::ipu_pod4(), config).expect("valid pools");
         sim.set_obs(obs);
@@ -383,13 +405,164 @@ fn disaggregated_engine_output_is_pinned() {
             .expect("serves");
         pins.add(format!("disagg/{name}"), digest(&report));
         pins.add_obs(&format!("disagg/{name}"), &rec.take_buf());
+
+        // Every layout under every router policy, one recording each.
+        for (label, prefill, decode, shared_chips, chunk_tokens) in disagg_layouts() {
+            let (rec, obs) = recorder();
+            let config = DisaggConfig {
+                shared_chips,
+                chunk_tokens,
+                ..disagg_config(prefill, decode)
+            };
+            let mut sim = DisaggServingSim::new(presets::ipu_pod4(), config).expect("valid pools");
+            sim.set_obs(obs);
+            for policy in RouterPolicy::all() {
+                let report = sim.run(Design::ElkFull, policy, &trace).expect("serves");
+                pins.add(format!("disagg/{name}/{label}/{policy}"), digest(&report));
+            }
+            pins.add_obs(&format!("disagg/{name}/{label}"), &rec.take_buf());
+        }
     }
     pins.check(&[
         ("disagg/golden", 0x81794e0e7184e985),
         ("disagg/golden/timeline", 0x8add06e24f7da3f5),
         ("disagg/golden/metrics", 0x0babbc5dab376226),
+        (
+            "disagg/golden/disjoint-chunk256/round_robin",
+            0x8a35e5f6c5e9c4ae,
+        ),
+        (
+            "disagg/golden/disjoint-chunk256/least_outstanding",
+            0x81794e0e7184e985,
+        ),
+        (
+            "disagg/golden/disjoint-chunk256/power_of_two(seed=2)",
+            0x54c97416c0066e37,
+        ),
+        (
+            "disagg/golden/disjoint-chunk256/timeline",
+            0x0f1aa28bc9798580,
+        ),
+        (
+            "disagg/golden/disjoint-chunk256/metrics",
+            0xe16b88c90fd0c8b9,
+        ),
+        ("disagg/golden/disjoint/round_robin", 0x6559ef9f9c393441),
+        (
+            "disagg/golden/disjoint/least_outstanding",
+            0x65b40018441777fb,
+        ),
+        (
+            "disagg/golden/disjoint/power_of_two(seed=2)",
+            0xa7731f8be7e7e119,
+        ),
+        ("disagg/golden/disjoint/timeline", 0x9f16382802b4454c),
+        ("disagg/golden/disjoint/metrics", 0xccb576166a6df96f),
+        ("disagg/golden/shared/round_robin", 0x73281cfae3fb7caa),
+        ("disagg/golden/shared/least_outstanding", 0x2d704f5775d6fd77),
+        (
+            "disagg/golden/shared/power_of_two(seed=2)",
+            0x8335ed96fc5e3388,
+        ),
+        ("disagg/golden/shared/timeline", 0xf98b18281139760a),
+        ("disagg/golden/shared/metrics", 0x34dd188cb4a0a6ac),
+        (
+            "disagg/golden/shared-chunk256/round_robin",
+            0xcbb2cca0f9289a78,
+        ),
+        (
+            "disagg/golden/shared-chunk256/least_outstanding",
+            0x190bb144871353a1,
+        ),
+        (
+            "disagg/golden/shared-chunk256/power_of_two(seed=2)",
+            0x09a0889751f8d2f0,
+        ),
+        ("disagg/golden/shared-chunk256/timeline", 0x155030b1ec9a3f89),
+        ("disagg/golden/shared-chunk256/metrics", 0xe3d3eef341563d34),
+        (
+            "disagg/golden/unequal-chunk512/round_robin",
+            0xed879d73e09bd00e,
+        ),
+        (
+            "disagg/golden/unequal-chunk512/least_outstanding",
+            0xebf1e87ea5f7297d,
+        ),
+        (
+            "disagg/golden/unequal-chunk512/power_of_two(seed=2)",
+            0x2972b8f85e77df68,
+        ),
+        (
+            "disagg/golden/unequal-chunk512/timeline",
+            0x33d47628fdda46ca,
+        ),
+        ("disagg/golden/unequal-chunk512/metrics", 0xc166aaee03f9f8da),
         ("disagg/burst", 0x0d7130f30dec4277),
         ("disagg/burst/timeline", 0xafc3ffc9df8a99d6),
         ("disagg/burst/metrics", 0x9e29abd89c3d903a),
+        (
+            "disagg/burst/disjoint-chunk256/round_robin",
+            0x20592b25ed0ad7b5,
+        ),
+        (
+            "disagg/burst/disjoint-chunk256/least_outstanding",
+            0x0d7130f30dec4277,
+        ),
+        (
+            "disagg/burst/disjoint-chunk256/power_of_two(seed=2)",
+            0x252a20e73bc12e58,
+        ),
+        (
+            "disagg/burst/disjoint-chunk256/timeline",
+            0xb85f245e76db2654,
+        ),
+        ("disagg/burst/disjoint-chunk256/metrics", 0x5e10b4586a18b555),
+        ("disagg/burst/disjoint/round_robin", 0x64caed5b8281ef54),
+        (
+            "disagg/burst/disjoint/least_outstanding",
+            0x2fd28ec92a22c5d1,
+        ),
+        (
+            "disagg/burst/disjoint/power_of_two(seed=2)",
+            0xa46ead49d532bc3a,
+        ),
+        ("disagg/burst/disjoint/timeline", 0x249b9adbf0ba0e82),
+        ("disagg/burst/disjoint/metrics", 0x83051f246a37ba8b),
+        ("disagg/burst/shared/round_robin", 0x6504b9484c24bd18),
+        ("disagg/burst/shared/least_outstanding", 0x06569679453160cd),
+        (
+            "disagg/burst/shared/power_of_two(seed=2)",
+            0xd92c3665bf5ba82a,
+        ),
+        ("disagg/burst/shared/timeline", 0x097ce49cdafdc657),
+        ("disagg/burst/shared/metrics", 0xecd07c68dd62c472),
+        (
+            "disagg/burst/shared-chunk256/round_robin",
+            0x70446e36848298a1,
+        ),
+        (
+            "disagg/burst/shared-chunk256/least_outstanding",
+            0x3d65a1b3011f4272,
+        ),
+        (
+            "disagg/burst/shared-chunk256/power_of_two(seed=2)",
+            0x3aedfd9da3b852f1,
+        ),
+        ("disagg/burst/shared-chunk256/timeline", 0x318740d0a523d4ce),
+        ("disagg/burst/shared-chunk256/metrics", 0xe1a27d8edfd34ce3),
+        (
+            "disagg/burst/unequal-chunk512/round_robin",
+            0x487aa034da72683d,
+        ),
+        (
+            "disagg/burst/unequal-chunk512/least_outstanding",
+            0x1a51d3d9daabd932,
+        ),
+        (
+            "disagg/burst/unequal-chunk512/power_of_two(seed=2)",
+            0xb3a2272da7f61875,
+        ),
+        ("disagg/burst/unequal-chunk512/timeline", 0x8c0be480cd9d1ec2),
+        ("disagg/burst/unequal-chunk512/metrics", 0x0a0ea1555b33a175),
     ]);
 }

@@ -54,12 +54,20 @@ fn batch() -> BatchConfig {
 }
 
 fn trace(seed: u64, requests: usize, rate_rps: f64) -> RequestTrace {
+    trace_with_outputs(seed, requests, rate_rps, 2)
+}
+
+/// [`trace`] with output lengths drawn from `output_lo..=12`.
+fn trace_with_outputs(seed: u64, requests: usize, rate_rps: f64, output_lo: u64) -> RequestTrace {
     TraceConfig {
         seed,
         requests,
         arrivals: ArrivalProcess::Poisson { rate_rps },
         prompt_len: LengthDist::Uniform { lo: 200, hi: 700 },
-        output_len: LengthDist::Uniform { lo: 2, hi: 12 },
+        output_len: LengthDist::Uniform {
+            lo: output_lo,
+            hi: 12,
+        },
     }
     .generate()
 }
@@ -111,16 +119,21 @@ fn autoscale_sim() -> &'static Mutex<AutoscaleServingSim> {
     })
 }
 
-/// The disaggregated prefill/decode engine, likewise shared. Disjoint
-/// pools (two prefill groups feeding two decode groups) with chunked
-/// prefill, so every run exercises KV handoffs, chunk accounting, and
-/// routing at both tiers.
-fn disagg_sim() -> &'static Mutex<DisaggServingSim> {
-    static SIM: OnceLock<Mutex<DisaggServingSim>> = OnceLock::new();
-    SIM.get_or_init(|| {
+/// The disaggregated prefill/decode engines, likewise shared: one per
+/// `(shared_chips, chunk_tokens)` in {disjoint, shared} x {0, 256}. Two
+/// prefill groups feed two decode groups (the same two on shared
+/// chips), so every run exercises KV handoffs and routing at both
+/// tiers, and half of them chunk accounting.
+const DISAGG_ENGINES: [(bool, u64); 4] = [(false, 0), (false, 256), (true, 0), (true, 256)];
+
+fn disagg_sim(engine: usize) -> &'static Mutex<DisaggServingSim> {
+    static SIMS: [OnceLock<Mutex<DisaggServingSim>>; 4] = [const { OnceLock::new() }; 4];
+    SIMS[engine].get_or_init(|| {
+        let (shared_chips, chunk_tokens) = DISAGG_ENGINES[engine];
         let config = DisaggConfig {
             batch: batch(),
-            chunk_tokens: 256,
+            shared_chips,
+            chunk_tokens,
             ..DisaggConfig::new(
                 model(),
                 ParallelismPlan::new(1, 1, 2),
@@ -323,10 +336,13 @@ proptest! {
         seed in 0u64..1000,
         requests in 1usize..30,
         policy_idx in 0usize..3,
+        engine in 0usize..4,
     ) {
-        let t = trace(seed, requests, 200.0);
+        // Single-token requests complete when their handoff lands,
+        // outside any step.
+        let t = trace_with_outputs(seed, requests, 200.0, 1);
         let policy = RouterPolicy::all()[policy_idx];
-        let report = disagg_sim()
+        let report = disagg_sim(engine)
             .lock()
             .expect("sim lock")
             .run(Design::ElkFull, policy, &t)
@@ -388,13 +404,17 @@ proptest! {
             "decode routing conserves requests"
         );
 
-        // Every KV byte moved is priced by the handoff formula, and the
-        // report total is exactly the sum of the per-handoff records.
-        let expect: Bytes = t
-            .requests
-            .iter()
-            .map(|r| kv_handoff_bytes(&model(), r.prompt_len))
-            .sum();
+        // Every KV byte moved is priced by the handoff formula (shared
+        // chips move none), and the report total is exactly the sum of
+        // the per-handoff records.
+        let expect: Bytes = if report.shared_chips {
+            Bytes::ZERO
+        } else {
+            t.requests
+                .iter()
+                .map(|r| kv_handoff_bytes(&model(), r.prompt_len))
+                .sum()
+        };
         prop_assert_eq!(report.kv_moved, expect);
         prop_assert_eq!(
             report.kv_moved,
