@@ -420,7 +420,7 @@ impl AutoscaleServingSim {
                         .expect("the fleet floor keeps >= 1 group ready");
                     core.enqueue(pick, idx, now);
                 }
-                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |o| {
+                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |_, o| {
                     completed += 1;
                     window_completed += 1;
                     window_met += usize::from(o.meets(&self.config.slo));

@@ -43,15 +43,14 @@ use serde::Serialize;
 
 use elk_baselines::Design;
 use elk_hw::{CollectiveModel, SystemConfig};
-use elk_model::{DType, Phase, TransformerConfig};
+use elk_model::{DType, TransformerConfig};
 use elk_obs::Obs;
 use elk_serve::{
-    decode_workload, next_step, queue_depth_fold, record_latency_histograms, BatchConfig, InFlight,
-    LatencyFold, LatencyStats, PlanCache, RequestOutcome, RequestTrace, Router, RouterPolicy,
-    SloConfig, StepPlan,
+    BatchConfig, GroupCore, GroupFold, LatencyStats, PlanCache, RequestOutcome, RequestTrace,
+    Router, RouterPolicy, SloConfig,
 };
 use elk_sim::SimOptions;
-use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
+use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::{Bytes, Seconds};
 
 use crate::plan::ParallelismPlan;
@@ -249,64 +248,6 @@ enum Ev {
     },
 }
 
-/// One prefill group's live state: a FIFO of prompts (partially
-/// prefilled heads return to the front) and at most one step in
-/// flight.
-#[derive(Default)]
-struct PGroup {
-    waiting: Vec<usize>,
-    /// `(idx, tokens)` pairs the in-flight step is processing.
-    pending: Option<Vec<(usize, u64)>>,
-    prefill_steps: u64,
-    queue: QueueStat,
-    served: usize,
-    end: Seconds,
-}
-
-impl PGroup {
-    /// Requests inside the in-flight step.
-    fn in_step(&self) -> usize {
-        self.pending.as_ref().map_or(0, Vec::len)
-    }
-}
-
-/// One decode group's live state: landed KV arrivals stage in
-/// `arrived` until a batch slot frees, `active` decodes one token per
-/// step.
-#[derive(Default)]
-struct DGroup {
-    /// Handed-off requests waiting for a decode batch slot.
-    arrived: Vec<InFlight>,
-    active: Vec<InFlight>,
-    /// `true` while a decode step is in flight.
-    pending: bool,
-    /// Handoffs in transit destined for this group.
-    inbound: usize,
-    decode_steps: u64,
-    queue: QueueStat,
-    served: usize,
-    end: Seconds,
-}
-
-impl DGroup {
-    /// Requests a back-tier router counts against this group: decoding,
-    /// staged, and in-transit.
-    fn outstanding(&self) -> usize {
-        self.active.len() + self.arrived.len() + self.inbound
-    }
-
-    /// Moves staged arrivals into the decode batch up to the batch cap,
-    /// preserving landing order.
-    fn admit(&mut self, now: Seconds, max_batch: usize) {
-        let free = max_batch.saturating_sub(self.active.len());
-        let n = free.min(self.arrived.len());
-        if n > 0 {
-            self.active.extend(self.arrived.drain(..n));
-            self.queue.record(now, self.arrived.len());
-        }
-    }
-}
-
 /// Trace-driven disaggregated serving simulator for one
 /// (pod, model, prefill plan, decode plan).
 ///
@@ -409,10 +350,13 @@ impl DisaggServingSim {
     /// and reports request-level metrics. The plan cache persists
     /// across calls.
     ///
+    /// Each pool is one [`GroupCore`]: the prefill core admits under
+    /// the chunk cap and hands every completed prompt off, and the
+    /// decode core stages each KV cache when it lands.
+    ///
     /// # Errors
     ///
     /// Propagates compile failures as [`ClusterError::Compile`].
-    #[allow(clippy::too_many_lines)] // one event loop over both pools
     pub fn run(
         &mut self,
         design: Design,
@@ -420,24 +364,29 @@ impl DisaggServingSim {
         trace: &RequestTrace,
     ) -> Result<DisaggServingReport, ClusterError> {
         let shared = self.config.shared_chips;
-        let max_batch = self.config.batch.max_batch as usize;
+        let reqs = &trace.requests;
         let p_dp = self.config.prefill.dp as usize;
         let d_dp = self.config.decode.dp as usize;
         let mut front = Router::new(policy, p_dp);
         let mut back = Router::new(policy, d_dp);
-        let mut pgroups: Vec<PGroup> = (0..p_dp).map(|_| PGroup::default()).collect();
-        let mut dgroups: Vec<DGroup> = (0..d_dp).map(|_| DGroup::default()).collect();
-        let reqs = &trace.requests;
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        // Per-request prefill progress and handoff bookkeeping.
-        let mut prefilled: Vec<u64> = vec![0; trace.len()];
-        let mut prefill_done: Vec<Seconds> = vec![Seconds::ZERO; trace.len()];
-        let mut handoff_from: Vec<usize> = vec![0; trace.len()];
-        let mut handoff_bytes: Vec<Bytes> = vec![Bytes::ZERO; trace.len()];
-        let mut handoffs: Vec<HandoffRecord> = Vec::with_capacity(trace.len());
+        let mut prefill = GroupCore::new(p_dp, reqs.len())
+            .with_prefill_cap(self.config.chunk_tokens)
+            .hand_off_prefills();
+        let mut decode = GroupCore::new(d_dp, reqs.len());
+        // Handoffs in transit to each decode group.
+        let mut inbound = vec![0usize; d_dp];
+        let mut handoffs: Vec<HandoffRecord> = Vec::with_capacity(reqs.len());
         let mut kv_moved = Bytes::ZERO;
         let mut handoff_total = Seconds::ZERO;
-        let mut prefill_tokens = 0u64;
+        // The KV cache request `idx` ships; on shared chips it already
+        // sits where it needs to be.
+        let kv = |idx: usize| {
+            if shared {
+                Bytes::ZERO
+            } else {
+                kv_handoff_bytes(&self.config.model, reqs[idx].prompt_len)
+            }
+        };
 
         let stats_before = self.prefill_pricer.cache_stats();
         let mut q: EventQueue<Ev> = EventQueue::new();
@@ -465,157 +414,46 @@ impl DisaggServingSim {
                     // pipeline from the decode side — exactly the
                     // colocated router's view.
                     let pick = front.route_by(|i| {
-                        let own = pgroups[i].waiting.len() + pgroups[i].in_step();
+                        let own = prefill.groups[i].outstanding();
                         if shared {
-                            own + dgroups[i].outstanding()
+                            own + decode.groups[i].outstanding() + inbound[i]
                         } else {
                             own
                         }
                     });
-                    let group = &mut pgroups[pick];
-                    group.waiting.push(idx);
-                    group.served += 1;
-                    group.queue.record(now, group.waiting.len());
+                    prefill.enqueue(pick, idx, now);
                 }
-                Ev::PrefillDone { gid } => {
-                    let group = &mut pgroups[gid];
-                    let batch = group.pending.take().expect("PrefillDone implies a step");
-                    group.prefill_steps += 1;
-                    group.end = now;
-                    let mut unfinished: Vec<usize> = Vec::new();
-                    for (idx, tokens) in batch {
-                        prefilled[idx] += tokens;
-                        prefill_tokens += tokens;
-                        if prefilled[idx] < reqs[idx].prompt_len {
-                            unfinished.push(idx);
-                            continue;
-                        }
-                        // Prompt complete: route the KV cache to a
-                        // decode group. On shared chips it is already
-                        // where it needs to be.
-                        let to = if shared {
-                            gid
-                        } else {
-                            back.route_by(|i| dgroups[i].outstanding())
-                        };
-                        let bytes = if shared {
-                            Bytes::ZERO
-                        } else {
-                            kv_handoff_bytes(&self.config.model, reqs[idx].prompt_len)
-                        };
-                        let latency = self.links.p2p(bytes);
-                        prefill_done[idx] = now;
-                        handoff_from[idx] = gid;
-                        handoff_bytes[idx] = bytes;
-                        kv_moved += bytes;
-                        handoff_total += latency;
-                        dgroups[to].inbound += 1;
-                        dgroups[to].served += 1;
-                        q.schedule_after(latency, PRIO_HANDOFF, Ev::Handoff { idx, to });
-                    }
-                    // A chunked head returns to the front of its FIFO.
-                    if !unfinished.is_empty() {
-                        let group = &mut pgroups[gid];
-                        group.waiting.splice(0..0, unfinished);
-                        group.queue.record(now, group.waiting.len());
-                    }
-                }
+                Ev::PrefillDone { gid } => prefill.finish_step(gid, now, reqs, |idx, _| {
+                    let to = if shared {
+                        gid
+                    } else {
+                        back.route_by(|i| decode.groups[i].outstanding() + inbound[i])
+                    };
+                    let bytes = kv(idx);
+                    let latency = self.links.p2p(bytes);
+                    kv_moved += bytes;
+                    handoff_total += latency;
+                    inbound[to] += 1;
+                    q.schedule_after(latency, PRIO_HANDOFF, Ev::Handoff { idx, to });
+                }),
                 Ev::Handoff { idx, to } => {
-                    let group = &mut dgroups[to];
-                    group.inbound -= 1;
+                    inbound[to] -= 1;
+                    let prefilled = prefill.outcomes[idx].as_ref().expect("prefilled");
                     handoffs.push(HandoffRecord {
                         id: reqs[idx].id,
-                        from: handoff_from[idx],
+                        from: prefilled.replica,
                         to,
-                        prefill_done: prefill_done[idx],
+                        prefill_done: prefilled.first_token,
                         handoff_done: now,
-                        bytes: handoff_bytes[idx],
+                        bytes: kv(idx),
                     });
-                    outcomes[idx] = Some(RequestOutcome {
-                        id: reqs[idx].id,
-                        replica: to,
-                        arrival: reqs[idx].arrival,
-                        first_token: now,
-                        completion: now,
-                        output_len: reqs[idx].output_len,
-                    });
-                    if reqs[idx].output_len > 1 {
-                        group.arrived.push(InFlight { idx, generated: 1 });
-                        group.queue.record(now, group.arrived.len());
-                    }
+                    decode.stage(to, idx, now, reqs);
                 }
-                Ev::DecodeDone { gid } => {
-                    let group = &mut dgroups[gid];
-                    assert!(group.pending, "DecodeDone implies a step");
-                    group.pending = false;
-                    group.decode_steps += 1;
-                    group.active.retain_mut(|a| {
-                        a.generated += 1;
-                        let outcome = outcomes[a.idx].as_mut().expect("handed off");
-                        outcome.completion = now;
-                        a.generated < reqs[a.idx].output_len
-                    });
-                    group.end = now;
-                }
+                Ev::DecodeDone { gid } => decode.finish_step(gid, now, reqs, |_, _| {}),
             }
-            // Defer dispatch until every event at this instant has
-            // fired, then scan groups in index order (deterministic).
-            if q.peek_time() == Some(now) {
-                continue;
-            }
-            if shared {
-                // One pipeline per group pair: prefill-priority step
-                // selection over the pair's joint state, i.e. the
-                // colocated scheduler.
-                for gid in 0..p_dp {
-                    if pgroups[gid].pending.is_some() || dgroups[gid].pending {
-                        continue;
-                    }
-                    dgroups[gid].admit(now, max_batch);
-                    let active = dgroups[gid].active.len();
-                    if let Some(batch) =
-                        self.plan_prefill(&mut pgroups[gid], reqs, &prefilled, now, active)
-                    {
-                        let latency = self.prefill_latency(design, &prefilled, &batch)?;
-                        pgroups[gid].pending = Some(batch);
-                        q.schedule_after(latency, PRIO_STEP_DONE, Ev::PrefillDone { gid });
-                    } else if active > 0 {
-                        let latency = self.decode_latency(design, reqs, &dgroups[gid])?;
-                        dgroups[gid].pending = true;
-                        q.schedule_after(latency, PRIO_STEP_DONE, Ev::DecodeDone { gid });
-                    }
-                }
-            } else {
-                for (gid, group) in pgroups.iter_mut().enumerate() {
-                    if group.pending.is_some() {
-                        continue;
-                    }
-                    let Some(batch) = self.plan_prefill(group, reqs, &prefilled, now, 0) else {
-                        continue;
-                    };
-                    let latency = self.prefill_latency(design, &prefilled, &batch)?;
-                    group.pending = Some(batch);
-                    q.schedule_after(latency, PRIO_STEP_DONE, Ev::PrefillDone { gid });
-                }
-                for (gid, group) in dgroups.iter_mut().enumerate() {
-                    if group.pending {
-                        continue;
-                    }
-                    group.admit(now, max_batch);
-                    if group.active.is_empty() {
-                        continue;
-                    }
-                    let latency = self.decode_latency(design, reqs, group)?;
-                    group.pending = true;
-                    q.schedule_after(latency, PRIO_STEP_DONE, Ev::DecodeDone { gid });
-                }
-            }
+            self.dispatch(design, &mut q, &mut prefill, &mut decode, reqs)?;
         }
 
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("the drain completes every request"))
-            .collect();
         if self.obs.enabled() {
             // Lookups (hits + misses) are thread-invariant; the split
             // and per-design plan counts are not, so they stay out of
@@ -623,199 +461,44 @@ impl DisaggServingSim {
             let d = self.prefill_pricer.cache_stats().since(stats_before);
             self.obs.counter("disagg.cache.lookups", d.hits + d.misses);
         }
-        let sim_events = q.events_processed();
-        Ok(self.summarize(
-            design,
-            policy,
-            trace,
-            pgroups,
-            dgroups,
-            outcomes,
-            handoffs,
-            kv_moved,
-            handoff_total,
-            prefill_tokens,
-            sim_events,
-        ))
-    }
-
-    /// Plans the next prefill step for one group: the colocated
-    /// admission rule when chunking is off, a budget-capped FIFO walk
-    /// (partial heads allowed) when it is on. Returns the `(idx,
-    /// tokens)` pairs the step will process, draining them from the
-    /// waiting queue, or `None` for an idle/decode turn.
-    fn plan_prefill(
-        &self,
-        group: &mut PGroup,
-        reqs: &[elk_serve::Request],
-        prefilled: &[u64],
-        now: Seconds,
-        active: usize,
-    ) -> Option<Vec<(usize, u64)>> {
-        let cfg = &self.config.batch;
-        if self.config.chunk_tokens == 0 {
-            let prompts = group.waiting.iter().map(|&i| reqs[i].prompt_len);
-            return match next_step(cfg, prompts, active)? {
-                StepPlan::Prefill { admit } => {
-                    let batch: Vec<(usize, u64)> = group
-                        .waiting
-                        .drain(..admit)
-                        .map(|i| (i, reqs[i].prompt_len))
-                        .collect();
-                    group.queue.record(now, group.waiting.len());
-                    Some(batch)
-                }
-                StepPlan::Decode => None,
-            };
-        }
-        // Chunked: spend up to `chunk_tokens` on the FIFO, head first
-        // (a partially prefilled head resumes where its last chunk
-        // stopped); only the last admitted request can be cut
-        // mid-prompt.
-        let free = (cfg.max_batch as usize).saturating_sub(active);
-        if free == 0 || group.waiting.is_empty() {
-            return None;
-        }
-        let mut budget = self.config.chunk_tokens;
-        let mut batch: Vec<(usize, u64)> = Vec::new();
-        for &idx in group.waiting.iter().take(free) {
-            if budget == 0 {
-                break;
-            }
-            let remaining = reqs[idx].prompt_len - prefilled[idx];
-            let take = remaining.min(budget);
-            batch.push((idx, take));
-            budget -= take;
-        }
-        group.waiting.drain(..batch.len());
-        group.queue.record(now, group.waiting.len());
-        Some(batch)
-    }
-
-    /// Prices one prefill step over `batch`: the step's sequence length
-    /// is the deepest context reached (`prefilled + tokens`), which for
-    /// unchunked admission is exactly the longest prompt — the
-    /// colocated formula.
-    fn prefill_latency(
-        &self,
-        design: Design,
-        prefilled: &[u64],
-        batch: &[(usize, u64)],
-    ) -> Result<Seconds, ClusterError> {
-        let deepest = batch
-            .iter()
-            .map(|&(idx, tokens)| prefilled[idx] + tokens)
-            .max()
-            .expect("prefill admits >= 1");
-        let wl = self
-            .config
-            .batch
-            .step_workload(Phase::Prefill, batch.len() as u64, deepest);
-        self.prefill_pricer.split_step(design, wl)
-    }
-
-    /// Prices one decode step over a group's active set.
-    fn decode_latency(
-        &self,
-        design: Design,
-        reqs: &[elk_serve::Request],
-        group: &DGroup,
-    ) -> Result<Seconds, ClusterError> {
-        let wl = decode_workload(&self.config.batch, reqs, &group.active);
-        self.decode_pricer.split_step(design, wl)
-    }
-
-    /// Folds per-request outcomes into the aggregate report.
-    #[allow(clippy::too_many_arguments)]
-    fn summarize(
-        &self,
-        design: Design,
-        policy: RouterPolicy,
-        trace: &RequestTrace,
-        pgroups: Vec<PGroup>,
-        dgroups: Vec<DGroup>,
-        outcomes: Vec<RequestOutcome>,
-        handoffs: Vec<HandoffRecord>,
-        kv_moved: Bytes,
-        handoff_total: Seconds,
-        prefill_tokens: u64,
-        sim_events: u64,
-    ) -> DisaggServingReport {
-        if self.obs.enabled() {
-            record_latency_histograms(&self.obs, "disagg", &outcomes);
-            let by_id: std::collections::BTreeMap<u64, &HandoffRecord> =
-                handoffs.iter().map(|h| (h.id, h)).collect();
-            for (idx, o) in outcomes.iter().enumerate() {
-                if !self.obs.sampled(idx) {
-                    continue;
-                }
-                let track = format!("req/{}", o.id);
-                let h = by_id.get(&o.id).expect("every request hands off once");
-                self.obs.span(
-                    &track,
-                    "prefill",
-                    o.arrival,
-                    h.prefill_done - o.arrival,
-                    &[("prefill_group", h.from.to_string())],
-                );
-                self.obs.span(
-                    &track,
-                    "handoff",
-                    h.prefill_done,
-                    h.handoff_done - h.prefill_done,
-                    &[
-                        ("decode_group", h.to.to_string()),
-                        ("bytes", h.bytes.get().to_string()),
-                    ],
-                );
-                if o.completion > o.first_token {
-                    self.obs.span(
-                        &track,
-                        "decode",
-                        o.first_token,
-                        o.completion - o.first_token,
-                        &[("decode_group", o.replica.to_string())],
-                    );
-                }
-            }
-        }
-        // A single-token request completes when its handoff lands,
-        // which is not a step, so the last landing can end the run.
-        let makespan = pgroups
-            .iter()
-            .map(|g| g.end)
-            .chain(dgroups.iter().map(|g| g.end))
-            .chain(handoffs.last().map(|h| h.handoff_done))
-            .fold(Seconds::ZERO, Seconds::max);
-        let l = LatencyFold::of(
-            &outcomes,
-            &self.config.slo,
-            makespan,
-            trace.total_output_tokens(),
-        );
-        let (prefill_mean_queue_depth, prefill_max_queue_depth) =
-            queue_depth_fold(pgroups.iter().map(|g| (&g.queue, g.end)));
-        let (decode_mean_queue_depth, decode_max_queue_depth) =
-            queue_depth_fold(dgroups.iter().map(|g| (&g.queue, g.end)));
-        let prefill_steps = pgroups.iter().map(|g| g.prefill_steps).sum();
-        let decode_steps = dgroups.iter().map(|g| g.decode_steps).sum();
-        let per_prefill_group_requests = pgroups.iter().map(|g| g.served).collect();
-        let per_decode_group_requests = dgroups.iter().map(|g| g.served).collect();
-        let mut queue_depth: Vec<(Seconds, usize)> = pgroups
-            .into_iter()
-            .flat_map(|g| g.queue.into_samples())
-            .collect();
-        queue_depth.sort_by_key(|&(t, _)| t);
-        DisaggServingReport {
+        let prefill_tokens = prefill.groups.iter().map(|g| g.prompt_tokens).sum();
+        // Prefill outcomes end at the prompt, so only the decode pool's
+        // are scored; every prompt lands no earlier than its last
+        // prefill step retired, so the decode pool's makespan spans
+        // both pools.
+        let pool = GroupFold::of(prefill.groups, Vec::new(), &self.config.slo, 0);
+        let fold = decode.fold(&self.config.slo, trace.total_output_tokens());
+        debug_assert!(fold.makespan >= pool.makespan);
+        fold.record_with(&self.obs, "disagg", "decode_group", |track, idx, o| {
+            let prefilled = prefill.outcomes[idx].as_ref().expect("prefilled");
+            let prefill_group = [("prefill_group", prefilled.replica.to_string())];
+            let prefill_span = prefilled.first_token - o.arrival;
+            self.obs
+                .span(track, "prefill", o.arrival, prefill_span, &prefill_group);
+            let handoff = [
+                ("decode_group", o.replica.to_string()),
+                ("bytes", kv(idx).get().to_string()),
+            ];
+            let handoff_span = o.first_token - prefilled.first_token;
+            self.obs.span(
+                track,
+                "handoff",
+                prefilled.first_token,
+                handoff_span,
+                &handoff,
+            );
+        });
+        let l = fold.latency;
+        Ok(DisaggServingReport {
             design,
             policy,
             prefill_plan: self.config.prefill,
             decode_plan: self.config.decode,
-            shared_chips: self.config.shared_chips,
+            shared_chips: shared,
             chunk_tokens: self.config.chunk_tokens,
             requests: trace.len(),
-            completed: outcomes.len(),
-            makespan,
+            completed: fold.outcomes.len(),
+            makespan: fold.makespan,
             ttft: l.ttft,
             tpot: l.tpot,
             e2e: l.e2e,
@@ -824,22 +507,65 @@ impl DisaggServingSim {
             goodput_rps: l.goodput_rps,
             throughput_rps: l.throughput_rps,
             tokens_per_sec: l.tokens_per_sec,
-            prefill_steps,
-            decode_steps,
+            prefill_steps: pool.prefill_steps,
+            decode_steps: fold.decode_steps,
             prefill_tokens,
-            per_prefill_group_requests,
-            per_decode_group_requests,
+            per_prefill_group_requests: pool.per_group_requests,
+            per_decode_group_requests: fold.per_group_requests,
             kv_moved,
             handoff_total,
-            prefill_mean_queue_depth,
-            prefill_max_queue_depth,
-            decode_mean_queue_depth,
-            decode_max_queue_depth,
-            queue_depth,
-            sim_events,
+            prefill_mean_queue_depth: pool.mean_queue_depth,
+            prefill_max_queue_depth: pool.max_queue_depth,
+            decode_mean_queue_depth: fold.mean_queue_depth,
+            decode_max_queue_depth: fold.max_queue_depth,
+            queue_depth: pool.queue_depth,
+            sim_events: q.events_processed(),
             handoffs,
-            outcomes,
+            outcomes: fold.outcomes,
+        })
+    }
+
+    /// The end-of-instant dispatch over both pools. Disjoint pools scan
+    /// the prefill groups, then the decode groups. On shared chips,
+    /// group `i` of each pool is one pipeline, idle only while neither
+    /// side runs a step: staged requests join its batch, then it
+    /// prefills if it can, else decodes — the colocated scheduler.
+    fn dispatch(
+        &self,
+        design: Design,
+        q: &mut EventQueue<Ev>,
+        prefill: &mut GroupCore,
+        decode: &mut GroupCore,
+        reqs: &[elk_serve::Request],
+    ) -> Result<(), ClusterError> {
+        let cfg = &self.config.batch;
+        let price_prefill = |wl| self.prefill_pricer.split_step(design, wl);
+        let price_decode = |wl| self.decode_pricer.split_step(design, wl);
+        let prefill_done = |gid| (PRIO_STEP_DONE, Ev::PrefillDone { gid });
+        let decode_done = |gid| (PRIO_STEP_DONE, Ev::DecodeDone { gid });
+        if !self.config.shared_chips {
+            prefill.dispatch(q, cfg, reqs, prefill_done, |_, _, wl| price_prefill(wl))?;
+            decode.dispatch(q, cfg, reqs, decode_done, |_, _, wl| price_decode(wl))?;
+            return Ok(());
         }
+        let now = q.now();
+        if q.peek_time() == Some(now) {
+            return Ok(());
+        }
+        for gid in 0..prefill.groups.len() {
+            if prefill.groups[gid].pending.is_some() || decode.groups[gid].pending.is_some() {
+                continue;
+            }
+            let busy = decode.admit_staged(gid, now, cfg);
+            if let Some(wl) = prefill.plan_step(gid, now, cfg, reqs, busy) {
+                let (prio, event) = prefill_done(gid);
+                q.schedule_after(price_prefill(wl)?, prio, event);
+            } else if let Some(wl) = decode.plan_step(gid, now, cfg, reqs, 0) {
+                let (prio, event) = decode_done(gid);
+                q.schedule_after(price_decode(wl)?, prio, event);
+            }
+        }
+        Ok(())
     }
 }
 

@@ -252,7 +252,7 @@ impl ClusterServingSim {
                     let pick = router.route_by(|g| core.groups[g].outstanding());
                     core.enqueue(pick, idx, now);
                 }
-                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |_| {}),
+                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |_, _| {}),
             }
             let done = |gid| (PRIO_STEP_DONE, Ev::StepDone { gid });
             core.dispatch(&mut q, &self.config.batch, reqs, done, |_, _, wl| {

@@ -358,7 +358,7 @@ impl TenantServingSim {
                 // One-shot backpressure: the re-offer is served
                 // unconditionally (its disposition stays Deferred).
                 Ev::Deferred(idx) => admit(idx, now, &mut core, &mut shed_depth),
-                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |_| {}),
+                Ev::StepDone { gid } => core.finish_step(gid, now, reqs, |_, _| {}),
             }
             let done = |gid| (PRIO_TENANT_STEP_DONE, Ev::StepDone { gid });
             core.dispatch(&mut q, &self.config.batch, reqs, done, |gid, groups, wl| {
@@ -371,7 +371,9 @@ impl TenantServingSim {
         }
 
         self.record_dispositions(&book, reqs);
-        let GroupCore { groups, outcomes } = core;
+        let GroupCore {
+            groups, outcomes, ..
+        } = core;
         // Rejected requests never complete and generate nothing.
         let completed: Vec<RequestOutcome> = outcomes.iter().flatten().copied().collect();
         let served_tokens = completed.iter().map(|o| o.output_len).sum();

@@ -76,7 +76,7 @@ impl BatchConfig {
 
 /// What the scheduler decided to run this iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StepPlan {
+pub(crate) enum StepPlan {
     /// Admit the first `admit` waiting requests and run their prefill.
     Prefill {
         /// How many waiting requests to admit, in FIFO order.
@@ -96,7 +96,7 @@ pub enum StepPlan {
 /// Returns `None` when there is nothing to do (idle — the engine jumps
 /// the clock to the next arrival).
 #[must_use]
-pub fn next_step(
+pub(crate) fn next_step(
     cfg: &BatchConfig,
     waiting_prompts: impl IntoIterator<Item = u64>,
     active: usize,

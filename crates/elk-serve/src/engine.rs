@@ -319,7 +319,7 @@ impl ServingSim {
             let now: Seconds = q.now();
             match fired.event {
                 Ev::Arrival(i) => core.enqueue(0, i, now),
-                Ev::StepDone => core.finish_step(0, now, &reqs, |_| {}),
+                Ev::StepDone => core.finish_step(0, now, &reqs, |_, _| {}),
             }
             // No memo in front of the cache: its hit/miss counters are
             // part of the report.

@@ -1,7 +1,7 @@
-//! The continuous-batching step machine every colocated serving engine
-//! runs: per-group waiting/active state, step planning and completion,
-//! the end-of-instant dispatch scan, the micro-batch split fallback,
-//! and the fold into the report fields the engines share.
+//! The continuous-batching step machine every serving engine runs:
+//! per-group waiting/active state, step planning and completion, the
+//! end-of-instant dispatch scan, the micro-batch split fallback, and
+//! the fold into the report fields the engines share.
 //!
 //! A [`GroupCore`] knows nothing about routing or pricing. An engine
 //! owns the event queue and its event type, and drives the core with
@@ -9,6 +9,31 @@
 //! routed, [`finish_step`](GroupCore::finish_step) when a group's
 //! step-done event fires, and [`dispatch`](GroupCore::dispatch) after
 //! every event, with a closure that prices each planned step.
+//!
+//! Three capabilities let a core serve one half of a split pipeline.
+//! Each is inert unless used, so a colocated engine never sees them:
+//!
+//! * **(a) chunked prefill admission** ([`with_prefill_cap`]): a
+//!   prompt-token cap per prefill step, walked over the waiting queue
+//!   head first. Only the last prompt admitted to a step can be cut;
+//!   it returns to the front of the queue when the step retires, and
+//!   its next step resumes where the cut stopped. Each group keeps at
+//!   most one such partially prefilled head. A cap of 0 keeps the
+//!   uncapped admission rule (free slots, `max_prefill_tokens`).
+//! * **(b) a staged queue** ([`stage`]): requests whose prompt another
+//!   group prefilled release their first token on arrival and wait
+//!   there; [`plan_step`] admits them into the active set, up to
+//!   `max_batch`, before it picks the step.
+//! * **(c) prefill completions that leave the group**
+//!   ([`hand_off_prefills`]): a completed prompt goes to
+//!   [`finish_step`]'s callback, in batch order, instead of joining the
+//!   group's active set.
+//!
+//! [`with_prefill_cap`]: GroupCore::with_prefill_cap
+//! [`stage`]: GroupCore::stage
+//! [`plan_step`]: GroupCore::plan_step
+//! [`hand_off_prefills`]: GroupCore::hand_off_prefills
+//! [`finish_step`]: GroupCore::finish_step
 
 use elk_core::CompileError;
 use elk_model::{Phase, Workload};
@@ -22,18 +47,18 @@ use crate::trace::Request;
 
 /// A request past its prefill, generating one token per decode step.
 #[derive(Debug, Clone, Copy)]
-pub struct InFlight {
+struct InFlight {
     /// Index into the engine's request slice.
-    pub idx: usize,
+    idx: usize,
     /// Tokens generated so far (1 after prefill).
-    pub generated: u64,
+    generated: u64,
 }
 
 /// What a group's in-flight step does when it completes.
 #[derive(Debug, Clone)]
 pub enum PendingStep {
     /// Prefill of these request indices; each emits its first token at
-    /// completion.
+    /// completion, except a last prompt the prefill cap cut.
     Prefill {
         /// Request indices admitted into the step.
         batch: Vec<usize>,
@@ -47,17 +72,27 @@ pub enum PendingStep {
 pub struct Group {
     /// Waiting queue of request indices, in admission order.
     pub waiting: Vec<usize>,
+    /// Requests whose first token another group produced, waiting for
+    /// a batch slot.
+    staged: Vec<InFlight>,
     /// Decoding requests.
-    pub active: Vec<InFlight>,
+    active: Vec<InFlight>,
     /// The step running on the group's chips, if any.
     pub pending: Option<PendingStep>,
+    /// Prompt tokens already prefilled of the group's partially
+    /// prefilled request: the last of the in-flight prefill step, or
+    /// the waiting head once that step retires. 0 when there is none.
+    prefilled: u64,
     /// Prefill steps completed.
     pub prefill_steps: u64,
+    /// Prompt tokens admitted into prefill steps.
+    pub prompt_tokens: u64,
     /// Decode steps completed.
     pub decode_steps: u64,
-    /// Waiting-queue depth trace (transitions + time-weighted area).
+    /// Queue depth trace (transitions + time-weighted area): waiting
+    /// plus staged requests.
     pub queue: QueueStat,
-    /// Requests enqueued on this group.
+    /// Requests enqueued or staged on this group.
     pub served: usize,
     /// Completion time of the group's last step.
     pub end: Seconds,
@@ -78,13 +113,45 @@ impl Group {
     /// them: requests inside an unfinished prefill step still count.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.waiting.len() + self.active.len() + self.in_step()
+        self.waiting.len() + self.staged.len() + self.active.len() + self.in_step()
     }
 
     /// `true` when the group holds no request and runs no step.
     #[must_use]
     pub fn drained(&self) -> bool {
-        self.waiting.is_empty() && self.active.is_empty() && self.pending.is_none()
+        self.waiting.is_empty()
+            && self.staged.is_empty()
+            && self.active.is_empty()
+            && self.pending.is_none()
+    }
+
+    /// Records the queue depth at `now`.
+    fn record_depth(&mut self, now: Seconds) {
+        self.queue
+            .record(now, self.waiting.len() + self.staged.len());
+    }
+
+    /// Moves staged requests into the active set, in staging order, up
+    /// to `max_batch` active.
+    fn admit_staged(&mut self, now: Seconds, cfg: &BatchConfig) {
+        let free = (cfg.max_batch as usize).saturating_sub(self.active.len());
+        let n = free.min(self.staged.len());
+        if n > 0 {
+            self.active.extend(self.staged.drain(..n));
+            self.record_depth(now);
+        }
+    }
+}
+
+/// The first-token outcome of `req` on group `gid` at `now`.
+fn first_token(req: &Request, gid: usize, now: Seconds) -> RequestOutcome {
+    RequestOutcome {
+        id: req.id,
+        replica: gid,
+        arrival: req.arrival,
+        first_token: now,
+        completion: now,
+        output_len: req.output_len,
     }
 }
 
@@ -94,8 +161,12 @@ pub struct GroupCore {
     /// Group state, by group index.
     pub groups: Vec<Group>,
     /// Per-request timelines, indexed like the request slice; `None`
-    /// until the request's prefill completes.
+    /// until the request's first token.
     pub outcomes: Vec<Option<RequestOutcome>>,
+    /// Prompt-token cap per prefill step; 0 admits by `next_step`.
+    prefill_cap: u64,
+    /// Completed prompts leave through `finish_step`'s callback.
+    hand_off: bool,
 }
 
 impl GroupCore {
@@ -105,6 +176,28 @@ impl GroupCore {
         GroupCore {
             groups: vec![Group::default(); groups],
             outcomes: vec![None; requests],
+            prefill_cap: 0,
+            hand_off: false,
+        }
+    }
+
+    /// Caps the prompt tokens one prefill step admits at `cap` (0 keeps
+    /// the uncapped rule).
+    #[must_use]
+    pub fn with_prefill_cap(self, cap: u64) -> Self {
+        GroupCore {
+            prefill_cap: cap,
+            ..self
+        }
+    }
+
+    /// Sends every completed prompt to [`finish_step`](Self::finish_step)'s
+    /// callback instead of the group's active set.
+    #[must_use]
+    pub fn hand_off_prefills(self) -> Self {
+        GroupCore {
+            hand_off: true,
+            ..self
         }
     }
 
@@ -120,13 +213,29 @@ impl GroupCore {
         let group = &mut self.groups[gid];
         group.waiting.insert(pos, idx);
         group.served += 1;
-        group.queue.record(now, group.waiting.len());
+        group.record_depth(now);
+    }
+
+    /// Stages request `idx`, whose prompt another group prefilled, on
+    /// group `gid` at `now`: its first token is released now. A
+    /// multi-token request joins the active set at the group's next
+    /// step; a single-token one completes here.
+    pub fn stage(&mut self, gid: usize, idx: usize, now: Seconds, reqs: &[Request]) {
+        let group = &mut self.groups[gid];
+        group.served += 1;
+        if reqs[idx].output_len > 1 {
+            group.staged.push(InFlight { idx, generated: 1 });
+            group.record_depth(now);
+        }
+        self.outcomes[idx] = Some(first_token(&reqs[idx], gid, now));
     }
 
     /// Applies the completion of group `gid`'s in-flight step at `now`:
-    /// a prefill emits each request's first token, a decode advances
-    /// every active request by one token. `done` sees each request
-    /// whose last token this step produced.
+    /// a prefill emits each completed prompt's first token (a prompt
+    /// the cap cut returns to the front of the queue), a decode
+    /// advances every active request by one token. `done` sees the
+    /// index and outcome of each request leaving the group: its last
+    /// token produced or, when prefills hand off, its prompt complete.
     ///
     /// # Panics
     ///
@@ -136,29 +245,27 @@ impl GroupCore {
         gid: usize,
         now: Seconds,
         reqs: &[Request],
-        mut done: impl FnMut(&RequestOutcome),
+        mut done: impl FnMut(usize, &RequestOutcome),
     ) {
+        let hand_off = self.hand_off;
         let group = &mut self.groups[gid];
         let outcomes = &mut self.outcomes;
         match group.pending.take().expect("step done implies a step") {
-            PendingStep::Prefill { batch } => {
+            PendingStep::Prefill { mut batch } => {
                 group.prefill_steps += 1;
+                let cut = (group.prefilled > 0).then(|| batch.pop().expect("a cut prompt"));
                 for idx in batch {
-                    let req = &reqs[idx];
-                    let outcome = RequestOutcome {
-                        id: req.id,
-                        replica: gid,
-                        arrival: req.arrival,
-                        first_token: now,
-                        completion: now,
-                        output_len: req.output_len,
-                    };
-                    if req.output_len > 1 {
+                    let outcome = first_token(&reqs[idx], gid, now);
+                    if !hand_off && reqs[idx].output_len > 1 {
                         group.active.push(InFlight { idx, generated: 1 });
                     } else {
-                        done(&outcome);
+                        done(idx, &outcome);
                     }
                     outcomes[idx] = Some(outcome);
+                }
+                if let Some(idx) = cut {
+                    group.waiting.insert(0, idx);
+                    group.record_depth(now);
                 }
             }
             PendingStep::Decode => {
@@ -169,7 +276,7 @@ impl GroupCore {
                     outcome.completion = now;
                     let live = a.generated < reqs[a.idx].output_len;
                     if !live {
-                        done(outcome);
+                        done(a.idx, outcome);
                     }
                     live
                 });
@@ -178,39 +285,77 @@ impl GroupCore {
         group.end = now;
     }
 
-    /// Plans group `gid`'s next step at `now`: drains the admitted
-    /// prefill batch from the waiting queue, or picks a decode over the
-    /// active set, and marks the step in flight. Returns the bucketed
-    /// step workload, or `None` when the group is busy or has nothing
-    /// to run.
-    fn plan_step(
+    /// Moves group `gid`'s staged requests into its active set at `now`,
+    /// up to `max_batch` active, and returns the active count.
+    pub fn admit_staged(&mut self, gid: usize, now: Seconds, cfg: &BatchConfig) -> usize {
+        let group = &mut self.groups[gid];
+        group.admit_staged(now, cfg);
+        group.active.len()
+    }
+
+    /// Plans group `gid`'s next step at `now`, with `busy` batch slots
+    /// held by requests outside the group: admits staged requests, then
+    /// drains a prefill batch from the waiting queue, or else picks a
+    /// decode over the active set, and marks the step in flight.
+    /// Returns the bucketed step workload, or `None` when the group is
+    /// busy or has nothing to run.
+    pub fn plan_step(
         &mut self,
         gid: usize,
         now: Seconds,
         cfg: &BatchConfig,
         reqs: &[Request],
+        busy: usize,
     ) -> Option<Workload> {
+        let cap = self.prefill_cap;
         let group = &mut self.groups[gid];
         if group.pending.is_some() {
             return None;
         }
-        let prompts = group.waiting.iter().map(|&i| reqs[i].prompt_len);
-        let (step, wl) = match next_step(cfg, prompts, group.active.len())? {
-            StepPlan::Prefill { admit } => {
-                let batch: Vec<usize> = group.waiting.drain(..admit).collect();
-                group.queue.record(now, group.waiting.len());
-                let longest = batch
-                    .iter()
-                    .map(|&i| reqs[i].prompt_len)
-                    .max()
-                    .expect("prefill admits >= 1");
-                let wl = cfg.step_workload(Phase::Prefill, batch.len() as u64, longest);
-                (PendingStep::Prefill { batch }, wl)
+        group.admit_staged(now, cfg);
+        let occupied = group.active.len() + busy;
+        let limit = if cap == 0 {
+            let prompts = group.waiting.iter().map(|&i| reqs[i].prompt_len);
+            match next_step(cfg, prompts, occupied) {
+                Some(StepPlan::Prefill { admit }) => admit,
+                _ => 0,
             }
-            StepPlan::Decode => (
+        } else {
+            (cfg.max_batch as usize).saturating_sub(occupied)
+        };
+        // Spend the cap on the queue head first; uncapped, every
+        // admitted prompt runs whole.
+        let mut budget = if cap == 0 { u64::MAX } else { cap };
+        let (mut admit, mut deepest) = (0, 0);
+        for (k, &idx) in group.waiting.iter().take(limit).enumerate() {
+            if budget == 0 {
+                break;
+            }
+            let prompt = reqs[idx].prompt_len;
+            let before = if k == 0 { group.prefilled } else { 0 };
+            let take = (prompt - before).min(budget);
+            budget -= take;
+            admit += 1;
+            group.prompt_tokens += take;
+            deepest = deepest.max(before + take);
+            group.prefilled = if before + take < prompt {
+                before + take
+            } else {
+                0
+            };
+        }
+        let (step, wl) = if admit > 0 {
+            let batch = group.waiting.drain(..admit).collect();
+            group.record_depth(now);
+            let wl = cfg.step_workload(Phase::Prefill, admit as u64, deepest);
+            (PendingStep::Prefill { batch }, wl)
+        } else if group.active.is_empty() {
+            return None;
+        } else {
+            (
                 PendingStep::Decode,
                 decode_workload(cfg, reqs, &group.active),
-            ),
+            )
         };
         group.pending = Some(step);
         Some(wl)
@@ -241,7 +386,7 @@ impl GroupCore {
             return Ok(false);
         }
         for gid in 0..self.groups.len() {
-            if let Some(wl) = self.plan_step(gid, now, cfg, reqs) {
+            if let Some(wl) = self.plan_step(gid, now, cfg, reqs, 0) {
                 let latency = price(gid, &self.groups, wl)?;
                 let (prio, event) = done(gid);
                 q.schedule_after(latency, prio, event);
@@ -274,7 +419,7 @@ impl GroupCore {
 ///
 /// Panics if `active` is empty.
 #[must_use]
-pub fn decode_workload(cfg: &BatchConfig, reqs: &[Request], active: &[InFlight]) -> Workload {
+fn decode_workload(cfg: &BatchConfig, reqs: &[Request], active: &[InFlight]) -> Workload {
     let deepest = active
         .iter()
         .map(|a| reqs[a.idx].prompt_len + a.generated)
@@ -384,11 +529,13 @@ impl LatencyFold {
     }
 }
 
-/// The report fields the colocated engines derive identically from
-/// their groups and completed requests.
+/// The report fields the engines derive identically from their groups
+/// and completed requests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupFold {
-    /// Trace start to the last step retired on any group.
+    /// Trace start to the later of the last step retired on any group
+    /// and the last completion (a staged single-token request completes
+    /// outside any step).
     pub makespan: Seconds,
     /// Latency percentiles, SLO attainment and rates.
     pub latency: LatencyFold,
@@ -398,7 +545,8 @@ pub struct GroupFold {
     pub decode_steps: u64,
     /// Requests enqueued on each group, in group order.
     pub per_group_requests: Vec<usize>,
-    /// Time-weighted mean waiting-queue depth ([`queue_depth_fold`]).
+    /// Time-weighted mean queue depth: each group's depth integrated to
+    /// its own `end`, pooled over total simulated group-time.
     pub mean_queue_depth: f64,
     /// Deepest waiting queue observed on any group at any instant.
     pub max_queue_depth: usize,
@@ -422,6 +570,7 @@ impl GroupFold {
         let makespan = groups
             .iter()
             .map(|g| g.end)
+            .chain(outcomes.iter().map(|o| o.completion))
             .fold(Seconds::ZERO, Seconds::max);
         let (mean_queue_depth, max_queue_depth) =
             queue_depth_fold(groups.iter().map(|g| (&g.queue, g.end)));
@@ -451,6 +600,27 @@ impl GroupFold {
     /// `lane_arg` = the serving group. Derived from the final outcome
     /// list (request order), so deterministic by construction.
     pub fn record(&self, obs: &Obs, prefix: &str, lane_arg: &str) {
+        self.record_with(obs, prefix, lane_arg, |track, _, o| {
+            let args = [(lane_arg, o.replica.to_string())];
+            obs.span(
+                track,
+                "prefill",
+                o.arrival,
+                o.first_token - o.arrival,
+                &args,
+            );
+        });
+    }
+
+    /// [`record`](Self::record) with the spans up to a sampled request's
+    /// first token written by `head(track, idx, outcome)`.
+    pub fn record_with(
+        &self,
+        obs: &Obs,
+        prefix: &str,
+        lane_arg: &str,
+        mut head: impl FnMut(&str, usize, &RequestOutcome),
+    ) {
         if !obs.enabled() {
             return;
         }
@@ -460,21 +630,14 @@ impl GroupFold {
                 continue;
             }
             let track = format!("req/{}", o.id);
-            let args = [(lane_arg, o.replica.to_string())];
-            obs.span(
-                &track,
-                "prefill",
-                o.arrival,
-                o.first_token - o.arrival,
-                &args,
-            );
+            head(&track, i, o);
             if o.completion > o.first_token {
                 obs.span(
                     &track,
                     "decode",
                     o.first_token,
                     o.completion - o.first_token,
-                    &args,
+                    &[(lane_arg, o.replica.to_string())],
                 );
             }
         }
@@ -485,7 +648,7 @@ impl GroupFold {
 /// `(queue, end)`: each queue is integrated over its own timeline and
 /// pooled over total simulated group-time, so a long stall weighs by
 /// its duration instead of counting as one sample.
-pub fn queue_depth_fold<'a>(
+fn queue_depth_fold<'a>(
     groups: impl Iterator<Item = (&'a QueueStat, Seconds)> + Clone,
 ) -> (f64, usize) {
     let area: f64 = groups.clone().map(|(q, end)| q.area_until(end)).sum();
@@ -496,7 +659,7 @@ pub fn queue_depth_fold<'a>(
 
 /// Records every outcome into the `{prefix}.ttft`, `{prefix}.tpot`
 /// (multi-token requests) and `{prefix}.e2e` histograms.
-pub fn record_latency_histograms(obs: &Obs, prefix: &str, outcomes: &[RequestOutcome]) {
+fn record_latency_histograms(obs: &Obs, prefix: &str, outcomes: &[RequestOutcome]) {
     if !obs.enabled() {
         return;
     }

@@ -84,13 +84,10 @@ mod router;
 mod tenancy;
 mod trace;
 
-pub use batcher::{next_step, BatchConfig, StepPlan};
+pub use batcher::BatchConfig;
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use engine::{ServeConfig, ServingSim};
-pub use group::{
-    decode_workload, queue_depth_fold, record_latency_histograms, split_micro_batches, Group,
-    GroupCore, GroupFold, InFlight, LatencyFold, PendingStep,
-};
+pub use group::{split_micro_batches, Group, GroupCore, GroupFold, LatencyFold, PendingStep};
 pub use metrics::{percentile, LatencyStats, RequestOutcome, SloConfig};
 pub use report::ServingReport;
 pub use router::{Router, RouterPolicy};
