@@ -676,3 +676,70 @@ fn record_latency_histograms(obs: &Obs, prefix: &str, outcomes: &[RequestOutcome
         obs.histogram(&e2e, o.e2e());
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elk_model::SeqBuckets;
+
+    fn cfg(max_batch: u64) -> BatchConfig {
+        BatchConfig {
+            max_batch,
+            max_prefill_tokens: 4096,
+            seq_buckets: SeqBuckets::new(1, 4096),
+            bucket_batch: false,
+        }
+    }
+
+    fn req(id: u64, prompt_len: u64, output_len: u64) -> Request {
+        Request {
+            id,
+            arrival: Seconds::ZERO,
+            prompt_len,
+            output_len,
+        }
+    }
+
+    #[test]
+    fn a_capped_prefill_cuts_only_the_last_prompt_and_resumes_it_at_the_head() {
+        let reqs = [req(0, 250, 4), req(1, 60, 1)];
+        let mut core = GroupCore::new(1, 2)
+            .with_prefill_cap(100)
+            .hand_off_prefills();
+        core.enqueue(0, 0, Seconds::ZERO);
+        core.enqueue(0, 1, Seconds::ZERO);
+        let mut left = Vec::new();
+        // (batch, deepest context) per step: 0..100, 100..200, then
+        // 200..250 with 1's first 50 tokens, then 1's last 10.
+        for (t, want) in [(1, 128), (1, 256), (2, 256), (1, 64)]
+            .into_iter()
+            .enumerate()
+        {
+            let now = Seconds::new(t as f64);
+            let wl = core.plan_step(0, now, &cfg(8), &reqs, 0).expect("a step");
+            assert_eq!((wl.batch, wl.seq_len), want, "step {t}");
+            core.finish_step(0, now, &reqs, |idx, o| left.push((idx, o.first_token)));
+        }
+        assert_eq!(left, [(0, Seconds::new(2.0)), (1, Seconds::new(3.0))]);
+        let group = &core.groups[0];
+        assert_eq!((group.prefill_steps, group.prompt_tokens), (4, 310));
+        assert!(group.drained(), "completed prompts leave the group");
+    }
+
+    #[test]
+    fn staged_requests_join_the_batch_up_to_max_batch() {
+        let reqs = [req(0, 100, 3), req(1, 100, 3), req(2, 100, 1)];
+        let mut core = GroupCore::new(1, 3);
+        for idx in 0..3 {
+            core.stage(0, idx, Seconds::ZERO, &reqs);
+        }
+        // The single-token request completed on landing.
+        assert_eq!(core.groups[0].outstanding(), 2);
+        assert_eq!(core.outcomes[2].expect("landed").completion, Seconds::ZERO);
+        let now = Seconds::new(1.0);
+        let wl = core.plan_step(0, now, &cfg(1), &reqs, 0).expect("a decode");
+        assert_eq!((wl.phase, wl.batch), (Phase::Decode, 1));
+        assert_eq!(core.groups[0].queue.depth(), 1, "one request still staged");
+        assert_eq!(core.groups[0].served, 3);
+    }
+}
