@@ -541,13 +541,14 @@ impl DisaggServingSim {
         let cfg = &self.config.batch;
         let price_prefill = |wl| self.prefill_pricer.split_step(design, wl);
         let price_decode = |wl| self.decode_pricer.split_step(design, wl);
-        let prefill_done = |gid| (PRIO_STEP_DONE, Ev::PrefillDone { gid });
-        let decode_done = |gid| (PRIO_STEP_DONE, Ev::DecodeDone { gid });
         if !self.config.shared_chips {
+            let prefill_done = |gid| (PRIO_STEP_DONE, Ev::PrefillDone { gid });
+            let decode_done = |gid| (PRIO_STEP_DONE, Ev::DecodeDone { gid });
             prefill.dispatch(q, cfg, reqs, prefill_done, |_, _, wl| price_prefill(wl))?;
             decode.dispatch(q, cfg, reqs, decode_done, |_, _, wl| price_decode(wl))?;
             return Ok(());
         }
+        // Like `GroupCore::dispatch`, wait for the instant's last event.
         let now = q.now();
         if q.peek_time() == Some(now) {
             return Ok(());
@@ -556,13 +557,11 @@ impl DisaggServingSim {
             if prefill.groups[gid].pending.is_some() || decode.groups[gid].pending.is_some() {
                 continue;
             }
-            let busy = decode.admit_staged(gid, now, cfg);
+            let busy = decode.groups[gid].admit_staged(now, cfg);
             if let Some(wl) = prefill.plan_step(gid, now, cfg, reqs, busy) {
-                let (prio, event) = prefill_done(gid);
-                q.schedule_after(price_prefill(wl)?, prio, event);
+                q.schedule_after(price_prefill(wl)?, PRIO_STEP_DONE, Ev::PrefillDone { gid });
             } else if let Some(wl) = decode.plan_step(gid, now, cfg, reqs, 0) {
-                let (prio, event) = decode_done(gid);
-                q.schedule_after(price_decode(wl)?, prio, event);
+                q.schedule_after(price_decode(wl)?, PRIO_STEP_DONE, Ev::DecodeDone { gid });
             }
         }
         Ok(())

@@ -131,15 +131,16 @@ impl Group {
             .record(now, self.waiting.len() + self.staged.len());
     }
 
-    /// Moves staged requests into the active set, in staging order, up
-    /// to `max_batch` active.
-    fn admit_staged(&mut self, now: Seconds, cfg: &BatchConfig) {
+    /// Moves staged requests into the active set at `now`, in staging
+    /// order, up to `max_batch` active, and returns the active count.
+    pub fn admit_staged(&mut self, now: Seconds, cfg: &BatchConfig) -> usize {
         let free = (cfg.max_batch as usize).saturating_sub(self.active.len());
         let n = free.min(self.staged.len());
         if n > 0 {
             self.active.extend(self.staged.drain(..n));
             self.record_depth(now);
         }
+        self.active.len()
     }
 }
 
@@ -283,14 +284,6 @@ impl GroupCore {
             }
         }
         group.end = now;
-    }
-
-    /// Moves group `gid`'s staged requests into its active set at `now`,
-    /// up to `max_batch` active, and returns the active count.
-    pub fn admit_staged(&mut self, gid: usize, now: Seconds, cfg: &BatchConfig) -> usize {
-        let group = &mut self.groups[gid];
-        group.admit_staged(now, cfg);
-        group.active.len()
     }
 
     /// Plans group `gid`'s next step at `now`, with `busy` batch slots
