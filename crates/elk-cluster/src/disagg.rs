@@ -466,9 +466,9 @@ impl DisaggServingSim {
         // are scored; every prompt lands no earlier than its last
         // prefill step retired, so the decode pool's makespan spans
         // both pools.
-        let pool = GroupFold::of(prefill.groups, Vec::new(), &self.config.slo, 0);
+        let prefill_sums = GroupFold::of(prefill.groups, Vec::new(), &self.config.slo, 0);
         let fold = decode.fold(&self.config.slo, trace.total_output_tokens());
-        debug_assert!(fold.makespan >= pool.makespan);
+        debug_assert!(fold.makespan >= prefill_sums.makespan);
         fold.record_with(&self.obs, "disagg", "decode_group", |track, idx, o| {
             let prefilled = prefill.outcomes[idx].as_ref().expect("prefilled");
             let prefill_group = [("prefill_group", prefilled.replica.to_string())];
@@ -507,18 +507,18 @@ impl DisaggServingSim {
             goodput_rps: l.goodput_rps,
             throughput_rps: l.throughput_rps,
             tokens_per_sec: l.tokens_per_sec,
-            prefill_steps: pool.prefill_steps,
+            prefill_steps: prefill_sums.prefill_steps,
             decode_steps: fold.decode_steps,
             prefill_tokens,
-            per_prefill_group_requests: pool.per_group_requests,
+            per_prefill_group_requests: prefill_sums.per_group_requests,
             per_decode_group_requests: fold.per_group_requests,
             kv_moved,
             handoff_total,
-            prefill_mean_queue_depth: pool.mean_queue_depth,
-            prefill_max_queue_depth: pool.max_queue_depth,
+            prefill_mean_queue_depth: prefill_sums.mean_queue_depth,
+            prefill_max_queue_depth: prefill_sums.max_queue_depth,
             decode_mean_queue_depth: fold.mean_queue_depth,
             decode_max_queue_depth: fold.max_queue_depth,
-            queue_depth: pool.queue_depth,
+            queue_depth: prefill_sums.queue_depth,
             sim_events: q.events_processed(),
             handoffs,
             outcomes: fold.outcomes,
