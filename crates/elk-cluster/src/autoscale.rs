@@ -29,7 +29,7 @@ use elk_baselines::Design;
 use elk_hw::SystemConfig;
 use elk_model::Phase;
 use elk_obs::Obs;
-use elk_serve::{GroupCore, LatencyStats, RequestOutcome, RequestTrace, SloConfig};
+use elk_serve::{check_positive, GroupCore, LatencyStats, RequestOutcome, RequestTrace, SloConfig};
 use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
@@ -83,34 +83,38 @@ impl Default for AutoscaleConfig {
 }
 
 impl AutoscaleConfig {
-    fn validate(&self) -> Result<(), ClusterError> {
-        let fail = |msg: String| Err(ClusterError::Invalid(msg));
+    /// Checks the controller policy: `1 <= min_groups <= max_groups`, a
+    /// finite positive interval, ordered non-negative thresholds, an
+    /// SLO target in `[0, 1]`, and a non-negative cold start.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first ill-formed knob.
+    pub fn validate(&self) -> Result<(), String> {
         if self.min_groups < 1 {
-            return fail("autoscale min_groups must be >= 1".into());
+            return Err("autoscale min_groups must be >= 1".into());
         }
         if self.max_groups < self.min_groups {
-            return fail(format!(
+            return Err(format!(
                 "autoscale max_groups ({}) must be >= min_groups ({})",
                 self.max_groups, self.min_groups
             ));
         }
-        if self.interval.as_secs() <= 0.0 {
-            return fail("autoscale interval must be > 0".into());
-        }
+        check_positive("autoscale interval", self.interval.as_secs())?;
         if !(self.down_queue_depth >= 0.0 && self.up_queue_depth > self.down_queue_depth) {
-            return fail(format!(
+            return Err(format!(
                 "autoscale thresholds need up_queue_depth ({}) > down_queue_depth ({}) >= 0",
                 self.up_queue_depth, self.down_queue_depth
             ));
         }
         if !(0.0..=1.0).contains(&self.slo_target) {
-            return fail(format!(
+            return Err(format!(
                 "autoscale slo_target must be in [0, 1], got {}",
                 self.slo_target
             ));
         }
         if self.cold_start_steps < 0.0 {
-            return fail("autoscale cold_start_steps must be >= 0".into());
+            return Err("autoscale cold_start_steps must be >= 0".into());
         }
         Ok(())
     }
@@ -290,8 +294,8 @@ impl AutoscaleServingSim {
         config: ClusterServeConfig,
         auto: AutoscaleConfig,
     ) -> Result<Self, ClusterError> {
-        config.batch.validate();
-        auto.validate()?;
+        config.batch.validate().map_err(ClusterError::Invalid)?;
+        auto.validate().map_err(ClusterError::Invalid)?;
         let plan = ParallelismPlan::new(config.plan.tp, config.plan.pp, auto.max_groups);
         plan.validate_structure(&system, &config.model)
             .map_err(ClusterError::Invalid)?;

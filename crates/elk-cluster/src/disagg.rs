@@ -274,7 +274,7 @@ impl DisaggServingSim {
     /// the pod has (disjoint pools only), or `shared_chips` is set with
     /// differing pool plans.
     pub fn new(system: SystemConfig, config: DisaggConfig) -> Result<Self, ClusterError> {
-        config.batch.validate();
+        config.batch.validate().map_err(ClusterError::Invalid)?;
         config
             .prefill
             .validate_structure(&system, &config.model)

@@ -126,18 +126,9 @@ impl ParallelismPlan {
                 system.chips
             ));
         }
-        if !model.heads.is_multiple_of(self.tp) {
-            return Err(format!(
-                "{self}: tp must divide the model's {} attention heads",
-                model.heads
-            ));
-        }
-        if !model.intermediate.is_multiple_of(self.tp) {
-            return Err(format!(
-                "{self}: tp must divide the model's FFN width {}",
-                model.intermediate
-            ));
-        }
+        model
+            .check_shards(self.tp)
+            .map_err(|e| format!("{self}: {e}"))?;
         if self.pp as u32 > model.layers {
             return Err(format!(
                 "{self}: pp exceeds the model's {} layers",

@@ -169,7 +169,7 @@ impl ClusterServingSim {
     /// are dynamic, and a `dp` beyond a short trace's request count
     /// merely leaves the extra groups idle.
     pub fn new(system: SystemConfig, config: ClusterServeConfig) -> Result<Self, ClusterError> {
-        config.batch.validate();
+        config.batch.validate().map_err(ClusterError::Invalid)?;
         config
             .plan
             .validate_structure(&system, &config.model)

@@ -130,7 +130,7 @@ impl TenantServingSim {
         config: ClusterServeConfig,
         tenancy: TenancyConfig,
     ) -> Result<Self, ClusterError> {
-        config.batch.validate();
+        config.batch.validate().map_err(ClusterError::Invalid)?;
         tenancy.validate().map_err(ClusterError::Invalid)?;
 
         let mut models = vec![config.model.clone()];

@@ -43,16 +43,27 @@ impl HbmConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `channels` is zero.
+    /// Panics where [`try_new`](Self::try_new) fails.
     #[must_use]
     pub fn new(channels: u64, channel_bw: ByteRate) -> Self {
-        assert!(channels > 0, "HBM needs at least one channel");
-        HbmConfig {
+        Self::try_new(channels, channel_bw).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), or why the configuration cannot exist.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `channels` is zero.
+    pub fn try_new(channels: u64, channel_bw: ByteRate) -> Result<Self, String> {
+        if channels == 0 {
+            return Err("channels must be > 0: HBM needs at least one channel".into());
+        }
+        Ok(HbmConfig {
             channels,
             channel_bw,
             access_latency: Seconds::new(120e-9),
             capacity: Bytes::gib(96),
-        }
+        })
     }
 
     /// Re-provisions the per-chip capacity.

@@ -37,15 +37,29 @@ impl SeqBuckets {
     ///
     /// # Panics
     ///
-    /// Panics if `min` is zero, not a power of two, or exceeds `max`.
+    /// Panics where [`validate`](Self::validate) fails.
     #[must_use]
     pub fn new(min: u64, max: u64) -> Self {
-        assert!(
-            min > 0 && min.is_power_of_two(),
-            "min must be a power of two"
-        );
-        assert!(max >= min, "max ({max}) must be >= min ({min})");
-        SeqBuckets { min, max }
+        let buckets = SeqBuckets { min, max };
+        buckets.validate().unwrap_or_else(|e| panic!("{e}"));
+        buckets
+    }
+
+    /// Checks the ladder.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `min` is zero, not a power of two, or
+    /// exceeds `max`.
+    pub fn validate(&self) -> Result<(), String> {
+        let SeqBuckets { min, max } = *self;
+        if !min.is_power_of_two() {
+            return Err(format!("min ({min}) must be a power of two"));
+        }
+        if max < min {
+            return Err(format!("max ({max}) must be >= min ({min})"));
+        }
+        Ok(())
     }
 
     /// Rounds `seq_len` up to the next power of two, clamped to

@@ -56,21 +56,26 @@ impl DitConfig {
         self.layers as u64 * per_layer
     }
 
+    /// Checks that `shards`-way tensor parallelism splits this model
+    /// evenly: the shard count must divide `heads`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the shard count and the heads.
+    pub fn check_shards(&self, shards: u64) -> Result<(), String> {
+        crate::check_split(shards, &[("heads", self.heads)])
+    }
+
     /// Builds the operator graph for one denoising step over
     /// `workload.batch` images. The `seq_len` of the workload is ignored;
     /// the token count comes from the architecture.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or does not divide `heads`.
+    /// Panics where [`check_shards`](Self::check_shards) fails.
     #[must_use]
     pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
-        assert!(shards > 0, "shard count must be > 0");
-        assert!(
-            self.heads.is_multiple_of(shards),
-            "heads ({}) must divide by shards ({shards})",
-            self.heads
-        );
+        self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
         let dtype = DType::F16;
         let b = workload.batch;
         let t = b * self.tokens; // tokens in flight

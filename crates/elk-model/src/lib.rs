@@ -42,3 +42,23 @@ pub use op::{OpId, OpKind, OpRole, OperandSource, Operator, ReduceKind, UnaryKin
 pub use stats::GraphStats;
 pub use transformer::{NormKind, TransformerConfig};
 pub use workload::{Phase, Workload};
+
+/// The tensor-parallel split rule each model config applies to its own
+/// dimensions (see [`TransformerConfig::check_shards`]): `shards` must
+/// be non-zero and divide every one of the named `dims`.
+///
+/// # Errors
+///
+/// Returns a message naming the shard count and the first dimension it
+/// does not divide.
+pub fn check_split(shards: u64, dims: &[(&str, u64)]) -> Result<(), String> {
+    if shards == 0 {
+        return Err("shards must be > 0".into());
+    }
+    match dims.iter().find(|&&(_, d)| !d.is_multiple_of(shards)) {
+        Some((name, d)) => Err(format!(
+            "shards ({shards}) must divide the model's {name} ({d})"
+        )),
+        None => Ok(()),
+    }
+}

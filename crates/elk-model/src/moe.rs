@@ -77,23 +77,32 @@ impl MoeConfig {
         self.layers as u64 * (attn + self.experts_per_token * expert + router) + 2 * self.vocab * h
     }
 
+    /// Checks that `shards`-way tensor parallelism splits this model
+    /// evenly: the shard count must divide `heads` and
+    /// `expert_intermediate`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the shard count and the dimension it
+    /// does not divide.
+    pub fn check_shards(&self, shards: u64) -> Result<(), String> {
+        crate::check_split(
+            shards,
+            &[
+                ("heads", self.heads),
+                ("expert_intermediate", self.expert_intermediate),
+            ],
+        )
+    }
+
     /// Builds the per-shard operator graph using the generic-expert plan.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or does not divide `heads` or
-    /// `expert_intermediate`.
+    /// Panics where [`check_shards`](Self::check_shards) fails.
     #[must_use]
     pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
-        assert!(shards > 0, "shard count must be > 0");
-        assert!(
-            self.heads.is_multiple_of(shards),
-            "heads must divide by shards"
-        );
-        assert!(
-            self.expert_intermediate.is_multiple_of(shards),
-            "expert intermediate must divide by shards"
-        );
+        self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
         // Reuse the dense-transformer builder for attention, then splice
         // the router + expert FFNs per layer.
         let dense = crate::TransformerConfig {

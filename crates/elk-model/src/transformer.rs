@@ -99,27 +99,30 @@ impl TransformerConfig {
         self.layers as u64 * per_layer + 2 * self.vocab * h
     }
 
+    /// Checks that `shards`-way tensor parallelism splits this model
+    /// evenly: the shard count must divide `heads` and `intermediate`
+    /// (KV heads need not divide; fewer than `shards` are replicated).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the shard count and the dimension it
+    /// does not divide.
+    pub fn check_shards(&self, shards: u64) -> Result<(), String> {
+        crate::check_split(
+            shards,
+            &[("heads", self.heads), ("intermediate", self.intermediate)],
+        )
+    }
+
     /// Builds the per-shard operator graph for `workload` running
     /// tensor-parallel over `shards` chips.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or does not divide `heads`, `kv_heads`
-    /// (unless `kv_heads < shards`, in which case KV is replicated), or
-    /// `intermediate`.
+    /// Panics where [`check_shards`](Self::check_shards) fails.
     #[must_use]
     pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
-        assert!(shards > 0, "shard count must be > 0");
-        assert!(
-            self.heads.is_multiple_of(shards),
-            "heads ({}) must divide by shards ({shards})",
-            self.heads
-        );
-        assert!(
-            self.intermediate.is_multiple_of(shards),
-            "intermediate ({}) must divide by shards ({shards})",
-            self.intermediate
-        );
+        self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
 
         let mut b = GraphBuilder::new(self, workload, shards);
         b.embed();
@@ -139,8 +142,8 @@ impl TransformerConfig {
     ///
     /// # Panics
     ///
-    /// Panics on the same shard-divisibility violations as
-    /// [`build`](Self::build), on an out-of-range layer window, or on an
+    /// Panics where [`check_shards`](Self::check_shards) fails, on an
+    /// out-of-range layer window, or on an
     /// empty stage (no layers, no embedding, no head).
     #[must_use]
     pub fn build_stage(
@@ -151,17 +154,7 @@ impl TransformerConfig {
         embed: bool,
         head: bool,
     ) -> ModelGraph {
-        assert!(shards > 0, "shard count must be > 0");
-        assert!(
-            self.heads.is_multiple_of(shards),
-            "heads ({}) must divide by shards ({shards})",
-            self.heads
-        );
-        assert!(
-            self.intermediate.is_multiple_of(shards),
-            "intermediate ({}) must divide by shards ({shards})",
-            self.intermediate
-        );
+        self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             layers.end <= self.layers && layers.start <= layers.end,
             "stage layers {layers:?} out of range for a {}-layer model",

@@ -70,12 +70,12 @@ impl Workload {
     /// Panics if `batch` or `seq_len` is zero.
     #[must_use]
     pub fn decode(batch: u64, seq_len: u64) -> Self {
-        assert!(batch > 0 && seq_len > 0, "workload dimensions must be > 0");
         Workload {
             batch,
             seq_len,
             phase: Phase::Decode,
         }
+        .checked()
     }
 
     /// A prefill step over `batch` prompts of `seq_len` tokens.
@@ -85,12 +85,12 @@ impl Workload {
     /// Panics if `batch` or `seq_len` is zero.
     #[must_use]
     pub fn prefill(batch: u64, seq_len: u64) -> Self {
-        assert!(batch > 0 && seq_len > 0, "workload dimensions must be > 0");
         Workload {
             batch,
             seq_len,
             phase: Phase::Prefill,
         }
+        .checked()
     }
 
     /// A training forward pass over `batch` sequences of `seq_len` tokens.
@@ -100,12 +100,33 @@ impl Workload {
     /// Panics if `batch` or `seq_len` is zero.
     #[must_use]
     pub fn training_forward(batch: u64, seq_len: u64) -> Self {
-        assert!(batch > 0 && seq_len > 0, "workload dimensions must be > 0");
         Workload {
             batch,
             seq_len,
             phase: Phase::TrainingForward,
         }
+        .checked()
+    }
+
+    /// Checks the dimensions.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `batch` or `seq_len` is zero.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.batch == 0 || self.seq_len == 0 {
+            return Err(format!(
+                "batch ({}) and seq_len ({}) must be > 0",
+                self.batch, self.seq_len
+            ));
+        }
+        Ok(())
+    }
+
+    fn checked(self) -> Self {
+        self.validate()
+            .unwrap_or_else(|e| panic!("workload dimensions: {e}"));
+        self
     }
 
     /// Total tokens flowing through matrix multiplies this step.

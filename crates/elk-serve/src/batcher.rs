@@ -42,17 +42,21 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Validates the knobs.
+    /// Checks the knobs: non-zero caps and a well-formed bucket ladder.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `max_batch` or `max_prefill_tokens` is zero.
-    pub fn validate(&self) {
-        assert!(self.max_batch > 0, "max_batch must be > 0");
-        assert!(
-            self.max_prefill_tokens > 0,
-            "max_prefill_tokens must be > 0"
-        );
+    /// Returns a message naming the first ill-formed knob.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_batch == 0 {
+            return Err("max_batch must be > 0".into());
+        }
+        if self.max_prefill_tokens == 0 {
+            return Err("max_prefill_tokens must be > 0".into());
+        }
+        self.seq_buckets
+            .validate()
+            .map_err(|e| format!("seq_buckets: {e}"))
     }
 
     /// The bucketed step workload for `n` requests at raw sequence
@@ -188,12 +192,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "max_batch")]
     fn zero_batch_rejected() {
-        BatchConfig {
+        let e = BatchConfig {
             max_batch: 0,
             ..BatchConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("max_batch"), "{e}");
     }
 }

@@ -70,13 +70,8 @@ impl ServeConfig {
     }
 
     /// Spreads the trace over `n` independent chip-group replicas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
     #[must_use]
     pub fn with_replicas(mut self, n: usize) -> Self {
-        assert!(n > 0, "replica count must be > 0");
         self.replicas = n;
         self
     }
@@ -86,6 +81,20 @@ impl ServeConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
+    }
+
+    /// Checks the config: the batching knobs, at least one replica, and
+    /// a shard count that splits the model evenly.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first ill-formed field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.batch.validate()?;
+        if self.replicas == 0 {
+            return Err("replicas must be > 0".into());
+        }
+        self.model.check_shards(self.shards)
     }
 }
 
@@ -131,13 +140,10 @@ impl ServingSim {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is ill-formed (zero batch caps, zero shards
-    /// or replicas).
+    /// Panics where [`ServeConfig::validate`] fails.
     #[must_use]
     pub fn new(system: SystemConfig, config: ServeConfig) -> Self {
-        config.batch.validate();
-        assert!(config.shards > 0, "shards must be > 0");
-        assert!(config.replicas > 0, "replicas must be > 0");
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let threads = config.threads;
         // The serving pool already parallelizes across replicas and
         // across designs on a cache miss; keep the nested compiler

@@ -19,6 +19,7 @@ use serde::{Deserialize, Serialize};
 use elk_units::Seconds;
 
 use crate::metrics::{LatencyStats, SloConfig};
+use crate::trace::check_positive;
 
 /// Largest admissible [`TenantClass::priority`]. Engines reserve the
 /// priority band above this for their own completion events, so class
@@ -142,9 +143,9 @@ impl TenancyConfig {
 
     /// Checks structural consistency, returning the first problem as a
     /// message: non-empty unique classes, priorities within
-    /// [`MAX_CLASS_PRIORITY`], positive rates with `burst >= 1`, the
-    /// default class and every mapped class resolvable, unique tenant
-    /// ids, and shed knobs positive.
+    /// [`MAX_CLASS_PRIORITY`], positive SLO bounds, positive rates with
+    /// `burst >= 1`, the default class and every mapped class
+    /// resolvable, unique tenant ids, and shed knobs positive.
     ///
     /// # Errors
     ///
@@ -166,14 +167,19 @@ impl TenancyConfig {
                     c.name, c.priority
                 ));
             }
-            match c.rate_rps {
-                Some(r) if !(r.is_finite() && r > 0.0) => {
-                    return Err(format!("class {:?} rate_rps must be > 0, got {r}", c.name));
-                }
-                Some(_) if c.burst == 0 => {
+            check_positive(
+                &format!("class {:?} slo.ttft", c.name),
+                c.slo.ttft.as_secs(),
+            )?;
+            check_positive(
+                &format!("class {:?} slo.tpot", c.name),
+                c.slo.tpot.as_secs(),
+            )?;
+            if let Some(r) = c.rate_rps {
+                check_positive(&format!("class {:?} rate_rps", c.name), r)?;
+                if c.burst == 0 {
                     return Err(format!("class {:?} burst must be >= 1", c.name));
                 }
-                _ => {}
             }
             if let Some(m) = &c.model {
                 if m.is_empty() {
@@ -196,15 +202,26 @@ impl TenancyConfig {
             }
         }
         if let Some(d) = self.shed_queue_depth {
-            if !(d.is_finite() && d > 0.0) {
-                return Err(format!("shed_queue_depth must be > 0, got {d}"));
-            }
-            let defer_ok = self.defer_s.is_finite() && self.defer_s > 0.0;
-            if self.shed_policy == ShedPolicy::Defer && !defer_ok {
-                return Err(format!("defer_s must be > 0, got {}", self.defer_s));
-            }
+            check_positive("shed_queue_depth", d)?;
         }
-        Ok(())
+        self.check_defer_delay("defer_s", self.defer_s)
+    }
+
+    /// The defer-delay rule of [`validate`](Self::validate): with
+    /// shedding on under [`ShedPolicy::Defer`], the delay must be finite
+    /// and positive. The rule holds in any time unit, so a caller can
+    /// apply it to `delay` as its input wrote it, under that input's
+    /// `field` name.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `field` when the rule fails.
+    pub fn check_defer_delay(&self, field: &str, delay: f64) -> Result<(), String> {
+        if self.shed_queue_depth.is_some() && self.shed_policy == ShedPolicy::Defer {
+            check_positive(field, delay)
+        } else {
+            Ok(())
+        }
     }
 }
 

@@ -81,27 +81,53 @@ impl ArrivalProcess {
         }
     }
 
-    fn validate(&self) {
+    /// Checks the process: finite positive rate and period,
+    /// `burst_factor >= 1`, `duty` in `(0, 1)`, and `burst_factor *
+    /// duty < 1`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first ill-formed field.
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
-            ArrivalProcess::Poisson { rate_rps } => {
-                assert!(rate_rps > 0.0, "arrival rate must be > 0");
-            }
+            ArrivalProcess::Poisson { rate_rps } => check_positive("rate_rps", rate_rps),
             ArrivalProcess::Bursty {
                 rate_rps,
                 burst_factor,
                 period_s,
                 duty,
             } => {
-                assert!(rate_rps > 0.0, "arrival rate must be > 0");
-                assert!(burst_factor >= 1.0, "burst_factor must be >= 1");
-                assert!(period_s > 0.0, "period must be > 0");
-                assert!(duty > 0.0 && duty < 1.0, "duty must be in (0, 1)");
-                assert!(
-                    burst_factor * duty < 1.0,
-                    "burst_factor * duty must be < 1 (off-phase rate would be <= 0)"
-                );
+                check_positive("rate_rps", rate_rps)?;
+                check_positive("period_s", period_s)?;
+                if burst_factor < 1.0 {
+                    return Err(format!("burst_factor must be >= 1, got {burst_factor}"));
+                }
+                if !(duty > 0.0 && duty < 1.0) {
+                    return Err(format!("duty must be in (0, 1), got {duty}"));
+                }
+                if burst_factor * duty >= 1.0 {
+                    return Err("burst_factor * duty must be < 1 \
+                                (the off-phase rate would be <= 0)"
+                        .into());
+                }
+                Ok(())
             }
         }
+    }
+}
+
+/// The finite-and-positive rule shared by rates, periods and other
+/// strictly positive knobs of the serving and trace configs.
+///
+/// # Errors
+///
+/// Returns a message naming `field` when `x` is not finite or not
+/// `> 0`.
+pub fn check_positive(field: &str, x: f64) -> Result<(), String> {
+    if x.is_finite() && x > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{field} must be > 0 and finite, got {x}"))
     }
 }
 
@@ -149,7 +175,13 @@ impl LengthDist {
         }
     }
 
-    fn validate(&self, what: &str) {
+    /// Checks the distribution: non-zero lengths, ordered ranges, and a
+    /// long-population weight in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message quoting the ill-formed distribution.
+    pub fn validate(&self) -> Result<(), String> {
         let ok = match *self {
             LengthDist::Fixed(n) => n > 0,
             LengthDist::Uniform { lo, hi } => lo > 0 && lo <= hi,
@@ -165,7 +197,11 @@ impl LengthDist {
                     && (0.0..=1.0).contains(&long_weight)
             }
         };
-        assert!(ok, "invalid {what} length distribution: {self:?}");
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("ill-formed length distribution {self:?}"))
+        }
     }
 }
 
@@ -186,18 +222,31 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
+    /// Checks the arrival process and both length distributions.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation, prefixed with its field name.
+    pub fn validate(&self) -> Result<(), String> {
+        self.arrivals
+            .validate()
+            .map_err(|e| format!("arrivals.{e}"))?;
+        self.prompt_len
+            .validate()
+            .map_err(|e| format!("prompt_len: {e}"))?;
+        self.output_len
+            .validate()
+            .map_err(|e| format!("output_len: {e}"))
+    }
+
     /// Generates the trace.
     ///
     /// # Panics
     ///
-    /// Panics if the arrival process or a length distribution is
-    /// ill-formed (zero lengths, non-positive rates, `burst_factor *
-    /// duty >= 1`).
+    /// Panics where [`validate`](Self::validate) fails.
     #[must_use]
     pub fn generate(&self) -> RequestTrace {
-        self.arrivals.validate();
-        self.prompt_len.validate("prompt");
-        self.output_len.validate("output");
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut t = Seconds::ZERO;
         let mut requests = Vec::with_capacity(self.requests);

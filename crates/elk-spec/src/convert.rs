@@ -1,22 +1,27 @@
-//! Conversions from spec types into the engine's configuration types,
-//! with the validation the engine constructors would otherwise enforce
-//! by panicking.
+//! Conversions from spec types into the engine's configuration types.
 //!
-//! Scenario files are external input, so every invariant (positive
-//! dimensions, power-of-two buckets, well-formed arrival processes) is
-//! checked here and reported as a [`SpecError::Invalid`] instead of a
-//! panic deep inside the engine.
+//! This module converts units (ms to seconds, TFLOP/s to per-core
+//! FLOP/s, KiB and GiB to bytes) and resolves names (presets, zoo
+//! aliases, policies). The invariants on the converted values live on
+//! their owning types — [`TraceConfig::validate`],
+//! [`BatchConfig::validate`], [`TransformerConfig::check_shards`],
+//! [`elk_serve::TenancyConfig::validate`], the fallible unit
+//! constructors and so on — and are checked there once. Here their
+//! messages only gain the dotted scenario path, so a bad scenario
+//! becomes a [`SpecError::Invalid`] instead of a panic deep inside the
+//! engine. The few rules no engine type states (positive chip rates,
+//! non-zero chip and pod sizes) are checked here.
 
 use elk_cluster::{ClusterOptions, ParallelismPlan};
 use elk_hw::{
     presets, ChipConfig, HbmConfig, InterChipTopology, SramContention, SystemConfig, Topology,
 };
-use elk_model::{ModelGraph, TransformerConfig, Workload};
-use elk_serve::{ArrivalProcess, BatchConfig, LengthDist, ServeConfig, SloConfig, TraceConfig};
+use elk_model::{ModelGraph, SeqBuckets, TransformerConfig, Workload};
+use elk_serve::{check_positive, BatchConfig, ServeConfig, SloConfig, TraceConfig};
 use elk_sim::SimOptions;
 use elk_units::{ByteRate, Bytes, FlopRate, Seconds};
 
-use elk_trace::{LengthModel, RateShape, TraceGenConfig};
+use elk_trace::TraceGenConfig;
 
 use crate::spec::{
     AutoscaleSpec, ChipSpec, ClusterSpec, DisaggSpec, HbmSpec, ModelSpec, ScenarioSpec,
@@ -29,15 +34,44 @@ fn invalid(msg: impl Into<String>) -> SpecError {
     SpecError::Invalid(msg.into())
 }
 
-/// Checks that `x` is a finite, strictly positive number.
-fn positive(what: &str, x: f64) -> Result<f64, SpecError> {
-    if x.is_finite() && x > 0.0 {
-        Ok(x)
-    } else {
-        Err(invalid(format!(
-            "{what} must be a positive number, got {x}"
-        )))
-    }
+/// Prefixes an owning type's message with the scenario path it came
+/// from. `path` carries its separator: `"serving."` before a message
+/// that starts with the owner's field name, `"system.hbm: "` before
+/// any other.
+fn at(path: &str) -> impl FnOnce(String) -> SpecError + '_ {
+    move |msg| invalid(format!("{path}{msg}"))
+}
+
+/// [`check_positive`] on a field as the scenario wrote it.
+fn positive(path: &str, x: f64) -> Result<f64, SpecError> {
+    check_positive(path, x).map_err(invalid)?;
+    Ok(x)
+}
+
+/// A positive bandwidth field in GiB/s, as a [`ByteRate`].
+fn gib_per_sec(path: &str, gib: f64) -> Result<ByteRate, SpecError> {
+    ByteRate::try_gib_per_sec(positive(path, gib)?).map_err(at_field(path, gib, "GiB/s"))
+}
+
+/// A byte-count field in `unit`, converted by `checked`.
+fn bytes(
+    path: &str,
+    n: u64,
+    unit: &str,
+    checked: fn(u64) -> Option<Bytes>,
+) -> Result<Bytes, SpecError> {
+    checked(n).ok_or_else(|| invalid(format!("{path}: {n} {unit} overflows a 64-bit byte count")))
+}
+
+/// A millisecond field as [`Seconds`].
+fn millis(path: &str, ms: f64) -> Result<Seconds, SpecError> {
+    Seconds::try_new(ms / 1e3).map_err(at_field(path, ms, "ms"))
+}
+
+/// Prefixes a unit type's message with the field and its value as the
+/// scenario wrote it.
+fn at_field<'a>(path: &'a str, x: f64, unit: &'a str) -> impl FnOnce(String) -> SpecError + 'a {
+    move |msg| invalid(format!("{path} ({x} {unit}): {msg}"))
 }
 
 /// A preset alias paired with its constructor (mirrors
@@ -87,10 +121,7 @@ impl SystemSpec {
                     chip: chip.to_chip()?,
                     hbm: hbm.to_hbm()?,
                     chips: *chips,
-                    inter_chip_bw: ByteRate::gib_per_sec(positive(
-                        "system.inter_chip_bw_gib_s",
-                        *inter_chip_bw_gib_s,
-                    )?),
+                    inter_chip_bw: gib_per_sec("system.inter_chip_bw_gib_s", *inter_chip_bw_gib_s)?,
                     inter_chip_topology: elk_hw::InterChipTopology::Ring,
                 })
             }
@@ -104,7 +135,8 @@ impl ChipSpec {
     /// # Errors
     ///
     /// Returns [`SpecError::Invalid`] for zero cores, non-positive
-    /// rates, or an unknown contention mode.
+    /// rates, a size or rate that overflows its unit, or an unknown
+    /// contention mode.
     pub fn to_chip(&self) -> Result<ChipConfig, SpecError> {
         if self.cores == 0 {
             return Err(invalid("chip.cores must be > 0"));
@@ -128,18 +160,22 @@ impl ChipSpec {
             }
         };
         let cores = self.cores;
-        let matmul = positive("chip.matmul_tflops", self.matmul_tflops)?;
-        let vector = positive("chip.vector_tflops", self.vector_tflops)?;
+        let per_core = |path: &str, tflops: f64| {
+            FlopRate::try_new(positive(path, tflops)? * 1e12 / cores as f64)
+                .map_err(at_field(path, tflops, "TFLOP/s"))
+        };
+        let kib = |path, n| bytes(path, n, "KiB", Bytes::checked_kib);
         Ok(ChipConfig {
             name: self.name.clone(),
             cores,
-            sram_per_core: Bytes::kib(self.sram_per_core_kib),
-            io_buffer_per_core: Bytes::kib(self.io_buffer_per_core_kib),
-            matmul_rate_per_core: FlopRate::new(matmul * 1e12 / cores as f64),
-            vector_rate_per_core: FlopRate::new(vector * 1e12 / cores as f64),
-            sram_bw_per_core: ByteRate::new(
+            sram_per_core: kib("chip.sram_per_core_kib", self.sram_per_core_kib)?,
+            io_buffer_per_core: kib("chip.io_buffer_per_core_kib", self.io_buffer_per_core_kib)?,
+            matmul_rate_per_core: per_core("chip.matmul_tflops", self.matmul_tflops)?,
+            vector_rate_per_core: per_core("chip.vector_tflops", self.vector_tflops)?,
+            sram_bw_per_core: ByteRate::try_new(
                 positive("chip.sram_bw_gb_s", self.sram_bw_gb_s)? * 1e9,
-            ),
+            )
+            .map_err(at_field("chip.sram_bw_gb_s", self.sram_bw_gb_s, "GB/s"))?,
             sram_contention,
             topology: self.topology.to_topology(cores)?,
         })
@@ -152,17 +188,15 @@ impl TopologySpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for non-positive bandwidths.
+    /// Returns [`SpecError::Invalid`] for non-positive or overflowing
+    /// bandwidths.
     pub fn to_topology(&self, cores: u64) -> Result<Topology, SpecError> {
         match self {
             TopologySpec::AllToAll { core_link_gib_s } => Ok(Topology::AllToAll {
-                core_link: ByteRate::gib_per_sec(positive(
-                    "topology.all_to_all.core_link_gib_s",
-                    *core_link_gib_s,
-                )?),
+                core_link: gib_per_sec("topology.all_to_all.core_link_gib_s", *core_link_gib_s)?,
             }),
             TopologySpec::Mesh { total_gib_s } => Ok(Topology::mesh_with_total(
-                ByteRate::gib_per_sec(positive("topology.mesh.total_gib_s", *total_gib_s)?),
+                gib_per_sec("topology.mesh.total_gib_s", *total_gib_s)?,
                 cores,
             )),
         }
@@ -174,20 +208,21 @@ impl HbmSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for zero channels or non-positive
-    /// bandwidth.
+    /// Returns [`SpecError::Invalid`] for zero channels or capacity, or a
+    /// non-positive or overflowing bandwidth or capacity.
     pub fn to_hbm(&self) -> Result<HbmConfig, SpecError> {
-        if self.channels == 0 {
-            return Err(invalid("hbm.channels must be > 0"));
-        }
+        let channel_bw = gib_per_sec("hbm.channel_bw_gib_s", self.channel_bw_gib_s)?;
+        let hbm = HbmConfig::try_new(self.channels, channel_bw).map_err(at("hbm."))?;
         if self.capacity_gib == 0 {
             return Err(invalid("hbm.capacity_gib must be > 0"));
         }
-        Ok(HbmConfig::new(
-            self.channels,
-            ByteRate::gib_per_sec(positive("hbm.channel_bw_gib_s", self.channel_bw_gib_s)?),
-        )
-        .with_capacity(Bytes::gib(self.capacity_gib)))
+        let capacity = bytes(
+            "hbm.capacity_gib",
+            self.capacity_gib,
+            "GiB",
+            Bytes::checked_gib,
+        )?;
+        Ok(hbm.with_capacity(capacity))
     }
 }
 
@@ -221,6 +256,21 @@ impl ResolvedModel {
             ResolvedModel::Llm(cfg) => cfg.build(workload, shards),
             ResolvedModel::Moe(cfg) => cfg.build(workload, shards),
             ResolvedModel::Dit(cfg) => cfg.build(workload, shards),
+        }
+    }
+
+    /// The model's own shard-divisibility check
+    /// ([`TransformerConfig::check_shards`] and its MoE/DiT peers).
+    ///
+    /// # Errors
+    ///
+    /// Returns the model's message for a shard count that is zero or
+    /// does not split it evenly.
+    pub fn check_shards(&self, shards: u64) -> Result<(), String> {
+        match self {
+            ResolvedModel::Llm(cfg) => cfg.check_shards(shards),
+            ResolvedModel::Moe(cfg) => cfg.check_shards(shards),
+            ResolvedModel::Dit(cfg) => cfg.check_shards(shards),
         }
     }
 }
@@ -345,17 +395,13 @@ impl WorkloadSpec {
     ///
     /// Returns [`SpecError::Invalid`] for zero batch or sequence length.
     pub fn to_workload(&self) -> Result<Workload, SpecError> {
-        if self.batch == 0 || self.seq_len == 0 {
-            return Err(invalid(format!(
-                "workload.batch ({}) and workload.seq_len ({}) must be > 0",
-                self.batch, self.seq_len
-            )));
-        }
-        Ok(Workload {
+        let workload = Workload {
             batch: self.batch,
             seq_len: self.seq_len,
             phase: self.phase,
-        })
+        };
+        workload.validate().map_err(at("workload."))?;
+        Ok(workload)
     }
 
     /// The tensor-parallel shard count, defaulting to the system's chip
@@ -365,11 +411,9 @@ impl WorkloadSpec {
     ///
     /// Returns [`SpecError::Invalid`] for a zero shard override.
     pub fn shards_for(&self, system: &SystemConfig) -> Result<u64, SpecError> {
-        match self.shards {
-            Some(0) => Err(invalid("workload.shards must be > 0")),
-            Some(n) => Ok(n),
-            None => Ok(system.chips),
-        }
+        let shards = self.shards.unwrap_or(system.chips);
+        elk_model::check_split(shards, &[]).map_err(at("workload."))?;
+        Ok(shards)
     }
 
     /// [`shards_for`](Self::shards_for), checked against `model`:
@@ -386,24 +430,7 @@ impl WorkloadSpec {
         model: &ResolvedModel,
     ) -> Result<u64, SpecError> {
         let shards = self.shards_for(system)?;
-        let (heads, ffn) = match model {
-            ResolvedModel::Llm(cfg) => (cfg.heads, Some(("intermediate", cfg.intermediate))),
-            ResolvedModel::Moe(cfg) => (
-                cfg.heads,
-                Some(("expert_intermediate", cfg.expert_intermediate)),
-            ),
-            ResolvedModel::Dit(cfg) => (cfg.heads, None),
-        };
-        if !heads.is_multiple_of(shards) {
-            return Err(invalid(format!(
-                "workload.shards ({shards}) must divide the model's heads ({heads})"
-            )));
-        }
-        if let Some((name, width)) = ffn.filter(|&(_, width)| !width.is_multiple_of(shards)) {
-            return Err(invalid(format!(
-                "workload.shards ({shards}) must divide the model's {name} ({width})"
-            )));
-        }
+        model.check_shards(shards).map_err(at("workload."))?;
         Ok(shards)
     }
 }
@@ -438,76 +465,22 @@ impl TraceSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] when the arrival process or a
-    /// length distribution violates the engine's invariants (the same
-    /// conditions [`TraceConfig::generate`] would panic on).
+    /// Returns [`SpecError::Invalid`] for zero requests or where
+    /// [`TraceConfig::validate`] fails (the conditions
+    /// [`TraceConfig::generate`] would panic on).
     pub fn to_config(&self) -> Result<TraceConfig, SpecError> {
         if self.requests == 0 {
             return Err(invalid("trace.requests must be > 0"));
         }
-        validate_arrivals(&self.arrivals)?;
-        validate_lengths("trace.prompt_len", &self.prompt_len)?;
-        validate_lengths("trace.output_len", &self.output_len)?;
-        Ok(TraceConfig {
+        let config = TraceConfig {
             seed: self.seed,
             requests: self.requests,
             arrivals: self.arrivals,
             prompt_len: self.prompt_len,
             output_len: self.output_len,
-        })
-    }
-}
-
-fn validate_arrivals(arrivals: &ArrivalProcess) -> Result<(), SpecError> {
-    match *arrivals {
-        ArrivalProcess::Poisson { rate_rps } => {
-            positive("trace.arrivals.rate_rps", rate_rps)?;
-        }
-        ArrivalProcess::Bursty {
-            rate_rps,
-            burst_factor,
-            period_s,
-            duty,
-        } => {
-            positive("trace.arrivals.rate_rps", rate_rps)?;
-            positive("trace.arrivals.period_s", period_s)?;
-            if burst_factor < 1.0 {
-                return Err(invalid("trace.arrivals.burst_factor must be >= 1"));
-            }
-            if !(duty > 0.0 && duty < 1.0) {
-                return Err(invalid("trace.arrivals.duty must be in (0, 1)"));
-            }
-            if burst_factor * duty >= 1.0 {
-                return Err(invalid(
-                    "trace.arrivals: burst_factor * duty must be < 1 \
-                     (the off-phase rate would be <= 0)",
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_lengths(what: &str, dist: &LengthDist) -> Result<(), SpecError> {
-    let ok = match *dist {
-        LengthDist::Fixed(n) => n > 0,
-        LengthDist::Uniform { lo, hi } => lo > 0 && lo <= hi,
-        LengthDist::Bimodal {
-            short,
-            long,
-            long_weight,
-        } => {
-            short.0 > 0
-                && short.0 <= short.1
-                && long.0 > 0
-                && long.0 <= long.1
-                && (0.0..=1.0).contains(&long_weight)
-        }
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(invalid(format!("{what}: ill-formed distribution {dist:?}")))
+        };
+        config.validate().map_err(at("trace."))?;
+        Ok(config)
     }
 }
 
@@ -516,102 +489,41 @@ impl TraceGenSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] when the rate shape or a length
-    /// model violates the generator's invariants (the same conditions
+    /// Returns [`SpecError::Invalid`] for zero requests or where
+    /// [`TraceGenConfig::validate`] fails (the conditions
     /// [`TraceGenConfig::generate`] would panic on).
     pub fn to_config(&self) -> Result<TraceGenConfig, SpecError> {
         if self.requests == 0 {
             return Err(invalid("workload.trace.generate.requests must be > 0"));
         }
-        validate_rate(&self.rate)?;
-        validate_length_model("workload.trace.generate.prompt_len", &self.prompt_len)?;
-        validate_length_model("workload.trace.generate.output_len", &self.output_len)?;
-        Ok(TraceGenConfig {
+        let config = TraceGenConfig {
             seed: self.seed,
             requests: self.requests,
             rate: self.rate,
             prompt_len: self.prompt_len,
             output_len: self.output_len,
             tenants: self.tenants,
-        })
-    }
-}
-
-fn validate_rate(rate: &RateShape) -> Result<(), SpecError> {
-    let at = "workload.trace.generate.rate";
-    match *rate {
-        RateShape::Constant { rate_rps } => {
-            positive(&format!("{at}.rate_rps"), rate_rps)?;
-        }
-        RateShape::Diurnal {
-            mean_rps,
-            amplitude,
-            period_s,
-        } => {
-            positive(&format!("{at}.mean_rps"), mean_rps)?;
-            positive(&format!("{at}.period_s"), period_s)?;
-            if !(0.0..1.0).contains(&amplitude) {
-                return Err(invalid(format!(
-                    "{at}.amplitude must be in [0, 1) so the rate stays positive, got {amplitude}"
-                )));
-            }
-        }
-        RateShape::BurstTrain {
-            base_rps,
-            burst_rps,
-            period_s,
-            burst_s,
-        } => {
-            positive(&format!("{at}.base_rps"), base_rps)?;
-            positive(&format!("{at}.period_s"), period_s)?;
-            positive(&format!("{at}.burst_s"), burst_s)?;
-            if burst_rps < base_rps {
-                return Err(invalid(format!(
-                    "{at}: burst_rps ({burst_rps}) must be >= base_rps ({base_rps})"
-                )));
-            }
-            if burst_s >= period_s {
-                return Err(invalid(format!(
-                    "{at}: burst_s ({burst_s}) must be shorter than period_s ({period_s})"
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_length_model(what: &str, model: &LengthModel) -> Result<(), SpecError> {
-    let ok = match *model {
-        LengthModel::Fixed { tokens } => tokens > 0,
-        LengthModel::Uniform { lo, hi } => lo > 0 && lo <= hi,
-        LengthModel::HeavyTail { lo, alpha, cap } => {
-            lo > 0 && cap >= lo && alpha.is_finite() && alpha > 0.0
-        }
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(invalid(format!(
-            "{what}: ill-formed length model {model:?}"
-        )))
+        };
+        config.validate().map_err(at("workload.trace.generate."))?;
+        Ok(config)
     }
 }
 
 impl AutoscaleSpec {
     /// Builds the [`elk_cluster::AutoscaleConfig`] this spec describes.
-    /// Threshold/bounds validation happens in
-    /// [`elk_cluster::AutoscaleServingSim::new`]; only the unit
-    /// conversion is checked here.
+    /// The policy is checked by [`elk_cluster::AutoscaleConfig::validate`]
+    /// when [`elk_cluster::AutoscaleServingSim::new`] takes it; only the
+    /// unit conversion is checked here.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for a non-positive interval.
+    /// Returns [`SpecError::Invalid`] for an interval that is not a
+    /// valid duration.
     pub fn to_config(&self) -> Result<elk_cluster::AutoscaleConfig, SpecError> {
-        positive("cluster.autoscale.interval_ms", self.interval_ms)?;
         Ok(elk_cluster::AutoscaleConfig {
             min_groups: self.min_groups,
             max_groups: self.max_groups,
-            interval: Seconds::new(self.interval_ms / 1e3),
+            interval: millis("cluster.autoscale.interval_ms", self.interval_ms)?,
             up_queue_depth: self.up_queue_depth,
             down_queue_depth: self.down_queue_depth,
             slo_target: self.slo_target,
@@ -621,26 +533,15 @@ impl AutoscaleSpec {
 }
 
 impl DisaggSpec {
-    /// The two pool plans this spec pins, prefill first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Invalid`] when either pool has a zero
-    /// degree (pod/model fit is checked by
-    /// [`elk_cluster::DisaggServingSim::new`]).
-    pub fn to_plans(&self) -> Result<(ParallelismPlan, ParallelismPlan), SpecError> {
-        for (name, p) in [
-            ("cluster.disaggregate.prefill", &self.prefill),
-            ("cluster.disaggregate.decode", &self.decode),
-        ] {
-            if p.tp == 0 || p.pp == 0 || p.dp == 0 {
-                return Err(invalid(format!("{name}: tp, pp, dp must all be >= 1")));
-            }
-        }
-        Ok((
+    /// The two pool plans this spec pins, prefill first. Each is
+    /// checked against the pod and the model, its pool named, by
+    /// [`elk_cluster::DisaggServingSim::new`].
+    #[must_use]
+    pub fn to_plans(&self) -> (ParallelismPlan, ParallelismPlan) {
+        (
             ParallelismPlan::new(self.prefill.tp, self.prefill.pp, self.prefill.dp),
             ParallelismPlan::new(self.decode.tp, self.decode.pp, self.decode.dp),
-        ))
+        )
     }
 }
 
@@ -648,15 +549,15 @@ impl TenancySpec {
     /// Builds the [`elk_serve::TenancyConfig`] this spec describes.
     ///
     /// SLO bounds convert from ms to seconds and the shed policy name
-    /// resolves here; the structural invariants (unique names, priority
-    /// band, resolvable classes) are then checked by
-    /// [`elk_serve::TenancyConfig::validate`].
+    /// resolves here; the invariants (unique names, priority band,
+    /// positive SLOs, resolvable classes, the defer delay) are then
+    /// checked by [`elk_serve::TenancyConfig::validate`].
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for an unknown shed policy, a
-    /// non-positive SLO bound, an out-of-band priority, or any
-    /// violation `validate` reports.
+    /// Returns [`SpecError::Invalid`] for an unknown shed policy, an SLO
+    /// bound that is not a valid duration, a priority beyond 8 bits, or
+    /// any violation `validate` reports.
     pub fn to_config(&self) -> Result<elk_serve::TenancyConfig, SpecError> {
         let shed_policy = match self.shed_policy.as_str() {
             "reject" => elk_serve::ShedPolicy::Reject,
@@ -667,31 +568,31 @@ impl TenancySpec {
                 )))
             }
         };
-        let mut classes = Vec::with_capacity(self.classes.len());
-        for c in &self.classes {
-            if c.priority > u64::from(elk_serve::MAX_CLASS_PRIORITY) {
-                return Err(invalid(format!(
-                    "tenants.classes '{}': priority {} exceeds the maximum {}",
-                    c.name,
-                    c.priority,
-                    elk_serve::MAX_CLASS_PRIORITY
-                )));
-            }
-            positive("tenants.classes slo.ttft_ms", c.slo.ttft_ms)?;
-            positive("tenants.classes slo.tpot_ms", c.slo.tpot_ms)?;
-            classes.push(elk_serve::TenantClass {
-                name: c.name.clone(),
-                priority: c.priority as u8,
-                slo: SloConfig {
-                    ttft: Seconds::new(c.slo.ttft_ms / 1e3),
-                    tpot: Seconds::new(c.slo.tpot_ms / 1e3),
-                },
-                rate_rps: c.rate_rps,
-                burst: c.burst,
-                model: c.model.clone(),
-                sheddable: c.sheddable,
-            });
-        }
+        let classes = self
+            .classes
+            .iter()
+            .map(|c| {
+                let at_class = |key: &str| format!("tenants.classes '{}' {key}", c.name);
+                Ok(elk_serve::TenantClass {
+                    name: c.name.clone(),
+                    priority: u8::try_from(c.priority).map_err(|_| {
+                        invalid(format!(
+                            "{}: {} is out of range",
+                            at_class("priority"),
+                            c.priority
+                        ))
+                    })?,
+                    slo: SloConfig {
+                        ttft: millis(&at_class("slo.ttft_ms"), c.slo.ttft_ms)?,
+                        tpot: millis(&at_class("slo.tpot_ms"), c.slo.tpot_ms)?,
+                    },
+                    rate_rps: c.rate_rps,
+                    burst: c.burst,
+                    model: c.model.clone(),
+                    sheddable: c.sheddable,
+                })
+            })
+            .collect::<Result<Vec<_>, SpecError>>()?;
         let config = elk_serve::TenancyConfig {
             classes,
             tenants: self.map.clone(),
@@ -700,7 +601,10 @@ impl TenancySpec {
             shed_policy,
             defer_s: self.defer_ms / 1e3,
         };
-        config.validate().map_err(invalid)?;
+        config
+            .check_defer_delay("tenants.defer_ms", self.defer_ms)
+            .map_err(invalid)?;
+        config.validate().map_err(at("tenants: "))?;
         Ok(config)
     }
 }
@@ -711,46 +615,36 @@ impl ServingSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for zero caps/replicas or an
-    /// ill-formed bucket ladder (the conditions [`ServeConfig`]'s
-    /// constructors would panic on).
+    /// Returns [`SpecError::Invalid`] for a non-positive SLO bound or
+    /// where [`ServeConfig::validate`] fails (the conditions
+    /// [`elk_serve::ServingSim::new`] would panic on).
     pub fn to_config(
         &self,
         model: TransformerConfig,
         shards: u64,
         sim: SimOptions,
     ) -> Result<ServeConfig, SpecError> {
-        if self.replicas == 0 {
-            return Err(invalid("serving.replicas must be > 0"));
-        }
-        if self.max_batch == 0 || self.max_prefill_tokens == 0 {
-            return Err(invalid(
-                "serving.max_batch and serving.max_prefill_tokens must be > 0",
-            ));
-        }
-        let b = self.seq_buckets;
-        if b.min == 0 || !b.min.is_power_of_two() || b.max < b.min {
-            return Err(invalid(format!(
-                "serving.seq_buckets: min ({}) must be a power of two and <= max ({})",
-                b.min, b.max
-            )));
-        }
-        positive("serving.slo.ttft_ms", self.slo.ttft_ms)?;
-        positive("serving.slo.tpot_ms", self.slo.tpot_ms)?;
-        let mut config = ServeConfig::new(model, shards)
-            .with_replicas(self.replicas)
-            .with_threads(self.threads);
-        config.batch = BatchConfig {
-            max_batch: self.max_batch,
-            max_prefill_tokens: self.max_prefill_tokens,
-            seq_buckets: elk_model::SeqBuckets::new(b.min, b.max),
-            bucket_batch: self.bucket_batch,
+        let config = ServeConfig {
+            model,
+            shards,
+            replicas: self.replicas,
+            batch: BatchConfig {
+                max_batch: self.max_batch,
+                max_prefill_tokens: self.max_prefill_tokens,
+                seq_buckets: SeqBuckets {
+                    min: self.seq_buckets.min,
+                    max: self.seq_buckets.max,
+                },
+                bucket_batch: self.bucket_batch,
+            },
+            slo: SloConfig {
+                ttft: Seconds::new(positive("serving.slo.ttft_ms", self.slo.ttft_ms)? / 1e3),
+                tpot: Seconds::new(positive("serving.slo.tpot_ms", self.slo.tpot_ms)? / 1e3),
+            },
+            sim,
+            threads: self.threads,
         };
-        config.slo = SloConfig {
-            ttft: Seconds::new(self.slo.ttft_ms / 1e3),
-            tpot: Seconds::new(self.slo.tpot_ms / 1e3),
-        };
-        config.sim = sim;
+        config.validate().map_err(at("serving."))?;
         Ok(config)
     }
 }
@@ -775,16 +669,12 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for a zero microbatch count or an
-    /// ill-formed fixed plan.
+    /// Returns [`SpecError::Invalid`] for a zero microbatch count. A
+    /// fixed plan is checked against the pod and the model by the
+    /// estimator.
     pub fn to_options(&self) -> Result<ClusterOptions, SpecError> {
         if self.microbatches == Some(0) {
             return Err(invalid("cluster.microbatches must be > 0"));
-        }
-        if let Some(p) = &self.plan {
-            if p.tp == 0 || p.pp == 0 || p.dp == 0 {
-                return Err(invalid("cluster.plan: tp, pp, dp must all be >= 1"));
-            }
         }
         Ok(ClusterOptions {
             microbatches: self.microbatches,
@@ -820,6 +710,7 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
     use crate::spec::SeqBucketsSpec;
+    use elk_serve::ArrivalProcess;
 
     #[test]
     fn preset_resolves_to_the_exact_hardcoded_system() {

@@ -560,8 +560,10 @@ fn run_cluster_disagg(
     obs: &Obs,
 ) -> Result<Vec<elk_cluster::DisaggServingReport>, SpecError> {
     let model = spec.model.as_transformer()?;
-    let (prefill, decode) = disagg.to_plans()?;
-    let serve_cfg = spec.serving.to_config(model.clone(), prefill.tp, *sim)?;
+    let (prefill, decode) = disagg.to_plans();
+    // Only the batching and SLO knobs carry over (a one-chip split is
+    // always even); the engine checks each pool's plan, naming the pool.
+    let serve_cfg = spec.serving.to_config(model.clone(), 1, *sim)?;
     let trace = resolve_trace(spec)?;
     let mut engine = DisaggServingSim::new(
         system.clone(),

@@ -6,6 +6,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use elk_serve::check_positive;
+
 use crate::format::{TraceFile, TraceRecord};
 
 /// Time-varying arrival-rate shape (requests/second).
@@ -87,22 +89,29 @@ impl RateShape {
         }
     }
 
-    fn validate(&self) {
+    /// Checks the shape: finite positive rates and periods, an
+    /// amplitude in `[0, 1)`, `burst_rps >= base_rps`, and a burst
+    /// shorter than its period.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first ill-formed field.
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
-            RateShape::Constant { rate_rps } => {
-                assert!(rate_rps > 0.0, "rate must be > 0");
-            }
+            RateShape::Constant { rate_rps } => check_positive("rate_rps", rate_rps),
             RateShape::Diurnal {
                 mean_rps,
                 amplitude,
                 period_s,
             } => {
-                assert!(mean_rps > 0.0, "mean rate must be > 0");
-                assert!(
-                    (0.0..1.0).contains(&amplitude),
-                    "amplitude must be in [0, 1) so the rate stays positive"
-                );
-                assert!(period_s > 0.0, "period must be > 0");
+                check_positive("mean_rps", mean_rps)?;
+                check_positive("period_s", period_s)?;
+                if !(0.0..1.0).contains(&amplitude) {
+                    return Err(format!(
+                        "amplitude must be in [0, 1) so the rate stays positive, got {amplitude}"
+                    ));
+                }
+                Ok(())
             }
             RateShape::BurstTrain {
                 base_rps,
@@ -110,13 +119,22 @@ impl RateShape {
                 period_s,
                 burst_s,
             } => {
-                assert!(base_rps > 0.0, "base rate must be > 0");
-                assert!(burst_rps >= base_rps, "burst rate must be >= base rate");
-                assert!(period_s > 0.0, "period must be > 0");
-                assert!(
-                    burst_s > 0.0 && burst_s < period_s,
-                    "burst duration must be in (0, period)"
-                );
+                check_positive("base_rps", base_rps)?;
+                check_positive("burst_rps", burst_rps)?;
+                check_positive("period_s", period_s)?;
+                check_positive("burst_s", burst_s)?;
+                if burst_rps < base_rps {
+                    return Err(format!(
+                        "burst_rps ({burst_rps}) must be >= base_rps ({base_rps})"
+                    ));
+                }
+                if burst_s >= period_s {
+                    return Err(format!(
+                        "burst_s ({burst_s}), the burst duration, must be shorter than \
+                         period_s ({period_s})"
+                    ));
+                }
+                Ok(())
             }
         }
     }
@@ -166,13 +184,25 @@ impl LengthModel {
         }
     }
 
-    fn validate(&self, what: &str) {
+    /// Checks the model: non-zero lengths, ordered bounds, and a finite
+    /// positive tail exponent.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message quoting the ill-formed model.
+    pub fn validate(&self) -> Result<(), String> {
         let ok = match *self {
             LengthModel::Fixed { tokens } => tokens > 0,
             LengthModel::Uniform { lo, hi } => lo > 0 && lo <= hi,
-            LengthModel::HeavyTail { lo, alpha, cap } => lo > 0 && lo <= cap && alpha > 0.0,
+            LengthModel::HeavyTail { lo, alpha, cap } => {
+                lo > 0 && lo <= cap && alpha.is_finite() && alpha > 0.0
+            }
         };
-        assert!(ok, "invalid {what} length model: {self:?}");
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("ill-formed length model {self:?}"))
+        }
     }
 }
 
@@ -209,20 +239,31 @@ impl Default for TraceGenConfig {
 }
 
 impl TraceGenConfig {
+    /// Checks the rate shape and both length models.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation, prefixed with its field name.
+    pub fn validate(&self) -> Result<(), String> {
+        self.rate.validate().map_err(|e| format!("rate.{e}"))?;
+        self.prompt_len
+            .validate()
+            .map_err(|e| format!("prompt_len: {e}"))?;
+        self.output_len
+            .validate()
+            .map_err(|e| format!("output_len: {e}"))
+    }
+
     /// Generates the trace by Lewis–Shedler thinning: propose from a
     /// homogeneous process at the peak rate, accept each proposal with
     /// probability `rate(t) / peak`. Exact for any bounded-rate shape.
     ///
     /// # Panics
     ///
-    /// Panics if the rate shape or a length model is ill-formed
-    /// (non-positive rates, amplitude outside `[0, 1)`, zero lengths,
-    /// burst longer than its period).
+    /// Panics where [`validate`](Self::validate) fails.
     #[must_use]
     pub fn generate(&self) -> TraceFile {
-        self.rate.validate();
-        self.prompt_len.validate("prompt");
-        self.output_len.validate("output");
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(self.seed);
         let peak = self.rate.peak_rate();
         let mut t = 0.0f64;

@@ -39,9 +39,26 @@ impl Bytes {
     }
 
     /// Creates a byte count from binary kilobytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`checked_kib`](Self::checked_kib) fails.
     #[must_use]
     pub const fn kib(kib: u64) -> Self {
-        Bytes(kib * 1024)
+        match Self::checked_kib(kib) {
+            Some(b) => b,
+            None => panic!("KiB count overflows a 64-bit byte count"),
+        }
+    }
+
+    /// Creates a byte count from binary kilobytes, or `None` if it
+    /// overflows 64 bits.
+    #[must_use]
+    pub const fn checked_kib(kib: u64) -> Option<Self> {
+        match kib.checked_mul(1024) {
+            Some(b) => Some(Bytes(b)),
+            None => None,
+        }
     }
 
     /// Creates a byte count from binary megabytes.
@@ -51,9 +68,26 @@ impl Bytes {
     }
 
     /// Creates a byte count from binary gigabytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`checked_gib`](Self::checked_gib) fails.
     #[must_use]
     pub const fn gib(gib: u64) -> Self {
-        Bytes(gib * 1024 * 1024 * 1024)
+        match Self::checked_gib(gib) {
+            Some(b) => b,
+            None => panic!("GiB count overflows a 64-bit byte count"),
+        }
+    }
+
+    /// Creates a byte count from binary gigabytes, or `None` if it
+    /// overflows 64 bits.
+    #[must_use]
+    pub const fn checked_gib(gib: u64) -> Option<Self> {
+        match gib.checked_mul(1024 * 1024 * 1024) {
+            Some(b) => Some(Bytes(b)),
+            None => None,
+        }
     }
 
     /// Raw byte count.

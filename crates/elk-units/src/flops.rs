@@ -129,14 +129,28 @@ impl FlopRate {
     ///
     /// # Panics
     ///
-    /// Panics if `flops_per_sec` is NaN, negative, or infinite.
+    /// Panics where [`try_new`](Self::try_new) fails.
     #[must_use]
     pub fn new(flops_per_sec: f64) -> Self {
-        assert!(
-            flops_per_sec.is_finite() && flops_per_sec >= 0.0,
-            "invalid throughput: {flops_per_sec}"
-        );
-        FlopRate(flops_per_sec)
+        Self::try_new(flops_per_sec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a throughput in FLOP/s, or says why it cannot.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `flops_per_sec` is NaN, negative, or
+    /// infinite (a finite input in a larger unit can overflow to
+    /// infinity on the way here).
+    #[inline]
+    pub fn try_new(flops_per_sec: f64) -> Result<Self, String> {
+        if flops_per_sec.is_finite() && flops_per_sec >= 0.0 {
+            Ok(FlopRate(flops_per_sec))
+        } else {
+            Err(format!(
+                "invalid throughput: {flops_per_sec} FLOP/s (must be finite and >= 0)"
+            ))
+        }
     }
 
     /// Creates a throughput in TFLOP/s.

@@ -34,20 +34,43 @@ impl ByteRate {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes_per_sec` is NaN, negative, or infinite.
+    /// Panics where [`try_new`](Self::try_new) fails.
     #[must_use]
     pub fn new(bytes_per_sec: f64) -> Self {
-        assert!(
-            bytes_per_sec.is_finite() && bytes_per_sec >= 0.0,
-            "invalid bandwidth: {bytes_per_sec}"
-        );
-        ByteRate(bytes_per_sec)
+        Self::try_new(bytes_per_sec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a rate in bytes per second, or says why it cannot.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `bytes_per_sec` is NaN, negative, or
+    /// infinite (a finite input in a larger unit can overflow to
+    /// infinity on the way here).
+    #[inline]
+    pub fn try_new(bytes_per_sec: f64) -> Result<Self, String> {
+        if bytes_per_sec.is_finite() && bytes_per_sec >= 0.0 {
+            Ok(ByteRate(bytes_per_sec))
+        } else {
+            Err(format!(
+                "invalid bandwidth: {bytes_per_sec} B/s (must be finite and >= 0)"
+            ))
+        }
     }
 
     /// Creates a rate in binary gigabytes per second.
     #[must_use]
     pub fn gib_per_sec(gib: f64) -> Self {
         ByteRate::new(gib * 1024.0 * 1024.0 * 1024.0)
+    }
+
+    /// [`gib_per_sec`](Self::gib_per_sec), or why it cannot be built.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`try_new`](Self::try_new), after the conversion.
+    pub fn try_gib_per_sec(gib: f64) -> Result<Self, String> {
+        ByteRate::try_new(gib * 1024.0 * 1024.0 * 1024.0)
     }
 
     /// Creates a rate in binary terabytes per second.

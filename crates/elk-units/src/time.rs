@@ -37,11 +37,24 @@ impl Seconds {
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is NaN or negative.
+    /// Panics where [`try_new`](Self::try_new) fails.
     #[must_use]
     pub fn new(secs: f64) -> Self {
-        assert!(!secs.is_nan() && secs >= 0.0, "invalid duration: {secs}");
-        Seconds(secs)
+        Self::try_new(secs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a duration in seconds, or says why it cannot.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `secs` is NaN or negative.
+    #[inline]
+    pub fn try_new(secs: f64) -> Result<Self, String> {
+        if !secs.is_nan() && secs >= 0.0 {
+            Ok(Seconds(secs))
+        } else {
+            Err(format!("invalid duration: {secs}"))
+        }
     }
 
     /// Creates a duration in milliseconds.
