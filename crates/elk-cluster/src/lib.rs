@@ -121,3 +121,44 @@ impl fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elk_hw::presets;
+    use elk_model::zoo;
+    use elk_serve::{BatchConfig, TenancyConfig};
+
+    /// A zero batch cap is a typed error from every engine that returns
+    /// `Result`, not a panic.
+    #[test]
+    fn engines_reject_a_zero_batch_cap() {
+        let mut model = zoo::llama2_13b();
+        model.layers = 2;
+        let plan = ParallelismPlan::new(1, 1, 2);
+        let config = ClusterServeConfig {
+            batch: BatchConfig {
+                max_batch: 0,
+                ..BatchConfig::default()
+            },
+            ..ClusterServeConfig::new(model.clone(), plan)
+        };
+        let unit = ParallelismPlan::unit();
+        let disagg = DisaggConfig {
+            batch: config.batch,
+            ..DisaggConfig::new(model, unit, unit)
+        };
+        let sys = presets::ipu_pod4;
+        let errors = [
+            ClusterServingSim::new(sys(), config.clone()).err(),
+            AutoscaleServingSim::new(sys(), config.clone(), AutoscaleConfig::default()).err(),
+            DisaggServingSim::new(sys(), disagg).err(),
+            TenantServingSim::new(sys(), config, TenancyConfig::default()).err(),
+        ];
+        for e in errors {
+            let e = e.expect("a zero batch cap must be rejected");
+            assert!(matches!(e, ClusterError::Invalid(_)), "{e}");
+            assert!(e.to_string().contains("max_batch"), "{e}");
+        }
+    }
+}

@@ -43,14 +43,12 @@ pub use stats::GraphStats;
 pub use transformer::{NormKind, TransformerConfig};
 pub use workload::{Phase, Workload};
 
-/// The tensor-parallel split rule each model config applies to its own
-/// dimensions (see [`TransformerConfig::check_shards`]): `shards` must
-/// be non-zero and divide every one of the named `dims`.
+/// The tensor-parallel split rule behind each model config's
+/// `check_shards`: `shards` is non-zero and divides every named dim.
 ///
 /// # Errors
 ///
-/// Returns a message naming the shard count and the first dimension it
-/// does not divide.
+/// Returns a message naming the shard count and a dim it leaves uneven.
 pub fn check_split(shards: u64, dims: &[(&str, u64)]) -> Result<(), String> {
     if shards == 0 {
         return Err("shards must be > 0".into());

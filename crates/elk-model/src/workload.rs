@@ -114,13 +114,13 @@ impl Workload {
     ///
     /// Returns a message if `batch` or `seq_len` is zero.
     pub fn validate(&self) -> Result<(), String> {
-        if self.batch == 0 || self.seq_len == 0 {
-            return Err(format!(
-                "batch ({}) and seq_len ({}) must be > 0",
-                self.batch, self.seq_len
-            ));
+        let Workload { batch, seq_len, .. } = *self;
+        if batch > 0 && seq_len > 0 {
+            return Ok(());
         }
-        Ok(())
+        Err(format!(
+            "batch ({batch}) and seq_len ({seq_len}) must be > 0"
+        ))
     }
 
     fn checked(self) -> Self {

@@ -116,19 +116,16 @@ impl ArrivalProcess {
     }
 }
 
-/// The finite-and-positive rule shared by rates, periods and other
-/// strictly positive knobs of the serving and trace configs.
+/// The rule for rates, periods and other strictly positive knobs.
 ///
 /// # Errors
 ///
-/// Returns a message naming `field` when `x` is not finite or not
-/// `> 0`.
+/// Returns a message naming `field` unless `x` is finite and `> 0`.
 pub fn check_positive(field: &str, x: f64) -> Result<(), String> {
     if x.is_finite() && x > 0.0 {
-        Ok(())
-    } else {
-        Err(format!("{field} must be > 0 and finite, got {x}"))
+        return Ok(());
     }
+    Err(format!("{field} must be > 0 and finite, got {x}"))
 }
 
 /// Distribution of a per-request token count.
@@ -180,8 +177,8 @@ impl LengthDist {
     ///
     /// # Errors
     ///
-    /// Returns a message quoting the ill-formed distribution.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns a message naming `field` and quoting the distribution.
+    pub fn validate(&self, field: &str) -> Result<(), String> {
         let ok = match *self {
             LengthDist::Fixed(n) => n > 0,
             LengthDist::Uniform { lo, hi } => lo > 0 && lo <= hi,
@@ -198,10 +195,9 @@ impl LengthDist {
             }
         };
         if ok {
-            Ok(())
-        } else {
-            Err(format!("ill-formed length distribution {self:?}"))
+            return Ok(());
         }
+        Err(format!("{field}: ill-formed length distribution {self:?}"))
     }
 }
 
@@ -231,12 +227,8 @@ impl TraceConfig {
         self.arrivals
             .validate()
             .map_err(|e| format!("arrivals.{e}"))?;
-        self.prompt_len
-            .validate()
-            .map_err(|e| format!("prompt_len: {e}"))?;
-        self.output_len
-            .validate()
-            .map_err(|e| format!("output_len: {e}"))
+        self.prompt_len.validate("prompt_len")?;
+        self.output_len.validate("output_len")
     }
 
     /// Generates the trace.

@@ -71,7 +71,7 @@ fn millis(path: &str, ms: f64) -> Result<Seconds, SpecError> {
 /// Prefixes a unit type's message with the field and its value as the
 /// scenario wrote it.
 fn at_field<'a>(path: &'a str, x: f64, unit: &'a str) -> impl FnOnce(String) -> SpecError + 'a {
-    move |msg| invalid(format!("{path} ({x} {unit}): {msg}"))
+    move |msg| invalid(format!("{path} ({x:?} {unit}): {msg}"))
 }
 
 /// A preset alias paired with its constructor (mirrors
@@ -883,5 +883,21 @@ mod tests {
         };
         let e = spec.to_config().unwrap_err().to_string();
         assert!(e.contains("burst_factor"), "{e}");
+    }
+
+    #[test]
+    fn defer_error_names_the_scenario_key_and_value() {
+        let spec = TenancySpec {
+            shed_queue_depth: Some(2.0),
+            shed_policy: "defer".into(),
+            defer_ms: -5.0,
+            ..TenancySpec::default()
+        };
+        let e = spec.to_config().unwrap_err().to_string();
+        assert!(
+            e.contains("tenants.defer_ms") && e.contains("got -5"),
+            "{e}"
+        );
+        assert!(!e.contains("defer_s"), "{e}");
     }
 }

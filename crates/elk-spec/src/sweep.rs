@@ -384,4 +384,121 @@ mod tests {
             }
         }
     }
+
+    /// Runs every conversion the runners perform on `spec`, each under
+    /// `catch_unwind`, without building an engine or generating a
+    /// trace. Returns the steps that panicked instead of returning `Ok`
+    /// or a [`SpecError`].
+    fn panicking_conversions(spec: &ScenarioSpec) -> Vec<&'static str> {
+        use crate::convert::ResolvedModel;
+        use crate::spec::TraceSourceSpec;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let mut panics = Vec::new();
+        let mut probe = |step, f: &mut dyn FnMut() -> Result<(), SpecError>| {
+            if catch_unwind(AssertUnwindSafe(f)).is_err() {
+                panics.push(step);
+            }
+        };
+        let (mut system, mut model, mut sim) = (None, None, None);
+        probe("system", &mut || {
+            system = Some(spec.system.to_system()?);
+            Ok(())
+        });
+        probe("model", &mut || {
+            model = Some(spec.model.resolve()?);
+            Ok(())
+        });
+        probe("sim", &mut || {
+            sim = Some(spec.sim.to_options()?);
+            Ok(())
+        });
+        probe("workload", &mut || spec.workload.to_workload().map(drop));
+        probe("serving.trace", &mut || {
+            spec.serving.trace.to_config().map(drop)
+        });
+        if let Some(TraceSourceSpec::Generate(g)) = &spec.workload.trace {
+            probe("workload.trace", &mut || g.to_config().map(drop));
+        }
+        let cluster = spec.cluster.clone().unwrap_or_default();
+        probe("cluster", &mut || {
+            cluster.to_interconnect()?;
+            cluster.to_options()?;
+            let _ = cluster.to_plan();
+            Ok(())
+        });
+        if let Some(auto) = &cluster.autoscale {
+            probe("cluster.autoscale", &mut || auto.to_config().map(drop));
+        }
+        if let Some(disagg) = &cluster.disaggregate {
+            probe("cluster.disaggregate", &mut || {
+                let _ = disagg.to_plans();
+                Ok(())
+            });
+        }
+        for tenants in [&spec.serving.tenants, &cluster.tenants]
+            .into_iter()
+            .flatten()
+        {
+            probe("tenants", &mut || tenants.to_config().map(drop));
+        }
+        if let (Some(system), Some(model), Some(sim)) = (system, model, sim) {
+            probe("serving", &mut || {
+                let shards = spec.workload.shards_for_model(&system, &model)?;
+                if let ResolvedModel::Llm(cfg) = &model {
+                    spec.serving.to_config(cfg.clone(), shards, sim)?;
+                }
+                Ok(())
+            });
+        }
+        panics
+    }
+
+    /// No conversion panics on an extreme number: each numeric leaf of
+    /// every scenario's canonical document, set to 0, -1, 1e300 or
+    /// u64::MAX, either converts or yields a `SpecError`.
+    #[test]
+    fn extreme_values_convert_or_fail_typed() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("scenarios directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        files.sort();
+        let extremes = [
+            Value::U64(0),
+            Value::I64(-1),
+            Value::F64(1e300),
+            Value::U64(u64::MAX),
+        ];
+        let (mut probed, mut failures) = (0, Vec::new());
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("readable scenario");
+            let mut base = ScenarioSpec::from_json(&text).expect("scenario parses");
+            base.sweep = None;
+            let canonical = base.to_value();
+            let mut leaves = Vec::new();
+            leaf_paths(&canonical, "", &mut leaves);
+            for (path, leaf) in leaves {
+                if !matches!(leaf, Value::U64(_) | Value::I64(_) | Value::F64(_)) {
+                    continue;
+                }
+                for extreme in &extremes {
+                    let mut doc = canonical.clone();
+                    set_path(&mut doc, &path, extreme.clone()).expect("leaf path");
+                    let Ok(spec) = ScenarioSpec::from_value(&doc) else {
+                        continue;
+                    };
+                    probed += 1;
+                    for step in panicking_conversions(&spec) {
+                        let name = file.file_name().unwrap().to_string_lossy();
+                        failures.push(format!("{name}: {path} = {extreme:?} panics in {step}"));
+                    }
+                }
+            }
+        }
+        assert!(probed > 500, "only {probed} documents parsed");
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
 }

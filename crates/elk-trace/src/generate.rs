@@ -189,8 +189,8 @@ impl LengthModel {
     ///
     /// # Errors
     ///
-    /// Returns a message quoting the ill-formed model.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns a message naming `field` and quoting the model.
+    pub fn validate(&self, field: &str) -> Result<(), String> {
         let ok = match *self {
             LengthModel::Fixed { tokens } => tokens > 0,
             LengthModel::Uniform { lo, hi } => lo > 0 && lo <= hi,
@@ -199,10 +199,9 @@ impl LengthModel {
             }
         };
         if ok {
-            Ok(())
-        } else {
-            Err(format!("ill-formed length model {self:?}"))
+            return Ok(());
         }
+        Err(format!("{field}: ill-formed length model {self:?}"))
     }
 }
 
@@ -246,12 +245,8 @@ impl TraceGenConfig {
     /// Returns the first violation, prefixed with its field name.
     pub fn validate(&self) -> Result<(), String> {
         self.rate.validate().map_err(|e| format!("rate.{e}"))?;
-        self.prompt_len
-            .validate()
-            .map_err(|e| format!("prompt_len: {e}"))?;
-        self.output_len
-            .validate()
-            .map_err(|e| format!("output_len: {e}"))
+        self.prompt_len.validate("prompt_len")?;
+        self.output_len.validate("output_len")
     }
 
     /// Generates the trace by Lewis–Shedler thinning: propose from a

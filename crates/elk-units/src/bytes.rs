@@ -42,23 +42,17 @@ impl Bytes {
     ///
     /// # Panics
     ///
-    /// Panics where [`checked_kib`](Self::checked_kib) fails.
+    /// Panics if the byte count overflows 64 bits.
     #[must_use]
     pub const fn kib(kib: u64) -> Self {
-        match Self::checked_kib(kib) {
-            Some(b) => b,
-            None => panic!("KiB count overflows a 64-bit byte count"),
-        }
+        Self::checked_kib(kib).expect("KiB count overflows 64 bits")
     }
 
     /// Creates a byte count from binary kilobytes, or `None` if it
     /// overflows 64 bits.
     #[must_use]
     pub const fn checked_kib(kib: u64) -> Option<Self> {
-        match kib.checked_mul(1024) {
-            Some(b) => Some(Bytes(b)),
-            None => None,
-        }
+        Self::wrap(kib.checked_mul(1 << 10))
     }
 
     /// Creates a byte count from binary megabytes.
@@ -71,20 +65,21 @@ impl Bytes {
     ///
     /// # Panics
     ///
-    /// Panics where [`checked_gib`](Self::checked_gib) fails.
+    /// Panics if the byte count overflows 64 bits.
     #[must_use]
     pub const fn gib(gib: u64) -> Self {
-        match Self::checked_gib(gib) {
-            Some(b) => b,
-            None => panic!("GiB count overflows a 64-bit byte count"),
-        }
+        Self::checked_gib(gib).expect("GiB count overflows 64 bits")
     }
 
     /// Creates a byte count from binary gigabytes, or `None` if it
     /// overflows 64 bits.
     #[must_use]
     pub const fn checked_gib(gib: u64) -> Option<Self> {
-        match gib.checked_mul(1024 * 1024 * 1024) {
+        Self::wrap(gib.checked_mul(1 << 30))
+    }
+
+    const fn wrap(bytes: Option<u64>) -> Option<Self> {
+        match bytes {
             Some(b) => Some(Bytes(b)),
             None => None,
         }

@@ -135,22 +135,18 @@ impl FlopRate {
         Self::try_new(flops_per_sec).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates a throughput in FLOP/s, or says why it cannot.
+    /// Creates a throughput in FLOP/s.
     ///
     /// # Errors
     ///
-    /// Returns a message if `flops_per_sec` is NaN, negative, or
-    /// infinite (a finite input in a larger unit can overflow to
-    /// infinity on the way here).
+    /// Returns a message if `flops_per_sec` is NaN, negative, or infinite
+    /// (as a finite input can become in a unit conversion).
     #[inline]
     pub fn try_new(flops_per_sec: f64) -> Result<Self, String> {
         if flops_per_sec.is_finite() && flops_per_sec >= 0.0 {
-            Ok(FlopRate(flops_per_sec))
-        } else {
-            Err(format!(
-                "invalid throughput: {flops_per_sec} FLOP/s (must be finite and >= 0)"
-            ))
+            return Ok(FlopRate(flops_per_sec));
         }
+        Err(format!("invalid throughput: {flops_per_sec} FLOP/s"))
     }
 
     /// Creates a throughput in TFLOP/s.

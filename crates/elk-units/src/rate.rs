@@ -40,22 +40,18 @@ impl ByteRate {
         Self::try_new(bytes_per_sec).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates a rate in bytes per second, or says why it cannot.
+    /// Creates a rate in bytes per second.
     ///
     /// # Errors
     ///
-    /// Returns a message if `bytes_per_sec` is NaN, negative, or
-    /// infinite (a finite input in a larger unit can overflow to
-    /// infinity on the way here).
+    /// Returns a message if `bytes_per_sec` is NaN, negative, or infinite
+    /// (as a finite input can become in a unit conversion).
     #[inline]
     pub fn try_new(bytes_per_sec: f64) -> Result<Self, String> {
         if bytes_per_sec.is_finite() && bytes_per_sec >= 0.0 {
-            Ok(ByteRate(bytes_per_sec))
-        } else {
-            Err(format!(
-                "invalid bandwidth: {bytes_per_sec} B/s (must be finite and >= 0)"
-            ))
+            return Ok(ByteRate(bytes_per_sec));
         }
+        Err(format!("invalid bandwidth: {bytes_per_sec} B/s"))
     }
 
     /// Creates a rate in binary gigabytes per second.
@@ -64,11 +60,11 @@ impl ByteRate {
         ByteRate::new(gib * 1024.0 * 1024.0 * 1024.0)
     }
 
-    /// [`gib_per_sec`](Self::gib_per_sec), or why it cannot be built.
+    /// Creates a rate in binary gigabytes per second.
     ///
     /// # Errors
     ///
-    /// Same as [`try_new`](Self::try_new), after the conversion.
+    /// As [`try_new`](Self::try_new), after the conversion.
     pub fn try_gib_per_sec(gib: f64) -> Result<Self, String> {
         ByteRate::try_new(gib * 1024.0 * 1024.0 * 1024.0)
     }

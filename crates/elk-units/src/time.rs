@@ -43,7 +43,7 @@ impl Seconds {
         Self::try_new(secs).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates a duration in seconds, or says why it cannot.
+    /// Creates a duration in seconds.
     ///
     /// # Errors
     ///
@@ -51,10 +51,9 @@ impl Seconds {
     #[inline]
     pub fn try_new(secs: f64) -> Result<Self, String> {
         if !secs.is_nan() && secs >= 0.0 {
-            Ok(Seconds(secs))
-        } else {
-            Err(format!("invalid duration: {secs}"))
+            return Ok(Seconds(secs));
         }
+        Err(format!("invalid duration: {secs}"))
     }
 
     /// Creates a duration in milliseconds.

@@ -318,6 +318,58 @@ fn invalid_explicit_model_configs_exit_2_naming_the_field() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A finite number that overflows during unit conversion — a rate that
+/// becomes infinite in bytes or FLOP/s, a KiB or GiB count past 64 bits
+/// of bytes — is a spec error (exit 2) naming the field, in debug and
+/// release builds alike: not a panic (101), and not a silently wrapped
+/// chip (0).
+#[test]
+fn overflowing_unit_conversions_exit_2_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("elk-overflow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let huge = serde::Value::F64(1e300);
+    let max = serde::Value::U64(u64::MAX);
+    let cases = [
+        ("system.chip.matmul_tflops", &huge),
+        ("system.chip.vector_tflops", &huge),
+        ("system.chip.sram_bw_gb_s", &huge),
+        ("system.chip.topology.mesh.total_gib_s", &huge),
+        ("system.hbm.channel_bw_gib_s", &huge),
+        ("system.inter_chip_bw_gib_s", &huge),
+        ("system.chip.sram_per_core_kib", &max),
+        ("system.hbm.capacity_gib", &max),
+    ];
+    for (path, value) in cases {
+        let mut doc: serde::Value =
+            serde_json::from_str(&read_scenario("custom_chip_dse.json")).expect("valid JSON");
+        set_path(&mut doc, path, value.clone()).unwrap();
+        let scenario = dir.join("overflow.json");
+        std::fs::write(&scenario, serde_json::to_string(&doc).expect("serializes"))
+            .expect("write scenario");
+        let field = path.rsplit('.').next().expect("a leaf key");
+        for command in ["simulate", "serve", "cluster"] {
+            let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+                .arg(command)
+                .arg(&scenario)
+                .arg("--out")
+                .arg(&dir)
+                .output()
+                .expect("spawn elk");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "`elk {command}` with {path} = {value:?}: {stderr}"
+            );
+            assert!(
+                stderr.contains(field),
+                "`elk {command}` must name `{field}`: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A typo'd sweep axis is a spec error (exit 2) that names the unknown
 /// key and lists the valid keys at its level, and no report is written.
 #[test]
