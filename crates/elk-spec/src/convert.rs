@@ -258,21 +258,6 @@ impl ResolvedModel {
             ResolvedModel::Dit(cfg) => cfg.build(workload, shards),
         }
     }
-
-    /// The model's own shard-divisibility check
-    /// ([`TransformerConfig::check_shards`] and its MoE/DiT peers).
-    ///
-    /// # Errors
-    ///
-    /// Returns the model's message for a shard count that is zero or
-    /// does not split it evenly.
-    pub fn check_shards(&self, shards: u64) -> Result<(), String> {
-        match self {
-            ResolvedModel::Llm(cfg) => cfg.check_shards(shards),
-            ResolvedModel::Moe(cfg) => cfg.check_shards(shards),
-            ResolvedModel::Dit(cfg) => cfg.check_shards(shards),
-        }
-    }
 }
 
 impl ResolvedModel {
@@ -430,7 +415,12 @@ impl WorkloadSpec {
         model: &ResolvedModel,
     ) -> Result<u64, SpecError> {
         let shards = self.shards_for(system)?;
-        model.check_shards(shards).map_err(at("workload."))?;
+        match model {
+            ResolvedModel::Llm(cfg) => cfg.check_shards(shards),
+            ResolvedModel::Moe(cfg) => cfg.check_shards(shards),
+            ResolvedModel::Dit(cfg) => cfg.check_shards(shards),
+        }
+        .map_err(at("workload."))?;
         Ok(shards)
     }
 }

@@ -431,6 +431,30 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
     })
 }
 
+/// The config every `elk cluster` replay runs `plan` under: the serving
+/// spec's batching and SLO knobs, with the cluster's worker threads.
+/// The serving spec's replica and thread knobs are the flat-pool ones
+/// and are superseded by the cluster layout; its conversion runs on a
+/// one-chip split, which is always even, since each engine checks
+/// `plan` against the model itself.
+fn cluster_serve_config(
+    spec: &ScenarioSpec,
+    cluster: &ClusterSpec,
+    plan: ParallelismPlan,
+    sim: &elk_sim::SimOptions,
+) -> Result<ClusterServeConfig, SpecError> {
+    let model = spec.model.as_transformer()?;
+    let serve = spec.serving.to_config(model.clone(), 1, *sim)?;
+    Ok(ClusterServeConfig {
+        model,
+        plan,
+        batch: serve.batch,
+        slo: serve.slo,
+        sim: *sim,
+        threads: cluster.threads,
+    })
+}
+
 /// The serving half of `elk cluster`: one routed replay per design ×
 /// router policy, sharing one engine (and therefore one plan cache).
 fn run_cluster_serving(
@@ -441,26 +465,9 @@ fn run_cluster_serving(
     sim: &elk_sim::SimOptions,
     obs: &Obs,
 ) -> Result<Vec<elk_cluster::ClusterServingReport>, SpecError> {
-    let model = spec.model.as_transformer()?;
-    // Reuse the serving spec's validated batching/SLO conversion; the
-    // replica/thread knobs it carries are the flat-pool ones and are
-    // superseded by the cluster layout.
-    let serve_cfg = spec
-        .serving
-        .to_config(model.clone(), estimate.plan.tp, *sim)?;
+    let config = cluster_serve_config(spec, cluster, estimate.plan, sim)?;
     let trace = resolve_trace(spec)?;
-
-    let mut engine = ClusterServingSim::new(
-        system.clone(),
-        ClusterServeConfig {
-            model,
-            plan: estimate.plan,
-            batch: serve_cfg.batch,
-            slo: serve_cfg.slo,
-            sim: *sim,
-            threads: cluster.threads,
-        },
-    )?;
+    let mut engine = ClusterServingSim::new(system.clone(), config)?;
     engine.set_obs(obs.clone());
     let mut rows = Vec::new();
     for &design in &spec.compiler.design {
@@ -483,23 +490,9 @@ fn run_cluster_autoscale(
     sim: &elk_sim::SimOptions,
     obs: &Obs,
 ) -> Result<Vec<elk_cluster::AutoscaleReport>, SpecError> {
-    let model = spec.model.as_transformer()?;
-    let serve_cfg = spec
-        .serving
-        .to_config(model.clone(), estimate.plan.tp, *sim)?;
+    let config = cluster_serve_config(spec, cluster, estimate.plan, sim)?;
     let trace = resolve_trace(spec)?;
-    let mut engine = AutoscaleServingSim::new(
-        system.clone(),
-        ClusterServeConfig {
-            model,
-            plan: estimate.plan,
-            batch: serve_cfg.batch,
-            slo: serve_cfg.slo,
-            sim: *sim,
-            threads: cluster.threads,
-        },
-        auto.to_config()?,
-    )?;
+    let mut engine = AutoscaleServingSim::new(system.clone(), config, auto.to_config()?)?;
     engine.set_obs(obs.clone());
     let mut rows = Vec::new();
     for &design in &spec.compiler.design {
@@ -521,23 +514,9 @@ fn run_cluster_tenancy(
     sim: &elk_sim::SimOptions,
     obs: &Obs,
 ) -> Result<Vec<elk_cluster::TenancyServingReport>, SpecError> {
-    let model = spec.model.as_transformer()?;
-    let serve_cfg = spec
-        .serving
-        .to_config(model.clone(), estimate.plan.tp, *sim)?;
+    let config = cluster_serve_config(spec, cluster, estimate.plan, sim)?;
     let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;
-    let mut engine = TenantServingSim::new(
-        system.clone(),
-        ClusterServeConfig {
-            model,
-            plan: estimate.plan,
-            batch: serve_cfg.batch,
-            slo: serve_cfg.slo,
-            sim: *sim,
-            threads: cluster.threads,
-        },
-        tenants.to_config()?,
-    )?;
+    let mut engine = TenantServingSim::new(system.clone(), config, tenants.to_config()?)?;
     engine.set_obs(obs.clone());
     let mut rows = Vec::new();
     for &design in &spec.compiler.design {
@@ -559,22 +538,19 @@ fn run_cluster_disagg(
     sim: &elk_sim::SimOptions,
     obs: &Obs,
 ) -> Result<Vec<elk_cluster::DisaggServingReport>, SpecError> {
-    let model = spec.model.as_transformer()?;
     let (prefill, decode) = disagg.to_plans();
-    // Only the batching and SLO knobs carry over (a one-chip split is
-    // always even); the engine checks each pool's plan, naming the pool.
-    let serve_cfg = spec.serving.to_config(model.clone(), 1, *sim)?;
+    let config = cluster_serve_config(spec, cluster, prefill, sim)?;
     let trace = resolve_trace(spec)?;
     let mut engine = DisaggServingSim::new(
         system.clone(),
         DisaggConfig {
-            batch: serve_cfg.batch,
-            slo: serve_cfg.slo,
-            sim: *sim,
-            threads: cluster.threads,
+            batch: config.batch,
+            slo: config.slo,
+            sim: config.sim,
+            threads: config.threads,
             chunk_tokens: disagg.chunk_tokens,
             shared_chips: disagg.shared_chips,
-            ..DisaggConfig::new(model, prefill, decode)
+            ..DisaggConfig::new(config.model, prefill, decode)
         },
     )?;
     engine.set_obs(obs.clone());
