@@ -86,11 +86,7 @@ impl AutoscaleConfig {
     /// Checks the controller policy: `1 <= min_groups <= max_groups`, a
     /// finite positive interval, ordered non-negative thresholds, an
     /// SLO target in `[0, 1]`, and a non-negative cold start.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first ill-formed knob.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.min_groups < 1 {
             return Err("autoscale min_groups must be >= 1".into());
         }

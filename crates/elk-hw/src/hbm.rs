@@ -49,7 +49,7 @@ impl HbmConfig {
         Self::try_new(channels, channel_bw).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`new`](Self::new), or why the configuration cannot exist.
+    /// Creates an HBM configuration like [`new`](Self::new).
     ///
     /// # Errors
     ///

@@ -70,12 +70,7 @@ impl Workload {
     /// Panics if `batch` or `seq_len` is zero.
     #[must_use]
     pub fn decode(batch: u64, seq_len: u64) -> Self {
-        Workload {
-            batch,
-            seq_len,
-            phase: Phase::Decode,
-        }
-        .checked()
+        Workload::checked(batch, seq_len, Phase::Decode)
     }
 
     /// A prefill step over `batch` prompts of `seq_len` tokens.
@@ -85,12 +80,7 @@ impl Workload {
     /// Panics if `batch` or `seq_len` is zero.
     #[must_use]
     pub fn prefill(batch: u64, seq_len: u64) -> Self {
-        Workload {
-            batch,
-            seq_len,
-            phase: Phase::Prefill,
-        }
-        .checked()
+        Workload::checked(batch, seq_len, Phase::Prefill)
     }
 
     /// A training forward pass over `batch` sequences of `seq_len` tokens.
@@ -100,12 +90,7 @@ impl Workload {
     /// Panics if `batch` or `seq_len` is zero.
     #[must_use]
     pub fn training_forward(batch: u64, seq_len: u64) -> Self {
-        Workload {
-            batch,
-            seq_len,
-            phase: Phase::TrainingForward,
-        }
-        .checked()
+        Workload::checked(batch, seq_len, Phase::TrainingForward)
     }
 
     /// Checks the dimensions.
@@ -123,10 +108,15 @@ impl Workload {
         ))
     }
 
-    fn checked(self) -> Self {
-        self.validate()
+    fn checked(batch: u64, seq_len: u64, phase: Phase) -> Self {
+        let wl = Workload {
+            batch,
+            seq_len,
+            phase,
+        };
+        wl.validate()
             .unwrap_or_else(|e| panic!("workload dimensions: {e}"));
-        self
+        wl
     }
 
     /// Total tokens flowing through matrix multiplies this step.

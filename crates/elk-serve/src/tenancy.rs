@@ -167,14 +167,9 @@ impl TenancyConfig {
                     c.name, c.priority
                 ));
             }
-            check_positive(
-                &format!("class {:?} slo.ttft", c.name),
-                c.slo.ttft.as_secs(),
-            )?;
-            check_positive(
-                &format!("class {:?} slo.tpot", c.name),
-                c.slo.tpot.as_secs(),
-            )?;
+            for (bound, t) in [("slo.ttft", c.slo.ttft), ("slo.tpot", c.slo.tpot)] {
+                check_positive(&format!("class {:?} {bound}", c.name), t.as_secs())?;
+            }
             if let Some(r) = c.rate_rps {
                 check_positive(&format!("class {:?} rate_rps", c.name), r)?;
                 if c.burst == 0 {
@@ -207,20 +202,17 @@ impl TenancyConfig {
         self.check_defer_delay("defer_s", self.defer_s)
     }
 
-    /// The defer-delay rule of [`validate`](Self::validate): with
-    /// shedding on under [`ShedPolicy::Defer`], the delay must be finite
-    /// and positive. The rule holds in any time unit, so a caller can
-    /// apply it to `delay` as its input wrote it, under that input's
-    /// `field` name.
+    /// [`validate`](Self::validate)'s defer rule: shedding under
+    /// [`ShedPolicy::Defer`] needs a finite positive `delay`. It holds in
+    /// any time unit, so input can be checked as written, under `field`.
     ///
     /// # Errors
     ///
     /// Returns a message naming `field` when the rule fails.
     pub fn check_defer_delay(&self, field: &str, delay: f64) -> Result<(), String> {
-        if self.shed_queue_depth.is_some() && self.shed_policy == ShedPolicy::Defer {
-            check_positive(field, delay)
-        } else {
-            Ok(())
+        match (self.shed_queue_depth, self.shed_policy) {
+            (Some(_), ShedPolicy::Defer) => check_positive(field, delay),
+            _ => Ok(()),
         }
     }
 }

@@ -84,11 +84,7 @@ impl ArrivalProcess {
     /// Checks the process: finite positive rate and period,
     /// `burst_factor >= 1`, `duty` in `(0, 1)`, and `burst_factor *
     /// duty < 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first ill-formed field.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         match *self {
             ArrivalProcess::Poisson { rate_rps } => check_positive("rate_rps", rate_rps),
             ArrivalProcess::Bursty {
@@ -173,12 +169,8 @@ impl LengthDist {
     }
 
     /// Checks the distribution: non-zero lengths, ordered ranges, and a
-    /// long-population weight in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming `field` and quoting the distribution.
-    pub fn validate(&self, field: &str) -> Result<(), String> {
+    /// long-population weight in `[0, 1]`; errors name `field`.
+    fn validate(&self, field: &str) -> Result<(), String> {
         let ok = match *self {
             LengthDist::Fixed(n) => n > 0,
             LengthDist::Uniform { lo, hi } => lo > 0 && lo <= hi,

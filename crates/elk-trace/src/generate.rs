@@ -92,11 +92,7 @@ impl RateShape {
     /// Checks the shape: finite positive rates and periods, an
     /// amplitude in `[0, 1)`, `burst_rps >= base_rps`, and a burst
     /// shorter than its period.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first ill-formed field.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         match *self {
             RateShape::Constant { rate_rps } => check_positive("rate_rps", rate_rps),
             RateShape::Diurnal {
@@ -185,12 +181,8 @@ impl LengthModel {
     }
 
     /// Checks the model: non-zero lengths, ordered bounds, and a finite
-    /// positive tail exponent.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming `field` and quoting the model.
-    pub fn validate(&self, field: &str) -> Result<(), String> {
+    /// positive tail exponent; errors name `field`.
+    fn validate(&self, field: &str) -> Result<(), String> {
         let ok = match *self {
             LengthModel::Fixed { tokens } => tokens > 0,
             LengthModel::Uniform { lo, hi } => lo > 0 && lo <= hi,
