@@ -381,7 +381,14 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
     let estimator = ClusterEstimator::new(system.clone(), cluster.to_options()?);
     let (auto, candidates, estimate) = match cluster.to_plan() {
         Some(plan) => {
-            let report = estimator.estimate(&model, workload, design, &sim, plan)?;
+            let report = estimator
+                .estimate(&model, workload, design, &sim, plan)
+                .map_err(|e| match e {
+                    ClusterError::Invalid(msg) => {
+                        SpecError::Invalid(format!("cluster.plan: {msg}"))
+                    }
+                    e => e.into(),
+                })?;
             (false, None, report)
         }
         None => {
