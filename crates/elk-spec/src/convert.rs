@@ -36,8 +36,8 @@ fn invalid(msg: impl Into<String>) -> SpecError {
 
 /// Prefixes an owning type's message with the scenario path it came
 /// from. `path` carries its separator: `"serving."` before a message
-/// that starts with the owner's field name, `"system.hbm: "` before
-/// any other.
+/// that starts with the owner's field name, `"tenants: "` before any
+/// other.
 fn at(path: &str) -> impl FnOnce(String) -> SpecError + '_ {
     move |msg| invalid(format!("{path}{msg}"))
 }
