@@ -95,17 +95,10 @@ impl MoeConfig {
         )
     }
 
-    /// Builds the per-shard operator graph using the generic-expert plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`check_shards`](Self::check_shards) fails.
-    #[must_use]
-    pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
-        self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
-        // Reuse the dense-transformer builder for attention, then splice
-        // the router + expert FFNs per layer.
-        let dense = crate::TransformerConfig {
+    /// The dense transformer with this model's attention and one expert's
+    /// SwiGLU FFN in place of the experts.
+    fn dense_twin(&self) -> crate::TransformerConfig {
+        crate::TransformerConfig {
             name: self.name.clone(),
             layers: self.layers,
             hidden: self.hidden,
@@ -118,14 +111,28 @@ impl MoeConfig {
             norm: NormKind::Rms,
             rope: true,
             post_norms: false,
-        };
-        let base = dense.build(workload, shards);
+        }
+    }
+
+    /// Builds the per-shard operator graph using the generic-expert plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`check_shards`](Self::check_shards) fails.
+    #[must_use]
+    pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
+        self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
+        // Reuse the dense-transformer builder for attention, then splice
+        // the router + expert FFNs per layer.
+        let base = self.dense_twin().build(workload, shards);
         let dtype = DType::F16;
         let t = workload.tokens_in_flight();
         let h = self.hidden;
         let i_s = self.expert_intermediate / shards;
 
-        let mut ops: Vec<Operator> = Vec::with_capacity(base.len() * 2);
+        // The embedding prologue (ops before the first layer) as is.
+        let prologue = base.layer_spans().first().map_or(0, |s| s.ops.start);
+        let mut ops: Vec<Operator> = base.ops()[..prologue].to_vec();
         let mut layers: Vec<LayerSpan> = Vec::new();
         for span in base.layer_spans() {
             let start = ops.len();
@@ -280,6 +287,32 @@ mod tests {
             (0.7..1.3).contains(&ratio),
             "per-shard weights {per_shard:.3e} vs active/shard {active:.3e}"
         );
+    }
+
+    #[test]
+    fn moe_graph_is_its_dense_twin_with_expert_ffns() {
+        // Dropping the router, experts and combine from the MoE graph and
+        // the dense FFN trio from its dense twin leaves the same graph:
+        // embedding, attention, norms, residuals and head.
+        let cfg = zoo::mixtral_8x7b();
+        let strip = |g: ModelGraph, drop: fn(&Operator) -> bool| -> Vec<Operator> {
+            let kept = g.iter().filter(|o| !drop(o)).cloned();
+            kept.enumerate()
+                .map(|(i, mut o)| {
+                    o.set_id(OpId(i));
+                    o
+                })
+                .collect()
+        };
+        for wl in [Workload::decode(16, 1024), Workload::prefill(2, 256)] {
+            let moe = strip(cfg.build(wl, 4), |o| {
+                o.name().contains(".router") || o.name().contains(".expert")
+            });
+            let dense = strip(cfg.dense_twin().build(wl, 4), |o| {
+                matches!(o.role(), OpRole::MlpUp | OpRole::MlpAct | OpRole::MlpDown)
+            });
+            assert_eq!(moe, dense, "{wl}");
+        }
     }
 
     #[test]
