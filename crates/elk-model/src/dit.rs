@@ -10,10 +10,8 @@ use serde::{Deserialize, Serialize};
 
 use elk_units::Bytes;
 
-use crate::{
-    DType, LayerSpan, ModelGraph, OpId, OpKind, OpRole, OperandSource, Operator, ReduceKind,
-    UnaryKind, Workload,
-};
+use crate::graph::{GraphBuilder, DTYPE};
+use crate::{ModelGraph, OpKind, OpRole, OperandSource, ReduceKind, UnaryKind, Workload};
 
 /// Architecture hyper-parameters of a DiT (adaLN-zero) diffusion
 /// transformer.
@@ -76,272 +74,87 @@ impl DitConfig {
     #[must_use]
     pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
         self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
-        let dtype = DType::F16;
-        let b = workload.batch;
-        let t = b * self.tokens; // tokens in flight
+        let batch = workload.batch;
+        let tokens = self.tokens;
+        let t = batch * tokens; // tokens in flight
         let h = self.hidden;
         let hs = self.heads / shards;
         let d = self.head_dim;
         let i_s = self.mlp_ratio * h / shards;
-        let allreduce = dtype.bytes_for(t * h);
-
-        let mut ops = Vec::new();
-        let mut layers = Vec::new();
-
-        // Patch + timestep/class conditioning embed.
-        ops.push(Operator::new(
-            OpId(0),
-            "patch_embed".to_string(),
-            OpRole::Embed,
-            None,
-            OpKind::MatMul { m: t, k: 16, n: h },
-            dtype,
-            OperandSource::HbmWeight,
-            dtype.bytes_for(16 * h),
-        ));
-
-        for l in 0..self.layers {
-            let start = ops.len();
-            let pfx = |op: &str| format!("l{l}.{op}");
-            let norm = |name: String, rows: u64| {
-                Operator::new(
-                    OpId(0),
-                    name,
-                    OpRole::AttnNorm,
-                    Some(l),
-                    OpKind::RowReduce {
-                        rows,
-                        cols: h,
-                        kind: ReduceKind::LayerNorm,
-                    },
-                    dtype,
-                    OperandSource::None,
-                    Bytes::ZERO,
-                )
-            };
-
-            // adaLN modulation: conditioning vector -> 6 (shift,scale,gate).
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("adaln"),
-                OpRole::Modulation,
-                Some(l),
-                OpKind::MatMul {
-                    m: b,
-                    k: h,
-                    n: 6 * h / shards,
-                },
-                dtype,
-                OperandSource::HbmWeight,
-                dtype.bytes_for(h * 6 * h / shards),
-            ));
-            ops.push(norm(pfx("norm1"), t));
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("modulate1"),
-                OpRole::Modulation,
-                Some(l),
-                OpKind::Elementwise {
-                    elems: t * h,
-                    arity: 3,
-                    kind: UnaryKind::Modulate,
-                },
-                dtype,
-                OperandSource::None,
-                Bytes::ZERO,
-            ));
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("attn_qkv"),
-                OpRole::AttnQkv,
-                Some(l),
-                OpKind::MatMul {
-                    m: t,
-                    k: h,
-                    n: 3 * hs * d,
-                },
-                dtype,
-                OperandSource::HbmWeight,
-                dtype.bytes_for(h * 3 * hs * d),
-            ));
-            // Full self-attention over on-chip activations.
-            let kv = dtype.bytes_for(b * hs * self.tokens * d);
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("attn_scores"),
-                OpRole::AttnScores,
-                Some(l),
-                OpKind::BatchMatMul {
-                    batch: b * hs,
-                    m: self.tokens,
-                    k: d,
-                    n: self.tokens,
-                },
-                dtype,
-                OperandSource::OnChip,
-                kv,
-            ));
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("attn_softmax"),
-                OpRole::AttnSoftmax,
-                Some(l),
-                OpKind::RowReduce {
-                    rows: b * hs * self.tokens,
-                    cols: self.tokens,
-                    kind: ReduceKind::Softmax,
-                },
-                dtype,
-                OperandSource::None,
-                Bytes::ZERO,
-            ));
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("attn_context"),
-                OpRole::AttnContext,
-                Some(l),
-                OpKind::BatchMatMul {
-                    batch: b * hs,
-                    m: self.tokens,
-                    k: self.tokens,
-                    n: d,
-                },
-                dtype,
-                OperandSource::OnChip,
-                kv,
-            ));
-            ops.push(
-                Operator::new(
-                    OpId(0),
-                    pfx("attn_out"),
-                    OpRole::AttnOut,
-                    Some(l),
-                    OpKind::MatMul {
-                        m: t,
-                        k: hs * d,
-                        n: h,
-                    },
-                    dtype,
-                    OperandSource::HbmWeight,
-                    dtype.bytes_for(hs * d * h),
-                )
-                .with_allreduce(allreduce),
-            );
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("gate_residual1"),
-                OpRole::Residual,
-                Some(l),
-                OpKind::Elementwise {
-                    elems: t * h,
-                    arity: 3,
-                    kind: UnaryKind::Modulate,
-                },
-                dtype,
-                OperandSource::None,
-                Bytes::ZERO,
-            ));
-
-            ops.push(norm(pfx("norm2"), t));
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("modulate2"),
-                OpRole::Modulation,
-                Some(l),
-                OpKind::Elementwise {
-                    elems: t * h,
-                    arity: 3,
-                    kind: UnaryKind::Modulate,
-                },
-                dtype,
-                OperandSource::None,
-                Bytes::ZERO,
-            ));
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("mlp_fc1"),
-                OpRole::MlpUp,
-                Some(l),
-                OpKind::MatMul { m: t, k: h, n: i_s },
-                dtype,
-                OperandSource::HbmWeight,
-                dtype.bytes_for(h * i_s),
-            ));
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("mlp_gelu"),
-                OpRole::MlpAct,
-                Some(l),
-                OpKind::Elementwise {
-                    elems: t * i_s,
-                    arity: 1,
-                    kind: UnaryKind::Gelu,
-                },
-                dtype,
-                OperandSource::None,
-                Bytes::ZERO,
-            ));
-            ops.push(
-                Operator::new(
-                    OpId(0),
-                    pfx("mlp_fc2"),
-                    OpRole::MlpDown,
-                    Some(l),
-                    OpKind::MatMul { m: t, k: i_s, n: h },
-                    dtype,
-                    OperandSource::HbmWeight,
-                    dtype.bytes_for(i_s * h),
-                )
-                .with_allreduce(allreduce),
-            );
-            ops.push(Operator::new(
-                OpId(0),
-                pfx("gate_residual2"),
-                OpRole::Residual,
-                Some(l),
-                OpKind::Elementwise {
-                    elems: t * h,
-                    arity: 3,
-                    kind: UnaryKind::Modulate,
-                },
-                dtype,
-                OperandSource::None,
-                Bytes::ZERO,
-            ));
-
-            layers.push(LayerSpan {
-                layer: l,
-                ops: start..ops.len(),
-            });
-        }
-
-        // Final adaLN + linear head back to patches.
-        ops.push(Operator::new(
-            OpId(0),
-            "final_norm".to_string(),
-            OpRole::FinalNorm,
-            None,
-            OpKind::RowReduce {
+        let allreduce = DTYPE.bytes_for(t * h);
+        let norm = |b: &GraphBuilder, name, role| {
+            let kind = OpKind::RowReduce {
                 rows: t,
                 cols: h,
                 kind: ReduceKind::LayerNorm,
-            },
-            dtype,
-            OperandSource::None,
-            Bytes::ZERO,
-        ));
-        ops.push(Operator::new(
-            OpId(0),
-            "final_linear".to_string(),
-            OpRole::LmHead,
-            None,
-            OpKind::MatMul { m: t, k: h, n: 32 },
-            dtype,
-            OperandSource::HbmWeight,
-            dtype.bytes_for(h * 32),
-        ));
+            };
+            b.free(name, role, kind)
+        };
+        let modulate = |b: &GraphBuilder, name, role| {
+            let kind = OpKind::Elementwise {
+                elems: t * h,
+                arity: 3,
+                kind: UnaryKind::Modulate,
+            };
+            b.free(name, role, kind)
+        };
 
-        ModelGraph::new(self.name.clone(), workload, shards, ops, layers)
+        let mut b = GraphBuilder::default();
+        // Patch + timestep/class conditioning embed.
+        b.push(b.matmul("patch_embed", OpRole::Embed, t, 16, h));
+        for l in 0..self.layers {
+            b.layer(l, |b| {
+                // adaLN modulation: conditioning vector -> 6 (shift,scale,gate).
+                let adaln = OpKind::MatMul {
+                    m: batch,
+                    k: h,
+                    n: 6 * h / shards,
+                };
+                let weights = DTYPE.bytes_for(h * 6 * h / shards);
+                b.push(b.op(
+                    "adaln",
+                    OpRole::Modulation,
+                    adaln,
+                    OperandSource::HbmWeight,
+                    weights,
+                ));
+                b.push(norm(b, "norm1", OpRole::AttnNorm));
+                b.push(modulate(b, "modulate1", OpRole::Modulation));
+                b.push(b.matmul("attn_qkv", OpRole::AttnQkv, t, h, 3 * hs * d));
+                // Full self-attention over on-chip activations.
+                let kv = DTYPE.bytes_for(batch * hs * tokens * d);
+                b.attention(
+                    [batch * hs, tokens, tokens, d],
+                    OperandSource::OnChip,
+                    kv,
+                    Bytes::ZERO,
+                );
+                b.push(
+                    b.matmul("attn_out", OpRole::AttnOut, t, hs * d, h)
+                        .with_allreduce(allreduce),
+                );
+                b.push(modulate(b, "gate_residual1", OpRole::Residual));
+
+                b.push(norm(b, "norm2", OpRole::AttnNorm));
+                b.push(modulate(b, "modulate2", OpRole::Modulation));
+                b.push(b.matmul("mlp_fc1", OpRole::MlpUp, t, h, i_s));
+                let gelu = OpKind::Elementwise {
+                    elems: t * i_s,
+                    arity: 1,
+                    kind: UnaryKind::Gelu,
+                };
+                b.push(b.free("mlp_gelu", OpRole::MlpAct, gelu));
+                b.push(
+                    b.matmul("mlp_fc2", OpRole::MlpDown, t, i_s, h)
+                        .with_allreduce(allreduce),
+                );
+                b.push(modulate(b, "gate_residual2", OpRole::Residual));
+            });
+        }
+        // Final adaLN + linear head back to patches.
+        b.push(norm(&b, "final_norm", OpRole::FinalNorm));
+        b.push(b.matmul("final_linear", OpRole::LmHead, t, h, 32));
+        b.finish(self.name.clone(), workload, shards)
     }
 }
 

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use elk_units::{Bytes, Flops};
 
-use crate::{OpId, Operator, Workload};
+use crate::{DType, OpId, OpKind, OpRole, OperandSource, Operator, ReduceKind, Workload};
 
 /// The operator range of one repeated transformer layer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -217,10 +217,113 @@ impl fmt::Display for ModelGraph {
     }
 }
 
+/// Element type of every operator the builders emit.
+pub(crate) const DTYPE: DType = DType::F16;
+
+/// Per-shard operator emission shared by the dense, MoE and DiT builders.
+///
+/// It names and tags each operator for the open layer (`l{n}.` prefix,
+/// `layer: Some(n)`), builds the operator shapes every builder uses, and
+/// closes each layer span.
+#[derive(Default)]
+pub(crate) struct GraphBuilder {
+    ops: Vec<Operator>,
+    layers: Vec<LayerSpan>,
+    open: Option<u32>,
+}
+
+impl GraphBuilder {
+    /// Emits `body` as layer `layer`: its operators are named `l{layer}.*`,
+    /// tagged with the layer, and recorded as one span.
+    pub(crate) fn layer(&mut self, layer: u32, body: impl FnOnce(&mut Self)) {
+        let start = self.ops.len();
+        self.open = Some(layer);
+        body(self);
+        self.open = None;
+        self.layers.push(LayerSpan {
+            layer,
+            ops: start..self.ops.len(),
+        });
+    }
+
+    /// An operator whose stationary operand is `bytes` from `src`.
+    pub(crate) fn op(
+        &self,
+        name: &str,
+        role: OpRole,
+        kind: OpKind,
+        src: OperandSource,
+        bytes: Bytes,
+    ) -> Operator {
+        let name = match self.open {
+            Some(l) => format!("l{l}.{name}"),
+            None => name.to_string(),
+        };
+        Operator::new(OpId(0), name, role, self.open, kind, DTYPE, src, bytes)
+    }
+
+    /// An operator with no stationary operand.
+    pub(crate) fn free(&self, name: &str, role: OpRole, kind: OpKind) -> Operator {
+        self.op(name, role, kind, OperandSource::None, Bytes::ZERO)
+    }
+
+    /// A weight-stationary `[m×k]·[k×n]` product loading its `k·n` weights
+    /// from HBM.
+    pub(crate) fn matmul(&self, name: &str, role: OpRole, m: u64, k: u64, n: u64) -> Operator {
+        let (kind, weights) = (OpKind::MatMul { m, k, n }, DTYPE.bytes_for(k * n));
+        self.op(name, role, kind, OperandSource::HbmWeight, weights)
+    }
+
+    /// Appends `op` to the execution order.
+    pub(crate) fn push(&mut self, op: Operator) {
+        self.ops.push(op);
+    }
+
+    /// Attention over `heads` independent heads of `q` query rows against
+    /// `keys` keys of width `d`: scores, softmax and context. Both products
+    /// read `kv` bytes of keys or values from `src`; the scores operator
+    /// writes `store` bytes back to HBM.
+    pub(crate) fn attention(
+        &mut self,
+        [heads, q, keys, d]: [u64; 4],
+        src: OperandSource,
+        kv: Bytes,
+        store: Bytes,
+    ) {
+        let scores = OpKind::BatchMatMul {
+            batch: heads,
+            m: q,
+            k: d,
+            n: keys,
+        };
+        let softmax = OpKind::RowReduce {
+            rows: heads * q,
+            cols: keys,
+            kind: ReduceKind::Softmax,
+        };
+        let context = OpKind::BatchMatMul {
+            batch: heads,
+            m: q,
+            k: keys,
+            n: d,
+        };
+        self.push(
+            self.op("attn_scores", OpRole::AttnScores, scores, src, kv)
+                .with_hbm_store(store),
+        );
+        self.push(self.free("attn_softmax", OpRole::AttnSoftmax, softmax));
+        self.push(self.op("attn_context", OpRole::AttnContext, context, src, kv));
+    }
+
+    /// The assembled graph.
+    pub(crate) fn finish(self, name: String, workload: Workload, shards: u64) -> ModelGraph {
+        ModelGraph::new(name, workload, shards, self.ops, self.layers)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DType, OpKind, OpRole, OperandSource};
 
     fn tiny_graph() -> ModelGraph {
         let mk = |n: &str, hbm: u64| {

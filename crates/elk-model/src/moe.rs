@@ -10,11 +10,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use elk_units::Bytes;
-
+use crate::graph::GraphBuilder;
 use crate::{
-    DType, LayerSpan, ModelGraph, NormKind, OpId, OpKind, OpRole, OperandSource, Operator,
-    ReduceKind, UnaryKind, Workload,
+    ModelGraph, NormKind, OpKind, OpRole, ReduceKind, TransformerConfig, UnaryKind, Workload,
 };
 
 /// Architecture hyper-parameters of a decoder-only MoE transformer
@@ -97,8 +95,8 @@ impl MoeConfig {
 
     /// The dense transformer with this model's attention and one expert's
     /// SwiGLU FFN in place of the experts.
-    fn dense_twin(&self) -> crate::TransformerConfig {
-        crate::TransformerConfig {
+    fn dense_twin(&self) -> TransformerConfig {
+        TransformerConfig {
             name: self.name.clone(),
             layers: self.layers,
             hidden: self.hidden,
@@ -114,7 +112,9 @@ impl MoeConfig {
         }
     }
 
-    /// Builds the per-shard operator graph using the generic-expert plan.
+    /// Builds the per-shard operator graph using the generic-expert plan:
+    /// the dense Mixtral-style layer with each FFN replaced by a router,
+    /// the expert FFNs and their weighted combination.
     ///
     /// # Panics
     ///
@@ -122,148 +122,43 @@ impl MoeConfig {
     #[must_use]
     pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
         self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
-        // Reuse the dense-transformer builder for attention, then splice
-        // the router + expert FFNs per layer.
-        let base = self.dense_twin().build(workload, shards);
-        let dtype = DType::F16;
+        let dense = self.dense_twin();
         let t = workload.tokens_in_flight();
-        let h = self.hidden;
-        let i_s = self.expert_intermediate / shards;
-
-        // The embedding prologue (ops before the first layer) as is.
-        let prologue = base.layer_spans().first().map_or(0, |s| s.ops.start);
-        let mut ops: Vec<Operator> = base.ops()[..prologue].to_vec();
-        let mut layers: Vec<LayerSpan> = Vec::new();
-        for span in base.layer_spans() {
-            let start = ops.len();
-            let l = span.layer;
-            for op in &base.ops()[span.ops.clone()] {
-                // Keep attention/norm ops; replace the dense FFN trio
-                // (mlp_up, mlp_act, mlp_down) with router + experts.
-                match op.role() {
-                    OpRole::MlpUp => {
-                        // Router: tiny matmul + top-k softmax.
-                        ops.push(Operator::new(
-                            OpId(0),
-                            format!("l{l}.router"),
-                            OpRole::Other,
-                            Some(l),
-                            OpKind::MatMul {
-                                m: t,
-                                k: h,
-                                n: self.experts,
-                            },
-                            dtype,
-                            OperandSource::HbmWeight,
-                            dtype.bytes_for(h * self.experts),
-                        ));
-                        ops.push(Operator::new(
-                            OpId(0),
-                            format!("l{l}.router_softmax"),
-                            OpRole::Other,
-                            Some(l),
-                            OpKind::RowReduce {
-                                rows: t,
-                                cols: self.experts,
-                                kind: ReduceKind::Softmax,
-                            },
-                            dtype,
-                            OperandSource::None,
-                            Bytes::ZERO,
-                        ));
-                        // Generic experts (§7): one FFN instance per
-                        // activated-expert slot, each processing the full
-                        // token batch — total FLOPs equal `top-k × dense
-                        // FFN` and HBM traffic equals `top-k` expert loads,
-                        // regardless of which experts routing picks.
-                        let te = t;
-                        for e in 0..self.experts_per_token {
-                            let allreduce = dtype.bytes_for(te * h);
-                            ops.push(Operator::new(
-                                OpId(0),
-                                format!("l{l}.expert{e}.up"),
-                                OpRole::MlpUp,
-                                Some(l),
-                                OpKind::MatMul {
-                                    m: te,
-                                    k: h,
-                                    n: 2 * i_s,
-                                },
-                                dtype,
-                                OperandSource::HbmWeight,
-                                dtype.bytes_for(h * 2 * i_s),
-                            ));
-                            ops.push(Operator::new(
-                                OpId(0),
-                                format!("l{l}.expert{e}.act"),
-                                OpRole::MlpAct,
-                                Some(l),
-                                OpKind::Elementwise {
-                                    elems: te * i_s,
-                                    arity: 2,
-                                    kind: UnaryKind::Silu,
-                                },
-                                dtype,
-                                OperandSource::None,
-                                Bytes::ZERO,
-                            ));
-                            ops.push(
-                                Operator::new(
-                                    OpId(0),
-                                    format!("l{l}.expert{e}.down"),
-                                    OpRole::MlpDown,
-                                    Some(l),
-                                    OpKind::MatMul {
-                                        m: te,
-                                        k: i_s,
-                                        n: h,
-                                    },
-                                    dtype,
-                                    OperandSource::HbmWeight,
-                                    dtype.bytes_for(i_s * h),
-                                )
-                                .with_allreduce(allreduce),
-                            );
-                        }
-                        // Weighted combination of expert outputs.
-                        ops.push(Operator::new(
-                            OpId(0),
-                            format!("l{l}.expert_combine"),
-                            OpRole::Residual,
-                            Some(l),
-                            OpKind::Elementwise {
-                                elems: t * h,
-                                arity: self.experts_per_token,
-                                kind: UnaryKind::Mul,
-                            },
-                            dtype,
-                            OperandSource::None,
-                            Bytes::ZERO,
-                        ));
-                    }
-                    OpRole::MlpAct | OpRole::MlpDown => {} // replaced above
-                    _ => ops.push(op.clone()),
-                }
+        let (h, experts, top_k) = (self.hidden, self.experts, self.experts_per_token);
+        let expert_ffn = |b: &mut GraphBuilder| {
+            // Router: tiny matmul + top-k softmax.
+            let softmax = OpKind::RowReduce {
+                rows: t,
+                cols: experts,
+                kind: ReduceKind::Softmax,
+            };
+            b.push(b.matmul("router", OpRole::Other, t, h, experts));
+            b.push(b.free("router_softmax", OpRole::Other, softmax));
+            // Generic experts (§7): one FFN instance per activated-expert
+            // slot, each processing the full token batch — total FLOPs
+            // equal `top-k × dense FFN` and HBM traffic equals `top-k`
+            // expert loads, regardless of which experts routing picks.
+            for e in 0..top_k {
+                dense.ffn(b, t, shards, &format!("expert{e}."));
             }
-            layers.push(LayerSpan {
-                layer: l,
-                ops: start..ops.len(),
-            });
-        }
-        // Head ops (outside layers) from the dense graph.
-        let tail_start = base.layer_spans().last().map_or(0, |s| s.ops.end);
-        for op in &base.ops()[tail_start..] {
-            ops.push(op.clone());
-        }
-
-        ModelGraph::new(self.name.clone(), workload, shards, ops, layers)
+            // Weighted combination of expert outputs.
+            let combine = OpKind::Elementwise {
+                elems: t * h,
+                arity: top_k,
+                kind: UnaryKind::Mul,
+            };
+            b.push(b.free("expert_combine", OpRole::Residual, combine));
+        };
+        dense
+            .emit(workload, shards, 0..self.layers, true, true, expert_ffn)
+            .finish(self.name.clone(), workload, shards)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo;
+    use crate::{zoo, OpId, Operator};
 
     #[test]
     fn mixtral_parameter_scale() {

@@ -1,10 +1,12 @@
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use elk_units::Bytes;
 
+use crate::graph::{GraphBuilder, DTYPE};
 use crate::{
-    DType, LayerSpan, ModelGraph, OpId, OpKind, OpRole, OperandSource, Operator, Phase, ReduceKind,
-    UnaryKind, Workload,
+    ModelGraph, OpKind, OpRole, OperandSource, Operator, Phase, ReduceKind, UnaryKind, Workload,
 };
 
 /// Normalization flavour of a transformer architecture.
@@ -123,14 +125,11 @@ impl TransformerConfig {
     #[must_use]
     pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
         self.check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
-
-        let mut b = GraphBuilder::new(self, workload, shards);
-        b.embed();
-        for layer in 0..self.layers {
-            b.layer(layer);
-        }
-        b.head();
-        b.finish(self.name.clone())
+        let t = workload.tokens_in_flight();
+        self.emit(workload, shards, 0..self.layers, true, true, |b| {
+            self.ffn(b, t, shards, "mlp_");
+        })
+        .finish(self.name.clone(), workload, shards)
     }
 
     /// Builds the operator graph of **one pipeline stage**: the layers in
@@ -150,7 +149,7 @@ impl TransformerConfig {
         &self,
         workload: Workload,
         shards: u64,
-        layers: std::ops::Range<u32>,
+        layers: Range<u32>,
         embed: bool,
         head: bool,
     ) -> ModelGraph {
@@ -164,375 +163,174 @@ impl TransformerConfig {
             embed || head || !layers.is_empty(),
             "a pipeline stage must contain at least one operator"
         );
-
-        let mut b = GraphBuilder::new(self, workload, shards);
-        if embed {
-            b.embed();
-        }
-        for layer in layers.clone() {
-            b.layer(layer);
-        }
-        if head {
-            b.head();
-        }
-        b.finish(format!(
+        let name = format!(
             "{}[l{}..{}{}{}]",
             self.name,
             layers.start,
             layers.end,
             if embed { "+embed" } else { "" },
             if head { "+head" } else { "" },
-        ))
-    }
-}
-
-/// Incremental graph assembly shared by the LLM and DiT builders.
-pub(crate) struct GraphBuilder<'a> {
-    cfg: &'a TransformerConfig,
-    wl: Workload,
-    shards: u64,
-    dtype: DType,
-    ops: Vec<Operator>,
-    layers: Vec<LayerSpan>,
-}
-
-impl<'a> GraphBuilder<'a> {
-    fn new(cfg: &'a TransformerConfig, wl: Workload, shards: u64) -> Self {
-        GraphBuilder {
-            cfg,
-            wl,
-            shards,
-            dtype: DType::F16,
-            ops: Vec::new(),
-            layers: Vec::new(),
-        }
-    }
-
-    /// Tokens flowing through row dimensions this step.
-    fn tokens(&self) -> u64 {
-        self.wl.tokens_in_flight()
-    }
-
-    /// Query heads per shard.
-    fn heads_s(&self) -> u64 {
-        self.cfg.heads / self.shards
-    }
-
-    /// KV heads per shard (replicated when there are fewer KV heads than
-    /// shards, as real GQA tensor-parallel deployments do).
-    fn kv_heads_s(&self) -> u64 {
-        (self.cfg.kv_heads / self.shards).max(1)
-    }
-
-    fn push(&mut self, op: Operator) {
-        self.ops.push(op);
-    }
-
-    fn weight_matmul(
-        &mut self,
-        name: String,
-        role: OpRole,
-        layer: Option<u32>,
-        m: u64,
-        k: u64,
-        n: u64,
-    ) -> usize {
-        let w = self.dtype.bytes_for(k * n);
-        self.push(Operator::new(
-            OpId(0),
-            name,
-            role,
-            layer,
-            OpKind::MatMul { m, k, n },
-            self.dtype,
-            OperandSource::HbmWeight,
-            w,
-        ));
-        self.ops.len() - 1
-    }
-
-    fn norm(&mut self, name: String, role: OpRole, layer: Option<u32>, rows: u64, cols: u64) {
-        self.push(Operator::new(
-            OpId(0),
-            name,
-            role,
-            layer,
-            OpKind::RowReduce {
-                rows,
-                cols,
-                kind: self.cfg.norm.reduce_kind(),
-            },
-            self.dtype,
-            OperandSource::HbmWeight,
-            self.dtype.bytes_for(cols), // scale (and shift) vector
-        ));
-    }
-
-    fn elementwise(
-        &mut self,
-        name: String,
-        role: OpRole,
-        layer: Option<u32>,
-        elems: u64,
-        arity: u64,
-        kind: UnaryKind,
-    ) {
-        self.push(Operator::new(
-            OpId(0),
-            name,
-            role,
-            layer,
-            OpKind::Elementwise { elems, arity, kind },
-            self.dtype,
-            OperandSource::None,
-            Bytes::ZERO,
-        ));
-    }
-
-    fn embed(&mut self) {
-        let h = self.cfg.hidden;
-        self.push(Operator::new(
-            OpId(0),
-            "embed".to_string(),
-            OpRole::Embed,
-            None,
-            OpKind::Gather {
-                rows: self.tokens(),
-                width: h,
-                table_rows: self.cfg.vocab / self.shards,
-            },
-            self.dtype,
-            OperandSource::HbmWeight,
-            self.dtype.bytes_for(self.cfg.vocab / self.shards * h),
-        ));
-    }
-
-    fn layer(&mut self, layer: u32) {
-        let start = self.ops.len();
-        let cfg = self.cfg;
-        let t = self.tokens();
-        let h = cfg.hidden;
-        let d = cfg.head_dim;
-        let hs = self.heads_s();
-        let kvs = self.kv_heads_s();
-        let s = self.wl.seq_len;
-        let l = layer;
-        let pfx = |op: &str| format!("l{l}.{op}");
-
-        // --- attention ---
-        self.norm(pfx("attn_norm"), OpRole::AttnNorm, Some(l), t, h);
-        self.weight_matmul(
-            pfx("attn_qkv"),
-            OpRole::AttnQkv,
-            Some(l),
-            t,
-            h,
-            (hs + 2 * kvs) * d,
         );
-        if cfg.rope {
-            self.elementwise(
-                pfx("rope"),
-                OpRole::Rope,
-                Some(l),
-                t * (hs + kvs) * d,
-                1,
-                UnaryKind::Rope,
-            );
-        }
+        let t = workload.tokens_in_flight();
+        self.emit(workload, shards, layers, embed, head, |b| {
+            self.ffn(b, t, shards, "mlp_");
+        })
+        .finish(name, workload, shards)
+    }
 
-        if self.wl.phase.reads_kv_cache() {
+    /// Emits the layers in `layers`, after the embedding when `embed` is
+    /// set and before the final norm + LM head when `head` is set, with
+    /// `ffn` emitting each layer's feed-forward block.
+    pub(crate) fn emit(
+        &self,
+        workload: Workload,
+        shards: u64,
+        layers: Range<u32>,
+        embed: bool,
+        head: bool,
+        ffn: impl Fn(&mut GraphBuilder),
+    ) -> GraphBuilder {
+        let mut b = GraphBuilder::default();
+        let t = workload.tokens_in_flight();
+        let (h, vocab_s) = (self.hidden, self.vocab / shards);
+        if embed {
+            let gather = OpKind::Gather {
+                rows: t,
+                width: h,
+                table_rows: vocab_s,
+            };
+            let table = DTYPE.bytes_for(vocab_s * h);
+            b.push(b.op(
+                "embed",
+                OpRole::Embed,
+                gather,
+                OperandSource::HbmWeight,
+                table,
+            ));
+        }
+        for layer in layers {
+            b.layer(layer, |b| self.layer(b, workload, shards, &ffn));
+        }
+        if head {
+            b.push(self.norm(&b, "final_norm", OpRole::FinalNorm, t));
+            b.push(b.matmul("lm_head", OpRole::LmHead, t, h, vocab_s));
+        }
+        b
+    }
+
+    /// One transformer layer: attention, then `ffn` between the FFN norm
+    /// and the residual add.
+    fn layer(
+        &self,
+        b: &mut GraphBuilder,
+        wl: Workload,
+        shards: u64,
+        ffn: impl Fn(&mut GraphBuilder),
+    ) {
+        let t = wl.tokens_in_flight();
+        let (h, d, s) = (self.hidden, self.head_dim, wl.seq_len);
+        let hs = self.heads / shards;
+        // KV heads per shard, replicated when there are fewer KV heads than
+        // shards, as real GQA tensor-parallel deployments do.
+        let kvs = (self.kv_heads / shards).max(1);
+        let residual = OpKind::Elementwise {
+            elems: t * h,
+            arity: 2,
+            kind: UnaryKind::Add,
+        };
+
+        b.push(self.norm(b, "attn_norm", OpRole::AttnNorm, t));
+        b.push(b.matmul("attn_qkv", OpRole::AttnQkv, t, h, (hs + 2 * kvs) * d));
+        if self.rope {
+            let rope = OpKind::Elementwise {
+                elems: t * (hs + kvs) * d,
+                arity: 1,
+                kind: UnaryKind::Rope,
+            };
+            b.push(b.free("rope", OpRole::Rope, rope));
+        }
+        let kv = DTYPE.bytes_for(wl.batch * kvs * d * s);
+        if wl.phase.reads_kv_cache() {
             // Decode: append the new K/V token, then attend over the cached
             // sequence read from HBM.
-            let kv_new = self.dtype.bytes_for(self.wl.batch * 2 * kvs * d);
-            let append = Operator::new(
-                OpId(0),
-                pfx("kv_append"),
-                OpRole::KvAppend,
-                Some(l),
-                OpKind::Elementwise {
-                    elems: self.wl.batch * 2 * kvs * d,
-                    arity: 1,
-                    kind: UnaryKind::Copy,
-                },
-                self.dtype,
-                OperandSource::None,
-                Bytes::ZERO,
-            )
-            .with_hbm_store(kv_new);
-            self.push(append);
-
-            let kv_slice = self.dtype.bytes_for(self.wl.batch * kvs * d * s);
-            self.push(Operator::new(
-                OpId(0),
-                pfx("attn_scores"),
-                OpRole::AttnScores,
-                Some(l),
-                OpKind::BatchMatMul {
-                    batch: self.wl.batch * hs,
-                    m: 1,
-                    k: d,
-                    n: s,
-                },
-                self.dtype,
+            let new = wl.batch * 2 * kvs * d;
+            let append = OpKind::Elementwise {
+                elems: new,
+                arity: 1,
+                kind: UnaryKind::Copy,
+            };
+            b.push(
+                b.free("kv_append", OpRole::KvAppend, append)
+                    .with_hbm_store(DTYPE.bytes_for(new)),
+            );
+            b.attention(
+                [wl.batch * hs, 1, s, d],
                 OperandSource::HbmKvCache,
-                kv_slice,
-            ));
-            self.push(Operator::new(
-                OpId(0),
-                pfx("attn_softmax"),
-                OpRole::AttnSoftmax,
-                Some(l),
-                OpKind::RowReduce {
-                    rows: self.wl.batch * hs,
-                    cols: s,
-                    kind: ReduceKind::Softmax,
-                },
-                self.dtype,
-                OperandSource::None,
+                kv,
                 Bytes::ZERO,
-            ));
-            self.push(Operator::new(
-                OpId(0),
-                pfx("attn_context"),
-                OpRole::AttnContext,
-                Some(l),
-                OpKind::BatchMatMul {
-                    batch: self.wl.batch * hs,
-                    m: 1,
-                    k: s,
-                    n: d,
-                },
-                self.dtype,
-                OperandSource::HbmKvCache,
-                kv_slice,
-            ));
+            );
         } else {
-            // Prefill / training: full self-attention over on-chip K/V.
-            let store = if self.wl.phase == Phase::Prefill {
-                self.dtype.bytes_for(self.wl.batch * 2 * kvs * d * s)
+            // Prefill / training: full self-attention over on-chip K/V;
+            // prefill writes the K/V cache back.
+            let store = if wl.phase == Phase::Prefill {
+                DTYPE.bytes_for(wl.batch * 2 * kvs * d * s)
             } else {
                 Bytes::ZERO
             };
-            let scores_kv = self.dtype.bytes_for(self.wl.batch * kvs * d * s);
-            let scores = Operator::new(
-                OpId(0),
-                pfx("attn_scores"),
-                OpRole::AttnScores,
-                Some(l),
-                OpKind::BatchMatMul {
-                    batch: self.wl.batch * hs,
-                    m: s,
-                    k: d,
-                    n: s,
-                },
-                self.dtype,
-                OperandSource::OnChip,
-                scores_kv,
-            )
-            .with_hbm_store(store);
-            self.push(scores);
-            self.push(Operator::new(
-                OpId(0),
-                pfx("attn_softmax"),
-                OpRole::AttnSoftmax,
-                Some(l),
-                OpKind::RowReduce {
-                    rows: self.wl.batch * hs * s,
-                    cols: s,
-                    kind: ReduceKind::Softmax,
-                },
-                self.dtype,
-                OperandSource::None,
-                Bytes::ZERO,
-            ));
-            self.push(Operator::new(
-                OpId(0),
-                pfx("attn_context"),
-                OpRole::AttnContext,
-                Some(l),
-                OpKind::BatchMatMul {
-                    batch: self.wl.batch * hs,
-                    m: s,
-                    k: s,
-                    n: d,
-                },
-                self.dtype,
-                OperandSource::OnChip,
-                scores_kv,
-            ));
+            b.attention([wl.batch * hs, s, s, d], OperandSource::OnChip, kv, store);
         }
-
-        let i = self.weight_matmul(pfx("attn_out"), OpRole::AttnOut, Some(l), t, hs * d, h);
         // Row-parallel projection: partial sums reduced across chips.
-        let allreduce = self.dtype.bytes_for(t * h);
-        self.ops[i] = self.ops[i].clone().with_allreduce(allreduce);
-
-        if cfg.post_norms {
-            self.norm(pfx("post_attn_norm"), OpRole::PostNorm, Some(l), t, h);
+        let allreduce = DTYPE.bytes_for(t * h);
+        b.push(
+            b.matmul("attn_out", OpRole::AttnOut, t, hs * d, h)
+                .with_allreduce(allreduce),
+        );
+        if self.post_norms {
+            b.push(self.norm(b, "post_attn_norm", OpRole::PostNorm, t));
         }
-        self.elementwise(
-            pfx("attn_residual"),
-            OpRole::Residual,
-            Some(l),
-            t * h,
-            2,
-            UnaryKind::Add,
-        );
+        b.push(b.free("attn_residual", OpRole::Residual, residual));
 
-        // --- FFN ---
-        self.norm(pfx("mlp_norm"), OpRole::MlpNorm, Some(l), t, h);
-        let i_s = cfg.intermediate / self.shards;
-        let up_cols = if cfg.glu { 2 * i_s } else { i_s };
-        self.weight_matmul(pfx("mlp_up"), OpRole::MlpUp, Some(l), t, h, up_cols);
-        self.elementwise(
-            pfx("mlp_act"),
-            OpRole::MlpAct,
-            Some(l),
-            t * i_s,
-            if cfg.glu { 2 } else { 1 },
-            if cfg.glu {
-                UnaryKind::Silu
-            } else {
-                UnaryKind::Gelu
-            },
-        );
-        let i = self.weight_matmul(pfx("mlp_down"), OpRole::MlpDown, Some(l), t, i_s, h);
-        self.ops[i] = self.ops[i].clone().with_allreduce(allreduce);
-
-        if cfg.post_norms {
-            self.norm(pfx("post_mlp_norm"), OpRole::PostNorm, Some(l), t, h);
+        b.push(self.norm(b, "mlp_norm", OpRole::MlpNorm, t));
+        ffn(b);
+        if self.post_norms {
+            b.push(self.norm(b, "post_mlp_norm", OpRole::PostNorm, t));
         }
-        self.elementwise(
-            pfx("mlp_residual"),
-            OpRole::Residual,
-            Some(l),
-            t * h,
-            2,
-            UnaryKind::Add,
-        );
-
-        self.layers.push(LayerSpan {
-            layer,
-            ops: start..self.ops.len(),
-        });
+        b.push(b.free("mlp_residual", OpRole::Residual, residual));
     }
 
-    fn head(&mut self) {
-        let t = self.tokens();
-        let h = self.cfg.hidden;
-        self.norm("final_norm".to_string(), OpRole::FinalNorm, None, t, h);
-        self.weight_matmul(
-            "lm_head".to_string(),
-            OpRole::LmHead,
-            None,
-            t,
-            h,
-            self.cfg.vocab / self.shards,
+    /// The FFN over `t` tokens, its operators named `{prefix}up`,
+    /// `{prefix}act` and `{prefix}down`; the row-parallel down projection
+    /// carries its all-reduce.
+    pub(crate) fn ffn(&self, b: &mut GraphBuilder, t: u64, shards: u64, prefix: &str) {
+        let (h, i_s) = (self.hidden, self.intermediate / shards);
+        let (up_cols, arity, kind) = if self.glu {
+            (2 * i_s, 2, UnaryKind::Silu)
+        } else {
+            (i_s, 1, UnaryKind::Gelu)
+        };
+        let act = OpKind::Elementwise {
+            elems: t * i_s,
+            arity,
+            kind,
+        };
+        let allreduce = DTYPE.bytes_for(t * h);
+        b.push(b.matmul(&format!("{prefix}up"), OpRole::MlpUp, t, h, up_cols));
+        b.push(b.free(&format!("{prefix}act"), OpRole::MlpAct, act));
+        b.push(
+            b.matmul(&format!("{prefix}down"), OpRole::MlpDown, t, i_s, h)
+                .with_allreduce(allreduce),
         );
     }
 
-    fn finish(self, name: String) -> ModelGraph {
-        ModelGraph::new(name, self.wl, self.shards, self.ops, self.layers)
+    /// A norm over `rows` rows of `hidden`, loading its scale vector.
+    fn norm(&self, b: &GraphBuilder, name: &str, role: OpRole, rows: u64) -> Operator {
+        let kind = OpKind::RowReduce {
+            rows,
+            cols: self.hidden,
+            kind: self.norm.reduce_kind(),
+        };
+        let scale = DTYPE.bytes_for(self.hidden);
+        b.op(name, role, kind, OperandSource::HbmWeight, scale)
     }
 }
 
