@@ -325,12 +325,6 @@ impl AutoscaleServingSim {
         &self.config
     }
 
-    /// The controller policy.
-    #[must_use]
-    pub fn autoscale_config(&self) -> &AutoscaleConfig {
-        &self.auto
-    }
-
     /// The cold-start delay a fresh (cache-cold) group pays under
     /// `design` for a trace whose longest prompt is `prompt_hint`
     /// tokens: [`AutoscaleConfig::cold_start_steps`] × the warm-up

@@ -48,12 +48,6 @@ impl SystemConfig {
         self.chip.matmul_rate() * self.chips
     }
 
-    /// Pod-wide peak vector throughput.
-    #[must_use]
-    pub fn total_vector_rate(&self) -> FlopRate {
-        self.chip.vector_rate() * self.chips
-    }
-
     /// Pod-wide on-chip SRAM.
     #[must_use]
     pub fn total_sram(&self) -> Bytes {

@@ -79,16 +79,6 @@ impl Topology {
         }
     }
 
-    /// Bandwidth at which one core can ingest data from the fabric.
-    #[must_use]
-    pub fn per_core_ingress(&self) -> ByteRate {
-        match *self {
-            Topology::AllToAll { core_link } => core_link,
-            // Up to 4 neighbours feed a mesh core simultaneously.
-            Topology::Mesh2d { link, .. } => link * 4u64,
-        }
-    }
-
     /// Average route length in hops for the compiler's traffic. 1 for
     /// all-to-all. For a 2D mesh we charge a constant locality factor of
     /// 4 rather than the uniform-random `(rows+cols)/3`: the compiler's

@@ -140,12 +140,6 @@ impl ModelGraph {
         self.ops.iter().map(Operator::hbm_load).sum()
     }
 
-    /// Total HBM write volume of one step (per shard).
-    #[must_use]
-    pub fn total_hbm_store(&self) -> Bytes {
-        self.ops.iter().map(Operator::hbm_store).sum()
-    }
-
     /// Total floating-point work of one step (per shard).
     #[must_use]
     pub fn total_flops(&self) -> Flops {

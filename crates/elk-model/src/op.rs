@@ -229,18 +229,6 @@ impl OpKind {
             OpKind::Gather { rows, width, .. } => rows * width,
         }
     }
-
-    /// Short operator-class name (used by the cost model and reports).
-    #[must_use]
-    pub fn class_name(&self) -> &'static str {
-        match self {
-            OpKind::MatMul { .. } => "MatMul",
-            OpKind::BatchMatMul { .. } => "BatchMatMul",
-            OpKind::RowReduce { .. } => "RowReduce",
-            OpKind::Elementwise { .. } => "Elementwise",
-            OpKind::Gather { .. } => "Gather",
-        }
-    }
 }
 
 impl fmt::Display for OpKind {

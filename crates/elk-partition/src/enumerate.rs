@@ -16,7 +16,6 @@ use crate::{ExecutePlan, PlanFactors, PreloadPlan};
 pub struct Partitioner<'a> {
     chip: &'a ChipConfig,
     cost: &'a dyn CostModel,
-    min_parallelism: u64,
 }
 
 impl<'a> Partitioner<'a> {
@@ -24,25 +23,13 @@ impl<'a> Partitioner<'a> {
     /// per-link estimates.
     #[must_use]
     pub fn new(chip: &'a ChipConfig, cost: &'a dyn CostModel) -> Self {
-        Partitioner {
-            chip,
-            cost,
-            min_parallelism: (chip.cores / 16).max(1),
-        }
+        Partitioner { chip, cost }
     }
 
     /// The chip plans are enumerated for.
     #[must_use]
     pub fn chip(&self) -> &'a ChipConfig {
         self.chip
-    }
-
-    /// Overrides the minimum cores a plan must occupy (plans below the
-    /// maximum achievable parallelism of tiny operators are always kept).
-    #[must_use]
-    pub fn with_min_parallelism(mut self, cores: u64) -> Self {
-        self.min_parallelism = cores.max(1);
-        self
     }
 
     /// All feasible execute-state plans for `op`, unsorted.
@@ -57,7 +44,9 @@ impl<'a> Partitioner<'a> {
             return Vec::new();
         }
         let max_par = combos.iter().map(PlanFactors::cores).max().unwrap_or(1);
-        let floor = self.min_parallelism.min(max_par);
+        // Plans on fewer than a sixteenth of the cores are dropped, unless
+        // the operator cannot reach that parallelism at all.
+        let floor = (self.chip.cores / 16).max(1).min(max_par);
         let mut out = Vec::new();
         for f in combos {
             if f.cores() < floor {

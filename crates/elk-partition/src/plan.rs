@@ -135,24 +135,6 @@ impl ExecutePlan {
     pub fn max_preload(&self) -> &PreloadPlan {
         self.preload_plans.first().expect("plan without preload")
     }
-
-    /// The preload plan with the smallest footprint — `MinPreload` in
-    /// Fig. 7.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan has no preload alternatives.
-    #[must_use]
-    pub fn min_preload(&self) -> &PreloadPlan {
-        self.preload_plans.last().expect("plan without preload")
-    }
-
-    /// Execution time including a given preload plan's data-distribution
-    /// phase — the quantity the allocator trades off.
-    #[must_use]
-    pub fn time_with(&self, preload: &PreloadPlan) -> Seconds {
-        self.exec_time + preload.distribute_time
-    }
 }
 
 impl fmt::Display for ExecutePlan {

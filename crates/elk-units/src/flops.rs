@@ -166,12 +166,6 @@ impl FlopRate {
     pub fn as_tera(self) -> f64 {
         self.0 / 1e12
     }
-
-    /// Work performed in `duration`.
-    #[must_use]
-    pub fn flops_in(self, duration: Seconds) -> Flops {
-        Flops::new(self.0 * duration.as_secs())
-    }
 }
 
 impl Add for FlopRate {
