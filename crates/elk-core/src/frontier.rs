@@ -1,5 +1,5 @@
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -131,6 +131,51 @@ impl OpPlans {
     }
 }
 
+/// Plan sets keyed on operator signature, shared by every catalog built
+/// through it.
+///
+/// A memo is valid for **one partitioner**: plans depend on the chip and
+/// the cost model as well as on the operator, and the key holds only the
+/// operator's signature. Its owner decides its lifetime — a serving plan
+/// cache keeps one per chip, so graphs of every batch and sequence
+/// bucket enumerate each operator shape once. It holds feasible plan sets
+/// only, so a memo hit never fails.
+#[derive(Debug, Default)]
+pub struct PlanMemo {
+    sets: Mutex<HashMap<String, Arc<OpPlans>>>,
+}
+
+impl PlanMemo {
+    /// An empty memo.
+    #[must_use]
+    pub fn new() -> Self {
+        PlanMemo::default()
+    }
+
+    /// Number of distinct signatures held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// `true` if the memo holds no plan set.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<OpPlans>>> {
+        self.sets.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stores `plans` under `sig` and returns the shared set. When a
+    /// concurrent build inserted the signature first, its set is kept
+    /// (the plans are equal) and returned instead.
+    fn insert(&self, sig: String, plans: OpPlans) -> Arc<OpPlans> {
+        Arc::clone(self.lock().entry(sig).or_insert_with(|| Arc::new(plans)))
+    }
+}
+
 /// Per-operator plan catalog for a whole graph, deduplicated by operator
 /// signature (identical transformer layers share plan sets, which is what
 /// keeps Elk's search sub-linear in model size, §5).
@@ -154,16 +199,8 @@ impl Catalog {
 
     /// Enumerates plans for every operator of `graph`, fanning the
     /// per-signature plan searches across `threads` scoped workers
-    /// (`0` = all available cores).
-    ///
-    /// Operators are first deduplicated by signature (identical
-    /// transformer layers share one plan set), then the distinct
-    /// signatures — the expensive part — are enumerated in parallel via
-    /// [`Partitioner::enumerate_all_par`]. The resulting catalog is
-    /// byte-identical at any thread count: signatures keep their
-    /// first-appearance order, results merge by index, and on failure
-    /// the reported operator is the first infeasible one in graph
-    /// order, exactly as the sequential build reports it.
+    /// (`0` = all available cores). [`Catalog::build_in`] with a memo
+    /// scoped to this call.
     ///
     /// # Errors
     ///
@@ -173,6 +210,32 @@ impl Catalog {
         graph: &ModelGraph,
         partitioner: &Partitioner<'_>,
         threads: usize,
+    ) -> Result<Self, CompileError> {
+        Catalog::build_in(graph, partitioner, threads, &PlanMemo::new())
+    }
+
+    /// Builds the catalog of `graph` through `memo`, which must belong
+    /// to `partitioner` (see [`PlanMemo`]).
+    ///
+    /// Operators are first deduplicated by signature (identical
+    /// transformer layers share one plan set) and looked up in the memo;
+    /// the signatures it lacks — the expensive part — are enumerated in
+    /// parallel via [`Partitioner::enumerate_all_par`] and added to it.
+    /// The resulting catalog is byte-identical at any thread count and
+    /// equal to a fresh build: signatures keep their first-appearance
+    /// order, results merge by index, and on failure the reported
+    /// operator is the first infeasible one in graph order, exactly as
+    /// the sequential build reports it (memo hits are always feasible).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::NoFeasiblePlan`] if any operator cannot be
+    /// partitioned into the chip's SRAM.
+    pub fn build_in(
+        graph: &ModelGraph,
+        partitioner: &Partitioner<'_>,
+        threads: usize,
+        memo: &PlanMemo,
     ) -> Result<Self, CompileError> {
         // Dedup pass: distinct signatures in first-appearance order.
         let mut index_of_sig: HashMap<String, usize> = HashMap::new();
@@ -185,31 +248,42 @@ impl Catalog {
             });
             sig_of_op.push(idx);
         }
+        let mut sigs = vec![String::new(); reps.len()];
+        for (sig, idx) in index_of_sig {
+            sigs[idx] = sig;
+        }
+        let mut shared: Vec<Option<Arc<OpPlans>>> = {
+            let sets = memo.lock();
+            sigs.iter().map(|sig| sets.get(sig).cloned()).collect()
+        };
+        let missing: Vec<usize> = (0..reps.len()).filter(|&i| shared[i].is_none()).collect();
 
         // With one effective worker, enumerate signature-by-signature
         // and stop at the first infeasible operator — the serving
         // layer's micro-batch fallback probes infeasible shapes on
         // purpose, and paying for the remaining signatures' enumeration
-        // just to discard it would dominate that error path.
-        let workers = elk_par::resolve_threads(threads).min(reps.len());
-        let mut shared = Vec::with_capacity(reps.len());
-        if workers <= 1 {
-            for op in &reps {
-                let plans = partitioner.plans(op);
-                if plans.is_empty() {
-                    return Err(no_feasible_plan(op, partitioner));
-                }
-                shared.push(Arc::new(OpPlans::new(plans)));
-            }
+        // just to discard it would dominate that error path. Either way
+        // the memo gains exactly the feasible sets before that operator.
+        // With more workers, every missing signature is enumerated up
+        // front and the loop below only checks the lists in order.
+        let workers = elk_par::resolve_threads(threads).min(missing.len());
+        let plan_lists = if workers <= 1 {
+            Vec::new()
         } else {
-            let plan_lists = partitioner.enumerate_all_par(&reps, threads);
-            for (op, plans) in reps.iter().zip(plan_lists) {
-                if plans.is_empty() {
-                    return Err(no_feasible_plan(op, partitioner));
-                }
-                shared.push(Arc::new(OpPlans::new(plans)));
+            let ops: Vec<&Operator> = missing.iter().map(|&i| reps[i]).collect();
+            partitioner.enumerate_all_par(&ops, threads)
+        };
+        let mut plan_lists = plan_lists.into_iter();
+        for &i in &missing {
+            let plans = plan_lists
+                .next()
+                .unwrap_or_else(|| partitioner.plans(reps[i]));
+            if plans.is_empty() {
+                return Err(no_feasible_plan(reps[i], partitioner));
             }
+            shared[i] = Some(memo.insert(std::mem::take(&mut sigs[i]), OpPlans::new(plans)));
         }
+        let shared: Vec<Arc<OpPlans>> = shared.into_iter().flatten().collect();
         Ok(Catalog {
             entries: sig_of_op.iter().map(|&i| Arc::clone(&shared[i])).collect(),
             distinct: reps.len(),
