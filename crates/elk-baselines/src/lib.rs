@@ -52,7 +52,7 @@ use elk_sim::{simulate, SimOptions, SimReport};
 
 use elk_core::{
     evaluate, Catalog, CompileError, CompileStats, Compiler, CompilerOptions, DeviceProgram,
-    PlanEstimate,
+    PlanEstimate, PlanMemo,
 };
 
 /// One of the paper's evaluated designs.
@@ -177,8 +177,21 @@ impl DesignRunner {
     ///
     /// Propagates [`CompileError::NoFeasiblePlan`].
     pub fn catalog(&self, graph: &ModelGraph) -> Result<Catalog, CompileError> {
+        self.catalog_in(graph, &PlanMemo::new())
+    }
+
+    /// [`catalog`](Self::catalog) through a caller-owned memo, so
+    /// catalogs of different graphs share plan sets per operator
+    /// signature. `memo` must only ever see runners of this runner's
+    /// chip: the cost model is fitted from the chip, so equal chips plan
+    /// alike.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CompileError::NoFeasiblePlan`].
+    pub fn catalog_in(&self, graph: &ModelGraph, memo: &PlanMemo) -> Result<Catalog, CompileError> {
         let partitioner = Partitioner::new(&self.system.chip, &self.cost);
-        Catalog::build_par(graph, &partitioner, self.threads)
+        Catalog::build_in(graph, &partitioner, self.threads, memo)
     }
 
     /// Compiles and simulates `design` on `graph`.

@@ -4,8 +4,22 @@
 //! shapes. After bucketing (see [`elk_model::SeqBuckets`]) the stream
 //! collapses onto a small set of signatures, so caching the simulated
 //! step latency per signature means repeated shapes never recompile.
-//! Plan catalogs are design-independent and cached separately, so the
-//! five evaluation designs share the enumeration work too.
+//! The cache has three layers, each shared more widely than the next:
+//!
+//! 1. **Plan sets per chip.** One [`PlanMemo`] per distinct
+//!    [`ChipConfig`] holds every operator signature's plans, so the
+//!    graphs of all batch sizes and sequence buckets enumerate each
+//!    operator shape once. The cost model is fitted from the chip, so
+//!    equal chips plan alike; a cache shared by pools with different
+//!    chips keeps one memo each.
+//! 2. **Catalogs per graph signature.** Design-independent, so the five
+//!    evaluation designs share one catalog.
+//! 3. **Latencies per design**, keyed on [`PlanKey`].
+//!
+//! Every layer belongs to the cache and lives exactly as long as it.
+//! Nothing is process-global: a fresh cache starts cold, so repeated
+//! runs in one process (benchmark repetitions, sweep points) measure
+//! the same work, and memory held for one engine is freed with it.
 //!
 //! The cache is **thread-safe and single-flight**: lookups take `&self`
 //! (replica event loops run concurrently against one shared cache), and
@@ -26,7 +40,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use serde::{Deserialize, Serialize};
 
 use elk_baselines::{Design, DesignRunner};
-use elk_core::{Catalog, CompileError};
+use elk_core::{Catalog, CompileError, PlanMemo};
+use elk_hw::ChipConfig;
 use elk_model::{ModelGraph, Phase, TransformerConfig, Workload};
 use elk_par::SingleFlight;
 use elk_sim::SimOptions;
@@ -122,16 +137,19 @@ struct Inner {
     /// doomed shape every step.
     graph_failures: HashMap<GraphKey, CompileError>,
     plan_failures: HashMap<PlanKey, CompileError>,
+    /// Plan sets shared by every catalog of one chip.
+    memos: Vec<(ChipConfig, Arc<PlanMemo>)>,
     stats: CacheStats,
 }
 
 /// Memoizes compiled-and-simulated step latencies per [`PlanKey`].
 ///
-/// The catalog layer (plan enumeration per operator) is keyed on the
-/// workload signature alone and reused across designs; the latency
-/// layer additionally keys on the design. Both layers live for the
-/// cache's lifetime, so one cache shared across designs and replicas
-/// maximizes reuse. See the module docs for the concurrency contract.
+/// The plan-set layer is keyed on the chip, the catalog layer on the
+/// workload signature alone (reused across designs), and the latency
+/// layer additionally on the design. All layers live for the cache's
+/// lifetime, so one cache shared across designs and replicas maximizes
+/// reuse. See the module docs for the layers and the concurrency
+/// contract.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
@@ -169,6 +187,17 @@ impl PlanCache {
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plan-set memo of `chip`, created on first use.
+    fn memo(&self, chip: &ChipConfig) -> Arc<PlanMemo> {
+        let mut inner = self.lock();
+        if let Some((_, memo)) = inner.memos.iter().find(|(c, _)| c == chip) {
+            return Arc::clone(memo);
+        }
+        let memo = Arc::new(PlanMemo::new());
+        inner.memos.push((chip.clone(), Arc::clone(&memo)));
+        memo
     }
 
     /// Simulated latency of one `wl` step under `design`, compiling on
@@ -224,21 +253,22 @@ impl PlanCache {
         F: FnOnce(Workload, u64) -> ModelGraph,
     {
         let key = PlanKey::new(model_key, shards, design, wl);
-        let gkey: GraphKey = (
-            model_key.to_string(),
-            shards,
-            wl.phase,
-            wl.batch,
-            wl.seq_len,
-        );
 
-        // Fast path + provisional miss, under one short lock.
-        {
+        // Fast path + provisional miss, under one short lock. The graph
+        // key is built only once the latency lookup misses.
+        let gkey = {
             let mut inner = self.lock();
             if let Some(&latency) = inner.latencies.get(&key) {
                 inner.stats.hits += 1;
                 return Ok(latency);
             }
+            let gkey: GraphKey = (
+                model_key.to_string(),
+                shards,
+                wl.phase,
+                wl.batch,
+                wl.seq_len,
+            );
             if let Some(e) = inner.graph_failures.get(&gkey).cloned() {
                 inner.stats.hits += 1;
                 return Err(e);
@@ -250,7 +280,8 @@ impl PlanCache {
             // Provisional: reclassified as a hit below if another
             // thread's in-flight compile ends up doing all the work.
             inner.stats.misses += 1;
-        }
+            gkey
+        };
 
         // Catalog layer, single-flight per graph signature.
         let mut memoized_graph_failure = false;
@@ -262,8 +293,9 @@ impl PlanCache {
             if cached {
                 return;
             }
+            let memo = self.memo(&runner.system().chip);
             let graph = build(wl, shards);
-            match runner.catalog(&graph) {
+            match runner.catalog_in(&graph, &memo) {
                 Ok(catalog) => {
                     self.lock()
                         .graphs
@@ -534,6 +566,57 @@ mod tests {
             .unwrap();
         assert!(c > b, "the head stage does strictly more work");
         assert_eq!(cache.plans(), 2);
+    }
+
+    #[test]
+    fn graphs_of_one_chip_share_plan_sets() {
+        let cfg = tiny_cfg();
+        let runner = DesignRunner::new(presets::ipu_pod4());
+        let mesh = DesignRunner::new(presets::ipu_pod4_mesh());
+        let cache = PlanCache::new();
+        let sim = SimOptions::default();
+        for seq in [256, 512] {
+            cache
+                .step_latency(
+                    &runner,
+                    &cfg,
+                    4,
+                    Design::Basic,
+                    Workload::decode(16, seq),
+                    &sim,
+                )
+                .unwrap();
+        }
+        let memos = cache.lock().memos.clone();
+        assert_eq!(memos.len(), 1, "one memo per chip");
+        let shared = memos[0].1.len();
+        // A fresh catalog per graph would hold every graph's distinct
+        // signatures; the shared memo holds the union.
+        let per_graph: usize = [256, 512]
+            .map(|seq| {
+                runner
+                    .catalog(&cfg.build(Workload::decode(16, seq), 4))
+                    .unwrap()
+                    .distinct_signatures()
+            })
+            .iter()
+            .sum();
+        assert!(shared < per_graph, "{shared} of {per_graph}");
+
+        // The plan key does not name the system, so the mesh part gets a
+        // model key of its own.
+        let wl = Workload::decode(16, 256);
+        cache
+            .step_latency_for(&mesh, "mesh", 4, Design::Basic, wl, &sim, |w, s| {
+                cfg.build(w, s)
+            })
+            .unwrap();
+        assert_eq!(
+            cache.lock().memos.len(),
+            2,
+            "another chip gets its own memo"
+        );
+        assert_eq!(memos[0].1.len(), shared);
     }
 
     #[test]
