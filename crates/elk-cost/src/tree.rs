@@ -645,5 +645,92 @@ mod tests {
             let oracle = reference::fit(&xs, &ys, &params);
             proptest::prop_assert_eq!(fast, oracle, "params {:?} on {:?} -> {:?}", params, xs, ys);
         }
+
+        #[test]
+        fn presorted_split_search_matches_reference_on_adversarial_data(
+            n in 1usize..=60,
+            cells in proptest::collection::vec(0u32..1000, 240),
+            specials in proptest::collection::vec(0usize..16, 60),
+            target in 0usize..6,
+            noise in proptest::collection::vec(0u32..1000, 60),
+            params in (
+                0u32..=6,
+                proptest::sample::select(vec![0usize, 1, 2, 3, 5, 10]),
+                proptest::sample::select(vec![1usize, 2, 3, 8, 10, 64]),
+            ),
+        ) {
+            let (xs, ys) = adversarial(n, &cells, &specials, target, &noise);
+            let params = TreeParams {
+                max_depth: params.0,
+                min_leaf: params.1,
+                quantiles: params.2,
+            };
+            // The derived `PartialEq` is false on NaN leaves; the serialized
+            // form is exact for every other value, signed zeros included.
+            let fast = serde_json::to_string(&LinearTreeModel::fit(&xs, &ys, &params));
+            let oracle = serde_json::to_string(&reference::fit(&xs, &ys, &params));
+            proptest::prop_assert_eq!(
+                fast.expect("serializes"),
+                oracle.expect("serializes"),
+                "params {:?} on {:?} -> {:?}", params, xs, ys
+            );
+        }
+    }
+
+    /// Data that breaks naive prefix-sum variance: targets whose squares
+    /// cancel, overflow or underflow, and a feature column of values
+    /// whose `<=` order disagrees with their `total_cmp` sort.
+    fn adversarial(
+        n: usize,
+        cells: &[u32],
+        specials: &[usize],
+        target: usize,
+        noise: &[u32],
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        const SPECIAL: [f64; 10] = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e300,
+            -1e300,
+            1.0,
+            -1.0,
+        ];
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let plain = f64::from(cells[i * 4] % 50);
+                let special = SPECIAL.get(specials[i]).copied().unwrap_or(plain);
+                vec![plain, special, f64::from(cells[i * 4 + 1] % 7)]
+            })
+            .collect();
+        let ys = noise[..n]
+            .iter()
+            .map(|&e| {
+                let e = f64::from(e);
+                match target {
+                    // Huge mean, tiny variance: Σy² − (Σy)²/n cancels.
+                    0 => 1e9 + e / 1e3,
+                    1 => 1e15 + e % 3.0,
+                    // Σy² overflows while every y is finite.
+                    2 => e * 1e151,
+                    // Every y² underflows.
+                    3 => e * 1e-300,
+                    // Subnormal targets.
+                    4 => e * 1e-321,
+                    // Magnitudes 200 orders apart.
+                    _ => {
+                        if e % 2.0 == 0.0 {
+                            e * 1e200
+                        } else {
+                            e
+                        }
+                    }
+                }
+            })
+            .collect();
+        (xs, ys)
     }
 }

@@ -44,7 +44,16 @@ fn learned_cost_model_fits_are_pinned() {
     let noisy = AnalyticDevice::of_chip(&chip).with_noise(0.05);
     let exact = AnalyticDevice::of_chip(&chip).with_noise(0.0);
     let scaled = AnalyticDevice::of_chip(&chip.with_compute_scale(2.0)).with_noise(0.05);
+    // Tile times of ~1e300 µs: Σy² overflows in every node.
+    let overflowing = AnalyticDevice::of_chip(&chip.with_compute_scale(1e-300)).with_noise(0.05);
+    // Tile times of ~1e150 µs: squares near the top of the f64 range.
+    let huge = AnalyticDevice::of_chip(&chip.with_compute_scale(1e-150)).with_noise(0.05);
     let default = ProfileConfig::default();
+    // Small nodes split deep, where many candidates score close together.
+    let small_nodes = ProfileConfig {
+        samples_per_class: 64,
+        ..with_tree(8, 1, 10)
+    };
 
     let got = [
         ("ipu_pod4/noise0.05", fit_digest(&noisy, &default)),
@@ -58,13 +67,22 @@ fn learned_cost_model_fits_are_pinned() {
             "ipu_pod4/tree3_8_4",
             fit_digest(&noisy, &with_tree(3, 8, 4)),
         ),
+        (
+            "ipu_pod4x1e-300/noise0.05",
+            fit_digest(&overflowing, &default),
+        ),
+        ("ipu_pod4x1e-150/noise0.05", fit_digest(&huge, &default)),
+        ("ipu_pod4/64_tree8_1_10", fit_digest(&noisy, &small_nodes)),
     ];
-    let want: [(&str, u64); 5] = [
+    let want: [(&str, u64); 8] = [
         ("ipu_pod4/noise0.05", 0xf40a_2d6a_ca28_a654),
         ("ipu_pod4/noise0", 0x9cc7_4e3b_506c_be34),
         ("ipu_pod4x2/noise0.05", 0x01ce_f072_ecbe_b9b4),
         ("ipu_pod4/tree5_24_8", 0xd7b2_d43b_72c6_60e7),
         ("ipu_pod4/tree3_8_4", 0x11d0_8058_a6df_2750),
+        ("ipu_pod4x1e-300/noise0.05", 0x9236_d8cd_e468_52b8),
+        ("ipu_pod4x1e-150/noise0.05", 0xee17_b18c_7402_c8d9),
+        ("ipu_pod4/64_tree8_1_10", 0x39a4_d697_3eff_903c),
     ];
     let mismatches: Vec<String> = got
         .iter()
