@@ -140,6 +140,9 @@ struct Fitter<'a> {
     n: usize,
     /// Feature `f` of sample `i` at `cols[f·n + i]`.
     cols: Vec<f64>,
+    /// No feature value is NaN, so every node's `sorted` order is also
+    /// its `<=` order and the split screen can be proven.
+    screenable: bool,
     idx: Vec<usize>,
     sorted: Vec<usize>,
     /// Per-sample side of the split being applied.
@@ -151,8 +154,10 @@ struct Fitter<'a> {
     node_y: Vec<f64>,
     /// The current node's distinct values of one feature, ascending.
     vals: Vec<f64>,
-    /// The current feature's candidate thresholds, ascending.
-    thresholds: Vec<f64>,
+    /// `prefix[k]` sums the samples below `vals[k]` (see [`prefix_walk`]).
+    prefix: Vec<Prefix>,
+    /// The current node's candidate splits, in (feature, threshold) order.
+    candidates: Vec<Candidate>,
     leaves: usize,
 }
 
@@ -172,6 +177,7 @@ impl<'a> Fitter<'a> {
             params,
             d,
             n,
+            screenable: !cols.iter().any(|x| x.is_nan()),
             cols,
             idx: (0..n).collect(),
             sorted,
@@ -180,7 +186,8 @@ impl<'a> Fitter<'a> {
             node_x: Vec::with_capacity(n),
             node_y: Vec::with_capacity(n),
             vals: Vec::with_capacity(n),
-            thresholds: Vec::with_capacity(params.quantiles),
+            prefix: Vec::with_capacity(n + 1),
+            candidates: Vec::with_capacity(d * params.quantiles),
             leaves: 0,
         }
     }
@@ -231,54 +238,84 @@ impl<'a> Fitter<'a> {
     }
 
     /// Variance-reduction split search over per-feature quantile
-    /// candidates. Scores every candidate with exactly the additions, in
+    /// candidates. The winner is scored with exactly the additions, in
     /// exactly the order, of a plain two-pass SSE over each side, so ties
     /// and near-ties resolve the same way: first feature, then first
     /// candidate, wins.
+    ///
+    /// A screen first gives every candidate an O(1) prefix-sum score and
+    /// drops those that provably cannot win (see [`screen_slack`]); only
+    /// the survivors get the exact scores. Where the screen cannot be
+    /// proven — a NaN feature value, a Σy² that underflows or comes
+    /// within 8× of overflowing, a non-finite prefix score — every
+    /// candidate survives and the search is the plain exact one.
     fn best_split(&mut self, lo: usize, hi: usize) -> Option<(usize, f64)> {
-        let ys = self.ys;
+        let (ys, m) = (self.ys, hi - lo);
         self.node_y.clear();
         self.node_y.extend(self.idx[lo..hi].iter().map(|&i| ys[i]));
         let total_sse = sse(&self.node_y);
         let quantiles = self.params.quantiles;
-        let mut best: Option<(usize, f64, f64)> = None;
+        self.candidates.clear();
+        let mut provable = self.screenable;
 
         for f in 0..self.d {
             let col = &self.cols[f * self.n..(f + 1) * self.n];
-            self.vals.clear();
             let order = &self.sorted[f * self.n + lo..f * self.n + hi];
-            self.vals.extend(order.iter().map(|&i| col[i]));
-            self.vals.dedup();
+            prefix_walk(col, ys, order, &mut self.vals, &mut self.prefix);
             let distinct = self.vals.len();
             if distinct < 2 {
                 continue;
             }
+            let total = self.prefix[distinct];
+            provable &= (f64::MIN_POSITIVE..=f64::MAX / 8.0).contains(&total.sum_sq);
             // Quantile positions never decrease with `q`; a repeated one
             // scores the same and cannot win, so it is scored once.
-            self.thresholds.clear();
             let mut last = None;
             for q in 1..=quantiles {
                 let pos = (q * (distinct - 1) / (quantiles + 1)).min(distinct - 2);
                 if last != Some(pos) {
-                    self.thresholds.push(self.vals[pos]);
+                    let approx = approx_score(self.prefix[pos + 1], total);
+                    provable &= approx.is_finite();
+                    self.candidates.push(Candidate {
+                        feature: f,
+                        threshold: self.vals[pos],
+                        approx,
+                    });
                     last = Some(pos);
                 }
             }
+        }
+
+        if provable {
+            let (abs_sum, abs_max) = self
+                .node_y
+                .iter()
+                .fold((0.0, 0.0), |(s, mx): (f64, f64), &y| {
+                    (s + y.abs(), mx.max(y.abs()))
+                });
+            let slack = screen_slack(m, abs_sum, abs_max);
+            let bound = self
+                .candidates
+                .iter()
+                .map(|c| c.approx + slack)
+                .fold(f64::INFINITY, f64::min);
+            self.candidates.retain(|c| c.approx - slack <= bound);
+        }
+
+        let mut best: Option<(usize, f64, f64)> = None;
+        for run in self.candidates.chunk_by(|a, b| a.feature == b.feature) {
+            let f = run[0].feature;
+            let col = &self.cols[f * self.n..(f + 1) * self.n];
             self.node_x.clear();
             self.node_x.extend(self.idx[lo..hi].iter().map(|&i| col[i]));
-
-            for batch in self.thresholds.chunks(LANES) {
-                let mut lanes = [f64::NAN; LANES];
-                lanes[..batch.len()].copy_from_slice(batch);
-                let scored = score_lanes(&self.node_x, &self.node_y, &lanes);
-                for (k, &threshold) in batch.iter().enumerate() {
-                    let left = scored.count_l[k] as usize;
-                    if left == 0 || left == hi - lo {
+            for batch in run.chunks(LANES) {
+                let scored = score_batch(&self.node_x, &self.node_y, batch);
+                for (c, &(left, score)) in batch.iter().zip(&scored) {
+                    if left == 0 || left == m {
                         continue;
                     }
-                    let score = scored.sse_l[k] + scored.sse_r[k];
                     if best.is_none_or(|(_, _, s)| score < s) {
-                        best = Some((f, threshold, score));
+                        best = Some((f, c.threshold, score));
                     }
                 }
             }
@@ -288,43 +325,161 @@ impl<'a> Fitter<'a> {
     }
 }
 
+/// A node's count, Σy and Σy² over a prefix of one feature's sorted order.
+#[derive(Clone, Copy)]
+struct Prefix {
+    count: usize,
+    sum: f64,
+    sum_sq: f64,
+}
+
+/// One candidate split of a node: samples with `x[feature] <= threshold`
+/// go left. `approx` is its [`approx_score`].
+struct Candidate {
+    feature: usize,
+    threshold: f64,
+    approx: f64,
+}
+
+/// Walks a node's samples in one feature's sorted `order`, in one pass:
+/// `vals` receives the distinct values, ascending, and `prefix[k]` the
+/// [`Prefix`] of the samples before the first with value `vals[k]`, so
+/// `prefix[k + 1]` covers every sample `<= vals[k]` and the last entry
+/// the whole node. Values dedup by `==`, as `Vec::dedup` does.
+///
+/// Without NaN values the sorted order is also the `<=` order: a
+/// threshold `vals[k]` sends exactly the first `prefix[k + 1].count`
+/// samples left. For `k` at most `vals.len() − 2`, that leaves neither
+/// side empty.
+fn prefix_walk(
+    col: &[f64],
+    ys: &[f64],
+    order: &[usize],
+    vals: &mut Vec<f64>,
+    prefix: &mut Vec<Prefix>,
+) {
+    vals.clear();
+    prefix.clear();
+    let mut run = Prefix {
+        count: 0,
+        sum: 0.0,
+        sum_sq: 0.0,
+    };
+    for &i in order {
+        let x = col[i];
+        if vals.last() != Some(&x) {
+            vals.push(x);
+            prefix.push(run);
+        }
+        let y = ys[i];
+        run.count += 1;
+        run.sum += y;
+        run.sum_sq += y * y;
+    }
+    prefix.push(run);
+}
+
+/// The screen's estimate of a split's score, `(Q_l − S_l²/c) + (Q_r −
+/// S_r²/(m − c))`, from the prefix sums of its left side and the node's
+/// totals. Cheap, but its rounding differs from the exact score's; see
+/// [`screen_slack`] for how far.
+fn approx_score(left: Prefix, total: Prefix) -> f64 {
+    let (c, m) = (left.count as f64, total.count as f64);
+    let right_sum = total.sum - left.sum;
+    (left.sum_sq - left.sum * left.sum / c)
+        + ((total.sum_sq - left.sum_sq) - right_sum * right_sum / (m - c))
+}
+
+/// A bound `δ` on `|approx − exact|` for every candidate of a node of `m`
+/// samples with `A = Σ|y|` (`abs_sum`) and `Y = max|y|` (`abs_max`),
+/// where `approx` is its [`approx_score`] and `exact` its two-pass score
+/// from [`score_lanes`]. It holds when no feature value is NaN (so both
+/// see the same two sides) and the node's prefix `Σy² = Q` lies in
+/// `[2⁻¹⁰²², f64::MAX/8]`: the conditions [`Fitter::best_split`] screens
+/// under.
+///
+/// Let `u = 2⁻⁵³` and `g = γ(m+3) = (m+3)u / (1 − (m+3)u)`. In exact
+/// arithmetic the split's SSE is `T = Σ (Q_s − S_s²/c_s)` over its two
+/// sides. The computed scores differ from `T` by at most:
+///
+/// - *exact* (two-pass): each side's mean is off by at most `g·A/c`, and
+///   `Σ(y − mean)² = T_s + c·(mean error)²`, so each side is within
+///   `g·T_s + 2g²A²`; the final addition adds `u·Q`. In all, at most
+///   `2.4g·Q + 4.2g²A²`.
+/// - *approx* (prefix sums): each side's `Σy` is within `3g·A` (the
+///   right side is `total − left`, so both prefix errors meet there) and
+///   its `Σy²` within `4.5g·Q`, so `S²/c` is within `6.1g·A·Y + 9.1g²A² +
+///   1.1g·Q` (as `|S|/c ≤ Y`). With the last subtractions and addition,
+///   at most `12.7g·Q + 12.5g·A·Y + 18.3g²A²`.
+///
+/// Gradual underflow costs a multiply or divide at most `2⁻¹⁰⁷⁵ ≤ u·Q`
+/// absolute once `Q ≥ 2⁻¹⁰²²`; the terms above already carry that. The
+/// `Q ≤ f64::MAX/8` headroom keeps every exact-pass intermediate (such
+/// as `(y − mean)² ≤ 4.05·Y²`) finite, and a finite `approx` met no
+/// overflow. As `Q ≤ A·Y`, the sum is below `28g·A·Y + 23g²A²`; `δ`
+/// doubles that, which covers the rounding of `δ` itself and of `A`.
+///
+/// So every `exact` is finite, and a candidate `j` with `approx_j − δ >
+/// approx_i + δ` (compared as computed; rounding is monotone, so it holds
+/// in the reals too) has `exact_j > exact_i`: it cannot be the first
+/// strict minimum, and dropping it changes no split.
+fn screen_slack(m: usize, abs_sum: f64, abs_max: f64) -> f64 {
+    let k = (m + 3) as f64 * (f64::EPSILON / 2.0);
+    let g = k / (1.0 - k);
+    64.0 * g * abs_sum * (abs_max + g * abs_sum)
+}
+
 /// Candidate thresholds scored per pass: one per quantile of
 /// [`crate::ProfileConfig`]'s default 10, few enough for the lanes'
 /// accumulators to stay in vector registers.
 const LANES: usize = 10;
 
-/// Per-lane results of [`score_lanes`].
-struct LaneScores {
-    /// Samples on the left (`x ≤ threshold`), exact in an `f64`.
-    count_l: [f64; LANES],
-    sse_l: [f64; LANES],
-    sse_r: [f64; LANES],
+/// The exact `(left count, score)` of each of up to [`LANES`]
+/// candidates, from [`score_lanes`] in the fewest lanes that hold them.
+fn score_batch(xs: &[f64], ys: &[f64], batch: &[Candidate]) -> [(usize, f64); LANES] {
+    fn lanes<const L: usize>(xs: &[f64], ys: &[f64], batch: &[Candidate]) -> [(usize, f64); LANES] {
+        let mut thresholds = [f64::NAN; L];
+        for (t, c) in thresholds.iter_mut().zip(batch) {
+            *t = c.threshold;
+        }
+        let mut out = [(0, f64::NAN); LANES];
+        out[..L].copy_from_slice(&score_lanes(xs, ys, &thresholds));
+        out
+    }
+    match batch.len() {
+        1 => lanes::<1>(xs, ys, batch),
+        2 => lanes::<2>(xs, ys, batch),
+        3 | 4 => lanes::<4>(xs, ys, batch),
+        _ => lanes::<LANES>(xs, ys, batch),
+    }
 }
 
-/// Scores up to [`LANES`] candidate thresholds (unused lanes hold NaN,
-/// which sends every sample right) in two branch-free passes over a
-/// node's samples (`xs[k]`, `ys[k]` in sample order): first each side's
-/// sum and count, then each side's squared deviations from its mean.
+/// Scores `L` candidate thresholds (padding lanes hold NaN, which sends
+/// every sample right) in two branch-free passes over a node's samples
+/// (`xs[k]`, `ys[k]` in sample order): first each side's sum and count,
+/// then each side's squared deviations from its mean. Returns each
+/// lane's left count (`x ≤ threshold`) and `sse_l + sse_r`.
 ///
 /// Each side's sums add the same values in the same order as [`sse`]
 /// over that side alone, starting from `-0.0` as `Iterator::sum` does,
 /// so every score is bit-identical to the plain two-pass SSE. A one-pass
 /// `Σy² − (Σy)²/n` or a prefix-sum variance would change scores in the
-/// last bits and flip near-tie splits. Lanes are independent
-/// accumulators, so vectorizing across them reorders nothing.
+/// last bits and flip near-tie splits; [`approx_score`] serves only as a
+/// screen. Lanes are independent accumulators, so vectorizing across
+/// them reorders nothing, and a score does not depend on `L`.
 ///
 /// A sample reaches each side's sum as `s − v`, where `v` is the
 /// negated value bit-masked to `+0.0` on the other side: `s − (+0.0)` is
 /// `s` bit for bit (`−0.0` included) and `s − (−y)` is `s + y`. An `if`
 /// choosing between `y` and the identity would be compiled back into one
 /// unpredictable branch per lane and sample.
-fn score_lanes(xs: &[f64], ys: &[f64], thresholds: &[f64; LANES]) -> LaneScores {
-    let mut count_l = [0.0; LANES];
-    let mut sum_l = [-0.0; LANES];
-    let mut sum_r = [-0.0; LANES];
+fn score_lanes<const L: usize>(xs: &[f64], ys: &[f64], thresholds: &[f64; L]) -> [(usize, f64); L] {
+    let mut count_l = [0.0; L];
+    let mut sum_l = [-0.0; L];
+    let mut sum_r = [-0.0; L];
     for (&x, &y) in xs.iter().zip(ys) {
         let neg_y = (-y).to_bits();
-        for k in 0..LANES {
+        for k in 0..L {
             let left = u64::from(x <= thresholds[k]).wrapping_neg();
             count_l[k] += f64::from_bits(1.0f64.to_bits() & left);
             sum_l[k] -= f64::from_bits(neg_y & left);
@@ -334,16 +489,16 @@ fn score_lanes(xs: &[f64], ys: &[f64], thresholds: &[f64; LANES]) -> LaneScores 
     // An empty side gets a non-finite mean; no sample reads it, and the
     // caller skips the candidate.
     let m = xs.len() as f64;
-    let mut mean_l = [0.0; LANES];
-    let mut mean_r = [0.0; LANES];
-    for k in 0..LANES {
+    let mut mean_l = [0.0; L];
+    let mut mean_r = [0.0; L];
+    for k in 0..L {
         mean_l[k] = sum_l[k] / count_l[k];
         mean_r[k] = sum_r[k] / (m - count_l[k]);
     }
-    let mut sse_l = [-0.0; LANES];
-    let mut sse_r = [-0.0; LANES];
+    let mut sse_l = [-0.0; L];
+    let mut sse_r = [-0.0; L];
     for (&x, &y) in xs.iter().zip(ys) {
-        for k in 0..LANES {
+        for k in 0..L {
             let left = u64::from(x <= thresholds[k]).wrapping_neg();
             let mean = (mean_l[k].to_bits() & left) | (mean_r[k].to_bits() & !left);
             let dev = y - f64::from_bits(mean);
@@ -352,11 +507,7 @@ fn score_lanes(xs: &[f64], ys: &[f64], thresholds: &[f64; LANES]) -> LaneScores 
             sse_r[k] -= f64::from_bits(neg_sq & !left);
         }
     }
-    LaneScores {
-        count_l,
-        sse_l,
-        sse_r,
-    }
+    std::array::from_fn(|k| (count_l[k] as usize, sse_l[k] + sse_r[k]))
 }
 
 /// Moves the samples with `goes_left` to the front of `order`, keeping
@@ -651,7 +802,7 @@ mod tests {
             n in 1usize..=60,
             cells in proptest::collection::vec(0u32..1000, 240),
             specials in proptest::collection::vec(0usize..16, 60),
-            target in 0usize..6,
+            target in 0usize..7,
             noise in proptest::collection::vec(0u32..1000, 60),
             params in (
                 0u32..=6,
@@ -675,6 +826,89 @@ mod tests {
                 "params {:?} on {:?} -> {:?}", params, xs, ys
             );
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 1024,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+        #[test]
+        fn screen_slack_bounds_every_candidate(
+            m in 1usize..=80,
+            cells in proptest::collection::vec(0u32..1000, 80),
+            levels in proptest::sample::select(vec![1u32, 2, 3, 10, 1000]),
+            noise in proptest::collection::vec(0u32..1000, 80),
+            spread in proptest::sample::select(vec![1e-3, 1.0, 1e3]),
+            offset in proptest::sample::select(vec![0.0, -1.0, 1.0, 1e3, 1e9, 1e15]),
+            scale in -160i32..=154,
+        ) {
+            // Samples in sample order; the screen walks them by `x`.
+            let xs: Vec<f64> = cells[..m].iter().map(|&c| f64::from(c % levels)).collect();
+            let ys: Vec<f64> = noise[..m]
+                .iter()
+                .map(|&e| (offset + (f64::from(e) - 300.0) * spread) * 10f64.powi(scale))
+                .collect();
+            let mut order: Vec<usize> = (0..m).collect();
+            order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
+            let (mut vals, mut prefix) = (Vec::new(), Vec::new());
+            prefix_walk(&xs, &ys, &order, &mut vals, &mut prefix);
+            let total = prefix[vals.len()];
+            // The bound is claimed only where `best_split` screens.
+            if (f64::MIN_POSITIVE..=f64::MAX / 8.0).contains(&total.sum_sq) {
+                let abs_sum = ys.iter().map(|y| y.abs()).sum::<f64>();
+                let abs_max = ys.iter().map(|y| y.abs()).fold(0.0, f64::max);
+                let slack = screen_slack(m, abs_sum, abs_max);
+                for (k, &threshold) in vals.iter().enumerate().take(vals.len().saturating_sub(1)) {
+                    let approx = approx_score(prefix[k + 1], total);
+                    let [(left, exact)] = score_lanes(&xs, &ys, &[threshold]);
+                    proptest::prop_assert_eq!(left, prefix[k + 1].count);
+                    proptest::prop_assert!(
+                        (approx - exact).abs() <= slack,
+                        "|{approx} - {exact}| > {slack} at {threshold} of {xs:?} -> {ys:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// How many candidates the root split search of `(xs, ys)` scores
+    /// exactly.
+    fn root_survivors(xs: &[Vec<f64>], ys: &[f64]) -> usize {
+        let params = TreeParams::default();
+        let mut fitter = Fitter::new(xs, ys, &params);
+        fitter.best_split(0, ys.len());
+        fitter.candidates.len()
+    }
+
+    #[test]
+    fn screen_keeps_only_contenders_and_is_off_with_nan_features() {
+        let xs: Vec<Vec<f64>> = (0..400)
+            .map(|i| vec![f64::from(i % 100), f64::from(i / 100), f64::from(i % 7)])
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| if x[1] < 2.0 { x[0] } else { 3.0 * x[0] + 500.0 })
+            .collect();
+        // The three columns have 8, 3 and 6 distinct quantile positions.
+        assert_eq!(
+            root_survivors(&xs, &ys),
+            1,
+            "the x1 <= 1 split is far ahead"
+        );
+
+        // A NaN in x2 adds one distinct value, and a seventh position.
+        let mut with_nan = xs.clone();
+        with_nan[17][2] = f64::NAN;
+        assert_eq!(root_survivors(&with_nan, &ys), 8 + 3 + 7);
+
+        // Σy² overflows.
+        let huge: Vec<f64> = ys.iter().map(|y| y * 1e155).collect();
+        assert_eq!(root_survivors(&xs, &huge), 8 + 3 + 6);
+
+        // Σy² underflows: the squares are subnormal.
+        let tiny: Vec<f64> = ys.iter().map(|y| y * 1e-160).collect();
+        assert_eq!(root_survivors(&xs, &tiny), 8 + 3 + 6);
     }
 
     /// Data that breaks naive prefix-sum variance: targets whose squares
@@ -716,8 +950,9 @@ mod tests {
                     1 => 1e15 + e % 3.0,
                     // Σy² overflows while every y is finite.
                     2 => e * 1e151,
-                    // Every y² underflows.
+                    // Every y² underflows, to zero or to a subnormal.
                     3 => e * 1e-300,
+                    6 => e * 1e-160,
                     // Subnormal targets.
                     4 => e * 1e-321,
                     // Magnitudes 200 orders apart.
