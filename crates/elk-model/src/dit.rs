@@ -64,6 +64,40 @@ impl DitConfig {
         crate::check_split(shards, &[("heads", self.heads)])
     }
 
+    /// [`check_shards`](Self::check_shards), then checks that every
+    /// per-shard element count of the graph [`build`](Self::build) emits
+    /// for `workload`, and every byte or FLOP count derived from one,
+    /// fits in a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the workload's dimensions if any count
+    /// overflows.
+    pub fn check_workload(&self, workload: Workload, shards: u64) -> Result<(), String> {
+        self.check_shards(shards)?;
+        let (batch, tokens, d) = (workload.batch, self.tokens, self.head_dim);
+        let hs = self.heads / shards;
+        // Model-only products saturate: past `u64::MAX` the graph
+        // overflows whatever the workload, and the check reports it.
+        let per_shard = |ratio: u64| ratio.saturating_mul(self.hidden) / shards;
+        crate::check_counts(
+            &self.name,
+            workload,
+            shards,
+            &[
+                // Token rows: norms, modulation, projections and MLP.
+                &[batch, tokens, self.hidden],
+                &[batch, tokens, 3, hs, d],
+                &[batch, tokens, per_shard(self.mlp_ratio)],
+                // adaLN conditioning, one row per image.
+                &[batch, per_shard(6)],
+                // Attention scores and softmax, and keys or values.
+                &[batch, hs, tokens, tokens],
+                &[batch, hs, tokens, d],
+            ],
+        )
+    }
+
     /// Builds the operator graph for one denoising step over
     /// `workload.batch` images. The `seq_len` of the workload is ignored;
     /// the token count comes from the architecture.

@@ -43,6 +43,36 @@ pub use stats::GraphStats;
 pub use transformer::{NormKind, TransformerConfig};
 pub use workload::{Phase, Workload};
 
+/// The largest factor a per-shard element count is multiplied by on its
+/// way to a byte or FLOP count: 2 bytes per f16 element of an arity-2
+/// input, or up to 8 FLOPs per element.
+const PER_ELEMENT_MAX: u64 = 8;
+
+/// `check_workload`: each per-shard element count of `name`'s graph for
+/// `workload`, given as its factors in `counts`, fits in a `u64` even
+/// after [`PER_ELEMENT_MAX`].
+fn check_counts(
+    name: &str,
+    workload: Workload,
+    shards: u64,
+    counts: &[&[u64]],
+) -> Result<(), String> {
+    let fits = |factors: &&[u64]| {
+        factors
+            .iter()
+            .try_fold(PER_ELEMENT_MAX, |n, &f| n.checked_mul(f))
+            .is_some()
+    };
+    if counts.iter().all(fits) {
+        return Ok(());
+    }
+    let Workload { batch, seq_len, .. } = workload;
+    Err(format!(
+        "batch ({batch}) and seq_len ({seq_len}) overflow the 64-bit \
+         element and byte counts of {name} at {shards} shard(s)"
+    ))
+}
+
 /// The tensor-parallel split rule behind each model config's
 /// `check_shards`: `shards` is non-zero and divides every named dim.
 ///

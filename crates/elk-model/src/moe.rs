@@ -93,6 +93,33 @@ impl MoeConfig {
         )
     }
 
+    /// [`check_shards`](Self::check_shards), then checks that every
+    /// per-shard element count of the graph [`build`](Self::build) emits
+    /// for `workload`, and every byte or FLOP count derived from one,
+    /// fits in a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the workload's dimensions if any count
+    /// overflows.
+    pub fn check_workload(&self, workload: Workload, shards: u64) -> Result<(), String> {
+        self.dense_twin().check_workload(workload, shards)?;
+        let (batch, q) = (
+            workload.batch,
+            workload.phase.tokens_per_request(workload.seq_len),
+        );
+        crate::check_counts(
+            &self.name,
+            workload,
+            shards,
+            // Router logits, and the top-k expert outputs combined.
+            &[
+                &[batch, q, self.experts],
+                &[batch, q, self.hidden, self.experts_per_token],
+            ],
+        )
+    }
+
     /// The dense transformer with this model's attention and one expert's
     /// SwiGLU FFN in place of the experts.
     fn dense_twin(&self) -> TransformerConfig {

@@ -116,6 +116,48 @@ impl TransformerConfig {
         )
     }
 
+    /// [`check_shards`](Self::check_shards), then checks that every
+    /// per-shard element count of the graph [`build`](Self::build) emits
+    /// for `workload`, and every byte or FLOP count derived from one,
+    /// fits in a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the workload's dimensions if any count
+    /// overflows.
+    pub fn check_workload(&self, workload: Workload, shards: u64) -> Result<(), String> {
+        self.check_shards(shards)?;
+        let (batch, s) = (workload.batch, workload.seq_len);
+        let q = workload.phase.tokens_per_request(s);
+        let (hs, kvs, d) = (
+            self.heads / shards,
+            (self.kv_heads / shards).max(1),
+            self.head_dim,
+        );
+        // Model-only sums saturate: past `u64::MAX` the graph overflows
+        // whatever the workload, and the check reports it.
+        let qkv_heads = hs.saturating_add(kvs.saturating_mul(2));
+        let glu = if self.glu { 2 } else { 1 };
+        crate::check_counts(
+            &self.name,
+            workload,
+            shards,
+            &[
+                // Token rows: embeddings, norms, residuals, projections,
+                // FFN and head.
+                &[batch, q, self.hidden],
+                &[batch, q, qkv_heads, d],
+                &[batch, q, self.intermediate / shards, glu],
+                &[batch, q, self.vocab / shards],
+                // Attention scores and softmax.
+                &[batch, hs, q, s],
+                // Keys or values attended over, and the K+V cache traffic.
+                &[batch, hs, s, d],
+                &[batch, 2, kvs, d, s],
+            ],
+        )
+    }
+
     /// Builds the per-shard operator graph for `workload` running
     /// tensor-parallel over `shards` chips.
     ///

@@ -4,7 +4,7 @@
 //! FLOP/s, KiB and GiB to bytes) and resolves names (presets, zoo
 //! aliases, policies). The invariants on the converted values live on
 //! their owning types — [`TraceConfig::validate`],
-//! [`BatchConfig::validate`], [`TransformerConfig::check_shards`],
+//! [`BatchConfig::validate`], [`TransformerConfig::check_workload`],
 //! [`elk_serve::TenancyConfig::validate`], the fallible unit
 //! constructors and so on — and are checked there once. Here their
 //! messages only gain the dotted scenario path, so a bad scenario
@@ -248,6 +248,23 @@ impl ResolvedModel {
         }
     }
 
+    /// The model config's `check_workload`: `shards` splits the model
+    /// evenly, and every per-shard element and byte count of `workload`'s
+    /// graph fits in a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::Invalid`], under `workload.`, where the
+    /// check fails.
+    pub fn check_workload(&self, workload: Workload, shards: u64) -> Result<(), SpecError> {
+        match self {
+            ResolvedModel::Llm(cfg) => cfg.check_workload(workload, shards),
+            ResolvedModel::Moe(cfg) => cfg.check_workload(workload, shards),
+            ResolvedModel::Dit(cfg) => cfg.check_workload(workload, shards),
+        }
+        .map_err(at("workload."))
+    }
+
     /// Builds the operator graph for one `workload` step on `shards`
     /// tensor-parallel shards.
     #[must_use]
@@ -403,24 +420,21 @@ impl WorkloadSpec {
 
     /// [`shards_for`](Self::shards_for), checked against `model`:
     /// tensor parallelism splits the attention heads and the FFN width
-    /// evenly across shards, so the shard count must divide both.
+    /// evenly across shards, so the shard count must divide both, and the
+    /// workload's per-shard sizes must fit in 64 bits.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for a zero shard count or one that
-    /// does not divide the model's heads or FFN width.
+    /// Returns [`SpecError::Invalid`] for a zero shard count, one that
+    /// does not divide the model's heads or FFN width, an invalid
+    /// workload, or one whose per-shard element or byte counts overflow.
     pub fn shards_for_model(
         &self,
         system: &SystemConfig,
         model: &ResolvedModel,
     ) -> Result<u64, SpecError> {
         let shards = self.shards_for(system)?;
-        match model {
-            ResolvedModel::Llm(cfg) => cfg.check_shards(shards),
-            ResolvedModel::Moe(cfg) => cfg.check_shards(shards),
-            ResolvedModel::Dit(cfg) => cfg.check_shards(shards),
-        }
-        .map_err(at("workload."))?;
+        model.check_workload(self.to_workload()?, shards)?;
         Ok(shards)
     }
 }

@@ -371,6 +371,9 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
         .with_inter_chip_topology(interconnect);
     let model = spec.model.as_transformer()?;
     let workload = spec.workload.to_workload()?;
+    // Plans shard from tp = 1 up, and the unsharded graph holds the
+    // largest per-shard counts.
+    ResolvedModel::Llm(model.clone()).check_workload(workload, 1)?;
     let sim = spec.sim.to_options()?;
     let design = *spec
         .compiler

@@ -370,6 +370,47 @@ fn overflowing_unit_conversions_exit_2_naming_the_field() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Workload dimensions whose per-shard element or byte counts overflow
+/// 64 bits are a spec error (exit 2) naming `workload`: not a panic in
+/// the graph builder (101), and not a report on a wrapped token count
+/// (0).
+#[test]
+fn overflowing_workload_dimensions_exit_2_naming_the_workload() {
+    let dir = std::env::temp_dir().join(format!("elk-overflow-wl-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for side in [1u64 << 32, 1 << 31] {
+        let mut doc: serde::Value =
+            serde_json::from_str(&read_scenario("custom_chip_dse.json")).expect("valid JSON");
+        let prefill = serde::Value::Str("prefill".into());
+        set_path(&mut doc, "workload.phase", prefill).unwrap();
+        set_path(&mut doc, "workload.batch", serde::Value::U64(side)).unwrap();
+        set_path(&mut doc, "workload.seq_len", serde::Value::U64(side)).unwrap();
+        let scenario = dir.join("overflow.json");
+        std::fs::write(&scenario, serde_json::to_string(&doc).expect("serializes"))
+            .expect("write scenario");
+        for command in ["simulate", "serve", "cluster"] {
+            let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+                .arg(command)
+                .arg(&scenario)
+                .arg("--out")
+                .arg(&dir)
+                .output()
+                .expect("spawn elk");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "`elk {command}` with prefill batch = seq_len = {side}: {stderr}"
+            );
+            assert!(
+                stderr.contains("workload"),
+                "`elk {command}` must name `workload`: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A typo'd sweep axis is a spec error (exit 2) that names the unknown
 /// key and lists the valid keys at its level, and no report is written.
 #[test]
