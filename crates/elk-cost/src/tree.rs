@@ -435,7 +435,7 @@ fn screen_slack(m: usize, abs_sum: f64, abs_max: f64) -> f64 {
 const LANES: usize = 10;
 
 /// The exact `(left count, score)` of each of up to [`LANES`]
-/// candidates, from [`score_lanes`] in the fewest lanes that hold them.
+/// candidates, from [`score_lanes`].
 fn score_batch(xs: &[f64], ys: &[f64], batch: &[Candidate]) -> [(usize, f64); LANES] {
     fn lanes<const L: usize>(xs: &[f64], ys: &[f64], batch: &[Candidate]) -> [(usize, f64); LANES] {
         let mut thresholds = [f64::NAN; L];
@@ -446,10 +446,9 @@ fn score_batch(xs: &[f64], ys: &[f64], batch: &[Candidate]) -> [(usize, f64); LA
         out[..L].copy_from_slice(&score_lanes(xs, ys, &thresholds));
         out
     }
+    // After the screen, most nodes score one candidate.
     match batch.len() {
         1 => lanes::<1>(xs, ys, batch),
-        2 => lanes::<2>(xs, ys, batch),
-        3 | 4 => lanes::<4>(xs, ys, batch),
         _ => lanes::<LANES>(xs, ys, batch),
     }
 }

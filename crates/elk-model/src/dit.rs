@@ -64,14 +64,12 @@ impl DitConfig {
         crate::check_split(shards, &[("heads", self.heads)])
     }
 
-    /// [`check_shards`](Self::check_shards), then checks that every
-    /// per-shard element count of the graph [`build`](Self::build) emits
-    /// for `workload`, and every byte or FLOP count derived from one,
-    /// fits in a `u64`.
+    /// As [`TransformerConfig::check_workload`](crate::TransformerConfig::check_workload),
+    /// for this model's graph.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the workload's dimensions if any count
+    /// Where [`check_shards`](Self::check_shards) fails, or a count
     /// overflows.
     pub fn check_workload(&self, workload: Workload, shards: u64) -> Result<(), String> {
         self.check_shards(shards)?;

@@ -93,14 +93,11 @@ impl MoeConfig {
         )
     }
 
-    /// [`check_shards`](Self::check_shards), then checks that every
-    /// per-shard element count of the graph [`build`](Self::build) emits
-    /// for `workload`, and every byte or FLOP count derived from one,
-    /// fits in a `u64`.
+    /// As [`TransformerConfig::check_workload`], for this model's graph.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the workload's dimensions if any count
+    /// Where [`check_shards`](Self::check_shards) fails, or a count
     /// overflows.
     pub fn check_workload(&self, workload: Workload, shards: u64) -> Result<(), String> {
         self.dense_twin().check_workload(workload, shards)?;
