@@ -4,53 +4,25 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use serde::{Deserialize, Serialize};
 
 use elk_model::{ModelGraph, OpId, Operator};
-use elk_partition::{ExecutePlan, Partitioner, PreloadPlan};
-use elk_units::{Bytes, Seconds};
+use elk_partition::{
+    pareto_frontier, ExecutePlan, FrontierPoint, Partitioner, PlanSet, PreloadPlan,
+};
+use elk_units::Bytes;
 
 use crate::CompileError;
 
-/// One point on a memory↔time Pareto frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FrontierPoint {
-    /// Index into the underlying plan list.
-    pub plan_idx: usize,
-    /// Per-core SRAM footprint.
-    pub space: Bytes,
-    /// Time cost of the point (execution time for execute-state points,
-    /// data-distribution time for preload-state points).
-    pub time: Seconds,
-}
-
-/// Extracts the Pareto frontier of `(space, time)` points, sorted fastest
-/// (largest space) first. Every kept point is strictly faster than all
-/// smaller points and strictly smaller than all faster points.
-#[must_use]
-pub fn pareto_frontier(points: impl IntoIterator<Item = FrontierPoint>) -> Vec<FrontierPoint> {
-    let mut pts: Vec<FrontierPoint> = points.into_iter().collect();
-    // Sort by time ascending; ties broken by smaller space.
-    pts.sort_by(|a, b| a.time.cmp(&b.time).then(a.space.cmp(&b.space)));
-    let mut front: Vec<FrontierPoint> = Vec::new();
-    for p in pts {
-        match front.last() {
-            None => front.push(p),
-            Some(last) => {
-                if p.space < last.space {
-                    front.push(p);
-                }
-            }
-        }
-    }
-    front
-}
-
-/// All feasible plans of one operator plus its execute-state Pareto
-/// frontier. Preload-state frontiers are per execute-plan and come
+/// The execute-state Pareto frontier of one operator, as the
+/// partitioner selects it, plus how many feasible plans it was selected
+/// from. Preload-state frontiers are per execute-plan and come
 /// pre-sorted from the partitioner.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpPlans {
-    /// All feasible execute-state plans.
+    /// The frontier's execute-state plans, in enumeration order.
     pub plans: Vec<ExecutePlan>,
-    /// Pareto frontier over `(exec_space, exec_time)`, fastest first.
+    /// Number of feasible execute-state plans of the operator.
+    pub feasible: usize,
+    /// Pareto frontier over `(exec_space, exec_time)`, fastest first;
+    /// `plan_idx` indexes `plans`.
     pub exec_frontier: Vec<FrontierPoint>,
     /// Preload-state points of every execute-frontier position, back to
     /// back, built once so the scheduler borrows them instead of
@@ -62,23 +34,23 @@ pub struct OpPlans {
 }
 
 impl OpPlans {
-    /// Builds the frontier from a feasible plan list.
+    /// Orders a partitioner's frontier fastest first and lays out its
+    /// preload points.
     ///
     /// # Panics
     ///
-    /// Panics if `plans` is empty.
+    /// Panics if `set` holds no plan.
     #[must_use]
-    pub fn new(plans: Vec<ExecutePlan>) -> Self {
+    pub fn new(set: PlanSet) -> Self {
+        let PlanSet { plans, feasible } = set;
         assert!(!plans.is_empty(), "operator with no feasible plans");
         let exec_frontier = pareto_frontier(plans.iter().enumerate().map(|(i, p)| FrontierPoint {
             plan_idx: i,
             space: p.exec_space,
             time: p.exec_time,
         }));
-        let total = exec_frontier
-            .iter()
-            .map(|f| plans[f.plan_idx].preload_plans.len())
-            .sum();
+        debug_assert_eq!(exec_frontier.len(), plans.len(), "plans are not a frontier");
+        let total = plans.iter().map(|p| p.preload_plans.len()).sum();
         let mut preload_points = Vec::with_capacity(total);
         let mut preload_bounds = Vec::with_capacity(exec_frontier.len() + 1);
         preload_bounds.push(0);
@@ -93,6 +65,7 @@ impl OpPlans {
         }
         OpPlans {
             plans,
+            feasible,
             exec_frontier,
             preload_points,
             preload_bounds,
@@ -275,13 +248,13 @@ impl Catalog {
         };
         let mut plan_lists = plan_lists.into_iter();
         for &i in &missing {
-            let plans = plan_lists
+            let set = plan_lists
                 .next()
                 .unwrap_or_else(|| partitioner.plans(reps[i]));
-            if plans.is_empty() {
+            if set.plans.is_empty() {
                 return Err(no_feasible_plan(reps[i], partitioner));
             }
-            shared[i] = Some(memo.insert(std::mem::take(&mut sigs[i]), OpPlans::new(plans)));
+            shared[i] = Some(memo.insert(std::mem::take(&mut sigs[i]), OpPlans::new(set)));
         }
         let shared: Vec<Arc<OpPlans>> = shared.into_iter().flatten().collect();
         Ok(Catalog {
@@ -318,11 +291,7 @@ impl Catalog {
     /// Table 2.
     #[must_use]
     pub fn max_plans_per_op(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.plans.len())
-            .max()
-            .unwrap_or(0)
+        self.entries.iter().map(|e| e.feasible).max().unwrap_or(0)
     }
 }
 
@@ -353,39 +322,6 @@ mod tests {
     use elk_cost::AnalyticDevice;
     use elk_hw::presets;
     use elk_model::{zoo, Workload};
-
-    fn point(space: u64, time_us: f64) -> FrontierPoint {
-        FrontierPoint {
-            plan_idx: 0,
-            space: Bytes::new(space),
-            time: Seconds::from_micros(time_us),
-        }
-    }
-
-    #[test]
-    fn frontier_is_minimal_and_sorted() {
-        let front = pareto_frontier(vec![
-            point(100, 10.0),
-            point(50, 20.0),
-            point(80, 15.0),
-            point(120, 9.0),  // fastest, biggest
-            point(90, 30.0),  // dominated by (80, 15)
-            point(120, 12.0), // dominated by (120, 9)
-        ]);
-        assert_eq!(front.len(), 4);
-        for w in front.windows(2) {
-            assert!(w[0].time < w[1].time);
-            assert!(w[0].space > w[1].space);
-        }
-        assert_eq!(front[0].space, Bytes::new(120));
-        assert_eq!(front.last().unwrap().space, Bytes::new(50));
-    }
-
-    #[test]
-    fn frontier_of_single_point() {
-        let front = pareto_frontier(vec![point(10, 1.0)]);
-        assert_eq!(front.len(), 1);
-    }
 
     #[test]
     fn catalog_dedupes_identical_layers() {

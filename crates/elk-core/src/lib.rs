@@ -46,8 +46,9 @@ mod timeline;
 
 pub use alloc::{allocate, Allocation};
 pub use compiler::{CompileStats, CompiledPlan, Compiler, CompilerOptions};
+pub use elk_partition::{pareto_frontier, FrontierPoint};
 pub use error::CompileError;
-pub use frontier::{pareto_frontier, Catalog, FrontierPoint, OpPlans, PlanMemo};
+pub use frontier::{Catalog, OpPlans, PlanMemo};
 pub use program::{DeviceInstr, DeviceProgram, OpSpec};
 pub use reorder::{candidate_orders, inversions, CandidateOrder, ReorderOptions};
 pub use schedule::{identity_order, OpSchedule, Schedule, ScheduleOptions, Scheduler};

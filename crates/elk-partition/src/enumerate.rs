@@ -3,7 +3,7 @@ use elk_hw::{ChipConfig, SramContention, Topology};
 use elk_model::{OpKind, Operator};
 use elk_units::{Bytes, Seconds};
 
-use crate::{ExecutePlan, PlanFactors, PreloadPlan};
+use crate::{pareto_frontier, ExecutePlan, FrontierPoint, PlanFactors, PlanSet, PreloadPlan};
 
 /// Enumerates feasible execute-state plans (and their preload-state
 /// alternatives) for single operators on a given chip.
@@ -32,31 +32,45 @@ impl<'a> Partitioner<'a> {
         self.chip
     }
 
-    /// All feasible execute-state plans for `op`, unsorted.
+    /// The execute-state Pareto frontier of `op`, plus the number of
+    /// feasible plans it was selected from.
     ///
-    /// Every returned plan fits the per-core SRAM and the core count; the
-    /// list is non-empty for any operator whose minimal footprint fits the
-    /// chip at all.
+    /// Every grid point is costed, and the frontier is what
+    /// [`pareto_frontier`] keeps of the feasible ones (ties go to the
+    /// earliest plan). The plans come back in enumeration order, and
+    /// only they get preload plans. Every returned plan fits the per-core
+    /// SRAM and the core count; the set is non-empty for any operator
+    /// whose minimal footprint fits the chip at all.
     #[must_use]
-    pub fn plans(&self, op: &Operator) -> Vec<ExecutePlan> {
-        let combos = self.factor_combos(op);
-        if combos.is_empty() {
-            return Vec::new();
+    pub fn plans(&self, op: &Operator) -> PlanSet {
+        let feasible: Vec<ExecutePlan> = self
+            .grid(op)
+            .into_iter()
+            .filter_map(|f| self.build(op, f))
+            .collect();
+        let frontier = pareto_frontier(feasible.iter().enumerate().map(|(i, p)| FrontierPoint {
+            plan_idx: i,
+            space: p.exec_space,
+            time: p.exec_time,
+        }));
+        let mut on_frontier = vec![false; feasible.len()];
+        for p in &frontier {
+            on_frontier[p.plan_idx] = true;
         }
-        let max_par = combos.iter().map(PlanFactors::cores).max().unwrap_or(1);
-        // Plans on fewer than a sixteenth of the cores are dropped, unless
-        // the operator cannot reach that parallelism at all.
-        let floor = (self.chip.cores / 16).max(1).min(max_par);
-        let mut out = Vec::new();
-        for f in combos {
-            if f.cores() < floor {
-                continue;
-            }
-            if let Some(plan) = self.build(op, f) {
-                out.push(plan);
+        let count = feasible.len();
+        // Pushed into a fresh vector: collecting `feasible` in place
+        // would keep its whole allocation alive behind the few plans.
+        let mut plans = Vec::with_capacity(frontier.len());
+        for (mut plan, keep) in feasible.into_iter().zip(on_frontier) {
+            if keep {
+                plan.preload_plans = self.preload_plans(op, &plan.factors);
+                plans.push(plan);
             }
         }
-        out
+        PlanSet {
+            plans,
+            feasible: count,
+        }
     }
 
     /// Enumerates [`Partitioner::plans`] for a batch of operators,
@@ -92,8 +106,19 @@ impl<'a> Partitioner<'a> {
     /// assert_eq!(parallel.len(), graph.len());
     /// ```
     #[must_use]
-    pub fn enumerate_all_par(&self, ops: &[&Operator], threads: usize) -> Vec<Vec<ExecutePlan>> {
+    pub fn enumerate_all_par(&self, ops: &[&Operator], threads: usize) -> Vec<PlanSet> {
         elk_par::par_map(threads, ops, |_, op| self.plans(op))
+    }
+
+    /// The grid points costed for `op`: its factor combinations, minus
+    /// those on fewer than a sixteenth of the cores unless the operator
+    /// cannot reach that parallelism at all.
+    fn grid(&self, op: &Operator) -> Vec<PlanFactors> {
+        let mut combos = self.factor_combos(op);
+        let max_par = combos.iter().map(PlanFactors::cores).max().unwrap_or(1);
+        let floor = (self.chip.cores / 16).max(1).min(max_par);
+        combos.retain(|f| f.cores() >= floor);
+        combos
     }
 
     /// Split-factor combinations for the operator class (before SRAM
@@ -171,7 +196,13 @@ impl<'a> Partitioner<'a> {
         combos
     }
 
-    /// Builds and feasibility-checks one plan.
+    /// Costs one grid point, or `None` if it overflows the per-core SRAM.
+    /// The plan's preload plans are left empty; [`Partitioner::plans`]
+    /// builds them for the frontier plans only.
+    ///
+    /// No preload plan can overflow where the execute state fits: the
+    /// smallest preload footprint, `⌈stationary / cores⌉` (one copy),
+    /// is at most `mem_b = ⌈stationary · rb / cores⌉ ≤ exec_space`.
     fn build(&self, op: &Operator, f: PlanFactors) -> Option<ExecutePlan> {
         let cores_used = f.cores();
         let moving = op.input_bytes();
@@ -220,14 +251,6 @@ impl<'a> Partitioner<'a> {
             SramContention::Concurrent => compute_time.max(shift_time),
         };
 
-        let preload_plans = self.preload_plans(op, &f, gb, cores_used);
-        if preload_plans
-            .last()
-            .is_some_and(|p| p.preload_space > self.chip.usable_sram_per_core())
-        {
-            return None;
-        }
-
         Some(ExecutePlan {
             factors: f,
             cores_used,
@@ -237,23 +260,19 @@ impl<'a> Partitioner<'a> {
             chunks,
             tile,
             exec_time,
-            preload_plans,
+            preload_plans: Vec::new(),
         })
     }
 
     /// Preload-state alternatives for the stationary operand, sorted by
     /// decreasing footprint (max broadcast first).
-    fn preload_plans(
-        &self,
-        op: &Operator,
-        f: &PlanFactors,
-        gb: u64,
-        cores_used: u64,
-    ) -> Vec<PreloadPlan> {
+    fn preload_plans(&self, op: &Operator, f: &PlanFactors) -> Vec<PreloadPlan> {
         let stationary = op.stationary_bytes();
         if !op.stationary().is_hbm() || stationary.is_zero() {
             return vec![PreloadPlan::empty()];
         }
+        let (_, gb) = sharing_groups(op.kind(), f);
+        let cores_used = f.cores();
         let hop = group_hop_factor(&self.chip.topology, gb);
         let mut plans: Vec<PreloadPlan> = rep_candidates(gb)
             .into_iter()
@@ -378,12 +397,153 @@ mod tests {
     use super::*;
     use elk_cost::AnalyticDevice;
     use elk_hw::presets;
-    use elk_model::{zoo, Workload};
+    use elk_model::{zoo, NormKind, TransformerConfig, Workload};
+    use proptest::prelude::*;
 
     fn fixtures() -> (elk_hw::SystemConfig, AnalyticDevice) {
         let sys = presets::ipu_pod4();
         let dev = AnalyticDevice::of_chip(&sys.chip);
         (sys, dev)
+    }
+
+    /// The all-plans enumerator [`Partitioner::plans`] replaced: every
+    /// feasible grid point with its preload plans, including the
+    /// preload-footprint SRAM check `build` no longer makes.
+    fn all_plans(p: &Partitioner<'_>, op: &Operator) -> Vec<ExecutePlan> {
+        let usable = p.chip.usable_sram_per_core();
+        p.grid(op)
+            .into_iter()
+            .filter_map(|f| p.build(op, f))
+            .map(|mut plan| {
+                plan.preload_plans = p.preload_plans(op, &plan.factors);
+                plan
+            })
+            .filter(|plan| {
+                plan.preload_plans
+                    .last()
+                    .is_none_or(|q| q.preload_space <= usable)
+            })
+            .collect()
+    }
+
+    /// What `OpPlans` used to select from [`all_plans`]: the frontier's
+    /// plans, in enumeration order.
+    fn frontier_of(all: &[ExecutePlan]) -> Vec<ExecutePlan> {
+        let mut keep: Vec<usize> =
+            pareto_frontier(all.iter().enumerate().map(|(i, p)| FrontierPoint {
+                plan_idx: i,
+                space: p.exec_space,
+                time: p.exec_time,
+            }))
+            .iter()
+            .map(|p| p.plan_idx)
+            .collect();
+        keep.sort_unstable();
+        keep.into_iter().map(|i| all[i].clone()).collect()
+    }
+
+    /// The chips the frontier equivalence is checked on: all-to-all and
+    /// mesh IPU-POD4, a 368-core 256 KiB part and dual-ported SRAM.
+    fn chips() -> Vec<elk_hw::SystemConfig> {
+        let mut small = presets::ipu_pod4();
+        small.chip = small.chip.with_cores(368);
+        small.chip.sram_per_core = Bytes::kib(256);
+        let mut concurrent = presets::ipu_pod4();
+        concurrent.chip.sram_contention = SramContention::Concurrent;
+        vec![
+            presets::ipu_pod4(),
+            presets::ipu_pod4_mesh(),
+            small,
+            concurrent,
+        ]
+    }
+
+    // The architecture and workload strategies of the workspace's
+    // cross-crate property tests (`tests/properties.rs`).
+    fn arb_config() -> impl Strategy<Value = TransformerConfig> {
+        (
+            1u32..=3,                                       // layers
+            prop::sample::select(vec![512u64, 1024, 2048]), // hidden
+            prop::sample::select(vec![8u64, 16]),           // heads
+            prop::sample::select(vec![1u64, 2, 4]),         // kv group divisor
+            any::<bool>(),                                  // glu
+            any::<bool>(),                                  // rope
+        )
+            .prop_map(
+                |(layers, hidden, heads, kv_div, glu, rope)| TransformerConfig {
+                    name: format!("prop-{hidden}h{heads}"),
+                    layers,
+                    hidden,
+                    heads,
+                    kv_heads: (heads / kv_div).max(4),
+                    head_dim: hidden / heads,
+                    intermediate: hidden * 3,
+                    vocab: 8192,
+                    glu,
+                    norm: if glu { NormKind::Rms } else { NormKind::Layer },
+                    rope,
+                    post_norms: false,
+                },
+            )
+    }
+
+    fn arb_workload() -> impl Strategy<Value = Workload> {
+        (
+            prop::sample::select(vec![1u64, 4, 16]),
+            prop::sample::select(vec![256u64, 1024]),
+            any::<bool>(),
+        )
+            .prop_map(|(b, s, decode)| {
+                if decode {
+                    Workload::decode(b, s)
+                } else {
+                    Workload::prefill(b, s)
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+
+        #[test]
+        fn plans_are_the_frontier_of_every_feasible_plan(
+            cfg in arb_config(),
+            wl in arb_workload(),
+        ) {
+            let graph = cfg.build(wl, 4);
+            for sys in chips() {
+                let dev = AnalyticDevice::of_chip(&sys.chip);
+                let p = Partitioner::new(&sys.chip, &dev);
+                for op in graph.iter().take(20) {
+                    let all = all_plans(&p, op);
+                    let set = p.plans(op);
+                    prop_assert_eq!(set.feasible, all.len());
+                    prop_assert_eq!(&set.plans, &frontier_of(&all));
+                }
+            }
+        }
+
+        #[test]
+        fn preload_footprint_never_exceeds_execute_footprint(
+            cfg in arb_config(),
+            wl in arb_workload(),
+        ) {
+            // Why `build` needs no preload SRAM check: one stationary
+            // copy, `⌈stationary / cores⌉`, never exceeds `exec_space`.
+            let graph = cfg.build(wl, 4);
+            for sys in chips() {
+                let dev = AnalyticDevice::of_chip(&sys.chip);
+                let p = Partitioner::new(&sys.chip, &dev);
+                for op in graph.iter().take(20) {
+                    for f in p.grid(op) {
+                        let Some(plan) = p.build(op, f) else { continue };
+                        let smallest = p.preload_plans(op, &f).last().copied();
+                        let smallest = smallest.expect("at least one preload plan");
+                        prop_assert!(smallest.preload_space <= plan.exec_space);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -395,8 +555,9 @@ mod tests {
             // Layer 0 + head/embed cover all distinct shapes.
             let span = g.layer_spans()[0].ops.clone();
             for op in &g.ops()[span] {
-                let plans = p.plans(op);
-                assert!(!plans.is_empty(), "{}: no plans", op.name());
+                let set = p.plans(op);
+                assert!(!set.plans.is_empty(), "{}: no plans", op.name());
+                assert!(set.feasible >= set.plans.len());
             }
         }
     }
@@ -407,7 +568,7 @@ mod tests {
         let p = Partitioner::new(&sys.chip, &dev);
         let g = zoo::llama2_13b().build(Workload::decode(32, 2048), 4);
         for op in g.ops().iter().take(60) {
-            for plan in p.plans(op) {
+            for plan in p.plans(op).plans {
                 assert!(plan.exec_space <= sys.chip.usable_sram_per_core());
                 assert!(plan.cores_used <= sys.chip.cores);
                 assert!(plan.exec_time > Seconds::ZERO);
@@ -425,7 +586,7 @@ mod tests {
             .iter()
             .find(|o| o.name() == "l0.attn_qkv")
             .expect("qkv op");
-        let plans = p.plans(qkv);
+        let plans = p.plans(qkv).plans;
         let fastest = plans.iter().min_by_key(|p| p.exec_time).expect("non-empty");
         let smallest = plans
             .iter()
@@ -446,7 +607,7 @@ mod tests {
         let p = Partitioner::new(&sys.chip, &dev);
         let g = zoo::llama2_13b().build(Workload::decode(32, 2048), 4);
         let qkv = g.iter().find(|o| o.name() == "l0.attn_qkv").unwrap();
-        let plans = p.plans(qkv);
+        let plans = all_plans(&p, qkv);
         // Fix a split; vary replication.
         let mut by_factors: Vec<&ExecutePlan> = plans
             .iter()
@@ -466,7 +627,7 @@ mod tests {
         let p = Partitioner::new(&sys.chip, &dev);
         let g = zoo::llama2_13b().build(Workload::decode(32, 2048), 4);
         let qkv = g.iter().find(|o| o.name() == "l0.attn_qkv").unwrap();
-        for plan in p.plans(qkv) {
+        for plan in all_plans(&p, qkv) {
             let pl = &plan.preload_plans;
             assert!(!pl.is_empty());
             for w in pl.windows(2) {
@@ -490,7 +651,7 @@ mod tests {
         let p = Partitioner::new(&sys.chip, &dev);
         let g = zoo::llama2_13b().build(Workload::decode(32, 2048), 4);
         let scores = g.iter().find(|o| o.name() == "l0.attn_scores").unwrap();
-        for plan in p.plans(scores) {
+        for plan in all_plans(&p, scores) {
             if plan.factors.pm == 1 {
                 assert_eq!(plan.preload_plans.len(), 1);
             }
@@ -503,7 +664,7 @@ mod tests {
         let p = Partitioner::new(&sys.chip, &dev);
         let g = zoo::llama2_13b().build(Workload::training_forward(2, 1024), 4);
         let scores = g.iter().find(|o| o.name() == "l0.attn_scores").unwrap();
-        let plans = p.plans(scores);
+        let plans = p.plans(scores).plans;
         assert!(!plans.is_empty());
         for plan in plans {
             assert_eq!(plan.preload_plans.len(), 1);
@@ -519,7 +680,7 @@ mod tests {
         let p = Partitioner::new(&sys.chip, &dev);
         let g = zoo::llama2_13b().build(Workload::decode(32, 2048), 4);
         let scores = g.iter().find(|o| o.name() == "l0.attn_scores").unwrap();
-        for plan in p.plans(scores) {
+        for plan in all_plans(&p, scores) {
             assert!(plan.factors.split_dims() <= 2, "{}", plan.factors);
         }
     }

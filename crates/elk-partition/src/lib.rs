@@ -20,9 +20,13 @@
 //!
 //! ## The enumeration grid and its invariants
 //!
-//! [`Partitioner::plans`] is exhaustive over a finite grid; these are
-//! the invariants downstream layers (frontier extraction, scheduling,
-//! allocation) rely on:
+//! [`Partitioner::plans`] costs every point of a finite grid and returns
+//! the operator's execute-state Pareto frontier ([`PlanSet`]): the plans
+//! [`pareto_frontier`] keeps of the feasible ones, in enumeration order,
+//! plus the feasible-plan count (Table 2's `P`). Only frontier plans get
+//! preload plans; the scheduler, allocator and baselines never read the
+//! dominated ones. These are the invariants downstream layers (frontier
+//! ordering, scheduling, allocation) rely on:
 //!
 //! 1. **Geometric split grid.** Candidate split factors per iteration
 //!    dimension come from [`split_candidates`]: a ×1.5 geometric ladder
@@ -38,14 +42,15 @@
 //!    the minimal 1/g rotation share, intermediates trade footprint for
 //!    shift rounds. Preload-state copies are a subset: `r_preload ≤
 //!    r_exec`, sorted by decreasing footprint, deduplicated.
-//! 3. **SRAM/core feasibility.** Every returned plan satisfies
-//!    `exec_space ≤ usable_sram_per_core()` **and** `cores() ≤
-//!    chip.cores` **and** (on 2-D meshes) splits at most two
-//!    dimensions; infeasible grid points are dropped, never clamped. A
-//!    plan list is non-empty for any operator whose minimal footprint
-//!    fits the chip at all, and plans below the chip-relative
-//!    parallelism floor are pruned unless the operator is too small to
-//!    reach it.
+//! 3. **SRAM/core feasibility.** A plan is feasible when `exec_space ≤
+//!    usable_sram_per_core()` **and** `cores() ≤ chip.cores` **and**
+//!    (on 2-D meshes) it splits at most two dimensions; infeasible grid
+//!    points are dropped, never clamped. Its preload plans then fit
+//!    too: the smallest, one stationary copy, is at most the stationary
+//!    share of `exec_space`. Plans below the chip-relative parallelism
+//!    floor are pruned unless the operator is too small to reach it.
+//!    The frontier is non-empty for any operator whose minimal
+//!    footprint fits the chip at all.
 //!
 //! Batch enumeration over many operators fans out across a scoped
 //! work pool ([`Partitioner::enumerate_all_par`]) with index-ordered,
@@ -63,10 +68,11 @@
 //! let cost = LearnedCostModel::fit(&device, &ProfileConfig::default());
 //! let graph = zoo::llama2_13b().build(Workload::decode(32, 2048), 4);
 //! let partitioner = Partitioner::new(&sys.chip, &cost);
-//! let plans = partitioner.plans(&graph.ops()[1]); // attn_norm
-//! assert!(!plans.is_empty());
+//! let set = partitioner.plans(&graph.ops()[1]); // attn_norm
+//! assert!(!set.plans.is_empty());
+//! assert!(set.feasible >= set.plans.len());
 //! // Invariant 3: everything returned fits the chip.
-//! for plan in &plans {
+//! for plan in &set.plans {
 //!     assert!(plan.exec_space <= sys.chip.usable_sram_per_core());
 //!     assert!(plan.cores_used <= sys.chip.cores);
 //! }
@@ -75,7 +81,9 @@
 #![warn(missing_docs)]
 
 mod enumerate;
+mod frontier;
 mod plan;
 
 pub use enumerate::{split_candidates, Partitioner};
-pub use plan::{ExecutePlan, PlanFactors, PreloadPlan};
+pub use frontier::{pareto_frontier, FrontierPoint};
+pub use plan::{ExecutePlan, PlanFactors, PlanSet, PreloadPlan};

@@ -61,7 +61,7 @@ proptest! {
         let device = AnalyticDevice::of_chip(&system.chip);
         let partitioner = Partitioner::new(&system.chip, &device);
         for op in graph.iter().take(20) {
-            for plan in partitioner.plans(op) {
+            for plan in partitioner.plans(op).plans {
                 prop_assert!(plan.exec_space <= system.chip.usable_sram_per_core());
                 prop_assert!(plan.cores_used <= system.chip.cores);
                 // Preload frontier: strictly shrinking space, growing time.
