@@ -52,6 +52,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -247,9 +248,15 @@ impl Serializer for JsonWriter {
 
 // ---- parser ----
 
+/// Most arrays and objects a document may nest, as in `serde_json`'s
+/// recursion limit: deeper input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -286,8 +293,23 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::msg(format!(
+                        "recursion limit exceeded: more than {MAX_DEPTH} nested arrays or \
+                         objects at offset {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -391,22 +413,7 @@ impl Parser<'_> {
                         b'n' => s.push('\n'),
                         b'r' => s.push('\r'),
                         b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::msg("eof in \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::msg("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::msg("bad \\u escape"))?;
-                            // Surrogate pairs are not produced by our
-                            // emitter; map lone surrogates to U+FFFD.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
+                        b'u' => s.push(self.unicode_escape()?),
                         other => {
                             return Err(Error::msg(format!("invalid escape `\\{}`", other as char)))
                         }
@@ -416,6 +423,40 @@ impl Parser<'_> {
                 _ => unreachable!(),
             }
         }
+    }
+
+    /// The character of a `\u` escape whose four hex digits start at
+    /// `pos`. A high surrogate followed by a `\u` low surrogate is one
+    /// character (how `json.dumps` writes non-BMP characters); a lone
+    /// surrogate becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let high_end = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let c = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(c).expect("a surrogate pair is a scalar value"));
+            }
+            // Not a pair: the next escape stands alone.
+            self.pos = high_end;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// Exactly four hex digits at `pos`, as a code unit.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::msg("eof in \\u escape"))?;
+        let code = hex
+            .iter()
+            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| Error::msg(format!("bad \\u escape at offset {}", self.pos)))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -450,5 +491,91 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Value::F64)
             .map_err(|e| Error::msg(format!("invalid number {text:?}: {e}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(text: &str) -> Result<Value, Error> {
+        from_str(text)
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let mut v = parse(&nested(MAX_DEPTH)).expect("at the limit");
+        let mut depth = 0;
+        while let Value::Seq(items) = v {
+            depth += 1;
+            v = items.into_iter().next().unwrap_or(Value::Null);
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        let mixed = "{\"a\":".repeat(MAX_DEPTH / 2) + &"[".repeat(MAX_DEPTH / 2);
+        let mixed = mixed + &"]".repeat(MAX_DEPTH / 2) + &"}".repeat(MAX_DEPTH / 2);
+        assert!(parse(&mixed).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_an_overflow() {
+        for text in [
+            nested(MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            "{\"a\":".repeat(200_000),
+        ] {
+            let err = parse(&text).expect_err("too deep");
+            assert!(
+                err.to_string().starts_with("recursion limit exceeded"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        let v: String = from_str(r#""chat-\ud83d\ude00""#).expect("pair");
+        assert_eq!(v, "chat-\u{1f600}");
+        let v: String = from_str(r#""\uD834\uDD1E!""#).expect("upper-case pair");
+        assert_eq!(v, "\u{1d11e}!");
+        // What Python's `json.dumps` writes round-trips.
+        assert_eq!(
+            from_str::<String>(&to_string("x\u{1f600}").unwrap()).unwrap(),
+            "x\u{1f600}"
+        );
+    }
+
+    #[test]
+    fn lone_surrogates_become_replacement_chars() {
+        let v: String = from_str(r#""\ud83d""#).expect("lone high");
+        assert_eq!(v, "\u{fffd}");
+        let v: String = from_str(r#""\ude00x""#).expect("lone low");
+        assert_eq!(v, "\u{fffd}x");
+        // A high surrogate followed by a non-surrogate escape: both stand.
+        let v: String = from_str(r#""\ud83d\u0041""#).expect("high then A");
+        assert_eq!(v, "\u{fffd}A");
+        let v: String = from_str(r#""\ud83d\ud83d\ude00""#).expect("high, then pair");
+        assert_eq!(v, "\u{fffd}\u{1f600}");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            from_str::<String>(r#""\u00e9\u00C9""#).unwrap(),
+            "\u{e9}\u{c9}"
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad} parsed");
+        }
     }
 }

@@ -441,3 +441,71 @@ fn typod_sweep_axis_exits_2_listing_the_valid_keys() {
     assert!(!dir.join("bad_axis.sweep.json").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Arrays nested past the JSON parser's recursion limit are a parse
+/// error (exit 2) at any depth, not a stack overflow that aborts the
+/// process.
+#[test]
+fn deeply_nested_json_exits_2_at_every_depth() {
+    let dir = std::env::temp_dir().join(format!("elk-deep-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = dir.join("deep.json");
+    for depth in [129, 20_000, 50_000, 200_000] {
+        std::fs::write(&scenario, "[".repeat(depth)).expect("write scenario");
+        for command in ["simulate", "serve", "cluster"] {
+            let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+                .arg(command)
+                .arg(&scenario)
+                .arg("--out")
+                .arg(&dir)
+                .output()
+                .expect("spawn elk");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "`elk {command}` on {depth} nested arrays: {stderr}"
+            );
+            assert!(
+                stderr.contains("recursion limit exceeded"),
+                "`elk {command}` must name the limit: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A scenario name written the way Python's `json.dumps` writes it —
+/// a non-BMP character as a `\u` surrogate pair — keeps that one
+/// character in the report and in the report's file name.
+#[test]
+fn surrogate_pair_escaped_names_round_trip_through_the_cli() {
+    let dir = std::env::temp_dir().join(format!("elk-surrogate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = dir.join("emoji.json");
+    std::fs::write(
+        &scenario,
+        r#"{"name": "chat-\ud83d\ude00", "model": {"zoo": "llama13", "layers": 2}}"#,
+    )
+    .expect("write scenario");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+        .arg("simulate")
+        .arg(&scenario)
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("spawn elk");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
+    // One character, one `_` in the file-name stem.
+    assert!(!dir.join("chat-__.simulate.json").exists());
+    let report = dir.join("chat-_.simulate.json");
+    let text =
+        std::fs::read_to_string(&report).unwrap_or_else(|e| panic!("{}: {e}", report.display()));
+    let v: serde::Value = serde_json::from_str(&text).expect("report parses");
+    assert_eq!(
+        v.get("scenario"),
+        Some(&serde::Value::Str("chat-\u{1f600}".to_string()))
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
