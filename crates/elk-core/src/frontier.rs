@@ -34,8 +34,8 @@ pub struct OpPlans {
 }
 
 impl OpPlans {
-    /// Orders a partitioner's frontier fastest first and lays out its
-    /// preload points.
+    /// Orders a frontier plan set, as [`Partitioner::plans`] returns it,
+    /// fastest first and lays out its preload points.
     ///
     /// # Panics
     ///

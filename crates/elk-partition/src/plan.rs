@@ -137,19 +137,6 @@ impl ExecutePlan {
     }
 }
 
-/// What [`Partitioner::plans`](crate::Partitioner::plans) returns for
-/// one operator: its execute-state Pareto frontier and the size of the
-/// feasible set the frontier was selected from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanSet {
-    /// The frontier plans in enumeration order, each with its preload
-    /// plans. Empty when no plan fits the chip.
-    pub plans: Vec<ExecutePlan>,
-    /// Number of feasible execute-state plans — the `P` column of
-    /// Table 2.
-    pub feasible: usize,
-}
-
 impl fmt::Display for ExecutePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -162,6 +149,19 @@ impl fmt::Display for ExecutePlan {
             self.preload_plans.len()
         )
     }
+}
+
+/// What [`Partitioner::plans`](crate::Partitioner::plans) returns for
+/// one operator: its execute-state Pareto frontier and the size of the
+/// feasible set the frontier was selected from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanSet {
+    /// The frontier plans in enumeration order, each with its preload
+    /// plans. Empty when no plan fits the chip.
+    pub plans: Vec<ExecutePlan>,
+    /// Number of feasible execute-state plans — the `P` column of
+    /// Table 2.
+    pub feasible: usize,
 }
 
 #[cfg(test)]
