@@ -324,6 +324,16 @@ mod tests {
     }
 
     #[test]
+    fn every_design_reports_its_programs_estimate() {
+        let runner = DesignRunner::new(presets::ipu_pod4());
+        let graph = small_graph();
+        let capacity = runner.system().chip.usable_sram_per_core();
+        for o in runner.run_all(&graph, &SimOptions::default()).unwrap() {
+            assert_eq!(o.estimate, evaluate(&o.program, capacity), "{}", o.design);
+        }
+    }
+
+    #[test]
     fn hbm_utilization_improves_along_design_axis() {
         // Fig. 18(b): Basic < Static <= ELK designs.
         let runner = DesignRunner::new(presets::ipu_pod4());

@@ -38,11 +38,8 @@ pub(crate) fn plan(
     let mut best: Option<(Seconds, DeviceProgram)> = None;
     for percent in (10..=90).step_by(10) {
         let exec_budget = capacity.scale(percent as f64 / 100.0);
-        let preload_budget = capacity - exec_budget;
         for mode in [PreloadMode::MaxBroadcast, PreloadMode::MinFootprint] {
-            let Some(prog) =
-                plan_with_budget(graph, catalog, system, exec_budget, preload_budget, mode)
-            else {
+            let Some(prog) = plan_with_budget(graph, catalog, system, exec_budget, mode) else {
                 continue;
             };
             let est = evaluate(&prog, capacity);
@@ -61,19 +58,18 @@ pub(crate) fn plan(
     })
 }
 
-/// Builds a Static-design program for an explicit execution/preload split
-/// and preload-state mode (the motivation experiments of Figs. 6-8 sweep
-/// these directly).
+/// Builds a Static-design program for an explicit execution budget and
+/// preload-state mode (the motivation experiments of Figs. 6-8 sweep
+/// these directly). The preload region is whatever SRAM the execution
+/// region leaves.
 #[must_use]
 pub fn plan_with_budget(
     graph: &ModelGraph,
     catalog: &Catalog,
     system: &SystemConfig,
     exec_budget: Bytes,
-    preload_budget: Bytes,
     mode: PreloadMode,
 ) -> Option<DeviceProgram> {
-    let _ = preload_budget;
     let n = graph.len();
     let capacity = system.chip.usable_sram_per_core();
     let mut choices = Vec::with_capacity(n);
@@ -144,10 +140,84 @@ pub fn plan_with_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DesignRunner;
+    use crate::{Design, DesignRunner};
     use elk_hw::presets;
     use elk_model::{zoo, Workload};
     use elk_sim::{simulate, SimOptions};
+
+    /// The Static search as first written, kept as the reference the
+    /// production search must match: all 18 (split, mode) points lowered
+    /// and evaluated, the first strictly fastest violation-free program
+    /// kept.
+    fn eighteen_pass_plan(
+        graph: &ModelGraph,
+        catalog: &Catalog,
+        system: &SystemConfig,
+    ) -> Result<DeviceProgram, CompileError> {
+        let capacity = system.chip.usable_sram_per_core();
+        let mut best: Option<(Seconds, DeviceProgram)> = None;
+        for percent in (10..=90).step_by(10) {
+            let exec_budget = capacity.scale(percent as f64 / 100.0);
+            for mode in [PreloadMode::MaxBroadcast, PreloadMode::MinFootprint] {
+                let Some(prog) = plan_with_budget(graph, catalog, system, exec_budget, mode) else {
+                    continue;
+                };
+                let est = evaluate(&prog, capacity);
+                if est.capacity_violations > 0 {
+                    continue;
+                }
+                if best.as_ref().is_none_or(|(t, _)| est.total < *t) {
+                    best = Some((est.total, prog));
+                }
+            }
+        }
+        best.map(|(_, p)| p).ok_or(CompileError::CapacityExceeded {
+            op: "static split".to_string(),
+            required: capacity,
+            capacity,
+        })
+    }
+
+    #[test]
+    fn static_design_matches_the_eighteen_pass_reference() {
+        // A small-SRAM part where the split binds, next to the
+        // all-to-all and mesh IPU-POD4.
+        let mut small = presets::ipu_pod4();
+        small.chip = small.chip.with_cores(368);
+        small.chip.sram_per_core = Bytes::kib(256);
+        let sim = SimOptions::default();
+        let mut compared = 0;
+        for system in [presets::ipu_pod4(), presets::ipu_pod4_mesh(), small] {
+            let runner = DesignRunner::new(system.clone());
+            let capacity = system.chip.usable_sram_per_core();
+            for wl in [Workload::decode(16, 2048), Workload::prefill(2, 512)] {
+                let graphs = [
+                    zoo::llama2_13b().build(wl, 4),
+                    zoo::opt_30b().build(wl, 4),
+                    zoo::dit_xl().build(wl, 4),
+                ];
+                for graph in graphs {
+                    let Ok(catalog) = runner.catalog(&graph) else {
+                        continue;
+                    };
+                    let case = format!("{} on {}", graph.name(), system.chip.name);
+                    let want = eighteen_pass_plan(&graph, &catalog, &system);
+                    match (want, runner.run(Design::Static, &graph, &catalog, &sim)) {
+                        (Ok(prog), Ok(out)) => {
+                            assert_eq!(out.estimate, evaluate(&prog, capacity), "{case}");
+                            assert!(out.program == prog, "{case}: programs differ");
+                            compared += 1;
+                        }
+                        (Err(want), Err(got)) => {
+                            assert_eq!(got.to_string(), want.to_string(), "{case}");
+                        }
+                        (want, got) => panic!("{case}: {want:?} vs {:?}", got.map(|o| o.design)),
+                    }
+                }
+            }
+        }
+        assert!(compared >= 12, "only {compared} programs compared");
+    }
 
     #[test]
     fn static_preloads_further_ahead_than_basic() {

@@ -38,14 +38,9 @@ pub fn run(ctx: &mut Ctx) {
         for kib in [128u64, 256, 384] {
             let preload = Bytes::kib(kib);
             let exec = capacity.saturating_sub(preload);
-            let Some(prog) = static_plan_with_budget(
-                &graph,
-                &catalog,
-                &system,
-                exec,
-                preload,
-                PreloadMode::MinFootprint,
-            ) else {
+            let Some(prog) =
+                static_plan_with_budget(&graph, &catalog, &system, exec, PreloadMode::MinFootprint)
+            else {
                 ctx.line(format!(
                     "{}: {kib} KiB preload space infeasible",
                     graph.name()

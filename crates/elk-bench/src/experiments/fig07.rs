@@ -34,15 +34,8 @@ pub(crate) fn trace_mode(
     let graph = build_llm(cfg, default_workload());
     let catalog = runner.catalog(&graph).expect("catalog");
     let capacity = system.chip.usable_sram_per_core();
-    let prog = static_plan_with_budget(
-        &graph,
-        &catalog,
-        system,
-        capacity.scale(0.5),
-        capacity.scale(0.5),
-        mode,
-    )
-    .expect("static plan");
+    let prog = static_plan_with_budget(&graph, &catalog, system, capacity.scale(0.5), mode)
+        .expect("static plan");
     let rep = simulate(&prog, system, &SimOptions::default().with_trace(48));
     (graph.name().to_string(), rep)
 }

@@ -320,8 +320,81 @@ fn signature(op: &Operator) -> String {
 mod tests {
     use super::*;
     use elk_cost::AnalyticDevice;
-    use elk_hw::presets;
+    use elk_hw::{presets, SramContention};
     use elk_model::{zoo, Workload};
+    use std::hash::Hash;
+
+    /// The `{:?}` operator signature catalogs were first keyed on.
+    fn debug_signature(op: &Operator) -> String {
+        format!(
+            "{:?}|{:?}|{:?}|{}|{}|{}",
+            op.kind(),
+            op.dtype(),
+            op.stationary(),
+            op.stationary_bytes().get(),
+            op.hbm_store().get(),
+            op.allreduce().get(),
+        )
+    }
+
+    /// Each operator's group under `key`, groups numbered in order of
+    /// first appearance.
+    fn groups<K: Hash + Eq>(graph: &ModelGraph, key: impl Fn(&Operator) -> K) -> Vec<usize> {
+        let mut ids: HashMap<K, usize> = HashMap::new();
+        graph
+            .iter()
+            .map(|op| {
+                let next = ids.len();
+                *ids.entry(key(op)).or_insert(next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn signatures_group_operators_like_debug_strings() {
+        // The model × phase × chip matrix of `tests/catalog_digest.rs`.
+        let mut small = presets::ipu_pod4();
+        small.chip = small.chip.with_cores(368);
+        small.chip.sram_per_core = Bytes::kib(256);
+        let mut concurrent = presets::ipu_pod4();
+        concurrent.chip.sram_contention = SramContention::Concurrent;
+        let chips = [
+            presets::ipu_pod4(),
+            presets::ipu_pod4_mesh(),
+            small,
+            concurrent,
+        ];
+        for wl in [Workload::decode(16, 1024), Workload::prefill(2, 512)] {
+            let mut llama = zoo::llama2_13b();
+            llama.layers = 2;
+            let mut opt = zoo::opt_30b();
+            opt.layers = 2;
+            let mut moe = zoo::mixtral_8x7b();
+            moe.layers = 2;
+            let mut dit = zoo::dit_xl();
+            dit.layers = 2;
+            let graphs = [
+                llama.build(wl, 4),
+                opt.build(wl, 4),
+                moe.build(wl, 4),
+                dit.build(wl, 4),
+            ];
+            for graph in &graphs {
+                let want = groups(graph, debug_signature);
+                assert_eq!(groups(graph, signature), want, "{}", graph.name());
+                // A catalog shares one plan set per group.
+                for sys in &chips {
+                    let dev = AnalyticDevice::of_chip(&sys.chip);
+                    let p = Partitioner::new(&sys.chip, &dev);
+                    let Ok(cat) = Catalog::build(graph, &p) else {
+                        continue;
+                    };
+                    let by_set = groups(graph, |op| Arc::as_ptr(&cat.entries[op.id().index()]));
+                    assert_eq!(by_set, want, "{} on {}", graph.name(), sys.chip.name);
+                }
+            }
+        }
+    }
 
     #[test]
     fn catalog_dedupes_identical_layers() {
