@@ -459,20 +459,53 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// Skips ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// An "invalid number" error for the number starting at `start`.
+    fn invalid_number(&self, start: usize, what: &str) -> Error {
+        Error::msg(format!("invalid number at offset {start}: {what}"))
+    }
+
+    /// Parses a number of RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, as `serde_json`
+    /// and Python's `json` do: no leading zeros (`012`, `-01`), and at
+    /// least one digit after a `.` (`1.`, `1.e5`) or an exponent mark.
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int_start = self.pos;
+        match self.digits() {
+            0 => return Err(self.invalid_number(start, "expected a digit")),
+            n if n > 1 && self.bytes[int_start] == b'0' => {
+                return Err(self.invalid_number(start, "leading zero"));
+            }
+            _ => {}
+        }
         let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            float = true;
+            if self.digits() == 0 {
+                return Err(self.invalid_number(start, "expected a digit after `.`"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.invalid_number(start, "expected a digit in the exponent"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -559,6 +592,46 @@ mod tests {
         assert_eq!(v, "\u{fffd}A");
         let v: String = from_str(r#""\ud83d\ud83d\ude00""#).expect("high, then pair");
         assert_eq!(v, "\u{fffd}\u{1f600}");
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, want) in [
+            ("0", Value::U64(0)),
+            ("-0", Value::I64(0)),
+            ("10", Value::U64(10)),
+            ("-12", Value::I64(-12)),
+            ("0.5", Value::F64(0.5)),
+            ("-0.0", Value::F64(-0.0)),
+            ("1e5", Value::F64(1e5)),
+            ("1E+5", Value::F64(1e5)),
+            ("2.5e-3", Value::F64(2.5e-3)),
+            ("0e0", Value::F64(0.0)),
+            ("[0,10]", Value::Seq(vec![Value::U64(0), Value::U64(10)])),
+        ] {
+            assert_eq!(parse(text).expect(text), want, "{text}");
+        }
+        for (text, what) in [
+            ("012", "leading zero"),
+            ("-01", "leading zero"),
+            ("00", "leading zero"),
+            ("01.5", "leading zero"),
+            ("1.", "expected a digit after `.`"),
+            ("1.e5", "expected a digit after `.`"),
+            ("-.5", "expected a digit"),
+            ("-", "expected a digit"),
+            ("1e", "expected a digit in the exponent"),
+            ("1e+", "expected a digit in the exponent"),
+            ("[1,016]", "leading zero"),
+        ] {
+            let err = parse(text).expect_err(text).to_string();
+            assert!(err.starts_with("invalid number at offset"), "{text}: {err}");
+            assert!(err.ends_with(what), "{text}: {err}");
+        }
+        // Characters the old scanner swallowed into the number now end it.
+        assert!(parse(".5").is_err());
+        assert!(parse("1-2").is_err());
+        assert!(parse("1.5.3").is_err());
     }
 
     #[test]

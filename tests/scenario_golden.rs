@@ -475,6 +475,38 @@ fn deeply_nested_json_exits_2_at_every_depth() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A number with a leading zero is not JSON (RFC 8259, Python's
+/// `json.loads` and `serde_json` all reject it): a parse error, exit 2,
+/// not a run with `batch` read as 16.
+#[test]
+fn leading_zero_numbers_exit_2() {
+    let dir = std::env::temp_dir().join(format!("elk-leading-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = dir.join("leading_zero.json");
+    std::fs::write(
+        &scenario,
+        r#"{"name": "leading-zero", "model": {"zoo": "llama13", "layers": 2},
+            "workload": {"phase": "decode", "batch": 016, "seq_len": 128}}"#,
+    )
+    .expect("write scenario");
+    for command in ["simulate", "serve", "cluster"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+            .arg(command)
+            .arg(&scenario)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .expect("spawn elk");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "`elk {command}`: {stderr}");
+        assert!(
+            stderr.contains("invalid number") && stderr.contains("leading zero"),
+            "`elk {command}` must name the bad number: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A scenario name written the way Python's `json.dumps` writes it —
 /// a non-BMP character as a `\u` surrogate pair — keeps that one
 /// character in the report and in the report's file name.
