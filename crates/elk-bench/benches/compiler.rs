@@ -1,15 +1,59 @@
 //! Criterion benches of the end-to-end compiler and its scheduling core.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::time::{Duration, Instant};
 
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+
+use elk_baselines::{Design, DesignRunner};
 use elk_core::{
-    candidate_orders, identity_order, Catalog, Compiler, CompilerOptions, ReorderOptions,
+    candidate_orders, identity_order, Catalog, Compiler, CompilerOptions, PlanMemo, ReorderOptions,
     ScheduleOptions, Scheduler,
 };
 use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
 use elk_hw::presets;
-use elk_model::{zoo, Workload};
+use elk_model::{zoo, ModelGraph, Workload};
 use elk_partition::Partitioner;
+use elk_sim::SimOptions;
+
+/// The compile ladder: full-depth Llama-2-13B at tp2, decode at batch
+/// {1, 4, 16} × sequence {64, …, 2048} and prefill at batch {1, 2, 8} ×
+/// sequence {32, …, 1024}, doubling. These 36 graphs are the kind of
+/// step shapes a cold replica-serving plan cache compiles, and every one
+/// fits the chip.
+fn ladder() -> Vec<ModelGraph> {
+    let model = zoo::llama2_13b();
+    let decode =
+        [1, 4, 16].map(|b| [64, 128, 256, 512, 1024, 2048].map(|s| Workload::decode(b, s)));
+    let prefill = [1, 2, 8].map(|b| [32, 64, 128, 256, 512, 1024].map(|s| Workload::prefill(b, s)));
+    decode
+        .into_iter()
+        .chain(prefill)
+        .flatten()
+        .map(|wl| model.build(wl, 2))
+        .collect()
+}
+
+/// One pass over the ladder: every catalog through one fresh memo, then
+/// all five designs on each graph. Adds each stage's wall time to
+/// `totals`: the catalog first, then the designs of `Design::ALL`.
+fn compile_ladder(runner: &DesignRunner, graphs: &[ModelGraph], totals: &mut [Duration]) {
+    let memo = PlanMemo::new();
+    let sim = SimOptions::default();
+    for graph in graphs {
+        let t = Instant::now();
+        let catalog = runner.catalog_in(graph, &memo).expect("ladder catalog");
+        totals[0] += t.elapsed();
+        for (total, &design) in totals[1..].iter_mut().zip(&Design::ALL) {
+            let t = Instant::now();
+            black_box(
+                runner
+                    .run(design, graph, &catalog, &sim)
+                    .expect("ladder design"),
+            );
+            *total += t.elapsed();
+        }
+    }
+}
 
 fn bench_compiler(c: &mut Criterion) {
     let system = presets::ipu_pod4();
@@ -77,6 +121,24 @@ fn bench_compiler(c: &mut Criterion) {
                 .count()
         })
     });
+
+    // Everything a cold serving run compiles, on one thread, with the
+    // mean time per pass of each stage.
+    let runner = DesignRunner::new(system.subpod(2)).with_threads(1);
+    let graphs = ladder();
+    let mut totals = [Duration::ZERO; 1 + Design::ALL.len()];
+    let mut passes = 0u32;
+    g.bench_function("compile_ladder", |b| {
+        b.iter(|| {
+            compile_ladder(&runner, &graphs, &mut totals);
+            passes += 1;
+        })
+    });
+    let stages = std::iter::once("catalog".to_string()).chain(Design::ALL.map(|d| d.to_string()));
+    for (stage, total) in stages.zip(totals) {
+        let ms = total.as_secs_f64() * 1e3 / f64::from(passes);
+        println!("compiler/compile_ladder/{stage:<17} {ms:>10.3} ms/pass");
+    }
     g.finish();
 }
 
