@@ -98,7 +98,7 @@ impl LearnedCostModel {
             let mut ys = Vec::with_capacity(cfg.samples_per_class);
             for _ in 0..cfg.samples_per_class {
                 let shape = random_shape(class, &mut rng);
-                xs.push(shape.features());
+                xs.push(shape.features().to_vec());
                 ys.push(device.tile_time(&shape).as_micros());
             }
             LinearTreeModel::fit(&xs, &ys, &cfg.tree)

@@ -150,10 +150,11 @@ impl TileShape {
     }
 
     /// Feature vector for the learned model. Chosen so a linear leaf can
-    /// express `time ≈ α·flops + β·bytes + per-dim overheads + γ`.
+    /// express `time ≈ α·flops + β·bytes + per-dim overheads + γ`. An
+    /// array, so costing a tile allocates nothing.
     #[must_use]
-    pub fn features(&self) -> Vec<f64> {
-        vec![
+    pub fn features(&self) -> [f64; Self::FEATURE_COUNT] {
+        [
             self.flops() / 1e6,
             self.bytes_touched(2) / 1e3,
             self.batch as f64,
