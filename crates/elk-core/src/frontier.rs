@@ -3,7 +3,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
-use elk_model::{ModelGraph, OpId, Operator};
+use elk_model::{DType, ModelGraph, OpId, OpKind, OperandSource, Operator};
 use elk_partition::{
     pareto_frontier, ExecutePlan, FrontierPoint, Partitioner, PlanSet, PreloadPlan,
 };
@@ -104,6 +104,29 @@ impl OpPlans {
     }
 }
 
+/// Everything about an operator its plans depend on: two operators with
+/// equal signatures have equal plan sets on any partitioner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Signature {
+    kind: OpKind,
+    dtype: DType,
+    stationary: OperandSource,
+    stationary_bytes: Bytes,
+    hbm_store: Bytes,
+    allreduce: Bytes,
+}
+
+fn signature(op: &Operator) -> Signature {
+    Signature {
+        kind: *op.kind(),
+        dtype: op.dtype(),
+        stationary: op.stationary(),
+        stationary_bytes: op.stationary_bytes(),
+        hbm_store: op.hbm_store(),
+        allreduce: op.allreduce(),
+    }
+}
+
 /// Plan sets keyed on operator signature, shared by every catalog built
 /// through it.
 ///
@@ -115,7 +138,7 @@ impl OpPlans {
 /// only, so a memo hit never fails.
 #[derive(Debug, Default)]
 pub struct PlanMemo {
-    sets: Mutex<HashMap<String, Arc<OpPlans>>>,
+    sets: Mutex<HashMap<Signature, Arc<OpPlans>>>,
 }
 
 impl PlanMemo {
@@ -137,14 +160,14 @@ impl PlanMemo {
         self.len() == 0
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<OpPlans>>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<Signature, Arc<OpPlans>>> {
         self.sets.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stores `plans` under `sig` and returns the shared set. When a
     /// concurrent build inserted the signature first, its set is kept
     /// (the plans are equal) and returned instead.
-    fn insert(&self, sig: String, plans: OpPlans) -> Arc<OpPlans> {
+    fn insert(&self, sig: Signature, plans: OpPlans) -> Arc<OpPlans> {
         Arc::clone(self.lock().entry(sig).or_insert_with(|| Arc::new(plans)))
     }
 }
@@ -211,23 +234,20 @@ impl Catalog {
         memo: &PlanMemo,
     ) -> Result<Self, CompileError> {
         // Dedup pass: distinct signatures in first-appearance order.
-        let mut index_of_sig: HashMap<String, usize> = HashMap::new();
-        let mut reps: Vec<&Operator> = Vec::new();
+        let mut index_of_sig: HashMap<Signature, usize> = HashMap::new();
+        let mut reps: Vec<(Signature, &Operator)> = Vec::new();
         let mut sig_of_op: Vec<usize> = Vec::with_capacity(graph.len());
         for op in graph.iter() {
-            let idx = *index_of_sig.entry(signature(op)).or_insert_with(|| {
-                reps.push(op);
+            let sig = signature(op);
+            let idx = *index_of_sig.entry(sig).or_insert_with(|| {
+                reps.push((sig, op));
                 reps.len() - 1
             });
             sig_of_op.push(idx);
         }
-        let mut sigs = vec![String::new(); reps.len()];
-        for (sig, idx) in index_of_sig {
-            sigs[idx] = sig;
-        }
         let mut shared: Vec<Option<Arc<OpPlans>>> = {
             let sets = memo.lock();
-            sigs.iter().map(|sig| sets.get(sig).cloned()).collect()
+            reps.iter().map(|(sig, _)| sets.get(sig).cloned()).collect()
         };
         let missing: Vec<usize> = (0..reps.len()).filter(|&i| shared[i].is_none()).collect();
 
@@ -243,18 +263,17 @@ impl Catalog {
         let plan_lists = if workers <= 1 {
             Vec::new()
         } else {
-            let ops: Vec<&Operator> = missing.iter().map(|&i| reps[i]).collect();
+            let ops: Vec<&Operator> = missing.iter().map(|&i| reps[i].1).collect();
             partitioner.enumerate_all_par(&ops, threads)
         };
         let mut plan_lists = plan_lists.into_iter();
         for &i in &missing {
-            let set = plan_lists
-                .next()
-                .unwrap_or_else(|| partitioner.plans(reps[i]));
+            let (sig, op) = reps[i];
+            let set = plan_lists.next().unwrap_or_else(|| partitioner.plans(op));
             if set.plans.is_empty() {
-                return Err(no_feasible_plan(reps[i], partitioner));
+                return Err(no_feasible_plan(op, partitioner));
             }
-            shared[i] = Some(memo.insert(std::mem::take(&mut sigs[i]), OpPlans::new(set)));
+            shared[i] = Some(memo.insert(sig, OpPlans::new(set)));
         }
         let shared: Vec<Arc<OpPlans>> = shared.into_iter().flatten().collect();
         Ok(Catalog {
@@ -302,18 +321,6 @@ fn no_feasible_plan(op: &Operator, partitioner: &Partitioner<'_>) -> CompileErro
         op: op.name().to_string(),
         capacity: partitioner.chip().usable_sram_per_core(),
     }
-}
-
-fn signature(op: &Operator) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{}|{}|{}",
-        op.kind(),
-        op.dtype(),
-        op.stationary(),
-        op.stationary_bytes().get(),
-        op.hbm_store().get(),
-        op.allreduce().get(),
-    )
 }
 
 #[cfg(test)]
