@@ -35,42 +35,43 @@ impl<'a> Partitioner<'a> {
     /// The execute-state Pareto frontier of `op`, plus the number of
     /// feasible plans it was selected from.
     ///
-    /// Every grid point is costed, and the frontier is what
+    /// Two passes. The first costs every grid point into a compact
+    /// [`FrontierPoint`] (its grid index, space and time) and keeps what
     /// [`pareto_frontier`] keeps of the feasible ones (ties go to the
-    /// earliest plan). The plans come back in enumeration order, and
-    /// only they get preload plans. Every returned plan fits the per-core
-    /// SRAM and the core count; the set is non-empty for any operator
-    /// whose minimal footprint fits the chip at all.
+    /// earliest point). The second rebuilds the [`ExecutePlan`] of each
+    /// kept point, in enumeration order, with its preload plans — the
+    /// same arithmetic, so the same plan. Every returned plan fits the
+    /// per-core SRAM and the core count; the set is non-empty for any
+    /// operator whose minimal footprint fits the chip at all.
     #[must_use]
     pub fn plans(&self, op: &Operator) -> PlanSet {
-        let feasible: Vec<ExecutePlan> = self
-            .grid(op)
-            .into_iter()
-            .filter_map(|f| self.build(op, f))
+        let grid = self.grid(op);
+        let points: Vec<FrontierPoint> = grid
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &f)| {
+                let plan = self.build(op, f)?;
+                Some(FrontierPoint {
+                    plan_idx: i,
+                    space: plan.exec_space,
+                    time: plan.exec_time,
+                })
+            })
             .collect();
-        let frontier = pareto_frontier(feasible.iter().enumerate().map(|(i, p)| FrontierPoint {
-            plan_idx: i,
-            space: p.exec_space,
-            time: p.exec_time,
-        }));
-        let mut on_frontier = vec![false; feasible.len()];
-        for p in &frontier {
-            on_frontier[p.plan_idx] = true;
-        }
-        let count = feasible.len();
-        // Pushed into a fresh vector: collecting `feasible` in place
-        // would keep its whole allocation alive behind the few plans.
-        let mut plans = Vec::with_capacity(frontier.len());
-        for (mut plan, keep) in feasible.into_iter().zip(on_frontier) {
-            if keep {
+        let feasible = points.len();
+        let mut kept: Vec<usize> = pareto_frontier(points).iter().map(|p| p.plan_idx).collect();
+        kept.sort_unstable();
+        let plans = kept
+            .into_iter()
+            .map(|i| {
+                let mut plan = self
+                    .build(op, grid[i])
+                    .expect("a frontier point is feasible");
                 plan.preload_plans = self.preload_plans(op, &plan.factors);
-                plans.push(plan);
-            }
-        }
-        PlanSet {
-            plans,
-            feasible: count,
-        }
+                plan
+            })
+            .collect();
+        PlanSet { plans, feasible }
     }
 
     /// Enumerates [`Partitioner::plans`] for a batch of operators,
