@@ -51,8 +51,8 @@ use elk_partition::Partitioner;
 use elk_sim::{simulate, SimOptions, SimReport};
 
 use elk_core::{
-    evaluate, Catalog, CompileError, CompileStats, Compiler, CompilerOptions, DeviceProgram,
-    PlanEstimate, PlanMemo,
+    compile_with_catalog, evaluate, Catalog, CompileError, CompileStats, CompilerOptions,
+    DeviceProgram, PlanEstimate, PlanMemo,
 };
 
 /// One of the paper's evaluated designs.
@@ -206,19 +206,25 @@ impl DesignRunner {
         catalog: &Catalog,
         sim: &SimOptions,
     ) -> Result<DesignOutcome, CompileError> {
-        let capacity = self.system.chip.usable_sram_per_core();
-        let (program, stats) = match design {
-            Design::Basic => (basic::plan(graph, catalog, &self.system)?, None),
-            Design::Static => (static_split::plan(graph, catalog, &self.system)?, None),
-            Design::Ideal => (ideal::plan(graph, catalog, &self.system)?, None),
+        let with_estimate = |program: DeviceProgram| {
+            let estimate = evaluate(&program, self.system.chip.usable_sram_per_core());
+            (program, estimate, None)
+        };
+        // Static and the Elk designs evaluate their winning program while
+        // choosing it, and hand that estimate back.
+        let (program, estimate, stats) = match design {
+            Design::Basic => with_estimate(basic::plan(graph, catalog, &self.system)?),
+            Design::Static => {
+                let (program, estimate) = static_split::plan(graph, catalog, &self.system)?;
+                (program, estimate, None)
+            }
+            Design::Ideal => with_estimate(ideal::plan(graph, catalog, &self.system)?),
             Design::ElkDyn | Design::ElkFull => {
                 let mut opts = CompilerOptions::default();
                 opts.reorder.enable = design == Design::ElkFull;
                 opts.threads = self.threads;
-                let compiler =
-                    Compiler::with_cost_model(self.system.clone(), self.cost.clone(), opts);
-                let plan = compiler.compile_with_catalog(graph, catalog)?;
-                (plan.program, Some(plan.stats))
+                let plan = compile_with_catalog(&self.system, &opts, graph, catalog)?;
+                (plan.program, plan.estimate, Some(plan.stats))
             }
         };
         let sim_opts = if design == Design::Ideal {
@@ -229,7 +235,6 @@ impl DesignRunner {
         } else {
             *sim
         };
-        let estimate = evaluate(&program, capacity);
         let report = simulate(&program, &self.system, &sim_opts);
         Ok(DesignOutcome {
             design,

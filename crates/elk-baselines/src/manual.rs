@@ -7,7 +7,7 @@ use elk_units::Seconds;
 use elk_core::{identity_order, Catalog, DeviceProgram, OpSchedule, Schedule, Scheduler};
 
 /// Per-operator choice of a hand-built design.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ManualChoice {
     /// Position on the execute-state Pareto frontier.
     pub exec_idx: usize,

@@ -8,9 +8,9 @@
 
 use elk_hw::SystemConfig;
 use elk_model::ModelGraph;
-use elk_units::{Bytes, Seconds};
+use elk_units::Bytes;
 
-use elk_core::{evaluate, Catalog, CompileError, DeviceProgram};
+use elk_core::{evaluate, Catalog, CompileError, DeviceProgram, PlanEstimate};
 
 use crate::manual::{lower, ManualChoice};
 
@@ -25,33 +25,46 @@ pub enum PreloadMode {
     MinFootprint,
 }
 
+/// The Static design's program and its estimate: the fastest
+/// violation-free program over nine execution budgets (10–90% of SRAM)
+/// × both preload modes, the first of equally fast ones.
+///
+/// Budgets often pick the same plans: each distinct choice vector is
+/// lowered and evaluated once, since a repeat lowers to the same program
+/// and cannot beat it under the strict `<`.
 pub(crate) fn plan(
     graph: &ModelGraph,
     catalog: &Catalog,
     system: &SystemConfig,
-) -> Result<DeviceProgram, CompileError> {
+) -> Result<(DeviceProgram, PlanEstimate), CompileError> {
     if graph.is_empty() {
         return Err(CompileError::EmptyGraph);
     }
     let capacity = system.chip.usable_sram_per_core();
 
-    let mut best: Option<(Seconds, DeviceProgram)> = None;
+    let mut tried: Vec<Vec<ManualChoice>> = Vec::new();
+    let mut best: Option<(DeviceProgram, PlanEstimate)> = None;
     for percent in (10..=90).step_by(10) {
         let exec_budget = capacity.scale(percent as f64 / 100.0);
         for mode in [PreloadMode::MaxBroadcast, PreloadMode::MinFootprint] {
-            let Some(prog) = plan_with_budget(graph, catalog, system, exec_budget, mode) else {
+            let Some(choices) = choose(graph, catalog, system, exec_budget, mode) else {
                 continue;
             };
+            if tried.contains(&choices) {
+                continue;
+            }
+            let prog = lower(graph, catalog, system, &choices);
+            tried.push(choices);
             let est = evaluate(&prog, capacity);
             if est.capacity_violations > 0 {
                 continue;
             }
-            if best.as_ref().is_none_or(|(t, _)| est.total < *t) {
-                best = Some((est.total, prog));
+            if best.as_ref().is_none_or(|(_, b)| est.total < b.total) {
+                best = Some((prog, est));
             }
         }
     }
-    best.map(|(_, p)| p).ok_or(CompileError::CapacityExceeded {
+    best.ok_or(CompileError::CapacityExceeded {
         op: "static split".to_string(),
         required: capacity,
         capacity,
@@ -70,6 +83,20 @@ pub fn plan_with_budget(
     exec_budget: Bytes,
     mode: PreloadMode,
 ) -> Option<DeviceProgram> {
+    choose(graph, catalog, system, exec_budget, mode)
+        .map(|choices| lower(graph, catalog, system, &choices))
+}
+
+/// Each operator's choice under an execution budget and preload mode,
+/// with FIFO preload cuts, or `None` if the largest executing operator
+/// overflows SRAM.
+fn choose(
+    graph: &ModelGraph,
+    catalog: &Catalog,
+    system: &SystemConfig,
+    exec_budget: Bytes,
+    mode: PreloadMode,
+) -> Option<Vec<ManualChoice>> {
     let n = graph.len();
     let capacity = system.chip.usable_sram_per_core();
     let mut choices = Vec::with_capacity(n);
@@ -134,7 +161,7 @@ pub fn plan_with_budget(
         resident = resident.saturating_sub(spaces[i]);
     }
 
-    Some(lower(graph, catalog, system, &choices))
+    Some(choices)
 }
 
 #[cfg(test)]
@@ -144,6 +171,7 @@ mod tests {
     use elk_hw::presets;
     use elk_model::{zoo, Workload};
     use elk_sim::{simulate, SimOptions};
+    use elk_units::Seconds;
 
     /// The Static search as first written, kept as the reference the
     /// production search must match: all 18 (split, mode) points lowered
@@ -227,7 +255,7 @@ mod tests {
         let graph = cfg.build(Workload::decode(16, 2048), 4);
         let runner = DesignRunner::new(system.clone());
         let catalog = runner.catalog(&graph).unwrap();
-        let st = plan(&graph, &catalog, &system).unwrap();
+        let (st, _) = plan(&graph, &catalog, &system).unwrap();
         st.validate().expect("valid");
         let basic = crate::basic::plan(&graph, &catalog, &system).unwrap();
         let longest_run = |p: &DeviceProgram| {

@@ -1,3 +1,4 @@
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -149,22 +150,14 @@ impl Compiler {
             return Err(CompileError::EmptyGraph);
         }
         let partitioner = Partitioner::new(&self.system.chip, &self.cost);
-        let catalog = Catalog::build_par(graph, &partitioner, self.worker_threads())?;
+        let catalog = Catalog::build_par(graph, &partitioner, worker_threads(&self.opts))?;
         self.compile_with_catalog(graph, &catalog)
-    }
-
-    /// The resolved worker count for parallel sections.
-    fn worker_threads(&self) -> usize {
-        if self.opts.threads == 0 {
-            elk_par::resolve_threads(0).min(16)
-        } else {
-            self.opts.threads
-        }
     }
 
     /// Compiles `graph` reusing a pre-built plan catalog (the catalog only
     /// depends on the chip and the cost model, so parameter sweeps over
-    /// HBM bandwidth or schedules share it).
+    /// HBM bandwidth or schedules share it). The same as the free
+    /// [`compile_with_catalog`], which needs no fitted cost model.
     ///
     /// # Errors
     ///
@@ -174,71 +167,104 @@ impl Compiler {
         graph: &ModelGraph,
         catalog: &Catalog,
     ) -> Result<CompiledPlan, CompileError> {
-        let t0 = Instant::now();
-        if graph.is_empty() {
-            return Err(CompileError::EmptyGraph);
-        }
-        let capacity = self
-            .opts
-            .schedule
-            .capacity_override
-            .unwrap_or_else(|| self.system.chip.usable_sram_per_core());
-        let candidates = candidate_orders(graph, catalog, capacity, &self.opts.reorder);
-
-        let scheduler = Scheduler::new(graph, catalog, &self.system, self.opts.schedule);
-
-        // Evaluate every candidate order on the work pool; results merge
-        // by candidate index, so the winner (and every tiebreak) is
-        // identical at any thread count.
-        let scores: Vec<Option<(Seconds, usize)>> =
-            elk_par::par_map(self.worker_threads(), &candidates, |_, cand| {
-                scheduler.schedule(&cand.order).ok().map(|sched| {
-                    let prog = DeviceProgram::lower(graph, catalog, &sched);
-                    let est = evaluate(&prog, capacity);
-                    (est.total, est.capacity_violations)
-                })
-            });
-
-        let best = scores
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, s)| s.map(|(total, violations)| (idx, total, violations)))
-            .min_by(|a, b| (a.2, a.1).cmp(&(b.2, b.1)))
-            .map(|(idx, _, _)| idx)
-            .ok_or_else(|| CompileError::InvalidPreloadOrder {
-                reason: "no candidate preload order scheduled feasibly".to_string(),
-            })?;
-
-        let schedule = scheduler.schedule(&candidates[best].order)?;
-        let program = DeviceProgram::lower(graph, catalog, &schedule);
-        debug_assert_eq!(program.validate(), Ok(()));
-        let estimate = evaluate(&program, capacity);
-
-        let feasible = scores.iter().flatten().count();
-        let avg_preload_number = schedule
-            .per_op
-            .iter()
-            .map(|s| s.preload_number as f64)
-            .sum::<f64>()
-            / schedule.per_op.len() as f64;
-        let stats = CompileStats {
-            compile_seconds: t0.elapsed().as_secs_f64(),
-            orders_considered: candidates.len(),
-            orders_feasible: feasible,
-            chosen_edit_distance: candidates[best].edit_distance,
-            distinct_signatures: catalog.distinct_signatures(),
-            max_plans_per_op: catalog.max_plans_per_op(),
-            peak_resident_ops: estimate.peak_resident_ops,
-            avg_preload_number,
-        };
-
-        Ok(CompiledPlan {
-            program,
-            schedule,
-            estimate,
-            stats,
-        })
+        compile_with_catalog(&self.system, &self.opts, graph, catalog)
     }
+}
+
+/// The resolved worker count for parallel sections.
+fn worker_threads(opts: &CompilerOptions) -> usize {
+    if opts.threads == 0 {
+        elk_par::resolve_threads(0).min(16)
+    } else {
+        opts.threads
+    }
+}
+
+/// Searches preload orders for `graph` over a pre-built plan catalog and
+/// lowers the winner: [`Compiler::compile_with_catalog`] without a
+/// [`Compiler`]. The order search reads only the system and the options
+/// (the cost model already shaped `catalog`), so callers that hold a
+/// fitted model elsewhere borrow instead of building a compiler.
+///
+/// Every candidate order is scheduled, lowered and evaluated once. The
+/// winner is the least `(capacity violations, total, candidate index)`,
+/// the same at any thread count; its schedule is kept from that pass and
+/// lowered and evaluated once more for the returned plan.
+///
+/// # Errors
+///
+/// [`CompileError::EmptyGraph`] for an empty graph, and
+/// [`CompileError::InvalidPreloadOrder`] when no candidate order
+/// schedules feasibly.
+pub fn compile_with_catalog(
+    system: &SystemConfig,
+    opts: &CompilerOptions,
+    graph: &ModelGraph,
+    catalog: &Catalog,
+) -> Result<CompiledPlan, CompileError> {
+    let t0 = Instant::now();
+    if graph.is_empty() {
+        return Err(CompileError::EmptyGraph);
+    }
+    let capacity = opts
+        .schedule
+        .capacity_override
+        .unwrap_or_else(|| system.chip.usable_sram_per_core());
+    let candidates = candidate_orders(graph, catalog, capacity, &opts.reorder);
+
+    let scheduler = Scheduler::new(graph, catalog, system, opts.schedule);
+
+    // Evaluate every candidate order on the work pool, keeping the best
+    // one's schedule. Keys are unique (the index breaks ties), so the
+    // winner is the same whatever order the workers finish in.
+    type Key = (usize, Seconds, usize);
+    let best: Mutex<Option<(Key, Schedule)>> = Mutex::new(None);
+    let feasible: Vec<bool> = elk_par::par_map(worker_threads(opts), &candidates, |idx, cand| {
+        let Ok(sched) = scheduler.schedule(&cand.order) else {
+            return false;
+        };
+        let est = evaluate(&DeviceProgram::lower(graph, catalog, &sched), capacity);
+        let key = (est.capacity_violations, est.total, idx);
+        let mut best = best.lock().unwrap_or_else(PoisonError::into_inner);
+        if best.as_ref().is_none_or(|(k, _)| key < *k) {
+            *best = Some((key, sched));
+        }
+        true
+    });
+    let ((_, _, best), schedule) = best
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .ok_or_else(|| CompileError::InvalidPreloadOrder {
+            reason: "no candidate preload order scheduled feasibly".to_string(),
+        })?;
+
+    let program = DeviceProgram::lower(graph, catalog, &schedule);
+    debug_assert_eq!(program.validate(), Ok(()));
+    let estimate = evaluate(&program, capacity);
+
+    let avg_preload_number = schedule
+        .per_op
+        .iter()
+        .map(|s| s.preload_number as f64)
+        .sum::<f64>()
+        / schedule.per_op.len() as f64;
+    let stats = CompileStats {
+        compile_seconds: t0.elapsed().as_secs_f64(),
+        orders_considered: candidates.len(),
+        orders_feasible: feasible.iter().filter(|&&f| f).count(),
+        chosen_edit_distance: candidates[best].edit_distance,
+        distinct_signatures: catalog.distinct_signatures(),
+        max_plans_per_op: catalog.max_plans_per_op(),
+        peak_resident_ops: estimate.peak_resident_ops,
+        avg_preload_number,
+    };
+
+    Ok(CompiledPlan {
+        program,
+        schedule,
+        estimate,
+        stats,
+    })
 }
 
 #[cfg(test)]

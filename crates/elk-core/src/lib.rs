@@ -45,7 +45,7 @@ mod schedule;
 mod timeline;
 
 pub use alloc::{allocate, Allocation};
-pub use compiler::{CompileStats, CompiledPlan, Compiler, CompilerOptions};
+pub use compiler::{compile_with_catalog, CompileStats, CompiledPlan, Compiler, CompilerOptions};
 pub use elk_partition::{pareto_frontier, FrontierPoint};
 pub use error::CompileError;
 pub use frontier::{Catalog, OpPlans, PlanMemo};
