@@ -186,10 +186,11 @@ fn worker_threads(opts: &CompilerOptions) -> usize {
 /// (the cost model already shaped `catalog`), so callers that hold a
 /// fitted model elsewhere borrow instead of building a compiler.
 ///
-/// Every candidate order is scheduled, lowered and evaluated once. The
-/// winner is the least `(capacity violations, total, candidate index)`,
-/// the same at any thread count; its schedule is kept from that pass and
-/// lowered and evaluated once more for the returned plan.
+/// Every candidate order is scheduled once, and each one that schedules
+/// is lowered and evaluated once. The winner is the least `(capacity
+/// violations, total, candidate index)`, the same at any thread count;
+/// its schedule is kept from that pass and lowered and evaluated once
+/// more for the returned plan.
 ///
 /// # Errors
 ///
