@@ -21,8 +21,6 @@ pub struct CompilerOptions {
     pub schedule: ScheduleOptions,
     /// Preload-order search knobs (§4.4). Disable for Elk-Dyn.
     pub reorder: ReorderOptions,
-    /// Cost-model profiling configuration (§4.3).
-    pub profile: ProfileConfig,
     /// Worker threads for catalog construction and preload-order
     /// evaluation (`0` = all available cores, capped at 16). Results
     /// are byte-identical at any setting — see `elk-par`'s determinism
@@ -104,7 +102,7 @@ impl Compiler {
     #[must_use]
     pub fn with_options(system: SystemConfig, opts: CompilerOptions) -> Self {
         let device = AnalyticDevice::of_chip(&system.chip).with_noise(0.05);
-        let cost = LearnedCostModel::fit(&device, &opts.profile);
+        let cost = LearnedCostModel::fit(&device, &ProfileConfig::default());
         Compiler { system, cost, opts }
     }
 
