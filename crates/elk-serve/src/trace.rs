@@ -210,12 +210,20 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Checks the arrival process and both length distributions.
+    /// Checks the request count, the arrival process and both length
+    /// distributions. A count whose records would pass `isize::MAX` bytes
+    /// fails; one that fits the address space but not memory passes.
     ///
     /// # Errors
     ///
     /// Returns the first violation, prefixed with its field name.
     pub fn validate(&self) -> Result<(), String> {
+        if self.requests > isize::MAX as usize / std::mem::size_of::<Request>() {
+            return Err(format!(
+                "requests: {} records overflow the address space",
+                self.requests
+            ));
+        }
         self.arrivals
             .validate()
             .map_err(|e| format!("arrivals.{e}"))?;

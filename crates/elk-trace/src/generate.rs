@@ -230,12 +230,20 @@ impl Default for TraceGenConfig {
 }
 
 impl TraceGenConfig {
-    /// Checks the rate shape and both length models.
+    /// Checks the request count, the rate shape and both length models.
+    /// A count whose records would pass `isize::MAX` bytes fails; one
+    /// that fits the address space but not memory passes.
     ///
     /// # Errors
     ///
     /// Returns the first violation, prefixed with its field name.
     pub fn validate(&self) -> Result<(), String> {
+        if self.requests > isize::MAX as usize / std::mem::size_of::<TraceRecord>() {
+            return Err(format!(
+                "requests: {} records overflow the address space",
+                self.requests
+            ));
+        }
         self.rate.validate().map_err(|e| format!("rate.{e}"))?;
         self.prompt_len.validate("prompt_len")?;
         self.output_len.validate("output_len")

@@ -411,6 +411,56 @@ fn overflowing_workload_dimensions_exit_2_naming_the_workload() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A request count whose record buffer would pass `isize::MAX` bytes is
+/// a spec error (exit 2) naming `requests`, under every command that
+/// builds the trace: not a capacity-overflow panic (101) in the
+/// generator. `simulate` never builds a trace, so it is not asked.
+#[test]
+fn huge_request_counts_exit_2_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("elk-huge-requests-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cases: [(&str, &str, &[&[&str]]); 2] = [
+        (
+            "serving_burst.json",
+            "serving.trace.requests",
+            &[&["serve"], &["cluster"]],
+        ),
+        (
+            "trace_gen_golden.json",
+            "workload.trace.generate.requests",
+            &[&["serve"], &["cluster"], &["trace", "gen"]],
+        ),
+    ];
+    for (base, path, commands) in cases {
+        let mut doc: serde::Value = serde_json::from_str(&read_scenario(base)).expect("valid JSON");
+        set_path(&mut doc, path, serde::Value::U64(u64::MAX)).unwrap();
+        let scenario = dir.join("huge.json");
+        std::fs::write(&scenario, serde_json::to_string(&doc).expect("serializes"))
+            .expect("write scenario");
+        for command in commands {
+            let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+                .args(*command)
+                .arg(&scenario)
+                .arg("--out")
+                .arg(&dir)
+                .output()
+                .expect("spawn elk");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            let command = command.join(" ");
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "`elk {command}` with {path} = 2^64 - 1: {stderr}"
+            );
+            assert!(
+                stderr.contains("requests"),
+                "`elk {command}` must name `requests`: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A typo'd sweep axis is a spec error (exit 2) that names the unknown
 /// key and lists the valid keys at its level, and no report is written.
 #[test]
