@@ -41,6 +41,7 @@ mod static_split;
 pub use static_split::{plan_with_budget as static_plan_with_budget, PreloadMode};
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -112,10 +113,16 @@ pub struct DesignOutcome {
 /// Runs any [`Design`] on a model/system pair, sharing the fitted cost
 /// model and plan catalog across designs so comparisons are apples to
 /// apples.
+///
+/// A runner owns what its chip determines: the fitted cost model and the
+/// plan sets its catalogs build through, so the graphs it compiles
+/// enumerate each operator shape once. [`with_system`](Self::with_system)
+/// is the one way to share them; a fresh runner starts cold.
 #[derive(Debug)]
 pub struct DesignRunner {
     system: SystemConfig,
-    cost: LearnedCostModel,
+    cost: Arc<LearnedCostModel>,
+    plans: Arc<PlanMemo>,
     threads: usize,
 }
 
@@ -128,7 +135,8 @@ impl DesignRunner {
         let cost = LearnedCostModel::fit(&device, &ProfileConfig::default());
         DesignRunner {
             system,
-            cost,
+            cost: Arc::new(cost),
+            plans: Arc::new(PlanMemo::new()),
             threads: 0,
         }
     }
@@ -154,44 +162,33 @@ impl DesignRunner {
         &self.system
     }
 
-    /// Derives a runner with different HBM/inter-chip provisioning but
-    /// the same chip (reuses the fitted cost model; Figs. 19–22 sweeps).
+    /// Derives a runner for `system`. On the same chip (other HBM or
+    /// inter-chip provisioning, a subpod) it shares this runner's cost
+    /// model and plan sets; on another chip it fits afresh, as
+    /// [`new`](Self::new) does.
     #[must_use]
     pub fn with_system(&self, system: SystemConfig) -> DesignRunner {
-        assert_eq!(
-            system.chip, self.system.chip,
-            "chip changed: build a fresh runner (the cost model depends on it)"
-        );
+        if system.chip != self.system.chip {
+            return DesignRunner::new(system).with_threads(self.threads);
+        }
         DesignRunner {
             system,
-            cost: self.cost.clone(),
+            cost: Arc::clone(&self.cost),
+            plans: Arc::clone(&self.plans),
             threads: self.threads,
         }
     }
 
     /// Builds the plan catalog for `graph` (shareable across designs and
     /// HBM sweeps), fanning plan enumeration across the configured
-    /// worker threads.
+    /// worker threads, through the plan sets this runner shares.
     ///
     /// # Errors
     ///
     /// Propagates [`CompileError::NoFeasiblePlan`].
     pub fn catalog(&self, graph: &ModelGraph) -> Result<Catalog, CompileError> {
-        self.catalog_in(graph, &PlanMemo::new())
-    }
-
-    /// [`catalog`](Self::catalog) through a caller-owned memo, so
-    /// catalogs of different graphs share plan sets per operator
-    /// signature. `memo` must only ever see runners of this runner's
-    /// chip: the cost model is fitted from the chip, so equal chips plan
-    /// alike.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError::NoFeasiblePlan`].
-    pub fn catalog_in(&self, graph: &ModelGraph, memo: &PlanMemo) -> Result<Catalog, CompileError> {
-        let partitioner = Partitioner::new(&self.system.chip, &self.cost);
-        Catalog::build_in(graph, &partitioner, self.threads, memo)
+        let partitioner = Partitioner::new(&self.system.chip, &*self.cost);
+        Catalog::build_in(graph, &partitioner, self.threads, &self.plans)
     }
 
     /// Compiles and simulates `design` on `graph`.
@@ -336,6 +333,52 @@ mod tests {
         for o in runner.run_all(&graph, &SimOptions::default()).unwrap() {
             assert_eq!(o.estimate, evaluate(&o.program, capacity), "{}", o.design);
         }
+    }
+
+    #[test]
+    fn with_system_shares_plan_sets_on_the_same_chip() {
+        let base = DesignRunner::new(presets::ipu_pod4());
+        let hbm = base.system().total_hbm_bandwidth() * 2.0;
+        let derived = base.with_system(base.system().with_total_hbm_bandwidth(hbm));
+        assert_ne!(derived.system(), base.system());
+        let graph = small_graph();
+        let ours = base.catalog(&graph).unwrap();
+        let theirs = derived.catalog(&graph).unwrap();
+        for op in graph.iter() {
+            assert!(std::ptr::eq(ours.op(op.id()), theirs.op(op.id())));
+        }
+    }
+
+    #[test]
+    fn with_system_refits_for_another_chip() {
+        let base = DesignRunner::new(presets::ipu_pod4());
+        let derived = base.with_system(presets::ipu_pod4_mesh());
+        let fresh = DesignRunner::new(presets::ipu_pod4_mesh());
+        let graph = small_graph();
+        let ours = base.catalog(&graph).unwrap();
+        let derived_catalog = derived.catalog(&graph).unwrap();
+        let fresh_catalog = fresh.catalog(&graph).unwrap();
+        // The mesh plans differ from the ring's, so reusing the base
+        // runner's plan sets would show.
+        assert!(graph
+            .iter()
+            .any(|op| ours.op(op.id()) != fresh_catalog.op(op.id())));
+        for op in graph.iter() {
+            assert_eq!(derived_catalog.op(op.id()), fresh_catalog.op(op.id()));
+        }
+        let sim = SimOptions::default();
+        let a = derived
+            .run(Design::ElkFull, &graph, &derived_catalog, &sim)
+            .unwrap();
+        let b = fresh
+            .run(Design::ElkFull, &graph, &fresh_catalog, &sim)
+            .unwrap();
+        // `stats` carries the wall-clock compile time; everything else
+        // must match.
+        assert_eq!(
+            (a.program, a.estimate, a.report),
+            (b.program, b.estimate, b.report)
+        );
     }
 
     #[test]

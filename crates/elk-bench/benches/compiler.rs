@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::{
-    candidate_orders, identity_order, Catalog, Compiler, CompilerOptions, PlanMemo, ReorderOptions,
+    candidate_orders, identity_order, Catalog, Compiler, CompilerOptions, ReorderOptions,
     ScheduleOptions, Scheduler,
 };
 use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
@@ -33,15 +33,15 @@ fn ladder() -> Vec<ModelGraph> {
         .collect()
 }
 
-/// One pass over the ladder: every catalog through one fresh memo, then
-/// all five designs on each graph. Adds each stage's wall time to
-/// `totals`: the catalog first, then the designs of `Design::ALL`.
+/// One pass over the ladder on a fresh `runner`: every catalog through
+/// the runner's plan sets, then all five designs on each graph. Adds
+/// each stage's wall time to `totals`: the catalog first, then the
+/// designs of `Design::ALL`.
 fn compile_ladder(runner: &DesignRunner, graphs: &[ModelGraph], totals: &mut [Duration]) {
-    let memo = PlanMemo::new();
     let sim = SimOptions::default();
     for graph in graphs {
         let t = Instant::now();
-        let catalog = runner.catalog_in(graph, &memo).expect("ladder catalog");
+        let catalog = runner.catalog(graph).expect("ladder catalog");
         totals[0] += t.elapsed();
         for (total, &design) in totals[1..].iter_mut().zip(&Design::ALL) {
             let t = Instant::now();
@@ -123,16 +123,20 @@ fn bench_compiler(c: &mut Criterion) {
     });
 
     // Everything a cold serving run compiles, on one thread, with the
-    // mean time per pass of each stage.
-    let runner = DesignRunner::new(system.subpod(2)).with_threads(1);
+    // mean time per pass of each stage. Each pass gets a fresh runner,
+    // fitted outside the timed routine, so its plan sets start cold.
     let graphs = ladder();
     let mut totals = [Duration::ZERO; 1 + Design::ALL.len()];
     let mut passes = 0u32;
     g.bench_function("compile_ladder", |b| {
-        b.iter(|| {
-            compile_ladder(&runner, &graphs, &mut totals);
-            passes += 1;
-        })
+        b.iter_batched(
+            || DesignRunner::new(system.subpod(2)).with_threads(1),
+            |runner| {
+                compile_ladder(&runner, &graphs, &mut totals);
+                passes += 1;
+            },
+            BatchSize::LargeInput,
+        )
     });
     let stages = std::iter::once("catalog".to_string()).chain(Design::ALL.map(|d| d.to_string()));
     for (stage, total) in stages.zip(totals) {

@@ -23,13 +23,17 @@
 //! [`AutoscaleReport`] — see the `PlanSearchStats` convention in
 //! `elk-spec`.
 
+use std::sync::Arc;
+
 use serde::Serialize;
 
-use elk_baselines::Design;
+use elk_baselines::{Design, DesignRunner};
 use elk_hw::SystemConfig;
 use elk_model::Phase;
 use elk_obs::Obs;
-use elk_serve::{check_positive, GroupCore, LatencyStats, RequestOutcome, RequestTrace, SloConfig};
+use elk_serve::{
+    check_positive, GroupCore, LatencyStats, PlanCache, RequestOutcome, RequestTrace, SloConfig,
+};
 use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
@@ -297,11 +301,11 @@ impl AutoscaleServingSim {
             .map_err(ClusterError::Invalid)?;
         let config = ClusterServeConfig { plan, ..config };
         let pricer = StepPricer::new(
-            &system,
+            &DesignRunner::new(system).with_threads(1),
             config.model.clone(),
             config.plan,
             config.sim,
-            config.threads,
+            Arc::new(PlanCache::new().with_threads(config.threads)),
         );
         Ok(AutoscaleServingSim {
             config,

@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use elk_baselines::Design;
+use elk_baselines::{Design, DesignRunner};
 use elk_hw::{CollectiveModel, SystemConfig};
 use elk_model::{DType, TransformerConfig};
 use elk_obs::Obs;
@@ -301,16 +301,17 @@ impl DisaggServingSim {
                 )));
             }
         }
+        let base = DesignRunner::new(system.clone()).with_threads(1);
         let cache = Arc::new(PlanCache::new().with_threads(config.threads));
-        let prefill_pricer = StepPricer::with_cache(
-            &system,
+        let prefill_pricer = StepPricer::new(
+            &base,
             config.model.clone(),
             config.prefill,
             config.sim,
             Arc::clone(&cache),
         );
-        let decode_pricer = StepPricer::with_cache(
-            &system,
+        let decode_pricer = StepPricer::new(
+            &base,
             config.model.clone(),
             config.decode,
             config.sim,

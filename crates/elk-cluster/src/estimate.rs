@@ -163,7 +163,8 @@ pub struct ClusterEstimator {
 
 impl ClusterEstimator {
     /// Creates an estimator for `system`, fitting the chip cost model
-    /// once (shared across every stage, candidate, and baseline run).
+    /// once (shared, with its plan sets, across every stage, candidate,
+    /// and baseline run).
     #[must_use]
     pub fn new(system: SystemConfig, opts: ClusterOptions) -> Self {
         let runner = DesignRunner::new(system.clone()).with_threads(1);

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::CompileError;
-use elk_hw::{CollectiveModel, SystemConfig};
+use elk_hw::CollectiveModel;
 use elk_model::{TransformerConfig, Workload};
 use elk_serve::{split_micro_batches, CacheStats, PlanCache};
 use elk_sim::SimOptions;
@@ -29,9 +29,10 @@ use crate::plan::{ParallelismPlan, StageSpan};
 use crate::ClusterError;
 
 /// Prices pipeline steps for one `(pod, model, tp, pp)` layout. Owns
-/// the group-level [`DesignRunner`] (fitted cost model) and a handle on
-/// the shared single-flight [`PlanCache`]; `dp` does not enter pricing
-/// — every replica group runs the identical pipeline.
+/// the group-level [`DesignRunner`], derived from the engine's pod
+/// runner so it shares that runner's fitted cost model and plan sets,
+/// and a handle on the shared single-flight [`PlanCache`]; `dp` does
+/// not enter pricing — every replica group runs the identical pipeline.
 #[derive(Debug)]
 pub(crate) struct StepPricer {
     runner: DesignRunner,
@@ -48,35 +49,22 @@ pub(crate) struct StepPricer {
 }
 
 impl StepPricer {
-    /// Builds the pricer: group subpod runner, stage spans, and
-    /// boundary collective model. `threads` sizes the cache's compile
-    /// worker pool only — priced latencies are byte-identical at any
-    /// setting.
+    /// Builds the pricer for `plan` on `base`'s pod: the group runner
+    /// (derived from `base`), stage spans, and boundary collective model.
+    /// Pricers sharing `base` and `cache` compile each shape once; cache
+    /// keys carry the model, tp and phase, so layouts never collide.
+    /// Engines pass a one-thread `base`: the cache's pool is the parallel
+    /// layer.
     pub fn new(
-        system: &SystemConfig,
-        model: TransformerConfig,
-        plan: ParallelismPlan,
-        sim: SimOptions,
-        threads: usize,
-    ) -> Self {
-        let cache = Arc::new(PlanCache::new().with_threads(threads));
-        StepPricer::with_cache(system, model, plan, sim, cache)
-    }
-
-    /// [`new`](Self::new) against an externally owned cache: pricers
-    /// for different plans of the same model (the disaggregated pools)
-    /// share one single-flight cache, so a stage shape compiled for one
-    /// pool is a hit for the other. Cache keys carry the tp degree and
-    /// the workload phase, so distinct layouts never collide.
-    pub fn with_cache(
-        system: &SystemConfig,
+        base: &DesignRunner,
         model: TransformerConfig,
         plan: ParallelismPlan,
         sim: SimOptions,
         cache: Arc<PlanCache>,
     ) -> Self {
+        let system = base.system();
         StepPricer {
-            runner: DesignRunner::new(system.subpod(plan.tp)).with_threads(1),
+            runner: base.with_system(system.subpod(plan.tp)),
             cache,
             stages: plan.stages(model.layers),
             links: plan.tp_links(system),

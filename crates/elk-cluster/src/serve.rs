@@ -20,15 +20,17 @@
 //! interior stages compile once), plus the stage-boundary transfer
 //! priced on the [`CollectiveModel`].
 
+use std::sync::Arc;
+
 use serde::Serialize;
 
-use elk_baselines::Design;
+use elk_baselines::{Design, DesignRunner};
 use elk_hw::SystemConfig;
 use elk_model::TransformerConfig;
 use elk_obs::Obs;
 use elk_serve::{
-    BatchConfig, GroupCore, GroupFold, LatencyStats, RequestOutcome, RequestTrace, Router,
-    RouterPolicy, SloConfig,
+    BatchConfig, GroupCore, GroupFold, LatencyStats, PlanCache, RequestOutcome, RequestTrace,
+    Router, RouterPolicy, SloConfig,
 };
 use elk_sim::SimOptions;
 use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
@@ -175,11 +177,11 @@ impl ClusterServingSim {
             .validate_structure(&system, &config.model)
             .map_err(ClusterError::Invalid)?;
         let pricer = StepPricer::new(
-            &system,
+            &DesignRunner::new(system).with_threads(1),
             config.model.clone(),
             config.plan,
             config.sim,
-            config.threads,
+            Arc::new(PlanCache::new().with_threads(config.threads)),
         );
         Ok(ClusterServingSim {
             pricer,

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use elk_baselines::Design;
+use elk_baselines::{Design, DesignRunner};
 use elk_hw::SystemConfig;
 use elk_model::{zoo, TransformerConfig};
 use elk_obs::Obs;
@@ -165,15 +165,16 @@ impl TenantServingSim {
                 .validate_structure(&system, model)
                 .map_err(ClusterError::Invalid)?;
         }
-        // One pricer per model over one shared single-flight cache:
-        // keys carry the model name, so multi-model pods share compile
-        // work without collisions.
+        // One pricer per model over one pod runner and one single-flight
+        // cache: keys carry the model name, so multi-model pods share
+        // compile work without collisions.
+        let base = DesignRunner::new(system).with_threads(1);
         let cache = Arc::new(PlanCache::new().with_threads(config.threads));
         let pricers = models
             .iter()
             .map(|m| {
-                StepPricer::with_cache(
-                    &system,
+                StepPricer::new(
+                    &base,
                     m.clone(),
                     config.plan,
                     config.sim,

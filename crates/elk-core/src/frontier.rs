@@ -132,10 +132,10 @@ fn signature(op: &Operator) -> Signature {
 ///
 /// A memo is valid for **one partitioner**: plans depend on the chip and
 /// the cost model as well as on the operator, and the key holds only the
-/// operator's signature. Its owner decides its lifetime — a serving plan
-/// cache keeps one per chip, so graphs of every batch and sequence
-/// bucket enumerate each operator shape once. It holds feasible plan sets
-/// only, so a memo hit never fails.
+/// operator's signature. Its owner decides its lifetime — a
+/// `DesignRunner` keeps one for its chip, so graphs of every batch and
+/// sequence bucket enumerate each operator shape once. It holds
+/// feasible plan sets only, so a memo hit never fails.
 #[derive(Debug, Default)]
 pub struct PlanMemo {
     sets: Mutex<HashMap<Signature, Arc<OpPlans>>>,

@@ -4,22 +4,19 @@
 //! shapes. After bucketing (see [`elk_model::SeqBuckets`]) the stream
 //! collapses onto a small set of signatures, so caching the simulated
 //! step latency per signature means repeated shapes never recompile.
-//! The cache has three layers, each shared more widely than the next:
+//! Lookups share work in three layers, each more widely than the next:
 //!
-//! 1. **Plan sets per chip.** One [`PlanMemo`] per distinct
-//!    [`ChipConfig`] holds every operator signature's plans, so the
-//!    graphs of all batch sizes and sequence buckets enumerate each
-//!    operator shape once. The cost model is fitted from the chip, so
-//!    equal chips plan alike; a cache shared by pools with different
-//!    chips keeps one memo each.
+//! 1. **Plan sets per chip**, owned by the [`DesignRunner`] passed in
+//!    (and by the runners derived from it), so the graphs of all batch
+//!    sizes and sequence buckets enumerate each operator shape once.
 //! 2. **Catalogs per graph signature.** Design-independent, so the five
 //!    evaluation designs share one catalog.
 //! 3. **Latencies per design**, keyed on [`PlanKey`].
 //!
-//! Every layer belongs to the cache and lives exactly as long as it.
-//! Nothing is process-global: a fresh cache starts cold, so repeated
-//! runs in one process (benchmark repetitions, sweep points) measure
-//! the same work, and memory held for one engine is freed with it.
+//! Layers 2 and 3 belong to the cache and live exactly as long as it.
+//! Nothing is process-global: a fresh cache and runner start cold, so
+//! repeated runs in one process (benchmark repetitions, sweep points)
+//! measure the same work, and memory held for one engine is freed with it.
 //!
 //! The cache is **thread-safe and single-flight**: lookups take `&self`
 //! (replica event loops run concurrently against one shared cache), and
@@ -40,8 +37,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use serde::{Deserialize, Serialize};
 
 use elk_baselines::{Design, DesignRunner};
-use elk_core::{Catalog, CompileError, PlanMemo};
-use elk_hw::ChipConfig;
+use elk_core::{Catalog, CompileError};
 use elk_model::{ModelGraph, Phase, TransformerConfig, Workload};
 use elk_par::SingleFlight;
 use elk_sim::SimOptions;
@@ -137,19 +133,17 @@ struct Inner {
     /// doomed shape every step.
     graph_failures: HashMap<GraphKey, CompileError>,
     plan_failures: HashMap<PlanKey, CompileError>,
-    /// Plan sets shared by every catalog of one chip.
-    memos: Vec<(ChipConfig, Arc<PlanMemo>)>,
     stats: CacheStats,
 }
 
 /// Memoizes compiled-and-simulated step latencies per [`PlanKey`].
 ///
-/// The plan-set layer is keyed on the chip, the catalog layer on the
-/// workload signature alone (reused across designs), and the latency
-/// layer additionally on the design. All layers live for the cache's
-/// lifetime, so one cache shared across designs and replicas maximizes
-/// reuse. See the module docs for the layers and the concurrency
-/// contract.
+/// The catalog layer is keyed on the workload signature alone (reused
+/// across designs), and the latency layer additionally on the design.
+/// Both live for the cache's lifetime, so one cache shared across
+/// designs and replicas maximizes reuse; plan sets come from the
+/// runner's catalogs. See the module docs for the layers and the
+/// concurrency contract.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
@@ -187,17 +181,6 @@ impl PlanCache {
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The plan-set memo of `chip`, created on first use.
-    fn memo(&self, chip: &ChipConfig) -> Arc<PlanMemo> {
-        let mut inner = self.lock();
-        if let Some((_, memo)) = inner.memos.iter().find(|(c, _)| c == chip) {
-            return Arc::clone(memo);
-        }
-        let memo = Arc::new(PlanMemo::new());
-        inner.memos.push((chip.clone(), Arc::clone(&memo)));
-        memo
     }
 
     /// Simulated latency of one `wl` step under `design`, compiling on
@@ -293,9 +276,8 @@ impl PlanCache {
             if cached {
                 return;
             }
-            let memo = self.memo(&runner.system().chip);
             let graph = build(wl, shards);
-            match runner.catalog_in(&graph, &memo) {
+            match runner.catalog(&graph) {
                 Ok(catalog) => {
                     self.lock()
                         .graphs
@@ -424,7 +406,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use elk_hw::presets;
-    use elk_model::zoo;
+    use elk_model::{zoo, OpId};
 
     fn tiny_cfg() -> TransformerConfig {
         let mut cfg = zoo::llama2_13b();
@@ -587,36 +569,31 @@ mod tests {
                 )
                 .unwrap();
         }
-        let memos = cache.lock().memos.clone();
-        assert_eq!(memos.len(), 1, "one memo per chip");
-        let shared = memos[0].1.len();
-        // A fresh catalog per graph would hold every graph's distinct
-        // signatures; the shared memo holds the union.
-        let per_graph: usize = [256, 512]
-            .map(|seq| {
-                runner
-                    .catalog(&cfg.build(Workload::decode(16, seq), 4))
-                    .unwrap()
-                    .distinct_signatures()
-            })
-            .iter()
-            .sum();
-        assert!(shared < per_graph, "{shared} of {per_graph}");
+        // Operators whose shape does not depend on the sequence length
+        // get one shared plan set in both catalogs, not two equal ones.
+        let catalog = |model: &str, seq| {
+            let key: GraphKey = (model.to_string(), 4, Phase::Decode, 16, seq);
+            Arc::clone(&cache.lock().graphs[&key])
+        };
+        let shared = |a: &Catalog, b: &Catalog| {
+            (0..a.len())
+                .filter(|&i| std::ptr::eq(a.op(OpId(i)), b.op(OpId(i))))
+                .count()
+        };
+        let (short, long) = (catalog(&cfg.name, 256), catalog(&cfg.name, 512));
+        let n = shared(&short.1, &long.1);
+        assert!(0 < n && n < short.1.len(), "{n} of {}", short.1.len());
 
-        // The plan key does not name the system, so the mesh part gets a
-        // model key of its own.
+        // Another chip plans through its own runner's sets. The plan key
+        // does not name the system, so the mesh part gets a model key of
+        // its own.
         let wl = Workload::decode(16, 256);
         cache
             .step_latency_for(&mesh, "mesh", 4, Design::Basic, wl, &sim, |w, s| {
                 cfg.build(w, s)
             })
             .unwrap();
-        assert_eq!(
-            cache.lock().memos.len(),
-            2,
-            "another chip gets its own memo"
-        );
-        assert_eq!(memos[0].1.len(), shared);
+        assert_eq!(shared(&short.1, &catalog("mesh", 256).1), 0);
     }
 
     #[test]
