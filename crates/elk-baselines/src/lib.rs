@@ -265,6 +265,7 @@ mod tests {
     use super::*;
     use elk_hw::presets;
     use elk_model::{zoo, Workload};
+    use elk_units::ByteRate;
 
     fn small_graph() -> ModelGraph {
         // Memory-pressured config (sequence 4096): the regime where the
@@ -379,6 +380,168 @@ mod tests {
             (a.program, a.estimate, a.report),
             (b.program, b.estimate, b.report)
         );
+    }
+
+    /// Asserts that a runner derived from `base` for `system` holds a fit
+    /// serialized identical to a fresh runner's, and that every design
+    /// plans and simulates `graph` exactly as the fresh runner does.
+    fn assert_derives_like_fresh(base: &DesignRunner, system: &SystemConfig, graph: &ModelGraph) {
+        let derived = base.with_system(system.clone());
+        let fresh = DesignRunner::new(system.clone());
+        let json = |cost: &LearnedCostModel| serde_json::to_string(cost).expect("serializes");
+        assert_eq!(json(&derived.cost), json(&fresh.cost), "fit on {system:?}");
+        let sim = SimOptions::default();
+        let ours = derived.catalog(graph).unwrap();
+        let theirs = fresh.catalog(graph).unwrap();
+        for design in Design::ALL {
+            let a = derived.run(design, graph, &ours, &sim).unwrap();
+            let b = fresh.run(design, graph, &theirs, &sim).unwrap();
+            // `stats` carries the wall-clock compile time.
+            assert_eq!(
+                (a.program, a.estimate, a.report),
+                (b.program, b.estimate, b.report),
+                "{design} on {system:?}"
+            );
+        }
+    }
+
+    /// Checks every point against `base`, after warming the base's plan
+    /// sets on `graph` as an experiment's earlier points would.
+    fn assert_points_derive_like_fresh(base: SystemConfig, points: &[(SystemConfig, &ModelGraph)]) {
+        let base = DesignRunner::new(base);
+        for (system, graph) in points {
+            base.catalog(graph).unwrap();
+            assert_derives_like_fresh(&base, system, graph);
+        }
+    }
+
+    /// A 2-layer graph of `cfg` on the 4-chip pod.
+    fn two_layers(mut cfg: elk_model::TransformerConfig, workload: Workload) -> ModelGraph {
+        cfg.layers = 2;
+        cfg.build(workload, 4)
+    }
+
+    fn two_layer_dit() -> ModelGraph {
+        let mut cfg = zoo::dit_xl();
+        cfg.layers = 2;
+        cfg.build(Workload::decode(8, 256), 1)
+    }
+
+    fn tib(x: f64) -> ByteRate {
+        ByteRate::tib_per_sec(x)
+    }
+
+    #[test]
+    fn hbm_sweeps_derive_like_fresh_runners() {
+        // Figs. 19-21: both topologies at every pod HBM bandwidth.
+        let graph = two_layers(zoo::llama2_13b(), Workload::decode(32, 2048));
+        let points: Vec<_> = [presets::ipu_pod4(), presets::ipu_pod4_mesh()]
+            .iter()
+            .flat_map(|topo| {
+                (2..=8).map(|i| {
+                    (
+                        topo.with_total_hbm_bandwidth(tib(2.0 * f64::from(i))),
+                        &graph,
+                    )
+                })
+            })
+            .collect();
+        assert_points_derive_like_fresh(presets::ipu_pod4(), &points);
+    }
+
+    #[test]
+    fn noc_sweep_derives_like_fresh_runners() {
+        // Fig. 22: NoC x HBM bandwidth on both topologies.
+        let graph = two_layers(zoo::llama2_70b(), Workload::decode(32, 2048));
+        let mut points = Vec::new();
+        for topo in [presets::ipu_pod4(), presets::ipu_pod4_mesh()] {
+            for noc in [30.0, 35.0, 40.0, 45.0] {
+                for hbm in [8.0, 10.0, 12.0, 14.0] {
+                    let system = topo
+                        .with_total_noc_bandwidth(tib(noc))
+                        .with_total_hbm_bandwidth(tib(hbm));
+                    points.push((system, &graph));
+                }
+            }
+        }
+        assert_points_derive_like_fresh(presets::ipu_pod4(), &points);
+    }
+
+    #[test]
+    fn core_sweep_derives_like_fresh_runners() {
+        // Fig. 23: LLMs on the pod and DiT-XL on one chip per core count.
+        let llm = two_layers(zoo::llama2_13b(), Workload::decode(32, 2048));
+        let dit = two_layer_dit();
+        let hbm_per_core = ByteRate::new(2.7e9);
+        let points: Vec<_> = [736, 1104, 1472, 2208, 2944]
+            .into_iter()
+            .flat_map(|cores| {
+                [(presets::ipu_pod4(), &llm), (presets::single_chip(), &dit)].map(|(sys, graph)| {
+                    (sys.with_cores_and_hbm_per_core(cores, hbm_per_core), graph)
+                })
+            })
+            .collect();
+        let base = presets::ipu_pod4().with_cores_and_hbm_per_core(736, hbm_per_core);
+        assert_points_derive_like_fresh(base, &points);
+    }
+
+    #[test]
+    fn compute_sweep_derives_like_fresh_runners() {
+        // Fig. 24: training forward at varied compute, NoC and HBM.
+        let graph = two_layers(zoo::llama2_13b(), Workload::training_forward(4, 2048));
+        let mut points = Vec::new();
+        for topo in [presets::ipu_pod4(), presets::ipu_pod4_mesh()] {
+            for noc in [32.0, 48.0] {
+                for scale in [0.5, 1.0, 1.5] {
+                    for hbm in [300.0, 400.0] {
+                        let mut system = topo
+                            .with_total_noc_bandwidth(tib(noc))
+                            .with_total_hbm_bandwidth(ByteRate::gib_per_sec(hbm));
+                        system.chip = system.chip.with_compute_scale(scale);
+                        points.push((system, &graph));
+                    }
+                }
+            }
+        }
+        assert_points_derive_like_fresh(presets::ipu_pod4(), &points);
+    }
+
+    #[test]
+    fn table2_and_sram_points_derive_like_fresh_runners() {
+        let llm = two_layers(zoo::llama2_13b(), Workload::decode(32, 2048));
+        let dit = two_layer_dit();
+        let mut concurrent = presets::ipu_pod4();
+        concurrent.chip.sram_contention = elk_hw::SramContention::Concurrent;
+        assert_points_derive_like_fresh(
+            presets::ipu_pod4(),
+            &[
+                (presets::ipu_pod4(), &llm),
+                (presets::single_chip(), &dit),
+                (concurrent, &llm),
+            ],
+        );
+    }
+
+    #[test]
+    fn design_space_device_facts() {
+        let device = |system: &SystemConfig| AnalyticDevice::of_chip(&system.chip);
+        let hbm_per_core = ByteRate::new(2.7e9);
+        let pod = presets::ipu_pod4();
+        let at = |cores| pod.with_cores_and_hbm_per_core(cores, hbm_per_core);
+        for cores in [1104, 1472, 2208, 2944] {
+            assert_ne!(at(cores).chip, at(736).chip);
+            assert_eq!(device(&at(cores)), device(&at(736)), "{cores} cores");
+        }
+        assert_eq!(presets::single_chip().chip, pod.chip);
+        let noc = pod.with_total_noc_bandwidth(tib(30.0));
+        assert_ne!(device(&noc), device(&pod));
+        let mut scaled = pod.clone();
+        scaled.chip = scaled.chip.with_compute_scale(1.5);
+        assert_ne!(device(&scaled), device(&pod));
+        let mut concurrent = pod.clone();
+        concurrent.chip.sram_contention = elk_hw::SramContention::Concurrent;
+        assert_ne!(concurrent.chip, pod.chip);
+        assert_eq!(device(&concurrent), device(&pod));
     }
 
     #[test]
