@@ -23,10 +23,9 @@
 //! cfg.layers = 2; // doctest-sized
 //! let graph = cfg.build(Workload::decode(16, 512), 4);
 //! let runner = DesignRunner::new(presets::ipu_pod4());
-//! let catalog = runner.catalog(&graph)?;
-//! let basic = runner.run(Design::Basic, &graph, &catalog, &SimOptions::default())?;
-//! let full = runner.run(Design::ElkFull, &graph, &catalog, &SimOptions::default())?;
-//! assert!(full.report.total <= basic.report.total);
+//! let designs = [Design::Basic, Design::ElkFull];
+//! let out = runner.run_designs(&designs, &graph, &SimOptions::default())?;
+//! assert!(out[1].report.total <= out[0].report.total);
 //! # Ok(())
 //! # }
 //! ```
@@ -45,7 +44,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
+use elk_cost::{AnalyticDevice, LearnedCostModel};
 use elk_hw::SystemConfig;
 use elk_model::ModelGraph;
 use elk_partition::Partitioner;
@@ -117,7 +116,8 @@ pub struct DesignOutcome {
 /// A runner owns what its chip determines: the fitted cost model and the
 /// plan sets its catalogs build through, so the graphs it compiles
 /// enumerate each operator shape once. [`with_system`](Self::with_system)
-/// is the one way to share them; a fresh runner starts cold.
+/// is the one way to share them, and it alone decides what a derived
+/// design point shares; a fresh runner starts cold.
 #[derive(Debug)]
 pub struct DesignRunner {
     system: SystemConfig,
@@ -131,11 +131,9 @@ impl DesignRunner {
     /// compiler side plans with.
     #[must_use]
     pub fn new(system: SystemConfig) -> Self {
-        let device = AnalyticDevice::of_chip(&system.chip).with_noise(0.05);
-        let cost = LearnedCostModel::fit(&device, &ProfileConfig::default());
         DesignRunner {
+            cost: Arc::new(LearnedCostModel::of_chip(&system.chip)),
             system,
-            cost: Arc::new(cost),
             plans: Arc::new(PlanMemo::new()),
             threads: 0,
         }
@@ -162,26 +160,40 @@ impl DesignRunner {
         &self.system
     }
 
-    /// Derives a runner for `system`. On the same chip (other HBM or
-    /// inter-chip provisioning, a subpod) it shares this runner's cost
-    /// model and plan sets; on another chip it fits afresh, as
-    /// [`new`](Self::new) does.
+    /// Derives a runner for `system`, sharing what the change leaves
+    /// valid:
+    ///
+    /// * on the same chip (other HBM or inter-chip provisioning, a
+    ///   subpod), this runner's cost model and plan sets;
+    /// * on another chip with an equal [`AnalyticDevice`] (another core
+    ///   count at the same per-core rates and link bandwidth, another
+    ///   SRAM port model), the cost model, with fresh plan sets;
+    /// * otherwise nothing: it fits afresh, as [`new`](Self::new) does.
     #[must_use]
     pub fn with_system(&self, system: SystemConfig) -> DesignRunner {
-        if system.chip != self.system.chip {
-            return DesignRunner::new(system).with_threads(self.threads);
-        }
+        let cost = if AnalyticDevice::of_chip(&system.chip)
+            == AnalyticDevice::of_chip(&self.system.chip)
+        {
+            Arc::clone(&self.cost)
+        } else {
+            Arc::new(LearnedCostModel::of_chip(&system.chip))
+        };
+        let plans = if system.chip == self.system.chip {
+            Arc::clone(&self.plans)
+        } else {
+            Arc::default()
+        };
         DesignRunner {
             system,
-            cost: Arc::clone(&self.cost),
-            plans: Arc::clone(&self.plans),
+            cost,
+            plans,
             threads: self.threads,
         }
     }
 
-    /// Builds the plan catalog for `graph` (shareable across designs and
-    /// HBM sweeps), fanning plan enumeration across the configured
-    /// worker threads, through the plan sets this runner shares.
+    /// Builds the plan catalog for `graph` (shareable across designs),
+    /// fanning plan enumeration across the configured worker threads,
+    /// through the plan sets this runner shares.
     ///
     /// # Errors
     ///
@@ -242,18 +254,20 @@ impl DesignRunner {
         })
     }
 
-    /// Runs all five designs, sharing one catalog.
+    /// Runs `designs` on `graph` in order, sharing one catalog built
+    /// through this runner's plan sets.
     ///
     /// # Errors
     ///
     /// Propagates the first planning failure.
-    pub fn run_all(
+    pub fn run_designs(
         &self,
+        designs: &[Design],
         graph: &ModelGraph,
         sim: &SimOptions,
     ) -> Result<Vec<DesignOutcome>, CompileError> {
         let catalog = self.catalog(graph)?;
-        Design::ALL
+        designs
             .iter()
             .map(|&d| self.run(d, graph, &catalog, sim))
             .collect()
@@ -282,7 +296,9 @@ mod tests {
         // Fig. 17: Ideal <= ELK-Full <= ELK-Dyn <= Static-ish <= Basic.
         let runner = DesignRunner::new(presets::ipu_pod4());
         let graph = small_graph();
-        let out = runner.run_all(&graph, &SimOptions::default()).unwrap();
+        let out = runner
+            .run_designs(&Design::ALL, &graph, &SimOptions::default())
+            .unwrap();
         let t = |d: Design| {
             out.iter()
                 .find(|o| o.design == d)
@@ -331,7 +347,10 @@ mod tests {
         let runner = DesignRunner::new(presets::ipu_pod4());
         let graph = small_graph();
         let capacity = runner.system().chip.usable_sram_per_core();
-        for o in runner.run_all(&graph, &SimOptions::default()).unwrap() {
+        for o in runner
+            .run_designs(&Design::ALL, &graph, &SimOptions::default())
+            .unwrap()
+        {
             assert_eq!(o.estimate, evaluate(&o.program, capacity), "{}", o.design);
         }
     }
@@ -380,6 +399,59 @@ mod tests {
             (a.program, a.estimate, a.report),
             (b.program, b.estimate, b.report)
         );
+    }
+
+    #[test]
+    fn with_system_shares_the_fit_for_an_equal_device() {
+        let base = DesignRunner::new(presets::ipu_pod4());
+        let mut concurrent = presets::ipu_pod4();
+        concurrent.chip.sram_contention = elk_hw::SramContention::Concurrent;
+        let hbm_per_core = ByteRate::new(2.7e9);
+        for system in [
+            concurrent,
+            presets::ipu_pod4().with_cores_and_hbm_per_core(736, hbm_per_core),
+        ] {
+            let derived = base.with_system(system);
+            assert!(Arc::ptr_eq(&derived.cost, &base.cost));
+            assert!(!Arc::ptr_eq(&derived.plans, &base.plans));
+        }
+    }
+
+    #[test]
+    fn with_system_refits_when_the_device_changes() {
+        let base = DesignRunner::new(presets::ipu_pod4());
+        let noc = base
+            .system()
+            .with_total_noc_bandwidth(ByteRate::tib_per_sec(30.0));
+        let mut scaled = presets::ipu_pod4();
+        scaled.chip = scaled.chip.with_compute_scale(1.5);
+        for system in [noc, scaled] {
+            let derived = base.with_system(system.clone());
+            assert!(!Arc::ptr_eq(&derived.cost, &base.cost));
+            assert!(!Arc::ptr_eq(&derived.plans, &base.plans));
+            assert_ne!(derived.cost, base.cost);
+            assert_eq!(*derived.cost, *DesignRunner::new(system).cost);
+        }
+    }
+
+    #[test]
+    fn run_designs_matches_one_catalog_run_per_design() {
+        let runner = DesignRunner::new(presets::ipu_pod4());
+        let graph = small_graph();
+        let sim = SimOptions::default();
+        let outs = runner.run_designs(&Design::ALL, &graph, &sim).unwrap();
+        let catalog = runner.catalog(&graph).unwrap();
+        assert_eq!(outs.len(), Design::ALL.len());
+        for (design, out) in Design::ALL.into_iter().zip(outs) {
+            let expected = runner.run(design, &graph, &catalog, &sim).unwrap();
+            assert_eq!(out.design, design);
+            // `stats` carries the wall-clock compile time.
+            assert_eq!(
+                (out.program, out.estimate, out.report),
+                (expected.program, expected.estimate, expected.report),
+                "{design}"
+            );
+        }
     }
 
     /// Asserts that a runner derived from `base` for `system` holds a fit
@@ -549,7 +621,9 @@ mod tests {
         // Fig. 18(b): Basic < Static <= ELK designs.
         let runner = DesignRunner::new(presets::ipu_pod4());
         let graph = small_graph();
-        let out = runner.run_all(&graph, &SimOptions::default()).unwrap();
+        let out = runner
+            .run_designs(&Design::ALL, &graph, &SimOptions::default())
+            .unwrap();
         let u = |d: Design| out.iter().find(|o| o.design == d).unwrap().report.hbm_util;
         assert!(u(Design::Basic) < u(Design::ElkFull));
     }

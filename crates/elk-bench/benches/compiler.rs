@@ -9,7 +9,7 @@ use elk_core::{
     candidate_orders, identity_order, Catalog, Compiler, CompilerOptions, ReorderOptions,
     ScheduleOptions, Scheduler,
 };
-use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
+use elk_cost::LearnedCostModel;
 use elk_hw::presets;
 use elk_model::{zoo, ModelGraph, Workload};
 use elk_partition::Partitioner;
@@ -90,8 +90,7 @@ fn bench_compiler(c: &mut Criterion) {
         b.iter(|| par_compiler.compile(&graph).expect("compile"))
     });
 
-    let device = AnalyticDevice::of_chip(&system.chip);
-    let cost = LearnedCostModel::fit(&device, &ProfileConfig::default());
+    let cost = LearnedCostModel::of_chip(&system.chip);
     let partitioner = Partitioner::new(&system.chip, &cost);
     let catalog = Catalog::build(&graph, &partitioner).expect("catalog");
     let scheduler = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default());

@@ -8,7 +8,8 @@ use elk_hw::presets;
 use elk_units::Bytes;
 
 fn bench_cost(c: &mut Criterion) {
-    let device = AnalyticDevice::of_chip(&presets::ipu_pod4().chip).with_noise(0.05);
+    let chip = presets::ipu_pod4().chip;
+    let device = AnalyticDevice::measured(&chip);
     let quick = ProfileConfig {
         samples_per_class: 600,
         ..ProfileConfig::default()
@@ -20,9 +21,9 @@ fn bench_cost(c: &mut Criterion) {
     });
     // The default 4,000 samples per class: the fit every design point pays.
     g.bench_function("fit_default", |b| {
-        b.iter(|| LearnedCostModel::fit(&device, &ProfileConfig::default()))
+        b.iter(|| LearnedCostModel::of_chip(&chip))
     });
-    let model = LearnedCostModel::fit(&device, &ProfileConfig::default());
+    let model = LearnedCostModel::of_chip(&chip);
     let tile = TileShape::matmul(16, 1280, 24);
     g.bench_function("predict_tile", |b| b.iter(|| model.tile_time(&tile)));
     g.bench_function("predict_link", |b| {

@@ -17,7 +17,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use elk_core::{Catalog, Compiler, CompilerOptions};
-use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
+use elk_cost::LearnedCostModel;
 use elk_hw::presets;
 use elk_model::{zoo, ModelGraph, Workload};
 use elk_partition::Partitioner;
@@ -67,8 +67,7 @@ fn main() {
     }
 
     let system = presets::ipu_pod4();
-    let device = AnalyticDevice::of_chip(&system.chip);
-    let cost = LearnedCostModel::fit(&device, &ProfileConfig::default());
+    let cost = LearnedCostModel::of_chip(&system.chip);
     let partitioner = Partitioner::new(&system.chip, &cost);
     // Two models' worth of distinct signatures: the catalog stage fans
     // per-signature plan enumeration across the pool.

@@ -11,7 +11,6 @@ use elk_model::{zoo, Workload};
 use elk_sim::SimOptions;
 
 use crate::ctx::{build_llm, default_system, Ctx};
-use crate::experiments::run_designs;
 
 /// One SRAM-scaling point.
 #[derive(Debug, Serialize)]
@@ -33,6 +32,7 @@ pub fn run(ctx: &mut Ctx) {
     }
     let graph = build_llm(&cfg, Workload::decode(32, 2048));
 
+    let base = DesignRunner::new(default_system()).with_threads(ctx.threads);
     let mut rows = Vec::new();
     let mut cells = Vec::new();
     for (label, contention) in [
@@ -41,15 +41,14 @@ pub fn run(ctx: &mut Ctx) {
     ] {
         let mut system = default_system();
         system.chip.sram_contention = contention;
-        let runner = DesignRunner::new(system).with_threads(ctx.threads);
-        let catalog = runner.catalog(&graph).expect("catalog");
-        let outs = run_designs(
-            &runner,
-            &graph,
-            &catalog,
-            &[Design::Basic, Design::ElkFull, Design::Ideal],
-            &SimOptions::default(),
-        );
+        let outs = base
+            .with_system(system)
+            .run_designs(
+                &[Design::Basic, Design::ElkFull, Design::Ideal],
+                &graph,
+                &SimOptions::default(),
+            )
+            .expect("designs");
         for o in &outs {
             cells.push(vec![
                 label.to_string(),

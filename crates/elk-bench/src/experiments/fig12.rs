@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use elk_cost::{AccuracyReport, AnalyticDevice, LearnedCostModel, OpClass, ProfileConfig};
+use elk_cost::{AccuracyReport, AnalyticDevice, LearnedCostModel, OpClass};
 
 use crate::ctx::{default_system, Ctx};
 
@@ -24,8 +24,8 @@ pub struct Panel {
 pub fn run(ctx: &mut Ctx) {
     ctx.header("Fig. 12: cost model accuracy (predicted vs measured, held-out tiles)");
     let system = default_system();
-    let device = AnalyticDevice::of_chip(&system.chip).with_noise(0.05);
-    let model = LearnedCostModel::fit(&device, &ProfileConfig::default());
+    let device = AnalyticDevice::measured(&system.chip);
+    let model = LearnedCostModel::of_chip(&system.chip);
     let n = if ctx.full { 2000 } else { 500 };
 
     let mut panels = Vec::new();

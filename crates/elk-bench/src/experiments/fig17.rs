@@ -8,7 +8,6 @@ use elk_model::Workload;
 use elk_sim::SimOptions;
 
 use crate::ctx::{build_llm, default_system, llms, ms, Ctx};
-use crate::experiments::run_designs;
 
 /// Per-token serving latency of one model/seq/batch point.
 #[derive(Debug, Serialize)]
@@ -36,14 +35,9 @@ pub fn run(ctx: &mut Ctx) {
         for &seq in seqs {
             for &b in &batches {
                 let graph = build_llm(&cfg, Workload::decode(b, seq));
-                let catalog = runner.catalog(&graph).expect("catalog");
-                let outs = run_designs(
-                    &runner,
-                    &graph,
-                    &catalog,
-                    &Design::ALL,
-                    &SimOptions::default(),
-                );
+                let outs = runner
+                    .run_designs(&Design::ALL, &graph, &SimOptions::default())
+                    .expect("designs");
                 let lat: Vec<f64> = outs.iter().map(|o| o.report.total.as_millis()).collect();
                 let mut row = vec![cfg.name.clone(), format!("s{seq}"), format!("b{b}")];
                 row.extend(outs.iter().map(|o| ms(o.report.total)));

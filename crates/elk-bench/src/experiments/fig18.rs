@@ -8,7 +8,7 @@ use elk_baselines::{Design, DesignRunner};
 use elk_sim::SimOptions;
 
 use crate::ctx::{build_llm, default_system, default_workload, llms, pct, Ctx};
-use crate::experiments::{pod_tflops, run_designs};
+use crate::experiments::pod_tflops;
 
 /// Time-breakdown and utilization of one model under one design.
 #[derive(Debug, Serialize)]
@@ -45,14 +45,9 @@ pub fn run(ctx: &mut Ctx) {
 
     for cfg in llms() {
         let graph = build_llm(&cfg, default_workload());
-        let catalog = runner.catalog(&graph).expect("catalog");
-        let outs = run_designs(
-            &runner,
-            &graph,
-            &catalog,
-            &Design::ALL,
-            &SimOptions::default(),
-        );
+        let outs = runner
+            .run_designs(&Design::ALL, &graph, &SimOptions::default())
+            .expect("designs");
         for o in &outs {
             let b = o.report.buckets;
             cells.push(vec![

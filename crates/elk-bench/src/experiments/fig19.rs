@@ -8,7 +8,6 @@ use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::{build_llm, default_workload, llms, Ctx};
-use crate::experiments::run_designs;
 
 /// Latency across designs for one topology/HBM point.
 #[derive(Debug, Serialize)]
@@ -38,26 +37,22 @@ pub(crate) fn sweep(
         vec![elk_model::zoo::llama2_13b(), elk_model::zoo::llama2_70b()]
     };
     let mut out = Vec::new();
-    for (topo_name, base) in [
+    let base = DesignRunner::new(presets::ipu_pod4()).with_threads(ctx.threads);
+    for (topo_name, topo) in [
         ("all-to-all", presets::ipu_pod4()),
         ("mesh", presets::ipu_pod4_mesh()),
     ] {
-        let base_runner = DesignRunner::new(base).with_threads(ctx.threads);
+        let topo_runner = base.with_system(topo);
         for cfg in &models {
             let graph = build_llm(cfg, default_workload());
-            let catalog = base_runner.catalog(&graph).expect("catalog");
             for &bw in bws {
-                let system = base_runner
+                let system = topo_runner
                     .system()
                     .with_total_hbm_bandwidth(ByteRate::tib_per_sec(bw));
-                let runner = base_runner.with_system(system);
-                let outs = run_designs(
-                    &runner,
-                    &graph,
-                    &catalog,
-                    &Design::ALL,
-                    &SimOptions::default(),
-                );
+                let outs = topo_runner
+                    .with_system(system)
+                    .run_designs(&Design::ALL, &graph, &SimOptions::default())
+                    .expect("designs");
                 out.push((topo_name.to_string(), cfg.name.clone(), bw, outs));
             }
         }

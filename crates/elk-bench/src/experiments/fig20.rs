@@ -10,7 +10,6 @@ use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::{build_llm, default_workload, Ctx};
-use crate::experiments::run_designs;
 
 /// Time breakdown for one HBM-bandwidth point under one design.
 #[derive(Debug, Serialize)]
@@ -41,22 +40,17 @@ pub fn run(ctx: &mut Ctx) {
     };
     let base = DesignRunner::new(presets::ipu_pod4()).with_threads(ctx.threads);
     let graph = build_llm(&zoo::llama2_13b(), default_workload());
-    let catalog = base.catalog(&graph).expect("catalog");
     let mut rows = Vec::new();
     let mut cells = Vec::new();
 
     for &bw in bws {
-        let runner = base.with_system(
-            base.system()
-                .with_total_hbm_bandwidth(ByteRate::tib_per_sec(bw)),
-        );
-        let outs = run_designs(
-            &runner,
-            &graph,
-            &catalog,
-            &Design::ALL,
-            &SimOptions::default(),
-        );
+        let system = base
+            .system()
+            .with_total_hbm_bandwidth(ByteRate::tib_per_sec(bw));
+        let outs = base
+            .with_system(system)
+            .run_designs(&Design::ALL, &graph, &SimOptions::default())
+            .expect("designs");
         for o in &outs {
             let b = o.report.buckets;
             cells.push(vec![

@@ -4,13 +4,12 @@
 use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
-use elk_hw::presets;
+use elk_hw::{presets, SystemConfig};
 use elk_model::zoo;
 use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::{build_llm, default_workload, Ctx};
-use crate::experiments::run_designs;
 
 /// Latency across designs for one NoC/HBM bandwidth point.
 #[derive(Debug, Serialize)]
@@ -42,28 +41,23 @@ pub fn run(ctx: &mut Ctx) {
     let mut rows = Vec::new();
     let mut cells = Vec::new();
 
-    for (topo_name, base_sys) in [
+    let with_noc =
+        |topo: &SystemConfig, noc| topo.with_total_noc_bandwidth(ByteRate::tib_per_sec(noc));
+    let base = DesignRunner::new(with_noc(&presets::ipu_pod4(), nocs[0])).with_threads(ctx.threads);
+    for (topo_name, topo) in [
         ("all-to-all", presets::ipu_pod4()),
         ("mesh", presets::ipu_pod4_mesh()),
     ] {
         for &noc in nocs {
-            // Changing the NoC changes the chip: fit a fresh cost model.
-            let sys = base_sys.with_total_noc_bandwidth(ByteRate::tib_per_sec(noc));
-            let base_runner = DesignRunner::new(sys).with_threads(ctx.threads);
-            let catalog = base_runner.catalog(&graph).expect("catalog");
+            let noc_runner = base.with_system(with_noc(&topo, noc));
             for &hbm in hbms {
-                let runner = base_runner.with_system(
-                    base_runner
-                        .system()
-                        .with_total_hbm_bandwidth(ByteRate::tib_per_sec(hbm)),
-                );
-                let outs = run_designs(
-                    &runner,
-                    &graph,
-                    &catalog,
-                    &Design::ALL,
-                    &SimOptions::default(),
-                );
+                let system = noc_runner
+                    .system()
+                    .with_total_hbm_bandwidth(ByteRate::tib_per_sec(hbm));
+                let outs = noc_runner
+                    .with_system(system)
+                    .run_designs(&Design::ALL, &graph, &SimOptions::default())
+                    .expect("designs");
                 let lat: Vec<f64> = outs.iter().map(|o| o.report.total.as_millis()).collect();
                 cells.push(vec![
                     topo_name.to_string(),

@@ -10,7 +10,6 @@ use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::{default_workload, Ctx};
-use crate::experiments::run_designs;
 
 /// Latency across designs for one core-count point.
 #[derive(Debug, Serialize)]
@@ -46,34 +45,25 @@ pub fn run(ctx: &mut Ctx) {
         vec![zoo::llama2_13b(), zoo::llama2_70b()]
     };
 
+    let pod = |cores| presets::ipu_pod4().with_cores_and_hbm_per_core(cores, hbm_per_core);
+    let base = DesignRunner::new(pod(core_counts[0])).with_threads(ctx.threads);
     for &cores in core_counts {
         // LLMs on the 4-chip pod.
-        let sys = presets::ipu_pod4().with_cores_and_hbm_per_core(cores, hbm_per_core);
-        let runner = DesignRunner::new(sys).with_threads(ctx.threads);
+        let runner = base.with_system(pod(cores));
         for cfg in &llm_cfgs {
             let graph = cfg.build(default_workload(), 4);
-            let catalog = runner.catalog(&graph).expect("catalog");
-            let outs = run_designs(
-                &runner,
-                &graph,
-                &catalog,
-                &Design::ALL,
-                &SimOptions::default(),
-            );
+            let outs = runner
+                .run_designs(&Design::ALL, &graph, &SimOptions::default())
+                .expect("designs");
             push(&mut rows, &mut cells, &cfg.name, cores, &outs);
         }
         // DiT-XL on a single chip (paper: up to 1472 cores).
-        let dit_sys = presets::single_chip().with_cores_and_hbm_per_core(cores, hbm_per_core);
-        let dit_runner = DesignRunner::new(dit_sys).with_threads(ctx.threads);
+        let dit_runner = runner
+            .with_system(presets::single_chip().with_cores_and_hbm_per_core(cores, hbm_per_core));
         let dit = zoo::dit_xl().build(Workload::decode(8, 256), 1);
-        let catalog = dit_runner.catalog(&dit).expect("catalog");
-        let outs = run_designs(
-            &dit_runner,
-            &dit,
-            &catalog,
-            &Design::ALL,
-            &SimOptions::default(),
-        );
+        let outs = dit_runner
+            .run_designs(&Design::ALL, &dit, &SimOptions::default())
+            .expect("designs");
         push(&mut rows, &mut cells, "DiT-XL", cores, &outs);
     }
 

@@ -5,13 +5,13 @@
 use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
-use elk_hw::presets;
+use elk_hw::{presets, SystemConfig};
 use elk_model::{zoo, Workload};
 use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::Ctx;
-use crate::experiments::{pod_tflops, run_designs};
+use crate::experiments::pod_tflops;
 
 /// Achieved training throughput for one projected-hardware point.
 #[derive(Debug, Serialize)]
@@ -40,7 +40,7 @@ pub fn run(ctx: &mut Ctx) {
     };
     let nocs: &[f64] = &[32.0, 48.0];
     let hbms: &[f64] = &[300.0, 400.0];
-    type TopoPreset = (&'static str, fn() -> elk_hw::SystemConfig);
+    type TopoPreset = (&'static str, fn() -> SystemConfig);
     let topos: &[TopoPreset] = if ctx.full {
         &[
             ("all-to-all", presets::ipu_pod4),
@@ -53,22 +53,27 @@ pub fn run(ctx: &mut Ctx) {
     let mut rows = Vec::new();
     let mut cells = Vec::new();
 
+    let chip_point = |mk: fn() -> SystemConfig, noc, scale| {
+        let mut sys = mk().with_total_noc_bandwidth(ByteRate::tib_per_sec(noc));
+        sys.chip = sys.chip.with_compute_scale(scale);
+        sys
+    };
+    let base =
+        DesignRunner::new(chip_point(topos[0].1, nocs[0], scales[0])).with_threads(ctx.threads);
     for (topo_name, mk) in topos {
         for &noc in nocs {
             for &scale in scales {
-                let mut sys = mk().with_total_noc_bandwidth(ByteRate::tib_per_sec(noc));
-                sys.chip = sys.chip.with_compute_scale(scale);
-                let available = sys.total_matmul_rate().as_tera();
-                let base_runner = DesignRunner::new(sys).with_threads(ctx.threads);
-                let catalog = base_runner.catalog(&graph).expect("catalog");
+                let chip_runner = base.with_system(chip_point(*mk, noc, scale));
+                let available = chip_runner.system().total_matmul_rate().as_tera();
                 for &hbm in hbms {
-                    let runner = base_runner.with_system(
-                        base_runner
+                    let runner = chip_runner.with_system(
+                        chip_runner
                             .system()
                             .with_total_hbm_bandwidth(ByteRate::gib_per_sec(hbm)),
                     );
-                    let outs =
-                        run_designs(&runner, &graph, &catalog, &DESIGNS, &SimOptions::default());
+                    let outs = runner
+                        .run_designs(&DESIGNS, &graph, &SimOptions::default())
+                        .expect("designs");
                     let achieved: Vec<f64> = outs
                         .iter()
                         .map(|o| pod_tflops(o, runner.system().chips))

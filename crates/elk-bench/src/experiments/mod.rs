@@ -26,33 +26,7 @@ pub mod serving;
 pub mod table2;
 pub mod tenancy;
 
-use elk_baselines::{Design, DesignOutcome, DesignRunner};
-use elk_core::Catalog;
-use elk_model::ModelGraph;
-use elk_sim::SimOptions;
-
-/// Runs a set of designs on one workload, reusing the runner's catalog.
-///
-/// # Panics
-///
-/// Panics if planning fails — all shipped experiment configurations are
-/// feasible by construction.
-pub(crate) fn run_designs(
-    runner: &DesignRunner,
-    graph: &ModelGraph,
-    catalog: &Catalog,
-    designs: &[Design],
-    sim: &SimOptions,
-) -> Vec<DesignOutcome> {
-    designs
-        .iter()
-        .map(|&d| {
-            runner
-                .run(d, graph, catalog, sim)
-                .unwrap_or_else(|e| panic!("{d} failed on {}: {e}", graph.name()))
-        })
-        .collect()
-}
+use elk_baselines::DesignOutcome;
 
 /// Pod-level achieved TFLOPS (the simulator reports per chip).
 pub(crate) fn pod_tflops(outcome: &DesignOutcome, chips: u64) -> f64 {

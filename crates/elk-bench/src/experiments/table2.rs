@@ -72,12 +72,10 @@ pub fn run(ctx: &mut Ctx) {
         .collect();
     graphs.push(zoo::dit_xl().build(Workload::decode(8, 256), 1));
 
+    let pod = DesignRunner::new(system).with_threads(ctx.threads);
+    let chip = pod.with_system(elk_hw::presets::single_chip());
     for graph in &graphs {
-        let runner = if graph.shards() == 1 {
-            DesignRunner::new(elk_hw::presets::single_chip()).with_threads(ctx.threads)
-        } else {
-            DesignRunner::new(system.clone()).with_threads(ctx.threads)
-        };
+        let runner = if graph.shards() == 1 { &chip } else { &pod };
         let catalog = runner.catalog(graph).expect("catalog");
         let stats = GraphStats::of(graph);
 

@@ -21,6 +21,13 @@
 //! slower); the default "quick" grids cover every series with fewer
 //! points.
 //!
+//! Each experiment that compares designs builds one base
+//! [`DesignRunner`](elk_baselines::DesignRunner) and derives every
+//! design point from it with `with_system(..).run_designs(..)`, so a
+//! point pays only for what it changes: an HBM point reuses the fit and
+//! plan sets, a core-count or SRAM-port point reuses the fit, and a NoC
+//! or compute point refits.
+//!
 //! Programmatic use — every experiment is a library function over a
 //! [`Ctx`]:
 //!

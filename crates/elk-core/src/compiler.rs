@@ -3,7 +3,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
+use elk_cost::LearnedCostModel;
 use elk_hw::SystemConfig;
 use elk_model::ModelGraph;
 use elk_partition::Partitioner;
@@ -101,8 +101,7 @@ impl Compiler {
     /// Creates a compiler with explicit options.
     #[must_use]
     pub fn with_options(system: SystemConfig, opts: CompilerOptions) -> Self {
-        let device = AnalyticDevice::of_chip(&system.chip).with_noise(0.05);
-        let cost = LearnedCostModel::fit(&device, &ProfileConfig::default());
+        let cost = LearnedCostModel::of_chip(&system.chip);
         Compiler { system, cost, opts }
     }
 

@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 
 use elk_core::{Catalog, OpPlans};
-use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
+use elk_cost::LearnedCostModel;
 use elk_hw::{presets, SramContention, SystemConfig};
 use elk_model::{zoo, ModelGraph, OpId, Workload};
 use elk_partition::Partitioner;
@@ -36,12 +36,6 @@ fn fold<T: Serialize + ?Sized>(digest: u64, value: &T) -> u64 {
         serde_json::to_string(value).expect("serializes").as_bytes(),
         digest,
     )
-}
-
-/// The cost model `DesignRunner::new` fits for `system`.
-fn runner_cost(system: &SystemConfig) -> LearnedCostModel {
-    let device = AnalyticDevice::of_chip(&system.chip).with_noise(0.05);
-    LearnedCostModel::fit(&device, &ProfileConfig::default())
 }
 
 /// A small-SRAM part: a quarter of an IPU-POD4 chip's cores with 256 KiB
@@ -122,7 +116,7 @@ fn catalogs_are_pinned() {
     ];
     let mut got = Vec::new();
     for (chip, system) in &chips {
-        let cost = runner_cost(system);
+        let cost = LearnedCostModel::of_chip(&system.chip);
         let partitioner = Partitioner::new(&system.chip, &cost);
         for (phase, workload) in workloads {
             for (model, graph) in graphs(workload) {

@@ -15,7 +15,7 @@ use elk_core::{
     candidate_orders, identity_order, Catalog, CompileStats, Compiler, CompilerOptions,
     ReorderOptions, ScheduleOptions, Scheduler,
 };
-use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
+use elk_cost::LearnedCostModel;
 use elk_hw::{presets, SystemConfig};
 use elk_model::{zoo, ModelGraph, Workload};
 use elk_partition::Partitioner;
@@ -68,12 +68,6 @@ fn llama(layers: Option<u32>, workload: Workload, tp: u64) -> ModelGraph {
     cfg.build(workload, tp)
 }
 
-/// The cost model `DesignRunner::new` fits for `system`.
-fn runner_cost(system: &SystemConfig) -> LearnedCostModel {
-    let device = AnalyticDevice::of_chip(&system.chip).with_noise(0.05);
-    LearnedCostModel::fit(&device, &ProfileConfig::default())
-}
-
 /// Digests of every design plus the Elk compiler under each scheduler
 /// variant, one `(label, digest)` per entry.
 fn case_digests(case: &str, system: &SystemConfig, graph: &ModelGraph) -> Vec<(String, u64)> {
@@ -91,7 +85,7 @@ fn case_digests(case: &str, system: &SystemConfig, graph: &ModelGraph) -> Vec<(S
         out.push((format!("{case}/{design}"), d));
     }
 
-    let cost = runner_cost(system);
+    let cost = LearnedCostModel::of_chip(&system.chip);
     let variants = [
         ("full", ScheduleOptions::default(), true),
         ("dyn", ScheduleOptions::default(), false),
@@ -217,7 +211,7 @@ fn compiled_plans_are_pinned() {
 fn infeasible_schedule_error_texts_are_pinned() {
     let system = presets::ipu_pod4();
     let graph = llama(Some(2), Workload::decode(32, 4096), 4);
-    let cost = runner_cost(&system);
+    let cost = LearnedCostModel::of_chip(&system.chip);
     let catalog = Catalog::build(&graph, &Partitioner::new(&system.chip, &cost)).expect("catalog");
     let capacity = system.chip.usable_sram_per_core();
 

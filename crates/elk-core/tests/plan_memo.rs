@@ -10,17 +10,11 @@
 use std::collections::HashSet;
 
 use elk_core::{Catalog, CompileError, OpPlans, PlanMemo};
-use elk_cost::{AnalyticDevice, LearnedCostModel, ProfileConfig};
+use elk_cost::LearnedCostModel;
 use elk_hw::{presets, SystemConfig};
 use elk_model::{zoo, ModelGraph, OpId, Operator, Workload};
 use elk_partition::Partitioner;
 use elk_units::Bytes;
-
-/// The cost model `DesignRunner::new` fits for `system`.
-fn runner_cost(system: &SystemConfig) -> LearnedCostModel {
-    let device = AnalyticDevice::of_chip(&system.chip).with_noise(0.05);
-    LearnedCostModel::fit(&device, &ProfileConfig::default())
-}
 
 /// A small-SRAM part: a quarter of an IPU-POD4 chip's cores with 256 KiB
 /// per core, so capacity binds on nearly every operator.
@@ -81,7 +75,7 @@ fn assert_same_catalog(memoized: &Catalog, fresh: &Catalog, what: &str) {
 #[test]
 fn memoized_ladder_equals_fresh_builds_and_enumerates_each_shape_once() {
     let system = presets::ipu_pod4();
-    let cost = runner_cost(&system);
+    let cost = LearnedCostModel::of_chip(&system.chip);
     let partitioner = Partitioner::new(&system.chip, &cost);
     let graphs = ladder();
     for threads in [1, 2] {
@@ -121,7 +115,7 @@ fn memoized_ladder_equals_fresh_builds_and_enumerates_each_shape_once() {
 #[test]
 fn warm_memo_reports_the_same_infeasible_operator() {
     let system = small_sram();
-    let cost = runner_cost(&system);
+    let cost = LearnedCostModel::of_chip(&system.chip);
     let partitioner = Partitioner::new(&system.chip, &cost);
     let warm: Vec<ModelGraph> = [512, 1024, 2048]
         .into_iter()

@@ -116,15 +116,16 @@ impl AccuracyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LearnedCostModel, ProfileConfig};
+    use crate::LearnedCostModel;
     use elk_hw::presets;
 
     #[test]
     fn learned_model_achieves_fig12_quality() {
         // The paper's Fig. 12 shows points tightly hugging the diagonal;
         // we require log-R² ≥ 0.95 and MAPE ≤ 25% for every panel.
-        let device = AnalyticDevice::of_chip(&presets::ipu_pod4().chip).with_noise(0.05);
-        let model = LearnedCostModel::fit(&device, &ProfileConfig::default());
+        let chip = presets::ipu_pod4().chip;
+        let device = AnalyticDevice::measured(&chip);
+        let model = LearnedCostModel::of_chip(&chip);
         for class in OpClass::ALL {
             let rep = AccuracyReport::for_class(&model, &device, class, 300, 4242);
             assert!(rep.r2_log > 0.95, "{class}: R²={:.3}", rep.r2_log);

@@ -55,6 +55,14 @@ impl AnalyticDevice {
         }
     }
 
+    /// The device as the compiler's profiling run measures it:
+    /// [`of_chip`](Self::of_chip) under ±5% deterministic measurement
+    /// noise.
+    #[must_use]
+    pub fn measured(chip: &ChipConfig) -> Self {
+        Self::of_chip(chip).with_noise(0.05)
+    }
+
     /// Enables deterministic measurement noise with relative magnitude
     /// `sigma` (e.g. `0.05` for ±5%).
     ///

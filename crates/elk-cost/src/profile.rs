@@ -2,6 +2,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use elk_hw::ChipConfig;
 use elk_units::{Bytes, Seconds};
 
 use crate::{
@@ -70,11 +71,10 @@ pub(crate) fn random_shape(class: OpClass, rng: &mut StdRng) -> TileShape {
 /// # Examples
 ///
 /// ```
-/// use elk_cost::{AnalyticDevice, CostModel, LearnedCostModel, ProfileConfig, TileShape};
+/// use elk_cost::{CostModel, LearnedCostModel, TileShape};
 /// use elk_hw::presets;
 ///
-/// let device = AnalyticDevice::of_chip(&presets::ipu_pod4().chip).with_noise(0.05);
-/// let model = LearnedCostModel::fit(&device, &ProfileConfig::default());
+/// let model = LearnedCostModel::of_chip(&presets::ipu_pod4().chip);
 /// let t = model.tile_time(&TileShape::matmul(32, 1024, 64));
 /// assert!(t.as_secs() > 0.0);
 /// ```
@@ -89,6 +89,15 @@ pub struct LearnedCostModel {
 }
 
 impl LearnedCostModel {
+    /// The cost model the compiler plans with on `chip`: a fit to
+    /// [`AnalyticDevice::measured`] under the default [`ProfileConfig`].
+    /// It reads the chip only through [`AnalyticDevice::of_chip`], so
+    /// chips with equal devices get identical models.
+    #[must_use]
+    pub fn of_chip(chip: &ChipConfig) -> Self {
+        Self::fit(&AnalyticDevice::measured(chip), &ProfileConfig::default())
+    }
+
     /// Profiles `device` and fits the per-class trees and link model.
     #[must_use]
     pub fn fit(device: &AnalyticDevice, cfg: &ProfileConfig) -> Self {
@@ -159,11 +168,11 @@ mod tests {
     use elk_hw::presets;
 
     fn device() -> AnalyticDevice {
-        AnalyticDevice::of_chip(&presets::ipu_pod4().chip).with_noise(0.05)
+        AnalyticDevice::measured(&presets::ipu_pod4().chip)
     }
 
     fn model() -> LearnedCostModel {
-        LearnedCostModel::fit(&device(), &ProfileConfig::default())
+        LearnedCostModel::of_chip(&presets::ipu_pod4().chip)
     }
 
     #[test]
@@ -216,8 +225,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = LearnedCostModel::fit(&device(), &ProfileConfig::default());
-        let b = LearnedCostModel::fit(&device(), &ProfileConfig::default());
+        let (a, b) = (model(), model());
         let s = TileShape::matmul(17, 444, 31);
         assert_eq!(a.tile_time(&s), b.tile_time(&s));
     }

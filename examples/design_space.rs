@@ -20,7 +20,8 @@ fn main() -> Result<(), elk::compiler::CompileError> {
     };
     let graph = zoo::llama2_70b().build(Workload::decode(32, 2048), 4);
 
-    for (name, base) in [
+    let pod = DesignRunner::new(presets::ipu_pod4()).with_threads(threads);
+    for (name, topology) in [
         ("all-to-all", presets::ipu_pod4()),
         ("2D mesh", presets::ipu_pod4_mesh()),
     ] {
@@ -29,16 +30,16 @@ fn main() -> Result<(), elk::compiler::CompileError> {
             "{:>10} {:>12} {:>12} {:>10}",
             "HBM TB/s", "ELK-Full", "Ideal", "NoC util"
         );
-        let runner = DesignRunner::new(base).with_threads(threads);
-        let catalog = runner.catalog(&graph)?;
+        let runner = pod.with_system(topology);
         for hbm_tbps in [4.0f64, 8.0, 12.0, 16.0] {
             let swept = runner.with_system(
                 runner
                     .system()
                     .with_total_hbm_bandwidth(ByteRate::tib_per_sec(hbm_tbps)),
             );
-            let full = swept.run(Design::ElkFull, &graph, &catalog, &SimOptions::default())?;
-            let ideal = swept.run(Design::Ideal, &graph, &catalog, &SimOptions::default())?;
+            let designs = [Design::ElkFull, Design::Ideal];
+            let outs = swept.run_designs(&designs, &graph, &SimOptions::default())?;
+            let (full, ideal) = (&outs[0], &outs[1]);
             println!(
                 "{:>10.0} {:>10.2}ms {:>10.2}ms {:>9.0}%",
                 hbm_tbps,

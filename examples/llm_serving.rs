@@ -47,10 +47,8 @@ fn main() -> Result<(), elk::compiler::CompileError> {
 
     for batch in [16u64, 32, 64] {
         let graph = cfg.build(Workload::decode(batch, seq), 4);
-        let catalog = runner.catalog(&graph)?;
         let mut row = format!("{batch:>6}");
-        for design in Design::ALL {
-            let out = runner.run(design, &graph, &catalog, &SimOptions::default())?;
+        for out in runner.run_designs(&Design::ALL, &graph, &SimOptions::default())? {
             row.push_str(&format!(" {:>8.2}ms", out.report.total.as_millis()));
         }
         println!("{row}");

@@ -16,7 +16,6 @@ fn no_design_beats_the_rooflines() {
     let system = presets::ipu_pod4();
     let runner = DesignRunner::new(system.clone());
     let graph = stressed_graph();
-    let catalog = runner.catalog(&graph).expect("catalog");
 
     let hbm_bound = system
         .hbm
@@ -25,10 +24,11 @@ fn no_design_beats_the_rooflines() {
     // Compute bound at the (higher) matmul rate with perfect efficiency.
     let compute_bound = graph.total_flops() / system.chip.matmul_rate();
 
-    for design in Design::ALL {
-        let out = runner
-            .run(design, &graph, &catalog, &SimOptions::default())
-            .expect("run");
+    let outs = runner
+        .run_designs(&Design::ALL, &graph, &SimOptions::default())
+        .expect("run");
+    for out in outs {
+        let design = out.design;
         assert!(
             out.report.total >= hbm_bound * 0.95,
             "{design} beat the HBM roofline: {} < {}",
@@ -50,7 +50,7 @@ fn design_ordering_under_memory_pressure() {
     let runner = DesignRunner::new(system);
     let graph = stressed_graph();
     let outs = runner
-        .run_all(&graph, &SimOptions::default())
+        .run_designs(&Design::ALL, &graph, &SimOptions::default())
         .expect("run all");
     let t = |d: Design| {
         outs.iter()
@@ -82,14 +82,14 @@ fn elk_tracks_ideal_closely_when_memory_is_comfortable() {
     let mut cfg = zoo::llama2_13b();
     cfg.layers = 4;
     let graph = cfg.build(Workload::decode(32, 2048), 4);
-    let catalog = runner.catalog(&graph).expect("catalog");
-    let full = runner
-        .run(Design::ElkFull, &graph, &catalog, &SimOptions::default())
-        .expect("full");
-    let ideal = runner
-        .run(Design::Ideal, &graph, &catalog, &SimOptions::default())
-        .expect("ideal");
-    let ratio = ideal.report.total / full.report.total;
+    let outs = runner
+        .run_designs(
+            &[Design::ElkFull, Design::Ideal],
+            &graph,
+            &SimOptions::default(),
+        )
+        .expect("run");
+    let ratio = outs[1].report.total / outs[0].report.total;
     assert!(
         ratio > 0.85,
         "ELK-Full only reached {:.1}% of Ideal",
@@ -103,17 +103,16 @@ fn faster_hbm_never_hurts_elk() {
     let mut cfg = zoo::llama2_13b();
     cfg.layers = 3;
     let graph = cfg.build(Workload::decode(16, 2048), 4);
-    let catalog = base.catalog(&graph).expect("catalog");
     let mut last = f64::INFINITY;
     for tbps in [4.0f64, 8.0, 16.0] {
         let runner = base.with_system(
             base.system()
                 .with_total_hbm_bandwidth(ByteRate::tib_per_sec(tbps)),
         );
-        let out = runner
-            .run(Design::ElkFull, &graph, &catalog, &SimOptions::default())
+        let outs = runner
+            .run_designs(&[Design::ElkFull], &graph, &SimOptions::default())
             .expect("run");
-        let t = out.report.total.as_secs();
+        let t = outs[0].report.total.as_secs();
         assert!(
             t <= last * 1.02,
             "latency increased with faster HBM: {t} vs {last} at {tbps} TB/s"
