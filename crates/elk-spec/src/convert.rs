@@ -474,7 +474,7 @@ impl TraceSpec {
     /// [`TraceConfig::generate`] would panic on).
     pub fn to_config(&self) -> Result<TraceConfig, SpecError> {
         if self.requests == 0 {
-            return Err(invalid("trace.requests must be > 0"));
+            return Err(invalid("serving.trace.requests must be > 0"));
         }
         let config = TraceConfig {
             seed: self.seed,
@@ -483,7 +483,7 @@ impl TraceSpec {
             prompt_len: self.prompt_len,
             output_len: self.output_len,
         };
-        config.validate().map_err(at("trace."))?;
+        config.validate().map_err(at("serving.trace."))?;
         Ok(config)
     }
 }
@@ -886,7 +886,7 @@ mod tests {
             ..TraceSpec::default()
         };
         let e = spec.to_config().unwrap_err().to_string();
-        assert!(e.contains("burst_factor"), "{e}");
+        assert!(e.contains("serving.trace.arrivals.burst_factor"), "{e}");
     }
 
     #[test]

@@ -412,9 +412,10 @@ fn overflowing_workload_dimensions_exit_2_naming_the_workload() {
 }
 
 /// A request count whose record buffer would pass `isize::MAX` bytes is
-/// a spec error (exit 2) naming `requests`, under every command that
-/// builds the trace: not a capacity-overflow panic (101) in the
-/// generator. `simulate` never builds a trace, so it is not asked.
+/// a spec error (exit 2) naming the field's full dotted path, under
+/// every command that builds the trace: not a capacity-overflow panic
+/// (101) in the generator. `simulate` never builds a trace, so it is
+/// not asked.
 #[test]
 fn huge_request_counts_exit_2_naming_the_field() {
     let dir = std::env::temp_dir().join(format!("elk-huge-requests-{}", std::process::id()));
@@ -453,8 +454,8 @@ fn huge_request_counts_exit_2_naming_the_field() {
                 "`elk {command}` with {path} = 2^64 - 1: {stderr}"
             );
             assert!(
-                stderr.contains("requests"),
-                "`elk {command}` must name `requests`: {stderr}"
+                stderr.contains(path),
+                "`elk {command}` must name `{path}`: {stderr}"
             );
         }
     }
