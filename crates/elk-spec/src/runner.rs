@@ -6,7 +6,7 @@
 //! scenario that names a preset produces byte-identical reports to the
 //! equivalent non-spec run — the golden tests pin this.
 
-use elk_baselines::DesignRunner;
+use elk_baselines::{Design, DesignRunner};
 use elk_cluster::{
     AutoscaleServingSim, ClusterError, ClusterEstimator, ClusterServeConfig, ClusterServingSim,
     DisaggConfig, DisaggServingSim, ParallelismPlan, TenantServingSim,
@@ -21,7 +21,7 @@ use crate::report::{
     ClusterRunReport, CompileReport, DesignCompileReport, DesignSimRow, ServeReport,
     SimulateReport, TraceGenReport,
 };
-use crate::spec::{ClusterSpec, ScenarioSpec, TraceSourceSpec};
+use crate::spec::{ScenarioSpec, TraceSourceSpec};
 use crate::SpecError;
 
 impl From<ClusterError> for SpecError {
@@ -98,15 +98,12 @@ pub fn run_compile_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<CompileRep
     let graph = model.build(workload, shards);
 
     let runner = DesignRunner::new(system.clone()).with_threads(spec.compiler.threads);
-    let catalog = runner.catalog(&graph)?;
-    let designs = spec
-        .compiler
-        .design
-        .iter()
-        .map(|&design| {
-            let out = runner.run(design, &graph, &catalog, &sim)?;
+    let designs = runner
+        .run_designs(&spec.compiler.design, &graph, &sim)?
+        .into_iter()
+        .map(|out| {
             let d = DesignCompileReport {
-                design,
+                design: out.design,
                 ops: out.program.op_count(),
                 instrs: out.program.instrs.len(),
                 estimate_total_ms: out.estimate.total.as_millis(),
@@ -114,11 +111,11 @@ pub fn run_compile_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<CompileRep
                 report: out.report,
             };
             if obs.enabled() {
-                record_compile_lane(obs, design, &d);
+                record_compile_lane(obs, d.design, &d);
             }
-            Ok(d)
+            d
         })
-        .collect::<Result<Vec<_>, SpecError>>()?;
+        .collect();
 
     Ok(CompileReport {
         scenario: spec.name.clone(),
@@ -400,29 +397,66 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
         }
     };
 
-    let serving = if cluster.serve {
-        Some(run_cluster_serving(
-            spec, &cluster, &system, &estimate, &sim, obs,
-        )?)
-    } else {
-        None
-    };
-    let autoscale = match (&cluster.autoscale, cluster.serve) {
-        (Some(auto), true) => Some(run_cluster_autoscale(
-            spec, &cluster, auto, &system, &estimate, &sim, obs,
-        )?),
-        _ => None,
-    };
-    let disagg = match (&cluster.disaggregate, cluster.serve) {
-        (Some(d), true) => Some(run_cluster_disagg(spec, &cluster, d, &system, &sim, obs)?),
-        _ => None,
-    };
-    let tenancy = match (&cluster.tenants, cluster.serve) {
-        (Some(t), true) => Some(run_cluster_tenancy(
-            spec, &cluster, t, &system, &estimate, &sim, obs,
-        )?),
-        _ => None,
-    };
+    // The replays share one resolved trace and one serving config: the
+    // serving spec's batching and SLO knobs with the cluster's worker
+    // threads. The serving spec's replica and thread knobs are the
+    // flat-pool ones and are superseded by the cluster layout; its
+    // conversion runs on a one-chip split, which is always even, since
+    // each engine checks its plan against the model itself. The
+    // disaggregated replay swaps in its own plans.
+    let (mut serving, mut autoscale, mut disagg, mut tenancy) = (None, None, None, None);
+    if cluster.serve {
+        let serve = spec.serving.to_config(model.clone(), 1, sim)?;
+        let config = ClusterServeConfig {
+            model: model.clone(),
+            plan: estimate.plan,
+            batch: serve.batch,
+            slo: serve.slo,
+            sim,
+            threads: cluster.threads,
+        };
+        let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;
+        let designs = &spec.compiler.design;
+        let mut engine = ClusterServingSim::new(system.clone(), config.clone())?;
+        engine.set_obs(obs.clone());
+        serving = Some(per_design_and_policy(designs, &cluster.router, |d, p| {
+            engine.run(d, p, &trace)
+        })?);
+        if let Some(auto) = &cluster.autoscale {
+            let mut engine =
+                AutoscaleServingSim::new(system.clone(), config.clone(), auto.to_config()?)?;
+            engine.set_obs(obs.clone());
+            let rows: Result<_, ClusterError> =
+                designs.iter().map(|&d| engine.run(d, &trace)).collect();
+            autoscale = Some(rows?);
+        }
+        if let Some(split) = &cluster.disaggregate {
+            let (prefill, decode) = split.to_plans();
+            let mut engine = DisaggServingSim::new(
+                system.clone(),
+                DisaggConfig {
+                    batch: config.batch,
+                    slo: config.slo,
+                    sim: config.sim,
+                    threads: config.threads,
+                    chunk_tokens: split.chunk_tokens,
+                    shared_chips: split.shared_chips,
+                    ..DisaggConfig::new(config.model.clone(), prefill, decode)
+                },
+            )?;
+            engine.set_obs(obs.clone());
+            disagg = Some(per_design_and_policy(designs, &cluster.router, |d, p| {
+                engine.run(d, p, &trace)
+            })?);
+        }
+        if let Some(tenants) = &cluster.tenants {
+            let mut engine = TenantServingSim::new(system.clone(), config, tenants.to_config()?)?;
+            engine.set_obs(obs.clone());
+            tenancy = Some(per_design_and_policy(designs, &cluster.router, |d, p| {
+                engine.run(d, p, &trace, &tenant_ids)
+            })?);
+        }
+    }
 
     Ok(ClusterRunReport {
         scenario: spec.name.clone(),
@@ -441,133 +475,16 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
     })
 }
 
-/// The config every `elk cluster` replay runs `plan` under: the serving
-/// spec's batching and SLO knobs, with the cluster's worker threads.
-/// The serving spec's replica and thread knobs are the flat-pool ones
-/// and are superseded by the cluster layout; its conversion runs on a
-/// one-chip split, which is always even, since each engine checks
-/// `plan` against the model itself.
-fn cluster_serve_config(
-    spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    plan: ParallelismPlan,
-    sim: &elk_sim::SimOptions,
-) -> Result<ClusterServeConfig, SpecError> {
-    let model = spec.model.as_transformer()?;
-    let serve = spec.serving.to_config(model.clone(), 1, *sim)?;
-    Ok(ClusterServeConfig {
-        model,
-        plan,
-        batch: serve.batch,
-        slo: serve.slo,
-        sim: *sim,
-        threads: cluster.threads,
-    })
-}
-
-/// The serving half of `elk cluster`: one routed replay per design ×
-/// router policy, sharing one engine (and therefore one plan cache).
-fn run_cluster_serving(
-    spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    system: &elk_hw::SystemConfig,
-    estimate: &elk_cluster::ClusterReport,
-    sim: &elk_sim::SimOptions,
-    obs: &Obs,
-) -> Result<Vec<elk_cluster::ClusterServingReport>, SpecError> {
-    let config = cluster_serve_config(spec, cluster, estimate.plan, sim)?;
-    let trace = resolve_trace(spec)?;
-    let mut engine = ClusterServingSim::new(system.clone(), config)?;
-    engine.set_obs(obs.clone());
+/// Runs `replay` once per design × router policy, designs outer.
+fn per_design_and_policy<T>(
+    designs: &[Design],
+    policies: &[RouterPolicy],
+    mut replay: impl FnMut(Design, RouterPolicy) -> Result<T, ClusterError>,
+) -> Result<Vec<T>, SpecError> {
     let mut rows = Vec::new();
-    for &design in &spec.compiler.design {
-        for &policy in &cluster.router {
-            rows.push(engine.run(design, policy, &trace)?);
-        }
-    }
-    Ok(rows)
-}
-
-/// The autoscaled half of `elk cluster`: one elastic-fleet replay per
-/// design, on `(tp, pp)` groups of the estimated plan.
-#[allow(clippy::too_many_arguments)]
-fn run_cluster_autoscale(
-    spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    auto: &crate::spec::AutoscaleSpec,
-    system: &elk_hw::SystemConfig,
-    estimate: &elk_cluster::ClusterReport,
-    sim: &elk_sim::SimOptions,
-    obs: &Obs,
-) -> Result<Vec<elk_cluster::AutoscaleReport>, SpecError> {
-    let config = cluster_serve_config(spec, cluster, estimate.plan, sim)?;
-    let trace = resolve_trace(spec)?;
-    let mut engine = AutoscaleServingSim::new(system.clone(), config, auto.to_config()?)?;
-    engine.set_obs(obs.clone());
-    let mut rows = Vec::new();
-    for &design in &spec.compiler.design {
-        rows.push(engine.run(design, &trace)?);
-    }
-    Ok(rows)
-}
-
-/// The multi-tenant half of `elk cluster`: one admission-controlled
-/// replay per design × router policy, sharing one engine (and
-/// therefore one plan cache across every class model).
-#[allow(clippy::too_many_arguments)]
-fn run_cluster_tenancy(
-    spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    tenants: &crate::spec::TenancySpec,
-    system: &elk_hw::SystemConfig,
-    estimate: &elk_cluster::ClusterReport,
-    sim: &elk_sim::SimOptions,
-    obs: &Obs,
-) -> Result<Vec<elk_cluster::TenancyServingReport>, SpecError> {
-    let config = cluster_serve_config(spec, cluster, estimate.plan, sim)?;
-    let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;
-    let mut engine = TenantServingSim::new(system.clone(), config, tenants.to_config()?)?;
-    engine.set_obs(obs.clone());
-    let mut rows = Vec::new();
-    for &design in &spec.compiler.design {
-        for &policy in &cluster.router {
-            rows.push(engine.run(design, policy, &trace, &tenant_ids)?);
-        }
-    }
-    Ok(rows)
-}
-
-/// The disaggregated half of `elk cluster`: one two-pool replay per
-/// design × router policy, sharing one engine (and therefore one plan
-/// cache across both pools).
-fn run_cluster_disagg(
-    spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    disagg: &crate::spec::DisaggSpec,
-    system: &elk_hw::SystemConfig,
-    sim: &elk_sim::SimOptions,
-    obs: &Obs,
-) -> Result<Vec<elk_cluster::DisaggServingReport>, SpecError> {
-    let (prefill, decode) = disagg.to_plans();
-    let config = cluster_serve_config(spec, cluster, prefill, sim)?;
-    let trace = resolve_trace(spec)?;
-    let mut engine = DisaggServingSim::new(
-        system.clone(),
-        DisaggConfig {
-            batch: config.batch,
-            slo: config.slo,
-            sim: config.sim,
-            threads: config.threads,
-            chunk_tokens: disagg.chunk_tokens,
-            shared_chips: disagg.shared_chips,
-            ..DisaggConfig::new(config.model, prefill, decode)
-        },
-    )?;
-    engine.set_obs(obs.clone());
-    let mut rows = Vec::new();
-    for &design in &spec.compiler.design {
-        for &policy in &cluster.router {
-            rows.push(engine.run(design, policy, &trace)?);
+    for &design in designs {
+        for &policy in policies {
+            rows.push(replay(design, policy)?);
         }
     }
     Ok(rows)
