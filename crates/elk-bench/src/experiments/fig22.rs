@@ -43,6 +43,7 @@ pub fn run(ctx: &mut Ctx) {
 
     let with_noc =
         |topo: &SystemConfig, noc| topo.with_total_noc_bandwidth(ByteRate::tib_per_sec(noc));
+    // The base is the first point, so no fit goes unused.
     let base = DesignRunner::new(with_noc(&presets::ipu_pod4(), nocs[0])).with_threads(ctx.threads);
     for (topo_name, topo) in [
         ("all-to-all", presets::ipu_pod4()),

@@ -58,6 +58,7 @@ pub fn run(ctx: &mut Ctx) {
         sys.chip = sys.chip.with_compute_scale(scale);
         sys
     };
+    // The base is the first point, so no fit goes unused.
     let base =
         DesignRunner::new(chip_point(topos[0].1, nocs[0], scales[0])).with_threads(ctx.threads);
     for (topo_name, mk) in topos {
