@@ -268,8 +268,187 @@ pub fn compile_with_catalog(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanMemo;
     use elk_hw::presets;
-    use elk_model::{zoo, Workload};
+    use elk_model::{zoo, NormKind, TransformerConfig, Workload};
+    use proptest::prelude::*;
+
+    /// The candidate loop as first written, kept as the reference the
+    /// production search must match: every schedulable candidate is
+    /// lowered to a full `DeviceProgram` and evaluated, and the least
+    /// `(violations, total, index)` wins.
+    fn reference_compile(
+        system: &SystemConfig,
+        opts: &CompilerOptions,
+        graph: &ModelGraph,
+        catalog: &Catalog,
+    ) -> Result<CompiledPlan, CompileError> {
+        let capacity = opts
+            .schedule
+            .capacity_override
+            .unwrap_or_else(|| system.chip.usable_sram_per_core());
+        let candidates = candidate_orders(graph, catalog, capacity, &opts.reorder);
+        let scheduler = Scheduler::new(graph, catalog, system, opts.schedule);
+        type Key = (usize, Seconds, usize);
+        let best: Mutex<Option<(Key, Schedule)>> = Mutex::new(None);
+        let feasible: Vec<bool> =
+            elk_par::par_map(worker_threads(opts), &candidates, |idx, cand| {
+                let Ok(sched) = scheduler.schedule(&cand.order) else {
+                    return false;
+                };
+                let est = evaluate(&DeviceProgram::lower(graph, catalog, &sched), capacity);
+                let key = (est.capacity_violations, est.total, idx);
+                let mut best = best.lock().unwrap();
+                if best.as_ref().is_none_or(|(k, _)| key < *k) {
+                    *best = Some((key, sched));
+                }
+                true
+            });
+        let ((_, _, best), schedule) =
+            best.into_inner()
+                .unwrap()
+                .ok_or_else(|| CompileError::InvalidPreloadOrder {
+                    reason: "no candidate preload order scheduled feasibly".to_string(),
+                })?;
+        let program = DeviceProgram::lower(graph, catalog, &schedule);
+        let estimate = evaluate(&program, capacity);
+        let avg_preload_number = schedule
+            .per_op
+            .iter()
+            .map(|s| s.preload_number as f64)
+            .sum::<f64>()
+            / schedule.per_op.len() as f64;
+        let stats = CompileStats {
+            compile_seconds: 0.0,
+            orders_considered: candidates.len(),
+            orders_feasible: feasible.iter().filter(|&&f| f).count(),
+            chosen_edit_distance: candidates[best].edit_distance,
+            distinct_signatures: catalog.distinct_signatures(),
+            max_plans_per_op: catalog.max_plans_per_op(),
+            peak_resident_ops: estimate.peak_resident_ops,
+            avg_preload_number,
+        };
+        Ok(CompiledPlan {
+            program,
+            schedule,
+            estimate,
+            stats,
+        })
+    }
+
+    /// Compiles `graph` as Elk-Full and Elk-Dyn at one and two threads,
+    /// checking each against [`reference_compile`] (wall clock aside).
+    fn assert_matches_reference(system: &SystemConfig, graph: &ModelGraph, catalog: &Catalog) {
+        for reorder in [true, false] {
+            for threads in [1, 2] {
+                let mut opts = CompilerOptions {
+                    threads,
+                    ..CompilerOptions::default()
+                };
+                opts.reorder.enable = reorder;
+                let got = compile_with_catalog(system, &opts, graph, catalog).map(|mut plan| {
+                    plan.stats.compile_seconds = 0.0;
+                    plan
+                });
+                let want = reference_compile(system, &opts, graph, catalog);
+                let case = format!("{} (reorder {reorder}, {threads} threads)", graph.name());
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.schedule, want.schedule, "{case}: schedule");
+                        assert!(got.program == want.program, "{case}: programs differ");
+                        assert_eq!(got.estimate, want.estimate, "{case}: estimate");
+                        assert_eq!(got.stats, want.stats, "{case}: stats");
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                    (got, want) => panic!("{case}: {:?} vs {:?}", got.err(), want.err()),
+                }
+            }
+        }
+    }
+
+    /// Every graph of the `compiler` bench's `compile_ladder`: full-depth
+    /// Llama-2-13B at tp2, decode at batch {1, 4, 16} × sequence {64, …,
+    /// 2048} and prefill at batch {1, 2, 8} × sequence {32, …, 1024}.
+    #[test]
+    fn candidate_loop_matches_reference_on_the_compile_ladder() {
+        let system = presets::ipu_pod4().subpod(2);
+        let cost = LearnedCostModel::of_chip(&system.chip);
+        let partitioner = Partitioner::new(&system.chip, &cost);
+        let memo = PlanMemo::new();
+        let model = zoo::llama2_13b();
+        let decode = [1, 4, 16]
+            .into_iter()
+            .flat_map(|b| [64, 128, 256, 512, 1024, 2048].map(|s| Workload::decode(b, s)));
+        let prefill = [1, 2, 8]
+            .into_iter()
+            .flat_map(|b| [32, 64, 128, 256, 512, 1024].map(|s| Workload::prefill(b, s)));
+        for wl in decode.chain(prefill) {
+            let graph = model.build(wl, 2);
+            let catalog = Catalog::build_in(&graph, &partitioner, 1, &memo).expect("catalog");
+            assert_matches_reference(&system, &graph, &catalog);
+        }
+    }
+
+    /// The model and workload strategies of the workspace's
+    /// `tests/properties.rs`.
+    fn arb_config() -> impl Strategy<Value = TransformerConfig> {
+        (
+            1u32..=3,
+            prop::sample::select(vec![512u64, 1024, 2048]),
+            prop::sample::select(vec![8u64, 16]),
+            prop::sample::select(vec![1u64, 2, 4]),
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(
+                |(layers, hidden, heads, kv_div, glu, rope)| TransformerConfig {
+                    name: format!("prop-{hidden}h{heads}"),
+                    layers,
+                    hidden,
+                    heads,
+                    kv_heads: (heads / kv_div).max(4),
+                    head_dim: hidden / heads,
+                    intermediate: hidden * 3,
+                    vocab: 8192,
+                    glu,
+                    norm: if glu { NormKind::Rms } else { NormKind::Layer },
+                    rope,
+                    post_norms: false,
+                },
+            )
+    }
+
+    fn arb_workload() -> impl Strategy<Value = Workload> {
+        (
+            prop::sample::select(vec![1u64, 4, 16]),
+            prop::sample::select(vec![256u64, 1024]),
+            any::<bool>(),
+        )
+            .prop_map(|(b, s, decode)| {
+                if decode {
+                    Workload::decode(b, s)
+                } else {
+                    Workload::prefill(b, s)
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+
+        #[test]
+        fn candidate_loop_matches_reference_on_random_models(
+            cfg in arb_config(),
+            wl in arb_workload(),
+        ) {
+            let system = presets::ipu_pod4();
+            let graph = cfg.build(wl, 4);
+            let cost = LearnedCostModel::of_chip(&system.chip);
+            let catalog = Catalog::build(&graph, &Partitioner::new(&system.chip, &cost))
+                .expect("catalog");
+            assert_matches_reference(&system, &graph, &catalog);
+        }
+    }
 
     fn small_graph() -> ModelGraph {
         let mut cfg = zoo::llama2_13b();

@@ -96,27 +96,34 @@ pub fn candidate_orders(
         })
         .collect();
 
+    let perms = layer_permutations(h, opts.max_edit_distance, opts.max_orders, |p| {
+        order_fits(p, &min_space, capacity)
+    });
+    let mut out = vec![identity];
+    out.extend(perms.into_iter().map(|p| CandidateOrder {
+        order: apply_layer_perm(graph, &p),
+        edit_distance: inversions(&p),
+    }));
+    out
+}
+
+/// The non-identity permutations of `0..h` within `max_edit_distance`
+/// inversions that `fits` keeps, in `(inversions, lexicographic)` order,
+/// at most `max_orders - 1` of them (identity takes the first slot).
+fn layer_permutations(
+    h: usize,
+    max_edit_distance: Option<usize>,
+    max_orders: usize,
+    fits: impl Fn(&[usize]) -> bool,
+) -> Vec<Vec<usize>> {
     let mut perms = permutations(h);
     perms.retain(|p| {
         let d = inversions(p);
-        opts.max_edit_distance.is_none_or(|cap| d <= cap) && order_fits(p, &min_space, capacity)
+        d > 0 && max_edit_distance.is_none_or(|cap| d <= cap) && fits(p)
     });
     perms.sort_by_key(|p| (inversions(p), p.clone()));
-
-    let mut out = vec![identity];
-    for p in perms {
-        if inversions(&p) == 0 {
-            continue; // identity already present
-        }
-        if out.len() >= opts.max_orders {
-            break;
-        }
-        out.push(CandidateOrder {
-            order: apply_layer_perm(graph, &p),
-            edit_distance: inversions(&p),
-        });
-    }
-    out
+    perms.truncate(max_orders.saturating_sub(1));
+    perms
 }
 
 /// Builds the full-model π by permuting each layer's heavy preload slots
@@ -208,6 +215,49 @@ mod tests {
     use elk_hw::presets;
     use elk_model::{zoo, Workload};
     use elk_partition::Partitioner;
+
+    /// Permutation generation as first written: all `h!` orders by
+    /// Heap's algorithm, filtered, sorted by `(inversions, order)`, with
+    /// identity dropped. `candidate_orders` then kept the first
+    /// `max_orders - 1`.
+    fn reference_layer_permutations(
+        h: usize,
+        max_edit_distance: Option<usize>,
+        fits: impl Fn(&[usize]) -> bool,
+    ) -> Vec<Vec<usize>> {
+        let mut perms = permutations(h);
+        perms.retain(|p| {
+            let d = inversions(p);
+            max_edit_distance.is_none_or(|cap| d <= cap) && fits(p)
+        });
+        perms.sort_by_key(|p| (inversions(p), p.clone()));
+        perms.retain(|p| inversions(p) > 0);
+        perms
+    }
+
+    #[test]
+    fn layer_permutations_match_reference() {
+        type Filter<'a> = &'a dyn Fn(&[usize]) -> bool;
+        // Unit footprints against a capacity of 2 keep only orders in
+        // which no op is preloaded behind two later-executing ones.
+        let unit = |p: &[usize]| order_fits(p, &vec![Bytes::new(1); p.len()], Bytes::new(2));
+        let filters: [Filter; 3] = [&|_| true, &|p| p[0] != p.len() - 1, &unit];
+        for h in 2..=8 {
+            for cap in std::iter::once(None).chain((0..=6).map(Some)) {
+                for fits in filters {
+                    let all = reference_layer_permutations(h, cap, fits);
+                    for max_orders in [1, 2, 48, 720] {
+                        let want = &all[..all.len().min(max_orders - 1)];
+                        assert_eq!(
+                            layer_permutations(h, cap, max_orders, fits),
+                            want,
+                            "h {h}, cap {cap:?}, max_orders {max_orders}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn permutation_count_is_factorial() {
