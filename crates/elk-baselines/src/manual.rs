@@ -20,13 +20,13 @@ pub(crate) struct ManualChoice {
 
 /// Assembles a [`Schedule`] (identity preload order) from per-operator
 /// choices, deriving execution and preload lengths exactly like the Elk
-/// scheduler does, then lowers it.
-pub(crate) fn lower(
+/// scheduler does.
+pub(crate) fn schedule(
     graph: &ModelGraph,
     catalog: &Catalog,
     system: &SystemConfig,
     choices: &[ManualChoice],
-) -> DeviceProgram {
+) -> Schedule {
     assert_eq!(choices.len(), graph.len(), "choice per operator required");
     let order = identity_order(graph.len());
     // A throwaway scheduler instance provides the preload-duration model.
@@ -55,10 +55,19 @@ pub(crate) fn lower(
         })
         .collect();
 
-    let schedule = Schedule {
+    Schedule {
         per_op,
         order,
         est_total: Seconds::ZERO,
-    };
-    DeviceProgram::lower(graph, catalog, &schedule)
+    }
+}
+
+/// [`schedule`], lowered.
+pub(crate) fn lower(
+    graph: &ModelGraph,
+    catalog: &Catalog,
+    system: &SystemConfig,
+    choices: &[ManualChoice],
+) -> DeviceProgram {
+    DeviceProgram::lower(graph, catalog, &schedule(graph, catalog, system, choices))
 }

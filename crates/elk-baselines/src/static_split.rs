@@ -8,11 +8,13 @@
 
 use elk_hw::SystemConfig;
 use elk_model::ModelGraph;
-use elk_units::Bytes;
+use elk_units::{Bytes, Seconds};
 
-use elk_core::{evaluate, Catalog, CompileError, DeviceProgram, PlanEstimate};
+use elk_core::{
+    evaluate, rank_schedule, Catalog, CompileError, DeviceProgram, PlanEstimate, Schedule,
+};
 
-use crate::manual::{lower, ManualChoice};
+use crate::manual::{lower, schedule, ManualChoice};
 
 /// Global preload-state mode of the Static design: broadcast everything
 /// at preload time, or hold minimal footprints and gather at execution
@@ -30,8 +32,10 @@ pub enum PreloadMode {
 /// × both preload modes, the first of equally fast ones.
 ///
 /// Budgets often pick the same plans: each distinct choice vector is
-/// lowered and evaluated once, since a repeat lowers to the same program
-/// and cannot beat it under the strict `<`.
+/// ranked once by [`rank_schedule`], since a repeat lowers to the same
+/// program and cannot beat it under the strict `<`. The ranking replays
+/// each schedule without lowering it and stops one that runs past the
+/// best total so far; only the winner is lowered and evaluated.
 pub(crate) fn plan(
     graph: &ModelGraph,
     catalog: &Catalog,
@@ -43,7 +47,7 @@ pub(crate) fn plan(
     let capacity = system.chip.usable_sram_per_core();
 
     let mut tried: Vec<Vec<ManualChoice>> = Vec::new();
-    let mut best: Option<(DeviceProgram, PlanEstimate)> = None;
+    let mut best: Option<(Seconds, Schedule)> = None;
     for percent in (10..=90).step_by(10) {
         let exec_budget = capacity.scale(percent as f64 / 100.0);
         for mode in [PreloadMode::MaxBroadcast, PreloadMode::MinFootprint] {
@@ -53,22 +57,28 @@ pub(crate) fn plan(
             if tried.contains(&choices) {
                 continue;
             }
-            let prog = lower(graph, catalog, system, &choices);
+            let sched = schedule(graph, catalog, system, &choices);
             tried.push(choices);
-            let est = evaluate(&prog, capacity);
-            if est.capacity_violations > 0 {
+            let bound = best.as_ref().map(|(total, _)| *total);
+            let Some((violations, total)) = rank_schedule(catalog, &sched, capacity, bound) else {
+                continue;
+            };
+            if violations > 0 {
                 continue;
             }
-            if best.as_ref().is_none_or(|(_, b)| est.total < b.total) {
-                best = Some((prog, est));
+            if best.as_ref().is_none_or(|(b, _)| total < *b) {
+                best = Some((total, sched));
             }
         }
     }
-    best.ok_or(CompileError::CapacityExceeded {
+    let (_, sched) = best.ok_or(CompileError::CapacityExceeded {
         op: "static split".to_string(),
         required: capacity,
         capacity,
-    })
+    })?;
+    let program = DeviceProgram::lower(graph, catalog, &sched);
+    let estimate = evaluate(&program, capacity);
+    Ok((program, estimate))
 }
 
 /// Builds a Static-design program for an explicit execution budget and
@@ -171,7 +181,6 @@ mod tests {
     use elk_hw::presets;
     use elk_model::{zoo, Workload};
     use elk_sim::{simulate, SimOptions};
-    use elk_units::Seconds;
 
     /// The Static search as first written, kept as the reference the
     /// production search must match: all 18 (split, mode) points lowered

@@ -60,6 +60,53 @@ pub(crate) struct Chosen {
     pub(crate) distribute_time: Seconds,
 }
 
+/// What [`allocate_into`] starts from over a window list that grows one
+/// frontier at a time: every operator at its fastest point, with the
+/// footprint and distribution-time sums carried across pushes. While
+/// that start fits, the greedy takes no step, so the scheduler asks the
+/// greedy only once the start overflows.
+pub(crate) struct Fastest {
+    current: FrontierPoint,
+    window_space: Bytes,
+    distribute_time: Seconds,
+}
+
+impl Fastest {
+    /// The start over `current` and the `windows` so far.
+    pub(crate) fn new(current: &[FrontierPoint], windows: &[&[FrontierPoint]]) -> Self {
+        assert!(!current.is_empty(), "current operator has empty frontier");
+        let mut fastest = Fastest {
+            current: current[0],
+            window_space: Bytes::ZERO,
+            distribute_time: Seconds::ZERO,
+        };
+        for window in windows {
+            fastest.push(window);
+        }
+        fastest
+    }
+
+    /// Adds the next window operator's frontier. The sums grow from
+    /// zero in window order, as [`allocate_into`]'s do, so they agree
+    /// bit for bit.
+    pub(crate) fn push(&mut self, window: &[FrontierPoint]) {
+        self.window_space += window[0].space;
+        self.distribute_time += window[0].time;
+    }
+
+    /// [`allocate_into`]'s result, with every position 0, when the start
+    /// fits `capacity`; `None` when the greedy would have to step.
+    pub(crate) fn fit(&self, capacity: Bytes) -> Option<Chosen> {
+        let space = self.current.space + self.window_space;
+        (space <= capacity).then_some(Chosen {
+            current: 0,
+            space,
+            exec_time: self.current.time,
+            distribute_time: self.distribute_time,
+        })
+    }
+}
+
 /// [`allocate`] over a caller-owned position buffer, so the scheduler's
 /// per-operator calls allocate nothing. On success `pos[0]` is the
 /// current operator's frontier index and `pos[1..]` the window picks.
@@ -126,6 +173,8 @@ pub(crate) fn allocate_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto_frontier;
+    use proptest::prelude::*;
 
     fn fp(plan_idx: usize, space: u64, time_us: f64) -> FrontierPoint {
         FrontierPoint {
@@ -237,6 +286,58 @@ mod tests {
         for cap in (70..300).step_by(7) {
             if let Some(a) = allocate(&cur, &[&w1, &w2], Bytes::new(cap)) {
                 assert!(a.space <= Bytes::new(cap));
+            }
+        }
+    }
+
+    fn arb_frontier(max: usize) -> impl Strategy<Value = Vec<FrontierPoint>> {
+        prop::collection::vec((1u64..10_000, 0.1f64..500.0), 1..max).prop_map(|raw| {
+            pareto_frontier(
+                raw.into_iter()
+                    .enumerate()
+                    .map(|(i, (space, us))| fp(i, space, us)),
+            )
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn fast_path_matches_the_greedy(
+            cur in arb_frontier(8),
+            windows in prop::collection::vec(arb_frontier(6), 0..=8),
+            at in 0usize..=8,
+            slack in prop::sample::select(vec![-1i64, 0, 1, 5_000]),
+        ) {
+            // Capacity sits at (or a byte or two around) the fastest
+            // start over the first `at` windows, so "exactly met" is hit.
+            let refs: Vec<&[FrontierPoint]> = windows.iter().map(Vec::as_slice).collect();
+            let start = |k: usize| {
+                cur[0].space + refs[..k].iter().map(|w| w[0].space).sum::<Bytes>()
+            };
+            let capacity = Bytes::new(start(at.min(refs.len())).get().saturating_add_signed(slack));
+            let mut fastest = Fastest::new(&cur, &[]);
+            let mut pos = Vec::new();
+            for k in 0..=refs.len() {
+                if k > 0 {
+                    fastest.push(refs[k - 1]);
+                }
+                let greedy = allocate_into(&cur, &refs[..k], capacity, &mut pos);
+                let Some(fast) = fastest.fit(capacity) else {
+                    prop_assert!(start(k) > capacity, "fits but the fast path declined");
+                    continue;
+                };
+                let greedy = greedy.expect("a fitting start is feasible");
+                prop_assert_eq!(
+                    (fast.current, fast.space, fast.exec_time.as_secs().to_bits()),
+                    (greedy.current, greedy.space, greedy.exec_time.as_secs().to_bits())
+                );
+                prop_assert_eq!(
+                    fast.distribute_time.as_secs().to_bits(),
+                    greedy.distribute_time.as_secs().to_bits()
+                );
+                prop_assert!(pos.iter().all(|&i| i == 0), "the greedy stepped: {pos:?}");
+                let whole = Fastest::new(&cur, &refs[..k]).fit(capacity).expect("same start");
+                prop_assert_eq!(whole.distribute_time, fast.distribute_time);
             }
         }
     }

@@ -10,8 +10,8 @@ use elk_partition::Partitioner;
 use elk_units::Seconds;
 
 use crate::{
-    candidate_orders, evaluate, Catalog, CompileError, DeviceProgram, PlanEstimate, ReorderOptions,
-    Schedule, ScheduleOptions, Scheduler,
+    candidate_orders, evaluate, rank_schedule, Catalog, CompileError, DeviceProgram, PlanEstimate,
+    ReorderOptions, Schedule, ScheduleOptions, Scheduler,
 };
 
 /// End-to-end compiler configuration.
@@ -184,10 +184,10 @@ fn worker_threads(opts: &CompilerOptions) -> usize {
 /// fitted model elsewhere borrow instead of building a compiler.
 ///
 /// Every candidate order is scheduled once, and each one that schedules
-/// is lowered and evaluated once. The winner is the least `(capacity
-/// violations, total, candidate index)`, the same at any thread count;
-/// its schedule is kept from that pass and lowered and evaluated once
-/// more for the returned plan.
+/// is ranked by [`rank_schedule`], the replay [`evaluate`] runs, without
+/// lowering it. The winner is the least `(capacity violations, total,
+/// candidate index)`, the same at any thread count; only its schedule is
+/// lowered and evaluated, for the returned plan.
 ///
 /// # Errors
 ///
@@ -212,20 +212,28 @@ pub fn compile_with_catalog(
 
     let scheduler = Scheduler::new(graph, catalog, system, opts.schedule);
 
-    // Evaluate every candidate order on the work pool, keeping the best
+    // Rank every candidate order on the work pool, keeping the best
     // one's schedule. Keys are unique (the index breaks ties), so the
-    // winner is the same whatever order the workers finish in.
+    // winner is the same whatever order the workers finish in. Once the
+    // best so far is violation-free, its total bounds the replay: a
+    // candidate that passes it loses to that key, and so to the winner,
+    // whichever key the race had published when it read the bound.
     type Key = (usize, Seconds, usize);
     let best: Mutex<Option<(Key, Schedule)>> = Mutex::new(None);
+    let lock = || best.lock().unwrap_or_else(PoisonError::into_inner);
     let feasible: Vec<bool> = elk_par::par_map(worker_threads(opts), &candidates, |idx, cand| {
         let Ok(sched) = scheduler.schedule(&cand.order) else {
             return false;
         };
-        let est = evaluate(&DeviceProgram::lower(graph, catalog, &sched), capacity);
-        let key = (est.capacity_violations, est.total, idx);
-        let mut best = best.lock().unwrap_or_else(PoisonError::into_inner);
-        if best.as_ref().is_none_or(|(k, _)| key < *k) {
-            *best = Some((key, sched));
+        let bound = lock()
+            .as_ref()
+            .and_then(|((violations, total, _), _)| (*violations == 0).then_some(*total));
+        if let Some((violations, total)) = rank_schedule(catalog, &sched, capacity, bound) {
+            let key = (violations, total, idx);
+            let mut best = lock();
+            if best.as_ref().is_none_or(|(k, _)| key < *k) {
+                *best = Some((key, sched));
+            }
         }
         true
     });

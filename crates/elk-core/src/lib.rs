@@ -52,4 +52,4 @@ pub use frontier::{Catalog, OpPlans, PlanMemo};
 pub use program::{DeviceInstr, DeviceProgram, OpSpec};
 pub use reorder::{candidate_orders, inversions, CandidateOrder, ReorderOptions};
 pub use schedule::{identity_order, OpSchedule, Schedule, ScheduleOptions, Scheduler};
-pub use timeline::{evaluate, PlanEstimate};
+pub use timeline::{evaluate, rank_schedule, PlanEstimate};

@@ -101,23 +101,8 @@ impl DeviceProgram {
     pub fn lower(graph: &ModelGraph, catalog: &Catalog, schedule: &Schedule) -> DeviceProgram {
         let n = graph.len();
         assert_eq!(schedule.per_op.len(), n, "schedule does not cover graph");
-        let mut pos = vec![0usize; n];
-        for (k, id) in schedule.order.iter().enumerate() {
-            pos[id.index()] = k;
-        }
-
         let mut instrs = Vec::with_capacity(2 * n);
-        let mut issued = 0usize;
-        for (i, per_op) in schedule.per_op.iter().enumerate() {
-            let cut = per_op.cut.max(pos[i] + 1).min(n);
-            while issued < cut {
-                instrs.push(DeviceInstr::PreloadAsync {
-                    op: schedule.order[issued],
-                });
-                issued += 1;
-            }
-            instrs.push(DeviceInstr::Execute { op: OpId(i) });
-        }
+        instrs.extend(issue_order(schedule));
 
         let specs = (0..n)
             .map(|i| {
@@ -218,6 +203,32 @@ impl DeviceProgram {
             })
             .collect()
     }
+}
+
+/// The §4.5 instruction stream of `schedule`: `Execute`s in operator
+/// order, each preceded by the preloads it lets issue. Before operator
+/// `i` executes, every preload at π position `< max(cut_i, pos_i + 1)`
+/// has been issued: its own preload at the latest, and as many ahead as
+/// its overlap window allows.
+pub(crate) fn issue_order(schedule: &Schedule) -> impl Iterator<Item = DeviceInstr> + '_ {
+    let n = schedule.per_op.len();
+    let mut pos = vec![0usize; n];
+    for (k, id) in schedule.order.iter().enumerate() {
+        pos[id.index()] = k;
+    }
+    let mut issued = 0usize;
+    schedule
+        .per_op
+        .iter()
+        .enumerate()
+        .flat_map(move |(i, per_op)| {
+            let from = issued;
+            issued = issued.max(per_op.cut.max(pos[i] + 1).min(n));
+            schedule.order[from..issued]
+                .iter()
+                .map(|&op| DeviceInstr::PreloadAsync { op })
+                .chain(std::iter::once(DeviceInstr::Execute { op: OpId(i) }))
+        })
 }
 
 #[cfg(test)]

@@ -66,17 +66,24 @@ pub fn candidate_orders(
         return vec![identity];
     }
 
-    // Heavy slots of a representative (interior, so identical) layer.
+    // Heavy slots of every layer, found once: a candidate permutes each
+    // layer shaped like the representative (interior, so identical) one
+    // and leaves boundary layers of another shape in identity.
     let heavy = graph.hbm_heavy_ops();
-    let spans = graph.layer_spans();
-    let Some(span) = spans.get(1).or_else(|| spans.first()) else {
+    let layer_slots: Vec<Vec<usize>> = graph
+        .layer_spans()
+        .iter()
+        .map(|span| {
+            heavy
+                .iter()
+                .map(|id| id.index())
+                .filter(|i| span.ops.contains(i))
+                .collect()
+        })
+        .collect();
+    let Some(slots) = layer_slots.get(1).or_else(|| layer_slots.first()) else {
         return vec![identity];
     };
-    let slots: Vec<usize> = heavy
-        .iter()
-        .map(|id| id.index())
-        .filter(|i| span.ops.contains(i))
-        .collect();
     let h = slots.len();
     if !(2..=8).contains(&h) {
         return vec![identity];
@@ -99,9 +106,14 @@ pub fn candidate_orders(
     let perms = layer_permutations(h, opts.max_edit_distance, opts.max_orders, |p| {
         order_fits(p, &min_space, capacity)
     });
+    let permuted: Vec<&[usize]> = layer_slots
+        .iter()
+        .filter(|slots| slots.len() == h)
+        .map(Vec::as_slice)
+        .collect();
     let mut out = vec![identity];
     out.extend(perms.into_iter().map(|p| CandidateOrder {
-        order: apply_layer_perm(graph, &p),
+        order: apply_layer_perm(n, &permuted, &p),
         edit_distance: inversions(&p),
     }));
     out
@@ -110,39 +122,77 @@ pub fn candidate_orders(
 /// The non-identity permutations of `0..h` within `max_edit_distance`
 /// inversions that `fits` keeps, in `(inversions, lexicographic)` order,
 /// at most `max_orders - 1` of them (identity takes the first slot).
+///
+/// Generated in that order, so the search stops at the cap: a
+/// permutation's inversions are the digit sum of its Lehmer code (digit
+/// `k` counts the later entries smaller than entry `k`), and Lehmer codes
+/// sort like their permutations.
 fn layer_permutations(
     h: usize,
     max_edit_distance: Option<usize>,
     max_orders: usize,
     fits: impl Fn(&[usize]) -> bool,
 ) -> Vec<Vec<usize>> {
-    let mut perms = permutations(h);
-    perms.retain(|p| {
-        let d = inversions(p);
-        d > 0 && max_edit_distance.is_none_or(|cap| d <= cap) && fits(p)
-    });
-    perms.sort_by_key(|p| (inversions(p), p.clone()));
-    perms.truncate(max_orders.saturating_sub(1));
-    perms
+    let want = max_orders.saturating_sub(1);
+    let most = h * h.saturating_sub(1) / 2;
+    let mut out = Vec::new();
+    let mut code = vec![0usize; h];
+    for d in 1..=max_edit_distance.map_or(most, |cap| cap.min(most)) {
+        let more = each_code(&mut code, 0, d, &mut |code| {
+            if out.len() < want {
+                let perm = decode(code);
+                if fits(&perm) {
+                    out.push(perm);
+                }
+            }
+            out.len() < want
+        });
+        if !more {
+            break;
+        }
+    }
+    out
 }
 
-/// Builds the full-model π by permuting each layer's heavy preload slots
-/// with `perm` and leaving light operators in execution order.
-fn apply_layer_perm(graph: &ModelGraph, perm: &[usize]) -> Vec<OpId> {
-    let mut order: Vec<OpId> = (0..graph.len()).map(OpId).collect();
-    let heavy = graph.hbm_heavy_ops();
-    for span in graph.layer_spans() {
-        let slots: Vec<usize> = heavy
-            .iter()
-            .map(|id| id.index())
-            .filter(|i| span.ops.contains(i))
-            .collect();
-        if slots.len() != perm.len() {
-            continue; // boundary layer with a different shape: keep identity
+/// Visits, in lexicographic order, every Lehmer code that agrees with
+/// `code[..k]` and whose remaining digits sum to `left`, until `visit`
+/// returns `false`; returns whether it ran to the end.
+fn each_code(
+    code: &mut [usize],
+    k: usize,
+    left: usize,
+    visit: &mut impl FnMut(&[usize]) -> bool,
+) -> bool {
+    let Some(room) = code.len().checked_sub(k + 1) else {
+        return visit(code); // every digit placed, and the bounds left 0
+    };
+    // Digit `k` is at most `room`; the later ones sum to at most
+    // `room (room - 1) / 2`.
+    let rest = room * room.saturating_sub(1) / 2;
+    for digit in left.saturating_sub(rest)..=room.min(left) {
+        code[k] = digit;
+        if !each_code(code, k + 1, left - digit, visit) {
+            return false;
         }
-        let ops_at: Vec<OpId> = slots.iter().map(|&i| OpId(i)).collect();
-        for (slot_pos, &src) in perm.iter().enumerate() {
-            order[slots[slot_pos]] = ops_at[src];
+    }
+    true
+}
+
+/// The permutation whose Lehmer code is `code`: entry `k` is the
+/// `code[k]`-th smallest value not yet placed.
+fn decode(code: &[usize]) -> Vec<usize> {
+    let mut unused: Vec<usize> = (0..code.len()).collect();
+    code.iter().map(|&digit| unused.remove(digit)).collect()
+}
+
+/// Builds the full-model π over `n` operators by permuting the heavy
+/// preload slots of each layer in `layers` with `perm`, leaving every
+/// other operator in execution order.
+fn apply_layer_perm(n: usize, layers: &[&[usize]], perm: &[usize]) -> Vec<OpId> {
+    let mut order: Vec<OpId> = (0..n).map(OpId).collect();
+    for slots in layers {
+        for (&slot, &src) in slots.iter().zip(perm) {
+            order[slot] = OpId(slots[src]);
         }
     }
     order
@@ -171,29 +221,6 @@ fn order_fits(perm: &[usize], min_space: &[Bytes], capacity: Bytes) -> bool {
     true
 }
 
-/// All permutations of `0..h` (Heap's algorithm).
-fn permutations(h: usize) -> Vec<Vec<usize>> {
-    let mut items: Vec<usize> = (0..h).collect();
-    let mut out = Vec::new();
-    heap_rec(h, &mut items, &mut out);
-    out
-}
-
-fn heap_rec(k: usize, items: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-    if k <= 1 {
-        out.push(items.clone());
-        return;
-    }
-    for i in 0..k {
-        heap_rec(k - 1, items, out);
-        if k.is_multiple_of(2) {
-            items.swap(i, k - 1);
-        } else {
-            items.swap(0, k - 1);
-        }
-    }
-}
-
 /// Kendall-tau distance from identity: the number of inversions.
 #[must_use]
 pub fn inversions(perm: &[usize]) -> usize {
@@ -215,6 +242,29 @@ mod tests {
     use elk_hw::presets;
     use elk_model::{zoo, Workload};
     use elk_partition::Partitioner;
+
+    /// All permutations of `0..h` (Heap's algorithm).
+    fn permutations(h: usize) -> Vec<Vec<usize>> {
+        let mut items: Vec<usize> = (0..h).collect();
+        let mut out = Vec::new();
+        heap_rec(h, &mut items, &mut out);
+        out
+    }
+
+    fn heap_rec(k: usize, items: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if k <= 1 {
+            out.push(items.clone());
+            return;
+        }
+        for i in 0..k {
+            heap_rec(k - 1, items, out);
+            if k.is_multiple_of(2) {
+                items.swap(i, k - 1);
+            } else {
+                items.swap(0, k - 1);
+            }
+        }
+    }
 
     /// Permutation generation as first written: all `h!` orders by
     /// Heap's algorithm, filtered, sorted by `(inversions, order)`, with

@@ -5,7 +5,7 @@ use elk_model::{ModelGraph, OpId};
 use elk_partition::PreloadPlan;
 use elk_units::{Bytes, Seconds};
 
-use crate::alloc::allocate_into;
+use crate::alloc::{allocate_into, Fastest};
 use crate::{Catalog, CompileError, FrontierPoint};
 
 /// Scheduler knobs. The defaults are full Elk behaviour; baselines restrict
@@ -103,6 +103,9 @@ struct Pending<'a> {
 /// lengths it commits.
 struct Best {
     p: usize,
+    /// Whether the allocator stepped, leaving the window picks in the
+    /// best-position buffer; otherwise every pick is 0.
+    stepped: bool,
     current: usize,
     score: Seconds,
     exe_start: Seconds,
@@ -239,14 +242,19 @@ impl<'a> Scheduler<'a> {
 
             windows.clear();
             windows.extend(pending.iter().rev().take(min_p).map(|q| q.points));
+            let mut fastest = Fastest::new(&plans.exec_frontier, &windows);
             let mut best: Option<Best> = None;
             for p in min_p..=max_p {
                 if p > min_p {
-                    windows.push(nth(p - 1).expect("p <= max_p <= pending").points);
+                    let points = nth(p - 1).expect("p <= max_p <= pending").points;
+                    windows.push(points);
+                    fastest.push(points);
                 }
-                let Some(alloc) =
+                let fit = fastest.fit(capacity);
+                let stepped = fit.is_none();
+                let Some(alloc) = fit.or_else(|| {
                     allocate_into(&plans.exec_frontier, &windows, capacity, &mut alloc_pos)
-                else {
+                }) else {
                     if best.is_none() {
                         return Err(CompileError::CapacityExceeded {
                             op: self.graph.op(op).name().to_string(),
@@ -269,13 +277,16 @@ impl<'a> Scheduler<'a> {
                 if best.as_ref().is_none_or(|b| score < b.score) {
                     best = Some(Best {
                         p,
+                        stepped,
                         current: alloc.current,
                         score,
                         exe_start,
                         exec_len,
                         contention,
                     });
-                    std::mem::swap(&mut best_pos, &mut alloc_pos);
+                    if stepped {
+                        std::mem::swap(&mut best_pos, &mut alloc_pos);
+                    }
                 }
             }
 
@@ -283,11 +294,14 @@ impl<'a> Scheduler<'a> {
             let p = best.p;
             // Commit window picks with the min-space rule: an operator
             // resident in several windows keeps its smallest footprint.
-            for (q, &pick) in pending.iter().rev().take(p).zip(&best_pos[1..]) {
-                let s = per_op[q.op.index()]
-                    .as_mut()
-                    .expect("window ops are already scheduled");
-                s.preload_idx = s.preload_idx.max(pick);
+            // Picks of 0 change nothing.
+            if best.stepped {
+                for (q, &pick) in pending.iter().rev().take(p).zip(&best_pos[1..]) {
+                    let s = per_op[q.op.index()]
+                        .as_mut()
+                        .expect("window ops are already scheduled");
+                    s.preload_idx = s.preload_idx.max(pick);
+                }
             }
 
             let cut = nth(p).map_or(n, |q| q.pos);

@@ -1,8 +1,10 @@
 use serde::{Deserialize, Serialize};
 
+use elk_model::OpId;
 use elk_units::{Bytes, Seconds};
 
-use crate::{DeviceInstr, DeviceProgram};
+use crate::program::issue_order;
+use crate::{Catalog, DeviceInstr, DeviceProgram, Schedule};
 
 /// Forward timeline evaluation of a device program under the §4.5
 /// hardware rules — the compiler's authoritative end-to-end estimate
@@ -47,53 +49,121 @@ impl PlanEstimate {
 /// memory residency against `capacity`.
 #[must_use]
 pub fn evaluate(program: &DeviceProgram, capacity: Bytes) -> PlanEstimate {
-    let n = program.op_count();
-    let mut pre_end = vec![Seconds::ZERO; n];
-    let mut pre_span = vec![(Seconds::ZERO, Seconds::ZERO); n];
-    let mut exec_span = vec![(Seconds::ZERO, Seconds::ZERO); n];
-    let mut pre_free = Seconds::ZERO;
-    let mut exec_free = Seconds::ZERO;
-    let mut barrier = Seconds::ZERO; // end of the last Execute issued so far
-
-    for instr in &program.instrs {
-        match *instr {
-            DeviceInstr::PreloadAsync { op } => {
-                let spec = &program.specs[op.index()];
-                let start = pre_free.max(barrier);
-                let end = start + spec.preload_len;
-                pre_span[op.index()] = (start, end);
-                pre_end[op.index()] = end;
-                pre_free = end;
-            }
-            DeviceInstr::Execute { op } => {
-                let spec = &program.specs[op.index()];
-                let start = exec_free.max(pre_end[op.index()]);
-                let end = start + spec.exec_len;
-                exec_span[op.index()] = (start, end);
-                exec_free = end;
-                barrier = end;
-            }
-        }
-    }
-
-    let total = exec_free;
-    let preload_busy: Seconds = pre_span.iter().map(|&(s, e)| e - s).sum();
-    let exec_busy: Seconds = exec_span.iter().map(|&(s, e)| e - s).sum();
-    let overlap = interval_overlap(&pre_span, &exec_span);
+    let specs = &program.specs;
+    let Spans { pre, exec, total } = replay(
+        program.instrs.iter().copied(),
+        specs.len(),
+        |i| (specs[i].preload_len, specs[i].exec_len),
+        None,
+    )
+    .expect("an unbounded replay runs to the end");
+    let preload_busy: Seconds = pre.iter().map(|&(s, e)| e - s).sum();
+    let exec_busy: Seconds = exec.iter().map(|&(s, e)| e - s).sum();
+    let overlap = interval_overlap(&pre, &exec);
     let (peak_resident, peak_resident_ops, capacity_violations) =
-        audit_memory(program, &pre_span, &exec_span, capacity);
+        audit_memory(&pre, &exec, capacity, |i| {
+            (specs[i].preload_space, specs[i].exec_space)
+        });
 
     PlanEstimate {
         total,
         preload_busy,
         exec_busy,
         overlap,
-        exec_spans: exec_span,
-        preload_spans: pre_span,
+        exec_spans: exec,
+        preload_spans: pre,
         peak_resident,
         peak_resident_ops,
         capacity_violations,
     }
+}
+
+/// Ranks `schedule` without lowering it: the `(capacity_violations,
+/// total)` that [`evaluate`] gives [`DeviceProgram::lower`]'s program,
+/// from the same replay and audit, with no specs, names, busy sums or
+/// overlap.
+///
+/// With a `bound`, returns `None` as soon as the execution front passes
+/// it: execute end times only grow, so the total would exceed `bound`
+/// too. A candidate stopped this way cannot beat a violation-free plan
+/// of total `bound`.
+#[must_use]
+pub fn rank_schedule(
+    catalog: &Catalog,
+    schedule: &Schedule,
+    capacity: Bytes,
+    bound: Option<Seconds>,
+) -> Option<(usize, Seconds)> {
+    let per_op = &schedule.per_op;
+    let Spans { pre, exec, total } = replay(
+        issue_order(schedule),
+        per_op.len(),
+        |i| (per_op[i].preload_len, per_op[i].exec_len),
+        bound,
+    )?;
+    let spaces: Vec<(Bytes, Bytes)> = per_op
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let plans = catalog.op(OpId(i));
+            let pre = plans.preload_at(s.exec_idx, s.preload_idx);
+            (pre.preload_space, plans.plan_at(s.exec_idx).exec_space)
+        })
+        .collect();
+    let (_, _, violations) = audit_memory(&pre, &exec, capacity, |i| spaces[i]);
+    Some((violations, total))
+}
+
+/// Per-operator preload and execution intervals of one replay, and its
+/// makespan.
+struct Spans {
+    pre: Vec<(Seconds, Seconds)>,
+    exec: Vec<(Seconds, Seconds)>,
+    total: Seconds,
+}
+
+/// The §4.5 rules over an instruction stream for `n` operators whose
+/// `(preload_len, exec_len)` are `lens(i)`: preloads run one at a time
+/// and not before the last issued execute ends; an execute waits for
+/// the previous one and for its own preload. `None` once an execute
+/// ends past `bound`.
+fn replay(
+    instrs: impl IntoIterator<Item = DeviceInstr>,
+    n: usize,
+    lens: impl Fn(usize) -> (Seconds, Seconds),
+    bound: Option<Seconds>,
+) -> Option<Spans> {
+    let mut pre = vec![(Seconds::ZERO, Seconds::ZERO); n];
+    let mut exec = vec![(Seconds::ZERO, Seconds::ZERO); n];
+    let mut pre_free = Seconds::ZERO;
+    let mut exec_free = Seconds::ZERO;
+    let mut barrier = Seconds::ZERO; // end of the last Execute issued so far
+
+    for instr in instrs {
+        match instr {
+            DeviceInstr::PreloadAsync { op } => {
+                let start = pre_free.max(barrier);
+                let end = start + lens(op.index()).0;
+                pre[op.index()] = (start, end);
+                pre_free = end;
+            }
+            DeviceInstr::Execute { op } => {
+                let start = exec_free.max(pre[op.index()].1);
+                let end = start + lens(op.index()).1;
+                exec[op.index()] = (start, end);
+                exec_free = end;
+                barrier = end;
+                if bound.is_some_and(|b| end > b) {
+                    return None;
+                }
+            }
+        }
+    }
+    Some(Spans {
+        pre,
+        exec,
+        total: exec_free,
+    })
 }
 
 /// Total intersection of two families of disjoint intervals.
@@ -120,12 +190,13 @@ fn interval_overlap(a: &[(Seconds, Seconds)], b: &[(Seconds, Seconds)]) -> Secon
 }
 
 /// Sweeps residency events: `+preload_space` at preload start, swap to
-/// `exec_space` at execution start, free at execution end.
+/// `exec_space` at execution start, free at execution end. `space(i)`
+/// is operator `i`'s `(preload_space, exec_space)`.
 fn audit_memory(
-    program: &DeviceProgram,
     pre: &[(Seconds, Seconds)],
     exec: &[(Seconds, Seconds)],
     capacity: Bytes,
+    space: impl Fn(usize) -> (Bytes, Bytes),
 ) -> (Bytes, usize, usize) {
     #[derive(Clone, Copy)]
     enum Ev {
@@ -153,15 +224,15 @@ fn audit_memory(
     for (_, _, ev) in events {
         match ev {
             Ev::PreStart(i) => {
-                resident += program.specs[i].preload_space;
+                resident += space(i).0;
                 ops += 1;
             }
             Ev::ExecStart(i) => {
-                let spec = &program.specs[i];
-                resident = resident.saturating_sub(spec.preload_space) + spec.exec_space;
+                let (preload_space, exec_space) = space(i);
+                resident = resident.saturating_sub(preload_space) + exec_space;
             }
             Ev::ExecEnd(i) => {
-                resident = resident.saturating_sub(program.specs[i].exec_space);
+                resident = resident.saturating_sub(space(i).1);
                 ops = ops.saturating_sub(1);
             }
         }

@@ -4,12 +4,12 @@
 use proptest::prelude::*;
 
 use elk_core::{
-    allocate, evaluate, identity_order, pareto_frontier, Catalog, DeviceProgram, FrontierPoint,
-    ScheduleOptions, Scheduler,
+    allocate, candidate_orders, evaluate, identity_order, pareto_frontier, rank_schedule, Catalog,
+    DeviceProgram, FrontierPoint, ReorderOptions, ScheduleOptions, Scheduler,
 };
 use elk_cost::AnalyticDevice;
 use elk_hw::presets;
-use elk_model::{zoo, Workload};
+use elk_model::{zoo, TransformerConfig, Workload};
 use elk_partition::Partitioner;
 use elk_units::{Bytes, Seconds};
 
@@ -78,6 +78,84 @@ proptest! {
             let ta = (a.exec_time + a.distribute_time).as_secs();
             let tb = (b.exec_time + b.distribute_time).as_secs();
             prop_assert!(tb <= ta + 1e-12);
+        }
+    }
+}
+
+fn arb_model() -> impl Strategy<Value = TransformerConfig> {
+    (
+        prop::sample::select(vec![zoo::llama2_13b(), zoo::opt_30b(), zoo::gemma2_27b()]),
+        2u32..=4,
+    )
+        .prop_map(|(mut cfg, layers)| {
+            cfg.layers = layers;
+            cfg
+        })
+}
+
+fn arb_workload() -> impl Strategy<Value = Workload> {
+    (
+        prop::sample::select(vec![1u64, 4, 16]),
+        prop::sample::select(vec![128u64, 512, 2048]),
+        any::<bool>(),
+    )
+        .prop_map(|(b, s, decode)| {
+            if decode {
+                Workload::decode(b, s)
+            } else {
+                Workload::prefill(b, s.min(512))
+            }
+        })
+}
+
+// `rank_schedule` is `evaluate(lower(..))`'s `(violations, total)` for
+// every candidate schedule, also under capacities the schedule was not
+// built for (so violations occur); with a bound it gives up exactly when
+// that total exceeds the bound.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, .. ProptestConfig::default() })]
+
+    #[test]
+    fn lean_replay_ranks_like_the_full_evaluation(
+        cfg in arb_model(),
+        wl in arb_workload(),
+        squeeze in prop::sample::select(vec![1.0f64, 0.7, 0.4]),
+        fracs in prop::collection::vec(0.0f64..1.5, 3),
+    ) {
+        let system = presets::ipu_pod4();
+        let graph = cfg.build(wl, 4);
+        let device = AnalyticDevice::of_chip(&system.chip);
+        let catalog = Catalog::build(&graph, &Partitioner::new(&system.chip, &device))
+            .expect("every drawn graph fits the chip");
+        let usable = system.chip.usable_sram_per_core();
+        let scheduler = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default());
+        // Every layer-uniform order, not only the default search's.
+        let reorder = ReorderOptions { max_edit_distance: None, ..ReorderOptions::default() };
+        for cand in candidate_orders(&graph, &catalog, usable, &reorder) {
+            let Ok(sched) = scheduler.schedule(&cand.order) else {
+                continue;
+            };
+            let prog = DeviceProgram::lower(&graph, &catalog, &sched);
+            for capacity in [usable, usable.scale(squeeze)] {
+                let est = evaluate(&prog, capacity);
+                let full = (est.capacity_violations, est.total);
+                let lean = rank_schedule(&catalog, &sched, capacity, None);
+                prop_assert_eq!(lean.map(|(v, t)| (v, t.as_secs().to_bits())),
+                    Some((full.0, full.1.as_secs().to_bits())));
+                // Bounds at, just under, and scattered around the total,
+                // and at each execute end (where the replay checks).
+                let mut bounds = vec![est.total, est.total - est.total * 1e-9];
+                bounds.extend(fracs.iter().map(|&f| est.total * f));
+                bounds.extend(est.exec_spans.iter().step_by(7).map(|&(_, end)| end));
+                for bound in bounds {
+                    let got = rank_schedule(&catalog, &sched, capacity, Some(bound));
+                    if est.total > bound {
+                        prop_assert_eq!(got, None, "bound {} under total {}", bound, est.total);
+                    } else {
+                        prop_assert_eq!(got, Some(full));
+                    }
+                }
+            }
         }
     }
 }
