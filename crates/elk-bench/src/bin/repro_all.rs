@@ -14,38 +14,50 @@
 //! The scale bench defaults to one million requests; set
 //! `ELK_SCALE_REQUESTS` to shrink it for smoke runs.
 
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::Value;
 
-use elk_bench::bench_json;
+use elk_bench::experiments::{fig19, fig21};
+use elk_bench::{bench_json, Ctx};
 
-type Experiment = (&'static str, fn(&mut elk_bench::Ctx));
+type Experiment<'a> = (&'static str, Box<dyn Fn(&mut Ctx) + 'a>);
 
 fn main() {
+    // Figs. 19 and 21 report two fields of the same outcomes: sweep once.
+    let fig19_sweep = OnceCell::new();
+    let shared_sweep = |ctx: &Ctx| fig19_sweep.get_or_init(|| fig19::sweep(ctx));
+    let fixed = |run: fn(&mut Ctx)| -> Box<dyn Fn(&mut Ctx)> { Box::new(run) };
     let experiments: Vec<Experiment> = vec![
-        ("table2", elk_bench::experiments::table2::run),
-        ("fig05", elk_bench::experiments::fig05::run),
-        ("fig06", elk_bench::experiments::fig06::run),
-        ("fig07", elk_bench::experiments::fig07::run),
-        ("fig08", elk_bench::experiments::fig08::run),
-        ("fig12", elk_bench::experiments::fig12::run),
-        ("fig16", elk_bench::experiments::fig16::run),
-        ("fig17", elk_bench::experiments::fig17::run),
-        ("fig18", elk_bench::experiments::fig18::run),
-        ("fig19", elk_bench::experiments::fig19::run),
-        ("fig20", elk_bench::experiments::fig20::run),
-        ("fig21", elk_bench::experiments::fig21::run),
-        ("fig22", elk_bench::experiments::fig22::run),
-        ("fig23", elk_bench::experiments::fig23::run),
-        ("fig24", elk_bench::experiments::fig24::run),
-        ("serving", elk_bench::experiments::serving::run),
-        ("cluster", elk_bench::experiments::cluster::run),
-        ("autoscale", elk_bench::experiments::autoscale::run),
-        ("disagg", elk_bench::experiments::disagg::run),
-        ("tenancy", elk_bench::experiments::tenancy::run),
-        ("scale", elk_bench::experiments::scale::run),
+        ("table2", fixed(elk_bench::experiments::table2::run)),
+        ("fig05", fixed(elk_bench::experiments::fig05::run)),
+        ("fig06", fixed(elk_bench::experiments::fig06::run)),
+        ("fig07", fixed(elk_bench::experiments::fig07::run)),
+        ("fig08", fixed(elk_bench::experiments::fig08::run)),
+        ("fig12", fixed(elk_bench::experiments::fig12::run)),
+        ("fig16", fixed(elk_bench::experiments::fig16::run)),
+        ("fig17", fixed(elk_bench::experiments::fig17::run)),
+        ("fig18", fixed(elk_bench::experiments::fig18::run)),
+        (
+            "fig19",
+            Box::new(|ctx: &mut Ctx| fig19::report(ctx, shared_sweep(ctx))),
+        ),
+        ("fig20", fixed(elk_bench::experiments::fig20::run)),
+        (
+            "fig21",
+            Box::new(|ctx: &mut Ctx| fig21::report(ctx, shared_sweep(ctx))),
+        ),
+        ("fig22", fixed(elk_bench::experiments::fig22::run)),
+        ("fig23", fixed(elk_bench::experiments::fig23::run)),
+        ("fig24", fixed(elk_bench::experiments::fig24::run)),
+        ("serving", fixed(elk_bench::experiments::serving::run)),
+        ("cluster", fixed(elk_bench::experiments::cluster::run)),
+        ("autoscale", fixed(elk_bench::experiments::autoscale::run)),
+        ("disagg", fixed(elk_bench::experiments::disagg::run)),
+        ("tenancy", fixed(elk_bench::experiments::tenancy::run)),
+        ("scale", fixed(elk_bench::experiments::scale::run)),
     ];
     let t0 = Instant::now();
     let mut metrics: Vec<(String, Value)> = Vec::new();

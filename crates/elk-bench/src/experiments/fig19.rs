@@ -2,7 +2,7 @@
 
 use serde::Serialize;
 
-use elk_baselines::{Design, DesignRunner};
+use elk_baselines::{Design, DesignOutcome, DesignRunner};
 use elk_hw::presets;
 use elk_sim::SimOptions;
 use elk_units::ByteRate;
@@ -22,10 +22,13 @@ pub struct Row {
     pub latency_ms: Vec<f64>,
 }
 
-/// Shared sweep used by Figs. 19–21.
-pub(crate) fn sweep(
-    ctx: &mut Ctx,
-) -> Vec<(String, String, f64, Vec<elk_baselines::DesignOutcome>)> {
+/// One point of the sweep: topology label, model name, pod HBM
+/// bandwidth (TB/s) and each design's outcome in `Design::ALL` order.
+pub type Point = (String, String, f64, Vec<DesignOutcome>);
+
+/// The Fig. 19 sweep, which Fig. 21 reports from as well.
+#[must_use]
+pub fn sweep(ctx: &Ctx) -> Vec<Point> {
     let bws: &[f64] = if ctx.full {
         &[4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0]
     } else {
@@ -62,11 +65,16 @@ pub(crate) fn sweep(
 
 /// Runs the experiment.
 pub fn run(ctx: &mut Ctx) {
-    ctx.header("Fig. 19: per-token latency (ms) vs pod HBM bandwidth");
     let data = sweep(ctx);
+    report(ctx, &data);
+}
+
+/// Reports the figure from [`sweep`]'s points.
+pub fn report(ctx: &mut Ctx, data: &[Point]) {
+    ctx.header("Fig. 19: per-token latency (ms) vs pod HBM bandwidth");
     let mut rows = Vec::new();
     let mut cells = Vec::new();
-    for (topo, model, bw, outs) in &data {
+    for (topo, model, bw, outs) in data {
         let lat: Vec<f64> = outs.iter().map(|o| o.report.total.as_millis()).collect();
         cells.push(vec![
             topo.clone(),

@@ -4,7 +4,7 @@
 use serde::Serialize;
 
 use crate::ctx::{pct, Ctx};
-use crate::experiments::fig19::sweep;
+use crate::experiments::fig19;
 
 /// NoC utilization across designs for one topology/HBM point.
 #[derive(Debug, Serialize)]
@@ -21,11 +21,16 @@ pub struct Row {
 
 /// Runs the experiment.
 pub fn run(ctx: &mut Ctx) {
+    let data = fig19::sweep(ctx);
+    report(ctx, &data);
+}
+
+/// Reports the figure from the Fig. 19 sweep's points.
+pub fn report(ctx: &mut Ctx, data: &[fig19::Point]) {
     ctx.header("Fig. 21: interconnect utilization vs pod HBM bandwidth");
-    let data = sweep(ctx);
     let mut rows = Vec::new();
     let mut cells = Vec::new();
-    for (topo, model, bw, outs) in &data {
+    for (topo, model, bw, outs) in data {
         let util: Vec<f64> = outs.iter().map(|o| o.report.noc_util).collect();
         cells.push(vec![
             topo.clone(),
