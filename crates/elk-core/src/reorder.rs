@@ -138,18 +138,16 @@ fn layer_permutations(
     let mut out = Vec::new();
     let mut code = vec![0usize; h];
     for d in 1..=max_edit_distance.map_or(most, |cap| cap.min(most)) {
-        let more = each_code(&mut code, 0, d, &mut |code| {
-            if out.len() < want {
-                let perm = decode(code);
-                if fits(&perm) {
-                    out.push(perm);
-                }
+        if out.len() == want {
+            break;
+        }
+        each_code(&mut code, 0, d, &mut |code| {
+            let perm = decode(code);
+            if fits(&perm) {
+                out.push(perm);
             }
             out.len() < want
         });
-        if !more {
-            break;
-        }
     }
     out
 }

@@ -83,10 +83,9 @@ pub fn evaluate(program: &DeviceProgram, capacity: Bytes) -> PlanEstimate {
 /// from the same replay and audit, with no specs, names, busy sums or
 /// overlap.
 ///
-/// With a `bound`, returns `None` as soon as the execution front passes
-/// it: execute end times only grow, so the total would exceed `bound`
-/// too. A candidate stopped this way cannot beat a violation-free plan
-/// of total `bound`.
+/// With a `bound`, returns `None` as soon as an execute ends past it,
+/// exactly when the total would exceed `bound`. A candidate stopped this
+/// way cannot beat a violation-free plan of total `bound`.
 #[must_use]
 pub fn rank_schedule(
     catalog: &Catalog,
@@ -101,16 +100,14 @@ pub fn rank_schedule(
         |i| (per_op[i].preload_len, per_op[i].exec_len),
         bound,
     )?;
-    let spaces: Vec<(Bytes, Bytes)> = per_op
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let plans = catalog.op(OpId(i));
-            let pre = plans.preload_at(s.exec_idx, s.preload_idx);
-            (pre.preload_space, plans.plan_at(s.exec_idx).exec_space)
-        })
-        .collect();
-    let (_, _, violations) = audit_memory(&pre, &exec, capacity, |i| spaces[i]);
+    let (_, _, violations) = audit_memory(&pre, &exec, capacity, |i| {
+        let (s, plans) = (&per_op[i], catalog.op(OpId(i)));
+        let plan = plans.plan_at(s.exec_idx);
+        (
+            plan.preload_plans[s.preload_idx].preload_space,
+            plan.exec_space,
+        )
+    });
     Some((violations, total))
 }
 
@@ -127,6 +124,9 @@ struct Spans {
 /// and not before the last issued execute ends; an execute waits for
 /// the previous one and for its own preload. `None` once an execute
 /// ends past `bound`.
+///
+/// Execute ends only grow (lengths are non-negative), so the first one
+/// past `bound` shows that the total is past it too.
 fn replay(
     instrs: impl IntoIterator<Item = DeviceInstr>,
     n: usize,
@@ -136,13 +136,12 @@ fn replay(
     let mut pre = vec![(Seconds::ZERO, Seconds::ZERO); n];
     let mut exec = vec![(Seconds::ZERO, Seconds::ZERO); n];
     let mut pre_free = Seconds::ZERO;
-    let mut exec_free = Seconds::ZERO;
-    let mut barrier = Seconds::ZERO; // end of the last Execute issued so far
+    let mut exec_free = Seconds::ZERO; // end of the last Execute issued so far
 
     for instr in instrs {
         match instr {
             DeviceInstr::PreloadAsync { op } => {
-                let start = pre_free.max(barrier);
+                let start = pre_free.max(exec_free);
                 let end = start + lens(op.index()).0;
                 pre[op.index()] = (start, end);
                 pre_free = end;
@@ -152,7 +151,6 @@ fn replay(
                 let end = start + lens(op.index()).1;
                 exec[op.index()] = (start, end);
                 exec_free = end;
-                barrier = end;
                 if bound.is_some_and(|b| end > b) {
                     return None;
                 }
