@@ -396,9 +396,9 @@ fn group_hop_factor(topology: &Topology, group: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elk_cost::AnalyticDevice;
+    use elk_cost::{AnalyticDevice, LearnedCostModel};
     use elk_hw::presets;
-    use elk_model::{zoo, NormKind, TransformerConfig, Workload};
+    use elk_model::{zoo, ModelGraph, NormKind, TransformerConfig, Workload};
     use proptest::prelude::*;
 
     fn fixtures() -> (elk_hw::SystemConfig, AnalyticDevice) {
@@ -441,6 +441,104 @@ mod tests {
             .collect();
         keep.sort_unstable();
         keep.into_iter().map(|i| all[i].clone()).collect()
+    }
+
+    /// [`Partitioner::plans`] as first written, kept as the reference the
+    /// production enumeration must match: the whole grid collected, every
+    /// point costed, the frontier picked by [`pareto_frontier`], and the
+    /// kept points rebuilt in grid order with their preload plans.
+    fn reference_plans(p: &Partitioner<'_>, op: &Operator) -> PlanSet {
+        let grid = p.grid(op);
+        let points: Vec<FrontierPoint> = grid
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &f)| {
+                let plan = p.build(op, f)?;
+                Some(FrontierPoint {
+                    plan_idx: i,
+                    space: plan.exec_space,
+                    time: plan.exec_time,
+                })
+            })
+            .collect();
+        let feasible = points.len();
+        let mut kept: Vec<usize> = pareto_frontier(points).iter().map(|q| q.plan_idx).collect();
+        kept.sort_unstable();
+        let plans = kept
+            .into_iter()
+            .map(|i| {
+                let mut plan = p.build(op, grid[i]).expect("a frontier point is feasible");
+                plan.preload_plans = p.preload_plans(op, &plan.factors);
+                plan
+            })
+            .collect();
+        PlanSet { plans, feasible }
+    }
+
+    #[test]
+    fn plans_match_the_reference_enumeration() {
+        // IPU-POD4, its 2-D mesh (at most two split dimensions),
+        // dual-ported SRAM, and a 92-core part whose `cores / 16` floor
+        // (5) sits below most operators' reachable parallelism.
+        let mut concurrent = presets::ipu_pod4();
+        concurrent.chip.sram_contention = SramContention::Concurrent;
+        let mut few = presets::ipu_pod4();
+        few.chip = few.chip.with_cores(92);
+        few.chip.sram_per_core = Bytes::mib(4);
+        let systems = [
+            presets::ipu_pod4(),
+            presets::ipu_pod4_mesh(),
+            concurrent,
+            few,
+        ];
+        // One layer of each zoo family covers every distinct operator
+        // shape, embedding and head included.
+        let mut graphs = Vec::new();
+        for wl in [Workload::decode(16, 2048), Workload::prefill(2, 512)] {
+            let mut dense = zoo::llama2_13b();
+            dense.layers = 1;
+            let mut moe = zoo::mixtral_8x7b();
+            moe.layers = 1;
+            let mut dit = zoo::dit_xl();
+            dit.layers = 1;
+            graphs.extend([dense.build(wl, 2), moe.build(wl, 2), dit.build(wl, 2)]);
+        }
+        let mut ops: Vec<&Operator> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for op in graphs.iter().flat_map(ModelGraph::iter) {
+            let key = (
+                *op.kind(),
+                op.stationary(),
+                op.input_bytes(),
+                op.stationary_bytes(),
+                op.output_bytes(),
+            );
+            if seen.insert(key) {
+                ops.push(op);
+            }
+        }
+        assert!(
+            ops.iter()
+                .any(|op| matches!(op.kind(), OpKind::Gather { .. })),
+            "no embedding gather"
+        );
+        let mut frontier_plans = 0;
+        for sys in &systems {
+            let learned = LearnedCostModel::of_chip(&sys.chip);
+            let analytic = AnalyticDevice::of_chip(&sys.chip);
+            for cost in [&learned as &dyn CostModel, &analytic] {
+                let p = Partitioner::new(&sys.chip, cost);
+                for op in &ops {
+                    let want = reference_plans(&p, op);
+                    assert_eq!(p.plans(op), want, "{} on {}", op.name(), sys.chip.name);
+                    frontier_plans += want.plans.len();
+                }
+            }
+        }
+        assert!(
+            frontier_plans > 1000,
+            "only {frontier_plans} plans compared"
+        );
     }
 
     /// The chips the frontier equivalence is checked on: all-to-all and
