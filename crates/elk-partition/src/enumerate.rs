@@ -3,7 +3,8 @@ use elk_hw::{ChipConfig, SramContention, Topology};
 use elk_model::{OpKind, Operator};
 use elk_units::{Bytes, Seconds};
 
-use crate::{pareto_frontier, ExecutePlan, FrontierPoint, PlanFactors, PlanSet, PreloadPlan};
+use crate::frontier::Staircase;
+use crate::{ExecutePlan, FrontierPoint, PlanFactors, PlanSet, PreloadPlan};
 
 /// Enumerates feasible execute-state plans (and their preload-state
 /// alternatives) for single operators on a given chip.
@@ -35,38 +36,53 @@ impl<'a> Partitioner<'a> {
     /// The execute-state Pareto frontier of `op`, plus the number of
     /// feasible plans it was selected from.
     ///
-    /// Two passes. The first costs every grid point into a compact
-    /// [`FrontierPoint`] (its grid index, space and time) and keeps what
-    /// [`pareto_frontier`] keeps of the feasible ones (ties go to the
-    /// earliest point). The second rebuilds the [`ExecutePlan`] of each
-    /// kept point, in enumeration order, with its preload plans — the
-    /// same arithmetic, so the same plan. Every returned plan fits the
+    /// One pass over the grid, base split by base split. A first walk
+    /// over the bases finds the parallelism floor (replication does not
+    /// change a plan's core count); the second expands each base's
+    /// replication factors in place, costs each point, and offers the
+    /// feasible ones to a running fastest-first staircase with the rule
+    /// of [`pareto_frontier`](crate::pareto_frontier) (ties go to the
+    /// earliest point). A
+    /// base's points share their tile per rotation-chunk count, so each
+    /// distinct count is costed once. The kept plans come back in grid
+    /// order with their preload plans. Every returned plan fits the
     /// per-core SRAM and the core count; the set is non-empty for any
     /// operator whose minimal footprint fits the chip at all.
     #[must_use]
     pub fn plans(&self, op: &Operator) -> PlanSet {
-        let grid = self.grid(op);
-        let points: Vec<FrontierPoint> = grid
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &f)| {
-                let plan = self.build(op, f)?;
-                Some(FrontierPoint {
-                    plan_idx: i,
-                    space: plan.exec_space,
-                    time: plan.exec_time,
-                })
-            })
-            .collect();
-        let feasible = points.len();
-        let mut kept: Vec<usize> = pareto_frontier(points).iter().map(|p| p.plan_idx).collect();
-        kept.sort_unstable();
+        let mut max_par = 1;
+        self.bases(op, |base| max_par = max_par.max(base.cores()));
+        let floor = (self.chip.cores / 16).max(1).min(max_par);
+
+        let mut front = Staircase::new();
+        let mut tile_times = Vec::new();
+        let mut feasible = 0;
+        self.bases(op, |base| {
+            if base.cores() < floor {
+                return;
+            }
+            tile_times.clear();
+            let (ga, gb) = sharing_groups(op.kind(), &base);
+            for ra in rep_candidates(ga) {
+                for rb in rep_candidates(gb) {
+                    let f = PlanFactors { ra, rb, ..base };
+                    if let Some(plan) = self.build(op, f, &mut tile_times) {
+                        let point = FrontierPoint {
+                            plan_idx: feasible,
+                            space: plan.exec_space,
+                            time: plan.exec_time,
+                        };
+                        front.offer(point, plan);
+                        feasible += 1;
+                    }
+                }
+            }
+        });
+        let mut kept = front.into_steps();
+        kept.sort_unstable_by_key(|(p, _)| p.plan_idx);
         let plans = kept
             .into_iter()
-            .map(|i| {
-                let mut plan = self
-                    .build(op, grid[i])
-                    .expect("a frontier point is feasible");
+            .map(|(_, mut plan)| {
                 plan.preload_plans = self.preload_plans(op, &plan.factors);
                 plan
             })
@@ -111,27 +127,18 @@ impl<'a> Partitioner<'a> {
         elk_par::par_map(threads, ops, |_, op| self.plans(op))
     }
 
-    /// The grid points costed for `op`: its factor combinations, minus
-    /// those on fewer than a sixteenth of the cores unless the operator
-    /// cannot reach that parallelism at all.
-    fn grid(&self, op: &Operator) -> Vec<PlanFactors> {
-        let mut combos = self.factor_combos(op);
-        let max_par = combos.iter().map(PlanFactors::cores).max().unwrap_or(1);
-        let floor = (self.chip.cores / 16).max(1).min(max_par);
-        combos.retain(|f| f.cores() >= floor);
-        combos
-    }
-
-    /// Split-factor combinations for the operator class (before SRAM
-    /// feasibility).
-    fn factor_combos(&self, op: &Operator) -> Vec<PlanFactors> {
+    /// Visits the base split factors of `op` (replication 1), in grid
+    /// order, that fit the core count and, on a mesh, split at most two
+    /// dimensions. The grid is each base expanded by its replication
+    /// candidates, `ra` outer, minus the bases on fewer than a sixteenth
+    /// of the cores unless the operator cannot reach that parallelism.
+    fn bases(&self, op: &Operator, mut visit: impl FnMut(PlanFactors)) {
         let cores = self.chip.cores;
         let mesh_dims = match self.chip.topology {
             Topology::AllToAll { .. } => u32::MAX,
             Topology::Mesh2d { .. } => 2,
         };
-        let mut combos = Vec::new();
-        let mut push = |pb: u64, pm: u64, pk: u64, pn: u64, ga: u64, gb: u64| {
+        let mut push = |pb: u64, pm: u64, pk: u64, pn: u64| {
             let base = PlanFactors {
                 pb,
                 pm,
@@ -140,13 +147,8 @@ impl<'a> Partitioner<'a> {
                 ra: 1,
                 rb: 1,
             };
-            if base.cores() > cores || base.split_dims() > mesh_dims {
-                return;
-            }
-            for ra in rep_candidates(ga) {
-                for rb in rep_candidates(gb) {
-                    combos.push(PlanFactors { ra, rb, ..base });
-                }
+            if base.cores() <= cores && base.split_dims() <= mesh_dims {
+                visit(base);
             }
         };
 
@@ -155,7 +157,7 @@ impl<'a> Partitioner<'a> {
                 for pm in split_candidates(m, cores) {
                     for pk in [1, 2, 4].into_iter().filter(|&p| p <= k) {
                         for pn in split_candidates(n, cores) {
-                            push(1, pm, pk, pn, pn, pm);
+                            push(1, pm, pk, pn);
                         }
                     }
                 }
@@ -165,7 +167,7 @@ impl<'a> Partitioner<'a> {
                 for pb in split_candidates(batch, cores) {
                     for pm in split_candidates(m, 64) {
                         for pn in split_candidates(n, cores) {
-                            push(pb, pm, 1, pn, pn, pm);
+                            push(pb, pm, 1, pn);
                         }
                     }
                 }
@@ -173,16 +175,13 @@ impl<'a> Partitioner<'a> {
             OpKind::RowReduce { rows, cols, .. } => {
                 for pm in split_candidates(rows, cores) {
                     for pk in [1, 2, 4].into_iter().filter(|&p| p <= cols) {
-                        // Stationary scale vector is shared by the `pm`
-                        // cores covering different rows; inputs are
-                        // exclusive (ga = 1).
-                        push(1, pm, pk, 1, 1, pm);
+                        push(1, pm, pk, 1);
                     }
                 }
             }
             OpKind::Elementwise { elems, .. } => {
                 for pm in split_candidates(elems, cores) {
-                    push(1, pm, 1, 1, 1, 1);
+                    push(1, pm, 1, 1);
                 }
             }
             OpKind::Gather {
@@ -190,21 +189,29 @@ impl<'a> Partitioner<'a> {
             } => {
                 let _ = rows;
                 for pm in split_candidates(table_rows, cores) {
-                    push(1, pm, 1, 1, 1, 1);
+                    push(1, pm, 1, 1);
                 }
             }
         }
-        combos
     }
 
     /// Costs one grid point, or `None` if it overflows the per-core SRAM.
     /// The plan's preload plans are left empty; [`Partitioner::plans`]
     /// builds them for the frontier plans only.
     ///
+    /// `tile_times` memoizes the cost model's tile time per rotation-chunk
+    /// count; the tile depends only on the base split and the chunk
+    /// count, so a memo is valid for the points of one base.
+    ///
     /// No preload plan can overflow where the execute state fits: the
     /// smallest preload footprint, `⌈stationary / cores⌉` (one copy),
     /// is at most `mem_b = ⌈stationary · rb / cores⌉ ≤ exec_space`.
-    fn build(&self, op: &Operator, f: PlanFactors) -> Option<ExecutePlan> {
+    fn build(
+        &self,
+        op: &Operator,
+        f: PlanFactors,
+        tile_times: &mut Vec<(u64, Seconds)>,
+    ) -> Option<ExecutePlan> {
         let cores_used = f.cores();
         let moving = op.input_bytes();
         let stationary = op.stationary_bytes();
@@ -241,7 +248,15 @@ impl<'a> Partitioner<'a> {
         // Rotation micro-steps and the per-chunk compute tile.
         let chunks = (ga / f.ra).max(gb / f.rb).max(f.pk).max(1);
         let tile = chunk_tile(op.kind(), &f, chunks);
-        let compute_time = self.cost.tile_time(&tile) * chunks as f64;
+        let tile_time = match tile_times.iter().find(|&&(c, _)| c == chunks) {
+            Some(&(_, t)) => t,
+            None => {
+                let t = self.cost.tile_time(&tile);
+                tile_times.push((chunks, t));
+                t
+            }
+        };
+        let compute_time = tile_time * chunks as f64;
         let shift_time = if shift_traffic.is_zero() {
             Seconds::ZERO
         } else {
@@ -276,7 +291,6 @@ impl<'a> Partitioner<'a> {
         let cores_used = f.cores();
         let hop = group_hop_factor(&self.chip.topology, gb);
         let mut plans: Vec<PreloadPlan> = rep_candidates(gb)
-            .into_iter()
             .filter(|&rp| rp <= f.rb)
             .map(|rp| {
                 let distribute_traffic = frac(stationary, f.rb - rp, cores_used);
@@ -305,6 +319,8 @@ impl<'a> Partitioner<'a> {
 fn sharing_groups(kind: &OpKind, f: &PlanFactors) -> (u64, u64) {
     match kind {
         OpKind::MatMul { .. } | OpKind::BatchMatMul { .. } => (f.pn, f.pm),
+        // The stationary scale vector is shared by the `pm` cores
+        // covering different rows; inputs are exclusive.
         OpKind::RowReduce { .. } => (1, f.pm),
         OpKind::Elementwise { .. } | OpKind::Gather { .. } => (1, 1),
     }
@@ -370,17 +386,11 @@ pub fn split_candidates(dim: u64, cap: u64) -> Vec<u64> {
     v
 }
 
-/// Replication candidates within a sharing group of `g` cores: powers
-/// of four plus full broadcast, `{1, 4, 16, …} ∪ {g}`.
-fn rep_candidates(g: u64) -> Vec<u64> {
-    let mut v = Vec::new();
-    let mut x = 1u64;
-    while x < g {
-        v.push(x);
-        x *= 4;
-    }
-    v.push(g);
-    v
+/// Replication candidates within a sharing group of `g ≥ 1` cores,
+/// ascending: powers of four plus full broadcast, `{1, 4, 16, …} ∪ {g}`.
+fn rep_candidates(g: u64) -> impl Iterator<Item = u64> {
+    debug_assert!(g >= 1, "empty sharing group");
+    std::iter::successors(Some(1), move |&x| (x < g).then(|| (x * 4).min(g)))
 }
 
 /// Average hop count for intra-group gathers on the topology (1 on
@@ -396,6 +406,7 @@ fn group_hop_factor(topology: &Topology, group: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto_frontier;
     use elk_cost::{AnalyticDevice, LearnedCostModel};
     use elk_hw::presets;
     use elk_model::{zoo, ModelGraph, NormKind, TransformerConfig, Workload};
@@ -407,14 +418,38 @@ mod tests {
         (sys, dev)
     }
 
+    /// The grid [`Partitioner::plans`] walks: every base expanded by its
+    /// replication candidates, minus the bases below the parallelism
+    /// floor.
+    fn grid(p: &Partitioner<'_>, op: &Operator) -> Vec<PlanFactors> {
+        let mut combos = Vec::new();
+        p.bases(op, |base| {
+            let (ga, gb) = sharing_groups(op.kind(), &base);
+            for ra in rep_candidates(ga) {
+                for rb in rep_candidates(gb) {
+                    combos.push(PlanFactors { ra, rb, ..base });
+                }
+            }
+        });
+        let max_par = combos.iter().map(PlanFactors::cores).max().unwrap_or(1);
+        let floor = (p.chip.cores / 16).max(1).min(max_par);
+        combos.retain(|f| f.cores() >= floor);
+        combos
+    }
+
+    /// One grid point costed on its own, with no tile time reused.
+    fn build(p: &Partitioner<'_>, op: &Operator, f: PlanFactors) -> Option<ExecutePlan> {
+        p.build(op, f, &mut Vec::new())
+    }
+
     /// The all-plans enumerator [`Partitioner::plans`] replaced: every
     /// feasible grid point with its preload plans, including the
     /// preload-footprint SRAM check `build` no longer makes.
     fn all_plans(p: &Partitioner<'_>, op: &Operator) -> Vec<ExecutePlan> {
         let usable = p.chip.usable_sram_per_core();
-        p.grid(op)
+        grid(p, op)
             .into_iter()
-            .filter_map(|f| p.build(op, f))
+            .filter_map(|f| build(p, op, f))
             .map(|mut plan| {
                 plan.preload_plans = p.preload_plans(op, &plan.factors);
                 plan
@@ -448,12 +483,12 @@ mod tests {
     /// point costed, the frontier picked by [`pareto_frontier`], and the
     /// kept points rebuilt in grid order with their preload plans.
     fn reference_plans(p: &Partitioner<'_>, op: &Operator) -> PlanSet {
-        let grid = p.grid(op);
+        let grid = grid(p, op);
         let points: Vec<FrontierPoint> = grid
             .iter()
             .enumerate()
             .filter_map(|(i, &f)| {
-                let plan = p.build(op, f)?;
+                let plan = build(p, op, f)?;
                 Some(FrontierPoint {
                     plan_idx: i,
                     space: plan.exec_space,
@@ -467,7 +502,7 @@ mod tests {
         let plans = kept
             .into_iter()
             .map(|i| {
-                let mut plan = p.build(op, grid[i]).expect("a frontier point is feasible");
+                let mut plan = build(p, op, grid[i]).expect("a frontier point is feasible");
                 plan.preload_plans = p.preload_plans(op, &plan.factors);
                 plan
             })
@@ -634,8 +669,8 @@ mod tests {
                 let dev = AnalyticDevice::of_chip(&sys.chip);
                 let p = Partitioner::new(&sys.chip, &dev);
                 for op in graph.iter().take(20) {
-                    for f in p.grid(op) {
-                        let Some(plan) = p.build(op, f) else { continue };
+                    for f in grid(&p, op) {
+                        let Some(plan) = build(&p, op, f) else { continue };
                         let smallest = p.preload_plans(op, &f).last().copied();
                         let smallest = smallest.expect("at least one preload plan");
                         prop_assert!(smallest.preload_space <= plan.exec_space);

@@ -33,9 +33,55 @@ pub fn pareto_frontier(points: impl IntoIterator<Item = FrontierPoint>) -> Vec<F
     front
 }
 
+/// A Pareto frontier kept while points arrive, with the rule of
+/// [`pareto_frontier`]: a point is dropped when an earlier point is no
+/// slower and no larger, or a later one is no slower, no larger and not
+/// equal in both. Each kept point carries an item.
+///
+/// Steps run fastest first, so time strictly rises and space strictly
+/// falls along them; an offer is one binary search plus the removal of
+/// the steps the new point dominates.
+#[derive(Debug)]
+pub(crate) struct Staircase<T> {
+    steps: Vec<(FrontierPoint, T)>,
+}
+
+impl<T> Staircase<T> {
+    pub(crate) fn new() -> Self {
+        Staircase { steps: Vec::new() }
+    }
+
+    /// Offers `point` with its item; points must arrive in the input
+    /// order [`pareto_frontier`] would see them in.
+    pub(crate) fn offer(&mut self, point: FrontierPoint, item: T) {
+        let k = self.steps.partition_point(|(s, _)| s.time < point.time);
+        // The slowest strictly faster step, or an earlier equally fast
+        // one, no larger than `point` dominates it.
+        let covered = |i: usize| {
+            self.steps
+                .get(i)
+                .is_some_and(|(s, _)| s.time <= point.time && s.space <= point.space)
+        };
+        if (k > 0 && covered(k - 1)) || covered(k) {
+            return;
+        }
+        let end = k + self.steps[k..]
+            .iter()
+            .take_while(|(s, _)| s.space >= point.space)
+            .count();
+        self.steps.splice(k..end, std::iter::once((point, item)));
+    }
+
+    /// The kept points and their items, fastest first.
+    pub(crate) fn into_steps(self) -> Vec<(FrontierPoint, T)> {
+        self.steps
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn point(space: u64, time_us: f64) -> FrontierPoint {
         FrontierPoint {
@@ -79,5 +125,29 @@ mod tests {
         let front = pareto_frontier(points);
         assert_eq!(front.len(), 1);
         assert_eq!(front[0].plan_idx, 0);
+    }
+
+    proptest! {
+        #[test]
+        fn staircase_keeps_what_pareto_frontier_keeps(
+            raw in prop::collection::vec((0u64..6, 0u8..6), 0..40),
+        ) {
+            // Small ranges force exact ties and equal coordinates.
+            let points: Vec<FrontierPoint> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(space, t))| FrontierPoint {
+                    plan_idx: i,
+                    space: Bytes::new(space),
+                    time: Seconds::from_micros(f64::from(t)),
+                })
+                .collect();
+            let mut stair = Staircase::new();
+            for &p in &points {
+                stair.offer(p, p.plan_idx);
+            }
+            let kept: Vec<FrontierPoint> = stair.into_steps().into_iter().map(|(p, _)| p).collect();
+            prop_assert_eq!(kept, pareto_frontier(points));
+        }
     }
 }
