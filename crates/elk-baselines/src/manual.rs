@@ -4,7 +4,9 @@ use elk_hw::SystemConfig;
 use elk_model::ModelGraph;
 use elk_units::Seconds;
 
-use elk_core::{identity_order, Catalog, DeviceProgram, OpSchedule, Schedule, Scheduler};
+use elk_core::{
+    identity_order, Catalog, DeviceProgram, OpSchedule, Schedule, ScheduleOptions, Scheduler,
+};
 
 /// Per-operator choice of a hand-built design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,17 +22,17 @@ pub(crate) struct ManualChoice {
 
 /// Assembles a [`Schedule`] (identity preload order) from per-operator
 /// choices, deriving execution and preload lengths exactly like the Elk
-/// scheduler does.
+/// scheduler does. `scheduler`, built over `graph` and `catalog`,
+/// provides the preload-duration and all-reduce models, so choice
+/// vectors of one graph can share it.
 pub(crate) fn schedule(
     graph: &ModelGraph,
     catalog: &Catalog,
-    system: &SystemConfig,
+    scheduler: &Scheduler<'_>,
     choices: &[ManualChoice],
 ) -> Schedule {
     assert_eq!(choices.len(), graph.len(), "choice per operator required");
     let order = identity_order(graph.len());
-    // A throwaway scheduler instance provides the preload-duration model.
-    let scheduler = Scheduler::new(graph, catalog, system, elk_core::ScheduleOptions::default());
 
     let per_op: Vec<OpSchedule> = choices
         .iter()
@@ -46,9 +48,7 @@ pub(crate) fn schedule(
                 preload_idx: c.preload_idx,
                 preload_number: c.cut.saturating_sub(i + 1),
                 cut: c.cut,
-                exec_len: plan.exec_time
-                    + pre.distribute_time
-                    + system.allreduce_time(graph.ops()[i].allreduce()),
+                exec_len: plan.exec_time + pre.distribute_time + scheduler.allreduce_time(op),
                 preload_len: scheduler.preload_duration(pre),
                 contention: Seconds::ZERO,
             }
@@ -62,6 +62,15 @@ pub(crate) fn schedule(
     }
 }
 
+/// The scheduler hand-built designs derive their lengths with.
+pub(crate) fn scheduler<'a>(
+    graph: &'a ModelGraph,
+    catalog: &'a Catalog,
+    system: &'a SystemConfig,
+) -> Scheduler<'a> {
+    Scheduler::new(graph, catalog, system, ScheduleOptions::default())
+}
+
 /// [`schedule`], lowered.
 pub(crate) fn lower(
     graph: &ModelGraph,
@@ -69,5 +78,10 @@ pub(crate) fn lower(
     system: &SystemConfig,
     choices: &[ManualChoice],
 ) -> DeviceProgram {
-    DeviceProgram::lower(graph, catalog, &schedule(graph, catalog, system, choices))
+    let scheduler = scheduler(graph, catalog, system);
+    DeviceProgram::lower(
+        graph,
+        catalog,
+        &schedule(graph, catalog, &scheduler, choices),
+    )
 }

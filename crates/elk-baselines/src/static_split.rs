@@ -14,7 +14,7 @@ use elk_core::{
     evaluate, rank_schedule, Catalog, CompileError, DeviceProgram, PlanEstimate, Schedule,
 };
 
-use crate::manual::{lower, schedule, ManualChoice};
+use crate::manual::{lower, schedule, scheduler, ManualChoice};
 
 /// Global preload-state mode of the Static design: broadcast everything
 /// at preload time, or hold minimal footprints and gather at execution
@@ -45,6 +45,7 @@ pub(crate) fn plan(
         return Err(CompileError::EmptyGraph);
     }
     let capacity = system.chip.usable_sram_per_core();
+    let scheduler = scheduler(graph, catalog, system);
 
     let mut tried: Vec<Vec<ManualChoice>> = Vec::new();
     let mut best: Option<(Seconds, Schedule)> = None;
@@ -57,7 +58,7 @@ pub(crate) fn plan(
             if tried.contains(&choices) {
                 continue;
             }
-            let sched = schedule(graph, catalog, system, &choices);
+            let sched = schedule(graph, catalog, &scheduler, &choices);
             tried.push(choices);
             let bound = best.as_ref().map(|(total, _)| *total);
             let Some((violations, total)) = rank_schedule(catalog, &sched, capacity, bound) else {

@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 use elk_hw::SystemConfig;
 use elk_model::{ModelGraph, OpId};
 use elk_partition::PreloadPlan;
-use elk_units::{Bytes, Seconds};
+use elk_units::{ByteRate, Bytes, Seconds};
 
 use crate::alloc::{allocate_into, Fastest};
 use crate::{Catalog, CompileError, FrontierPoint};
@@ -82,13 +82,25 @@ pub struct Schedule {
 /// its per-operator work allocates nothing: pending preloads are kept
 /// in descending π position (most inserts are pushes) and borrow their
 /// frontiers from the catalog, and the window list and allocator
-/// positions live in buffers reused across operators.
+/// positions live in buffers reused across operators. What depends only
+/// on the system and the graph — the preload injection rate, the rates
+/// the contention model reads, each operator's all-reduce time — is
+/// computed once, in [`Scheduler::new`].
 #[derive(Debug)]
 pub struct Scheduler<'a> {
     graph: &'a ModelGraph,
     catalog: &'a Catalog,
     system: &'a SystemConfig,
     opts: ScheduleOptions,
+    /// Controller-to-core delivery rate of preloads: HBM injection,
+    /// capped by the fabric's bulk bandwidth.
+    injection: ByteRate,
+    /// The fabric's bulk bandwidth, bytes/s.
+    fabric: f64,
+    /// Fabric bandwidth left to execution under HBM delivery, bytes/s.
+    available: f64,
+    /// Inter-chip all-reduce time per operator, by operator index.
+    allreduce: Vec<Seconds>,
 }
 
 /// A scheduled-but-not-yet-executed preload.
@@ -122,12 +134,31 @@ impl<'a> Scheduler<'a> {
         system: &'a SystemConfig,
         opts: ScheduleOptions,
     ) -> Self {
+        let chip = &system.chip;
+        let fabric = chip.topology.effective_bulk_bandwidth(chip.cores);
+        let hbm_injection = chip.topology.hbm_injection_bandwidth(chip.cores);
+        let hbm_rate = system.hbm.total_bandwidth().min(hbm_injection);
+        let available =
+            (fabric.bytes_per_sec() - hbm_rate.bytes_per_sec()).max(fabric.bytes_per_sec() * 0.2);
         Scheduler {
             graph,
             catalog,
             system,
             opts,
+            injection: hbm_injection.min(fabric),
+            fabric: fabric.bytes_per_sec(),
+            available,
+            allreduce: graph
+                .iter()
+                .map(|op| system.allreduce_time(op.allreduce()))
+                .collect(),
         }
+    }
+
+    /// Inter-chip all-reduce time of `op` after it executes.
+    #[must_use]
+    pub fn allreduce_time(&self, op: OpId) -> Seconds {
+        self.allreduce[op.index()]
     }
 
     fn capacity(&self) -> Bytes {
@@ -144,12 +175,7 @@ impl<'a> Scheduler<'a> {
             return Seconds::ZERO;
         }
         let hbm_t = self.system.hbm.load_time(pre.hbm_bytes);
-        let chip = &self.system.chip;
-        let injection = chip
-            .topology
-            .hbm_injection_bandwidth(chip.cores)
-            .min(chip.topology.effective_bulk_bandwidth(chip.cores));
-        let noc_t = injection.transfer_time(pre.noc_preload_bytes);
+        let noc_t = self.injection.transfer_time(pre.noc_preload_bytes);
         hbm_t.max(noc_t)
     }
 
@@ -160,17 +186,8 @@ impl<'a> Scheduler<'a> {
         if !self.opts.model_contention || p == 0 || exec_noc_bytes.is_zero() {
             return Seconds::ZERO;
         }
-        let chip = &self.system.chip;
-        let fabric = chip.topology.effective_bulk_bandwidth(chip.cores);
-        let hbm_rate = self
-            .system
-            .hbm
-            .total_bandwidth()
-            .min(chip.topology.hbm_injection_bandwidth(chip.cores));
-        let available =
-            (fabric.bytes_per_sec() - hbm_rate.bytes_per_sec()).max(fabric.bytes_per_sec() * 0.2);
-        let with = exec_noc_bytes.as_f64() / available;
-        let without = exec_noc_bytes.as_f64() / fabric.bytes_per_sec();
+        let with = exec_noc_bytes.as_f64() / self.available;
+        let without = exec_noc_bytes.as_f64() / self.fabric;
         Seconds::new((with - without).max(0.0))
     }
 
@@ -208,7 +225,7 @@ impl<'a> Scheduler<'a> {
         for i in (0..n).rev() {
             let op = OpId(i);
             let plans = self.catalog.op(op);
-            let allreduce = self.system.allreduce_time(self.graph.op(op).allreduce());
+            let allreduce = self.allreduce_time(op);
 
             // Nesting constraint: anything overlapping exec(i), other than
             // op i+1 itself, must also have been allowed to overlap
@@ -354,17 +371,19 @@ impl<'a> Scheduler<'a> {
             let budget = plan.preload_plans[s.preload_idx].preload_space;
             let cost = |pre: &PreloadPlan| self.preload_duration(pre) + pre.distribute_time;
             let mut best = s.preload_idx;
+            let mut best_cost = cost(&plan.preload_plans[best]);
             for (k, pre) in plan.preload_plans.iter().enumerate() {
-                if pre.preload_space <= budget && cost(pre) < cost(&plan.preload_plans[best]) {
-                    best = k;
+                if pre.preload_space <= budget {
+                    let c = cost(pre);
+                    if c < best_cost {
+                        (best, best_cost) = (k, c);
+                    }
                 }
             }
             s.preload_idx = best;
             let pre = plans.preload_at(s.exec_idx, s.preload_idx);
-            s.exec_len = plan.exec_time
-                + pre.distribute_time
-                + s.contention
-                + self.system.allreduce_time(self.graph.op(s.op).allreduce());
+            s.exec_len =
+                plan.exec_time + pre.distribute_time + s.contention + self.allreduce_time(s.op);
             s.preload_len = self.preload_duration(pre);
         }
         for q in pending.iter().rev() {
