@@ -165,11 +165,12 @@ impl<'a> Fitter<'a> {
     fn new(xs: &'a [Vec<f64>], ys: &'a [f64], params: &'a TreeParams) -> Self {
         let (n, d) = (ys.len(), xs[0].len());
         let cols: Vec<f64> = (0..d).flat_map(|f| xs.iter().map(move |x| x[f])).collect();
+        let mut spill = vec![0; n];
         let mut sorted = Vec::with_capacity(d * n);
         for col in cols.chunks_exact(n) {
             let start = sorted.len();
             sorted.extend(0..n);
-            sorted[start..].sort_by(|&a, &b| col[a].total_cmp(&col[b]));
+            radix_sort_by_value(&mut sorted[start..], col, &mut spill);
         }
         Fitter {
             xs,
@@ -182,7 +183,7 @@ impl<'a> Fitter<'a> {
             idx: (0..n).collect(),
             sorted,
             goes_left: vec![false; n],
-            spill: vec![0; n],
+            spill,
             node_x: Vec::with_capacity(n),
             node_y: Vec::with_capacity(n),
             vals: Vec::with_capacity(n),
@@ -525,6 +526,54 @@ fn stable_partition(order: &mut [usize], goes_left: &[bool], spill: &mut [usize]
     order[w..].copy_from_slice(&spill[..s]);
 }
 
+/// Sorts the sample indices in `order` stably by ascending `col[i]` under
+/// [`f64::total_cmp`], as `order.sort_by(|&a, &b| col[a].total_cmp(&col[b]))`
+/// does, without comparisons: a least-significant-digit radix sort, one
+/// byte per pass, on each value's order-preserving key (the `total_cmp`
+/// bits with the sign bit flipped, so unsigned order is `total_cmp`
+/// order). Bytes in which no key differs are skipped. `spill`, at least
+/// as long as `order`, is the other half of the ping-pong, so the sort
+/// allocates nothing.
+fn radix_sort_by_value(order: &mut [usize], col: &[f64], spill: &mut [usize]) {
+    let key = |i: usize| {
+        let bits = col[i].to_bits();
+        bits ^ (((bits as i64 >> 63) as u64) >> 1) ^ (1 << 63)
+    };
+    let Some(&first) = order.first() else {
+        return;
+    };
+    let first = key(first);
+    let varies = order.iter().fold(0, |acc, &i| acc | (key(i) ^ first));
+    let mut src = order;
+    let mut dst = &mut spill[..src.len()];
+    let mut moved = false;
+    for shift in (0..u64::BITS).step_by(8) {
+        if (varies >> shift) & 0xff == 0 {
+            continue;
+        }
+        let digit = |i: usize| ((key(i) >> shift) & 0xff) as usize;
+        let mut starts = [0usize; 256];
+        for &i in src.iter() {
+            starts[digit(i)] += 1;
+        }
+        let mut total = 0;
+        for s in &mut starts {
+            (*s, total) = (total, total + *s);
+        }
+        for &i in src.iter() {
+            let d = digit(i);
+            dst[starts[d]] = i;
+            starts[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        moved = !moved;
+    }
+    if moved {
+        // `src` is the spill; `dst` is the caller's slice.
+        dst.copy_from_slice(src);
+    }
+}
+
 /// Sum of squared deviations from the mean, in slice order.
 fn sse(ys: &[f64]) -> f64 {
     let mean = ys.iter().sum::<f64>() / ys.len() as f64;
@@ -635,6 +684,63 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn radix_presort_matches_the_total_cmp_sort() {
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff8_dead_beef_0000), // negative NaN with payload
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0, // subnormal
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            1.0 + f64::EPSILON,
+            4096.0,
+        ];
+        // A fixed LCG, so the columns are the same every run.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 11
+        };
+        let columns = |n: usize, next: &mut dyn FnMut() -> u64| -> Vec<Vec<f64>> {
+            vec![
+                (0..n)
+                    .map(|_| specials[next() as usize % specials.len()])
+                    .collect(),
+                // Heavy duplicates: a handful of integer-valued features.
+                (0..n).map(|_| (next() % 5) as f64 * 64.0).collect(),
+                vec![3.5; n],
+                vec![-0.0; n],
+                // Arbitrary bit patterns, NaNs of both signs included.
+                (0..n)
+                    .map(|_| f64::from_bits(next() << 11 | next()))
+                    .collect(),
+            ]
+        };
+        for n in [0, 1, 2, 4000] {
+            for col in columns(n, &mut next) {
+                let mut want: Vec<usize> = (0..n).collect();
+                want.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
+                let mut got: Vec<usize> = (0..n).collect();
+                let mut spill = vec![usize::MAX; n + 3];
+                radix_sort_by_value(&mut got, &col, &mut spill);
+                assert_eq!(got, want, "n = {n}");
+            }
+        }
+    }
 
     #[test]
     fn pure_linear_target_needs_one_leaf_quality() {
