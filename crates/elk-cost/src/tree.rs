@@ -531,39 +531,43 @@ fn stable_partition(order: &mut [usize], goes_left: &[bool], spill: &mut [usize]
 /// does, without comparisons: a least-significant-digit radix sort, one
 /// byte per pass, on each value's order-preserving key (the `total_cmp`
 /// bits with the sign bit flipped, so unsigned order is `total_cmp`
-/// order). Bytes in which no key differs are skipped. `spill`, at least
-/// as long as `order`, is the other half of the ping-pong, so the sort
-/// allocates nothing.
+/// order). One sweep counts every byte's histogram; a byte in which all
+/// keys agree gets no pass. `spill`, at least as long as `order`, is the
+/// other half of the ping-pong, so the sort allocates nothing.
 fn radix_sort_by_value(order: &mut [usize], col: &[f64], spill: &mut [usize]) {
+    const DIGITS: usize = (u64::BITS / 8) as usize;
     let key = |i: usize| {
         let bits = col[i].to_bits();
         bits ^ (((bits as i64 >> 63) as u64) >> 1) ^ (1 << 63)
     };
+    let digit = |k: u64, d: usize| (k >> (8 * d)) as usize & 0xff;
     let Some(&first) = order.first() else {
         return;
     };
     let first = key(first);
-    let varies = order.iter().fold(0, |acc, &i| acc | (key(i) ^ first));
+    let mut counts = [[0usize; 256]; DIGITS];
+    for &i in order.iter() {
+        let k = key(i);
+        for (d, c) in counts.iter_mut().enumerate() {
+            c[digit(k, d)] += 1;
+        }
+    }
+    let n = order.len();
     let mut src = order;
-    let mut dst = &mut spill[..src.len()];
+    let mut dst = &mut spill[..n];
     let mut moved = false;
-    for shift in (0..u64::BITS).step_by(8) {
-        if (varies >> shift) & 0xff == 0 {
+    for (d, starts) in counts.iter_mut().enumerate() {
+        if starts[digit(first, d)] == n {
             continue;
         }
-        let digit = |i: usize| ((key(i) >> shift) & 0xff) as usize;
-        let mut starts = [0usize; 256];
-        for &i in src.iter() {
-            starts[digit(i)] += 1;
-        }
         let mut total = 0;
-        for s in &mut starts {
+        for s in starts.iter_mut() {
             (*s, total) = (total, total + *s);
         }
         for &i in src.iter() {
-            let d = digit(i);
-            dst[starts[d]] = i;
-            starts[d] += 1;
+            let b = digit(key(i), d);
+            dst[starts[b]] = i;
+            starts[b] += 1;
         }
         std::mem::swap(&mut src, &mut dst);
         moved = !moved;
