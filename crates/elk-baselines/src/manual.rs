@@ -62,15 +62,6 @@ pub(crate) fn schedule(
     }
 }
 
-/// The scheduler hand-built designs derive their lengths with.
-pub(crate) fn scheduler<'a>(
-    graph: &'a ModelGraph,
-    catalog: &'a Catalog,
-    system: &'a SystemConfig,
-) -> Scheduler<'a> {
-    Scheduler::new(graph, catalog, system, ScheduleOptions::default())
-}
-
 /// [`schedule`], lowered.
 pub(crate) fn lower(
     graph: &ModelGraph,
@@ -78,7 +69,7 @@ pub(crate) fn lower(
     system: &SystemConfig,
     choices: &[ManualChoice],
 ) -> DeviceProgram {
-    let scheduler = scheduler(graph, catalog, system);
+    let scheduler = Scheduler::new(graph, catalog, system, ScheduleOptions::default());
     DeviceProgram::lower(
         graph,
         catalog,

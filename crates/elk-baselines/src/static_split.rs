@@ -12,9 +12,10 @@ use elk_units::{Bytes, Seconds};
 
 use elk_core::{
     evaluate, rank_schedule, Catalog, CompileError, DeviceProgram, PlanEstimate, Schedule,
+    ScheduleOptions, Scheduler,
 };
 
-use crate::manual::{lower, schedule, scheduler, ManualChoice};
+use crate::manual::{lower, schedule, ManualChoice};
 
 /// Global preload-state mode of the Static design: broadcast everything
 /// at preload time, or hold minimal footprints and gather at execution
@@ -45,7 +46,7 @@ pub(crate) fn plan(
         return Err(CompileError::EmptyGraph);
     }
     let capacity = system.chip.usable_sram_per_core();
-    let scheduler = scheduler(graph, catalog, system);
+    let scheduler = Scheduler::new(graph, catalog, system, ScheduleOptions::default());
 
     let mut tried: Vec<Vec<ManualChoice>> = Vec::new();
     let mut best: Option<(Seconds, Schedule)> = None;

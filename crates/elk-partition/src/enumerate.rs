@@ -80,13 +80,13 @@ impl<'a> Partitioner<'a> {
         });
         let mut kept = front.into_steps();
         kept.sort_unstable_by_key(|(p, _)| p.plan_idx);
-        let plans = kept
-            .into_iter()
-            .map(|(_, mut plan)| {
-                plan.preload_plans = self.preload_plans(op, &plan.factors);
-                plan
-            })
-            .collect();
+        // A fresh, exactly sized list: collecting in place would keep the
+        // larger buffer of `kept` alive as long as the plan set.
+        let mut plans = Vec::with_capacity(kept.len());
+        plans.extend(kept.into_iter().map(|(_, mut plan)| {
+            plan.preload_plans = self.preload_plans(op, &plan.factors);
+            plan
+        }));
         PlanSet { plans, feasible }
     }
 
