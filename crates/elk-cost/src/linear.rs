@@ -66,13 +66,13 @@ impl LinearModel {
         let n = d + 1;
         let mut a = vec![vec![0.0f64; n]; n];
         let mut b = vec![0.0f64; n];
+        let mut row = vec![1.0f64; n];
         for (x, y) in samples {
-            for i in 0..n {
-                let xi = if i < d { x[i] } else { 1.0 };
-                b[i] += xi * y;
-                for j in 0..n {
-                    let xj = if j < d { x[j] } else { 1.0 };
-                    a[i][j] += xi * xj;
+            row[..d].copy_from_slice(&x[..d]);
+            for ((&xi, bi), ai) in row.iter().zip(&mut b).zip(&mut a) {
+                *bi += xi * y;
+                for (aij, &xj) in ai.iter_mut().zip(&row) {
+                    *aij += xi * xj;
                 }
             }
         }
