@@ -152,9 +152,11 @@ struct Fitter<'a> {
     /// The current node's feature values and targets, in `idx` order.
     node_x: Vec<f64>,
     node_y: Vec<f64>,
-    /// The current node's distinct values of one feature, ascending.
+    /// The current node's distinct values of one feature, ascending, in
+    /// the first entries of an `n`-long buffer.
     vals: Vec<f64>,
-    /// `prefix[k]` sums the samples below `vals[k]` (see [`prefix_walk`]).
+    /// `prefix[k]` sums the samples below `vals[k]` (see [`prefix_walk`]);
+    /// `n + 1` long.
     prefix: Vec<Prefix>,
     /// The current node's candidate splits, in (feature, threshold) order.
     candidates: Vec<Candidate>,
@@ -186,8 +188,8 @@ impl<'a> Fitter<'a> {
             spill,
             node_x: Vec::with_capacity(n),
             node_y: Vec::with_capacity(n),
-            vals: Vec::with_capacity(n),
-            prefix: Vec::with_capacity(n + 1),
+            vals: vec![0.0; n],
+            prefix: vec![Prefix::default(); n + 1],
             candidates: Vec::with_capacity(d * params.quantiles),
             leaves: 0,
         }
@@ -262,8 +264,16 @@ impl<'a> Fitter<'a> {
         for f in 0..self.d {
             let col = &self.cols[f * self.n..(f + 1) * self.n];
             let order = &self.sorted[f * self.n + lo..f * self.n + hi];
-            prefix_walk(col, ys, order, &mut self.vals, &mut self.prefix);
-            let distinct = self.vals.len();
+            // Equal first and last values in `total_cmp` order mean one
+            // distinct value (±0 at most): no candidate, nothing to walk.
+            if order
+                .first()
+                .zip(order.last())
+                .is_some_and(|(&a, &b)| col[a] == col[b])
+            {
+                continue;
+            }
+            let distinct = prefix_walk(col, ys, order, &mut self.vals, &mut self.prefix);
             if distinct < 2 {
                 continue;
             }
@@ -327,7 +337,7 @@ impl<'a> Fitter<'a> {
 }
 
 /// A node's count, Σy and Σy² over a prefix of one feature's sorted order.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Prefix {
     count: usize,
     sum: f64,
@@ -342,42 +352,47 @@ struct Candidate {
     approx: f64,
 }
 
-/// Walks a node's samples in one feature's sorted `order`, in one pass:
-/// `vals` receives the distinct values, ascending, and `prefix[k]` the
-/// [`Prefix`] of the samples before the first with value `vals[k]`, so
-/// `prefix[k + 1]` covers every sample `<= vals[k]` and the last entry
-/// the whole node. Values dedup by `==`, as `Vec::dedup` does.
+/// Walks a node's samples in one feature's sorted `order`, in one pass,
+/// and returns the number `d` of distinct values: `vals[..d]` receives
+/// them, ascending, and `prefix[k]` the [`Prefix`] of the samples before
+/// the first with value `vals[k]`, so `prefix[k + 1]` covers every sample
+/// `<= vals[k]` and `prefix[d]` the whole node. Values dedup by `==`
+/// against the previous sample, as `Vec::dedup` does: each run of equal
+/// values keeps its first. `vals` and `prefix` must hold at least
+/// `order.len()` and `order.len() + 1` entries.
+///
+/// The walk does not branch on whether a value is new: every sample
+/// writes the next free slot, and only a new value advances past it.
 ///
 /// Without NaN values the sorted order is also the `<=` order: a
 /// threshold `vals[k]` sends exactly the first `prefix[k + 1].count`
-/// samples left. For `k` at most `vals.len() − 2`, that leaves neither
-/// side empty.
+/// samples left. For `k` at most `d − 2`, that leaves neither side
+/// empty.
 fn prefix_walk(
     col: &[f64],
     ys: &[f64],
     order: &[usize],
-    vals: &mut Vec<f64>,
-    prefix: &mut Vec<Prefix>,
-) {
-    vals.clear();
-    prefix.clear();
-    let mut run = Prefix {
-        count: 0,
-        sum: 0.0,
-        sum_sq: 0.0,
-    };
+    vals: &mut [f64],
+    prefix: &mut [Prefix],
+) -> usize {
+    let (vals, prefix) = (&mut vals[..order.len()], &mut prefix[..=order.len()]);
+    let mut run = Prefix::default();
+    let mut distinct = 0;
+    // NaN differs from everything, so the first sample is always new.
+    let mut last = f64::NAN;
     for &i in order {
         let x = col[i];
-        if vals.last() != Some(&x) {
-            vals.push(x);
-            prefix.push(run);
-        }
+        vals[distinct] = x;
+        prefix[distinct] = run;
+        distinct += usize::from(x != last);
+        last = x;
         let y = ys[i];
         run.count += 1;
         run.sum += y;
         run.sum_sq += y * y;
     }
-    prefix.push(run);
+    prefix[distinct] = run;
+    distinct
 }
 
 /// The screen's estimate of a split's score, `(Q_l − S_l²/c) + (Q_r −
@@ -960,9 +975,11 @@ mod tests {
                 .collect();
             let mut order: Vec<usize> = (0..m).collect();
             order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
-            let (mut vals, mut prefix) = (Vec::new(), Vec::new());
-            prefix_walk(&xs, &ys, &order, &mut vals, &mut prefix);
-            let total = prefix[vals.len()];
+            let mut vals = vec![0.0; m];
+            let mut prefix = vec![Prefix::default(); m + 1];
+            let distinct = prefix_walk(&xs, &ys, &order, &mut vals, &mut prefix);
+            vals.truncate(distinct);
+            let total = prefix[distinct];
             // The bound is claimed only where `best_split` screens.
             if (f64::MIN_POSITIVE..=f64::MAX / 8.0).contains(&total.sum_sq) {
                 let abs_sum = ys.iter().map(|y| y.abs()).sum::<f64>();
