@@ -544,10 +544,11 @@ fn stable_partition(order: &mut [usize], goes_left: &[bool], spill: &mut [usize]
 /// Sorts the sample indices in `order` stably by ascending `col[i]` under
 /// [`f64::total_cmp`], as `order.sort_by(|&a, &b| col[a].total_cmp(&col[b]))`
 /// does, without comparisons: a least-significant-digit radix sort, one
-/// byte per pass, on each value's order-preserving key (the `total_cmp`
-/// bits with the sign bit flipped, so unsigned order is `total_cmp`
-/// order). One sweep counts every byte's histogram; a byte in which all
-/// keys agree gets no pass. `spill`, at least as long as `order`, is the
+/// byte per pass, on each value's order-preserving key. The key is the
+/// integer `total_cmp` compares as signed (the bits, with all but the
+/// sign flipped for negative values), with its sign bit flipped, so that
+/// unsigned order is `total_cmp` order. One sweep counts every byte's
+/// histogram; a byte in which all keys agree gets no pass. `spill`, at least as long as `order`, is the
 /// other half of the ping-pong, so the sort allocates nothing.
 fn radix_sort_by_value(order: &mut [usize], col: &[f64], spill: &mut [usize]) {
     const DIGITS: usize = (u64::BITS / 8) as usize;

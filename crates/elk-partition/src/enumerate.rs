@@ -36,16 +36,16 @@ impl<'a> Partitioner<'a> {
     /// The execute-state Pareto frontier of `op`, plus the number of
     /// feasible plans it was selected from.
     ///
-    /// One pass over the grid, base split by base split. A first walk
-    /// over the bases finds the parallelism floor (replication does not
-    /// change a plan's core count); the second expands each base's
-    /// replication factors in place, costs each point, and offers the
-    /// feasible ones to a running fastest-first staircase with the rule
-    /// of [`pareto_frontier`](crate::pareto_frontier) (ties go to the
-    /// earliest point). A
-    /// base's points share their tile per rotation-chunk count, so each
-    /// distinct count is costed once. The kept plans come back in grid
-    /// order with their preload plans. Every returned plan fits the
+    /// The grid is streamed, never built. A first walk over the base
+    /// splits finds the parallelism floor (replication does not change a
+    /// plan's core count); the second expands each base's replication
+    /// factors in place, costs each point, and offers the feasible ones
+    /// to a running fastest-first staircase with the rule of
+    /// [`pareto_frontier`](crate::pareto_frontier) (ties go to the
+    /// earliest point). A base's points share their tile per
+    /// rotation-chunk count, so each distinct count is costed once. The
+    /// kept plans come back in grid order with their preload plans.
+    /// Every returned plan fits the
     /// per-core SRAM and the core count; the set is non-empty for any
     /// operator whose minimal footprint fits the chip at all.
     #[must_use]
