@@ -117,13 +117,23 @@ pub struct DesignOutcome {
 /// plan sets its catalogs build through, so the graphs it compiles
 /// enumerate each operator shape once. [`with_system`](Self::with_system)
 /// is the one way to share them, and it alone decides what a derived
-/// design point shares; a fresh runner starts cold.
+/// design point shares; a fresh runner starts cold. The entry point of a
+/// run (a CLI command, a sweep, a bench binary) builds one base runner,
+/// and the estimator, the serving engines and the sweep points derive
+/// theirs from it.
 #[derive(Debug)]
 pub struct DesignRunner {
     system: SystemConfig,
     cost: Arc<LearnedCostModel>,
     plans: Arc<PlanMemo>,
     threads: usize,
+}
+
+impl From<SystemConfig> for DesignRunner {
+    /// A fresh runner for `system`, as [`DesignRunner::new`] builds it.
+    fn from(system: SystemConfig) -> Self {
+        DesignRunner::new(system)
+    }
 }
 
 impl DesignRunner {

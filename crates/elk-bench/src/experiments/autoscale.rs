@@ -13,7 +13,7 @@
 
 use serde::Serialize;
 
-use elk_baselines::Design;
+use elk_baselines::{Design, DesignRunner};
 use elk_cluster::{
     AutoscaleConfig, AutoscaleServingSim, ClusterServeConfig, ClusterServingSim, ParallelismPlan,
 };
@@ -114,13 +114,18 @@ pub fn run(ctx: &mut Ctx) {
         trace.total_output_tokens()
     ));
 
+    // One fit for the three fleets.
     let system = default_system();
+    let base = DesignRunner::new(system.clone());
     let design = Design::ElkFull;
     let mut rows = Vec::new();
 
     for dp in [1u64, 4] {
-        let mut sim = ClusterServingSim::new(system.clone(), fleet_config(dp, ctx.threads))
-            .expect("static fleet config is valid");
+        let mut sim = ClusterServingSim::new(
+            base.with_system(system.clone()),
+            fleet_config(dp, ctx.threads),
+        )
+        .expect("static fleet config is valid");
         let r = sim
             .run(design, RouterPolicy::LeastOutstanding, &trace)
             .expect("static serving run");
@@ -148,8 +153,9 @@ pub fn run(ctx: &mut Ctx) {
         slo_target: 0.9,
         cold_start_steps: 25.0,
     };
-    let mut sim = AutoscaleServingSim::new(system, fleet_config(1, ctx.threads), auto)
-        .expect("autoscale fleet config is valid");
+    let mut sim =
+        AutoscaleServingSim::new(base.with_system(system), fleet_config(1, ctx.threads), auto)
+            .expect("autoscale fleet config is valid");
     let r = sim.run(design, &trace).expect("autoscale serving run");
     rows.push(Row {
         fleet: "autoscale".to_string(),

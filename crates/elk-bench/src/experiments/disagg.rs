@@ -18,7 +18,7 @@
 
 use serde::Serialize;
 
-use elk_baselines::Design;
+use elk_baselines::{Design, DesignRunner};
 use elk_cluster::{
     ClusterServeConfig, ClusterServingSim, DisaggConfig, DisaggServingSim, ParallelismPlan,
 };
@@ -112,14 +112,21 @@ fn chat_trace(requests: usize) -> RequestTrace {
     .to_request_trace()
 }
 
-/// Runs one trace through both layouts and returns the two rows.
-fn compare(ctx: &Ctx, label: &str, trace: &RequestTrace, slo: SloConfig) -> Vec<Row> {
-    let system = default_system();
+/// Runs one trace through both layouts, on runners derived from
+/// `base`, and returns the two rows.
+fn compare(
+    ctx: &Ctx,
+    base: &DesignRunner,
+    label: &str,
+    trace: &RequestTrace,
+    slo: SloConfig,
+) -> Vec<Row> {
+    let system = base.system();
     let design = Design::ElkFull;
     let policy = RouterPolicy::LeastOutstanding;
 
     let mut colo = ClusterServingSim::new(
-        system.clone(),
+        base.with_system(system.clone()),
         ClusterServeConfig {
             batch: batch(),
             slo,
@@ -131,7 +138,7 @@ fn compare(ctx: &Ctx, label: &str, trace: &RequestTrace, slo: SloConfig) -> Vec<
     let c = colo.run(design, policy, trace).expect("colocated run");
 
     let mut disagg = DisaggServingSim::new(
-        system,
+        base.with_system(system.clone()),
         DisaggConfig {
             batch: batch(),
             slo,
@@ -201,8 +208,10 @@ pub fn run(ctx: &mut Ctx) {
         ttft: Seconds::from_millis(100.0),
         tpot: Seconds::from_millis(2.0),
     };
-    let mut rows = compare(ctx, "longprompt", &longprompt, tight_tpot);
-    rows.extend(compare(ctx, "chat", &chat, chat_slo));
+    // One fit for both traces and both layouts.
+    let base = DesignRunner::new(default_system());
+    let mut rows = compare(ctx, &base, "longprompt", &longprompt, tight_tpot);
+    rows.extend(compare(ctx, &base, "chat", &chat, chat_slo));
 
     let cells: Vec<Vec<String>> = rows
         .iter()

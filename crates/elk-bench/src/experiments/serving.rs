@@ -4,7 +4,7 @@
 
 use serde::Serialize;
 
-use elk_baselines::Design;
+use elk_baselines::{Design, DesignRunner};
 use elk_model::zoo;
 use elk_serve::{ArrivalProcess, LengthDist, ServeConfig, ServingSim, SloConfig, TraceConfig};
 use elk_units::Seconds;
@@ -65,6 +65,9 @@ pub fn run(ctx: &mut Ctx) {
     ));
 
     let replica_counts: &[usize] = if ctx.full { &[1, 2] } else { &[1] };
+    // One fit for every replica count.
+    let system = default_system();
+    let base = DesignRunner::new(system.clone());
     let mut rows = Vec::new();
     for &replicas in replica_counts {
         let mut config = ServeConfig::new(zoo::llama2_13b(), 4)
@@ -75,7 +78,7 @@ pub fn run(ctx: &mut Ctx) {
             ttft: Seconds::new(20.0),
             tpot: Seconds::from_millis(25.0),
         };
-        let mut sim = ServingSim::new(default_system(), config);
+        let mut sim = ServingSim::new(base.with_system(system.clone()), config);
         for design in Design::ALL {
             let r = sim.run(design, &trace).expect("serving run");
             rows.push(Row {

@@ -14,7 +14,7 @@
 
 use serde::Serialize;
 
-use elk_baselines::Design;
+use elk_baselines::{Design, DesignRunner};
 use elk_cluster::{ClusterServeConfig, ParallelismPlan, TenancyServingReport, TenantServingSim};
 use elk_model::{zoo, SeqBuckets};
 use elk_serve::{BatchConfig, RouterPolicy, ShedPolicy, SloConfig, TenancyConfig, TenantClass};
@@ -159,13 +159,18 @@ pub fn run(ctx: &mut Ctx) {
         4
     ));
 
+    // One fit for both policies.
     let system = default_system();
+    let base = DesignRunner::new(system.clone());
     let design = Design::ElkFull;
     let mut rows = Vec::new();
     for (label, limit) in [("open", false), ("managed", true)] {
-        let mut sim =
-            TenantServingSim::new(system.clone(), pod_config(ctx.threads), tenancy(limit))
-                .expect("tenancy config is valid");
+        let mut sim = TenantServingSim::new(
+            base.with_system(system.clone()),
+            pod_config(ctx.threads),
+            tenancy(limit),
+        )
+        .expect("tenancy config is valid");
         let r = sim
             .run(design, RouterPolicy::LeastOutstanding, &trace, &tenant_ids)
             .expect("tenancy serving run");

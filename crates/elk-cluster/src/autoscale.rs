@@ -28,7 +28,6 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
-use elk_hw::SystemConfig;
 use elk_model::Phase;
 use elk_obs::Obs;
 use elk_serve::{
@@ -281,27 +280,29 @@ pub struct AutoscaleServingSim {
 }
 
 impl AutoscaleServingSim {
-    /// Creates a simulator on the pod `system`. The `(tp, pp)` of
-    /// `config.plan` shapes every group; its `dp` is ignored — the
-    /// fleet runs between `auto.min_groups` and `auto.max_groups`.
+    /// Creates a simulator on the pod of `runner`, sharing its cost model
+    /// and plan sets. The `(tp, pp)` of `config.plan` shapes every group;
+    /// its `dp` is ignored — the fleet runs between `auto.min_groups` and
+    /// `auto.max_groups`.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Invalid`] when the controller config is
     /// ill-formed or `tp * pp * max_groups` does not fit the pod.
     pub fn new(
-        system: SystemConfig,
+        runner: impl Into<DesignRunner>,
         config: ClusterServeConfig,
         auto: AutoscaleConfig,
     ) -> Result<Self, ClusterError> {
+        let runner = runner.into().with_threads(1);
         config.batch.validate().map_err(ClusterError::Invalid)?;
         auto.validate().map_err(ClusterError::Invalid)?;
         let plan = ParallelismPlan::new(config.plan.tp, config.plan.pp, auto.max_groups);
-        plan.validate_structure(&system, &config.model)
+        plan.validate_structure(runner.system(), &config.model)
             .map_err(ClusterError::Invalid)?;
         let config = ClusterServeConfig { plan, ..config };
         let pricer = StepPricer::new(
-            &DesignRunner::new(system).with_threads(1),
+            &runner,
             config.model.clone(),
             config.plan,
             config.sim,

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
-use elk_hw::{CollectiveModel, SystemConfig};
+use elk_hw::CollectiveModel;
 use elk_model::{DType, TransformerConfig};
 use elk_obs::Obs;
 use elk_serve::{
@@ -265,7 +265,8 @@ pub struct DisaggServingSim {
 }
 
 impl DisaggServingSim {
-    /// Creates a simulator for `config` on the pod `system`.
+    /// Creates a simulator for `config` on the pod of `runner`, both
+    /// pools sharing its cost model and plan sets.
     ///
     /// # Errors
     ///
@@ -273,15 +274,20 @@ impl DisaggServingSim {
     /// pod or the model, the two pools together need more chips than
     /// the pod has (disjoint pools only), or `shared_chips` is set with
     /// differing pool plans.
-    pub fn new(system: SystemConfig, config: DisaggConfig) -> Result<Self, ClusterError> {
+    pub fn new(
+        runner: impl Into<DesignRunner>,
+        config: DisaggConfig,
+    ) -> Result<Self, ClusterError> {
+        let base = runner.into().with_threads(1);
+        let system = base.system();
         config.batch.validate().map_err(ClusterError::Invalid)?;
         config
             .prefill
-            .validate_structure(&system, &config.model)
+            .validate_structure(system, &config.model)
             .map_err(|e| ClusterError::Invalid(format!("prefill pool: {e}")))?;
         config
             .decode
-            .validate_structure(&system, &config.model)
+            .validate_structure(system, &config.model)
             .map_err(|e| ClusterError::Invalid(format!("decode pool: {e}")))?;
         if config.shared_chips {
             if config.prefill != config.decode {
@@ -301,7 +307,6 @@ impl DisaggServingSim {
                 )));
             }
         }
-        let base = DesignRunner::new(system.clone()).with_threads(1);
         let cache = Arc::new(PlanCache::new().with_threads(config.threads));
         let prefill_pricer = StepPricer::new(
             &base,

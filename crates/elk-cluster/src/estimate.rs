@@ -156,21 +156,17 @@ pub struct SearchOutcome {
 /// Plans and prices model execution across a pod of ICCA chips.
 #[derive(Debug)]
 pub struct ClusterEstimator {
-    system: SystemConfig,
     runner: DesignRunner,
     opts: ClusterOptions,
 }
 
 impl ClusterEstimator {
-    /// Creates an estimator for `system`, fitting the chip cost model
-    /// once (shared, with its plan sets, across every stage, candidate,
-    /// and baseline run).
+    /// Creates an estimator for the pod of `runner`, whose cost model
+    /// and plan sets every stage, candidate and baseline run shares.
     #[must_use]
-    pub fn new(system: SystemConfig, opts: ClusterOptions) -> Self {
-        let runner = DesignRunner::new(system.clone()).with_threads(1);
+    pub fn new(runner: impl Into<DesignRunner>, opts: ClusterOptions) -> Self {
         ClusterEstimator {
-            system,
-            runner,
+            runner: runner.into().with_threads(1),
             opts,
         }
     }
@@ -178,7 +174,7 @@ impl ClusterEstimator {
     /// The pod under planning.
     #[must_use]
     pub fn system(&self) -> &SystemConfig {
-        &self.system
+        self.runner.system()
     }
 
     /// The estimator's options.
@@ -203,7 +199,7 @@ impl ClusterEstimator {
         sim: &SimOptions,
         plan: ParallelismPlan,
     ) -> Result<ClusterReport, ClusterError> {
-        plan.validate(&self.system, model, workload)
+        plan.validate(self.system(), model, workload)
             .map_err(ClusterError::Invalid)?;
         let baseline = self.baseline_total(model, workload, design, sim, plan)?;
         self.estimate_inner(
@@ -232,11 +228,12 @@ impl ClusterEstimator {
         design: Design,
         sim: &SimOptions,
     ) -> Result<SearchOutcome, ClusterError> {
-        let grid = ParallelismPlan::enumerate(&self.system, model, workload);
+        let grid = ParallelismPlan::enumerate(self.system(), model, workload);
         if grid.is_empty() {
             return Err(ClusterError::Invalid(format!(
                 "no valid (tp, pp, dp) grid for {} on {} chips",
-                model.name, self.system.chips
+                model.name,
+                self.system().chips
             )));
         }
         // Every candidate is evaluated independently (inner compile
@@ -307,7 +304,7 @@ impl ClusterEstimator {
             return Ok(None);
         }
         let unit = ParallelismPlan::unit();
-        if unit.validate(&self.system, model, workload).is_err() {
+        if unit.validate(self.system(), model, workload).is_err() {
             return Ok(None);
         }
         match self.estimate_inner(model, workload, design, sim, unit, None, self.opts.threads) {
@@ -331,9 +328,9 @@ impl ClusterEstimator {
         baseline: Option<Seconds>,
         threads: usize,
     ) -> Result<ClusterReport, ClusterError> {
-        plan.validate(&self.system, model, workload)
+        plan.validate(self.system(), model, workload)
             .map_err(ClusterError::Invalid)?;
-        let group_system = self.system.subpod(plan.tp);
+        let group_system = self.system().subpod(plan.tp);
         let runner = self.runner.with_system(group_system);
         let group_batch = workload.batch.div_ceil(plan.dp);
         let (micro_batch, microbatches) = plan.microbatching(group_batch, self.opts.microbatches);
@@ -346,7 +343,7 @@ impl ClusterEstimator {
         // One shared constructor + formula with the cluster serving
         // engine (ParallelismPlan::{tp_links, boundary_time}), so the
         // two can never drift on boundary pricing.
-        let links = plan.tp_links(&self.system);
+        let links = plan.tp_links(self.system());
         let boundary_time = plan.boundary_time(&links, model, micro_wl);
 
         let evals = elk_par::try_par_map(threads, &spans, |i, span| {
@@ -440,11 +437,11 @@ impl ClusterEstimator {
         Ok(ClusterReport {
             model: model.name.clone(),
             workload,
-            chips: self.system.chips,
+            chips: self.system().chips,
             plan,
             chips_used: plan.chips_used(),
             design,
-            interconnect: self.system.inter_chip_topology.name().to_string(),
+            interconnect: self.system().inter_chip_topology.name().to_string(),
             group_batch,
             micro_batch,
             microbatches,
@@ -490,7 +487,7 @@ impl ClusterEstimator {
             .sum();
         let kv_group = Bytes::new(kv_micro.get() / micro_wl.batch * group_batch);
         let need = weights + kv_group;
-        let capacity = self.system.hbm.capacity;
+        let capacity = self.system().hbm.capacity;
         if need > capacity {
             return Err(StageFailure::Hbm(format!(
                 "{plan} stage {}: {need} per-chip HBM needed (weights {weights} + KV {kv_group}) \

@@ -25,7 +25,6 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
-use elk_hw::SystemConfig;
 use elk_model::TransformerConfig;
 use elk_obs::Obs;
 use elk_serve::{
@@ -150,10 +149,10 @@ enum Ev {
 
 /// Trace-driven cluster serving simulator for one (pod, model, plan).
 ///
-/// Owns the group-level `DesignRunner` (fitted cost model) and the
-/// shared single-flight `PlanCache`, so consecutive runs — across
-/// designs and router policies — reuse stage catalogs and compiled
-/// plans.
+/// Prices steps through the group-level `DesignRunner` it is given
+/// (fitted cost model) and owns the shared single-flight `PlanCache`,
+/// so consecutive runs — across designs and router policies — reuse
+/// stage catalogs and compiled plans.
 #[derive(Debug)]
 pub struct ClusterServingSim {
     config: ClusterServeConfig,
@@ -162,7 +161,8 @@ pub struct ClusterServingSim {
 }
 
 impl ClusterServingSim {
-    /// Creates a simulator for `config` on the pod `system`.
+    /// Creates a simulator for `config` on the pod of `runner`, sharing
+    /// its cost model and plan sets.
     ///
     /// # Errors
     ///
@@ -170,14 +170,18 @@ impl ClusterServingSim {
     /// the model. Only the structural constraints apply — step batches
     /// are dynamic, and a `dp` beyond a short trace's request count
     /// merely leaves the extra groups idle.
-    pub fn new(system: SystemConfig, config: ClusterServeConfig) -> Result<Self, ClusterError> {
+    pub fn new(
+        runner: impl Into<DesignRunner>,
+        config: ClusterServeConfig,
+    ) -> Result<Self, ClusterError> {
+        let runner = runner.into().with_threads(1);
         config.batch.validate().map_err(ClusterError::Invalid)?;
         config
             .plan
-            .validate_structure(&system, &config.model)
+            .validate_structure(runner.system(), &config.model)
             .map_err(ClusterError::Invalid)?;
         let pricer = StepPricer::new(
-            &DesignRunner::new(system).with_threads(1),
+            &runner,
             config.model.clone(),
             config.plan,
             config.sim,

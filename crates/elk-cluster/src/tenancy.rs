@@ -34,7 +34,6 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
-use elk_hw::SystemConfig;
 use elk_model::{zoo, TransformerConfig};
 use elk_obs::Obs;
 use elk_serve::{
@@ -114,7 +113,9 @@ pub struct TenantServingSim {
 }
 
 impl TenantServingSim {
-    /// Creates a simulator for `config` + `tenancy` on the pod `system`.
+    /// Creates a simulator for `config` + `tenancy` on the pod of
+    /// `runner`, every model's pricer sharing its cost model and plan
+    /// sets.
     ///
     /// Class model aliases resolve through [`elk_model::zoo::by_name`]
     /// and inherit the base model's layer count, so every model passes
@@ -126,10 +127,11 @@ impl TenantServingSim {
     /// inconsistent, an alias is unknown, the plan does not fit some
     /// class model, or `dp` is smaller than the distinct model count.
     pub fn new(
-        system: SystemConfig,
+        runner: impl Into<DesignRunner>,
         config: ClusterServeConfig,
         tenancy: TenancyConfig,
     ) -> Result<Self, ClusterError> {
+        let base = runner.into().with_threads(1);
         config.batch.validate().map_err(ClusterError::Invalid)?;
         tenancy.validate().map_err(ClusterError::Invalid)?;
 
@@ -162,13 +164,12 @@ impl TenantServingSim {
         for model in &models {
             config
                 .plan
-                .validate_structure(&system, model)
+                .validate_structure(base.system(), model)
                 .map_err(ClusterError::Invalid)?;
         }
         // One pricer per model over one pod runner and one single-flight
         // cache: keys carry the model name, so multi-model pods share
         // compile work without collisions.
-        let base = DesignRunner::new(system).with_threads(1);
         let cache = Arc::new(PlanCache::new().with_threads(config.threads));
         let pricers = models
             .iter()

@@ -9,10 +9,10 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use elk_cost::LinearModel;
 ///
-/// // y = 2·x0 + 1
-/// let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-/// let ys: Vec<f64> = (0..20).map(|i| 2.0 * i as f64 + 1.0).collect();
-/// let m = LinearModel::fit(&xs, &ys);
+/// // y = 2·x0 + 1; one feature, so its column is the whole matrix.
+/// let x0: Vec<f64> = (0..20).map(|i| i as f64).collect();
+/// let ys: Vec<f64> = x0.iter().map(|x| 2.0 * x + 1.0).collect();
+/// let m = LinearModel::fit(&x0, &ys);
 /// assert!((m.predict(&[10.0]) - 21.0).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,44 +32,46 @@ impl LinearModel {
     }
 
     /// Fits coefficients by least squares (normal equations with ridge
-    /// regularization `λ = 1e-8·n`).
+    /// regularization `λ = 1e-8·n`) to a feature-major sample: feature
+    /// `f` of sample `i` at `cols[f·n + i]`, for `n = ys.len()` samples
+    /// and `cols.len() / n` features.
     ///
     /// # Panics
     ///
-    /// Panics if `xs` and `ys` differ in length, `ys` is empty, or rows of
-    /// `xs` have inconsistent widths.
+    /// Panics if `ys` is empty or `cols.len()` is not a multiple of
+    /// `ys.len()`.
     #[must_use]
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64]) -> Self {
-        assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
-        assert!(!ys.is_empty(), "cannot fit on an empty sample");
-        let d = xs[0].len();
-        assert!(
-            xs.iter().all(|x| x.len() == d),
-            "inconsistent feature widths"
-        );
-        Self::fit_rows(d, xs.iter().map(Vec::as_slice).zip(ys.iter().copied()))
+    pub fn fit(cols: &[f64], ys: &[f64]) -> Self {
+        check_columns(cols, ys);
+        Self::fit_samples(cols, ys, 0..ys.len())
     }
 
-    /// [`LinearModel::fit`] over `(row, target)` samples of width `d`, so
-    /// callers holding a subset of a sample (a tree leaf's indices) need
-    /// not clone its rows. Accumulates in sample order, exactly as `fit`.
-    pub(crate) fn fit_rows<'a, I>(d: usize, samples: I) -> Self
+    /// [`LinearModel::fit`] over the samples `idx` of a checked
+    /// feature-major sample, so a tree leaf fits its own samples without
+    /// copying them. Accumulates one augmented row `[x | 1]` per sample,
+    /// in `idx` order.
+    pub(crate) fn fit_samples<I>(cols: &[f64], ys: &[f64], idx: I) -> Self
     where
-        I: ExactSizeIterator<Item = (&'a [f64], f64)>,
+        I: ExactSizeIterator<Item = usize>,
     {
-        let count = samples.len();
+        let (n, count) = (ys.len(), idx.len());
+        let d = cols.len() / n;
         if d == 0 {
-            return LinearModel::constant(samples.map(|(_, y)| y).sum::<f64>() / count as f64);
+            return LinearModel::constant(idx.map(|i| ys[i]).sum::<f64>() / count as f64);
         }
 
-        // Augmented design matrix [x | 1]; normal equations A·w = b.
-        let n = d + 1;
-        let mut a = vec![vec![0.0f64; n]; n];
-        let mut b = vec![0.0f64; n];
-        let mut row = vec![1.0f64; n];
-        for (x, y) in samples {
-            row[..d].copy_from_slice(&x[..d]);
-            for ((&xi, bi), ai) in row.iter().zip(&mut b).zip(&mut a) {
+        // Augmented design matrix [x | 1]; normal equations A·w = b, with
+        // A row-major.
+        let w = d + 1;
+        let mut a = vec![0.0f64; w * w];
+        let mut b = vec![0.0f64; w];
+        let mut row = vec![1.0f64; w];
+        for i in idx {
+            for (x, col) in row.iter_mut().zip(cols.chunks_exact(n)) {
+                *x = col[i];
+            }
+            let y = ys[i];
+            for ((&xi, bi), ai) in row.iter().zip(&mut b).zip(a.chunks_exact_mut(w)) {
                 *bi += xi * y;
                 for (aij, &xj) in ai.iter_mut().zip(&row) {
                     *aij += xi * xj;
@@ -77,14 +79,14 @@ impl LinearModel {
             }
         }
         let ridge = 1e-8 * count as f64;
-        for (i, row) in a.iter_mut().enumerate().take(d) {
-            row[i] += ridge;
+        for i in 0..d {
+            a[i * w + i] += ridge;
         }
 
-        let w = solve(a, b);
+        let coef = solve(a, b);
         LinearModel {
-            intercept: w[d],
-            coef: w.into_iter().take(d).collect(),
+            intercept: coef[d],
+            coef: coef.into_iter().take(d).collect(),
         }
     }
 
@@ -117,27 +119,33 @@ impl LinearModel {
     }
 }
 
-/// Gaussian elimination with partial pivoting. Singular systems fall back
-/// to the zero solution in the affected column (the ridge term makes this
-/// effectively unreachable).
-fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
+/// Gaussian elimination with partial pivoting on the row-major `n × n`
+/// matrix `a`. Singular systems fall back to the zero solution in the
+/// affected column (the ridge term makes this effectively unreachable).
+fn solve(mut a: Vec<f64>, mut b: Vec<f64>) -> Vec<f64> {
     let n = b.len();
     for col in 0..n {
         let pivot = (col..n)
-            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
+            .max_by(|&i, &j| a[i * n + col].abs().total_cmp(&a[j * n + col].abs()))
             .expect("non-empty system");
-        if a[pivot][col].abs() < 1e-300 {
+        if a[pivot * n + col].abs() < 1e-300 {
             continue;
         }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
+        if pivot != col {
+            let (upper, lower) = a.split_at_mut(pivot * n);
+            upper[col * n..(col + 1) * n].swap_with_slice(&mut lower[..n]);
+            b.swap(col, pivot);
+        }
         for row in col + 1..n {
-            let f = a[row][col] / a[col][col];
+            let f = a[row * n + col] / a[col * n + col];
             if f == 0.0 {
                 continue;
             }
-            let (upper, lower) = a.split_at_mut(row);
-            for (rv, pv) in lower[0][col..].iter_mut().zip(&upper[col][col..]) {
+            let (upper, lower) = a.split_at_mut(row * n);
+            for (rv, pv) in lower[col..n]
+                .iter_mut()
+                .zip(&upper[col * n + col..(col + 1) * n])
+            {
                 *rv -= f * pv;
             }
             b[row] -= f * b[col];
@@ -145,17 +153,34 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     }
     let mut x = vec![0.0; n];
     for col in (0..n).rev() {
-        if a[col][col].abs() < 1e-300 {
+        let diag = a[col * n + col];
+        if diag.abs() < 1e-300 {
             x[col] = 0.0;
             continue;
         }
         let mut s = b[col];
         for k in col + 1..n {
-            s -= a[col][k] * x[k];
+            s -= a[col * n + k] * x[k];
         }
-        x[col] = s / a[col][col];
+        x[col] = s / diag;
     }
     x
+}
+
+/// Checks that `cols` is a feature-major sample with targets `ys`.
+///
+/// # Panics
+///
+/// Panics if `ys` is empty or `cols.len()` is not a multiple of
+/// `ys.len()`.
+pub(crate) fn check_columns(cols: &[f64], ys: &[f64]) {
+    assert!(!ys.is_empty(), "cannot fit on an empty sample");
+    assert!(
+        cols.len().is_multiple_of(ys.len()),
+        "{} feature values do not form whole columns of {} samples",
+        cols.len(),
+        ys.len()
+    );
 }
 
 #[cfg(test)]
@@ -165,11 +190,14 @@ mod tests {
     #[test]
     fn recovers_multivariate_plane() {
         // y = 3·x0 - 2·x1 + 5
-        let xs: Vec<Vec<f64>> = (0..50)
-            .map(|i| vec![(i % 7) as f64, (i % 11) as f64])
+        let x0: Vec<f64> = (0..50).map(|i| (i % 7) as f64).collect();
+        let x1: Vec<f64> = (0..50).map(|i| (i % 11) as f64).collect();
+        let ys: Vec<f64> = x0
+            .iter()
+            .zip(&x1)
+            .map(|(a, b)| 3.0 * a - 2.0 * b + 5.0)
             .collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x[0] - 2.0 * x[1] + 5.0).collect();
-        let m = LinearModel::fit(&xs, &ys);
+        let m = LinearModel::fit(&[x0, x1].concat(), &ys);
         assert!((m.coefficients()[0] - 3.0).abs() < 1e-6);
         assert!((m.coefficients()[1] + 2.0).abs() < 1e-6);
         assert!((m.intercept() - 5.0).abs() < 1e-5);
@@ -177,26 +205,32 @@ mod tests {
 
     #[test]
     fn constant_fallback_for_zero_features() {
-        let xs = vec![vec![], vec![], vec![]];
         let ys = vec![1.0, 2.0, 3.0];
-        let m = LinearModel::fit(&xs, &ys);
+        let m = LinearModel::fit(&[], &ys);
         assert!((m.predict(&[]) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn collinear_features_do_not_explode() {
         // x1 = 2·x0 exactly; ridge keeps the solution finite.
-        let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
-        let ys: Vec<f64> = (0..30).map(|i| 4.0 * i as f64).collect();
-        let m = LinearModel::fit(&xs, &ys);
+        let x0: Vec<f64> = (0..30).map(f64::from).collect();
+        let x1: Vec<f64> = x0.iter().map(|x| 2.0 * x).collect();
+        let ys: Vec<f64> = x0.iter().map(|x| 4.0 * x).collect();
+        let m = LinearModel::fit(&[x0, x1].concat(), &ys);
         let pred = m.predict(&[10.0, 20.0]);
         assert!((pred - 40.0).abs() < 1e-3, "pred {pred}");
         assert!(m.coefficients().iter().all(|c| c.is_finite()));
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_lengths_rejected() {
-        let _ = LinearModel::fit(&[vec![1.0]], &[1.0, 2.0]);
+    #[should_panic(expected = "3 feature values do not form whole columns of 2 samples")]
+    fn partial_column_rejected() {
+        let _ = LinearModel::fit(&[1.0, 2.0, 3.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fit on an empty sample")]
+    fn empty_sample_rejected() {
+        let _ = LinearModel::fit(&[], &[]);
     }
 }

@@ -102,29 +102,34 @@ impl LearnedCostModel {
     #[must_use]
     pub fn fit(device: &AnalyticDevice, cfg: &ProfileConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        // One feature-major buffer for every class: feature `f` of sample
+        // `i` at `cols[f·n + i]`, as the tree fit borrows it.
+        let n = cfg.samples_per_class;
+        let mut cols = vec![0.0; TileShape::FEATURE_COUNT * n];
+        let mut ys = vec![0.0; n];
         let mut fit_class = |class: OpClass| {
-            let mut xs = Vec::with_capacity(cfg.samples_per_class);
-            let mut ys = Vec::with_capacity(cfg.samples_per_class);
-            for _ in 0..cfg.samples_per_class {
+            for (i, y) in ys.iter_mut().enumerate() {
                 let shape = random_shape(class, &mut rng);
-                xs.push(shape.features().to_vec());
-                ys.push(device.tile_time(&shape).as_micros());
+                for (f, x) in shape.features().into_iter().enumerate() {
+                    cols[f * n + i] = x;
+                }
+                *y = device.tile_time(&shape).as_micros();
             }
-            LinearTreeModel::fit(&xs, &ys, &cfg.tree)
+            LinearTreeModel::fit(&cols, &ys, &cfg.tree)
         };
         let matmul = fit_class(OpClass::MatMul);
         let reduce = fit_class(OpClass::Reduce);
         let elementwise = fit_class(OpClass::Elementwise);
         let gather = fit_class(OpClass::Gather);
 
-        let mut lx = Vec::with_capacity(cfg.link_samples);
-        let mut ly = Vec::with_capacity(cfg.link_samples);
-        for _ in 0..cfg.link_samples {
-            let exp = rng.gen_range(6.0..=24.0f64);
-            let volume = Bytes::new(2f64.powf(exp) as u64);
-            lx.push(vec![volume.as_f64() / 1e3]);
-            ly.push(device.link_time(volume).as_micros());
-        }
+        // The link model's one feature is the volume in KB.
+        let (lx, ly): (Vec<f64>, Vec<f64>) = (0..cfg.link_samples)
+            .map(|_| {
+                let exp = rng.gen_range(6.0..=24.0f64);
+                let volume = Bytes::new(2f64.powf(exp) as u64);
+                (volume.as_f64() / 1e3, device.link_time(volume).as_micros())
+            })
+            .unzip();
         let link = LinearModel::fit(&lx, &ly);
 
         LearnedCostModel {

@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use crate::linear::check_columns;
 use crate::LinearModel;
 
 /// Hyper-parameters of the linear-tree fit.
@@ -36,12 +37,14 @@ impl Default for TreeParams {
 /// ```
 /// use elk_cost::{LinearTreeModel, TreeParams};
 ///
-/// // Piecewise-linear target: slope changes at x = 50.
-/// let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64]).collect();
-/// let ys: Vec<f64> = (0..200)
-///     .map(|i| if i < 50 { i as f64 } else { 5.0 * i as f64 - 200.0 })
+/// // Piecewise-linear target: slope changes at x = 50. One feature, so
+/// // its column is the whole matrix.
+/// let x0: Vec<f64> = (0..200).map(|i| i as f64).collect();
+/// let ys: Vec<f64> = x0
+///     .iter()
+///     .map(|&x| if x < 50.0 { x } else { 5.0 * x - 200.0 })
 ///     .collect();
-/// let tree = LinearTreeModel::fit(&xs, &ys, &TreeParams::default());
+/// let tree = LinearTreeModel::fit(&x0, &ys, &TreeParams::default());
 /// assert!((tree.predict(&[150.0]) - 550.0).abs() < 5.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,22 +72,18 @@ enum Node {
 }
 
 impl LinearTreeModel {
-    /// Fits a tree to `(xs, ys)`.
+    /// Fits a tree to a feature-major sample: feature `f` of sample `i`
+    /// at `cols[f·n + i]`, for `n = ys.len()` samples and `cols.len() / n`
+    /// features.
     ///
     /// # Panics
     ///
-    /// Panics if `xs` and `ys` differ in length or are empty, or if rows
-    /// of `xs` have inconsistent widths.
+    /// Panics if `ys` is empty or `cols.len()` is not a multiple of
+    /// `ys.len()`.
     #[must_use]
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &TreeParams) -> Self {
-        assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
-        assert!(!ys.is_empty(), "cannot fit on an empty sample");
-        let d = xs[0].len();
-        assert!(
-            xs.iter().all(|x| x.len() == d),
-            "inconsistent feature widths"
-        );
-        let mut fitter = Fitter::new(xs, ys, params);
+    pub fn fit(cols: &[f64], ys: &[f64], params: &TreeParams) -> Self {
+        check_columns(cols, ys);
+        let mut fitter = Fitter::new(cols, ys, params);
         let root = fitter.build(0, ys.len(), 0);
         LinearTreeModel {
             root,
@@ -122,7 +121,7 @@ impl LinearTreeModel {
     }
 }
 
-/// Working state of one fit: the samples transposed to column-major, and
+/// Working state of one fit: the borrowed feature-major samples, and
 /// per-node sample orders kept in place so no node sorts or allocates.
 ///
 /// Every node owns the same range `lo..hi` of `idx` and of each feature's
@@ -131,15 +130,14 @@ impl LinearTreeModel {
 /// lists them by ascending feature `f`. Splitting a node stably partitions
 /// all of these ranges, so both properties hold in its children.
 struct Fitter<'a> {
-    xs: &'a [Vec<f64>],
+    /// Feature `f` of sample `i` at `cols[f·n + i]`.
+    cols: &'a [f64],
     ys: &'a [f64],
     params: &'a TreeParams,
     /// Feature count.
     d: usize,
     /// Sample count.
     n: usize,
-    /// Feature `f` of sample `i` at `cols[f·n + i]`.
-    cols: Vec<f64>,
     /// No feature value is NaN, so every node's `sorted` order is also
     /// its `<=` order and the split screen can be proven.
     screenable: bool,
@@ -164,9 +162,8 @@ struct Fitter<'a> {
 }
 
 impl<'a> Fitter<'a> {
-    fn new(xs: &'a [Vec<f64>], ys: &'a [f64], params: &'a TreeParams) -> Self {
-        let (n, d) = (ys.len(), xs[0].len());
-        let cols: Vec<f64> = (0..d).flat_map(|f| xs.iter().map(move |x| x[f])).collect();
+    fn new(cols: &'a [f64], ys: &'a [f64], params: &'a TreeParams) -> Self {
+        let (n, d) = (ys.len(), cols.len() / ys.len());
         let mut spill = vec![0; n];
         let mut sorted = Vec::with_capacity(d * n);
         for col in cols.chunks_exact(n) {
@@ -175,7 +172,6 @@ impl<'a> Fitter<'a> {
             radix_sort_by_value(&mut sorted[start..], col, &mut spill);
         }
         Fitter {
-            xs,
             ys,
             params,
             d,
@@ -229,12 +225,12 @@ impl<'a> Fitter<'a> {
 
     fn leaf(&mut self, lo: usize, hi: usize) -> Node {
         self.leaves += 1;
-        let (xs, ys) = (self.xs, self.ys);
+        let ys = self.ys;
         let idx = &self.idx[lo..hi];
         let y_min = idx.iter().map(|&i| ys[i]).fold(f64::INFINITY, f64::min);
         let y_max = idx.iter().map(|&i| ys[i]).fold(f64::NEG_INFINITY, f64::max);
         Node::Leaf {
-            model: LinearModel::fit_rows(self.d, idx.iter().map(|&i| (xs[i].as_slice(), ys[i]))),
+            model: LinearModel::fit_samples(self.cols, ys, idx.iter().copied()),
             lo: y_min / 2.0,
             hi: y_max * 2.0,
         }
@@ -600,9 +596,10 @@ fn sse(ys: &[f64]) -> f64 {
     ys.iter().map(|&y| (y - mean).powi(2)).sum()
 }
 
-/// The direct split search: re-sorts every feature at every node and
-/// scores each candidate with two freshly partitioned index `Vec`s. The
-/// oracle the presorted search must match bit for bit.
+/// The direct split search over row-major samples: re-sorts every
+/// feature at every node and scores each candidate with two freshly
+/// partitioned index `Vec`s. The oracle the presorted search must match
+/// bit for bit.
 #[cfg(test)]
 mod reference {
     use super::{LinearModel, LinearTreeModel, Node, TreeParams};
@@ -612,6 +609,13 @@ mod reference {
         let mut leaves = 0;
         let root = build(xs, ys, &idx, params, 0, &mut leaves);
         LinearTreeModel { root, leaves }
+    }
+
+    /// The feature-major form of the rows `xs`, as
+    /// [`LinearTreeModel::fit`] takes it.
+    pub(super) fn columns(xs: &[Vec<f64>]) -> Vec<f64> {
+        let d = xs.first().map_or(0, Vec::len);
+        (0..d).flat_map(|f| xs.iter().map(move |x| x[f])).collect()
     }
 
     fn build(
@@ -650,7 +654,7 @@ mod reference {
         let lo = sub_y.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = sub_y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Node::Leaf {
-            model: LinearModel::fit(&sub_x, &sub_y),
+            model: LinearModel::fit(&columns(&sub_x), &sub_y),
             lo: lo / 2.0,
             hi: hi * 2.0,
         }
@@ -703,6 +707,7 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::columns;
     use super::*;
 
     #[test]
@@ -768,7 +773,7 @@ mod tests {
             .map(|i| vec![i as f64, (i * i % 17) as f64])
             .collect();
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x[0] + 0.5 * x[1] + 1.0).collect();
-        let tree = LinearTreeModel::fit(&xs, &ys, &TreeParams::default());
+        let tree = LinearTreeModel::fit(&columns(&xs), &ys, &TreeParams::default());
         for x in &xs {
             let err = (tree.predict(x) - (3.0 * x[0] + 0.5 * x[1] + 1.0)).abs();
             assert!(err < 1e-3, "err {err}");
@@ -780,7 +785,7 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let tree = LinearTreeModel::fit(
-            &xs,
+            &columns(&xs),
             &ys,
             &TreeParams {
                 max_depth: 0,
@@ -806,7 +811,7 @@ mod tests {
                 }
             })
             .collect();
-        let tree = LinearTreeModel::fit(&xs, &ys, &TreeParams::default());
+        let tree = LinearTreeModel::fit(&columns(&xs), &ys, &TreeParams::default());
         assert!(tree.leaf_count() >= 2);
         assert!((tree.predict(&[50.0, 0.0]) - 500.0).abs() < 10.0);
         assert!((tree.predict(&[50.0, 3.0]) - 400.0).abs() < 10.0);
@@ -820,16 +825,22 @@ mod tests {
             min_leaf: 30,
             ..TreeParams::default()
         };
-        let tree = LinearTreeModel::fit(&xs, &ys, &params);
+        let tree = LinearTreeModel::fit(&columns(&xs), &ys, &params);
         // 40 samples cannot split into two leaves of ≥30.
         assert_eq!(tree.leaf_count(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "inconsistent feature widths")]
-    fn ragged_rows_rejected() {
-        let xs = vec![vec![1.0, 2.0], vec![3.0], vec![5.0, 6.0]];
-        let _ = LinearTreeModel::fit(&xs, &[1.0, 2.0, 3.0], &TreeParams::default());
+    #[should_panic(expected = "5 feature values do not form whole columns of 3 samples")]
+    fn partial_column_rejected() {
+        let cols = [1.0, 3.0, 5.0, 2.0, 6.0];
+        let _ = LinearTreeModel::fit(&cols, &[1.0, 2.0, 3.0], &TreeParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fit on an empty sample")]
+    fn empty_sample_rejected() {
+        let _ = LinearTreeModel::fit(&[], &[], &TreeParams::default());
     }
 
     /// Builds a dataset from raw draws: `base` independent columns with
@@ -917,7 +928,7 @@ mod tests {
                 min_leaf: params.1,
                 quantiles: params.2,
             };
-            let fast = LinearTreeModel::fit(&xs, &ys, &params);
+            let fast = LinearTreeModel::fit(&columns(&xs), &ys, &params);
             let oracle = reference::fit(&xs, &ys, &params);
             proptest::prop_assert_eq!(fast, oracle, "params {:?} on {:?} -> {:?}", params, xs, ys);
         }
@@ -943,7 +954,7 @@ mod tests {
             };
             // The derived `PartialEq` is false on NaN leaves; the serialized
             // form is exact for every other value, signed zeros included.
-            let fast = serde_json::to_string(&LinearTreeModel::fit(&xs, &ys, &params));
+            let fast = serde_json::to_string(&LinearTreeModel::fit(&columns(&xs), &ys, &params));
             let oracle = serde_json::to_string(&reference::fit(&xs, &ys, &params));
             proptest::prop_assert_eq!(
                 fast.expect("serializes"),
@@ -1003,7 +1014,8 @@ mod tests {
     /// exactly.
     fn root_survivors(xs: &[Vec<f64>], ys: &[f64]) -> usize {
         let params = TreeParams::default();
-        let mut fitter = Fitter::new(xs, ys, &params);
+        let cols = columns(xs);
+        let mut fitter = Fitter::new(&cols, ys, &params);
         fitter.best_split(0, ys.len());
         fitter.candidates.len()
     }

@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::CompileError;
-use elk_hw::SystemConfig;
 use elk_model::TransformerConfig;
 use elk_obs::{MemRecorder, Obs, ObsBuf};
 use elk_sim::SimOptions;
@@ -100,8 +99,8 @@ impl ServeConfig {
 
 /// Trace-driven serving simulator for one (system, model) pair.
 ///
-/// Owns the [`DesignRunner`] (fitted cost model) and the [`PlanCache`],
-/// so consecutive [`run`](ServingSim::run) calls — across designs,
+/// Holds the [`DesignRunner`] it is given (fitted cost model) and owns
+/// the [`PlanCache`], so consecutive [`run`](ServingSim::run) calls — across designs,
 /// traces, and replicas — reuse catalogs and compiled plans.
 #[derive(Debug)]
 pub struct ServingSim {
@@ -135,14 +134,14 @@ struct ReplicaRun {
 }
 
 impl ServingSim {
-    /// Creates a simulator for `config` on `system`, fitting the
-    /// runner's cost model once.
+    /// Creates a simulator for `config` on the system of `runner`,
+    /// sharing its cost model and plan sets.
     ///
     /// # Panics
     ///
     /// Panics where [`ServeConfig::validate`] fails.
     #[must_use]
-    pub fn new(system: SystemConfig, config: ServeConfig) -> Self {
+    pub fn new(runner: impl Into<DesignRunner>, config: ServeConfig) -> Self {
         config.validate().unwrap_or_else(|e| panic!("{e}"));
         let threads = config.threads;
         // The serving pool already parallelizes across replicas and
@@ -150,7 +149,7 @@ impl ServingSim {
         // pools sequential so worker counts do not multiply
         // (replicas × designs × candidate orders).
         ServingSim {
-            runner: DesignRunner::new(system).with_threads(1),
+            runner: runner.into().with_threads(1),
             config,
             cache: PlanCache::new().with_threads(threads),
             obs: Obs::null(),

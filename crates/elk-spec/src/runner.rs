@@ -5,6 +5,11 @@
 //! hardcoded-preset paths use ([`DesignRunner`], [`ServingSim`]), so a
 //! scenario that names a preset produces byte-identical reports to the
 //! equivalent non-spec run — the golden tests pin this.
+//!
+//! A run fits its chip once: its entry point (a CLI command, a sweep)
+//! builds one [`base_runner`] and passes it to each `run_*_observed`
+//! call, which derives every runner it needs with
+//! [`DesignRunner::with_system`]. The one-shot `run_*` build their own.
 
 use elk_baselines::{Design, DesignRunner};
 use elk_cluster::{
@@ -33,6 +38,16 @@ impl From<ClusterError> for SpecError {
     }
 }
 
+/// The base runner of one run of `spec`: a fresh fit for the
+/// scenario's system, from which every runner of the run derives.
+///
+/// # Errors
+///
+/// Returns [`SpecError::Invalid`] for an ill-formed system section.
+pub fn base_runner(spec: &ScenarioSpec) -> Result<DesignRunner, SpecError> {
+    Ok(DesignRunner::new(spec.system.to_system()?))
+}
+
 /// Compiles the scenario's designs and simulates each compiled program.
 ///
 /// # Errors
@@ -40,7 +55,7 @@ impl From<ClusterError> for SpecError {
 /// Returns [`SpecError::Invalid`] for an ill-formed spec and
 /// [`SpecError::Compile`] when a design has no feasible plan.
 pub fn run_compile(spec: &ScenarioSpec) -> Result<CompileReport, SpecError> {
-    run_compile_observed(spec, &Obs::null())
+    run_compile_observed(&base_runner(spec)?, spec, &Obs::null())
 }
 
 /// Emits one compile-pipeline lane on `obs` for `design`: pseudo-time
@@ -83,13 +98,18 @@ fn record_compile_lane(obs: &Obs, design: elk_baselines::Design, d: &DesignCompi
     obs.counter("compile.instrs", d.instrs as u64);
 }
 
-/// [`run_compile`] with an attached recorder: per-design compile lanes
-/// and `compile.*` counters land on `obs`.
+/// [`run_compile`] on a runner derived from `base`, with an attached
+/// recorder: per-design compile lanes and `compile.*` counters land on
+/// `obs`.
 ///
 /// # Errors
 ///
 /// Same as [`run_compile`].
-pub fn run_compile_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<CompileReport, SpecError> {
+pub fn run_compile_observed(
+    base: &DesignRunner,
+    spec: &ScenarioSpec,
+    obs: &Obs,
+) -> Result<CompileReport, SpecError> {
     let system = spec.system.to_system()?;
     let model = spec.model.resolve()?;
     let workload = spec.workload.to_workload()?;
@@ -97,7 +117,9 @@ pub fn run_compile_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<CompileRep
     let sim = spec.sim.to_options()?;
     let graph = model.build(workload, shards);
 
-    let runner = DesignRunner::new(system.clone()).with_threads(spec.compiler.threads);
+    let runner = base
+        .with_system(system.clone())
+        .with_threads(spec.compiler.threads);
     let designs = runner
         .run_designs(&spec.compiler.design, &graph, &sim)?
         .into_iter()
@@ -135,18 +157,22 @@ pub fn run_compile_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<CompileRep
 ///
 /// Same as [`run_compile`].
 pub fn run_simulate(spec: &ScenarioSpec) -> Result<SimulateReport, SpecError> {
-    run_simulate_observed(spec, &Obs::null())
+    run_simulate_observed(&base_runner(spec)?, spec, &Obs::null())
 }
 
-/// [`run_simulate`] with an attached recorder: the underlying compile
-/// pass records one `compile/<design>` lane per design (see
-/// [`run_compile_observed`]).
+/// [`run_simulate`] on a runner derived from `base`, with an attached
+/// recorder: the underlying compile pass records one `compile/<design>`
+/// lane per design (see [`run_compile_observed`]).
 ///
 /// # Errors
 ///
 /// Same as [`run_simulate`].
-pub fn run_simulate_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<SimulateReport, SpecError> {
-    let compiled = run_compile_observed(spec, obs)?;
+pub fn run_simulate_observed(
+    base: &DesignRunner,
+    spec: &ScenarioSpec,
+    obs: &Obs,
+) -> Result<SimulateReport, SpecError> {
+    let compiled = run_compile_observed(base, spec, obs)?;
     let basic_total = compiled
         .designs
         .iter()
@@ -271,17 +297,22 @@ pub fn run_trace_gen(spec: &ScenarioSpec) -> Result<(TraceFile, TraceGenReport),
 /// gracefully), the spec is ill-formed, or a step shape has no
 /// feasible plan.
 pub fn run_serve(spec: &ScenarioSpec) -> Result<ServeReport, SpecError> {
-    run_serve_observed(spec, &Obs::null())
+    run_serve_observed(&base_runner(spec)?, spec, &Obs::null())
 }
 
-/// [`run_serve`] with an attached recorder: the flat-pool replay (and
-/// the tenancy replay, when configured) record kernel spans, request
-/// lanes, and `serve.*`/`tenancy.*` metrics onto `obs`.
+/// [`run_serve`] with both replays on runners derived from `base`, and
+/// an attached recorder: the flat-pool replay (and the tenancy replay,
+/// when configured) record kernel spans, request lanes, and
+/// `serve.*`/`tenancy.*` metrics onto `obs`.
 ///
 /// # Errors
 ///
 /// Same as [`run_serve`].
-pub fn run_serve_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ServeReport, SpecError> {
+pub fn run_serve_observed(
+    base: &DesignRunner,
+    spec: &ScenarioSpec,
+    obs: &Obs,
+) -> Result<ServeReport, SpecError> {
     let system = spec.system.to_system()?;
     let model = spec.model.as_transformer()?;
     let shards = spec
@@ -291,7 +322,7 @@ pub fn run_serve_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ServeReport,
     let config = spec.serving.to_config(model.clone(), shards, sim_opts)?;
     let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;
 
-    let mut sim = ServingSim::new(system.clone(), config.clone());
+    let mut sim = ServingSim::new(base.with_system(system.clone()), config.clone());
     sim.set_obs(obs.clone());
     let designs = spec
         .compiler
@@ -303,7 +334,7 @@ pub fn run_serve_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ServeReport,
     let tenancy = match &spec.serving.tenants {
         Some(t) => {
             let mut engine = TenantServingSim::new(
-                system,
+                base.with_system(system),
                 ClusterServeConfig {
                     model: model.clone(),
                     plan: ParallelismPlan::new(shards, 1, spec.serving.replicas as u64),
@@ -349,17 +380,22 @@ pub fn run_serve_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ServeReport,
 /// transformer or the spec/plan is ill-formed, and [`SpecError::Compile`]
 /// when a stage has no feasible on-chip plan.
 pub fn run_cluster(spec: &ScenarioSpec) -> Result<ClusterRunReport, SpecError> {
-    run_cluster_observed(spec, &Obs::null())
+    run_cluster_observed(&base_runner(spec)?, spec, &Obs::null())
 }
 
-/// [`run_cluster`] with an attached recorder: every serving engine the
-/// scenario exercises (colocated, autoscaled, disaggregated, tenancy)
-/// records kernel spans, request lanes, and metrics onto `obs`.
+/// [`run_cluster`] with the estimator and every serving engine on
+/// runners derived from `base`, and an attached recorder: every serving
+/// engine the scenario exercises (colocated, autoscaled, disaggregated,
+/// tenancy) records kernel spans, request lanes, and metrics onto `obs`.
 ///
 /// # Errors
 ///
 /// Same as [`run_cluster`].
-pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRunReport, SpecError> {
+pub fn run_cluster_observed(
+    base: &DesignRunner,
+    spec: &ScenarioSpec,
+    obs: &Obs,
+) -> Result<ClusterRunReport, SpecError> {
     let cluster = spec.cluster.clone().unwrap_or_default();
     let interconnect = cluster.to_interconnect()?;
     let system = spec
@@ -378,7 +414,7 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
         .first()
         .expect("the design list is never empty (parse rejects it)");
 
-    let estimator = ClusterEstimator::new(system.clone(), cluster.to_options()?);
+    let estimator = ClusterEstimator::new(base.with_system(system.clone()), cluster.to_options()?);
     let (auto, candidates, estimate) = match cluster.to_plan() {
         Some(plan) => {
             let report = estimator
@@ -417,14 +453,17 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
         };
         let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;
         let designs = &spec.compiler.design;
-        let mut engine = ClusterServingSim::new(system.clone(), config.clone())?;
+        let mut engine = ClusterServingSim::new(base.with_system(system.clone()), config.clone())?;
         engine.set_obs(obs.clone());
         serving = Some(per_design_and_policy(designs, &cluster.router, |d, p| {
             engine.run(d, p, &trace)
         })?);
         if let Some(auto) = &cluster.autoscale {
-            let mut engine =
-                AutoscaleServingSim::new(system.clone(), config.clone(), auto.to_config()?)?;
+            let mut engine = AutoscaleServingSim::new(
+                base.with_system(system.clone()),
+                config.clone(),
+                auto.to_config()?,
+            )?;
             engine.set_obs(obs.clone());
             let rows: Result<_, ClusterError> =
                 designs.iter().map(|&d| engine.run(d, &trace)).collect();
@@ -433,7 +472,7 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
         if let Some(split) = &cluster.disaggregate {
             let (prefill, decode) = split.to_plans();
             let mut engine = DisaggServingSim::new(
-                system.clone(),
+                base.with_system(system.clone()),
                 DisaggConfig {
                     batch: config.batch,
                     slo: config.slo,
@@ -450,7 +489,11 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
             })?);
         }
         if let Some(tenants) = &cluster.tenants {
-            let mut engine = TenantServingSim::new(system.clone(), config, tenants.to_config()?)?;
+            let mut engine = TenantServingSim::new(
+                base.with_system(system.clone()),
+                config,
+                tenants.to_config()?,
+            )?;
             engine.set_obs(obs.clone());
             tenancy = Some(per_design_and_policy(designs, &cluster.router, |d, p| {
                 engine.run(d, p, &trace, &tenant_ids)

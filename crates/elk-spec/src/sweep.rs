@@ -12,8 +12,13 @@
 //!
 //! The parsed points then fan out over an [`elk_par`] work pool and
 //! merge in grid order, so the report is byte-identical at any
-//! `--threads` setting.
+//! `--threads` setting. The sweep owns one base runner, fitted for its
+//! first point; every point derives its runner from it with
+//! [`DesignRunner::with_system`], so points on an equal device share one
+//! cost-model fit and points on the same chip share plan sets.
 
+use elk_baselines::DesignRunner;
+use elk_obs::Obs;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::report::{SweepPoint, SweepReport};
@@ -132,8 +137,9 @@ pub(crate) fn parse_sweep(doc: &Value) -> Result<ParsedSweep, SpecError> {
 
 /// Runs the sweep described by the scenario document `doc`: every grid
 /// point is parsed first, then the parsed points fan out across
-/// `threads` workers (`0` = all available cores). The merged report is
-/// in grid order and byte-identical at any thread count.
+/// `threads` workers (`0` = all available cores), each on a runner
+/// derived from the sweep's one base. The merged report is in grid
+/// order and byte-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -144,8 +150,13 @@ pub(crate) fn parse_sweep(doc: &Value) -> Result<ParsedSweep, SpecError> {
 pub fn run_sweep(doc: &Value, threads: usize) -> Result<SweepReport, SpecError> {
     let parsed = parse_sweep(doc)?;
     let command = parsed.sweep.command;
+    let (_, first) = parsed
+        .points
+        .first()
+        .expect("every axis has a value, so the grid has a point");
+    let base = runner::base_runner(first)?;
     let results = elk_par::try_par_map(threads, &parsed.points, |_, (overrides, point_spec)| {
-        run_point(point_spec, command, overrides)
+        run_point(&base, point_spec, command, overrides)
     })?;
 
     Ok(SweepReport {
@@ -156,16 +167,19 @@ pub fn run_sweep(doc: &Value, threads: usize) -> Result<SweepReport, SpecError> 
     })
 }
 
-/// Runs one parsed point through `command`.
+/// Runs one parsed point through `command`, on a runner derived from
+/// `base`.
 fn run_point(
+    base: &DesignRunner,
     point_spec: &ScenarioSpec,
     command: SweepCommand,
     overrides: &Overrides,
 ) -> Result<SweepPoint, SpecError> {
+    let obs = Obs::null();
     let report = match command {
-        SweepCommand::Compile => runner::run_compile(point_spec)?.to_value(),
-        SweepCommand::Simulate => runner::run_simulate(point_spec)?.to_value(),
-        SweepCommand::Serve => runner::run_serve(point_spec)?.to_value(),
+        SweepCommand::Compile => runner::run_compile_observed(base, point_spec, &obs)?.to_value(),
+        SweepCommand::Simulate => runner::run_simulate_observed(base, point_spec, &obs)?.to_value(),
+        SweepCommand::Serve => runner::run_serve_observed(base, point_spec, &obs)?.to_value(),
     };
     Ok(SweepPoint {
         name: point_spec.name.clone(),
@@ -241,22 +255,55 @@ mod tests {
 
     #[test]
     fn sweep_runs_and_merges_deterministically() {
-        let scenario = doc(r#"{
+        let batch = doc(r#"{
               "name": "s",
               "model": {"zoo": "llama13", "layers": 2},
               "workload": {"batch": 16, "seq_len": 512},
               "sweep": {"command": "compile",
                         "axes": [{"path": "workload.batch", "values": [8, 16]}]}
             }"#);
-        let seq = run_sweep(&scenario, 1).unwrap();
-        let par = run_sweep(&scenario, 8).unwrap();
-        assert_eq!(seq.points.len(), 2);
-        assert_eq!(seq.points[0].name, r#"s[workload.batch=8]"#);
-        assert_eq!(
-            serde_json::to_string(&seq).unwrap(),
-            serde_json::to_string(&par).unwrap(),
-            "sweep must be byte-identical at any thread count"
-        );
+        // Chip axes: a smaller SRAM keeps the device, so its points share
+        // the base's fit with fresh plan sets; a faster SRAM port changes
+        // the device, so its points fit afresh.
+        let chip = doc(r#"{
+              "name": "c",
+              "system": {"chip": {"cores": 1472, "matmul_tflops": 250.0,
+                                  "vector_tflops": 7.8}},
+              "model": {"zoo": "llama13", "layers": 2},
+              "workload": {"batch": 16, "seq_len": 512},
+              "sweep": {"command": "compile",
+                        "axes": [{"path": "system.chip.sram_per_core_kib",
+                                  "values": [624, 600]},
+                                 {"path": "system.chip.sram_bw_gb_s",
+                                  "values": [21.3, 30.0]}]}
+            }"#);
+        for (scenario, points, first) in [
+            (batch, 2, "s[workload.batch=8]"),
+            (
+                chip,
+                4,
+                "c[system.chip.sram_per_core_kib=624,system.chip.sram_bw_gb_s=21.3]",
+            ),
+        ] {
+            let seq = run_sweep(&scenario, 1).unwrap();
+            let par = run_sweep(&scenario, 8).unwrap();
+            assert_eq!(seq.points.len(), points);
+            assert_eq!(seq.points[0].name, first);
+            assert_eq!(
+                serde_json::to_string(&seq).unwrap(),
+                serde_json::to_string(&par).unwrap(),
+                "sweep must be byte-identical at any thread count"
+            );
+            // A derived point reports what a fresh fit of it would.
+            for ((_, spec), point) in parse_sweep(&scenario)
+                .unwrap()
+                .points
+                .iter()
+                .zip(&seq.points)
+            {
+                assert_eq!(runner::run_compile(spec).unwrap().to_value(), point.report);
+            }
+        }
     }
 
     #[test]

@@ -295,7 +295,7 @@ fn run_scenario(command: &str, opts: &ScenarioArgs) -> Result<(), Fail> {
             r.to_value()
         }
         "simulate" => {
-            let r = runner::run_simulate_observed(&spec, &obs)?;
+            let r = runner::run_simulate_observed(&runner::base_runner(&spec)?, &spec, &obs)?;
             for d in &r.designs {
                 let speedup = d
                     .speedup_vs_basic
@@ -328,11 +328,13 @@ fn run_scenario(command: &str, opts: &ScenarioArgs) -> Result<(), Fail> {
             }
             // A recorded serve timeline also carries the compile
             // pipeline's lanes, so one file spans compile phases,
-            // kernel events, and request lanes end to end.
+            // kernel events, and request lanes end to end. Both passes
+            // derive from one base runner: the chip is fitted once.
+            let base = runner::base_runner(&spec)?;
             if obs.enabled() {
-                runner::run_compile_observed(&spec, &obs)?;
+                runner::run_compile_observed(&base, &spec, &obs)?;
             }
-            let r = runner::run_serve_observed(&spec, &obs)?;
+            let r = runner::run_serve_observed(&base, &spec, &obs)?;
             for d in &r.designs {
                 println!(
                     "{}: {}: {} reqs, ttft p99 {:.2} ms, tpot mean {:.2} ms, goodput {:.1} req/s",
@@ -376,11 +378,12 @@ fn run_scenario(command: &str, opts: &ScenarioArgs) -> Result<(), Fail> {
                 }
             }
             // See the serve arm: compile lanes ride along in the
-            // recorded timeline.
+            // recorded timeline, on the run's one base runner.
+            let base = runner::base_runner(&spec)?;
             if obs.enabled() {
-                runner::run_compile_observed(&spec, &obs)?;
+                runner::run_compile_observed(&base, &spec, &obs)?;
             }
-            let r = runner::run_cluster_observed(&spec, &obs)?;
+            let r = runner::run_cluster_observed(&base, &spec, &obs)?;
             let e = &r.estimate;
             println!(
                 "{}: {} plan {} on {} chips ({} used), step {:.3} ms, bubble {:.1}%, {}",
