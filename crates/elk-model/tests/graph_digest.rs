@@ -7,27 +7,11 @@
 //! {1, 2, 4, 8, 16} the model splits evenly, as a full build plus three
 //! pipeline-stage windows, and Mixtral and DiT-XL over the same phases
 //! and shard counts. A refactor of the builders must leave every row
-//! unchanged; a deliberate change to a graph re-pins its model's row.
+//! unchanged; a deliberate change to a graph re-pins its model's row in
+//! `tests/pins/graph.pins`.
 
 use elk_model::{zoo, ModelGraph, Workload};
-use serde::Serialize;
-
-/// 64-bit FNV-1a, chained from `seed`.
-fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    bytes.iter().fold(seed, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds the JSON form of `value` into `digest`.
-fn fold<T: Serialize>(digest: u64, value: &T) -> u64 {
-    fnv1a(
-        serde_json::to_string(value).expect("serializes").as_bytes(),
-        digest,
-    )
-}
+use elk_pins::{fold_json, Pins, OFFSET};
 
 const PHASES: [fn() -> Workload; 3] = [
     || Workload::decode(16, 2048),
@@ -43,11 +27,11 @@ fn digest_over(
     check: impl Fn(u64) -> Result<(), String>,
     build: impl Fn(Workload, u64) -> Vec<ModelGraph>,
 ) -> u64 {
-    let mut d = FNV_OFFSET;
+    let mut d = OFFSET;
     for phase in PHASES {
         for shards in SHARDS.into_iter().filter(|&s| check(s).is_ok()) {
             for g in build(phase(), shards) {
-                d = fold(d, &g);
+                d = fold_json(d, &g);
             }
         }
     }
@@ -56,7 +40,7 @@ fn digest_over(
 
 #[test]
 fn built_graphs_are_pinned() {
-    let mut got: Vec<(String, u64)> = Vec::new();
+    let mut pins = Pins::new("graph", "graphs");
     for cfg in [
         zoo::llama2_13b(),
         zoo::llama2_70b(),
@@ -76,29 +60,13 @@ fn built_graphs_are_pinned() {
                 ]
             },
         );
-        got.push((cfg.name, d));
+        pins.add(cfg.name, d);
     }
     let moe = zoo::mixtral_8x7b();
     let d = digest_over(|s| moe.check_shards(s), |wl, s| vec![moe.build(wl, s)]);
-    got.push((moe.name, d));
+    pins.add(moe.name, d);
     let dit = zoo::dit_xl();
     let d = digest_over(|s| dit.check_shards(s), |wl, s| vec![dit.build(wl, s)]);
-    got.push((dit.name, d));
-
-    let want: &[(&str, u64)] = &[
-        ("Llama-2-13B", 0x225c6efee42fab5f),
-        ("Llama-2-70B", 0xbd3a4a7f55caeb78),
-        ("Gemma-2-27B", 0x4dde83bc098fcea8),
-        ("OPT-30B", 0x9da5674686b407c6),
-        ("Mixtral-8x7B", 0xbfac87fcb6ef66ff),
-        ("DiT-XL", 0x5347cef599e6ae2a),
-    ];
-    let mismatches: Vec<String> = got
-        .iter()
-        .zip(want)
-        .filter(|((gn, g), (wn, w))| gn != wn || g != w)
-        .map(|((name, g), (_, w))| format!("{name}: got {g:#018x}, pinned {w:#018x}"))
-        .collect();
-    assert_eq!(got.len(), want.len(), "model list changed");
-    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    pins.add(dit.name, d);
+    pins.check();
 }

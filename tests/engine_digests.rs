@@ -6,7 +6,8 @@
 //! export — as FNV-1a digests, on the checked-in
 //! `traces/golden_small.jsonl` and on a small generated burst trace.
 //! A refactor of the serving core must leave every digest unchanged;
-//! a deliberate change to simulated behaviour re-pins them here.
+//! a deliberate change to simulated behaviour re-pins them in
+//! `tests/pins/engine.pins`.
 //!
 //! The only field left out is `ServingReport::cache`: its hit/miss
 //! split is not part of the deterministic output contract.
@@ -20,63 +21,15 @@ use elk::cluster::{
 use elk::obs::{export, MemRecorder, Obs, ObsBuf};
 use elk::prelude::*;
 use elk::serve::{CacheStats, RouterPolicy, ShedPolicy, TenancyConfig, TenantClass};
-use serde::Serialize;
+use elk_pins::{digest, Pins};
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-fn digest<T: Serialize>(value: &T) -> u64 {
-    fnv1a(serde_json::to_string(value).expect("serializes").as_bytes())
-}
-
-/// Digests of the recorded timeline and metrics export.
-fn obs_digests(buf: &ObsBuf) -> (u64, u64) {
-    (
+/// Adds the digests of the recorded timeline and metrics export.
+fn add_obs(pins: &mut Pins, name: &str, buf: &ObsBuf) {
+    pins.add(
+        format!("{name}/timeline"),
         digest(&export::chrome_trace(buf)),
-        digest(&export::metrics(buf)),
-    )
-}
-
-/// Collects `(name, digest)` rows and checks them against the pins,
-/// listing every mismatch at once.
-struct Pins(Vec<(String, u64)>);
-
-impl Pins {
-    fn new() -> Self {
-        Pins(Vec::new())
-    }
-
-    fn add(&mut self, name: String, d: u64) {
-        self.0.push((name, d));
-    }
-
-    fn add_obs(&mut self, name: &str, buf: &ObsBuf) {
-        let (timeline, metrics) = obs_digests(buf);
-        self.add(format!("{name}/timeline"), timeline);
-        self.add(format!("{name}/metrics"), metrics);
-    }
-
-    fn check(&self, pinned: &[(&str, u64)]) {
-        let got: Vec<String> = self
-            .0
-            .iter()
-            .map(|(n, d)| format!("(\"{n}\", 0x{d:016x}),"))
-            .collect();
-        let want: Vec<String> = pinned
-            .iter()
-            .map(|(n, d)| format!("(\"{n}\", 0x{d:016x}),"))
-            .collect();
-        assert_eq!(
-            got.join("\n"),
-            want.join("\n"),
-            "engine output digests changed; actual table:\n{}",
-            got.join("\n")
-        );
-    }
+    );
+    pins.add(format!("{name}/metrics"), digest(&export::metrics(buf)));
 }
 
 fn model() -> TransformerConfig {
@@ -140,7 +93,7 @@ fn recorder() -> (Arc<MemRecorder>, Obs) {
 
 #[test]
 fn replica_engine_output_is_pinned() {
-    let mut pins = Pins::new();
+    let mut pins = Pins::new("engine", "replica");
     for (name, trace, _) in traces() {
         let (rec, obs) = recorder();
         let mut config = ServeConfig::new(model(), 2).with_replicas(2);
@@ -152,23 +105,14 @@ fn replica_engine_output_is_pinned() {
             report.cache = CacheStats::default();
             pins.add(format!("serve/{name}/{design}"), digest(&report));
         }
-        pins.add_obs(&format!("serve/{name}"), &rec.take_buf());
+        add_obs(&mut pins, &format!("serve/{name}"), &rec.take_buf());
     }
-    pins.check(&[
-        ("serve/golden/ELK-Full", 0x1d559c7fa219c8cf),
-        ("serve/golden/Basic", 0x518a1f530692c421),
-        ("serve/golden/timeline", 0xdaa168486cff7cf4),
-        ("serve/golden/metrics", 0xe872d4a9ab254a93),
-        ("serve/burst/ELK-Full", 0x6c5384c64764904b),
-        ("serve/burst/Basic", 0x0d258e5498e99926),
-        ("serve/burst/timeline", 0x222c683948b460db),
-        ("serve/burst/metrics", 0xbdbd7ed0db638a2d),
-    ]);
+    pins.check();
 }
 
 #[test]
 fn cluster_engine_output_is_pinned_under_every_policy() {
-    let mut pins = Pins::new();
+    let mut pins = Pins::new("engine", "cluster");
     for (name, trace, _) in traces() {
         let (rec, obs) = recorder();
         let mut sim = ClusterServingSim::new(
@@ -181,25 +125,14 @@ fn cluster_engine_output_is_pinned_under_every_policy() {
             let report = sim.run(Design::ElkFull, policy, &trace).expect("serves");
             pins.add(format!("cluster/{name}/{policy}"), digest(&report));
         }
-        pins.add_obs(&format!("cluster/{name}"), &rec.take_buf());
+        add_obs(&mut pins, &format!("cluster/{name}"), &rec.take_buf());
     }
-    pins.check(&[
-        ("cluster/golden/round_robin", 0xf87048df052d9c5e),
-        ("cluster/golden/least_outstanding", 0x88e2c9b2a59884da),
-        ("cluster/golden/power_of_two(seed=2)", 0xb614a902adfce102),
-        ("cluster/golden/timeline", 0xb144099c160bac70),
-        ("cluster/golden/metrics", 0xeb7b3e71e2c642d1),
-        ("cluster/burst/round_robin", 0xf024ce0e343cea1f),
-        ("cluster/burst/least_outstanding", 0xfce6e80a198fa228),
-        ("cluster/burst/power_of_two(seed=2)", 0xc4729d799fc8e33c),
-        ("cluster/burst/timeline", 0x5d4f5c78dd0926b9),
-        ("cluster/burst/metrics", 0xe5196c8abd728f67),
-    ]);
+    pins.check();
 }
 
 #[test]
 fn autoscale_engine_output_is_pinned() {
-    let mut pins = Pins::new();
+    let mut pins = Pins::new("engine", "autoscale");
     for (name, trace, _) in traces() {
         let (rec, obs) = recorder();
         let auto = AutoscaleConfig {
@@ -226,16 +159,9 @@ fn autoscale_engine_output_is_pinned() {
             );
         }
         pins.add(format!("autoscale/{name}"), digest(&report));
-        pins.add_obs(&format!("autoscale/{name}"), &rec.take_buf());
+        add_obs(&mut pins, &format!("autoscale/{name}"), &rec.take_buf());
     }
-    pins.check(&[
-        ("autoscale/golden", 0xff78f854dfd06724),
-        ("autoscale/golden/timeline", 0x86e152633d8cc1ab),
-        ("autoscale/golden/metrics", 0xed6648ef65f236b8),
-        ("autoscale/burst", 0x8a22a233afacdfc2),
-        ("autoscale/burst/timeline", 0x3eae2b3259b69b39),
-        ("autoscale/burst/metrics", 0x495908817377b189),
-    ]);
+    pins.check();
 }
 
 /// Three classes on a two-model pod: a premium class, a rate-limited
@@ -270,7 +196,7 @@ fn mixed_tenancy(shed_policy: ShedPolicy) -> TenancyConfig {
 
 #[test]
 fn tenancy_engine_output_is_pinned_for_default_and_mixed_classes() {
-    let mut pins = Pins::new();
+    let mut pins = Pins::new("engine", "tenancy");
     for (name, trace, tenants) in traces() {
         let (rec, obs) = recorder();
         let mut sim = TenantServingSim::new(
@@ -286,7 +212,11 @@ fn tenancy_engine_output_is_pinned_for_default_and_mixed_classes() {
                 .expect("serves");
             pins.add(format!("tenancy/{name}/default/{policy}"), digest(&report));
         }
-        pins.add_obs(&format!("tenancy/{name}/default"), &rec.take_buf());
+        add_obs(
+            &mut pins,
+            &format!("tenancy/{name}/default"),
+            &rec.take_buf(),
+        );
 
         // Every third request of the mixed runs goes to the second model.
         let mixed_tenants: Vec<String> = tenants
@@ -321,45 +251,14 @@ fn tenancy_engine_output_is_pinned_for_default_and_mixed_classes() {
                 assert!(report.rejected + report.deferred > 0, "the burst sheds");
             }
             pins.add(format!("tenancy/{name}/mixed-{label}"), digest(&report));
-            pins.add_obs(&format!("tenancy/{name}/mixed-{label}"), &rec.take_buf());
+            add_obs(
+                &mut pins,
+                &format!("tenancy/{name}/mixed-{label}"),
+                &rec.take_buf(),
+            );
         }
     }
-    pins.check(&[
-        ("tenancy/golden/default/round_robin", 0x56d50f7d4bc64080),
-        (
-            "tenancy/golden/default/least_outstanding",
-            0x99837dc09d80bb2a,
-        ),
-        (
-            "tenancy/golden/default/power_of_two(seed=2)",
-            0x28ed423eb857d7f2,
-        ),
-        ("tenancy/golden/default/timeline", 0x500839e7c61ad77d),
-        ("tenancy/golden/default/metrics", 0x3c8b83395fd10f1d),
-        ("tenancy/golden/mixed-reject", 0xf8305da9662b3abc),
-        ("tenancy/golden/mixed-reject/timeline", 0x38d329c6fe177c24),
-        ("tenancy/golden/mixed-reject/metrics", 0xc9a5e1e9cd0d1b9d),
-        ("tenancy/golden/mixed-defer", 0xf8305da9662b3abc),
-        ("tenancy/golden/mixed-defer/timeline", 0x38d329c6fe177c24),
-        ("tenancy/golden/mixed-defer/metrics", 0xc9a5e1e9cd0d1b9d),
-        ("tenancy/burst/default/round_robin", 0x352f83aea1046ca1),
-        (
-            "tenancy/burst/default/least_outstanding",
-            0x9cf086a7101b655a,
-        ),
-        (
-            "tenancy/burst/default/power_of_two(seed=2)",
-            0x7412920c06caf6e8,
-        ),
-        ("tenancy/burst/default/timeline", 0xb8a461c06ea74cbb),
-        ("tenancy/burst/default/metrics", 0x0b3f0dfcf28302e7),
-        ("tenancy/burst/mixed-reject", 0x83dff5a1ef241cc0),
-        ("tenancy/burst/mixed-reject/timeline", 0xd4ae95b499f5f781),
-        ("tenancy/burst/mixed-reject/metrics", 0x3b539c3340bfe36a),
-        ("tenancy/burst/mixed-defer", 0x08d9d70edab3e536),
-        ("tenancy/burst/mixed-defer/timeline", 0x3d7b3e85270b85ad),
-        ("tenancy/burst/mixed-defer/metrics", 0x442a16f1c0b47a03),
-    ]);
+    pins.check();
 }
 
 /// Every pinned disaggregated layout:
@@ -390,7 +289,7 @@ fn disagg_config(prefill: ParallelismPlan, decode: ParallelismPlan) -> DisaggCon
 
 #[test]
 fn disaggregated_engine_output_is_pinned() {
-    let mut pins = Pins::new();
+    let mut pins = Pins::new("engine", "disagg");
     for (name, trace, _) in traces() {
         let (rec, obs) = recorder();
         let dp2 = ParallelismPlan::new(1, 1, 2);
@@ -404,7 +303,7 @@ fn disaggregated_engine_output_is_pinned() {
             .run(Design::ElkFull, RouterPolicy::LeastOutstanding, &trace)
             .expect("serves");
         pins.add(format!("disagg/{name}"), digest(&report));
-        pins.add_obs(&format!("disagg/{name}"), &rec.take_buf());
+        add_obs(&mut pins, &format!("disagg/{name}"), &rec.take_buf());
 
         // Every layout under every router policy, one recording each.
         for (label, prefill, decode, shared_chips, chunk_tokens) in disagg_layouts() {
@@ -420,149 +319,12 @@ fn disaggregated_engine_output_is_pinned() {
                 let report = sim.run(Design::ElkFull, policy, &trace).expect("serves");
                 pins.add(format!("disagg/{name}/{label}/{policy}"), digest(&report));
             }
-            pins.add_obs(&format!("disagg/{name}/{label}"), &rec.take_buf());
+            add_obs(
+                &mut pins,
+                &format!("disagg/{name}/{label}"),
+                &rec.take_buf(),
+            );
         }
     }
-    pins.check(&[
-        ("disagg/golden", 0x81794e0e7184e985),
-        ("disagg/golden/timeline", 0x8add06e24f7da3f5),
-        ("disagg/golden/metrics", 0x0babbc5dab376226),
-        (
-            "disagg/golden/disjoint-chunk256/round_robin",
-            0x8a35e5f6c5e9c4ae,
-        ),
-        (
-            "disagg/golden/disjoint-chunk256/least_outstanding",
-            0x81794e0e7184e985,
-        ),
-        (
-            "disagg/golden/disjoint-chunk256/power_of_two(seed=2)",
-            0x54c97416c0066e37,
-        ),
-        (
-            "disagg/golden/disjoint-chunk256/timeline",
-            0x0f1aa28bc9798580,
-        ),
-        (
-            "disagg/golden/disjoint-chunk256/metrics",
-            0xe16b88c90fd0c8b9,
-        ),
-        ("disagg/golden/disjoint/round_robin", 0x6559ef9f9c393441),
-        (
-            "disagg/golden/disjoint/least_outstanding",
-            0x65b40018441777fb,
-        ),
-        (
-            "disagg/golden/disjoint/power_of_two(seed=2)",
-            0xa7731f8be7e7e119,
-        ),
-        ("disagg/golden/disjoint/timeline", 0x9f16382802b4454c),
-        ("disagg/golden/disjoint/metrics", 0xccb576166a6df96f),
-        ("disagg/golden/shared/round_robin", 0x73281cfae3fb7caa),
-        ("disagg/golden/shared/least_outstanding", 0x2d704f5775d6fd77),
-        (
-            "disagg/golden/shared/power_of_two(seed=2)",
-            0x8335ed96fc5e3388,
-        ),
-        ("disagg/golden/shared/timeline", 0xf98b18281139760a),
-        ("disagg/golden/shared/metrics", 0x34dd188cb4a0a6ac),
-        (
-            "disagg/golden/shared-chunk256/round_robin",
-            0xcbb2cca0f9289a78,
-        ),
-        (
-            "disagg/golden/shared-chunk256/least_outstanding",
-            0x190bb144871353a1,
-        ),
-        (
-            "disagg/golden/shared-chunk256/power_of_two(seed=2)",
-            0x09a0889751f8d2f0,
-        ),
-        ("disagg/golden/shared-chunk256/timeline", 0x155030b1ec9a3f89),
-        ("disagg/golden/shared-chunk256/metrics", 0xe3d3eef341563d34),
-        (
-            "disagg/golden/unequal-chunk512/round_robin",
-            0xed879d73e09bd00e,
-        ),
-        (
-            "disagg/golden/unequal-chunk512/least_outstanding",
-            0xebf1e87ea5f7297d,
-        ),
-        (
-            "disagg/golden/unequal-chunk512/power_of_two(seed=2)",
-            0x2972b8f85e77df68,
-        ),
-        (
-            "disagg/golden/unequal-chunk512/timeline",
-            0x33d47628fdda46ca,
-        ),
-        ("disagg/golden/unequal-chunk512/metrics", 0xc166aaee03f9f8da),
-        ("disagg/burst", 0x0d7130f30dec4277),
-        ("disagg/burst/timeline", 0xafc3ffc9df8a99d6),
-        ("disagg/burst/metrics", 0x9e29abd89c3d903a),
-        (
-            "disagg/burst/disjoint-chunk256/round_robin",
-            0x20592b25ed0ad7b5,
-        ),
-        (
-            "disagg/burst/disjoint-chunk256/least_outstanding",
-            0x0d7130f30dec4277,
-        ),
-        (
-            "disagg/burst/disjoint-chunk256/power_of_two(seed=2)",
-            0x252a20e73bc12e58,
-        ),
-        (
-            "disagg/burst/disjoint-chunk256/timeline",
-            0xb85f245e76db2654,
-        ),
-        ("disagg/burst/disjoint-chunk256/metrics", 0x5e10b4586a18b555),
-        ("disagg/burst/disjoint/round_robin", 0x64caed5b8281ef54),
-        (
-            "disagg/burst/disjoint/least_outstanding",
-            0x2fd28ec92a22c5d1,
-        ),
-        (
-            "disagg/burst/disjoint/power_of_two(seed=2)",
-            0xa46ead49d532bc3a,
-        ),
-        ("disagg/burst/disjoint/timeline", 0x249b9adbf0ba0e82),
-        ("disagg/burst/disjoint/metrics", 0x83051f246a37ba8b),
-        ("disagg/burst/shared/round_robin", 0x6504b9484c24bd18),
-        ("disagg/burst/shared/least_outstanding", 0x06569679453160cd),
-        (
-            "disagg/burst/shared/power_of_two(seed=2)",
-            0xd92c3665bf5ba82a,
-        ),
-        ("disagg/burst/shared/timeline", 0x097ce49cdafdc657),
-        ("disagg/burst/shared/metrics", 0xecd07c68dd62c472),
-        (
-            "disagg/burst/shared-chunk256/round_robin",
-            0x70446e36848298a1,
-        ),
-        (
-            "disagg/burst/shared-chunk256/least_outstanding",
-            0x3d65a1b3011f4272,
-        ),
-        (
-            "disagg/burst/shared-chunk256/power_of_two(seed=2)",
-            0x3aedfd9da3b852f1,
-        ),
-        ("disagg/burst/shared-chunk256/timeline", 0x318740d0a523d4ce),
-        ("disagg/burst/shared-chunk256/metrics", 0xe1a27d8edfd34ce3),
-        (
-            "disagg/burst/unequal-chunk512/round_robin",
-            0x487aa034da72683d,
-        ),
-        (
-            "disagg/burst/unequal-chunk512/least_outstanding",
-            0x1a51d3d9daabd932,
-        ),
-        (
-            "disagg/burst/unequal-chunk512/power_of_two(seed=2)",
-            0xb3a2272da7f61875,
-        ),
-        ("disagg/burst/unequal-chunk512/timeline", 0x8c0be480cd9d1ec2),
-        ("disagg/burst/unequal-chunk512/metrics", 0x0a0ea1555b33a175),
-    ]);
+    pins.check();
 }

@@ -4,37 +4,17 @@
 //! `perfbench/scenarios/*.json`) and a set of inline specs that switch
 //! on every optional section are parsed and re-emitted with
 //! `ScenarioSpec::to_json`; the FNV-1a digest of that canonical JSON is
-//! pinned here. The digests cover key order, which optional keys are
-//! skipped when absent, default filling and number formatting, so any
-//! change to how the spec types serialize or fill defaults — hand-written
-//! or derived — shows up as a digest change.
+//! pinned in `tests/pins/spec.pins`. The digests cover key order, which
+//! optional keys are skipped when absent, default filling and number
+//! formatting, so any change to how the spec types serialize or fill
+//! defaults — hand-written or derived — shows up as a digest change.
 
 use elk::spec::ScenarioSpec;
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+use elk_pins::{fold, Pins, OFFSET};
 
 fn canonical_digest(name: &str, json: &str) -> u64 {
     let spec = ScenarioSpec::from_json(json).unwrap_or_else(|e| panic!("{name}: {e}"));
-    fnv1a(spec.to_json().as_bytes())
-}
-
-/// Compares `(name, digest)` rows against the pins, listing every
-/// mismatch at once.
-fn check(got: &[(String, u64)], pinned: &[(&str, u64)]) {
-    let fmt = |n: &str, d: u64| format!("(\"{n}\", 0x{d:016x}),");
-    let got: Vec<String> = got.iter().map(|(n, d)| fmt(n, *d)).collect();
-    let want: Vec<String> = pinned.iter().map(|(n, d)| fmt(n, *d)).collect();
-    assert_eq!(
-        got.join("\n"),
-        want.join("\n"),
-        "canonical spec digests changed; actual table:\n{}",
-        got.join("\n")
-    );
+    fold(OFFSET, spec.to_json().as_bytes())
 }
 
 /// Every `*.json` in `dir` (relative to the package root), sorted.
@@ -51,7 +31,7 @@ fn scenario_files(dir: &str) -> Vec<std::path::PathBuf> {
 
 #[test]
 fn checked_in_scenarios_have_pinned_canonical_forms() {
-    let mut got = Vec::new();
+    let mut pins = Pins::new("spec", "scenario_files");
     for dir in ["scenarios", "perfbench/scenarios"] {
         for path in scenario_files(dir) {
             let name = format!(
@@ -59,35 +39,11 @@ fn checked_in_scenarios_have_pinned_canonical_forms() {
                 path.file_name().expect("file name").to_string_lossy()
             );
             let json = std::fs::read_to_string(&path).expect("readable scenario");
-            got.push((name.clone(), canonical_digest(&name, &json)));
+            let d = canonical_digest(&name, &json);
+            pins.add(name, d);
         }
     }
-    check(
-        &got,
-        &[
-            ("scenarios/autoscale_burst.json", 0xe7450193165af5f5),
-            ("scenarios/cluster_router_burst.json", 0xdb3b86b02dc113f3),
-            ("scenarios/custom_chip_dse.json", 0xefcc878213034708),
-            ("scenarios/disagg_chat.json", 0x386f1b9323761b58),
-            ("scenarios/disagg_longprompt.json", 0xaf27be6a9b24a009),
-            ("scenarios/dit_single_chip.json", 0xb5d16dbd109a50e2),
-            ("scenarios/mesh_gemma.json", 0xf79b54b3821b53c9),
-            ("scenarios/moe_mixtral.json", 0x00e191ef56e71c10),
-            ("scenarios/paper_all_designs.json", 0x26508364dc7d183d),
-            ("scenarios/paper_default.json", 0xfeae5d9f08060ba4),
-            ("scenarios/pod4_llama_tp_pp.json", 0x049c5dc6f60bab73),
-            ("scenarios/serving_burst.json", 0x064249cfc2bc8976),
-            ("scenarios/sweep_batch.json", 0xdc9199283a8976c8),
-            ("scenarios/tenants_mixed_models.json", 0x4b0096cc14e569c7),
-            ("scenarios/tenants_overload.json", 0xf34dc43f2216cac6),
-            ("scenarios/trace_gen_golden.json", 0xe4d5bac69dafe065),
-            ("scenarios/trace_replay_pin.json", 0x964f41e7f8150746),
-            ("perfbench/scenarios/dse_gemma27.json", 0x4bf6b47b8805aa23),
-            ("perfbench/scenarios/dse_llama13.json", 0x498904b6a08ee92d),
-            ("perfbench/scenarios/serve_cold.json", 0xcdf730f8c87f5598),
-            ("perfbench/scenarios/serve_steady.json", 0xd0529f4514f77715),
-        ],
-    );
+    pins.check();
 }
 
 /// A spec with every optional section present: explicit system and
@@ -187,19 +143,19 @@ fn fully_populated_specs_have_pinned_canonical_forms() {
             r#"{"HeavyTail": {"lo": 2, "alpha": 2.0, "cap": 40}}"#,
         ),
     ];
-    let mut got = Vec::new();
+    let mut pins = Pins::new("spec", "full_specs");
     for (name, rate, prompt, output) in variants {
         let json = FULL
             .replace("{rate}", rate)
             .replace("{prompt}", prompt)
             .replace("{output}", output);
-        got.push((format!("full/{name}"), canonical_digest(name, &json)));
+        pins.add(format!("full/{name}"), canonical_digest(name, &json));
     }
     // The minimal scenario: every section defaulted.
-    got.push((
-        "minimal".to_string(),
+    pins.add(
+        "minimal",
         canonical_digest("minimal", r#"{"name": "m", "model": {"zoo": "llama13"}}"#),
-    ));
+    );
     // Each explicit model body and a preset system.
     for (name, model) in [
         ("zoo_layers", r#"{"zoo": "gemma27", "layers": 3}"#),
@@ -220,18 +176,7 @@ fn fully_populated_specs_have_pinned_canonical_forms() {
                 "workload": {{"trace": {{"file": "traces/golden_small.jsonl"}}}},
                 "compiler": {{"design": "all"}}}}"#
         );
-        got.push((format!("model/{name}"), canonical_digest(name, &json)));
+        pins.add(format!("model/{name}"), canonical_digest(name, &json));
     }
-    check(
-        &got,
-        &[
-            ("full/constant", 0x5227fe57c20557be),
-            ("full/diurnal", 0x820b0f5ed30db8fd),
-            ("full/burst_train", 0x24b5dd4e4bba7f7e),
-            ("minimal", 0x3a16a6f09b47c7b7),
-            ("model/zoo_layers", 0x7cca2765cb055130),
-            ("model/moe", 0xcce99f31d571b05e),
-            ("model/dit", 0xf032c4e52891b74e),
-        ],
-    );
+    pins.check();
 }

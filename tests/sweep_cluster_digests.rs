@@ -9,23 +9,12 @@
 //! candidates), so they are where sharing a fitted cost model or plan
 //! sets between runners could change a number. A refactor of that
 //! sharing must leave every digest unchanged; a deliberate change to
-//! compiled or simulated behaviour re-pins them here.
+//! compiled or simulated behaviour re-pins them in
+//! `tests/pins/sweep_cluster.pins`.
 
 use elk::spec::sweep::set_path;
 use elk::spec::{run_sweep, runner, ScenarioSpec};
-use serde::Serialize;
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-fn digest<T: Serialize>(value: &T) -> u64 {
-    fnv1a(serde_json::to_string(value).expect("serializes").as_bytes())
-}
-
+use elk_pins::{digest, Pins};
 fn scenario_doc(name: &str) -> serde::Value {
     let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -34,14 +23,12 @@ fn scenario_doc(name: &str) -> serde::Value {
 
 #[test]
 fn sweep_reports_are_pinned() {
-    for (scenario, pinned) in [
-        ("sweep_batch.json", 0x5170_4eec_46ff_5cff_u64),
-        ("custom_chip_dse.json", 0xeab2_9a42_1341_874d),
-    ] {
+    let mut pins = Pins::new("sweep_cluster", "sweep");
+    for scenario in ["sweep_batch.json", "custom_chip_dse.json"] {
         let report = run_sweep(&scenario_doc(scenario), 2).expect("sweep runs");
-        let got = digest(&report);
-        assert_eq!(got, pinned, "{scenario}: sweep report digest 0x{got:016x}");
+        pins.add(scenario, digest(&report));
     }
+    pins.check();
 }
 
 #[test]
@@ -54,9 +41,7 @@ fn cluster_auto_search_report_is_pinned() {
     let spec: ScenarioSpec = serde::Deserialize::from_value(&doc).expect("valid scenario");
     let report = runner::run_cluster(&spec).expect("cluster run succeeds");
     assert!(report.auto, "no pinned plan: the search must have run");
-    let got = digest(&report);
-    assert_eq!(
-        got, 0x66aa_b94a_d1de_0607,
-        "cluster report digest 0x{got:016x}"
-    );
+    let mut pins = Pins::new("sweep_cluster", "cluster");
+    pins.add("pod4_llama_tp_pp.json", digest(&report));
+    pins.check();
 }
