@@ -112,6 +112,6 @@ fn catalogs_are_pinned() {
     }
 
     // The small part fits no plan for OPT-30B's embedding or for
-    // Llama-2-13B's prefill MLP; those entries pin the error text.
+    // Llama-2-13B's prefill MLP; those rows pin the error text.
     pins.check();
 }

@@ -37,7 +37,7 @@ use serde::Serialize;
 pub const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The 64-bit FNV-1a prime.
-pub const PRIME: u64 = 0x0000_0100_0000_01b3;
+const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into `digest` with 64-bit FNV-1a.
 pub fn fold(digest: u64, bytes: &[u8]) -> u64 {
