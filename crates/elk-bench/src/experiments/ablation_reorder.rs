@@ -4,7 +4,8 @@
 
 use serde::Serialize;
 
-use elk_core::{Compiler, CompilerOptions};
+use elk_baselines::DesignRunner;
+use elk_core::{compile_with_catalog, CompilerOptions};
 use elk_model::{zoo, Workload};
 use elk_sim::{simulate, SimOptions};
 
@@ -30,12 +31,15 @@ pub struct Row {
 /// Runs the ablation.
 pub fn run(ctx: &mut Ctx) {
     ctx.header("Ablation: preload-order search budget (edit-distance cap)");
-    let system = default_system();
+    let runner = DesignRunner::new(default_system()).with_threads(ctx.threads);
+    let system = runner.system();
     let mut cfg = zoo::llama2_13b();
     if !ctx.full {
         cfg.layers = 8;
     }
     let graph = cfg.build(Workload::decode(32, 4096), 4);
+    // One fit and one catalog; only the order search varies.
+    let catalog = runner.catalog(&graph).expect("catalog");
 
     let mut rows = Vec::new();
     let mut cells = Vec::new();
@@ -53,9 +57,8 @@ pub fn run(ctx: &mut Ctx) {
         opts.reorder.enable = enable;
         opts.reorder.max_edit_distance = cap;
         opts.reorder.max_orders = max_orders;
-        let compiler = Compiler::with_options(system.clone(), opts);
-        let plan = compiler.compile(&graph).expect("compile");
-        let report = simulate(&plan.program, &system, &SimOptions::default());
+        let plan = compile_with_catalog(system, &opts, &graph, &catalog).expect("compile");
+        let report = simulate(&plan.program, system, &SimOptions::default());
         cells.push(vec![
             label.to_string(),
             plan.stats.orders_considered.to_string(),

@@ -34,8 +34,8 @@ pub struct Row {
     pub goodput_rps: f64,
     /// Fraction of requests meeting the SLO.
     pub slo_attainment: f64,
-    /// Plan-cache lookups during the run. Their hit/miss split depends
-    /// on the worker count; the total does not.
+    /// Plan-cache lookups past the step memos during the run. Their
+    /// hit/miss split depends on the worker count; the total does not.
     pub cache_lookups: u64,
 }
 
@@ -122,7 +122,7 @@ pub fn run(ctx: &mut Ctx) {
     );
     ctx.line("");
     ctx.line("Expected: ELK-Full tracks Ideal on TPOT and goodput; Basic pays the");
-    ctx.line("widest tail. Plan-cache lookups stay flat across designs.");
+    ctx.line("widest tail. Plan-cache lookups stay flat across designs, one per step shape.");
     for r in &rows {
         ctx.metric(
             format!("{}.x{}.goodput_rps", r.design, r.replicas),

@@ -8,20 +8,17 @@
 //! give equal latencies, and pricers that share a cache compile each
 //! stage shape once.
 //!
-//! Each pricer memoizes its `(design, workload) → latency` answers in
-//! front of the cache: a replay prices hundreds of thousands of steps
-//! over a few dozen bucketed shapes, and a memo hit skips the cache's
-//! string keys, hashing and lock. The cache's hit counters therefore
-//! see only the first lookup of each shape per pricer.
+//! Each pricer prices its steps through its own [`StepMemo`], as each
+//! `ServingSim` replica does, so the cache's hit counters see only the
+//! first lookup of each shape per pricer.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::CompileError;
 use elk_hw::CollectiveModel;
 use elk_model::{TransformerConfig, Workload};
-use elk_serve::{split_micro_batches, CacheStats, PlanCache};
+use elk_serve::{CacheStats, PlanCache, StepMemo};
 use elk_sim::SimOptions;
 use elk_units::Seconds;
 
@@ -42,10 +39,7 @@ pub(crate) struct StepPricer {
     model: TransformerConfig,
     plan: ParallelismPlan,
     sim: SimOptions,
-    /// Successful [`split_step`](Self::split_step) answers. Failures are
-    /// not memoized: they abort the run, and the cache already
-    /// remembers them.
-    memo: Mutex<HashMap<(Design, Workload), Seconds>>,
+    memo: StepMemo,
 }
 
 impl StepPricer {
@@ -71,7 +65,7 @@ impl StepPricer {
             model,
             plan,
             sim,
-            memo: Mutex::new(HashMap::new()),
+            memo: StepMemo::default(),
         }
     }
 
@@ -86,7 +80,7 @@ impl StepPricer {
     /// Latency of one bucketed `wl` step through the whole `(tp, pp)`
     /// pipeline: every stage in sequence plus stage-boundary transfers.
     /// Errors carry the failing stage index.
-    pub fn pipeline_step(
+    fn pipeline_step(
         &self,
         design: Design,
         wl: Workload,
@@ -116,24 +110,12 @@ impl StepPricer {
         Ok(total)
     }
 
-    /// [`pipeline_step`](Self::pipeline_step) with the serving layer's
-    /// micro-batch fallback ([`split_micro_batches`]), memoized per
-    /// `(design, wl)`; the halves of a split step go back through the
-    /// memo. Failures name the stage as [`ClusterError::Compile`].
+    /// [`pipeline_step`](Self::pipeline_step) through the pricer's
+    /// [`StepMemo`], with its micro-batch fallback. Failures name the
+    /// stage as [`ClusterError::Compile`].
     pub fn split_step(&self, design: Design, wl: Workload) -> Result<Seconds, ClusterError> {
-        self.memo_split(design, wl)
+        self.memo
+            .price(design, wl, |(_, e)| e, &|w| self.pipeline_step(design, w))
             .map_err(|(stage, source)| ClusterError::Compile { stage, source })
-    }
-
-    /// [`split_step`](Self::split_step) with the raw stage error.
-    fn memo_split(&self, design: Design, wl: Workload) -> Result<Seconds, (usize, CompileError)> {
-        let memo = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&t) = memo().get(&(design, wl)) {
-            return Ok(t);
-        }
-        let whole = self.pipeline_step(design, wl);
-        let t = split_micro_batches(wl, whole, |(_, e)| e, |half| self.memo_split(design, half))?;
-        memo().insert((design, wl), t);
-        Ok(t)
     }
 }

@@ -402,11 +402,71 @@ impl PlanCache {
     }
 }
 
+/// The one step-pricing path every serving engine shares: successful
+/// step latencies per `(design, workload)`, in front of a [`PlanCache`].
+/// A replay prices hundreds of thousands of steps over a few dozen
+/// bucketed shapes; a memo hit skips the cache's string keys, hashing
+/// and lock, so the cache counts only the first lookup of each shape per
+/// memo. Failures are not memoized: they abort the caller's run, and the
+/// cache already remembers them.
+#[derive(Debug, Default)]
+pub struct StepMemo {
+    memo: Mutex<HashMap<(Design, Workload), Seconds>>,
+}
+
+impl StepMemo {
+    /// The latency of one `wl` step under `design`: the memoized answer,
+    /// else `price(wl)`. When the whole shape has no feasible on-chip
+    /// plan (`compile_error` of the failure is a capacity error —
+    /// prefill attention is quadratic in sequence length, so
+    /// long-context steps can exceed SRAM at batch sizes decode handles
+    /// fine), the step runs as two sequential half batches, each priced
+    /// back through this memo. A batch-1 failure is a genuine error: the
+    /// request cannot run on this chip.
+    ///
+    /// # Errors
+    ///
+    /// `price`'s error when splitting cannot recover it, else the first
+    /// error of a half.
+    pub fn price<E>(
+        &self,
+        design: Design,
+        wl: Workload,
+        compile_error: fn(&E) -> &CompileError,
+        price: &impl Fn(Workload) -> Result<Seconds, E>,
+    ) -> Result<Seconds, E> {
+        let memo = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&t) = memo().get(&(design, wl)) {
+            return Ok(t);
+        }
+        let t = match price(wl) {
+            Err(e)
+                if wl.batch > 1
+                    && matches!(
+                        compile_error(&e),
+                        CompileError::NoFeasiblePlan { .. } | CompileError::CapacityExceeded { .. }
+                    ) =>
+            {
+                let lo = wl.batch / 2;
+                let half =
+                    |batch| self.price(design, Workload { batch, ..wl }, compile_error, price);
+                half(lo)? + half(wl.batch - lo)?
+            }
+            whole => whole?,
+        };
+        memo().insert((design, wl), t);
+        Ok(t)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use elk_hw::presets;
     use elk_model::{zoo, OpId};
+    use elk_units::Bytes;
 
     fn tiny_cfg() -> TransformerConfig {
         let mut cfg = zoo::llama2_13b();
@@ -603,5 +663,108 @@ mod tests {
         assert_eq!(s1.since(s0), CacheStats { hits: 5, misses: 1 });
         assert!((s1.hit_rate() - 7.0 / 11.0).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    const ID: fn(&CompileError) -> &CompileError = |e| e;
+
+    fn too_big() -> CompileError {
+        CompileError::CapacityExceeded {
+            op: "attn".into(),
+            required: Bytes::kib(900),
+            capacity: Bytes::kib(600),
+        }
+    }
+
+    /// A pricer that records every shape it is asked for and fails with
+    /// a capacity error above `max_batch`: one millisecond per request.
+    fn capped(
+        max_batch: u64,
+        calls: &RefCell<Vec<u64>>,
+    ) -> impl Fn(Workload) -> Result<Seconds, CompileError> + '_ {
+        move |wl| {
+            calls.borrow_mut().push(wl.batch);
+            if wl.batch > max_batch {
+                Err(too_big())
+            } else {
+                Ok(Seconds::from_millis(wl.batch as f64))
+            }
+        }
+    }
+
+    #[test]
+    fn a_memo_hit_does_not_touch_the_cache_counters() {
+        let mut model = zoo::llama2_13b();
+        model.layers = 2;
+        let runner = DesignRunner::new(presets::ipu_pod4()).with_threads(1);
+        let cache = PlanCache::new();
+        let sim = SimOptions::default();
+        let price = |w| cache.step_latency(&runner, &model, 4, Design::ElkFull, w, &sim);
+        let memo = StepMemo::default();
+        let wl = Workload::decode(4, 512);
+        let first = memo.price(Design::ElkFull, wl, ID, &price).unwrap();
+        let again = memo.price(Design::ElkFull, wl, ID, &price).unwrap();
+        assert_eq!(first, again);
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
+    }
+
+    #[test]
+    fn a_split_shape_prices_each_half_once_through_the_memo() {
+        let calls = RefCell::new(Vec::new());
+        let price = capped(4, &calls);
+        let memo = StepMemo::default();
+        // 12 splits into 6 + 6 and each 6 into 3 + 3: the second of each
+        // equal pair is a memo hit.
+        let t = memo.price(Design::ElkFull, Workload::decode(12, 512), ID, &price);
+        assert_eq!(t, Ok(Seconds::from_millis(12.0)));
+        assert_eq!(*calls.borrow(), [12, 6, 3]);
+        // Of 7's unequal halves, 3 is already memoized and 4 is priced
+        // once; every whole and split shape is now a memo hit.
+        let t = memo.price(Design::ElkFull, Workload::decode(7, 512), ID, &price);
+        assert_eq!(t, Ok(Seconds::from_millis(7.0)));
+        for batch in [12, 7, 6, 4, 3] {
+            memo.price(Design::ElkFull, Workload::decode(batch, 512), ID, &price)
+                .unwrap();
+        }
+        assert_eq!(*calls.borrow(), [12, 6, 3, 7, 4]);
+    }
+
+    #[test]
+    fn a_failure_is_not_memoized_and_propagates() {
+        let calls = RefCell::new(Vec::new());
+        let memo = StepMemo::default();
+        // Batch 1 cannot split; a non-capacity error is never split.
+        let price = capped(0, &calls);
+        for _ in 0..2 {
+            let t = memo.price(Design::Basic, Workload::decode(1, 512), ID, &price);
+            assert_eq!(t, Err(too_big()));
+        }
+        assert_eq!(*calls.borrow(), [1, 1], "each failure is priced again");
+        let empty = |_: Workload| Err::<Seconds, _>(CompileError::EmptyGraph);
+        let t = memo.price(Design::Basic, Workload::decode(8, 512), ID, &empty);
+        assert_eq!(t, Err(CompileError::EmptyGraph));
+        // A half's failure fails the whole shape.
+        calls.borrow_mut().clear();
+        let t = memo.price(Design::Basic, Workload::decode(2, 512), ID, &price);
+        assert_eq!(t, Err(too_big()));
+        assert_eq!(*calls.borrow(), [2, 1]);
+    }
+
+    #[test]
+    fn the_key_includes_the_design() {
+        let memo = StepMemo::default();
+        let wl = Workload::decode(8, 512);
+        let ms = |x: f64| move |_: Workload| Ok::<_, CompileError>(Seconds::from_millis(x));
+        let full = memo.price(Design::ElkFull, wl, ID, &ms(1.0));
+        let basic = memo.price(Design::Basic, wl, ID, &ms(2.0));
+        assert_eq!(
+            (full, basic),
+            (Ok(Seconds::from_millis(1.0)), Ok(Seconds::from_millis(2.0)))
+        );
+        let again = memo.price(Design::ElkFull, wl, ID, &ms(3.0));
+        assert_eq!(
+            again,
+            Ok(Seconds::from_millis(1.0)),
+            "a hit skips the pricer"
+        );
     }
 }

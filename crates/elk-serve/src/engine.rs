@@ -20,8 +20,8 @@ use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
 use crate::batcher::BatchConfig;
-use crate::cache::PlanCache;
-use crate::group::{split_unmemoized, GroupCore, GroupFold};
+use crate::cache::{PlanCache, StepMemo};
+use crate::group::{GroupCore, GroupFold};
 use crate::metrics::{RequestOutcome, SloConfig};
 use crate::report::ServingReport;
 use crate::trace::{Request, RequestTrace};
@@ -101,12 +101,16 @@ impl ServeConfig {
 ///
 /// Holds the [`DesignRunner`] it is given (fitted cost model) and owns
 /// the [`PlanCache`], so consecutive [`run`](ServingSim::run) calls — across designs,
-/// traces, and replicas — reuse catalogs and compiled plans.
+/// traces, and replicas — reuse catalogs and compiled plans. Each
+/// replica prices its steps through its own [`StepMemo`], kept for the
+/// engine's life, so a replica looks each step shape up in the cache
+/// once, in its own sequential order, at any thread count.
 #[derive(Debug)]
 pub struct ServingSim {
     runner: DesignRunner,
     config: ServeConfig,
     cache: PlanCache,
+    memos: Vec<StepMemo>,
     obs: Obs,
 }
 
@@ -150,6 +154,7 @@ impl ServingSim {
         // (replicas × designs × candidate orders).
         ServingSim {
             runner: runner.into().with_threads(1),
+            memos: (0..config.replicas).map(|_| StepMemo::default()).collect(),
             config,
             cache: PlanCache::new().with_threads(threads),
             obs: Obs::null(),
@@ -172,14 +177,16 @@ impl ServingSim {
     }
 
     /// Cumulative plan-cache counters (across all runs so far).
+    /// Memoized steps do not reach the cache, so they are not counted.
     #[must_use]
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.cache.stats()
     }
 
     /// Serves `trace` under `design` and reports request-level metrics.
-    /// The plan cache persists across calls, so running a second design
-    /// (or the same trace again) reuses catalogs and plans.
+    /// The plan cache and the step memos persist across calls, so a
+    /// second design reuses catalogs, and the same trace again reuses
+    /// every step latency.
     ///
     /// With [`ServeConfig::threads`] > 1, replica event loops run
     /// concurrently on a scoped pool, sharing the single-flight plan
@@ -300,6 +307,11 @@ impl ServingSim {
             .cloned()
             .collect();
         let mut core = GroupCore::new(1, reqs.len());
+        let c = &self.config;
+        let price = |w| {
+            self.cache
+                .step_latency(&self.runner, &c.model, c.shards, design, w, &c.sim)
+        };
 
         // A replica-local recorder: worker threads never write to the
         // shared sink directly, so the merged stream only depends on
@@ -326,15 +338,9 @@ impl ServingSim {
                 Ev::Arrival(i) => core.enqueue(0, i, now),
                 Ev::StepDone => core.finish_step(0, now, &reqs, |_, _| {}),
             }
-            // No memo in front of the cache: its hit/miss counters are
-            // part of the report.
-            let c = &self.config;
             let done = |_| (PRIO_STEP_DONE, Ev::StepDone);
             core.dispatch(&mut q, &c.batch, &reqs, done, |_, _, wl| {
-                split_unmemoized(wl, &|w| {
-                    self.cache
-                        .step_latency(&self.runner, &c.model, c.shards, design, w, &c.sim)
-                })
+                self.memos[replica].price(design, wl, |e| e, &price)
             })?;
         }
         Ok(ReplicaRun {
@@ -476,14 +482,29 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_accumulate_across_runs() {
+    fn memo_hits_skip_the_cache_across_runs() {
         let mut sim = ServingSim::new(presets::ipu_pod4(), tiny_config());
         let trace = tiny_trace(12);
         let first = sim.run(Design::ElkFull, &trace).unwrap();
-        let second = sim.run(Design::ElkFull, &trace).unwrap();
+        let lookups = first.cache.hits + first.cache.misses;
         assert!(first.cache.misses > 0);
-        assert!(first.cache.hits > 0, "repeated shapes must hit in-run");
-        assert_eq!(second.cache.misses, 0, "second run must be fully cached");
-        assert!(second.cache.hits > 0);
+        assert!(
+            lookups < first.prefill_steps + first.decode_steps,
+            "repeated shapes must hit the memo in-run: {lookups} lookups"
+        );
+        // A second design misses on its own plans; the first design's
+        // repeat run prices every step from the memo.
+        let other = sim.run(Design::Basic, &trace).unwrap();
+        assert!(other.cache.misses > 0);
+        let second = sim.run(Design::ElkFull, &trace).unwrap();
+        let blank = crate::cache::CacheStats::default();
+        assert_eq!(second.cache, blank, "a repeat run makes no lookups");
+        assert_eq!(
+            second,
+            ServingReport {
+                cache: blank,
+                ..first
+            }
+        );
     }
 }

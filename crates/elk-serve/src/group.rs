@@ -1,7 +1,7 @@
 //! The continuous-batching step machine every serving engine runs:
 //! per-group waiting/active state, step planning and completion, the
-//! end-of-instant dispatch scan, the micro-batch split fallback, and
-//! the fold into the report fields the engines share.
+//! end-of-instant dispatch scan, and the fold into the report fields
+//! the engines share.
 //!
 //! A [`GroupCore`] knows nothing about routing or pricing. An engine
 //! owns the event queue and its event type, and drives the core with
@@ -35,7 +35,6 @@
 //! [`hand_off_prefills`]: GroupCore::hand_off_prefills
 //! [`finish_step`]: GroupCore::finish_step
 
-use elk_core::CompileError;
 use elk_model::{Phase, Workload};
 use elk_obs::Obs;
 use elk_sim_core::{EventQueue, QueueStat};
@@ -419,60 +418,6 @@ fn decode_workload(cfg: &BatchConfig, reqs: &[Request], active: &[InFlight]) -> 
         .max()
         .expect("decode requires >= 1 active");
     cfg.step_workload(Phase::Decode, active.len() as u64, deepest)
-}
-
-/// The micro-batch fallback, one level deep: when the whole `wl` shape
-/// has no feasible on-chip plan (`whole` failed with a capacity error —
-/// prefill attention is quadratic in sequence length, so long-context
-/// steps can exceed SRAM at batch sizes decode handles fine), the step
-/// runs as two sequential half-batches priced through `half`. A batch-1
-/// failure is a genuine error: the request cannot run on this chip.
-///
-/// Memo-agnostic: `compile_error` exposes the caller's error as a
-/// [`CompileError`], and a caller with a memo routes `half` back
-/// through it.
-///
-/// # Errors
-///
-/// `whole`'s error when it is not recoverable by splitting, else the
-/// first error of `half`.
-pub fn split_micro_batches<E>(
-    wl: Workload,
-    whole: Result<Seconds, E>,
-    compile_error: impl Fn(&E) -> &CompileError,
-    mut half: impl FnMut(Workload) -> Result<Seconds, E>,
-) -> Result<Seconds, E> {
-    match whole {
-        Err(e)
-            if wl.batch > 1
-                && matches!(
-                    compile_error(&e),
-                    CompileError::NoFeasiblePlan { .. } | CompileError::CapacityExceeded { .. }
-                ) =>
-        {
-            let lo = Workload {
-                batch: wl.batch / 2,
-                ..wl
-            };
-            let hi = Workload {
-                batch: wl.batch - wl.batch / 2,
-                ..wl
-            };
-            let a = half(lo)?;
-            let b = if hi.batch == lo.batch { a } else { half(hi)? };
-            Ok(a + b)
-        }
-        other => other,
-    }
-}
-
-/// [`split_micro_batches`] all the way down, with no memo: every
-/// shape, halves included, is priced by `price`.
-pub(crate) fn split_unmemoized(
-    wl: Workload,
-    price: &impl Fn(Workload) -> Result<Seconds, CompileError>,
-) -> Result<Seconds, CompileError> {
-    split_micro_batches(wl, price(wl), |e| e, |half| split_unmemoized(half, price))
 }
 
 /// The latency and SLO fields every serving report carries.

@@ -85,9 +85,9 @@ mod tenancy;
 mod trace;
 
 pub use batcher::BatchConfig;
-pub use cache::{CacheStats, PlanCache, PlanKey};
+pub use cache::{CacheStats, PlanCache, PlanKey, StepMemo};
 pub use engine::{ServeConfig, ServingSim};
-pub use group::{split_micro_batches, Group, GroupCore, GroupFold, LatencyFold, PendingStep};
+pub use group::{Group, GroupCore, GroupFold, LatencyFold, PendingStep};
 pub use metrics::{percentile, LatencyStats, RequestOutcome, SloConfig};
 pub use report::ServingReport;
 pub use router::{Router, RouterPolicy};

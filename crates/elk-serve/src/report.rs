@@ -61,7 +61,10 @@ pub struct ServingReport {
     /// Largest future-event heap any replica's kernel held at once —
     /// the memory-pressure proxy matching `sim_events`' throughput one.
     pub peak_event_queue_len: usize,
-    /// Plan-cache hits/misses incurred by this run alone.
+    /// Plan-cache hits/misses incurred by this run alone: the lookups
+    /// that got past the replicas' step memos, one per step shape a
+    /// replica had not priced before. Their sum is thread-invariant;
+    /// the split is not.
     pub cache: CacheStats,
     /// Per-request timelines, in trace order.
     pub outcomes: Vec<RequestOutcome>,
@@ -102,7 +105,7 @@ impl fmt::Display for ServingReport {
         )?;
         write!(
             f,
-            "  plan cache: {} hits / {} misses ({:.0}% hit rate)",
+            "  plan cache past the step memos: {} hits / {} misses ({:.0}% hit rate)",
             self.cache.hits,
             self.cache.misses,
             self.cache.hit_rate() * 100.0

@@ -141,8 +141,8 @@ pub struct DesignSimRow {
 /// Byte-identical run-to-run at a fixed worker count. Across
 /// `--threads` settings every field is invariant *except* each
 /// design's `cache` hit/miss split — a concurrent cache miss warms all
-/// designs at once, shifting hits to misses (see
-/// `elk_serve::ServeConfig::threads`).
+/// designs at once, shifting misses to hits; their sum is invariant
+/// (see `elk_serve::ServeConfig::threads`).
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeReport {
     /// Scenario name.
