@@ -32,6 +32,7 @@
 //! deterministic); threading only changes when they are computed.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
@@ -409,9 +410,42 @@ impl PlanCache {
 /// and lock, so the cache counts only the first lookup of each shape per
 /// memo. Failures are not memoized: they abort the caller's run, and the
 /// cache already remembers them.
+///
+/// Every step of a replay looks the memo up, so its map hashes with
+/// an Fx hash rather than SipHash. The map is only read with `get` and
+/// written with `insert`, never iterated, so no output depends on the
+/// hasher.
 #[derive(Debug, Default)]
 pub struct StepMemo {
-    memo: Mutex<HashMap<(Design, Workload), Seconds>>,
+    memo: Mutex<HashMap<(Design, Workload), Seconds, BuildHasherDefault<FxHasher>>>,
+}
+
+/// The Fx hash (as in rustc and Firefox): one rotate, xor and multiply
+/// per word. Fast on small integer keys such as a `(Design, Workload)`.
+/// It does not resist keys chosen to collide; the memo's keys are
+/// bucketed step shapes, at most designs × phases × batch sizes ×
+/// sequence buckets.
+#[derive(Debug, Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl StepMemo {
@@ -465,7 +499,7 @@ mod tests {
 
     use super::*;
     use elk_hw::presets;
-    use elk_model::{zoo, OpId};
+    use elk_model::{zoo, OpId, SeqBuckets};
     use elk_units::Bytes;
 
     fn tiny_cfg() -> TransformerConfig {
@@ -747,6 +781,55 @@ mod tests {
         let t = memo.price(Design::Basic, Workload::decode(2, 512), ID, &price);
         assert_eq!(t, Err(too_big()));
         assert_eq!(*calls.borrow(), [2, 1]);
+    }
+
+    #[test]
+    fn a_full_signature_ladder_prices_each_key_once() {
+        // Every step shape a replica can ask for: each design, both
+        // phases, every batch up to max_batch and every sequence bucket.
+        let max_batch = 16;
+        let mut keys = Vec::new();
+        for design in Design::ALL {
+            for phase in [Phase::Decode, Phase::Prefill] {
+                for batch in 1..=max_batch {
+                    for seq_len in SeqBuckets::new(64, 4096).ladder() {
+                        keys.push((
+                            design,
+                            Workload {
+                                batch,
+                                seq_len,
+                                phase,
+                            },
+                        ));
+                    }
+                }
+            }
+        }
+        // A latency of its own per key, in nanoseconds.
+        let latency = |design: Design, wl: Workload| {
+            let d = Design::ALL.iter().position(|&x| x == design).unwrap() as u64;
+            let p = u64::from(wl.phase == Phase::Prefill);
+            Seconds::new((((d * 2 + p) * 100 + wl.batch) * 10_000 + wl.seq_len) as f64 * 1e-9)
+        };
+        let calls = RefCell::new(HashMap::new());
+        let memo = StepMemo::default();
+        for pass in 0..2 {
+            for &(design, wl) in &keys {
+                let price = |w: Workload| {
+                    *calls.borrow_mut().entry((design, w)).or_insert(0) += 1;
+                    Ok::<_, CompileError>(latency(design, w))
+                };
+                let t = memo.price(design, wl, ID, &price);
+                assert_eq!(t, Ok(latency(design, wl)), "pass {pass}: {design:?} {wl:?}");
+            }
+            let calls = calls.borrow();
+            assert_eq!(calls.len(), keys.len(), "pass {pass}");
+            assert!(
+                calls.values().all(|&n| n == 1),
+                "pass {pass}: a key priced twice"
+            );
+        }
+        assert_eq!(keys.len(), 5 * 2 * 16 * 7);
     }
 
     #[test]

@@ -82,8 +82,9 @@ impl ArrivalProcess {
     }
 
     /// Checks the process: finite positive rate and period,
-    /// `burst_factor >= 1`, `duty` in `(0, 1)`, and `burst_factor *
-    /// duty < 1`.
+    /// `burst_factor >= 1`, `duty` in `(0, 1)`, `burst_factor * duty <
+    /// 1`, and a finite peak rate (an infinite one stops the thinning
+    /// loop's clock, so no proposal is ever accepted).
     fn validate(&self) -> Result<(), String> {
         match *self {
             ArrivalProcess::Poisson { rate_rps } => check_positive("rate_rps", rate_rps),
@@ -105,6 +106,12 @@ impl ArrivalProcess {
                     return Err("burst_factor * duty must be < 1 \
                                 (the off-phase rate would be <= 0)"
                         .into());
+                }
+                if !self.peak_rate().is_finite() {
+                    return Err(format!(
+                        "rate_rps ({rate_rps:?}) times burst_factor ({burst_factor:?}), the peak \
+                         rate, must be finite"
+                    ));
                 }
                 Ok(())
             }
@@ -434,6 +441,37 @@ mod tests {
             prompt_len: 0,
             output_len: 5,
         }]);
+    }
+
+    #[test]
+    fn an_overflowing_peak_rate_is_rejected() {
+        // The peak rate 2e308 is infinite: every thinning gap would be
+        // zero and every acceptance test NaN, so generation never ends.
+        let cfg = TraceConfig {
+            arrivals: ArrivalProcess::Bursty {
+                rate_rps: 1e308,
+                burst_factor: 2.0,
+                period_s: 1.0,
+                duty: 0.25,
+            },
+            ..poisson_cfg(0)
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            err.starts_with("arrivals.rate_rps (1e308) times burst_factor (2.0)"),
+            "{err}"
+        );
+        // The largest burst that stays finite still generates.
+        let cfg = TraceConfig {
+            arrivals: ArrivalProcess::Bursty {
+                rate_rps: 1e307,
+                burst_factor: 2.0,
+                period_s: 1.0,
+                duty: 0.25,
+            },
+            ..poisson_cfg(0)
+        };
+        assert_eq!(cfg.generate().len(), 200);
     }
 
     #[test]

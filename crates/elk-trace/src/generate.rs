@@ -90,8 +90,9 @@ impl RateShape {
     }
 
     /// Checks the shape: finite positive rates and periods, an
-    /// amplitude in `[0, 1)`, `burst_rps >= base_rps`, and a burst
-    /// shorter than its period.
+    /// amplitude in `[0, 1)`, `burst_rps >= base_rps`, a burst shorter
+    /// than its period, and a finite peak rate (an infinite one stops
+    /// the thinning loop's clock, so no proposal is ever accepted).
     fn validate(&self) -> Result<(), String> {
         match *self {
             RateShape::Constant { rate_rps } => check_positive("rate_rps", rate_rps),
@@ -105,6 +106,12 @@ impl RateShape {
                 if !(0.0..1.0).contains(&amplitude) {
                     return Err(format!(
                         "amplitude must be in [0, 1) so the rate stays positive, got {amplitude}"
+                    ));
+                }
+                if !self.peak_rate().is_finite() {
+                    return Err(format!(
+                        "mean_rps ({mean_rps:?}) times 1 + amplitude ({amplitude:?}), the peak \
+                         rate, must be finite"
                     ));
                 }
                 Ok(())
@@ -379,6 +386,26 @@ mod tests {
             "mass should sit near lo ({short})"
         );
         assert!(long > 0, "the tail should reach past 1024");
+    }
+
+    #[test]
+    fn an_overflowing_peak_rate_is_rejected() {
+        // 1.5e308 × 1.5 is infinite: every thinning gap would be zero
+        // and every acceptance test NaN, so generation never ends.
+        let recipe = |mean_rps| TraceGenConfig {
+            rate: RateShape::Diurnal {
+                mean_rps,
+                amplitude: 0.5,
+                period_s: 1.0,
+            },
+            ..TraceGenConfig::default()
+        };
+        let err = recipe(1.5e308).validate().unwrap_err();
+        assert_eq!(
+            err,
+            "rate.mean_rps (1.5e308) times 1 + amplitude (0.5), the peak rate, must be finite"
+        );
+        assert_eq!(recipe(1e308).generate().len(), 64);
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! writer). Parsing builds a `Value` tree and deserializes from it.
 //!
 //! Output is deterministic (struct fields keep declaration order) and
-//! round-trips through the parser. Non-finite floats — which JSON
-//! cannot represent — are written as the strings `"Infinity"`,
-//! `"-Infinity"`, and `"NaN"`; the shim's `f64` deserializer accepts
-//! them back.
+//! round-trips through the parser. A finite `f64` is written as its
+//! shortest round-trip text, byte for byte what `format!("{v:?}")`
+//! prints, by an in-crate Ryu writer that appends straight to the
+//! output: an exact tie between the two closest shortest candidates
+//! rounds up, as std does (2⁻²⁵ is `2.9802322387695313e-8`), and the
+//! layout is plain decimal for `1e-4 <= |v| < 1e16` (`1.0`, `-0.0`,
+//! `0.0001`), else `d[.ddd]e[-]x` (`1e16`, `5e-324`). Non-finite
+//! floats — which JSON cannot represent — are written as the strings
+//! `"Infinity"`, `"-Infinity"`, and `"NaN"`; the shim's `f64`
+//! deserializer accepts them back.
 //!
 //! ```
 //! let json = serde_json::to_string(&vec![1u64, 2, 3]).unwrap();
@@ -21,8 +27,10 @@
 
 #![warn(missing_docs)]
 
+mod float;
+
 pub use serde::Error;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 use serde::{Deserialize, Serialize, Serializer, Value};
 
@@ -75,7 +83,8 @@ const INDENT: usize = 2;
 /// puts every element on its own line, indented two spaces per level,
 /// and writes `[]`/`{}` for empty containers.
 struct JsonWriter {
-    out: String,
+    /// UTF-8 text: whole `&str` runs and ASCII bytes only.
+    out: Vec<u8>,
     pretty: bool,
     /// Open containers, innermost last: `(is_map, has_elements)`.
     open: Vec<(bool, bool)>,
@@ -84,12 +93,12 @@ struct JsonWriter {
 impl JsonWriter {
     fn write<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
         let mut w = JsonWriter {
-            out: String::new(),
+            out: Vec::new(),
             pretty,
             open: Vec::new(),
         };
         value.serialize(&mut w);
-        w.out
+        String::from_utf8(w.out).expect("the writer appends only UTF-8")
     }
 
     /// Separator and indentation before the next element of the
@@ -100,7 +109,7 @@ impl JsonWriter {
             return;
         };
         if std::mem::replace(has_elements, true) {
-            self.out.push(',');
+            self.out.push(b',');
         }
         if self.pretty {
             self.newline(depth);
@@ -116,19 +125,17 @@ impl JsonWriter {
     }
 
     fn newline(&mut self, depth: usize) {
-        self.out.push('\n');
-        for _ in 0..depth * INDENT {
-            self.out.push(' ');
-        }
+        self.out.push(b'\n');
+        self.out.resize(self.out.len() + depth * INDENT, b' ');
     }
 
-    fn begin(&mut self, map: bool, open: char) {
+    fn begin(&mut self, map: bool, open: u8) {
         self.value();
         self.out.push(open);
         self.open.push((map, false));
     }
 
-    fn end(&mut self, close: char) {
+    fn end(&mut self, close: u8) {
         let (_, has_elements) = self.open.pop().expect("end matches a begin");
         if has_elements && self.pretty {
             self.newline(self.open.len());
@@ -136,24 +143,15 @@ impl JsonWriter {
         self.out.push(close);
     }
 
-    fn push_u64(&mut self, mut n: u64) {
-        let mut digits = [0u8; 20];
-        let mut i = digits.len();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        self.out
-            .push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    fn push_u64(&mut self, n: u64) {
+        let start = self.out.len();
+        self.out.resize(start + float::decimal_len(n), 0);
+        float::write_digits(&mut self.out[start..], n);
     }
 
     fn push_str_literal(&mut self, s: &str) {
         let out = &mut self.out;
-        out.push('"');
+        out.push(b'"');
         // Copy unescaped runs whole. Every byte that needs escaping is
         // ASCII, so the run boundaries are char boundaries.
         let mut run = 0;
@@ -161,33 +159,34 @@ impl JsonWriter {
             if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
                 continue;
             }
-            out.push_str(&s[run..i]);
+            out.extend_from_slice(&s.as_bytes()[run..i]);
             match b {
-                b'"' => out.push_str("\\\""),
-                b'\\' => out.push_str("\\\\"),
-                b'\n' => out.push_str("\\n"),
-                b'\r' => out.push_str("\\r"),
-                b'\t' => out.push_str("\\t"),
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
                 _ => {
                     let _ = write!(out, "\\u{b:04x}");
                 }
             }
             run = i + 1;
         }
-        out.push_str(&s[run..]);
-        out.push('"');
+        out.extend_from_slice(&s.as_bytes()[run..]);
+        out.push(b'"');
     }
 }
 
 impl Serializer for JsonWriter {
     fn null(&mut self) {
         self.value();
-        self.out.push_str("null");
+        self.out.extend_from_slice(b"null");
     }
 
     fn bool(&mut self, v: bool) {
         self.value();
-        self.out.push_str(if v { "true" } else { "false" });
+        self.out
+            .extend_from_slice(if v { b"true" } else { b"false" });
     }
 
     fn u64(&mut self, v: u64) {
@@ -198,7 +197,7 @@ impl Serializer for JsonWriter {
     fn i64(&mut self, v: i64) {
         self.value();
         if v < 0 {
-            self.out.push('-');
+            self.out.push(b'-');
         }
         self.push_u64(v.unsigned_abs());
     }
@@ -206,15 +205,16 @@ impl Serializer for JsonWriter {
     fn f64(&mut self, v: f64) {
         self.value();
         if v.is_finite() {
-            // `{:?}` prints the shortest representation that round-trips,
-            // always with a decimal point or exponent (valid JSON).
-            let _ = write!(self.out, "{v:?}");
+            // The shortest text that round-trips, always with a decimal
+            // point or exponent (valid JSON): exactly what `{:?}` prints,
+            // ties included (see the `float` module).
+            float::write_f64(&mut self.out, v);
         } else if v.is_nan() {
-            self.out.push_str("\"NaN\"");
+            self.out.extend_from_slice(b"\"NaN\"");
         } else if v > 0.0 {
-            self.out.push_str("\"Infinity\"");
+            self.out.extend_from_slice(b"\"Infinity\"");
         } else {
-            self.out.push_str("\"-Infinity\"");
+            self.out.extend_from_slice(b"\"-Infinity\"");
         }
     }
 
@@ -224,25 +224,26 @@ impl Serializer for JsonWriter {
     }
 
     fn seq_begin(&mut self, _len: usize) {
-        self.begin(false, '[');
+        self.begin(false, b'[');
     }
 
     fn seq_end(&mut self) {
-        self.end(']');
+        self.end(b']');
     }
 
     fn map_begin(&mut self, _len: usize) {
-        self.begin(true, '{');
+        self.begin(true, b'{');
     }
 
     fn key(&mut self, k: &str) {
         self.element();
         self.push_str_literal(k);
-        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.out
+            .extend_from_slice(if self.pretty { b": " } else { b":" });
     }
 
     fn map_end(&mut self) {
-        self.end('}');
+        self.end(b'}');
     }
 }
 
