@@ -306,6 +306,7 @@ impl AutoscaleServingSim {
             config.model.clone(),
             config.plan,
             config.sim,
+            &config.batch,
             Arc::new(PlanCache::new().with_threads(config.threads)),
         );
         Ok(AutoscaleServingSim {
@@ -917,5 +918,20 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(err.to_string().contains("up_queue_depth"), "{err}");
+    }
+
+    #[test]
+    fn every_priced_step_has_a_table_slot() {
+        let trace = crate::pricing::tests::long_prompts(20);
+        let mut config = tiny_config();
+        config.batch.max_prefill_tokens = 1 << 16;
+        for bucket_batch in [true, false] {
+            config.batch.bucket_batch = bucket_batch;
+            let mut sim =
+                AutoscaleServingSim::new(presets::ipu_pod4(), config.clone(), busy_auto()).unwrap();
+            assert_eq!(sim.run(Design::ElkFull, &trace).unwrap().completed, 20);
+            let splits = sim.pricer.split_steps(&config.batch);
+            assert!(splits > 0, "bucket_batch {bucket_batch}: no step split");
+        }
     }
 }

@@ -313,6 +313,7 @@ impl DisaggServingSim {
             config.model.clone(),
             config.prefill,
             config.sim,
+            &config.batch,
             Arc::clone(&cache),
         );
         let decode_pricer = StepPricer::new(
@@ -320,6 +321,7 @@ impl DisaggServingSim {
             config.model.clone(),
             config.decode,
             config.sim,
+            &config.batch,
             cache,
         );
         Ok(DisaggServingSim {
@@ -817,5 +819,22 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(e.to_string().contains("chips"), "{e}");
+    }
+
+    #[test]
+    fn every_priced_step_has_a_table_slot() {
+        let trace = crate::pricing::tests::long_prompts(20);
+        let plan = ParallelismPlan::new(1, 1, 1);
+        let mut config = tiny_config(plan, plan);
+        config.batch.max_prefill_tokens = 1 << 16;
+        for bucket_batch in [true, false] {
+            config.batch.bucket_batch = bucket_batch;
+            let mut sim = DisaggServingSim::new(presets::ipu_pod4(), config.clone()).unwrap();
+            let r = sim.run(Design::ElkFull, RouterPolicy::RoundRobin, &trace);
+            assert_eq!(r.unwrap().completed, 20);
+            let splits = sim.prefill_pricer.split_steps(&config.batch);
+            sim.decode_pricer.split_steps(&config.batch);
+            assert!(splits > 0, "bucket_batch {bucket_batch}: no step split");
+        }
     }
 }

@@ -18,7 +18,7 @@ use elk_baselines::{Design, DesignRunner};
 use elk_core::CompileError;
 use elk_hw::CollectiveModel;
 use elk_model::{TransformerConfig, Workload};
-use elk_serve::{CacheStats, PlanCache, StepMemo};
+use elk_serve::{BatchConfig, CacheStats, PlanCache, StepMemo};
 use elk_sim::SimOptions;
 use elk_units::Seconds;
 
@@ -44,7 +44,8 @@ pub(crate) struct StepPricer {
 
 impl StepPricer {
     /// Builds the pricer for `plan` on `base`'s pod: the group runner
-    /// (derived from `base`), stage spans, and boundary collective model.
+    /// (derived from `base`), stage spans, boundary collective model,
+    /// and a memo sized for the step shapes `batch` produces.
     /// Pricers sharing `base` and `cache` compile each shape once; cache
     /// keys carry the model, tp and phase, so layouts never collide.
     /// Engines pass a one-thread `base`: the cache's pool is the parallel
@@ -54,6 +55,7 @@ impl StepPricer {
         model: TransformerConfig,
         plan: ParallelismPlan,
         sim: SimOptions,
+        batch: &BatchConfig,
         cache: Arc<PlanCache>,
     ) -> Self {
         let system = base.system();
@@ -65,7 +67,7 @@ impl StepPricer {
             model,
             plan,
             sim,
-            memo: StepMemo::default(),
+            memo: StepMemo::new(batch),
         }
     }
 
@@ -117,5 +119,56 @@ impl StepPricer {
         self.memo
             .price(design, wl, |(_, e)| e, &|w| self.pipeline_step(design, w))
             .map_err(|(stage, source)| ClusterError::Compile { stage, source })
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use elk_model::Phase;
+    use elk_serve::{ArrivalProcess, LengthDist, RequestTrace, TraceConfig};
+
+    impl StepPricer {
+        /// Asserts that every step this pricer priced has a table slot
+        /// in its memo, and counts the shapes that ran as two half
+        /// batches: their latency is exactly the sum of their memoized
+        /// halves.
+        pub(crate) fn split_steps(&self, cfg: &BatchConfig) -> usize {
+            assert_eq!(self.memo.spilled(), 0, "a priced step has no table slot");
+            let mut splits = 0;
+            for design in Design::ALL {
+                for phase in [Phase::Decode, Phase::Prefill] {
+                    for batch in 2..=cfg.max_batch.next_power_of_two() {
+                        for seq_len in cfg.seq_buckets.ladder() {
+                            let wl = |batch| Workload {
+                                batch,
+                                seq_len,
+                                phase,
+                            };
+                            let at = |batch| self.memo.get(design, wl(batch));
+                            let lo = batch / 2;
+                            if let (Some(t), Some(a), Some(b)) = (at(batch), at(lo), at(batch - lo))
+                            {
+                                splits += usize::from(t == a + b);
+                            }
+                        }
+                    }
+                }
+            }
+            splits
+        }
+    }
+
+    /// Long prompts at once: whole prefill batches exceed SRAM and run
+    /// as half batches.
+    pub(crate) fn long_prompts(requests: usize) -> RequestTrace {
+        TraceConfig {
+            seed: 5,
+            requests,
+            arrivals: ArrivalProcess::Poisson { rate_rps: 5000.0 },
+            prompt_len: LengthDist::Uniform { lo: 1100, hi: 2000 },
+            output_len: LengthDist::Uniform { lo: 2, hi: 4 },
+        }
+        .generate()
     }
 }

@@ -185,6 +185,7 @@ impl ClusterServingSim {
             config.model.clone(),
             config.plan,
             config.sim,
+            &config.batch,
             Arc::new(PlanCache::new().with_threads(config.threads)),
         );
         Ok(ClusterServingSim {
@@ -517,5 +518,20 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(e.to_string().contains("chips"), "{e}");
+    }
+
+    #[test]
+    fn every_priced_step_has_a_table_slot() {
+        let trace = crate::pricing::tests::long_prompts(20);
+        let mut config = tiny_config(ParallelismPlan::new(1, 1, 2));
+        config.batch.max_prefill_tokens = 1 << 16;
+        for bucket_batch in [true, false] {
+            config.batch.bucket_batch = bucket_batch;
+            let mut sim = ClusterServingSim::new(presets::ipu_pod4(), config.clone()).unwrap();
+            let r = sim.run(Design::ElkFull, RouterPolicy::RoundRobin, &trace);
+            assert_eq!(r.unwrap().completed, 20);
+            let splits = sim.pricer.split_steps(&config.batch);
+            assert!(splits > 0, "bucket_batch {bucket_batch}: no step split");
+        }
     }
 }

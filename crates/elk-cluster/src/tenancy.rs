@@ -179,6 +179,7 @@ impl TenantServingSim {
                     m.clone(),
                     config.plan,
                     config.sim,
+                    &config.batch,
                     Arc::clone(&cache),
                 )
             })
@@ -937,5 +938,39 @@ mod tests {
             prem(&managed),
             prem(&open)
         );
+    }
+
+    #[test]
+    fn every_priced_step_has_a_table_slot() {
+        let trace = crate::pricing::tests::long_prompts(20);
+        let tenancy = TenancyConfig {
+            classes: vec![
+                TenantClass::named("llama"),
+                TenantClass {
+                    model: Some("opt30".into()),
+                    ..TenantClass::named("opt")
+                },
+            ],
+            tenants: vec![("t1".to_string(), "opt".to_string())],
+            default_class: "llama".to_string(),
+            ..TenancyConfig::default()
+        };
+        let tenants = cycle_tenants(&trace, &["t0", "t1"]);
+        let mut config = tiny_config(ParallelismPlan::new(2, 1, 2));
+        config.batch.max_prefill_tokens = 1 << 16;
+        for bucket_batch in [true, false] {
+            config.batch.bucket_batch = bucket_batch;
+            let mut sim =
+                TenantServingSim::new(presets::ipu_pod4(), config.clone(), tenancy.clone())
+                    .unwrap();
+            let r = sim.run(Design::ElkFull, RouterPolicy::RoundRobin, &trace, &tenants);
+            assert_eq!(r.unwrap().base.completed, 20);
+            let splits: usize = sim
+                .pricers
+                .iter()
+                .map(|p| p.split_steps(&config.batch))
+                .sum();
+            assert!(splits > 0, "bucket_batch {bucket_batch}: no step split");
+        }
     }
 }

@@ -74,6 +74,7 @@ impl OpPlans {
 
     /// The execute plan of a frontier position.
     #[must_use]
+    #[inline]
     pub fn plan_at(&self, frontier_idx: usize) -> &ExecutePlan {
         &self.plans[self.exec_frontier[frontier_idx].plan_idx]
     }
@@ -82,6 +83,7 @@ impl OpPlans {
     /// largest space (max broadcast) first — already a Pareto frontier by
     /// construction.
     #[must_use]
+    #[inline]
     pub fn preload_points(&self, frontier_idx: usize) -> &[FrontierPoint] {
         &self.preload_points
             [self.preload_bounds[frontier_idx]..self.preload_bounds[frontier_idx + 1]]

@@ -138,6 +138,8 @@ impl<'a> Scheduler<'a> {
         let fabric = chip.topology.effective_bulk_bandwidth(chip.cores);
         let hbm_injection = chip.topology.hbm_injection_bandwidth(chip.cores);
         let hbm_rate = system.hbm.total_bandwidth().min(hbm_injection);
+        // What `system.allreduce_time` prices, built once per scheduler.
+        let collective = system.collective();
         let available =
             (fabric.bytes_per_sec() - hbm_rate.bytes_per_sec()).max(fabric.bytes_per_sec() * 0.2);
         Scheduler {
@@ -150,7 +152,7 @@ impl<'a> Scheduler<'a> {
             available,
             allreduce: graph
                 .iter()
-                .map(|op| system.allreduce_time(op.allreduce()))
+                .map(|op| collective.all_reduce(op.allreduce()))
                 .collect(),
         }
     }

@@ -153,6 +153,7 @@ impl TileShape {
     /// express `time ≈ α·flops + β·bytes + per-dim overheads + γ`. An
     /// array, so costing a tile allocates nothing.
     #[must_use]
+    #[inline]
     pub fn features(&self) -> [f64; Self::FEATURE_COUNT] {
         [
             self.flops() / 1e6,

@@ -75,12 +75,14 @@ impl HbmConfig {
 
     /// Total sustained bandwidth of the stack.
     #[must_use]
+    #[inline]
     pub fn total_bandwidth(&self) -> ByteRate {
         self.channel_bw * self.channels
     }
 
     /// Time to stream `volume` striped evenly across all channels.
     #[must_use]
+    #[inline]
     pub fn load_time(&self, volume: Bytes) -> Seconds {
         if volume.is_zero() {
             Seconds::ZERO

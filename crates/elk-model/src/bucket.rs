@@ -65,6 +65,7 @@ impl SeqBuckets {
     /// Rounds `seq_len` up to the next power of two, clamped to
     /// `[min, max]`.
     #[must_use]
+    #[inline]
     pub fn bucket(&self, seq_len: u64) -> u64 {
         pow2_at_least(seq_len).clamp(self.min, self.max)
     }
@@ -93,6 +94,7 @@ impl Default for SeqBuckets {
 
 /// The smallest power of two `>= x` (`1` for `x == 0`).
 #[must_use]
+#[inline]
 pub fn pow2_at_least(x: u64) -> u64 {
     x.max(1).next_power_of_two()
 }
@@ -111,6 +113,7 @@ impl Workload {
     /// assert_eq!(wl.batch, 32);
     /// ```
     #[must_use]
+    #[inline]
     pub fn bucketed(mut self, buckets: &SeqBuckets) -> Self {
         self.seq_len = buckets.bucket(self.seq_len);
         self
@@ -126,6 +129,7 @@ impl Workload {
     ///
     /// Panics if `max_batch` is zero.
     #[must_use]
+    #[inline]
     pub fn with_bucketed_batch(mut self, max_batch: u64) -> Self {
         assert!(max_batch > 0, "max_batch must be > 0");
         self.batch = pow2_at_least(self.batch).min(pow2_at_least(max_batch));

@@ -32,17 +32,19 @@
 //! deterministic); threading only changes when they are computed.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::{Catalog, CompileError};
-use elk_model::{ModelGraph, Phase, TransformerConfig, Workload};
+use elk_model::{ModelGraph, Phase, SeqBuckets, TransformerConfig, Workload};
 use elk_par::SingleFlight;
 use elk_sim::SimOptions;
 use elk_units::Seconds;
+
+use crate::BatchConfig;
 
 /// Cache key: the workload signature the compiled step latency depends
 /// on.
@@ -411,44 +413,120 @@ impl PlanCache {
 /// memo. Failures are not memoized: they abort the caller's run, and the
 /// cache already remembers them.
 ///
-/// Every step of a replay looks the memo up, so its map hashes with
-/// an Fx hash rather than SipHash. The map is only read with `get` and
-/// written with `insert`, never iterated, so no output depends on the
-/// hasher.
-#[derive(Debug, Default)]
+/// Every step of a replay looks the memo up, so a hit is one relaxed
+/// atomic load: the memo holds a slot per step shape its engine's
+/// [`BatchConfig`] can produce, split halves included — every design,
+/// decode and prefill, every batch shape (powers of two up to
+/// `max_batch`'s when batches are bucketed, else `1..=max_batch`) and
+/// every sequence bucket. That is a few hundred slots, a few KB.
+/// Shapes outside the table (unbucketed batches above
+/// [`MAX_DIRECT_BATCH`](Self::MAX_DIRECT_BATCH), or any other phase)
+/// fall back to a locked map, so every key is still priced once.
+#[derive(Debug)]
 pub struct StepMemo {
-    memo: Mutex<HashMap<(Design, Workload), Seconds, BuildHasherDefault<FxHasher>>>,
+    /// A latency's `f64` bits per slot, [`EMPTY`] until it is priced.
+    /// Loads and stores are `Relaxed`: a slot publishes only its own
+    /// bits, and a racing reader that misses it prices the shape again.
+    slots: Box<[AtomicU64]>,
+    /// Bucket batches to powers of two (index by `log2`), else index
+    /// `batch - 1`.
+    pow2_batches: bool,
+    batch_slots: u32,
+    seq_buckets: SeqBuckets,
+    seq_slots: u32,
+    overflow: Mutex<HashMap<(Design, Workload), Seconds>>,
 }
 
-/// The Fx hash (as in rustc and Firefox): one rotate, xor and multiply
-/// per word. Fast on small integer keys such as a `(Design, Workload)`.
-/// It does not resist keys chosen to collide; the memo's keys are
-/// bucketed step shapes, at most designs × phases × batch sizes ×
-/// sequence buckets.
-#[derive(Debug, Default)]
-struct FxHasher(u64);
+/// The empty-slot sentinel: no latency is NaN.
+const EMPTY: u64 = 0x7ff8_0000_0000_0000;
 
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+impl StepMemo {
+    /// The largest unbucketed batch the table holds a slot for.
+    pub const MAX_DIRECT_BATCH: u64 = 64;
+
+    /// An empty memo sized for the step shapes `batch` produces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` fails [`BatchConfig::validate`].
+    #[must_use]
+    pub fn new(batch: &BatchConfig) -> Self {
+        batch.validate().unwrap_or_else(|e| panic!("{e}"));
+        let pow2_batches = batch.bucket_batch;
+        let batch_slots = if pow2_batches {
+            // log2 of max_batch rounded up to a power of two, plus one.
+            u64::BITS - batch.max_batch.saturating_sub(1).leading_zeros() + 1
+        } else {
+            batch.max_batch.min(Self::MAX_DIRECT_BATCH) as u32
+        };
+        let SeqBuckets { min, max } = batch.seq_buckets;
+        let seq_slots = max.ilog2() - min.ilog2() + if max.is_power_of_two() { 1 } else { 2 };
+        let len = Design::ALL.len() * 2 * batch_slots as usize * seq_slots as usize;
+        StepMemo {
+            slots: (0..len).map(|_| AtomicU64::new(EMPTY)).collect(),
+            pow2_batches,
+            batch_slots,
+            seq_buckets: batch.seq_buckets,
+            seq_slots,
+            overflow: Mutex::default(),
         }
     }
 
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    /// The table slot of `(design, wl)`, or `None` for a shape outside
+    /// the table.
+    #[inline]
+    fn slot(&self, design: Design, wl: Workload) -> Option<&AtomicU64> {
+        let phase = match wl.phase {
+            Phase::Decode => 0,
+            Phase::Prefill => 1,
+            Phase::TrainingForward => return None,
+        };
+        let b = wl.batch;
+        let batch = if self.pow2_batches {
+            b.is_power_of_two().then(|| u64::from(b.ilog2()))
+        } else {
+            b.checked_sub(1)
+        }
+        .filter(|&i| i < u64::from(self.batch_slots))?;
+        let SeqBuckets { min, max } = self.seq_buckets;
+        let s = wl.seq_len;
+        let seq = if s == max {
+            self.seq_slots - 1
+        } else if s.is_power_of_two() && min <= s && s < max {
+            s.ilog2() - min.ilog2()
+        } else {
+            return None;
+        };
+        let row = (design as usize * 2 + phase) * self.batch_slots as usize;
+        Some(&self.slots[(row + batch as usize) * self.seq_slots as usize + seq as usize])
     }
 
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
+    fn overflow(&self) -> MutexGuard<'_, HashMap<(Design, Workload), Seconds>> {
+        self.overflow.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    /// The memoized latency of a `wl` step under `design`, if it has
+    /// been priced.
+    #[must_use]
+    #[inline]
+    pub fn get(&self, design: Design, wl: Workload) -> Option<Seconds> {
+        match self.slot(design, wl) {
+            Some(slot) => {
+                let bits = slot.load(Ordering::Relaxed);
+                (bits != EMPTY).then(|| Seconds::new(f64::from_bits(bits)))
+            }
+            None => self.overflow().get(&(design, wl)).copied(),
+        }
     }
-}
 
-impl StepMemo {
+    /// How many memoized shapes have no table slot. None for the shapes
+    /// of the memo's own [`BatchConfig`] up to
+    /// [`MAX_DIRECT_BATCH`](Self::MAX_DIRECT_BATCH).
+    #[must_use]
+    pub fn spilled(&self) -> usize {
+        self.overflow().len()
+    }
+
     /// The latency of one `wl` step under `design`: the memoized answer,
     /// else `price(wl)`. When the whole shape has no feasible on-chip
     /// plan (`compile_error` of the failure is a capacity error —
@@ -469,8 +547,7 @@ impl StepMemo {
         compile_error: fn(&E) -> &CompileError,
         price: &impl Fn(Workload) -> Result<Seconds, E>,
     ) -> Result<Seconds, E> {
-        let memo = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&t) = memo().get(&(design, wl)) {
+        if let Some(t) = self.get(design, wl) {
             return Ok(t);
         }
         let t = match price(wl) {
@@ -488,7 +565,12 @@ impl StepMemo {
             }
             whole => whole?,
         };
-        memo().insert((design, wl), t);
+        match self.slot(design, wl) {
+            Some(slot) => slot.store(t.as_secs().to_bits(), Ordering::Relaxed),
+            None => {
+                self.overflow().insert((design, wl), t);
+            }
+        }
         Ok(t)
     }
 }
@@ -496,6 +578,7 @@ impl StepMemo {
 #[cfg(test)]
 mod tests {
     use std::cell::RefCell;
+    use std::collections::HashSet;
 
     use super::*;
     use elk_hw::presets;
@@ -733,7 +816,7 @@ mod tests {
         let cache = PlanCache::new();
         let sim = SimOptions::default();
         let price = |w| cache.step_latency(&runner, &model, 4, Design::ElkFull, w, &sim);
-        let memo = StepMemo::default();
+        let memo = StepMemo::new(&BatchConfig::default());
         let wl = Workload::decode(4, 512);
         let first = memo.price(Design::ElkFull, wl, ID, &price).unwrap();
         let again = memo.price(Design::ElkFull, wl, ID, &price).unwrap();
@@ -745,7 +828,7 @@ mod tests {
     fn a_split_shape_prices_each_half_once_through_the_memo() {
         let calls = RefCell::new(Vec::new());
         let price = capped(4, &calls);
-        let memo = StepMemo::default();
+        let memo = StepMemo::new(&unbucketed(16, SeqBuckets::default()));
         // 12 splits into 6 + 6 and each 6 into 3 + 3: the second of each
         // equal pair is a memo hit.
         let t = memo.price(Design::ElkFull, Workload::decode(12, 512), ID, &price);
@@ -765,7 +848,7 @@ mod tests {
     #[test]
     fn a_failure_is_not_memoized_and_propagates() {
         let calls = RefCell::new(Vec::new());
-        let memo = StepMemo::default();
+        let memo = StepMemo::new(&BatchConfig::default());
         // Batch 1 cannot split; a non-capacity error is never split.
         let price = capped(0, &calls);
         for _ in 0..2 {
@@ -783,15 +866,23 @@ mod tests {
         assert_eq!(*calls.borrow(), [2, 1]);
     }
 
-    #[test]
-    fn a_full_signature_ladder_prices_each_key_once() {
-        // Every step shape a replica can ask for: each design, both
-        // phases, every batch up to max_batch and every sequence bucket.
-        let max_batch = 16;
+    /// A batch config that does not round batches to powers of two.
+    fn unbucketed(max_batch: u64, seq_buckets: SeqBuckets) -> BatchConfig {
+        BatchConfig {
+            max_batch,
+            seq_buckets,
+            bucket_batch: false,
+            ..BatchConfig::default()
+        }
+    }
+
+    /// Every step shape a replica can ask for: each design, both
+    /// phases, every batch up to 16 and every bucket of 64..4096.
+    fn ladder() -> Vec<(Design, Workload)> {
         let mut keys = Vec::new();
         for design in Design::ALL {
             for phase in [Phase::Decode, Phase::Prefill] {
-                for batch in 1..=max_batch {
+                for batch in 1..=16 {
                     for seq_len in SeqBuckets::new(64, 4096).ladder() {
                         keys.push((
                             design,
@@ -805,6 +896,13 @@ mod tests {
                 }
             }
         }
+        assert_eq!(keys.len(), 5 * 2 * 16 * 7);
+        keys
+    }
+
+    /// Prices `keys` twice through `memo`: each key is priced once and
+    /// every lookup returns its own key's latency.
+    fn prices_each_key_once(memo: &StepMemo, keys: &[(Design, Workload)]) {
         // A latency of its own per key, in nanoseconds.
         let latency = |design: Design, wl: Workload| {
             let d = Design::ALL.iter().position(|&x| x == design).unwrap() as u64;
@@ -812,9 +910,8 @@ mod tests {
             Seconds::new((((d * 2 + p) * 100 + wl.batch) * 10_000 + wl.seq_len) as f64 * 1e-9)
         };
         let calls = RefCell::new(HashMap::new());
-        let memo = StepMemo::default();
         for pass in 0..2 {
-            for &(design, wl) in &keys {
+            for &(design, wl) in keys {
                 let price = |w: Workload| {
                     *calls.borrow_mut().entry((design, w)).or_insert(0) += 1;
                     Ok::<_, CompileError>(latency(design, w))
@@ -829,12 +926,110 @@ mod tests {
                 "pass {pass}: a key priced twice"
             );
         }
-        assert_eq!(keys.len(), 5 * 2 * 16 * 7);
+    }
+
+    #[test]
+    fn a_full_signature_ladder_prices_each_key_once() {
+        let keys = ladder();
+        // Sized for the ladder: every key has a table slot.
+        let table = StepMemo::new(&unbucketed(16, SeqBuckets::new(64, 4096)));
+        assert!(keys.iter().all(|&(d, wl)| table.slot(d, wl).is_some()));
+        prices_each_key_once(&table, &keys);
+        assert_eq!(table.spilled(), 0);
+        // Power-of-two batches only: the other batches go to the map.
+        let mixed = StepMemo::new(&BatchConfig {
+            max_batch: 16,
+            seq_buckets: SeqBuckets::new(64, 4096),
+            ..BatchConfig::default()
+        });
+        let slotted = keys.iter().filter(|&&(d, wl)| mixed.slot(d, wl).is_some());
+        assert_eq!(slotted.count(), 5 * 2 * 5 * 7);
+        prices_each_key_once(&mixed, &keys);
+        assert_eq!(mixed.spilled(), 5 * 2 * 11 * 7);
+        // A ladder the table does not hold at all.
+        let map = StepMemo::new(&unbucketed(16, SeqBuckets::new(8192, 8192)));
+        assert!(!keys.iter().any(|&(d, wl)| map.slot(d, wl).is_some()));
+        prices_each_key_once(&map, &keys);
+        assert_eq!(map.spilled(), keys.len());
+    }
+
+    /// The shapes `cfg` produces for batches of `1..=max_batch` requests
+    /// at raw lengths `1..=4 * max bucket`, with every split half.
+    fn step_shapes(cfg: &BatchConfig) -> HashSet<Workload> {
+        fn halves(wl: Workload, out: &mut HashSet<Workload>) {
+            if out.insert(wl) && wl.batch > 1 {
+                let lo = wl.batch / 2;
+                halves(Workload { batch: lo, ..wl }, out);
+                halves(
+                    Workload {
+                        batch: wl.batch - lo,
+                        ..wl
+                    },
+                    out,
+                );
+            }
+        }
+        let mut out = HashSet::new();
+        let longest = 4 * cfg.seq_buckets.max;
+        for phase in [Phase::Decode, Phase::Prefill] {
+            for n in 1..=cfg.max_batch {
+                let mut seq = 1;
+                while seq <= longest {
+                    halves(cfg.step_workload(phase, n, seq), &mut out);
+                    seq += 1 + seq / 3;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_step_shape_of_a_batch_config_has_its_own_slot() {
+        let mut configs = Vec::new();
+        for (min, max) in [(64, 4096), (256, 8192), (512, 512), (256, 1000), (1, 3)] {
+            let buckets = SeqBuckets::new(min, max);
+            for max_batch in [1, 2, 7, 8, 12, 16, 48, 64] {
+                configs.push(unbucketed(max_batch, buckets));
+                configs.push(BatchConfig {
+                    max_batch,
+                    seq_buckets: buckets,
+                    ..BatchConfig::default()
+                });
+            }
+        }
+        for cfg in &configs {
+            let memo = StepMemo::new(cfg);
+            let shapes = step_shapes(cfg);
+            let mut slots = HashSet::new();
+            for design in Design::ALL {
+                for &wl in &shapes {
+                    let slot = memo.slot(design, wl);
+                    let slot = slot.unwrap_or_else(|| panic!("{cfg:?}: {wl:?} has no slot"));
+                    assert!(
+                        slots.insert(std::ptr::from_ref(slot)),
+                        "{wl:?} shares a slot"
+                    );
+                }
+            }
+            // Sized from the config: no slot is left idle.
+            assert_eq!(memo.slots.len(), slots.len(), "{cfg:?}");
+        }
+        // Unbucketed batches above the direct limit spill to the map.
+        let wide = StepMemo::new(&unbucketed(100, SeqBuckets::default()));
+        assert!(wide
+            .slot(Design::Basic, Workload::decode(64, 256))
+            .is_some());
+        assert!(wide
+            .slot(Design::Basic, Workload::decode(65, 256))
+            .is_none());
+        assert!(wide
+            .slot(Design::Basic, Workload::training_forward(1, 256))
+            .is_none());
     }
 
     #[test]
     fn the_key_includes_the_design() {
-        let memo = StepMemo::default();
+        let memo = StepMemo::new(&BatchConfig::default());
         let wl = Workload::decode(8, 512);
         let ms = |x: f64| move |_: Workload| Ok::<_, CompileError>(Seconds::from_millis(x));
         let full = memo.price(Design::ElkFull, wl, ID, &ms(1.0));

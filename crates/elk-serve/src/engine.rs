@@ -154,7 +154,9 @@ impl ServingSim {
         // (replicas × designs × candidate orders).
         ServingSim {
             runner: runner.into().with_threads(1),
-            memos: (0..config.replicas).map(|_| StepMemo::default()).collect(),
+            memos: (0..config.replicas)
+                .map(|_| StepMemo::new(&config.batch))
+                .collect(),
             config,
             cache: PlanCache::new().with_threads(threads),
             obs: Obs::null(),
@@ -357,7 +359,7 @@ mod tests {
     use super::*;
     use crate::trace::{ArrivalProcess, LengthDist, TraceConfig};
     use elk_hw::presets;
-    use elk_model::{zoo, SeqBuckets};
+    use elk_model::{zoo, Phase, SeqBuckets, Workload};
 
     fn tiny_config() -> ServeConfig {
         let mut model = zoo::llama2_13b();
@@ -506,5 +508,69 @@ mod tests {
                 ..first
             }
         );
+    }
+
+    /// Asserts that every step `memo` priced has a table slot, and
+    /// counts the shapes that ran as two half batches: their latency is
+    /// exactly the sum of their memoized halves.
+    pub(crate) fn split_steps(memo: &StepMemo, cfg: &BatchConfig) -> usize {
+        assert_eq!(memo.spilled(), 0, "a priced step has no table slot");
+        let mut splits = 0;
+        for design in Design::ALL {
+            for phase in [Phase::Decode, Phase::Prefill] {
+                for batch in 2..=cfg.max_batch.next_power_of_two() {
+                    for seq_len in cfg.seq_buckets.ladder() {
+                        let at = |batch| {
+                            memo.get(
+                                design,
+                                Workload {
+                                    batch,
+                                    seq_len,
+                                    phase,
+                                },
+                            )
+                        };
+                        let lo = batch / 2;
+                        if let (Some(t), Some(a), Some(b)) = (at(batch), at(lo), at(batch - lo)) {
+                            splits += usize::from(t == a + b);
+                        }
+                    }
+                }
+            }
+        }
+        splits
+    }
+
+    /// Long prompts at once: whole prefill batches exceed SRAM and run
+    /// as half batches.
+    fn long_prompts(requests: usize) -> RequestTrace {
+        TraceConfig {
+            seed: 5,
+            requests,
+            arrivals: ArrivalProcess::Poisson { rate_rps: 5000.0 },
+            prompt_len: LengthDist::Uniform { lo: 1100, hi: 2000 },
+            output_len: LengthDist::Uniform { lo: 2, hi: 4 },
+        }
+        .generate()
+    }
+
+    #[test]
+    fn every_priced_step_has_a_table_slot() {
+        for bucket_batch in [true, false] {
+            let mut config = tiny_config().with_replicas(2);
+            config.batch.bucket_batch = bucket_batch;
+            config.batch.max_prefill_tokens = 1 << 16;
+            let mut sim = ServingSim::new(presets::ipu_pod4(), config);
+            let trace = long_prompts(20);
+            for design in [Design::Basic, Design::ElkFull] {
+                assert_eq!(sim.run(design, &trace).unwrap().completed, 20);
+            }
+            let splits: usize = sim
+                .memos
+                .iter()
+                .map(|m| split_steps(m, &sim.config.batch))
+                .sum();
+            assert!(splits > 0, "bucket_batch {bucket_batch}: no step split");
+        }
     }
 }

@@ -95,4 +95,6 @@ pub use tenancy::{
     jain_index, ShedPolicy, TenancyConfig, TenantClass, TenantReport, TokenBucket,
     MAX_CLASS_PRIORITY,
 };
-pub use trace::{check_positive, ArrivalProcess, LengthDist, Request, RequestTrace, TraceConfig};
+pub use trace::{
+    check_positive, check_span, ArrivalProcess, LengthDist, Request, RequestTrace, TraceConfig,
+};

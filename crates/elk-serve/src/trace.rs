@@ -81,13 +81,18 @@ impl ArrivalProcess {
         }
     }
 
-    /// Checks the process: finite positive rate and period,
-    /// `burst_factor >= 1`, `duty` in `(0, 1)`, `burst_factor * duty <
-    /// 1`, and a finite peak rate (an infinite one stops the thinning
-    /// loop's clock, so no proposal is ever accepted).
-    fn validate(&self) -> Result<(), String> {
+    /// Checks the process for `requests` arrivals: finite positive rate
+    /// and period, `burst_factor >= 1`, `duty` in `(0, 1)`,
+    /// `burst_factor * duty < 1`, a finite peak rate (an infinite one
+    /// stops the thinning loop's clock, so no proposal is ever
+    /// accepted), and a mean rate ([`check_span`]) whose arrivals stay
+    /// finite.
+    fn validate(&self, requests: usize) -> Result<(), String> {
         match *self {
-            ArrivalProcess::Poisson { rate_rps } => check_positive("rate_rps", rate_rps),
+            ArrivalProcess::Poisson { rate_rps } => {
+                check_positive("rate_rps", rate_rps)?;
+                check_span("rate_rps", rate_rps, requests)
+            }
             ArrivalProcess::Bursty {
                 rate_rps,
                 burst_factor,
@@ -113,10 +118,33 @@ impl ArrivalProcess {
                          rate, must be finite"
                     ));
                 }
-                Ok(())
+                // The burst balances the off phase: the mean is rate_rps.
+                check_span("rate_rps", rate_rps, requests)
             }
         }
     }
+}
+
+/// The rule for a trace's mean arrival rate: `requests` arrivals must
+/// keep a finite clock. Each exponential gap is at most `53 ln 2 / rate`
+/// seconds (`-ln(1 - u)` for the largest 53-bit uniform `u < 1`), so
+/// with a factor of two for rounding a Poisson trace stays finite when
+/// `2 × requests × 53 ln 2 / rate` does; a thinned shape does at its
+/// mean rate with a wide margin. Checked after [`check_positive`].
+///
+/// # Errors
+///
+/// Returns a message naming `field` and the smallest rate that passes.
+pub fn check_span(field: &str, rate: f64, requests: usize) -> Result<(), String> {
+    let span = 2.0 * requests as f64 * 53.0 * std::f64::consts::LN_2;
+    if (span / rate).is_finite() {
+        return Ok(());
+    }
+    Err(format!(
+        "{field} ({rate:?}) is too small: {requests} arrivals at this rate overflow the \
+         clock; it must be at least {:?}",
+        span / f64::MAX
+    ))
 }
 
 /// The rule for rates, periods and other strictly positive knobs.
@@ -232,7 +260,7 @@ impl TraceConfig {
             ));
         }
         self.arrivals
-            .validate()
+            .validate(self.requests)
             .map_err(|e| format!("arrivals.{e}"))?;
         self.prompt_len.validate("prompt_len")?;
         self.output_len.validate("output_len")
@@ -441,6 +469,39 @@ mod tests {
             prompt_len: 0,
             output_len: 5,
         }]);
+    }
+
+    #[test]
+    fn a_vanishing_rate_is_rejected() {
+        // Gaps of ~1e308 s: every arrival after the first would be
+        // infinite.
+        let cfg = |arrivals| TraceConfig {
+            arrivals,
+            ..poisson_cfg(0)
+        };
+        let err = cfg(ArrivalProcess::Poisson { rate_rps: 1e-308 })
+            .validate()
+            .unwrap_err();
+        assert!(
+            err.starts_with("arrivals.rate_rps (1e-308) is too small"),
+            "{err}"
+        );
+        let err = cfg(ArrivalProcess::Bursty {
+            rate_rps: 1e-307,
+            burst_factor: 2.0,
+            period_s: 1.0,
+            duty: 0.25,
+        })
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.starts_with("arrivals.rate_rps (1e-307) is too small"),
+            "{err}"
+        );
+        // The smallest rate the check names keeps every arrival finite.
+        let at_least: f64 = err.rsplit(' ').next().unwrap().parse().unwrap();
+        let trace = cfg(ArrivalProcess::Poisson { rate_rps: at_least }).generate();
+        assert!(trace.requests.iter().all(|r| r.arrival.is_finite()));
     }
 
     #[test]

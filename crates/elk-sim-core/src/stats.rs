@@ -61,12 +61,11 @@ impl TimeWeighted {
     ///
     /// Panics if `t` is before the previous record — time-weighted
     /// accumulation needs monotone timestamps.
+    #[inline]
     pub fn record(&mut self, t: Seconds, value: f64) {
-        assert!(
-            t >= self.last_time,
-            "non-monotone record at {t} after {}",
-            self.last_time
-        );
+        if t < self.last_time {
+            non_monotone(t, self.last_time);
+        }
         self.area += self.last_value * (t - self.last_time).as_secs();
         self.last_time = t;
         self.last_value = value;
@@ -155,6 +154,7 @@ impl QueueStat {
     /// # Panics
     ///
     /// Panics if `t` precedes an earlier record.
+    #[inline]
     pub fn record(&mut self, t: Seconds, depth: usize) {
         #[allow(clippy::float_cmp)] // depths are small exact integers
         if self.weighted.value() == depth as f64 {
@@ -207,6 +207,12 @@ impl QueueStat {
     pub fn into_samples(self) -> Vec<(Seconds, usize)> {
         self.samples
     }
+}
+
+#[cold]
+#[inline(never)]
+fn non_monotone(t: Seconds, last: Seconds) -> ! {
+    panic!("non-monotone record at {t} after {last}")
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use elk_serve::check_positive;
+use elk_serve::{check_positive, check_span};
 
 use crate::format::{TraceFile, TraceRecord};
 
@@ -89,13 +89,18 @@ impl RateShape {
         }
     }
 
-    /// Checks the shape: finite positive rates and periods, an
-    /// amplitude in `[0, 1)`, `burst_rps >= base_rps`, a burst shorter
-    /// than its period, and a finite peak rate (an infinite one stops
-    /// the thinning loop's clock, so no proposal is ever accepted).
-    fn validate(&self) -> Result<(), String> {
+    /// Checks the shape for `requests` arrivals: finite positive rates
+    /// and periods, an amplitude in `[0, 1)`, `burst_rps >= base_rps`, a
+    /// burst shorter than its period, a finite peak rate (an infinite
+    /// one stops the thinning loop's clock, so no proposal is ever
+    /// accepted), and a mean rate ([`check_span`]) whose arrivals stay
+    /// finite.
+    fn validate(&self, requests: usize) -> Result<(), String> {
         match *self {
-            RateShape::Constant { rate_rps } => check_positive("rate_rps", rate_rps),
+            RateShape::Constant { rate_rps } => {
+                check_positive("rate_rps", rate_rps)?;
+                check_span("rate_rps", rate_rps, requests)
+            }
             RateShape::Diurnal {
                 mean_rps,
                 amplitude,
@@ -114,7 +119,7 @@ impl RateShape {
                          rate, must be finite"
                     ));
                 }
-                Ok(())
+                check_span("mean_rps", mean_rps, requests)
             }
             RateShape::BurstTrain {
                 base_rps,
@@ -137,7 +142,9 @@ impl RateShape {
                          period_s ({period_s})"
                     ));
                 }
-                Ok(())
+                let burst = burst_s / period_s;
+                let mean = burst_rps * burst + base_rps * (1.0 - burst);
+                check_span("base_rps and burst_rps: the mean rate", mean, requests)
             }
         }
     }
@@ -251,7 +258,9 @@ impl TraceGenConfig {
                 self.requests
             ));
         }
-        self.rate.validate().map_err(|e| format!("rate.{e}"))?;
+        self.rate
+            .validate(self.requests)
+            .map_err(|e| format!("rate.{e}"))?;
         self.prompt_len.validate("prompt_len")?;
         self.output_len.validate("output_len")
     }
@@ -406,6 +415,59 @@ mod tests {
             "rate.mean_rps (1.5e308) times 1 + amplitude (0.5), the peak rate, must be finite"
         );
         assert_eq!(recipe(1e308).generate().len(), 64);
+    }
+
+    #[test]
+    fn a_vanishing_rate_is_rejected() {
+        // Gaps of ~1e308 s: every arrival after the first would be
+        // infinite.
+        let recipe = |rate| TraceGenConfig {
+            rate,
+            ..TraceGenConfig::default()
+        };
+        let err = recipe(RateShape::Constant { rate_rps: 1e-308 })
+            .validate()
+            .unwrap_err();
+        assert!(
+            err.starts_with("rate.rate_rps (1e-308) is too small"),
+            "{err}"
+        );
+        let err = recipe(RateShape::Diurnal {
+            mean_rps: 1e-307,
+            amplitude: 0.5,
+            period_s: 1.0,
+        })
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.starts_with("rate.mean_rps (1e-307) is too small"),
+            "{err}"
+        );
+        let err = recipe(RateShape::BurstTrain {
+            base_rps: 1e-308,
+            burst_rps: 1e-306,
+            period_s: 1.0,
+            burst_s: 0.5,
+        })
+        .validate()
+        .unwrap_err();
+        assert!(err.starts_with("rate.base_rps and burst_rps"), "{err}");
+        // The smallest rate the check names keeps every arrival finite.
+        let at_least: f64 = err.rsplit(' ').next().unwrap().parse().unwrap();
+        let trace = recipe(RateShape::Constant { rate_rps: at_least }).generate();
+        assert!(trace.records.iter().all(|r| r.arrival_s.is_finite()));
+        // A near-silent base between bursts passes: the mean rate counts.
+        let bursts = recipe(RateShape::BurstTrain {
+            base_rps: 1e-308,
+            burst_rps: 100.0,
+            period_s: 1.0,
+            burst_s: 0.5,
+        });
+        assert!(bursts
+            .generate()
+            .records
+            .iter()
+            .all(|r| r.arrival_s.is_finite()));
     }
 
     #[test]

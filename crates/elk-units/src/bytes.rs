@@ -34,6 +34,7 @@ impl Bytes {
 
     /// Creates a byte count.
     #[must_use]
+    #[inline]
     pub const fn new(bytes: u64) -> Self {
         Bytes(bytes)
     }
@@ -44,6 +45,7 @@ impl Bytes {
     ///
     /// Panics if the byte count overflows 64 bits.
     #[must_use]
+    #[inline]
     pub const fn kib(kib: u64) -> Self {
         Self::checked_kib(kib).expect("KiB count overflows 64 bits")
     }
@@ -51,12 +53,14 @@ impl Bytes {
     /// Creates a byte count from binary kilobytes, or `None` if it
     /// overflows 64 bits.
     #[must_use]
+    #[inline]
     pub const fn checked_kib(kib: u64) -> Option<Self> {
         Self::wrap(kib.checked_mul(1 << 10))
     }
 
     /// Creates a byte count from binary megabytes.
     #[must_use]
+    #[inline]
     pub const fn mib(mib: u64) -> Self {
         Bytes(mib * 1024 * 1024)
     }
@@ -67,6 +71,7 @@ impl Bytes {
     ///
     /// Panics if the byte count overflows 64 bits.
     #[must_use]
+    #[inline]
     pub const fn gib(gib: u64) -> Self {
         Self::checked_gib(gib).expect("GiB count overflows 64 bits")
     }
@@ -74,10 +79,12 @@ impl Bytes {
     /// Creates a byte count from binary gigabytes, or `None` if it
     /// overflows 64 bits.
     #[must_use]
+    #[inline]
     pub const fn checked_gib(gib: u64) -> Option<Self> {
         Self::wrap(gib.checked_mul(1 << 30))
     }
 
+    #[inline]
     const fn wrap(bytes: Option<u64>) -> Option<Self> {
         match bytes {
             Some(b) => Some(Bytes(b)),
@@ -87,30 +94,35 @@ impl Bytes {
 
     /// Raw byte count.
     #[must_use]
+    #[inline]
     pub const fn get(self) -> u64 {
         self.0
     }
 
     /// Byte count as `f64`, for cost arithmetic.
     #[must_use]
+    #[inline]
     pub fn as_f64(self) -> f64 {
         self.0 as f64
     }
 
     /// `true` if the count is zero.
     #[must_use]
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Subtraction clamped at zero.
     #[must_use]
+    #[inline]
     pub const fn saturating_sub(self, rhs: Bytes) -> Bytes {
         Bytes(self.0.saturating_sub(rhs.0))
     }
 
     /// Checked subtraction.
     #[must_use]
+    #[inline]
     pub const fn checked_sub(self, rhs: Bytes) -> Option<Bytes> {
         match self.0.checked_sub(rhs.0) {
             Some(v) => Some(Bytes(v)),
@@ -124,11 +136,11 @@ impl Bytes {
     ///
     /// Panics if `fraction` is negative or not finite.
     #[must_use]
+    #[inline]
     pub fn scale(self, fraction: f64) -> Bytes {
-        assert!(
-            fraction.is_finite() && fraction >= 0.0,
-            "byte scale factor must be finite and non-negative, got {fraction}"
-        );
+        if !(fraction.is_finite() && fraction >= 0.0) {
+            bad_scale(fraction);
+        }
         Bytes((self.0 as f64 * fraction).ceil() as u64)
     }
 
@@ -138,6 +150,7 @@ impl Bytes {
     ///
     /// Panics if `chunk` is zero.
     #[must_use]
+    #[inline]
     pub fn div_ceil_by(self, chunk: Bytes) -> u64 {
         assert!(!chunk.is_zero(), "cannot divide bytes by a zero chunk");
         self.0.div_ceil(chunk.0)
@@ -145,12 +158,14 @@ impl Bytes {
 
     /// The larger of two counts.
     #[must_use]
+    #[inline]
     pub fn max(self, other: Bytes) -> Bytes {
         Bytes(self.0.max(other.0))
     }
 
     /// The smaller of two counts.
     #[must_use]
+    #[inline]
     pub fn min(self, other: Bytes) -> Bytes {
         Bytes(self.0.min(other.0))
     }
@@ -158,12 +173,14 @@ impl Bytes {
 
 impl Add for Bytes {
     type Output = Bytes;
+    #[inline]
     fn add(self, rhs: Bytes) -> Bytes {
         Bytes(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Bytes {
+    #[inline]
     fn add_assign(&mut self, rhs: Bytes) {
         self.0 += rhs.0;
     }
@@ -171,12 +188,14 @@ impl AddAssign for Bytes {
 
 impl Sub for Bytes {
     type Output = Bytes;
+    #[inline]
     fn sub(self, rhs: Bytes) -> Bytes {
         Bytes(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for Bytes {
+    #[inline]
     fn sub_assign(&mut self, rhs: Bytes) {
         self.0 -= rhs.0;
     }
@@ -184,6 +203,7 @@ impl SubAssign for Bytes {
 
 impl Mul<u64> for Bytes {
     type Output = Bytes;
+    #[inline]
     fn mul(self, rhs: u64) -> Bytes {
         Bytes(self.0 * rhs)
     }
@@ -193,6 +213,7 @@ impl Div<u64> for Bytes {
     type Output = Bytes;
     /// Dividing a byte count among `rhs` parts rounds up (homogeneous tiling
     /// reserves the worst-case per-part footprint).
+    #[inline]
     fn div(self, rhs: u64) -> Bytes {
         assert!(rhs != 0, "cannot divide bytes into zero parts");
         Bytes(self.0.div_ceil(rhs))
@@ -201,18 +222,22 @@ impl Div<u64> for Bytes {
 
 impl Div<ByteRate> for Bytes {
     type Output = Seconds;
+    #[inline]
     fn div(self, rhs: ByteRate) -> Seconds {
         rhs.transfer_time(self)
     }
 }
 
 impl Sum for Bytes {
+    #[inline]
     fn sum<I: Iterator<Item = Bytes>>(iter: I) -> Bytes {
         iter.fold(Bytes::ZERO, Add::add)
     }
 }
 
 impl fmt::Display for Bytes {
+    #[cold]
+    #[inline(never)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let b = self.0 as f64;
         if self.0 < 1024 {
@@ -225,6 +250,12 @@ impl fmt::Display for Bytes {
             write!(f, "{:.2} GiB", b / (1024.0 * 1024.0 * 1024.0))
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_scale(fraction: f64) -> ! {
+    panic!("byte scale factor must be finite and non-negative, got {fraction}")
 }
 
 #[cfg(test)]

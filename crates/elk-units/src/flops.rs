@@ -32,22 +32,24 @@ impl Flops {
     ///
     /// Panics if `flops` is NaN or negative.
     #[must_use]
+    #[inline]
     pub fn new(flops: f64) -> Self {
-        assert!(
-            !flops.is_nan() && flops >= 0.0,
-            "invalid FLOP count: {flops}"
-        );
+        if flops.is_nan() || flops < 0.0 {
+            bad_count(flops);
+        }
         Flops(flops)
     }
 
     /// The raw count.
     #[must_use]
+    #[inline]
     pub const fn get(self) -> f64 {
         self.0
     }
 
     /// `true` for zero work.
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
@@ -55,6 +57,7 @@ impl Flops {
 
 impl Add for Flops {
     type Output = Flops;
+    #[inline]
     fn add(self, rhs: Flops) -> Flops {
         Flops(self.0 + rhs.0)
     }
@@ -62,6 +65,7 @@ impl Add for Flops {
 
 impl Mul<f64> for Flops {
     type Output = Flops;
+    #[inline]
     fn mul(self, rhs: f64) -> Flops {
         Flops::new(self.0 * rhs)
     }
@@ -69,6 +73,7 @@ impl Mul<f64> for Flops {
 
 impl Div<u64> for Flops {
     type Output = Flops;
+    #[inline]
     fn div(self, rhs: u64) -> Flops {
         Flops::new(self.0 / rhs as f64)
     }
@@ -76,6 +81,7 @@ impl Div<u64> for Flops {
 
 impl Div<FlopRate> for Flops {
     type Output = Seconds;
+    #[inline]
     fn div(self, rhs: FlopRate) -> Seconds {
         if self.0 == 0.0 {
             Seconds::ZERO
@@ -89,6 +95,7 @@ impl Div<FlopRate> for Flops {
 
 impl Div<Seconds> for Flops {
     type Output = FlopRate;
+    #[inline]
     fn div(self, rhs: Seconds) -> FlopRate {
         if rhs.is_zero() {
             FlopRate::ZERO
@@ -99,12 +106,15 @@ impl Div<Seconds> for Flops {
 }
 
 impl Sum for Flops {
+    #[inline]
     fn sum<I: Iterator<Item = Flops>>(iter: I) -> Flops {
         iter.fold(Flops::ZERO, Add::add)
     }
 }
 
 impl fmt::Display for Flops {
+    #[cold]
+    #[inline(never)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1e12 {
             write!(f, "{:.2} TFLOP", self.0 / 1e12)
@@ -131,8 +141,9 @@ impl FlopRate {
     ///
     /// Panics where [`try_new`](Self::try_new) fails.
     #[must_use]
+    #[inline]
     pub fn new(flops_per_sec: f64) -> Self {
-        Self::try_new(flops_per_sec).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(flops_per_sec).unwrap_or_else(|e| crate::fail(e))
     }
 
     /// Creates a throughput in FLOP/s.
@@ -146,23 +157,26 @@ impl FlopRate {
         if flops_per_sec.is_finite() && flops_per_sec >= 0.0 {
             return Ok(FlopRate(flops_per_sec));
         }
-        Err(format!("invalid throughput: {flops_per_sec} FLOP/s"))
+        Err(invalid_rate(flops_per_sec))
     }
 
     /// Creates a throughput in TFLOP/s.
     #[must_use]
+    #[inline]
     pub fn tera(tflops: f64) -> Self {
         FlopRate::new(tflops * 1e12)
     }
 
     /// The value in FLOP/s.
     #[must_use]
+    #[inline]
     pub const fn get(self) -> f64 {
         self.0
     }
 
     /// The value in TFLOP/s.
     #[must_use]
+    #[inline]
     pub fn as_tera(self) -> f64 {
         self.0 / 1e12
     }
@@ -170,6 +184,7 @@ impl FlopRate {
 
 impl Add for FlopRate {
     type Output = FlopRate;
+    #[inline]
     fn add(self, rhs: FlopRate) -> FlopRate {
         FlopRate(self.0 + rhs.0)
     }
@@ -177,6 +192,7 @@ impl Add for FlopRate {
 
 impl Mul<f64> for FlopRate {
     type Output = FlopRate;
+    #[inline]
     fn mul(self, rhs: f64) -> FlopRate {
         FlopRate::new(self.0 * rhs)
     }
@@ -184,6 +200,7 @@ impl Mul<f64> for FlopRate {
 
 impl Mul<u64> for FlopRate {
     type Output = FlopRate;
+    #[inline]
     fn mul(self, rhs: u64) -> FlopRate {
         FlopRate::new(self.0 * rhs as f64)
     }
@@ -191,21 +208,37 @@ impl Mul<u64> for FlopRate {
 
 impl Div<u64> for FlopRate {
     type Output = FlopRate;
+    #[inline]
     fn div(self, rhs: u64) -> FlopRate {
         FlopRate::new(self.0 / rhs as f64)
     }
 }
 
 impl Sum for FlopRate {
+    #[inline]
     fn sum<I: Iterator<Item = FlopRate>>(iter: I) -> FlopRate {
         iter.fold(FlopRate::ZERO, Add::add)
     }
 }
 
 impl fmt::Display for FlopRate {
+    #[cold]
+    #[inline(never)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2} TFLOPS", self.0 / 1e12)
     }
+}
+
+#[cold]
+#[inline(never)]
+fn invalid_rate(flops_per_sec: f64) -> String {
+    format!("invalid throughput: {flops_per_sec} FLOP/s")
+}
+
+#[cold]
+#[inline(never)]
+fn bad_count(flops: f64) -> ! {
+    panic!("invalid FLOP count: {flops}")
 }
 
 #[cfg(test)]

@@ -36,8 +36,9 @@ impl ByteRate {
     ///
     /// Panics where [`try_new`](Self::try_new) fails.
     #[must_use]
+    #[inline]
     pub fn new(bytes_per_sec: f64) -> Self {
-        Self::try_new(bytes_per_sec).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(bytes_per_sec).unwrap_or_else(|e| crate::fail(e))
     }
 
     /// Creates a rate in bytes per second.
@@ -51,11 +52,12 @@ impl ByteRate {
         if bytes_per_sec.is_finite() && bytes_per_sec >= 0.0 {
             return Ok(ByteRate(bytes_per_sec));
         }
-        Err(format!("invalid bandwidth: {bytes_per_sec} B/s"))
+        Err(invalid(bytes_per_sec))
     }
 
     /// Creates a rate in binary gigabytes per second.
     #[must_use]
+    #[inline]
     pub fn gib_per_sec(gib: f64) -> Self {
         ByteRate::new(gib * 1024.0 * 1024.0 * 1024.0)
     }
@@ -65,24 +67,28 @@ impl ByteRate {
     /// # Errors
     ///
     /// As [`try_new`](Self::try_new), after the conversion.
+    #[inline]
     pub fn try_gib_per_sec(gib: f64) -> Result<Self, String> {
         ByteRate::try_new(gib * 1024.0 * 1024.0 * 1024.0)
     }
 
     /// Creates a rate in binary terabytes per second.
     #[must_use]
+    #[inline]
     pub fn tib_per_sec(tib: f64) -> Self {
         ByteRate::new(tib * 1024.0 * 1024.0 * 1024.0 * 1024.0)
     }
 
     /// The value in bytes per second.
     #[must_use]
+    #[inline]
     pub const fn bytes_per_sec(self) -> f64 {
         self.0
     }
 
     /// `true` if the link carries no bandwidth.
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
@@ -91,6 +97,7 @@ impl ByteRate {
     ///
     /// A zero rate yields [`Seconds::INFINITY`] (for non-zero volume).
     #[must_use]
+    #[inline]
     pub fn transfer_time(self, volume: Bytes) -> Seconds {
         if volume.is_zero() {
             Seconds::ZERO
@@ -103,18 +110,21 @@ impl ByteRate {
 
     /// Bytes moved in `duration` at this rate (rounded down).
     #[must_use]
+    #[inline]
     pub fn bytes_in(self, duration: Seconds) -> Bytes {
         Bytes::new((self.0 * duration.as_secs()) as u64)
     }
 
     /// The smaller of two rates (bottleneck of links in series).
     #[must_use]
+    #[inline]
     pub fn min(self, other: ByteRate) -> ByteRate {
         ByteRate(self.0.min(other.0))
     }
 
     /// The larger of two rates.
     #[must_use]
+    #[inline]
     pub fn max(self, other: ByteRate) -> ByteRate {
         ByteRate(self.0.max(other.0))
     }
@@ -123,6 +133,7 @@ impl ByteRate {
 impl Add for ByteRate {
     type Output = ByteRate;
     /// Aggregating parallel links.
+    #[inline]
     fn add(self, rhs: ByteRate) -> ByteRate {
         ByteRate(self.0 + rhs.0)
     }
@@ -130,6 +141,7 @@ impl Add for ByteRate {
 
 impl Mul<f64> for ByteRate {
     type Output = ByteRate;
+    #[inline]
     fn mul(self, rhs: f64) -> ByteRate {
         ByteRate::new(self.0 * rhs)
     }
@@ -137,6 +149,7 @@ impl Mul<f64> for ByteRate {
 
 impl Mul<u64> for ByteRate {
     type Output = ByteRate;
+    #[inline]
     fn mul(self, rhs: u64) -> ByteRate {
         ByteRate::new(self.0 * rhs as f64)
     }
@@ -144,6 +157,7 @@ impl Mul<u64> for ByteRate {
 
 impl Div<f64> for ByteRate {
     type Output = ByteRate;
+    #[inline]
     fn div(self, rhs: f64) -> ByteRate {
         ByteRate::new(self.0 / rhs)
     }
@@ -151,6 +165,7 @@ impl Div<f64> for ByteRate {
 
 impl Div<u64> for ByteRate {
     type Output = ByteRate;
+    #[inline]
     fn div(self, rhs: u64) -> ByteRate {
         ByteRate::new(self.0 / rhs as f64)
     }
@@ -158,18 +173,22 @@ impl Div<u64> for ByteRate {
 
 impl Div<ByteRate> for ByteRate {
     type Output = f64;
+    #[inline]
     fn div(self, rhs: ByteRate) -> f64 {
         self.0 / rhs.0
     }
 }
 
 impl Sum for ByteRate {
+    #[inline]
     fn sum<I: Iterator<Item = ByteRate>>(iter: I) -> ByteRate {
         iter.fold(ByteRate::ZERO, Add::add)
     }
 }
 
 impl fmt::Display for ByteRate {
+    #[cold]
+    #[inline(never)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let g = 1024.0 * 1024.0 * 1024.0;
         if self.0 >= 1024.0 * g {
@@ -178,6 +197,12 @@ impl fmt::Display for ByteRate {
             write!(f, "{:.2} GiB/s", self.0 / g)
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn invalid(bytes_per_sec: f64) -> String {
+    format!("invalid bandwidth: {bytes_per_sec} B/s")
 }
 
 #[cfg(test)]

@@ -38,9 +38,10 @@ impl Seconds {
     /// # Panics
     ///
     /// Panics where [`try_new`](Self::try_new) fails.
+    #[inline]
     #[must_use]
     pub fn new(secs: f64) -> Self {
-        Self::try_new(secs).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(secs).unwrap_or_else(|e| crate::fail(e))
     }
 
     /// Creates a duration in seconds.
@@ -53,53 +54,61 @@ impl Seconds {
         if !secs.is_nan() && secs >= 0.0 {
             return Ok(Seconds(secs));
         }
-        Err(format!("invalid duration: {secs}"))
+        Err(invalid(secs))
     }
 
     /// Creates a duration in milliseconds.
     #[must_use]
+    #[inline]
     pub fn from_millis(ms: f64) -> Self {
         Seconds::new(ms * 1e-3)
     }
 
     /// Creates a duration in microseconds.
     #[must_use]
+    #[inline]
     pub fn from_micros(us: f64) -> Self {
         Seconds::new(us * 1e-6)
     }
 
     /// The value in seconds.
     #[must_use]
+    #[inline]
     pub const fn as_secs(self) -> f64 {
         self.0
     }
 
     /// The value in milliseconds.
     #[must_use]
+    #[inline]
     pub fn as_millis(self) -> f64 {
         self.0 * 1e3
     }
 
     /// The value in microseconds.
     #[must_use]
+    #[inline]
     pub fn as_micros(self) -> f64 {
         self.0 * 1e6
     }
 
     /// `true` for a zero duration.
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
 
     /// `true` for a finite duration.
     #[must_use]
+    #[inline]
     pub fn is_finite(self) -> bool {
         self.0.is_finite()
     }
 
     /// The later of two timestamps.
     #[must_use]
+    #[inline]
     pub fn max(self, other: Seconds) -> Seconds {
         if self.0 >= other.0 {
             self
@@ -110,6 +119,7 @@ impl Seconds {
 
     /// The earlier of two timestamps.
     #[must_use]
+    #[inline]
     pub fn min(self, other: Seconds) -> Seconds {
         if self.0 <= other.0 {
             self
@@ -122,26 +132,47 @@ impl Seconds {
 impl Eq for Seconds {}
 
 impl PartialOrd for Seconds {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Seconds {
+    /// The `f64` order, under which `-0.0 == 0.0` (unlike
+    /// [`f64::total_cmp`], which would reorder equal timestamps).
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Construction forbids NaN, so total order is safe.
-        self.0.partial_cmp(&other.0).expect("Seconds is never NaN")
+        // Construction forbids NaN, so the partial order is total.
+        match self.0.partial_cmp(&other.0) {
+            Some(order) => order,
+            None => nan_order(),
+        }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn invalid(secs: f64) -> String {
+    format!("invalid duration: {secs}")
+}
+
+#[cold]
+#[inline(never)]
+fn nan_order() -> ! {
+    panic!("Seconds is never NaN")
 }
 
 impl Add for Seconds {
     type Output = Seconds;
+    #[inline]
     fn add(self, rhs: Seconds) -> Seconds {
         Seconds(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Seconds {
+    #[inline]
     fn add_assign(&mut self, rhs: Seconds) {
         self.0 += rhs.0;
     }
@@ -150,12 +181,14 @@ impl AddAssign for Seconds {
 impl Sub for Seconds {
     type Output = Seconds;
     /// Clamped at zero: durations never go negative.
+    #[inline]
     fn sub(self, rhs: Seconds) -> Seconds {
         Seconds((self.0 - rhs.0).max(0.0))
     }
 }
 
 impl SubAssign for Seconds {
+    #[inline]
     fn sub_assign(&mut self, rhs: Seconds) {
         *self = *self - rhs;
     }
@@ -163,6 +196,7 @@ impl SubAssign for Seconds {
 
 impl Mul<f64> for Seconds {
     type Output = Seconds;
+    #[inline]
     fn mul(self, rhs: f64) -> Seconds {
         Seconds::new(self.0 * rhs)
     }
@@ -170,6 +204,7 @@ impl Mul<f64> for Seconds {
 
 impl Div<f64> for Seconds {
     type Output = Seconds;
+    #[inline]
     fn div(self, rhs: f64) -> Seconds {
         Seconds::new(self.0 / rhs)
     }
@@ -177,18 +212,22 @@ impl Div<f64> for Seconds {
 
 impl Div<Seconds> for Seconds {
     type Output = f64;
+    #[inline]
     fn div(self, rhs: Seconds) -> f64 {
         self.0 / rhs.0
     }
 }
 
 impl Sum for Seconds {
+    #[inline]
     fn sum<I: Iterator<Item = Seconds>>(iter: I) -> Seconds {
         iter.fold(Seconds::ZERO, Add::add)
     }
 }
 
 impl fmt::Display for Seconds {
+    #[cold]
+    #[inline(never)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 == f64::INFINITY {
             write!(f, "inf")
