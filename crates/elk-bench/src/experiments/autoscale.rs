@@ -18,7 +18,7 @@ use elk_cluster::{
     AutoscaleConfig, AutoscaleServingSim, ClusterServeConfig, ClusterServingSim, ParallelismPlan,
 };
 use elk_model::{zoo, SeqBuckets};
-use elk_serve::{BatchConfig, RouterPolicy, SloConfig};
+use elk_serve::{BatchConfig, RouterPolicy, SloConfig, TraceConfig};
 use elk_trace::{LengthModel, RateShape, TraceGenConfig};
 use elk_units::Seconds;
 
@@ -89,20 +89,22 @@ pub fn run(ctx: &mut Ctx) {
     // waiting for the later bursts.
     let requests = if ctx.full { 960 } else { 360 };
     let trace = TraceGenConfig {
-        seed: 0xe1a5,
-        requests,
-        rate: RateShape::BurstTrain {
-            base_rps: 20.0,
-            burst_rps: 520.0,
-            period_s: 1.0,
-            burst_s: 0.25,
+        trace: TraceConfig {
+            seed: 0xe1a5,
+            requests,
+            rate: RateShape::BurstTrain {
+                base_rps: 20.0,
+                burst_rps: 520.0,
+                period_s: 1.0,
+                burst_s: 0.25,
+            },
+            prompt_len: LengthModel::HeavyTail {
+                lo: 64,
+                alpha: 1.2,
+                cap: 2048,
+            },
+            output_len: LengthModel::Uniform { lo: 4, hi: 12 },
         },
-        prompt_len: LengthModel::HeavyTail {
-            lo: 64,
-            alpha: 1.2,
-            cap: 2048,
-        },
-        output_len: LengthModel::Uniform { lo: 4, hi: 12 },
         tenants: 4,
     }
     .generate()

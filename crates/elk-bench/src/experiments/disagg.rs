@@ -23,7 +23,7 @@ use elk_cluster::{
     ClusterServeConfig, ClusterServingSim, DisaggConfig, DisaggServingSim, ParallelismPlan,
 };
 use elk_model::{zoo, SeqBuckets, TransformerConfig};
-use elk_serve::{BatchConfig, RequestTrace, RouterPolicy, SloConfig};
+use elk_serve::{BatchConfig, RequestTrace, RouterPolicy, SloConfig, TraceConfig};
 use elk_trace::{LengthModel, RateShape, TraceGenConfig};
 use elk_units::Seconds;
 
@@ -72,20 +72,22 @@ fn batch() -> BatchConfig {
 /// interactive outputs and a tight TPOT SLO the mega prefills threaten.
 fn longprompt_trace(requests: usize) -> RequestTrace {
     TraceGenConfig {
-        seed: 808,
-        requests,
-        rate: RateShape::BurstTrain {
-            base_rps: 40.0,
-            burst_rps: 400.0,
-            period_s: 1.0,
-            burst_s: 0.2,
+        trace: TraceConfig {
+            seed: 808,
+            requests,
+            rate: RateShape::BurstTrain {
+                base_rps: 40.0,
+                burst_rps: 400.0,
+                period_s: 1.0,
+                burst_s: 0.2,
+            },
+            prompt_len: LengthModel::HeavyTail {
+                lo: 128,
+                alpha: 1.2,
+                cap: 2048,
+            },
+            output_len: LengthModel::Uniform { lo: 24, hi: 64 },
         },
-        prompt_len: LengthModel::HeavyTail {
-            lo: 128,
-            alpha: 1.2,
-            cap: 2048,
-        },
-        output_len: LengthModel::Uniform { lo: 24, hi: 64 },
         tenants: 3,
     }
     .generate()
@@ -96,16 +98,18 @@ fn longprompt_trace(requests: usize) -> RequestTrace {
 /// capacity is the binding resource.
 fn chat_trace(requests: usize) -> RequestTrace {
     TraceGenConfig {
-        seed: 909,
-        requests,
-        rate: RateShape::BurstTrain {
-            base_rps: 300.0,
-            burst_rps: 900.0,
-            period_s: 0.5,
-            burst_s: 0.15,
+        trace: TraceConfig {
+            seed: 909,
+            requests,
+            rate: RateShape::BurstTrain {
+                base_rps: 300.0,
+                burst_rps: 900.0,
+                period_s: 0.5,
+                burst_s: 0.15,
+            },
+            prompt_len: LengthModel::Uniform { lo: 64, hi: 256 },
+            output_len: LengthModel::Uniform { lo: 32, hi: 96 },
         },
-        prompt_len: LengthModel::Uniform { lo: 64, hi: 256 },
-        output_len: LengthModel::Uniform { lo: 32, hi: 96 },
         tenants: 3,
     }
     .generate()

@@ -22,7 +22,7 @@ use serde::Serialize;
 use elk_baselines::Design;
 use elk_cluster::{ClusterServeConfig, ClusterServingSim, ParallelismPlan};
 use elk_model::{zoo, SeqBuckets};
-use elk_serve::{ArrivalProcess, BatchConfig, LengthDist, RouterPolicy, TraceConfig};
+use elk_serve::{BatchConfig, LengthModel, RateShape, RouterPolicy, TraceConfig};
 
 use crate::ctx::{default_system, peak_rss_bytes, Ctx};
 
@@ -103,9 +103,9 @@ pub fn run(ctx: &mut Ctx) {
         // Below the fixture's ~380 req/s service capacity, so queues
         // stay bounded and the run exercises steady-state serving
         // rather than an ever-growing backlog.
-        arrivals: ArrivalProcess::Poisson { rate_rps: 300.0 },
-        prompt_len: LengthDist::Uniform { lo: 200, hi: 700 },
-        output_len: LengthDist::Uniform { lo: 2, hi: 12 },
+        rate: RateShape::Constant { rate_rps: 300.0 },
+        prompt_len: LengthModel::Uniform { lo: 200, hi: 700 },
+        output_len: LengthModel::Uniform { lo: 2, hi: 12 },
     }
     .generate();
     let mut sim = ClusterServingSim::new(default_system(), config).expect("pod4 plan is valid");

@@ -6,7 +6,7 @@ use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
 use elk_model::zoo;
-use elk_serve::{ArrivalProcess, LengthDist, ServeConfig, ServingSim, SloConfig, TraceConfig};
+use elk_serve::{LengthModel, RateShape, ServeConfig, ServingSim, SloConfig, TraceConfig};
 use elk_units::Seconds;
 
 use crate::ctx::{default_system, Ctx};
@@ -46,14 +46,9 @@ pub fn run(ctx: &mut Ctx) {
     let trace = TraceConfig {
         seed: 0x5eed,
         requests,
-        arrivals: ArrivalProcess::Bursty {
-            rate_rps: 300.0,
-            burst_factor: 3.5,
-            period_s: 0.2,
-            duty: 0.25,
-        },
-        prompt_len: LengthDist::Uniform { lo: 1700, hi: 3600 },
-        output_len: LengthDist::Uniform { lo: 96, hi: 224 },
+        rate: RateShape::bursty(300.0, 3.5, 0.2, 0.25).expect("valid burst recipe"),
+        prompt_len: LengthModel::Uniform { lo: 1700, hi: 3600 },
+        output_len: LengthModel::Uniform { lo: 96, hi: 224 },
     }
     .generate();
     ctx.line(format!(

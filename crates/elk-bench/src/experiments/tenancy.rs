@@ -17,7 +17,9 @@ use serde::Serialize;
 use elk_baselines::{Design, DesignRunner};
 use elk_cluster::{ClusterServeConfig, ParallelismPlan, TenancyServingReport, TenantServingSim};
 use elk_model::{zoo, SeqBuckets};
-use elk_serve::{BatchConfig, RouterPolicy, ShedPolicy, SloConfig, TenancyConfig, TenantClass};
+use elk_serve::{
+    BatchConfig, RouterPolicy, ShedPolicy, SloConfig, TenancyConfig, TenantClass, TraceConfig,
+};
 use elk_trace::{LengthModel, RateShape, TraceGenConfig};
 use elk_units::Seconds;
 
@@ -133,20 +135,22 @@ pub fn run(ctx: &mut Ctx) {
     // piles into the queues ahead of it.
     let requests = if ctx.full { 720 } else { 240 };
     let file = TraceGenConfig {
-        seed: 0x7e17,
-        requests,
-        rate: RateShape::BurstTrain {
-            base_rps: 40.0,
-            burst_rps: 800.0,
-            period_s: 1.0,
-            burst_s: 0.25,
+        trace: TraceConfig {
+            seed: 0x7e17,
+            requests,
+            rate: RateShape::BurstTrain {
+                base_rps: 40.0,
+                burst_rps: 800.0,
+                period_s: 1.0,
+                burst_s: 0.25,
+            },
+            prompt_len: LengthModel::HeavyTail {
+                lo: 64,
+                alpha: 1.2,
+                cap: 2048,
+            },
+            output_len: LengthModel::Uniform { lo: 4, hi: 12 },
         },
-        prompt_len: LengthModel::HeavyTail {
-            lo: 64,
-            alpha: 1.2,
-            cap: 2048,
-        },
-        output_len: LengthModel::Uniform { lo: 4, hi: 12 },
         tenants: 4,
     }
     .generate();

@@ -126,7 +126,7 @@ impl StepPricer {
 pub(crate) mod tests {
     use super::*;
     use elk_model::Phase;
-    use elk_serve::{ArrivalProcess, LengthDist, RequestTrace, TraceConfig};
+    use elk_serve::{LengthModel, RateShape, RequestTrace, TraceConfig};
 
     impl StepPricer {
         /// Asserts that every step this pricer priced has a table slot
@@ -165,9 +165,9 @@ pub(crate) mod tests {
         TraceConfig {
             seed: 5,
             requests,
-            arrivals: ArrivalProcess::Poisson { rate_rps: 5000.0 },
-            prompt_len: LengthDist::Uniform { lo: 1100, hi: 2000 },
-            output_len: LengthDist::Uniform { lo: 2, hi: 4 },
+            rate: RateShape::Constant { rate_rps: 5000.0 },
+            prompt_len: LengthModel::Uniform { lo: 1100, hi: 2000 },
+            output_len: LengthModel::Uniform { lo: 2, hi: 4 },
         }
         .generate()
     }

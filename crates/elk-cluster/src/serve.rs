@@ -333,7 +333,7 @@ mod tests {
     use super::*;
     use elk_hw::presets;
     use elk_model::{zoo, SeqBuckets};
-    use elk_serve::{ArrivalProcess, LengthDist, TraceConfig};
+    use elk_serve::{LengthModel, RateShape, TraceConfig};
 
     fn tiny_config(plan: ParallelismPlan) -> ClusterServeConfig {
         let mut model = zoo::llama2_13b();
@@ -353,9 +353,9 @@ mod tests {
         TraceConfig {
             seed: 11,
             requests,
-            arrivals: ArrivalProcess::Poisson { rate_rps: 200.0 },
-            prompt_len: LengthDist::Uniform { lo: 200, hi: 700 },
-            output_len: LengthDist::Uniform { lo: 2, hi: 12 },
+            rate: RateShape::Constant { rate_rps: 200.0 },
+            prompt_len: LengthModel::Uniform { lo: 200, hi: 700 },
+            output_len: LengthModel::Uniform { lo: 2, hi: 12 },
         }
         .generate()
     }

@@ -531,7 +531,7 @@ mod tests {
     use crate::serve::ClusterServingSim;
     use elk_hw::presets;
     use elk_model::{zoo, SeqBuckets};
-    use elk_serve::{ArrivalProcess, BatchConfig, LengthDist, SloConfig, TenantClass, TraceConfig};
+    use elk_serve::{BatchConfig, LengthModel, RateShape, SloConfig, TenantClass, TraceConfig};
 
     fn tiny_config(plan: ParallelismPlan) -> ClusterServeConfig {
         let mut model = zoo::llama2_13b();
@@ -551,9 +551,9 @@ mod tests {
         TraceConfig {
             seed: 11,
             requests,
-            arrivals: ArrivalProcess::Poisson { rate_rps: 200.0 },
-            prompt_len: LengthDist::Uniform { lo: 200, hi: 700 },
-            output_len: LengthDist::Uniform { lo: 2, hi: 12 },
+            rate: RateShape::Constant { rate_rps: 200.0 },
+            prompt_len: LengthModel::Uniform { lo: 200, hi: 700 },
+            output_len: LengthModel::Uniform { lo: 2, hi: 12 },
         }
         .generate()
     }
@@ -873,14 +873,9 @@ mod tests {
         let trace = TraceConfig {
             seed: 5,
             requests: 40,
-            arrivals: ArrivalProcess::Bursty {
-                rate_rps: 400.0,
-                burst_factor: 4.0,
-                period_s: 0.5,
-                duty: 0.2,
-            },
-            prompt_len: LengthDist::Uniform { lo: 200, hi: 600 },
-            output_len: LengthDist::Uniform { lo: 2, hi: 8 },
+            rate: RateShape::bursty(400.0, 4.0, 0.5, 0.2).expect("valid burst recipe"),
+            prompt_len: LengthModel::Uniform { lo: 200, hi: 600 },
+            output_len: LengthModel::Uniform { lo: 2, hi: 8 },
         }
         .generate();
         let tenants = cycle_tenants(&trace, &["prem", "be", "be", "be"]);

@@ -92,11 +92,12 @@ impl Default for SeqBuckets {
     }
 }
 
-/// The smallest power of two `>= x` (`1` for `x == 0`).
+/// The smallest power of two `>= x` (`1` for `x == 0`), saturating at
+/// `2^63` for an `x` past it, which has no power of two in `u64`.
 #[must_use]
 #[inline]
 pub fn pow2_at_least(x: u64) -> u64 {
-    x.max(1).next_power_of_two()
+    x.clamp(1, 1 << 63).next_power_of_two()
 }
 
 impl Workload {
@@ -149,6 +150,16 @@ mod tests {
         assert_eq!(b.bucket(129), 256);
         assert_eq!(b.bucket(4095), 4096);
         assert_eq!(b.bucket(9999), 4096);
+    }
+
+    #[test]
+    fn lengths_past_the_top_power_of_two_saturate() {
+        assert_eq!(pow2_at_least(1 << 63), 1 << 63);
+        assert_eq!(pow2_at_least((1 << 63) + 1), 1 << 63);
+        assert_eq!(pow2_at_least(u64::MAX), 1 << 63);
+        // Such a length buckets at the top of the ladder, as any length
+        // past `max` does.
+        assert_eq!(SeqBuckets::new(128, 4096).bucket(u64::MAX), 4096);
     }
 
     #[test]

@@ -42,14 +42,18 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Checks the knobs: non-zero caps and a well-formed bucket ladder.
+    /// Checks the knobs: non-zero caps, a batch cap its power-of-two
+    /// bucket holds (at most `2^63`), and a well-formed bucket ladder.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first ill-formed knob.
     pub fn validate(&self) -> Result<(), String> {
-        if self.max_batch == 0 {
-            return Err("max_batch must be > 0".into());
+        if !(1..=1 << 63).contains(&self.max_batch) {
+            return Err(format!(
+                "max_batch must be in 1..=2^63, got {}",
+                self.max_batch
+            ));
         }
         if self.max_prefill_tokens == 0 {
             return Err("max_prefill_tokens must be > 0".into());
@@ -200,5 +204,18 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(e.contains("max_batch"), "{e}");
+    }
+
+    #[test]
+    fn a_batch_cap_past_its_bucket_is_rejected() {
+        let with = |max_batch| BatchConfig {
+            max_batch,
+            ..BatchConfig::default()
+        };
+        let e = with((1 << 63) + 1).validate().unwrap_err();
+        assert_eq!(e, "max_batch must be in 1..=2^63, got 9223372036854775809");
+        assert_eq!(with(1 << 63).validate(), Ok(()));
+        let wl = with(1 << 63).step_workload(Phase::Decode, 3, u64::MAX);
+        assert_eq!((wl.batch, wl.seq_len), (4, 8192));
     }
 }

@@ -357,7 +357,7 @@ impl ServingSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{ArrivalProcess, LengthDist, TraceConfig};
+    use crate::trace::{LengthModel, RateShape, TraceConfig};
     use elk_hw::presets;
     use elk_model::{zoo, Phase, SeqBuckets, Workload};
 
@@ -379,9 +379,9 @@ mod tests {
         TraceConfig {
             seed: 11,
             requests,
-            arrivals: ArrivalProcess::Poisson { rate_rps: 200.0 },
-            prompt_len: LengthDist::Uniform { lo: 200, hi: 700 },
-            output_len: LengthDist::Uniform { lo: 2, hi: 12 },
+            rate: RateShape::Constant { rate_rps: 200.0 },
+            prompt_len: LengthModel::Uniform { lo: 200, hi: 700 },
+            output_len: LengthModel::Uniform { lo: 2, hi: 12 },
         }
         .generate()
     }
@@ -547,9 +547,9 @@ mod tests {
         TraceConfig {
             seed: 5,
             requests,
-            arrivals: ArrivalProcess::Poisson { rate_rps: 5000.0 },
-            prompt_len: LengthDist::Uniform { lo: 1100, hi: 2000 },
-            output_len: LengthDist::Uniform { lo: 2, hi: 4 },
+            rate: RateShape::Constant { rate_rps: 5000.0 },
+            prompt_len: LengthModel::Uniform { lo: 1100, hi: 2000 },
+            output_len: LengthModel::Uniform { lo: 2, hi: 4 },
         }
         .generate()
     }

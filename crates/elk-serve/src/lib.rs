@@ -31,8 +31,8 @@
 //! | knob | where | meaning |
 //! |---|---|---|
 //! | `seed`, `requests` | [`TraceConfig`] | deterministic trace size/stream |
-//! | `arrivals` | [`ArrivalProcess`] | `Poisson { rate_rps }` or on/off `Bursty { burst_factor, period_s, duty }` |
-//! | `prompt_len`, `output_len` | [`LengthDist`] | `Fixed`, `Uniform`, or `Bimodal` token counts |
+//! | `rate` | [`RateShape`] | `Constant`, `Diurnal`, or `BurstTrain`; [`RateShape::bursty`] lowers the on/off `Bursty { rate_rps, burst_factor, period_s, duty }` recipe |
+//! | `prompt_len`, `output_len` | [`LengthModel`] | `Fixed`, `Uniform`, `HeavyTail`, or `Bimodal` token counts, at most [`MAX_TOKENS`] |
 //! | `max_batch` | [`BatchConfig`] | concurrent requests per replica |
 //! | `max_prefill_tokens` | [`BatchConfig`] | prompt-token budget per prefill step |
 //! | `seq_buckets` | [`BatchConfig`] | pow-2 context bucketing for plan-cache keys |
@@ -46,7 +46,7 @@
 //! ## Example
 //!
 //! ```
-//! use elk_serve::{ArrivalProcess, LengthDist, ServeConfig, ServingSim, TraceConfig};
+//! use elk_serve::{LengthModel, RateShape, ServeConfig, ServingSim, TraceConfig};
 //! use elk_baselines::Design;
 //! use elk_hw::presets;
 //! use elk_model::zoo;
@@ -55,9 +55,9 @@
 //! let trace = TraceConfig {
 //!     seed: 7,
 //!     requests: 10,
-//!     arrivals: ArrivalProcess::Poisson { rate_rps: 100.0 },
-//!     prompt_len: LengthDist::Uniform { lo: 100, hi: 400 },
-//!     output_len: LengthDist::Fixed(4),
+//!     rate: RateShape::Constant { rate_rps: 100.0 },
+//!     prompt_len: LengthModel::Uniform { lo: 100, hi: 400 },
+//!     output_len: LengthModel::Fixed(4),
 //! }
 //! .generate();
 //!
@@ -96,5 +96,6 @@ pub use tenancy::{
     MAX_CLASS_PRIORITY,
 };
 pub use trace::{
-    check_positive, check_span, ArrivalProcess, LengthDist, Request, RequestTrace, TraceConfig,
+    check_positive, check_span, LengthModel, RateShape, Request, RequestTrace, TraceConfig,
+    MAX_TOKENS,
 };

@@ -1,4 +1,6 @@
-//! Request traces: synthetic arrival processes and length distributions.
+//! Request traces and the one seeded generator that makes them:
+//! arrival-rate shapes, token-length models, and a Lewis–Shedler
+//! thinning loop.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,107 +21,208 @@ pub struct Request {
     pub output_len: u64,
 }
 
-/// When requests arrive.
+/// The longest prompt or output a request may carry, `2³² − 1` tokens.
+/// The engines add lengths up: a request's prompt plus the tokens it
+/// has generated, a group's admitted prompt tokens, a trace's output
+/// tokens. Any sum of up to `2³²` lengths this long stays within `u64`.
+pub const MAX_TOKENS: u64 = u32::MAX as u64;
+
+/// Time-varying arrival-rate shape (requests/second).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
-pub enum ArrivalProcess {
-    /// Memoryless arrivals at a constant mean rate (requests/second).
-    Poisson {
-        /// Mean arrival rate in requests per second.
+pub enum RateShape {
+    /// Homogeneous Poisson arrivals at a constant rate.
+    Constant {
+        /// Arrival rate in requests per second.
         rate_rps: f64,
     },
-    /// On/off-modulated Poisson: within each `period_s`-second window the
-    /// first `duty` fraction runs at `burst_factor × rate_rps` and the
-    /// remainder at a reduced rate so the long-run mean stays `rate_rps`.
-    /// Models diurnal spikes and thundering herds.
-    Bursty {
-        /// Long-run mean arrival rate in requests per second.
-        rate_rps: f64,
-        /// Rate multiplier inside a burst (`>= 1`; `burst_factor * duty`
-        /// must stay `< 1` so the off-phase rate is positive).
-        burst_factor: f64,
+    /// Diurnal sinusoid: `mean * (1 + amplitude * sin(2πt / period))`.
+    /// Models the day/night demand cycle production traces show.
+    Diurnal {
+        /// Long-run mean rate in requests per second.
+        mean_rps: f64,
+        /// Peak-to-mean swing, in `[0, 1)` so the rate stays positive.
+        amplitude: f64,
+        /// Cycle length in seconds.
+        period_s: f64,
+    },
+    /// Square-wave burst train: the first `burst_s` seconds of every
+    /// `period_s`-second window run at `burst_rps`, the rest at
+    /// `base_rps`. Models thundering herds and batch-job kickoffs.
+    BurstTrain {
+        /// Off-burst rate in requests per second.
+        base_rps: f64,
+        /// In-burst rate in requests per second (`>= base_rps`).
+        burst_rps: f64,
         /// Burst cycle length in seconds.
         period_s: f64,
-        /// Fraction of each period spent bursting, in `(0, 1)`.
-        duty: f64,
+        /// Burst duration per cycle, in `(0, period_s]`.
+        burst_s: f64,
     },
 }
 
-impl ArrivalProcess {
-    /// Instantaneous rate at time `t` (requests/second).
+impl RateShape {
+    /// Lowers the on/off-modulated recipe `serving.trace` calls
+    /// `Bursty`: the first `duty` fraction of every `period_s`-second
+    /// window runs at `burst_factor × rate_rps`, the rest at the rate
+    /// that keeps the long-run mean at `rate_rps`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the recipe field unless `rate_rps` and
+    /// `period_s` are finite and positive, `burst_factor >= 1`, `duty`
+    /// is in `(0, 1)`, `burst_factor * duty < 1` (the off-phase rate
+    /// stays positive) and the peak rate is finite. The span rule
+    /// ([`check_span`]) on `rate_rps` needs the request count, so it is
+    /// the caller's.
+    pub fn bursty(
+        rate_rps: f64,
+        burst_factor: f64,
+        period_s: f64,
+        duty: f64,
+    ) -> Result<Self, String> {
+        check_positive("rate_rps", rate_rps)?;
+        check_positive("period_s", period_s)?;
+        if burst_factor < 1.0 {
+            return Err(format!("burst_factor must be >= 1, got {burst_factor}"));
+        }
+        if !(duty > 0.0 && duty < 1.0) {
+            return Err(format!("duty must be in (0, 1), got {duty}"));
+        }
+        if burst_factor * duty >= 1.0 {
+            return Err("burst_factor * duty must be < 1 \
+                        (the off-phase rate would be <= 0)"
+                .into());
+        }
+        let burst_rps = rate_rps * burst_factor;
+        if !burst_rps.is_finite() {
+            return Err(format!(
+                "rate_rps ({rate_rps:?}) times burst_factor ({burst_factor:?}), the peak \
+                 rate, must be finite"
+            ));
+        }
+        // At burst_factor 1 the balancing rate can round an ulp above the
+        // burst rate; either way the thinning loop accepts every proposal.
+        let base_rps = (rate_rps * (1.0 - burst_factor * duty) / (1.0 - duty)).min(burst_rps);
+        // A window that rounds to nothing keeps the smallest one, so a
+        // phase of exactly 0 (every time past 2^53 periods) still bursts.
+        let burst_s = (duty * period_s).max(f64::from_bits(1));
+        Ok(RateShape::BurstTrain {
+            base_rps,
+            burst_rps,
+            period_s,
+            burst_s,
+        })
+    }
+
+    /// Instantaneous rate at time `t` seconds.
     #[must_use]
-    pub fn rate_at(&self, t: Seconds) -> f64 {
+    pub fn rate_at(&self, t: f64) -> f64 {
         match *self {
-            ArrivalProcess::Poisson { rate_rps } => rate_rps,
-            ArrivalProcess::Bursty {
-                rate_rps,
-                burst_factor,
+            RateShape::Constant { rate_rps } => rate_rps,
+            RateShape::Diurnal {
+                mean_rps,
+                amplitude,
                 period_s,
-                duty,
+            } => mean_rps * (1.0 + amplitude * (std::f64::consts::TAU * t / period_s).sin()),
+            RateShape::BurstTrain {
+                base_rps,
+                burst_rps,
+                period_s,
+                burst_s,
             } => {
-                let phase = (t.as_secs() / period_s).fract();
-                if phase < duty {
-                    rate_rps * burst_factor
+                if (t / period_s).fract() * period_s < burst_s {
+                    burst_rps
                 } else {
-                    // Balances the burst so the long-run mean is rate_rps.
-                    rate_rps * (1.0 - burst_factor * duty) / (1.0 - duty)
+                    base_rps
                 }
             }
         }
     }
 
-    /// Upper bound on [`rate_at`](Self::rate_at) over all times — the
-    /// proposal rate for thinning.
-    fn peak_rate(&self) -> f64 {
+    /// Upper bound on [`rate_at`](Self::rate_at) — the thinning
+    /// proposal rate.
+    #[must_use]
+    pub fn peak_rate(&self) -> f64 {
         match *self {
-            ArrivalProcess::Poisson { rate_rps } => rate_rps,
-            ArrivalProcess::Bursty {
-                rate_rps,
-                burst_factor,
+            RateShape::Constant { rate_rps } => rate_rps,
+            RateShape::Diurnal {
+                mean_rps,
+                amplitude,
                 ..
-            } => rate_rps * burst_factor,
+            } => mean_rps * (1.0 + amplitude),
+            RateShape::BurstTrain {
+                base_rps,
+                burst_rps,
+                ..
+            } => base_rps.max(burst_rps),
         }
     }
 
-    /// Checks the process for `requests` arrivals: finite positive rate
-    /// and period, `burst_factor >= 1`, `duty` in `(0, 1)`,
-    /// `burst_factor * duty < 1`, a finite peak rate (an infinite one
+    /// Checks the shape for `requests` arrivals: finite positive rates
+    /// and periods, an amplitude in `[0, 1)`, `burst_rps >= base_rps`, a
+    /// burst within its period, a finite peak rate (an infinite one
     /// stops the thinning loop's clock, so no proposal is ever
     /// accepted), and a mean rate ([`check_span`]) whose arrivals stay
     /// finite.
     fn validate(&self, requests: usize) -> Result<(), String> {
         match *self {
-            ArrivalProcess::Poisson { rate_rps } => {
+            RateShape::Constant { rate_rps } => {
                 check_positive("rate_rps", rate_rps)?;
                 check_span("rate_rps", rate_rps, requests)
             }
-            ArrivalProcess::Bursty {
-                rate_rps,
-                burst_factor,
+            RateShape::Diurnal {
+                mean_rps,
+                amplitude,
                 period_s,
-                duty,
             } => {
-                check_positive("rate_rps", rate_rps)?;
+                check_positive("mean_rps", mean_rps)?;
                 check_positive("period_s", period_s)?;
-                if burst_factor < 1.0 {
-                    return Err(format!("burst_factor must be >= 1, got {burst_factor}"));
-                }
-                if !(duty > 0.0 && duty < 1.0) {
-                    return Err(format!("duty must be in (0, 1), got {duty}"));
-                }
-                if burst_factor * duty >= 1.0 {
-                    return Err("burst_factor * duty must be < 1 \
-                                (the off-phase rate would be <= 0)"
-                        .into());
+                if !(0.0..1.0).contains(&amplitude) {
+                    return Err(format!(
+                        "amplitude must be in [0, 1) so the rate stays positive, got {amplitude}"
+                    ));
                 }
                 if !self.peak_rate().is_finite() {
                     return Err(format!(
-                        "rate_rps ({rate_rps:?}) times burst_factor ({burst_factor:?}), the peak \
+                        "mean_rps ({mean_rps:?}) times 1 + amplitude ({amplitude:?}), the peak \
                          rate, must be finite"
                     ));
                 }
-                // The burst balances the off phase: the mean is rate_rps.
-                check_span("rate_rps", rate_rps, requests)
+                check_span("mean_rps", mean_rps, requests)
+            }
+            RateShape::BurstTrain {
+                base_rps,
+                burst_rps,
+                period_s,
+                burst_s,
+            } => {
+                check_positive("base_rps", base_rps)?;
+                check_positive("burst_rps", burst_rps)?;
+                check_positive("period_s", period_s)?;
+                check_positive("burst_s", burst_s)?;
+                if burst_rps < base_rps {
+                    return Err(format!(
+                        "burst_rps ({burst_rps}) must be >= base_rps ({base_rps})"
+                    ));
+                }
+                if burst_s > period_s {
+                    return Err(format!(
+                        "burst_s ({burst_s}), the burst duration, must not exceed \
+                         period_s ({period_s})"
+                    ));
+                }
+                let burst = burst_s / period_s;
+                let mean = burst_rps * burst + base_rps * (1.0 - burst);
+                let field = "base_rps and burst_rps: the mean rate";
+                check_span(field, mean, requests).or_else(|e| {
+                    // Rebuilt from rounded rates and fractions, the mean
+                    // of a lowered `Bursty` recipe can land a few ulps
+                    // under the rate_rps that passed (1.7 at worst over
+                    // 550k recipes at the smallest rate); check_span's
+                    // factor of two absorbs the slack.
+                    check_span(field, mean * (1.0 + 16.0 * f64::EPSILON), requests).map_err(|_| e)
+                })
             }
         }
     }
@@ -159,10 +262,10 @@ pub fn check_positive(field: &str, x: f64) -> Result<(), String> {
     Err(format!("{field} must be > 0 and finite, got {x}"))
 }
 
-/// Distribution of a per-request token count.
+/// Per-request token-count model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
-pub enum LengthDist {
+pub enum LengthModel {
     /// Every request draws the same length.
     Fixed(u64),
     /// Uniform over `[lo, hi]` inclusive.
@@ -171,6 +274,17 @@ pub enum LengthDist {
         lo: u64,
         /// Largest length.
         hi: u64,
+    },
+    /// Bounded Pareto: density `∝ x^-(alpha+1)` on `[lo, cap]`. Small
+    /// `alpha` (≈1) gives the heavy tail production prompt lengths
+    /// show — most requests short, a few near the cap.
+    HeavyTail {
+        /// Smallest length.
+        lo: u64,
+        /// Tail exponent, `> 0`; smaller is heavier.
+        alpha: f64,
+        /// Largest length (truncation point).
+        cap: u64,
     },
     /// Two-population mix: chat-style short requests plus a long tail of
     /// document-scale ones.
@@ -184,12 +298,20 @@ pub enum LengthDist {
     },
 }
 
-impl LengthDist {
+impl LengthModel {
     fn sample(&self, rng: &mut StdRng) -> u64 {
         match *self {
-            LengthDist::Fixed(n) => n,
-            LengthDist::Uniform { lo, hi } => rng.gen_range(lo..=hi),
-            LengthDist::Bimodal {
+            LengthModel::Fixed(n) => n,
+            LengthModel::Uniform { lo, hi } => rng.gen_range(lo..=hi),
+            LengthModel::HeavyTail { lo, alpha, cap } => {
+                // Inverse-CDF of the bounded Pareto on [lo, cap].
+                let u: f64 = rng.gen_range(0.0..1.0);
+                let l = lo as f64;
+                let ratio = (l / cap as f64).powf(alpha);
+                let x = l / (1.0 - u * (1.0 - ratio)).powf(1.0 / alpha);
+                (x.round() as u64).clamp(lo, cap)
+            }
+            LengthModel::Bimodal {
                 short,
                 long,
                 long_weight,
@@ -203,65 +325,98 @@ impl LengthDist {
         }
     }
 
-    /// Checks the distribution: non-zero lengths, ordered ranges, and a
-    /// long-population weight in `[0, 1]`; errors name `field`.
+    /// Checks the model: non-zero lengths, ordered bounds, a finite
+    /// positive tail exponent, a long-population weight in `[0, 1]`, and
+    /// no length past [`MAX_TOKENS`]; errors name `field`.
     fn validate(&self, field: &str) -> Result<(), String> {
-        let ok = match *self {
-            LengthDist::Fixed(n) => n > 0,
-            LengthDist::Uniform { lo, hi } => lo > 0 && lo <= hi,
-            LengthDist::Bimodal {
+        let (ok, longest) = match *self {
+            LengthModel::Fixed(n) => (n > 0, n),
+            LengthModel::Uniform { lo, hi } => (lo > 0 && lo <= hi, hi),
+            LengthModel::HeavyTail { lo, alpha, cap } => {
+                (lo > 0 && lo <= cap && alpha.is_finite() && alpha > 0.0, cap)
+            }
+            LengthModel::Bimodal {
                 short,
                 long,
                 long_weight,
-            } => {
+            } => (
                 short.0 > 0
                     && short.0 <= short.1
                     && long.0 > 0
                     && long.0 <= long.1
-                    && (0.0..=1.0).contains(&long_weight)
-            }
+                    && (0.0..=1.0).contains(&long_weight),
+                short.1.max(long.1),
+            ),
         };
-        if ok {
-            return Ok(());
+        if !ok {
+            return Err(format!("{field}: ill-formed length model {self:?}"));
         }
-        Err(format!("{field}: ill-formed length distribution {self:?}"))
+        if longest > MAX_TOKENS {
+            return Err(format!(
+                "{field}: a length of {longest} tokens passes the limit of {MAX_TOKENS}"
+            ));
+        }
+        Ok(())
     }
 }
 
 /// Recipe for a synthetic trace; fully determined by its `seed`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// RNG seed — the same config and seed always produce the identical
     /// trace.
     pub seed: u64,
     /// Number of requests to generate.
     pub requests: usize,
-    /// Arrival process.
-    pub arrivals: ArrivalProcess,
-    /// Prompt-length distribution.
-    pub prompt_len: LengthDist,
-    /// Output-length distribution.
-    pub output_len: LengthDist,
+    /// Arrival-rate shape.
+    pub rate: RateShape,
+    /// Prompt-length model.
+    pub prompt_len: LengthModel,
+    /// Output-length model.
+    pub output_len: LengthModel,
+}
+
+impl Default for TraceConfig {
+    /// A small smoke-test recipe: 64 requests at a constant 100 rps.
+    fn default() -> Self {
+        TraceConfig {
+            seed: 0x5eed,
+            requests: 64,
+            rate: RateShape::Constant { rate_rps: 100.0 },
+            prompt_len: LengthModel::Uniform { lo: 128, hi: 512 },
+            output_len: LengthModel::Uniform { lo: 4, hi: 16 },
+        }
+    }
 }
 
 impl TraceConfig {
-    /// Checks the request count, the arrival process and both length
-    /// distributions. A count whose records would pass `isize::MAX` bytes
-    /// fails; one that fits the address space but not memory passes.
+    /// Checks the recipe for [`generate`](Self::generate).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`validate_records`](Self::validate_records).
+    pub fn validate(&self) -> Result<(), String> {
+        self.validate_records::<Request>()
+    }
+
+    /// Checks the request count, the rate shape and both length models
+    /// for a trace of `R` records. A count whose records would pass
+    /// `isize::MAX` bytes fails; one that fits the address space but not
+    /// memory passes.
     ///
     /// # Errors
     ///
     /// Returns the first violation, prefixed with its field name.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.requests > isize::MAX as usize / std::mem::size_of::<Request>() {
+    pub fn validate_records<R>(&self) -> Result<(), String> {
+        if self.requests > isize::MAX as usize / std::mem::size_of::<R>().max(1) {
             return Err(format!(
                 "requests: {} records overflow the address space",
                 self.requests
             ));
         }
-        self.arrivals
+        self.rate
             .validate(self.requests)
-            .map_err(|e| format!("arrivals.{e}"))?;
+            .map_err(|e| format!("rate.{e}"))?;
         self.prompt_len.validate("prompt_len")?;
         self.output_len.validate("output_len")
     }
@@ -273,36 +428,46 @@ impl TraceConfig {
     /// Panics where [`validate`](Self::validate) fails.
     #[must_use]
     pub fn generate(&self) -> RequestTrace {
-        self.validate().unwrap_or_else(|e| panic!("{e}"));
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut t = Seconds::ZERO;
-        let mut requests = Vec::with_capacity(self.requests);
-        for id in 0..self.requests as u64 {
-            t = self.next_arrival(t, &mut rng);
-            requests.push(Request {
-                id,
-                arrival: t,
-                prompt_len: self.prompt_len.sample(&mut rng),
-                output_len: self.output_len.sample(&mut rng),
-            });
+        RequestTrace {
+            requests: self.generate_with(|r, _| r),
         }
-        RequestTrace { requests }
     }
 
-    /// Draws the first arrival after `t` by Lewis–Shedler thinning:
-    /// propose from a homogeneous process at the peak rate, accept with
-    /// probability `rate(t) / peak`. Exact for any bounded-rate process
-    /// and free of boundary-stepping numerics (a homogeneous process
-    /// accepts every proposal).
-    fn next_arrival(&self, mut t: Seconds, rng: &mut StdRng) -> Seconds {
-        let peak = self.arrivals.peak_rate();
-        loop {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            t += Seconds::new(-(1.0 - u).ln() / peak);
-            if rng.gen_bool(self.arrivals.rate_at(t) / peak) {
-                return t;
+    /// Generates one record per request by Lewis–Shedler thinning:
+    /// propose from a homogeneous process at the peak rate, accept each
+    /// proposal with probability `rate(t) / peak`. Exact for any
+    /// bounded-rate shape; a constant rate accepts every proposal.
+    /// `record` turns each request into an `R` and may draw further from
+    /// the generator, after the request's own draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`validate_records::<R>`](Self::validate_records)
+    /// fails.
+    pub fn generate_with<R>(&self, mut record: impl FnMut(Request, &mut StdRng) -> R) -> Vec<R> {
+        self.validate_records::<R>()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let peak = self.rate.peak_rate();
+        let mut t = 0.0f64;
+        let mut records = Vec::with_capacity(self.requests);
+        for id in 0..self.requests as u64 {
+            loop {
+                let u: f64 = rng.gen_range(0.0..1.0);
+                t += -(1.0 - u).ln() / peak;
+                if rng.gen_bool(self.rate.rate_at(t) / peak) {
+                    break;
+                }
             }
+            let request = Request {
+                id,
+                arrival: Seconds::new(t),
+                prompt_len: self.prompt_len.sample(&mut rng),
+                output_len: self.output_len.sample(&mut rng),
+            };
+            records.push(record(request, &mut rng));
         }
+        records
     }
 }
 
@@ -319,13 +484,15 @@ impl RequestTrace {
     ///
     /// # Panics
     ///
-    /// Panics if any request has a zero prompt or output length.
+    /// Panics if any request has a zero prompt or output length, or one
+    /// past [`MAX_TOKENS`].
     #[must_use]
     pub fn from_requests(mut requests: Vec<Request>) -> Self {
         for r in &requests {
             assert!(
-                r.prompt_len > 0 && r.output_len > 0,
-                "request {} has a zero-length prompt or output",
+                (1..=MAX_TOKENS).contains(&r.prompt_len)
+                    && (1..=MAX_TOKENS).contains(&r.output_len),
+                "request {} has a zero-length or over-long prompt or output",
                 r.id
             );
         }
@@ -366,9 +533,16 @@ mod tests {
         TraceConfig {
             seed,
             requests: 200,
-            arrivals: ArrivalProcess::Poisson { rate_rps: 100.0 },
-            prompt_len: LengthDist::Uniform { lo: 100, hi: 900 },
-            output_len: LengthDist::Fixed(32),
+            rate: RateShape::Constant { rate_rps: 100.0 },
+            prompt_len: LengthModel::Uniform { lo: 100, hi: 900 },
+            output_len: LengthModel::Fixed(32),
+        }
+    }
+
+    fn with_rate(rate: RateShape) -> TraceConfig {
+        TraceConfig {
+            rate,
+            ..poisson_cfg(0)
         }
     }
 
@@ -398,14 +572,9 @@ mod tests {
         let cfg = TraceConfig {
             seed: 3,
             requests: 4000,
-            arrivals: ArrivalProcess::Bursty {
-                rate_rps: 100.0,
-                burst_factor: 4.0,
-                period_s: 0.5,
-                duty: 0.2,
-            },
-            prompt_len: LengthDist::Fixed(128),
-            output_len: LengthDist::Fixed(8),
+            rate: RateShape::bursty(100.0, 4.0, 0.5, 0.2).unwrap(),
+            prompt_len: LengthModel::Fixed(128),
+            output_len: LengthModel::Fixed(8),
         };
         let t = cfg.generate();
         let rate = t.len() as f64 / t.duration().as_secs();
@@ -417,19 +586,48 @@ mod tests {
 
     #[test]
     fn bursty_rate_modulation() {
-        let p = ArrivalProcess::Bursty {
-            rate_rps: 100.0,
-            burst_factor: 4.0,
-            period_s: 1.0,
-            duty: 0.2,
+        let p = RateShape::bursty(100.0, 4.0, 1.0, 0.2).unwrap();
+        assert!((p.rate_at(0.1) - 400.0).abs() < 1e-9);
+        assert!((p.rate_at(0.5) - 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bursty_boundary_recipes_lower_to_valid_burst_trains() {
+        // The smallest rate the span error names, for this request count.
+        let err = with_rate(RateShape::Constant { rate_rps: 1e-308 })
+            .validate()
+            .unwrap_err();
+        let at_least: f64 = err.rsplit(' ').next().unwrap().parse().unwrap();
+        let generates = |burst_factor: f64, period_s: f64, duty: f64| {
+            let rate = RateShape::bursty(at_least, burst_factor, period_s, duty).unwrap();
+            let trace = with_rate(rate).generate();
+            assert!(
+                trace.requests.iter().all(|r| r.arrival.is_finite()),
+                "{rate:?}"
+            );
         };
-        assert!((p.rate_at(Seconds::new(0.1)) - 400.0).abs() < 1e-9);
-        assert!((p.rate_at(Seconds::new(0.5)) - 25.0).abs() < 1e-9);
+        // `burst_factor * duty` just under 1: a near-silent off phase.
+        generates((1.0 - f64::EPSILON / 2.0) / 0.25, 0.2, 0.25);
+        // `duty` just above 0: the burst window rounds to nothing.
+        generates(3.0, 0.2, f64::from_bits(1));
+        // A period one ulp long: the window rounds up to all of it.
+        generates(1.2, f64::from_bits(1), 0.75);
+        // A grid of ordinary recipes, each lowered mean a rounding away
+        // from the rate.
+        for duty in [0.05, 0.2, 0.25, 0.3, 0.5, 0.7, 0.9, 0.99] {
+            for fill in [0.0, 0.1, 0.37, 0.5, 0.9, 0.999] {
+                let burst_factor = 1.0 + fill * (1.0 / duty - 1.0);
+                for period_s in [0.2, 0.5, 1.0, 3.0, 7.3] {
+                    let rate = RateShape::bursty(at_least, burst_factor, period_s, duty).unwrap();
+                    assert_eq!(with_rate(rate).validate(), Ok(()), "{rate:?}");
+                }
+            }
+        }
     }
 
     #[test]
     fn bimodal_draws_both_modes() {
-        let d = LengthDist::Bimodal {
+        let d = LengthModel::Bimodal {
             short: (10, 20),
             long: (1000, 2000),
             long_weight: 0.3,
@@ -438,6 +636,36 @@ mod tests {
         let samples: Vec<u64> = (0..200).map(|_| d.sample(&mut rng)).collect();
         assert!(samples.iter().any(|&s| s <= 20));
         assert!(samples.iter().any(|&s| s >= 1000));
+    }
+
+    #[test]
+    fn lengths_past_the_token_limit_are_rejected() {
+        let cfg = |prompt_len| TraceConfig {
+            prompt_len,
+            ..poisson_cfg(0)
+        };
+        for model in [
+            LengthModel::Fixed(u64::MAX),
+            LengthModel::Uniform {
+                lo: 1,
+                hi: MAX_TOKENS + 1,
+            },
+            LengthModel::HeavyTail {
+                lo: 1,
+                alpha: 1.1,
+                cap: u64::MAX,
+            },
+            LengthModel::Bimodal {
+                short: (1, 2),
+                long: (3, MAX_TOKENS + 1),
+                long_weight: 0.5,
+            },
+        ] {
+            let err = cfg(model).validate().unwrap_err();
+            assert!(err.starts_with("prompt_len: a length of"), "{err}");
+        }
+        let at_limit = cfg(LengthModel::Fixed(MAX_TOKENS)).generate();
+        assert!(at_limit.requests.iter().all(|r| r.prompt_len == MAX_TOKENS));
     }
 
     #[test]
@@ -475,78 +703,81 @@ mod tests {
     fn a_vanishing_rate_is_rejected() {
         // Gaps of ~1e308 s: every arrival after the first would be
         // infinite.
-        let cfg = |arrivals| TraceConfig {
-            arrivals,
-            ..poisson_cfg(0)
-        };
-        let err = cfg(ArrivalProcess::Poisson { rate_rps: 1e-308 })
+        let err = with_rate(RateShape::Constant { rate_rps: 1e-308 })
             .validate()
             .unwrap_err();
         assert!(
-            err.starts_with("arrivals.rate_rps (1e-308) is too small"),
+            err.starts_with("rate.rate_rps (1e-308) is too small"),
             "{err}"
         );
-        let err = cfg(ArrivalProcess::Bursty {
-            rate_rps: 1e-307,
-            burst_factor: 2.0,
+        let err = with_rate(RateShape::Diurnal {
+            mean_rps: 1e-307,
+            amplitude: 0.5,
             period_s: 1.0,
-            duty: 0.25,
         })
         .validate()
         .unwrap_err();
         assert!(
-            err.starts_with("arrivals.rate_rps (1e-307) is too small"),
+            err.starts_with("rate.mean_rps (1e-307) is too small"),
             "{err}"
         );
+        let err = with_rate(RateShape::BurstTrain {
+            base_rps: 1e-308,
+            burst_rps: 1e-306,
+            period_s: 1.0,
+            burst_s: 0.5,
+        })
+        .validate()
+        .unwrap_err();
+        assert!(err.starts_with("rate.base_rps and burst_rps"), "{err}");
         // The smallest rate the check names keeps every arrival finite.
         let at_least: f64 = err.rsplit(' ').next().unwrap().parse().unwrap();
-        let trace = cfg(ArrivalProcess::Poisson { rate_rps: at_least }).generate();
+        let trace = with_rate(RateShape::Constant { rate_rps: at_least }).generate();
         assert!(trace.requests.iter().all(|r| r.arrival.is_finite()));
+        // A near-silent base between bursts passes: the mean rate counts.
+        let bursts = with_rate(RateShape::BurstTrain {
+            base_rps: 1e-308,
+            burst_rps: 100.0,
+            period_s: 1.0,
+            burst_s: 0.5,
+        });
+        assert!(bursts
+            .generate()
+            .requests
+            .iter()
+            .all(|r| r.arrival.is_finite()));
     }
 
     #[test]
     fn an_overflowing_peak_rate_is_rejected() {
-        // The peak rate 2e308 is infinite: every thinning gap would be
-        // zero and every acceptance test NaN, so generation never ends.
-        let cfg = TraceConfig {
-            arrivals: ArrivalProcess::Bursty {
-                rate_rps: 1e308,
-                burst_factor: 2.0,
-                period_s: 1.0,
-                duty: 0.25,
-            },
-            ..poisson_cfg(0)
-        };
-        let err = cfg.validate().unwrap_err();
+        // A peak rate of 2e308 or 1.5e308 × 1.5 is infinite: every
+        // thinning gap would be zero and every acceptance test NaN, so
+        // generation would never end.
+        let err = RateShape::bursty(1e308, 2.0, 1.0, 0.25).unwrap_err();
         assert!(
-            err.starts_with("arrivals.rate_rps (1e308) times burst_factor (2.0)"),
+            err.starts_with("rate_rps (1e308) times burst_factor (2.0)"),
             "{err}"
         );
-        // The largest burst that stays finite still generates.
-        let cfg = TraceConfig {
-            arrivals: ArrivalProcess::Bursty {
-                rate_rps: 1e307,
-                burst_factor: 2.0,
+        let diurnal = |mean_rps| {
+            with_rate(RateShape::Diurnal {
+                mean_rps,
+                amplitude: 0.5,
                 period_s: 1.0,
-                duty: 0.25,
-            },
-            ..poisson_cfg(0)
+            })
         };
-        assert_eq!(cfg.generate().len(), 200);
+        assert_eq!(
+            diurnal(1.5e308).validate().unwrap_err(),
+            "rate.mean_rps (1.5e308) times 1 + amplitude (0.5), the peak rate, must be finite"
+        );
+        // The largest peaks that stay finite still generate.
+        assert_eq!(diurnal(1e308).generate().len(), 200);
+        let burst = RateShape::bursty(1e307, 2.0, 1.0, 0.25).unwrap();
+        assert_eq!(with_rate(burst).generate().len(), 200);
     }
 
     #[test]
     #[should_panic(expected = "burst_factor * duty")]
     fn overdriven_burst_rejected() {
-        let cfg = TraceConfig {
-            arrivals: ArrivalProcess::Bursty {
-                rate_rps: 10.0,
-                burst_factor: 5.0,
-                period_s: 1.0,
-                duty: 0.5,
-            },
-            ..poisson_cfg(0)
-        };
-        let _ = cfg.generate();
+        let _ = RateShape::bursty(10.0, 5.0, 1.0, 0.5).unwrap();
     }
 }

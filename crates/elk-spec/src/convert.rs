@@ -17,16 +17,18 @@ use elk_hw::{
     presets, ChipConfig, HbmConfig, InterChipTopology, SramContention, SystemConfig, Topology,
 };
 use elk_model::{ModelGraph, SeqBuckets, TransformerConfig, Workload};
-use elk_serve::{check_positive, BatchConfig, ServeConfig, SloConfig, TraceConfig};
+use elk_serve::{
+    check_positive, check_span, BatchConfig, RateShape, ServeConfig, SloConfig, TraceConfig,
+};
 use elk_sim::SimOptions;
 use elk_units::{ByteRate, Bytes, FlopRate, Seconds};
 
 use elk_trace::TraceGenConfig;
 
 use crate::spec::{
-    AutoscaleSpec, ChipSpec, ClusterSpec, DisaggSpec, HbmSpec, ModelSpec, ScenarioSpec,
-    ServingSpec, SimSpec, SystemSpec, TenancySpec, TopologySpec, TraceGenSpec, TraceSpec,
-    WorkloadSpec,
+    ArrivalsSpec, AutoscaleSpec, ChipSpec, ClusterSpec, DisaggSpec, HbmSpec, ModelSpec,
+    ScenarioSpec, ServingSpec, SimSpec, SystemSpec, TenancySpec, TopologySpec, TraceGenSpec,
+    TraceSpec, WorkloadSpec,
 };
 use crate::SpecError;
 
@@ -464,12 +466,38 @@ impl SimSpec {
     }
 }
 
+impl ArrivalsSpec {
+    /// Lowers the process onto the generator's rate shape: `Poisson` to
+    /// `Constant`, `Bursty` through [`RateShape::bursty`]. Errors name
+    /// the field as written, `rate_rps` (both means) for [`check_span`].
+    fn to_rate(self, requests: usize) -> Result<RateShape, String> {
+        let (rate_rps, rate) = match self {
+            ArrivalsSpec::Poisson { rate_rps } => {
+                check_positive("rate_rps", rate_rps)?;
+                (rate_rps, RateShape::Constant { rate_rps })
+            }
+            ArrivalsSpec::Bursty {
+                rate_rps,
+                burst_factor,
+                period_s,
+                duty,
+            } => (
+                rate_rps,
+                RateShape::bursty(rate_rps, burst_factor, period_s, duty)?,
+            ),
+        };
+        check_span("rate_rps", rate_rps, requests)?;
+        Ok(rate)
+    }
+}
+
 impl TraceSpec {
     /// Builds the [`TraceConfig`] this spec describes.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for zero requests or where
+    /// Returns [`SpecError::Invalid`] for zero requests, where the
+    /// arrival process does not lower (see [`ArrivalsSpec`]), or where
     /// [`TraceConfig::validate`] fails (the conditions
     /// [`TraceConfig::generate`] would panic on).
     pub fn to_config(&self) -> Result<TraceConfig, SpecError> {
@@ -479,7 +507,10 @@ impl TraceSpec {
         let config = TraceConfig {
             seed: self.seed,
             requests: self.requests,
-            arrivals: self.arrivals,
+            rate: self
+                .arrivals
+                .to_rate(self.requests)
+                .map_err(at("serving.trace.arrivals."))?,
             prompt_len: self.prompt_len,
             output_len: self.output_len,
         };
@@ -501,11 +532,13 @@ impl TraceGenSpec {
             return Err(invalid("workload.trace.generate.requests must be > 0"));
         }
         let config = TraceGenConfig {
-            seed: self.seed,
-            requests: self.requests,
-            rate: self.rate,
-            prompt_len: self.prompt_len,
-            output_len: self.output_len,
+            trace: TraceConfig {
+                seed: self.seed,
+                requests: self.requests,
+                rate: self.rate,
+                prompt_len: self.prompt_len,
+                output_len: self.output_len,
+            },
             tenants: self.tenants,
         };
         config.validate().map_err(at("workload.trace.generate."))?;
@@ -714,7 +747,6 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
     use crate::spec::SeqBucketsSpec;
-    use elk_serve::ArrivalProcess;
 
     #[test]
     fn preset_resolves_to_the_exact_hardcoded_system() {
@@ -877,7 +909,7 @@ mod tests {
     #[test]
     fn overdriven_burst_is_an_error_not_a_panic() {
         let spec = TraceSpec {
-            arrivals: ArrivalProcess::Bursty {
+            arrivals: ArrivalsSpec::Bursty {
                 rate_rps: 10.0,
                 burst_factor: 5.0,
                 period_s: 1.0,

@@ -22,8 +22,7 @@ use serde::{Deserialize, Error, MapReader, Serialize, Serializer, Value};
 
 use elk_baselines::Design;
 use elk_model::Phase;
-use elk_serve::{ArrivalProcess, LengthDist, RouterPolicy};
-use elk_trace::{LengthModel, RateShape};
+use elk_serve::{LengthModel, RateShape, RouterPolicy};
 
 use crate::SpecError;
 
@@ -404,7 +403,8 @@ pub enum TraceSourceSpec {
 /// `rate` takes the [`RateShape`] variants as externally-tagged objects
 /// — `{"Constant": {"rate_rps": 100.0}}`, `{"Diurnal": {...}}`,
 /// `{"BurstTrain": {...}}` — and the length models take
-/// `{"Fixed": n}`, `{"Uniform": {...}}`, or `{"HeavyTail": {...}}`.
+/// `{"Fixed": n}`, `{"Uniform": {...}}`, `{"HeavyTail": {...}}`, or
+/// `{"Bimodal": {...}}`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(rename = "workload.trace.generate", default, deny_unknown_fields)]
 pub struct TraceGenSpec {
@@ -415,10 +415,8 @@ pub struct TraceGenSpec {
     /// Arrival-rate shape over time.
     pub rate: RateShape,
     /// Prompt-length model.
-    #[serde(with = "length_model")]
     pub prompt_len: LengthModel,
     /// Output-length model.
-    #[serde(with = "length_model")]
     pub output_len: LengthModel,
     /// Distinct tenant ids to stamp on records (0 = untagged).
     pub tenants: u64,
@@ -429,48 +427,13 @@ impl Default for TraceGenSpec {
     fn default() -> Self {
         let d = elk_trace::TraceGenConfig::default();
         TraceGenSpec {
-            seed: d.seed,
-            requests: d.requests,
-            rate: d.rate,
-            prompt_len: d.prompt_len,
-            output_len: d.output_len,
+            seed: d.trace.seed,
+            requests: d.trace.requests,
+            rate: d.trace.rate,
+            prompt_len: d.trace.prompt_len,
+            output_len: d.trace.output_len,
             tenants: d.tenants,
         }
-    }
-}
-
-/// [`LengthModel`]'s JSON form, which writes `Fixed` as a bare count.
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "LengthModel", deny_unknown_fields)]
-enum LengthModelForm {
-    Fixed(u64),
-    Uniform { lo: u64, hi: u64 },
-    HeavyTail { lo: u64, alpha: f64, cap: u64 },
-}
-
-/// `with` module for [`LengthModel`] fields, through [`LengthModelForm`].
-mod length_model {
-    use super::{Deserialize, Error, LengthModel, LengthModelForm, Serialize, Serializer, Value};
-
-    pub(super) fn serialize<S: Serializer + ?Sized>(m: &LengthModel, out: &mut S) {
-        match *m {
-            LengthModel::Fixed { tokens } => LengthModelForm::Fixed(tokens),
-            LengthModel::Uniform { lo, hi } => LengthModelForm::Uniform { lo, hi },
-            LengthModel::HeavyTail { lo, alpha, cap } => {
-                LengthModelForm::HeavyTail { lo, alpha, cap }
-            }
-        }
-        .serialize(out);
-    }
-
-    pub(super) fn deserialize(v: &Value) -> Result<LengthModel, Error> {
-        Ok(match LengthModelForm::from_value(v)? {
-            LengthModelForm::Fixed(tokens) => LengthModel::Fixed { tokens },
-            LengthModelForm::Uniform { lo, hi } => LengthModel::Uniform { lo, hi },
-            LengthModelForm::HeavyTail { lo, alpha, cap } => {
-                LengthModel::HeavyTail { lo, alpha, cap }
-            }
-        })
     }
 }
 
@@ -662,11 +625,11 @@ impl Default for ServingSpec {
     }
 }
 
-/// Synthetic request-trace recipe (mirrors [`elk_serve::TraceConfig`]).
+/// Synthetic request-trace recipe (lowers to [`elk_serve::TraceConfig`]).
 ///
-/// The `arrivals`, `prompt_len`, and `output_len` fields reuse the
-/// engine enums' serde form directly — externally tagged with the Rust
-/// variant name, e.g. `{"Poisson": {"rate_rps": 100.0}}` or
+/// `arrivals` takes `{"Poisson": {"rate_rps": 100.0}}` or
+/// `{"Bursty": {...}}` (see [`ArrivalsSpec`]); the length fields take
+/// the same forms as `workload.trace.generate`'s, e.g.
 /// `{"Uniform": {"lo": 128, "hi": 512}}`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(rename = "trace", default, deny_unknown_fields)]
@@ -675,12 +638,36 @@ pub struct TraceSpec {
     pub seed: u64,
     /// Requests to generate.
     pub requests: usize,
-    /// Arrival process.
-    pub arrivals: ArrivalProcess,
-    /// Prompt-length distribution.
-    pub prompt_len: LengthDist,
-    /// Output-length distribution.
-    pub output_len: LengthDist,
+    /// Arrival process, as written.
+    pub arrivals: ArrivalsSpec,
+    /// Prompt-length model.
+    pub prompt_len: LengthModel,
+    /// Output-length model.
+    pub output_len: LengthModel,
+}
+
+/// `serving.trace.arrivals`, kept as written so canonical specs keep
+/// their bytes; [`TraceSpec::to_config`] lowers it onto a [`RateShape`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "arrivals", deny_unknown_fields)]
+pub enum ArrivalsSpec {
+    /// Memoryless arrivals; lowers to [`RateShape::Constant`].
+    Poisson {
+        /// Mean arrival rate in requests per second.
+        rate_rps: f64,
+    },
+    /// On/off-modulated arrivals; lowers through [`RateShape::bursty`],
+    /// which documents the fields.
+    Bursty {
+        /// Long-run mean arrival rate in requests per second.
+        rate_rps: f64,
+        /// Rate multiplier inside a burst.
+        burst_factor: f64,
+        /// Burst cycle length in seconds.
+        period_s: f64,
+        /// Fraction of each period spent bursting.
+        duty: f64,
+    },
 }
 
 impl Default for TraceSpec {
@@ -690,9 +677,9 @@ impl Default for TraceSpec {
         TraceSpec {
             seed: 0x5eed,
             requests: 16,
-            arrivals: ArrivalProcess::Poisson { rate_rps: 100.0 },
-            prompt_len: LengthDist::Uniform { lo: 128, hi: 512 },
-            output_len: LengthDist::Uniform { lo: 4, hi: 16 },
+            arrivals: ArrivalsSpec::Poisson { rate_rps: 100.0 },
+            prompt_len: LengthModel::Uniform { lo: 128, hi: 512 },
+            output_len: LengthModel::Uniform { lo: 4, hi: 16 },
         }
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::Value;
 
-use elk_serve::{Request, RequestTrace};
+use elk_serve::{Request, RequestTrace, MAX_TOKENS};
 use elk_units::Seconds;
 
 /// Value of the header's `format` key.
@@ -45,9 +45,9 @@ pub struct TraceRecord {
     /// Arrival time in seconds since trace start (non-negative,
     /// finite, non-decreasing across the file).
     pub arrival_s: f64,
-    /// Prompt (prefill) length in tokens, `>= 1`.
+    /// Prompt (prefill) length in tokens, in `1..=MAX_TOKENS`.
     pub prompt_len: u64,
-    /// Tokens to generate, `>= 1`.
+    /// Tokens to generate, in `1..=MAX_TOKENS`.
     pub output_len: u64,
     /// Optional tenant id for multi-tenant traces (non-empty when
     /// present). Carried through generation and parsing; the serving
@@ -98,7 +98,7 @@ impl TraceFile {
     /// # Errors
     ///
     /// Errors on a missing or unsupported header, malformed JSON,
-    /// unknown or duplicate keys, non-positive lengths, negative or
+    /// unknown or duplicate keys, lengths outside `1..=MAX_TOKENS`, negative or
     /// non-finite arrival times, and out-of-order timestamps — each
     /// naming the offending record index.
     pub fn parse(text: &str) -> Result<Self, TraceError> {
@@ -288,6 +288,10 @@ fn parse_record(idx: usize, v: &Value) -> Result<TraceRecord, TraceError> {
         }
     };
     let length = |key: &str| match field(key)? {
+        Value::U64(n) if *n > MAX_TOKENS => Err(TraceError::at(
+            idx,
+            format!("{key} {n} passes the limit of {MAX_TOKENS} tokens"),
+        )),
         Value::U64(n) if *n >= 1 => Ok(*n),
         other => Err(TraceError::at(
             idx,
@@ -424,6 +428,14 @@ mod tests {
             (
                 "{\"arrival_s\":0.0,\"prompt_len\":4,\"output_len\":0}",
                 "output_len must be a positive integer",
+            ),
+            (
+                "{\"arrival_s\":0.0,\"prompt_len\":18446744073709551615,\"output_len\":2}",
+                "prompt_len 18446744073709551615 passes the limit of 4294967295 tokens",
+            ),
+            (
+                "{\"arrival_s\":0.0,\"prompt_len\":4,\"output_len\":4294967296}",
+                "output_len 4294967296 passes the limit",
             ),
             (
                 "{\"arrival_s\":-0.5,\"prompt_len\":4,\"output_len\":2}",

@@ -8,9 +8,9 @@
 //!
 //! * [`TraceFile`] — the JSON-lines format, version-stamped, with a
 //!   strict parser whose errors name the offending record index;
-//! * [`TraceGenConfig`] — seeded generators for production-shaped
-//!   demand: constant-rate Poisson, diurnal sinusoids, burst trains,
-//!   and bounded-Pareto heavy-tail length distributions.
+//! * [`TraceGenConfig`] — `elk-serve`'s one generator
+//!   ([`TraceConfig`](elk_serve::TraceConfig): a [`RateShape`] and two
+//!   [`LengthModel`]s) plus a tenant draw per record.
 //!
 //! # File format (version 1)
 //!
@@ -23,22 +23,27 @@
 //! {"arrival_s":0.0871,"prompt_len":64,"output_len":12,"tenant":"t1"}
 //! ```
 //!
-//! Records must be sorted by `arrival_s`; lengths are positive
-//! integers; `tenant` is an optional non-empty string. Unknown or
+//! Records must be sorted by `arrival_s`; lengths are integers from 1
+//! to [`MAX_TOKENS`](elk_serve::MAX_TOKENS); `tenant` is an optional
+//! non-empty string. Unknown or
 //! duplicate keys, negative lengths, non-finite times, and
 //! out-of-order timestamps are all hard errors.
 //!
 //! ```
+//! use elk_serve::TraceConfig;
 //! use elk_trace::{RateShape, TraceGenConfig};
 //!
 //! let trace = TraceGenConfig {
-//!     rate: RateShape::BurstTrain {
-//!         base_rps: 50.0,
-//!         burst_rps: 400.0,
-//!         period_s: 1.0,
-//!         burst_s: 0.2,
+//!     trace: TraceConfig {
+//!         rate: RateShape::BurstTrain {
+//!             base_rps: 50.0,
+//!             burst_rps: 400.0,
+//!             period_s: 1.0,
+//!             burst_s: 0.2,
+//!         },
+//!         ..TraceConfig::default()
 //!     },
-//!     ..TraceGenConfig::default()
+//!     tenants: 2,
 //! }
 //! .generate();
 //! let text = trace.to_jsonl();
@@ -52,5 +57,6 @@
 mod format;
 mod generate;
 
+pub use elk_serve::{LengthModel, RateShape};
 pub use format::{TraceError, TraceFile, TraceRecord, FORMAT_NAME, FORMAT_VERSION};
-pub use generate::{LengthModel, RateShape, TraceGenConfig};
+pub use generate::TraceGenConfig;

@@ -49,14 +49,9 @@ fn main() -> Result<(), elk::compiler::CompileError> {
     let trace = TraceConfig {
         seed: 0x5eed,
         requests: 64,
-        arrivals: ArrivalProcess::Bursty {
-            rate_rps: 300.0,
-            burst_factor: 3.5,
-            period_s: 0.2,
-            duty: 0.25,
-        },
-        prompt_len: LengthDist::Uniform { lo: 1700, hi: 3600 },
-        output_len: LengthDist::Uniform { lo: 160, hi: 320 },
+        rate: RateShape::bursty(300.0, 3.5, 0.2, 0.25).expect("valid burst recipe"),
+        prompt_len: LengthModel::Uniform { lo: 1700, hi: 3600 },
+        output_len: LengthModel::Uniform { lo: 160, hi: 320 },
     }
     .generate();
 

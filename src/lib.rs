@@ -84,8 +84,8 @@ pub mod prelude {
     };
     pub use elk_model::{zoo, ModelGraph, SeqBuckets, TransformerConfig, Workload};
     pub use elk_serve::{
-        ArrivalProcess, BatchConfig, LengthDist, RequestTrace, ServeConfig, ServingReport,
-        ServingSim, SloConfig, TraceConfig,
+        BatchConfig, LengthModel, RateShape, RequestTrace, ServeConfig, ServingReport, ServingSim,
+        SloConfig, TraceConfig,
     };
     pub use elk_sim::{simulate, SimOptions, SimReport};
     pub use elk_spec::{ScenarioSpec, SpecError};

@@ -62,14 +62,9 @@ fn traces() -> Vec<(&'static str, RequestTrace, Vec<String>)> {
     let burst = TraceConfig {
         seed: 29,
         requests: 40,
-        arrivals: ArrivalProcess::Bursty {
-            rate_rps: 300.0,
-            burst_factor: 4.0,
-            period_s: 0.2,
-            duty: 0.2,
-        },
-        prompt_len: LengthDist::Uniform { lo: 60, hi: 900 },
-        output_len: LengthDist::Uniform { lo: 1, hi: 10 },
+        rate: RateShape::bursty(300.0, 4.0, 0.2, 0.2).expect("valid burst recipe"),
+        prompt_len: LengthModel::Uniform { lo: 60, hi: 900 },
+        output_len: LengthModel::Uniform { lo: 1, hi: 10 },
     }
     .generate();
     let burst_tenants = (0..burst.len())

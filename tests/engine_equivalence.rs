@@ -35,9 +35,9 @@ fn traces() -> Vec<(&'static str, RequestTrace)> {
     let poisson = TraceConfig {
         seed: 17,
         requests: 30,
-        arrivals: ArrivalProcess::Poisson { rate_rps: 250.0 },
-        prompt_len: LengthDist::Uniform { lo: 64, hi: 900 },
-        output_len: LengthDist::Uniform { lo: 1, hi: 10 },
+        rate: RateShape::Constant { rate_rps: 250.0 },
+        prompt_len: LengthModel::Uniform { lo: 64, hi: 900 },
+        output_len: LengthModel::Uniform { lo: 1, hi: 10 },
     }
     .generate();
     vec![("golden", golden.to_request_trace()), ("poisson", poisson)]

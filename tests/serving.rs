@@ -28,18 +28,13 @@ fn trace(seed: u64) -> RequestTrace {
     TraceConfig {
         seed,
         requests: 24,
-        arrivals: ArrivalProcess::Bursty {
-            rate_rps: 150.0,
-            burst_factor: 3.0,
-            period_s: 0.2,
-            duty: 0.25,
-        },
-        prompt_len: LengthDist::Bimodal {
+        rate: RateShape::bursty(150.0, 3.0, 0.2, 0.25).expect("valid burst recipe"),
+        prompt_len: LengthModel::Bimodal {
             short: (150, 500),
             long: (900, 1800),
             long_weight: 0.4,
         },
-        output_len: LengthDist::Uniform { lo: 4, hi: 16 },
+        output_len: LengthModel::Uniform { lo: 4, hi: 16 },
     }
     .generate()
 }

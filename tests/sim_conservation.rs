@@ -62,9 +62,9 @@ fn trace_with_outputs(seed: u64, requests: usize, rate_rps: f64, output_lo: u64)
     TraceConfig {
         seed,
         requests,
-        arrivals: ArrivalProcess::Poisson { rate_rps },
-        prompt_len: LengthDist::Uniform { lo: 200, hi: 700 },
-        output_len: LengthDist::Uniform {
+        rate: RateShape::Constant { rate_rps },
+        prompt_len: LengthModel::Uniform { lo: 200, hi: 700 },
+        output_len: LengthModel::Uniform {
             lo: output_lo,
             hi: 12,
         },

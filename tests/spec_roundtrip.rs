@@ -15,11 +15,11 @@ use proptest::prelude::*;
 
 use elk::baselines::Design;
 use elk::model::Phase;
-use elk::serve::{ArrivalProcess, LengthDist, RouterPolicy};
+use elk::serve::RouterPolicy;
 use elk::spec::spec::{
-    AutoscaleSpec, ChipSpec, ClusterSpec, CompilerSpec, DisaggSpec, HbmSpec, ModelSpec,
-    ObserveSpec, PlanSpec, ScenarioSpec, SeqBucketsSpec, ServingSpec, SimSpec, SloSpec, SweepAxis,
-    SweepSpec, SystemSpec, TenancySpec, TenantClassSpec, TopologySpec, TraceGenSpec,
+    ArrivalsSpec, AutoscaleSpec, ChipSpec, ClusterSpec, CompilerSpec, DisaggSpec, HbmSpec,
+    ModelSpec, ObserveSpec, PlanSpec, ScenarioSpec, SeqBucketsSpec, ServingSpec, SimSpec, SloSpec,
+    SweepAxis, SweepSpec, SystemSpec, TenancySpec, TenantClassSpec, TopologySpec, TraceGenSpec,
     TraceSourceSpec, TraceSpec, WorkloadSpec,
 };
 use elk::spec::{run_sweep, SweepCommand};
@@ -101,10 +101,11 @@ fn arb_model() -> impl Strategy<Value = ModelSpec> {
 }
 
 /// Every `workload.trace` shape: absent, a recorded file, or each of
-/// the three generator rate shapes paired with a distinct length model.
+/// the three generator rate shapes paired with a distinct length model
+/// (the burst train with two, so every model appears).
 fn arb_trace_source() -> impl Strategy<Value = Option<TraceSourceSpec>> {
     (
-        0usize..5,
+        0usize..6,
         (0u64..=1 << 48, 1usize..=256, 0u64..=6),
         (0.5f64..900.0, 0.05f64..0.95, 0.05f64..5.0),
         (1u64..=256, 1u64..=512, 1.01f64..3.0),
@@ -130,12 +131,17 @@ fn arb_trace_source() -> impl Strategy<Value = Option<TraceSourceSpec>> {
                             },
                         };
                         let prompt_len = match v {
-                            2 => LengthModel::Fixed { tokens: lo },
+                            2 => LengthModel::Fixed(lo),
                             3 => LengthModel::Uniform { lo, hi: lo + span },
-                            _ => LengthModel::HeavyTail {
+                            4 => LengthModel::HeavyTail {
                                 lo,
                                 alpha,
                                 cap: lo + span,
+                            },
+                            _ => LengthModel::Bimodal {
+                                short: (lo, lo + span),
+                                long: (lo * 10, lo * 10 + span),
+                                long_weight: frac,
                             },
                         };
                         Some(TraceSourceSpec::Generate(TraceGenSpec {
@@ -187,7 +193,7 @@ fn arb_compiler() -> impl Strategy<Value = CompilerSpec> {
 fn arb_serving() -> impl Strategy<Value = ServingSpec> {
     (
         (0u64..=1 << 48, 1usize..=64, 0.5f64..2000.0),
-        (0usize..3, 1u64..=512, 1u64..=64),
+        (0usize..4, 1u64..=512, 1u64..=64),
         (1usize..=4, 1u64..=64, 1u64..=16384),
         (0u32..=4, 1u64..=4096),
         any::<bool>(),
@@ -202,24 +208,31 @@ fn arb_serving() -> impl Strategy<Value = ServingSpec> {
                 bucket_batch,
                 ((ttft_ms, tpot_ms), tenants),
             )| {
+                // Both trace keys take the one length form: `serving.trace`
+                // covers every model too.
                 let prompt_len = match dist {
-                    0 => LengthDist::Fixed(lo),
-                    1 => LengthDist::Uniform { lo, hi: lo + span },
-                    _ => LengthDist::Bimodal {
+                    0 => LengthModel::Fixed(lo),
+                    1 => LengthModel::Uniform { lo, hi: lo + span },
+                    2 => LengthModel::Bimodal {
                         short: (lo, lo + span),
                         long: (lo * 10, lo * 10 + span),
                         long_weight: 0.25,
                     },
+                    _ => LengthModel::HeavyTail {
+                        lo,
+                        alpha: 1.2,
+                        cap: lo + span,
+                    },
                 };
-                let arrivals = if dist == 2 {
-                    ArrivalProcess::Bursty {
+                let arrivals = if dist >= 2 {
+                    ArrivalsSpec::Bursty {
                         rate_rps: rate,
                         burst_factor: 3.0,
                         period_s: 0.5,
                         duty: 0.2,
                     }
                 } else {
-                    ArrivalProcess::Poisson { rate_rps: rate }
+                    ArrivalsSpec::Poisson { rate_rps: rate }
                 };
                 let min = 1u64 << bucket_pow;
                 ServingSpec {
@@ -228,7 +241,7 @@ fn arb_serving() -> impl Strategy<Value = ServingSpec> {
                         requests,
                         arrivals,
                         prompt_len,
-                        output_len: LengthDist::Fixed(lo),
+                        output_len: LengthModel::Fixed(lo),
                     },
                     replicas,
                     max_batch,

@@ -8,8 +8,13 @@
 //!    not tolerance) — the whole serving stack is deterministic;
 //! 3. the replay reports are byte-identical at `--threads 1` vs `8`;
 //! 4. no report on the trace path carries a wall-clock field, and
-//!    `elk trace gen` emits identical bytes on every run.
+//!    `elk trace gen` emits identical bytes on every run;
+//! 5. `serving.trace` and `workload.trace.generate` share one
+//!    generator: a recipe written in either key resolves to the same
+//!    requests.
 
+use elk::serve::TraceConfig;
+use elk::spec::spec::{ArrivalsSpec, TraceGenSpec, TraceSourceSpec, TraceSpec};
 use elk::spec::{runner, ScenarioSpec};
 use elk::trace::{LengthModel, RateShape, TraceFile, TraceGenConfig};
 use serde::{Serialize, Value};
@@ -28,19 +33,21 @@ fn replay_spec() -> ScenarioSpec {
 #[test]
 fn golden_trace_regenerates_bit_for_bit() {
     let config = TraceGenConfig {
-        seed: 7411,
-        requests: 24,
-        rate: RateShape::Diurnal {
-            mean_rps: 60.0,
-            amplitude: 0.5,
-            period_s: 0.5,
+        trace: TraceConfig {
+            seed: 7411,
+            requests: 24,
+            rate: RateShape::Diurnal {
+                mean_rps: 60.0,
+                amplitude: 0.5,
+                period_s: 0.5,
+            },
+            prompt_len: LengthModel::HeavyTail {
+                lo: 64,
+                alpha: 1.3,
+                cap: 1024,
+            },
+            output_len: LengthModel::Uniform { lo: 2, hi: 8 },
         },
-        prompt_len: LengthModel::HeavyTail {
-            lo: 64,
-            alpha: 1.3,
-            cap: 1024,
-        },
-        output_len: LengthModel::Uniform { lo: 2, hi: 8 },
         tenants: 2,
     };
     let checked_in = read_file("traces/golden_small.jsonl");
@@ -205,4 +212,61 @@ fn trace_path_reports_carry_no_wall_clock_fields() {
     );
 
     let _ = std::fs::remove_dir_all(&out);
+}
+
+/// The same recipe through either trace key resolves to identical
+/// requests, arrival bits included: `Poisson` is `Constant`, and
+/// `Bursty` is the burst train [`RateShape::bursty`] lowers it to.
+#[test]
+fn serving_and_generate_recipes_resolve_to_identical_traces() {
+    let prompt_len = LengthModel::Bimodal {
+        short: (60, 400),
+        long: (1500, 3000),
+        long_weight: 0.3,
+    };
+    let output_len = LengthModel::Uniform { lo: 1, hi: 12 };
+    for (arrivals, rate) in [
+        (
+            ArrivalsSpec::Poisson { rate_rps: 250.0 },
+            RateShape::Constant { rate_rps: 250.0 },
+        ),
+        (
+            ArrivalsSpec::Bursty {
+                rate_rps: 300.0,
+                burst_factor: 4.0,
+                period_s: 0.2,
+                duty: 0.2,
+            },
+            RateShape::bursty(300.0, 4.0, 0.2, 0.2).expect("valid burst recipe"),
+        ),
+    ] {
+        let mut serving = ScenarioSpec::from_json(r#"{"name": "t", "model": {"zoo": "llama13"}}"#)
+            .expect("spec parses");
+        let mut generate = serving.clone();
+        serving.serving.trace = TraceSpec {
+            seed: 29,
+            requests: 2000,
+            arrivals,
+            prompt_len,
+            output_len,
+        };
+        generate.workload.trace = Some(TraceSourceSpec::Generate(TraceGenSpec {
+            seed: 29,
+            requests: 2000,
+            rate,
+            prompt_len,
+            output_len,
+            tenants: 0,
+        }));
+        let a = runner::resolve_trace(&serving).expect("serving.trace resolves");
+        let b = runner::resolve_trace(&generate).expect("workload.trace.generate resolves");
+        assert_eq!(a, b, "{arrivals:?}");
+        let bits = |t: &elk::serve::RequestTrace| -> Vec<u64> {
+            t.requests
+                .iter()
+                .map(|r| r.arrival.as_secs().to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&a), bits(&b), "{arrivals:?}");
+    }
 }
