@@ -153,6 +153,78 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_peak_rate_is_rejected() {
+        // 1.5e308 × 1.5 is infinite: every thinning gap would be zero
+        // and every acceptance test NaN, so generation never ends.
+        let recipe = |mean_rps| {
+            with_rate(
+                RateShape::Diurnal {
+                    mean_rps,
+                    amplitude: 0.5,
+                    period_s: 1.0,
+                },
+                64,
+            )
+        };
+        let err = recipe(1.5e308).validate().unwrap_err();
+        assert_eq!(
+            err,
+            "rate.mean_rps (1.5e308) times 1 + amplitude (0.5), the peak rate, must be finite"
+        );
+        assert_eq!(recipe(1e308).generate().len(), 64);
+    }
+
+    #[test]
+    fn a_vanishing_rate_is_rejected() {
+        // Gaps of ~1e308 s: every arrival after the first would be
+        // infinite.
+        let recipe = |rate| with_rate(rate, 64);
+        let err = recipe(RateShape::Constant { rate_rps: 1e-308 })
+            .validate()
+            .unwrap_err();
+        assert!(
+            err.starts_with("rate.rate_rps (1e-308) is too small"),
+            "{err}"
+        );
+        let err = recipe(RateShape::Diurnal {
+            mean_rps: 1e-307,
+            amplitude: 0.5,
+            period_s: 1.0,
+        })
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.starts_with("rate.mean_rps (1e-307) is too small"),
+            "{err}"
+        );
+        let err = recipe(RateShape::BurstTrain {
+            base_rps: 1e-308,
+            burst_rps: 1e-306,
+            period_s: 1.0,
+            burst_s: 0.5,
+        })
+        .validate()
+        .unwrap_err();
+        assert!(err.starts_with("rate.base_rps and burst_rps"), "{err}");
+        // The smallest rate the check names keeps every arrival finite.
+        let at_least: f64 = err.rsplit(' ').next().unwrap().parse().unwrap();
+        let trace = recipe(RateShape::Constant { rate_rps: at_least }).generate();
+        assert!(trace.records.iter().all(|r| r.arrival_s.is_finite()));
+        // A near-silent base between bursts passes: the mean rate counts.
+        let bursts = recipe(RateShape::BurstTrain {
+            base_rps: 1e-308,
+            burst_rps: 100.0,
+            period_s: 1.0,
+            burst_s: 0.5,
+        });
+        assert!(bursts
+            .generate()
+            .records
+            .iter()
+            .all(|r| r.arrival_s.is_finite()));
+    }
+
+    #[test]
     #[should_panic(expected = "amplitude")]
     fn overdriven_diurnal_rejected() {
         let shape = RateShape::Diurnal {
