@@ -34,8 +34,7 @@ pub struct Row {
     pub goodput_rps: f64,
     /// Fraction of requests meeting the SLO.
     pub slo_attainment: f64,
-    /// Plan-cache lookups past the step memos during the run. Their
-    /// hit/miss split depends on the worker count; the total does not.
+    /// Plan-cache lookups past the step memos during the run.
     pub cache_lookups: u64,
 }
 

@@ -86,6 +86,11 @@ impl Default for AutoscaleConfig {
 }
 
 impl AutoscaleConfig {
+    /// The most controller ticks one run may take, `2²⁰`: a quarter-second
+    /// interval covers three days of simulated time. A run whose trace
+    /// has not drained by then fails instead of ticking on.
+    pub const MAX_TICKS: u64 = 1 << 20;
+
     /// Checks the controller policy: `1 <= min_groups <= max_groups`, a
     /// finite positive interval, ordered non-negative thresholds, an
     /// SLO target in `[0, 1]`, and a non-negative cold start.
@@ -294,7 +299,7 @@ impl AutoscaleServingSim {
         config: ClusterServeConfig,
         auto: AutoscaleConfig,
     ) -> Result<Self, ClusterError> {
-        let runner = runner.into().with_threads(1);
+        let runner = runner.into().with_threads(config.threads);
         config.batch.validate().map_err(ClusterError::Invalid)?;
         auto.validate().map_err(ClusterError::Invalid)?;
         let plan = ParallelismPlan::new(config.plan.tp, config.plan.pp, auto.max_groups);
@@ -307,7 +312,7 @@ impl AutoscaleServingSim {
             config.plan,
             config.sim,
             &config.batch,
-            Arc::new(PlanCache::new().with_threads(config.threads)),
+            Arc::new(PlanCache::new()),
         );
         Ok(AutoscaleServingSim {
             config,
@@ -361,7 +366,9 @@ impl AutoscaleServingSim {
     ///
     /// # Errors
     ///
-    /// Propagates compile failures as [`ClusterError::Compile`].
+    /// Propagates compile failures as [`ClusterError::Compile`], and
+    /// returns [`ClusterError::Invalid`] when the controller would tick
+    /// more than [`AutoscaleConfig::MAX_TICKS`] times.
     pub fn run(
         &mut self,
         design: Design,
@@ -399,6 +406,7 @@ impl AutoscaleServingSim {
         }
 
         let mut completed = 0usize;
+        let mut ticks = 0u64;
         let mut window_completed = 0usize;
         let mut window_met = 0usize;
         let mut area_prev = 0.0f64;
@@ -431,6 +439,15 @@ impl AutoscaleServingSim {
                     fleet.log(now, ScaleEventKind::Ready, gid, Seconds::ZERO);
                 }
                 Ev::ScaleTick => {
+                    ticks += 1;
+                    if ticks > AutoscaleConfig::MAX_TICKS {
+                        return Err(ClusterError::Invalid(format!(
+                            "autoscale interval ({:?} s) is too short: the controller ticked \
+                             {} times, its limit, before the trace drained",
+                            self.auto.interval.as_secs(),
+                            AutoscaleConfig::MAX_TICKS
+                        )));
+                    }
                     let area_now: f64 = core.groups.iter().map(|g| g.queue.area_until(now)).sum();
                     let ready = fleet.ready().max(1) as f64;
                     let depth = (area_now - area_prev) / self.auto.interval.as_secs() / ready;
@@ -760,6 +777,19 @@ mod tests {
         assert!(report.chip_seconds > 0.0);
         // The fleet never exceeds its bounds.
         assert!(report.peak_groups <= report.max_groups as usize);
+    }
+
+    #[test]
+    fn a_controller_ticking_past_its_limit_fails_the_run() {
+        let auto = AutoscaleConfig {
+            interval: Seconds::new(1e-12),
+            ..busy_auto()
+        };
+        let e = sim(auto).run(Design::ElkFull, &burst_trace(4)).unwrap_err();
+        assert!(
+            matches!(&e, ClusterError::Invalid(m) if m.contains("ticked 1048576 times")),
+            "{e:?}"
+        );
     }
 
     #[test]

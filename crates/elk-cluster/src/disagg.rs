@@ -79,8 +79,8 @@ pub struct DisaggConfig {
     pub slo: SloConfig,
     /// Chip-simulator options used when a plan is compiled.
     pub sim: SimOptions,
-    /// Compile worker threads (`0` = all cores): accelerates plan-cache
-    /// warming only; reports are byte-identical at any setting.
+    /// Compile worker threads (`0` = all cores): the plan compiler's
+    /// pool on a cache miss; reports are byte-identical at any setting.
     pub threads: usize,
     /// Prompt-token cap per prefill step; `0` disables chunking and
     /// reproduces the colocated admission rule exactly.
@@ -278,7 +278,7 @@ impl DisaggServingSim {
         runner: impl Into<DesignRunner>,
         config: DisaggConfig,
     ) -> Result<Self, ClusterError> {
-        let base = runner.into().with_threads(1);
+        let base = runner.into().with_threads(config.threads);
         let system = base.system();
         config.batch.validate().map_err(ClusterError::Invalid)?;
         config
@@ -307,7 +307,7 @@ impl DisaggServingSim {
                 )));
             }
         }
-        let cache = Arc::new(PlanCache::new().with_threads(config.threads));
+        let cache = Arc::new(PlanCache::new());
         let prefill_pricer = StepPricer::new(
             &base,
             config.model.clone(),

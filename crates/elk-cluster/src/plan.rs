@@ -73,7 +73,8 @@ impl ParallelismPlan {
         ParallelismPlan { tp, pp, dp }
     }
 
-    /// Chips the plan occupies (`tp · pp · dp`).
+    /// Chips the plan occupies (`tp · pp · dp`); a plan that passed
+    /// [`validate_structure`](Self::validate_structure) fits its pod.
     #[must_use]
     pub const fn chips_used(&self) -> u64 {
         self.tp * self.pp * self.dp
@@ -119,17 +120,21 @@ impl ParallelismPlan {
         if self.tp == 0 || self.pp == 0 || self.dp == 0 {
             return Err(format!("{self}: every degree must be >= 1"));
         }
-        if self.chips_used() > system.chips {
+        let chips = self
+            .tp
+            .checked_mul(self.pp)
+            .and_then(|c| c.checked_mul(self.dp));
+        if chips.is_none_or(|c| c > system.chips) {
+            let chips = chips.map_or_else(|| "more than 2^64".into(), |c| c.to_string());
             return Err(format!(
-                "{self} needs {} chips but the pod has {}",
-                self.chips_used(),
+                "{self} needs {chips} chips but the pod has {}",
                 system.chips
             ));
         }
         model
             .check_shards(self.tp)
             .map_err(|e| format!("{self}: {e}"))?;
-        if self.pp as u32 > model.layers {
+        if self.pp > u64::from(model.layers) {
             return Err(format!(
                 "{self}: pp exceeds the model's {} layers",
                 model.layers
@@ -298,6 +303,28 @@ mod tests {
             .validate(&sys, &shallow, wl)
             .unwrap_err();
         assert!(e.contains("layers"), "{e}");
+    }
+
+    #[test]
+    fn degrees_whose_product_or_depth_wraps_are_rejected() {
+        let sys = presets::ipu_pod4();
+        let m = model();
+        // 2 · 2^63 · 2 wraps to 0 chips, and 2^63 truncates to a u32 pp
+        // of 0; neither may pass.
+        let e = ParallelismPlan::new(2, 1 << 63, 2)
+            .validate_structure(&sys, &m)
+            .unwrap_err();
+        assert!(e.contains("needs more than 2^64 chips"), "{e}");
+        // pp = 2^32 + 1 on a one-chip-per-stage plan: the product fits
+        // a u64, the depth truncates to 1 as a u32.
+        let big = SystemConfig {
+            chips: u64::MAX,
+            ..sys
+        };
+        let e = ParallelismPlan::new(1, (1 << 32) + 1, 1)
+            .validate_structure(&big, &m)
+            .unwrap_err();
+        assert!(e.contains("pp exceeds the model's 5 layers"), "{e}");
     }
 
     #[test]

@@ -72,9 +72,8 @@ impl StepPricer {
     }
 
     /// Cumulative plan-cache counters (across all runs so far). Not
-    /// part of any emitted report — the hit/miss split shifts with the
-    /// compile worker count. Memoized steps do not reach the cache, so
-    /// they are not counted.
+    /// part of any emitted report. Memoized steps do not reach the
+    /// cache, so they are not counted.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }

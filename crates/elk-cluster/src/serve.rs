@@ -9,7 +9,7 @@
 //! observable *at that instant* — never from steps that only finish
 //! later. This makes load-aware policies (least-outstanding,
 //! power-of-two choices) meaningful, at the cost of a sequential event
-//! loop — worker threads still accelerate the compile side through the
+//! loop — worker threads still accelerate the compiler behind the
 //! shared single-flight [`PlanCache`], and because cached step
 //! latencies are deterministic the emitted report is byte-identical at
 //! any thread count.
@@ -54,9 +54,9 @@ pub struct ClusterServeConfig {
     pub slo: SloConfig,
     /// Chip-simulator options used when a plan is compiled.
     pub sim: SimOptions,
-    /// Compile worker threads (`0` = all cores): accelerates plan-cache
-    /// warming only; the event loop itself is sequential and outputs
-    /// are byte-identical at any setting.
+    /// Compile worker threads (`0` = all cores): the plan compiler's
+    /// pool on a cache miss; the event loop itself is sequential and
+    /// outputs are byte-identical at any setting.
     pub threads: usize,
 }
 
@@ -79,9 +79,8 @@ impl ClusterServeConfig {
 /// Aggregated result of one routed cluster serving run.
 ///
 /// Unlike [`elk_serve::ServingReport`] this report carries no cache
-/// hit/miss split — the split legitimately shifts with the compile
-/// worker count, and cluster reports are byte-identical across
-/// `--threads` settings by contract.
+/// hit/miss split. Like every report, it is byte-identical across
+/// `--threads` settings.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterServingReport {
     /// The design that served the trace.
@@ -174,7 +173,7 @@ impl ClusterServingSim {
         runner: impl Into<DesignRunner>,
         config: ClusterServeConfig,
     ) -> Result<Self, ClusterError> {
-        let runner = runner.into().with_threads(1);
+        let runner = runner.into().with_threads(config.threads);
         config.batch.validate().map_err(ClusterError::Invalid)?;
         config
             .plan
@@ -186,7 +185,7 @@ impl ClusterServingSim {
             config.plan,
             config.sim,
             &config.batch,
-            Arc::new(PlanCache::new().with_threads(config.threads)),
+            Arc::new(PlanCache::new()),
         );
         Ok(ClusterServingSim {
             pricer,
@@ -210,8 +209,7 @@ impl ClusterServingSim {
     }
 
     /// Cumulative plan-cache counters (across all runs so far). Not part
-    /// of any emitted report — the hit/miss split shifts with the
-    /// compile worker count.
+    /// of any emitted report.
     #[must_use]
     pub fn cache_stats(&self) -> elk_serve::CacheStats {
         self.pricer.cache_stats()

@@ -131,7 +131,7 @@ impl TenantServingSim {
         config: ClusterServeConfig,
         tenancy: TenancyConfig,
     ) -> Result<Self, ClusterError> {
-        let base = runner.into().with_threads(1);
+        let base = runner.into().with_threads(config.threads);
         config.batch.validate().map_err(ClusterError::Invalid)?;
         tenancy.validate().map_err(ClusterError::Invalid)?;
 
@@ -170,7 +170,7 @@ impl TenantServingSim {
         // One pricer per model over one pod runner and one single-flight
         // cache: keys carry the model name, so multi-model pods share
         // compile work without collisions.
-        let cache = Arc::new(PlanCache::new().with_threads(config.threads));
+        let cache = Arc::new(PlanCache::new());
         let pricers = models
             .iter()
             .map(|m| {

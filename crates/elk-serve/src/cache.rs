@@ -20,16 +20,15 @@
 //!
 //! The cache is **thread-safe and single-flight**: lookups take `&self`
 //! (replica event loops run concurrently against one shared cache), and
-//! each graph signature / plan key is guarded by an
-//! [`elk_par::SingleFlight`] slot, so of N concurrent misses on one key
-//! exactly one performs the compile and the rest wait for its result —
-//! two in-flight requests never compile the same [`PlanKey`] twice.
-//! With a multi-worker pool ([`PlanCache::with_threads`]) a miss on a
-//! fresh signature also *warms* the remaining designs concurrently:
-//! catalogs are design-independent, so compiling all five designs while
-//! the catalog is hot turns the other designs' first lookups into hits.
-//! Cached values are identical at any thread count (compilation is
-//! deterministic); threading only changes when they are computed.
+//! each graph signature is guarded by an [`elk_par::SingleFlight`] slot,
+//! so of N concurrent misses on one key exactly one builds the catalog
+//! or compiles the plan and the rest wait for its result — two
+//! in-flight requests never compile the same [`PlanKey`] twice. A
+//! lookup compiles only the design it asks for, as the paper's compiler
+//! plans one design at a time. It counts as a miss exactly when it
+//! built the catalog or compiled the plan, and as a hit otherwise; each
+//! key is computed once, by a lookup that asked for it, so cached values
+//! and the hit/miss split are the same at any thread count.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,39 +146,17 @@ struct Inner {
 /// designs and replicas maximizes reuse; plan sets come from the
 /// runner's catalogs. See the module docs for the layers and the
 /// concurrency contract.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
     graph_flight: SingleFlight<GraphKey>,
-    plan_flight: SingleFlight<PlanKey>,
-    threads: usize,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
-    }
 }
 
 impl PlanCache {
-    /// An empty cache with a single worker (no design warming).
+    /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
-        PlanCache {
-            inner: Mutex::new(Inner::default()),
-            graph_flight: SingleFlight::new(),
-            plan_flight: SingleFlight::new(),
-            threads: 1,
-        }
-    }
-
-    /// Sets the compile worker count (`0` = all available cores). With
-    /// more than one worker, a miss on a fresh signature compiles all
-    /// five designs concurrently instead of just the requested one.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = elk_par::resolve_threads(threads);
-        self
+        PlanCache::default()
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -239,151 +216,67 @@ impl PlanCache {
         F: FnOnce(Workload, u64) -> ModelGraph,
     {
         let key = PlanKey::new(model_key, shards, design, wl);
-
-        // Fast path + provisional miss, under one short lock. The graph
-        // key is built only once the latency lookup misses.
-        let gkey = {
-            let mut inner = self.lock();
-            if let Some(&latency) = inner.latencies.get(&key) {
-                inner.stats.hits += 1;
-                return Ok(latency);
-            }
-            let gkey: GraphKey = (
-                model_key.to_string(),
-                shards,
-                wl.phase,
-                wl.batch,
-                wl.seq_len,
-            );
-            if let Some(e) = inner.graph_failures.get(&gkey).cloned() {
-                inner.stats.hits += 1;
-                return Err(e);
-            }
-            if let Some(e) = inner.plan_failures.get(&key).cloned() {
-                inner.stats.hits += 1;
-                return Err(e);
-            }
-            // Provisional: reclassified as a hit below if another
-            // thread's in-flight compile ends up doing all the work.
-            inner.stats.misses += 1;
-            gkey
-        };
-
-        // Catalog layer, single-flight per graph signature.
-        let mut memoized_graph_failure = false;
+        let gkey: GraphKey = (
+            model_key.to_string(),
+            shards,
+            wl.phase,
+            wl.batch,
+            wl.seq_len,
+        );
+        if let Some(answer) = self.cached(&key, &gkey) {
+            return answer;
+        }
+        // Every insert for this signature happens inside its flight, so
+        // the re-check sees whatever a lookup it waited on computed, and
+        // what is still missing this lookup computes itself.
         self.graph_flight.with(&gkey, || {
-            let cached = {
-                let inner = self.lock();
-                inner.graphs.contains_key(&gkey) || inner.graph_failures.contains_key(&gkey)
+            if let Some(answer) = self.cached(&key, &gkey) {
+                return answer;
+            }
+            let shared = {
+                let mut inner = self.lock();
+                inner.stats.misses += 1;
+                inner.graphs.get(&gkey).cloned()
             };
-            if cached {
-                return;
-            }
-            let graph = build(wl, shards);
-            match runner.catalog(&graph) {
-                Ok(catalog) => {
-                    self.lock()
-                        .graphs
-                        .insert(gkey.clone(), Arc::new((graph, catalog)));
-                }
-                Err(e) => {
-                    memoized_graph_failure = true;
-                    self.lock().graph_failures.insert(gkey.clone(), e);
-                }
-            }
-        });
-
-        let shared = {
-            let inner = self.lock();
-            match inner.graphs.get(&gkey) {
-                Some(s) => Arc::clone(s),
+            let shared = match shared {
+                Some(shared) => shared,
                 None => {
-                    let e = inner.graph_failures[&gkey].clone();
-                    drop(inner);
-                    return self.resolve(memoized_graph_failure, Err(e));
+                    let graph = build(wl, shards);
+                    let catalog = runner.catalog(&graph).inspect_err(|e| {
+                        self.lock().graph_failures.insert(gkey.clone(), e.clone());
+                    })?;
+                    let shared = Arc::new((graph, catalog));
+                    self.lock().graphs.insert(gkey.clone(), Arc::clone(&shared));
+                    shared
                 }
-            }
-        };
-
-        // Plan layer: the requested design, plus — with a multi-worker
-        // pool — every other not-yet-cached design (warming; catalogs
-        // are design-independent, so the enumeration work is already
-        // paid for).
-        let designs: Vec<Design> = if self.threads > 1 {
-            let inner = self.lock();
-            Design::ALL
-                .into_iter()
-                .filter(|&d| {
-                    let dk = PlanKey {
-                        design: d,
-                        ..key.clone()
-                    };
-                    d == design
-                        || !(inner.latencies.contains_key(&dk)
-                            || inner.plan_failures.contains_key(&dk))
-                })
-                .collect()
-        } else {
-            vec![design]
-        };
-        let compiled = elk_par::par_map(self.threads, &designs, |_, &d| {
-            let dkey = PlanKey {
-                design: d,
-                ..key.clone()
             };
-            self.plan_flight.with(&dkey, || {
-                {
-                    let inner = self.lock();
-                    if inner.latencies.contains_key(&dkey)
-                        || inner.plan_failures.contains_key(&dkey)
-                    {
-                        return false;
-                    }
-                }
-                let (graph, catalog) = &*shared;
-                match runner.run(d, graph, catalog, sim) {
-                    Ok(outcome) => {
-                        self.lock()
-                            .latencies
-                            .insert(dkey.clone(), outcome.report.total);
-                    }
-                    Err(e) => {
-                        self.lock().plan_failures.insert(dkey.clone(), e);
-                    }
-                }
-                true
-            })
-        });
-        let computed_requested = designs
-            .iter()
-            .zip(&compiled)
-            .any(|(&d, &c)| d == design && c);
-
-        let result = {
-            let inner = self.lock();
-            match inner.latencies.get(&key) {
-                Some(&latency) => Ok(latency),
-                None => Err(inner.plan_failures[&key].clone()),
-            }
-        };
-        self.resolve(computed_requested, result)
+            let (graph, catalog) = &*shared;
+            let latency = runner
+                .run(design, graph, catalog, sim)
+                .inspect_err(|e| {
+                    self.lock().plan_failures.insert(key.clone(), e.clone());
+                })?
+                .report
+                .total;
+            self.lock().latencies.insert(key, latency);
+            Ok(latency)
+        })
     }
 
-    /// Final accounting for a slow-path lookup: if the requested key
-    /// turned out to be computed by another thread (or by an earlier
-    /// lookup's warming), the provisional miss becomes a hit — the same
-    /// count a sequential interleaving would have produced.
-    fn resolve(
-        &self,
-        worked: bool,
-        result: Result<Seconds, CompileError>,
-    ) -> Result<Seconds, CompileError> {
-        if !worked {
-            let mut inner = self.lock();
-            inner.stats.misses -= 1;
-            inner.stats.hits += 1;
-        }
-        result
+    /// The remembered answer for `key` of signature `gkey`, counted as a
+    /// hit: its latency, its plan's failure or its catalog's failure.
+    fn cached(&self, key: &PlanKey, gkey: &GraphKey) -> Option<Result<Seconds, CompileError>> {
+        let mut inner = self.lock();
+        let answer = match inner.latencies.get(key) {
+            Some(&latency) => Ok(latency),
+            None => Err(inner
+                .plan_failures
+                .get(key)
+                .or_else(|| inner.graph_failures.get(gkey))?
+                .clone()),
+        };
+        inner.stats.hits += 1;
+        Some(answer)
     }
 
     /// Cumulative hit/miss counters.
@@ -625,57 +518,67 @@ mod tests {
     }
 
     #[test]
-    fn warming_compiles_all_designs_on_first_miss() {
-        let cfg = tiny_cfg();
-        let runner = DesignRunner::new(presets::ipu_pod4());
-        let cache = PlanCache::new().with_threads(4);
-        let wl = Workload::decode(16, 512);
-        let sim = SimOptions::default();
-        let warm = cache
-            .step_latency(&runner, &cfg, 4, Design::Basic, wl, &sim)
-            .unwrap();
-        assert_eq!(cache.plans(), 5, "first miss warms every design");
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
-        // The other designs' first lookups are hits, and warmed values
-        // equal what a cold sequential compile produces.
-        let seq_cache = PlanCache::new();
-        for d in Design::ALL {
-            let a = cache.step_latency(&runner, &cfg, 4, d, wl, &sim).unwrap();
-            let b = seq_cache
-                .step_latency(&runner, &cfg, 4, d, wl, &sim)
-                .unwrap();
-            assert_eq!(a, b, "{d}: warmed latency must match sequential");
-            if d == Design::Basic {
-                assert_eq!(a, warm);
-            }
-        }
-        assert_eq!(cache.stats(), CacheStats { hits: 5, misses: 1 });
-    }
-
-    #[test]
-    fn concurrent_lookups_compile_each_key_once() {
+    fn a_first_miss_compiles_only_the_requested_design() {
         let cfg = tiny_cfg();
         let runner = DesignRunner::new(presets::ipu_pod4());
         let cache = PlanCache::new();
         let wl = Workload::decode(16, 512);
         let sim = SimOptions::default();
-        let latencies: Vec<Seconds> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..6)
-                .map(|_| {
-                    s.spawn(|| {
-                        cache
-                            .step_latency(&runner, &cfg, 4, Design::ElkDyn, wl, &sim)
-                            .unwrap()
+        cache
+            .step_latency(&runner, &cfg, 4, Design::Basic, wl, &sim)
+            .unwrap();
+        assert_eq!(cache.plans(), 1, "no other design is compiled");
+        assert_eq!(cache.catalogs(), 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
+        // The next design reuses the catalog but compiles its own plan:
+        // a miss, because this lookup did the work.
+        cache
+            .step_latency(&runner, &cfg, 4, Design::ElkFull, wl, &sim)
+            .unwrap();
+        assert_eq!((cache.plans(), cache.catalogs()), (2, 1));
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
+    }
+
+    #[test]
+    fn concurrent_lookups_compile_each_key_once() {
+        const N: u64 = 6;
+        let cfg = tiny_cfg();
+        let runner = DesignRunner::new(presets::ipu_pod4());
+        let cache = PlanCache::new();
+        let wl = Workload::decode(16, 512);
+        let sim = SimOptions::default();
+        // N racing lookups of one key, then N of another design's key on
+        // the same signature.
+        for (round, design) in [Design::ElkDyn, Design::Basic].into_iter().enumerate() {
+            let latencies: Vec<Seconds> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..N)
+                    .map(|_| {
+                        s.spawn(|| {
+                            cache
+                                .step_latency(&runner, &cfg, 4, design, wl, &sim)
+                                .unwrap()
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(latencies.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(cache.plans(), 1, "single-flight: one compile total");
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "exactly one lookup did the work");
-        assert_eq!(stats.hits, 5);
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(latencies.windows(2).all(|w| w[0] == w[1]));
+            let round = round as u64 + 1;
+            assert_eq!(
+                cache.plans() as u64,
+                round,
+                "single-flight: one compile per key"
+            );
+            assert_eq!(
+                cache.stats(),
+                CacheStats {
+                    hits: round * (N - 1),
+                    misses: round,
+                },
+                "exactly one lookup per key did the work"
+            );
+        }
+        assert_eq!(cache.catalogs(), 1);
     }
 
     #[test]

@@ -44,15 +44,17 @@ pub struct ServeConfig {
     pub sim: SimOptions,
     /// Worker threads (`1` = fully sequential, `0` = all available
     /// cores). With more than one worker, replica event loops run
-    /// concurrently against the shared plan cache and a cache miss
-    /// compiles all five designs' plans for the new signature at once
-    /// (single-flight deduplicated). Request outcomes and latencies are
-    /// identical at any setting; only wall-clock and the hit/miss split
-    /// can shift.
+    /// concurrently against the shared single-flight plan cache. Reports
+    /// are identical at any setting, the cache's hit/miss split
+    /// included; only wall-clock can shift.
     pub threads: usize,
 }
 
 impl ServeConfig {
+    /// The most replicas one engine may run, `2¹⁰`: each holds its own
+    /// step memo and event loop.
+    pub const MAX_REPLICAS: usize = 1 << 10;
+
     /// A config serving `model` on `shards`-way tensor parallelism with
     /// one replica and default batching/SLO/simulator knobs.
     #[must_use]
@@ -82,16 +84,21 @@ impl ServeConfig {
         self
     }
 
-    /// Checks the config: the batching knobs, at least one replica, and
-    /// a shard count that splits the model evenly.
+    /// Checks the config: the batching knobs, between one and
+    /// [`MAX_REPLICAS`](Self::MAX_REPLICAS) replicas, and a shard count
+    /// that splits the model evenly.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first ill-formed field.
     pub fn validate(&self) -> Result<(), String> {
         self.batch.validate()?;
-        if self.replicas == 0 {
-            return Err("replicas must be > 0".into());
+        if !(1..=Self::MAX_REPLICAS).contains(&self.replicas) {
+            return Err(format!(
+                "replicas must be in 1..={}, got {}",
+                Self::MAX_REPLICAS,
+                self.replicas
+            ));
         }
         self.model.check_shards(self.shards)
     }
@@ -147,27 +154,25 @@ impl ServingSim {
     #[must_use]
     pub fn new(runner: impl Into<DesignRunner>, config: ServeConfig) -> Self {
         config.validate().unwrap_or_else(|e| panic!("{e}"));
-        let threads = config.threads;
-        // The serving pool already parallelizes across replicas and
-        // across designs on a cache miss; keep the nested compiler
-        // pools sequential so worker counts do not multiply
-        // (replicas × designs × candidate orders).
+        // The serving pool already parallelizes across replicas; keep
+        // the nested compiler pools sequential so worker counts do not
+        // multiply (replicas × candidate orders).
         ServingSim {
             runner: runner.into().with_threads(1),
             memos: (0..config.replicas)
                 .map(|_| StepMemo::new(&config.batch))
                 .collect(),
             config,
-            cache: PlanCache::new().with_threads(threads),
+            cache: PlanCache::new(),
             obs: Obs::null(),
         }
     }
 
     /// Attaches an observation handle: per-replica kernel dispatch
     /// spans, per-request lanes (sampled by trace index), TTFT/TPOT
-    /// histograms, and plan-cache counters. Only thread-invariant
-    /// quantities are recorded — the raw hit/miss split is not — so
-    /// recorded output stays byte-identical at any thread count.
+    /// histograms, and plan-cache counters (lookups and signatures).
+    /// Only thread-invariant quantities are recorded, so recorded output
+    /// stays byte-identical at any thread count.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -242,10 +247,8 @@ impl ServingSim {
         }
         let cache = self.cache.stats().since(stats_before);
         if self.obs.enabled() {
-            // Only thread-invariant cache quantities: total lookups and
-            // distinct compiled signatures. The hit/miss split (and the
-            // per-design plan count) shifts with design warming, so it
-            // stays out of the recorded stream.
+            // Total lookups and distinct compiled signatures; the
+            // hit/miss split goes to the report.
             self.obs
                 .counter("serve.cache.lookups", cache.hits + cache.misses);
             self.obs.counter(
@@ -440,13 +443,8 @@ mod tests {
             tiny_config().with_replicas(2).with_threads(4),
         );
         for design in [Design::ElkFull, Design::Basic] {
-            let mut a = seq.run(design, &trace).unwrap();
-            let mut b = par.run(design, &trace).unwrap();
-            // Outcomes and latencies are thread-count invariant; only
-            // the hit/miss split may shift (warming), so blank it for
-            // the whole-report comparison.
-            a.cache = crate::cache::CacheStats::default();
-            b.cache = crate::cache::CacheStats::default();
+            let a = seq.run(design, &trace).unwrap();
+            let b = par.run(design, &trace).unwrap();
             assert_eq!(a, b, "{design}: parallel run diverged");
         }
     }

@@ -30,7 +30,7 @@
 //!
 //! | knob | where | meaning |
 //! |---|---|---|
-//! | `seed`, `requests` | [`TraceConfig`] | deterministic trace size/stream |
+//! | `seed`, `requests` | [`TraceConfig`] | deterministic trace size/stream, at most [`TraceConfig::MAX_REQUESTS`] requests and [`MAX_OUTPUT_TOKENS`] output tokens |
 //! | `rate` | [`RateShape`] | `Constant`, `Diurnal`, or `BurstTrain`; [`RateShape::bursty`] lowers the on/off `Bursty { rate_rps, burst_factor, period_s, duty }` recipe |
 //! | `prompt_len`, `output_len` | [`LengthModel`] | `Fixed`, `Uniform`, `HeavyTail`, or `Bimodal` token counts, at most [`MAX_TOKENS`] |
 //! | `max_batch` | [`BatchConfig`] | concurrent requests per replica |
@@ -38,8 +38,8 @@
 //! | `seq_buckets` | [`BatchConfig`] | pow-2 context bucketing for plan-cache keys |
 //! | `bucket_batch` | [`BatchConfig`] | round batch shapes to powers of two |
 //! | `shards` | [`ServeConfig`] | tensor-parallel chips per replica |
-//! | `replicas` | [`ServeConfig`] | independent chip groups (round-robin routing) |
-//! | `threads` | [`ServeConfig`] | worker pool: concurrent replica loops + single-flight compile fan-out (`1` = sequential, `0` = all cores) |
+//! | `replicas` | [`ServeConfig`] | independent chip groups (round-robin routing), at most [`ServeConfig::MAX_REPLICAS`] |
+//! | `threads` | [`ServeConfig`] | worker pool: concurrent replica loops (`1` = sequential, `0` = all cores) |
 //! | `slo` | [`SloConfig`] | TTFT/TPOT bounds scored by goodput |
 //! | `sim` | [`ServeConfig`] | chip-simulator noise/trace options |
 //!
@@ -97,5 +97,5 @@ pub use tenancy::{
 };
 pub use trace::{
     check_positive, check_span, LengthModel, RateShape, Request, RequestTrace, TraceConfig,
-    MAX_TOKENS,
+    MAX_OUTPUT_TOKENS, MAX_TOKENS,
 };

@@ -27,6 +27,13 @@ pub struct Request {
 /// tokens. Any sum of up to `2³²` lengths this long stays within `u64`.
 pub const MAX_TOKENS: u64 = u32::MAX as u64;
 
+/// The most output tokens one trace may ask for, `2²⁸`: a recipe's
+/// request count times its longest output length, or a trace file's
+/// sum. A request decodes one token per step, so this bounds the steps
+/// a replay simulates; ten million requests of up to 12 tokens (the
+/// `scale` bench's lengths) fit.
+pub const MAX_OUTPUT_TOKENS: u64 = 1 << 28;
+
 /// Time-varying arrival-rate shape (requests/second).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
@@ -327,8 +334,9 @@ impl LengthModel {
 
     /// Checks the model: non-zero lengths, ordered bounds, a finite
     /// positive tail exponent, a long-population weight in `[0, 1]`, and
-    /// no length past [`MAX_TOKENS`]; errors name `field`.
-    fn validate(&self, field: &str) -> Result<(), String> {
+    /// no length past [`MAX_TOKENS`]; errors name `field`. Returns the
+    /// longest length the model draws.
+    fn validate(&self, field: &str) -> Result<u64, String> {
         let (ok, longest) = match *self {
             LengthModel::Fixed(n) => (n > 0, n),
             LengthModel::Uniform { lo, hi } => (lo > 0 && lo <= hi, hi),
@@ -356,7 +364,7 @@ impl LengthModel {
                 "{field}: a length of {longest} tokens passes the limit of {MAX_TOKENS}"
             ));
         }
-        Ok(())
+        Ok(longest)
     }
 }
 
@@ -390,35 +398,40 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// Checks the recipe for [`generate`](Self::generate).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`validate_records`](Self::validate_records).
-    pub fn validate(&self) -> Result<(), String> {
-        self.validate_records::<Request>()
-    }
+    /// The most requests one recipe may generate, `2²⁴`: the generator
+    /// allocates every record up front.
+    pub const MAX_REQUESTS: usize = 1 << 24;
 
-    /// Checks the request count, the rate shape and both length models
-    /// for a trace of `R` records. A count whose records would pass
-    /// `isize::MAX` bytes fails; one that fits the address space but not
-    /// memory passes.
+    /// Checks the recipe for [`generate`](Self::generate): at most
+    /// [`MAX_REQUESTS`](Self::MAX_REQUESTS) requests, the rate shape,
+    /// both length models, and at most [`MAX_OUTPUT_TOKENS`] output
+    /// tokens should every request draw the longest output.
     ///
     /// # Errors
     ///
     /// Returns the first violation, prefixed with its field name.
-    pub fn validate_records<R>(&self) -> Result<(), String> {
-        if self.requests > isize::MAX as usize / std::mem::size_of::<R>().max(1) {
+    pub fn validate(&self) -> Result<(), String> {
+        if self.requests > Self::MAX_REQUESTS {
             return Err(format!(
-                "requests: {} records overflow the address space",
-                self.requests
+                "requests: {} passes the limit of {}",
+                self.requests,
+                Self::MAX_REQUESTS
             ));
         }
         self.rate
             .validate(self.requests)
             .map_err(|e| format!("rate.{e}"))?;
         self.prompt_len.validate("prompt_len")?;
-        self.output_len.validate("output_len")
+        let longest = self.output_len.validate("output_len")?;
+        let worst = self.requests as u64 * longest;
+        if worst > MAX_OUTPUT_TOKENS {
+            return Err(format!(
+                "output_len: {} requests × up to {longest} tokens is {worst} output \
+                 tokens at worst, past the limit of {MAX_OUTPUT_TOKENS}",
+                self.requests
+            ));
+        }
+        Ok(())
     }
 
     /// Generates the trace.
@@ -442,11 +455,9 @@ impl TraceConfig {
     ///
     /// # Panics
     ///
-    /// Panics where [`validate_records::<R>`](Self::validate_records)
-    /// fails.
+    /// Panics where [`validate`](Self::validate) fails.
     pub fn generate_with<R>(&self, mut record: impl FnMut(Request, &mut StdRng) -> R) -> Vec<R> {
-        self.validate_records::<R>()
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(self.seed);
         let peak = self.rate.peak_rate();
         let mut t = 0.0f64;
@@ -666,6 +677,35 @@ mod tests {
         }
         let at_limit = cfg(LengthModel::Fixed(MAX_TOKENS)).generate();
         assert!(at_limit.requests.iter().all(|r| r.prompt_len == MAX_TOKENS));
+    }
+
+    #[test]
+    fn sizes_past_their_limits_are_rejected() {
+        let cfg = |requests, output_len| TraceConfig {
+            requests,
+            output_len,
+            ..poisson_cfg(0)
+        };
+        let err = cfg(TraceConfig::MAX_REQUESTS + 1, LengthModel::Fixed(1))
+            .validate()
+            .unwrap_err();
+        assert!(
+            err.starts_with("requests: 16777217 passes the limit"),
+            "{err}"
+        );
+        // Ten million requests of up to 12 tokens pass; one request of
+        // up to 2^32 - 1 does not.
+        let ten_million = LengthModel::Uniform { lo: 2, hi: 12 };
+        assert_eq!(cfg(10_000_000, ten_million).validate(), Ok(()));
+        let long = LengthModel::Uniform {
+            lo: 1,
+            hi: MAX_TOKENS,
+        };
+        let err = cfg(1, long).validate().unwrap_err();
+        assert!(err.starts_with("output_len: 1 requests × up to"), "{err}");
+        let at_limit = LengthModel::Fixed(MAX_OUTPUT_TOKENS / 256);
+        assert_eq!(cfg(256, at_limit).validate(), Ok(()));
+        assert!(cfg(257, at_limit).validate().is_err());
     }
 
     #[test]

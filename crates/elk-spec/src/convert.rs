@@ -448,21 +448,17 @@ impl SimSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for a negative or non-finite
-    /// noise magnitude.
+    /// Returns [`SpecError::Invalid`] where [`SimOptions::validate`]
+    /// fails.
     pub fn to_options(&self) -> Result<SimOptions, SpecError> {
-        if !self.noise_sigma.is_finite() || self.noise_sigma < 0.0 {
-            return Err(invalid(format!(
-                "sim.noise_sigma must be >= 0, got {}",
-                self.noise_sigma
-            )));
-        }
-        Ok(SimOptions {
+        let options = SimOptions {
             noise_sigma: self.noise_sigma,
             noise_seed: self.noise_seed,
             dedicated_interconnects: false,
             trace_samples: self.trace_samples,
-        })
+        };
+        options.validate().map_err(at("sim."))?;
+        Ok(options)
     }
 }
 

@@ -138,11 +138,9 @@ pub struct DesignSimRow {
 
 /// Output of `elk serve`: request-level serving metrics per design.
 ///
-/// Byte-identical run-to-run at a fixed worker count. Across
-/// `--threads` settings every field is invariant *except* each
-/// design's `cache` hit/miss split — a concurrent cache miss warms all
-/// designs at once, shifting misses to hits; their sum is invariant
-/// (see `elk_serve::ServeConfig::threads`).
+/// Byte-identical run-to-run and across `--threads` settings, each
+/// design's `cache` hit/miss split included: every plan is compiled
+/// once, by a lookup that asked for it (see `elk_serve::PlanCache`).
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeReport {
     /// Scenario name.

@@ -467,7 +467,13 @@ pub fn run_cluster_observed(
             engine.set_obs(obs.clone());
             let rows: Result<_, ClusterError> =
                 designs.iter().map(|&d| engine.run(d, &trace)).collect();
-            autoscale = Some(rows?);
+            // A run's one spec error: a controller that ticks too often.
+            autoscale = Some(rows.map_err(|e| match e {
+                ClusterError::Invalid(msg) => {
+                    SpecError::Invalid(format!("cluster.autoscale.interval_ms: {msg}"))
+                }
+                e => e.into(),
+            })?);
         }
         if let Some(split) = &cluster.disaggregate {
             let (prefill, decode) = split.to_plans();

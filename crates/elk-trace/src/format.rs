@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::Value;
 
-use elk_serve::{Request, RequestTrace, MAX_TOKENS};
+use elk_serve::{Request, RequestTrace, MAX_OUTPUT_TOKENS, MAX_TOKENS};
 use elk_units::Seconds;
 
 /// Value of the header's `format` key.
@@ -99,8 +99,9 @@ impl TraceFile {
     ///
     /// Errors on a missing or unsupported header, malformed JSON,
     /// unknown or duplicate keys, lengths outside `1..=MAX_TOKENS`, negative or
-    /// non-finite arrival times, and out-of-order timestamps — each
-    /// naming the offending record index.
+    /// non-finite arrival times, out-of-order timestamps, and output
+    /// lengths summing past [`MAX_OUTPUT_TOKENS`] — each naming the
+    /// offending record index.
     pub fn parse(text: &str) -> Result<Self, TraceError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines
@@ -108,6 +109,7 @@ impl TraceFile {
             .ok_or_else(|| TraceError::new("empty trace file: missing header line"))?;
         parse_header(header)?;
         let mut records = Vec::new();
+        let mut output_tokens = 0;
         for (idx, line) in lines.enumerate() {
             let v: Value = serde_json::from_str(line)
                 .map_err(|e| TraceError::at(idx, format!("malformed JSON: {e}")))?;
@@ -124,6 +126,16 @@ impl TraceFile {
                         ),
                     ));
                 }
+            }
+            output_tokens += rec.output_len;
+            if output_tokens > MAX_OUTPUT_TOKENS {
+                return Err(TraceError::at(
+                    idx,
+                    format!(
+                        "output_len: the records so far ask for {output_tokens} output tokens, \
+                         past the limit of {MAX_OUTPUT_TOKENS}"
+                    ),
+                ));
             }
             records.push(rec);
         }
@@ -436,6 +448,10 @@ mod tests {
             (
                 "{\"arrival_s\":0.0,\"prompt_len\":4,\"output_len\":4294967296}",
                 "output_len 4294967296 passes the limit",
+            ),
+            (
+                "{\"arrival_s\":0.0,\"prompt_len\":4,\"output_len\":4294967295}",
+                "the records so far ask for 4294967295 output tokens, past the limit",
             ),
             (
                 "{\"arrival_s\":-0.5,\"prompt_len\":4,\"output_len\":2}",

@@ -24,9 +24,9 @@ impl TraceGenConfig {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`TraceConfig::validate_records`].
+    /// Same conditions as [`TraceConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
-        self.trace.validate_records::<TraceRecord>()
+        self.trace.validate()
     }
 
     /// Generates the trace file. Each record draws its tenant after its

@@ -19,10 +19,7 @@
 //! Every run writes a machine-readable report to
 //! `<out>/<name>.<command>.json` (default `results/`). Reports contain
 //! no wall-clock fields, so reruns are byte-identical, as is any
-//! command at any `--threads` count — except `serve`, whose plan-cache
-//! hit/miss split legitimately shifts with the worker count
-//! (concurrent warming); everything else in a serve report is
-//! thread-count invariant.
+//! command at any `--threads` count.
 //!
 //! `simulate`, `serve`, and `cluster` can additionally export a
 //! deterministic sim-time timeline: `--timeline FILE` (or the
@@ -63,8 +60,7 @@ commands:
 
 Reports are written to <out>/<name>.<command>.json (default: results/).
 --threads overrides the spec's worker-thread count (sweep: the fan-out
-width across grid points); results are byte-identical at any setting,
-except the serve report's cache hit/miss split (worker-count warming).
+width across grid points); results are byte-identical at any setting.
 
 simulate, serve, and cluster take --timeline FILE: record the run with
 elk-obs and write a Chrome-trace timeline (Perfetto-loadable) there,

@@ -411,11 +411,11 @@ fn overflowing_workload_dimensions_exit_2_naming_the_workload() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A request count whose record buffer would pass `isize::MAX` bytes is
-/// a spec error (exit 2) naming the field's full dotted path, under
-/// every command that builds the trace: not a capacity-overflow panic
-/// (101) in the generator. `simulate` never builds a trace, so it is
-/// not asked.
+/// A request count past `TraceConfig::MAX_REQUESTS` is a spec error
+/// (exit 2) naming the field's full dotted path, under every command
+/// that builds the trace: not a capacity-overflow panic (101) at 2^64 -
+/// 1, nor an allocation that aborts at 2^32, in the generator.
+/// `simulate` never builds a trace, so it is not asked.
 #[test]
 fn huge_request_counts_exit_2_naming_the_field() {
     let dir = std::env::temp_dir().join(format!("elk-huge-requests-{}", std::process::id()));
@@ -432,13 +432,15 @@ fn huge_request_counts_exit_2_naming_the_field() {
             &[&["serve"], &["cluster"], &["trace", "gen"]],
         ),
     ];
-    for (base, path, commands) in cases {
+    for ((base, path, commands), requests) in
+        cases.iter().flat_map(|c| [(c, u64::MAX), (c, 1 << 32)])
+    {
         let mut doc: serde::Value = serde_json::from_str(&read_scenario(base)).expect("valid JSON");
-        set_path(&mut doc, path, serde::Value::U64(u64::MAX)).unwrap();
+        set_path(&mut doc, path, serde::Value::U64(requests)).unwrap();
         let scenario = dir.join("huge.json");
         std::fs::write(&scenario, serde_json::to_string(&doc).expect("serializes"))
             .expect("write scenario");
-        for command in commands {
+        for command in *commands {
             let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
                 .args(*command)
                 .arg(&scenario)
@@ -451,11 +453,116 @@ fn huge_request_counts_exit_2_naming_the_field() {
             assert_eq!(
                 output.status.code(),
                 Some(2),
-                "`elk {command}` with {path} = 2^64 - 1: {stderr}"
+                "`elk {command}` with {path} = {requests}: {stderr}"
             );
             assert!(
                 stderr.contains(path),
                 "`elk {command}` must name `{path}`: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sizes past their stated limits are spec errors (exit 2) naming the
+/// field: a plan whose degrees wrap the chip count or the stage count
+/// (a 101 panic in `stages`), replica counts and trace samples that go
+/// straight into an allocation (an abort, or a capacity-overflow
+/// panic), and an autoscale interval or output lengths whose simulated
+/// work never ends.
+#[test]
+fn sizes_past_their_limits_exit_2_naming_the_field() {
+    use serde::Value;
+    let dir = std::env::temp_dir().join(format!("elk-limits-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let long_outputs =
+        serde_json::from_str(r#"{"Uniform": {"lo": 1, "hi": 4294967295}}"#).expect("valid JSON");
+    let cases: [(&str, &str, Value, &str, &[&str]); 8] = [
+        (
+            "cluster_router_burst.json",
+            "cluster.plan.pp",
+            Value::U64(1 << 63),
+            "cluster.plan",
+            &["cluster"],
+        ),
+        (
+            "serving_burst.json",
+            "serving.replicas",
+            Value::U64(1 << 32),
+            "serving.replicas",
+            &["serve", "cluster"],
+        ),
+        (
+            "serving_burst.json",
+            "serving.replicas",
+            Value::U64(u64::MAX),
+            "serving.replicas",
+            &["serve"],
+        ),
+        (
+            "paper_default.json",
+            "sim.trace_samples",
+            Value::U64(1 << 32),
+            "sim.trace_samples",
+            &["simulate"],
+        ),
+        (
+            "paper_default.json",
+            "sim.trace_samples",
+            Value::U64(u64::MAX),
+            "sim.trace_samples",
+            &["simulate"],
+        ),
+        (
+            "autoscale_burst.json",
+            "cluster.autoscale.interval_ms",
+            Value::F64(1e-9),
+            "cluster.autoscale.interval_ms",
+            &["cluster"],
+        ),
+        (
+            "autoscale_burst.json",
+            "cluster.autoscale.interval_ms",
+            Value::F64(1e-300),
+            "cluster.autoscale.interval_ms",
+            &["cluster"],
+        ),
+        (
+            "serving_burst.json",
+            "serving.trace.output_len",
+            long_outputs,
+            "serving.trace.output_len",
+            &["serve", "cluster"],
+        ),
+    ];
+    for (base, path, value, field, commands) in cases {
+        let mut doc: Value = serde_json::from_str(&read_scenario(base)).expect("valid JSON");
+        set_path(&mut doc, path, value.clone()).unwrap();
+        let scenario = dir.join("limits.json");
+        std::fs::write(&scenario, serde_json::to_string(&doc).expect("serializes"))
+            .expect("write scenario");
+        for &command in commands {
+            let args: &[&str] = if command == "trace" {
+                &["trace", "gen"]
+            } else {
+                &[command]
+            };
+            let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+                .args(args)
+                .arg(&scenario)
+                .arg("--out")
+                .arg(&dir)
+                .output()
+                .expect("spawn elk");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "`elk {command}` on {base} with {path} = {value:?}: {stderr}"
+            );
+            assert!(
+                stderr.contains(field),
+                "`elk {command}` must name `{field}`: {stderr}"
             );
         }
     }

@@ -133,12 +133,10 @@ fn replicas_halve_the_queue() {
 
 #[test]
 fn serving_is_thread_count_invariant() {
-    // Concurrent replica loops + single-flight compile fan-out must
+    // Concurrent replica loops against the single-flight plan cache must
     // reproduce the sequential run exactly: outcomes, latency
-    // percentiles, queue depths, makespan, and the number of plan-cache
-    // lookups. Only the cache hit/miss split may shift (a warmed
-    // design's first lookup becomes a hit), so it is blanked before the
-    // whole-report comparison.
+    // percentiles, queue depths, makespan, and the plan cache's hit/miss
+    // split (each key is compiled once, by a lookup that asked for it).
     let t = trace(6);
     let mut seq = ServingSim::new(presets::ipu_pod4(), config().with_replicas(2));
     let mut par = ServingSim::new(
@@ -146,15 +144,8 @@ fn serving_is_thread_count_invariant() {
         config().with_replicas(2).with_threads(8),
     );
     for design in [Design::ElkFull, Design::Static, Design::Basic] {
-        let mut a = seq.run(design, &t).unwrap();
-        let mut b = par.run(design, &t).unwrap();
-        assert_eq!(
-            a.cache.hits + a.cache.misses,
-            b.cache.hits + b.cache.misses,
-            "{design}: plan-cache lookups must not depend on the thread count"
-        );
-        a.cache = elk::serve::CacheStats::default();
-        b.cache = elk::serve::CacheStats::default();
+        let a = seq.run(design, &t).unwrap();
+        let b = par.run(design, &t).unwrap();
         assert_eq!(
             serde_json::to_string(&a).expect("serialize"),
             serde_json::to_string(&b).expect("serialize"),

@@ -91,8 +91,8 @@ fn golden_replay_pins_serving_percentiles() {
 }
 
 /// The replay is byte-identical at any worker-thread count: the
-/// cluster report exactly, the serve report up to the documented
-/// plan-cache hit/miss split (normalized out before comparing).
+/// cluster report and the serve report, its plan-cache hit/miss split
+/// included.
 #[test]
 fn golden_replay_is_thread_count_invariant() {
     let mut at1 = replay_spec();
@@ -110,25 +110,12 @@ fn golden_replay_is_thread_count_invariant() {
         "cluster replay must be byte-identical at any thread count"
     );
 
-    let strip_cache = |report: &elk::spec::ServeReport| -> Value {
-        let mut v = report.to_value();
-        if let Value::Map(root) = &mut v {
-            if let Some((_, Value::Seq(designs))) = root.iter_mut().find(|(k, _)| k == "designs") {
-                for d in designs {
-                    if let Value::Map(fields) = d {
-                        fields.retain(|(k, _)| k != "cache");
-                    }
-                }
-            }
-        }
-        v
-    };
     let serve1 = runner::run_serve(&at1).expect("serve @1");
     let serve8 = runner::run_serve(&at8).expect("serve @8");
     assert_eq!(
-        serde_json::to_string(&strip_cache(&serve1)).expect("serialize"),
-        serde_json::to_string(&strip_cache(&serve8)).expect("serialize"),
-        "serve replay must be thread-count invariant outside the cache split"
+        serde_json::to_string(&serve1).expect("serialize"),
+        serde_json::to_string(&serve8).expect("serialize"),
+        "serve replay must be byte-identical at any thread count"
     );
 }
 
