@@ -4,9 +4,7 @@ use elk_hw::SystemConfig;
 use elk_model::ModelGraph;
 use elk_units::Seconds;
 
-use elk_core::{
-    identity_order, Catalog, DeviceProgram, OpSchedule, Schedule, ScheduleOptions, Scheduler,
-};
+use elk_core::{identity_order, Catalog, DeviceProgram, OpSchedule, Schedule, Scheduler};
 
 /// Per-operator choice of a hand-built design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +67,7 @@ pub(crate) fn lower(
     system: &SystemConfig,
     choices: &[ManualChoice],
 ) -> DeviceProgram {
-    let scheduler = Scheduler::new(graph, catalog, system, ScheduleOptions::default());
+    let scheduler = Scheduler::new(graph, catalog, system);
     DeviceProgram::lower(
         graph,
         catalog,

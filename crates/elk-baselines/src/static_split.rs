@@ -12,7 +12,7 @@ use elk_units::{Bytes, Seconds};
 
 use elk_core::{
     evaluate, rank_schedule, Catalog, CompileError, DeviceProgram, PlanEstimate, Schedule,
-    ScheduleOptions, Scheduler,
+    Scheduler,
 };
 
 use crate::manual::{lower, schedule, ManualChoice};
@@ -46,7 +46,7 @@ pub(crate) fn plan(
         return Err(CompileError::EmptyGraph);
     }
     let capacity = system.chip.usable_sram_per_core();
-    let scheduler = Scheduler::new(graph, catalog, system, ScheduleOptions::default());
+    let scheduler = Scheduler::new(graph, catalog, system);
 
     let mut tried: Vec<Vec<ManualChoice>> = Vec::new();
     let mut best: Option<(Seconds, Schedule)> = None;

@@ -6,8 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::{
-    candidate_orders, identity_order, Catalog, Compiler, CompilerOptions, ReorderOptions,
-    ScheduleOptions, Scheduler,
+    candidate_orders, identity_order, Catalog, Compiler, CompilerOptions, ReorderOptions, Scheduler,
 };
 use elk_cost::LearnedCostModel;
 use elk_hw::presets;
@@ -93,7 +92,7 @@ fn bench_compiler(c: &mut Criterion) {
     let cost = LearnedCostModel::of_chip(&system.chip);
     let partitioner = Partitioner::new(&system.chip, &cost);
     let catalog = Catalog::build(&graph, &partitioner).expect("catalog");
-    let scheduler = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default());
+    let scheduler = Scheduler::new(&graph, &catalog, &system);
     let order = identity_order(graph.len());
     g.bench_function("inductive_schedule_one_order", |b| {
         b.iter_batched(
@@ -111,7 +110,7 @@ fn bench_compiler(c: &mut Criterion) {
     let full_catalog = Catalog::build(&full, &partitioner).expect("catalog");
     let capacity = system.chip.usable_sram_per_core();
     let candidates = candidate_orders(&full, &full_catalog, capacity, &ReorderOptions::default());
-    let full_scheduler = Scheduler::new(&full, &full_catalog, &system, ScheduleOptions::default());
+    let full_scheduler = Scheduler::new(&full, &full_catalog, &system);
     g.bench_function("inductive_schedule_all_candidates", |b| {
         b.iter(|| {
             candidates

@@ -20,6 +20,13 @@ pub struct Row {
     pub batch: u64,
     /// Latency (ms) per design, in `Design::ALL` order.
     pub latency_ms: Vec<f64>,
+    /// Static latency over ELK-Full latency: below 1 where ELK-Full
+    /// loses to Static.
+    pub static_over_full: f64,
+    /// ELK-Dyn latency over ELK-Full latency: what reordering gains.
+    pub dyn_over_full: f64,
+    /// Edit distance of the preload order ELK-Full chose (§4.4).
+    pub chosen_edit_distance: usize,
 }
 
 /// Runs the experiment.
@@ -42,10 +49,18 @@ pub fn run(ctx: &mut Ctx) {
                 let mut row = vec![cfg.name.clone(), format!("s{seq}"), format!("b{b}")];
                 row.extend(outs.iter().map(|o| ms(o.report.total)));
                 cells.push(row);
+                let full = &outs[3];
                 rows.push(Row {
                     model: cfg.name.clone(),
                     seq_len: seq,
                     batch: b,
+                    static_over_full: lat[1] / lat[3],
+                    dyn_over_full: lat[2] / lat[3],
+                    chosen_edit_distance: full
+                        .stats
+                        .as_ref()
+                        .expect("ELK-Full compiles")
+                        .chosen_edit_distance,
                     latency_ms: lat,
                 });
             }
@@ -71,13 +86,31 @@ pub fn run(ctx: &mut Ctx) {
         "ELK-Full vs Basic: {speedup_basic:.2}x (paper 1.87x) | vs Static: {speedup_static:.2}x (paper 1.37x) | of Ideal: {:.1}% (paper 94.8%)",
         of_ideal * 100.0
     ));
+    let losses: Vec<&Row> = rows.iter().filter(|r| r.static_over_full < 1.0).collect();
+    ctx.line(format!(
+        "ELK-Full loses to Static at {} of {} points:{}",
+        losses.len(),
+        rows.len(),
+        losses
+            .iter()
+            .map(|r| format!(
+                " {} s{} b{} ({:.3})",
+                r.model, r.seq_len, r.batch, r.static_over_full
+            ))
+            .collect::<String>()
+    ));
     ctx.metric("speedup_vs_basic_gm", speedup_basic);
     ctx.metric("speedup_vs_static_gm", speedup_static);
     ctx.metric("fraction_of_ideal_gm", of_ideal);
+    ctx.metric("full_loses_to_static", losses.len() as f64);
     for r in &rows {
+        let point = format!("{}.s{}.b{}", r.model, r.seq_len, r.batch);
+        ctx.metric(format!("{point}.elk_full_ms"), r.latency_ms[3]);
+        ctx.metric(format!("{point}.static_over_full"), r.static_over_full);
+        ctx.metric(format!("{point}.dyn_over_full"), r.dyn_over_full);
         ctx.metric(
-            format!("{}.s{}.b{}.elk_full_ms", r.model, r.seq_len, r.batch),
-            r.latency_ms[3],
+            format!("{point}.chosen_edit_distance"),
+            r.chosen_edit_distance as f64,
         );
     }
     ctx.finish(&rows);

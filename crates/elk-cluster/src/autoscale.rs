@@ -91,8 +91,8 @@ impl AutoscaleConfig {
     /// has not drained by then fails instead of ticking on.
     pub const MAX_TICKS: u64 = 1 << 20;
 
-    /// Checks the controller policy: `1 <= min_groups <= max_groups`, a
-    /// finite positive interval, ordered non-negative thresholds, an
+    /// Checks the controller policy: `1 <= min_groups <= max_groups <=`
+    /// [`ParallelismPlan::MAX_GROUPS`], a finite positive interval, ordered non-negative thresholds, an
     /// SLO target in `[0, 1]`, and a non-negative cold start.
     fn validate(&self) -> Result<(), String> {
         if self.min_groups < 1 {
@@ -102,6 +102,13 @@ impl AutoscaleConfig {
             return Err(format!(
                 "autoscale max_groups ({}) must be >= min_groups ({})",
                 self.max_groups, self.min_groups
+            ));
+        }
+        if self.max_groups > ParallelismPlan::MAX_GROUPS {
+            return Err(format!(
+                "autoscale max_groups ({}) must be at most {}",
+                self.max_groups,
+                ParallelismPlan::MAX_GROUPS
             ));
         }
         check_positive("autoscale interval", self.interval.as_secs())?;
@@ -948,6 +955,18 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(err.to_string().contains("up_queue_depth"), "{err}");
+    }
+
+    #[test]
+    fn max_groups_past_the_group_limit_is_rejected() {
+        let limit = ParallelismPlan::MAX_GROUPS;
+        let auto = |max_groups| AutoscaleConfig {
+            max_groups,
+            ..AutoscaleConfig::default()
+        };
+        assert_eq!(auto(limit).validate(), Ok(()));
+        let e = auto(limit + 1).validate().unwrap_err();
+        assert_eq!(e, "autoscale max_groups (1025) must be at most 1024");
     }
 
     #[test]

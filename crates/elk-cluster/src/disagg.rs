@@ -298,8 +298,12 @@ impl DisaggServingSim {
                 )));
             }
         } else {
-            let needed = config.prefill.chips_used() + config.decode.chips_used();
-            if needed > system.chips {
+            let needed = config
+                .prefill
+                .chips_used()
+                .checked_add(config.decode.chips_used());
+            if needed.is_none_or(|n| n > system.chips) {
+                let needed = needed.map_or_else(|| "more than 2^64".into(), |n| n.to_string());
                 return Err(ClusterError::Invalid(format!(
                     "disjoint pools need {needed} chips (prefill {} + decode {}) but \
                      the pod has {}",
@@ -819,6 +823,35 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(e.to_string().contains("chips"), "{e}");
+    }
+
+    #[test]
+    fn disjoint_pools_whose_chip_sum_wraps_are_rejected() {
+        // Each pool fits a 2⁶⁴−1-chip pod with 2⁶³ chips; together they
+        // need 2⁶⁴, which wraps to 0 in a release build.
+        let mut model = tiny_model();
+        model.heads = 1 << 32;
+        model.intermediate = 1 << 32;
+        model.layers = 1 << 31;
+        let pool = ParallelismPlan::new(1 << 32, 1 << 31, 1);
+        let pod = elk_hw::SystemConfig {
+            chips: u64::MAX,
+            ..presets::ipu_pod4()
+        };
+        let e = DisaggServingSim::new(
+            pod,
+            DisaggConfig {
+                batch: tiny_batch(),
+                ..DisaggConfig::new(model, pool, pool)
+            },
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("disjoint pools need more than 2^64 chips"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -36,9 +36,6 @@ use crate::ClusterError;
 pub struct ClusterOptions {
     /// Microbatches per pipeline round; defaults to the pipeline depth.
     pub microbatches: Option<u64>,
-    /// Compute the single-chip `(1,1,1)` baseline so reports carry a
-    /// scaling efficiency (skipped automatically when infeasible).
-    pub baseline: bool,
     /// Worker threads for the search grid / stage fan-out (`0` = all
     /// cores). Outputs are byte-identical at any setting.
     pub threads: usize,
@@ -48,7 +45,6 @@ impl Default for ClusterOptions {
     fn default() -> Self {
         ClusterOptions {
             microbatches: None,
-            baseline: true,
             threads: 1,
         }
     }
@@ -290,7 +286,7 @@ impl ClusterEstimator {
         Ok(SearchOutcome { candidates, best })
     }
 
-    /// The `(1,1,1)` reference time, or `None` when disabled/infeasible.
+    /// The `(1,1,1)` reference time, or `None` when infeasible.
     fn baseline_total(
         &self,
         model: &TransformerConfig,
@@ -299,7 +295,7 @@ impl ClusterEstimator {
         sim: &SimOptions,
         plan: ParallelismPlan,
     ) -> Result<Option<Seconds>, ClusterError> {
-        if !self.opts.baseline || plan == ParallelismPlan::unit() {
+        if plan == ParallelismPlan::unit() {
             // The unit plan is its own baseline; estimate_inner fills it.
             return Ok(None);
         }
@@ -315,7 +311,7 @@ impl ClusterEstimator {
         }
     }
 
-    /// The core composition; `baseline` is the `(1,1,1)` step time when
+    /// The core composition; `unit_total` is the `(1,1,1)` step time when
     /// already known.
     #[allow(clippy::too_many_arguments)]
     fn estimate_inner(
@@ -325,7 +321,7 @@ impl ClusterEstimator {
         design: Design,
         sim: &SimOptions,
         plan: ParallelismPlan,
-        baseline: Option<Seconds>,
+        unit_total: Option<Seconds>,
         threads: usize,
     ) -> Result<ClusterReport, ClusterError> {
         plan.validate(self.system(), model, workload)
@@ -429,7 +425,7 @@ impl ClusterEstimator {
         let tp_allreduce_time: Seconds = evals.iter().map(|e| e.allreduce_time).sum();
         let p2p_time = boundary_time * (spans.len() - 1) as f64;
 
-        let baseline = baseline.or(if plan == ParallelismPlan::unit() {
+        let baseline = unit_total.or(if plan == ParallelismPlan::unit() {
             Some(makespan)
         } else {
             None

@@ -57,6 +57,11 @@ pub struct ParallelismPlan {
 }
 
 impl ParallelismPlan {
+    /// The most data-parallel groups one plan may run, `2¹⁰` (as many as
+    /// [`ServeConfig::MAX_REPLICAS`](elk_serve::ServeConfig::MAX_REPLICAS)):
+    /// each group holds its own step machine and event loop.
+    pub const MAX_GROUPS: u64 = 1 << 10;
+
     /// The trivial single-chip plan.
     #[must_use]
     pub const fn unit() -> Self {
@@ -84,8 +89,9 @@ impl ParallelismPlan {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message when any degree is zero, the
-    /// plan needs more chips than the pod has, `tp` does not divide the
+    /// Returns a human-readable message when any degree is zero, `dp`
+    /// exceeds [`MAX_GROUPS`](Self::MAX_GROUPS), the plan needs more
+    /// chips than the pod has, `tp` does not divide the
     /// model's heads or FFN width, `pp` exceeds the layer count, or
     /// `dp` exceeds the batch (a replica group would sit idle).
     pub fn validate(
@@ -105,7 +111,8 @@ impl ParallelismPlan {
     }
 
     /// The workload-independent half of [`validate`](Self::validate):
-    /// degrees, chip budget, shard divisibility, and pipeline depth.
+    /// degrees, the group limit [`MAX_GROUPS`](Self::MAX_GROUPS), chip
+    /// budget, shard divisibility, and pipeline depth.
     /// Serving engines use this form — their step batches are dynamic,
     /// and a `dp` beyond a short trace merely idles the extra groups.
     ///
@@ -119,6 +126,9 @@ impl ParallelismPlan {
     ) -> Result<(), String> {
         if self.tp == 0 || self.pp == 0 || self.dp == 0 {
             return Err(format!("{self}: every degree must be >= 1"));
+        }
+        if self.dp > Self::MAX_GROUPS {
+            return Err(format!("{self}: dp must be at most {}", Self::MAX_GROUPS));
         }
         let chips = self
             .tp
@@ -325,6 +335,23 @@ mod tests {
             .validate_structure(&big, &m)
             .unwrap_err();
         assert!(e.contains("pp exceeds the model's 5 layers"), "{e}");
+    }
+
+    #[test]
+    fn dp_past_the_group_limit_is_rejected() {
+        let big = SystemConfig {
+            chips: u64::MAX,
+            ..presets::ipu_pod4()
+        };
+        let m = model();
+        let limit = ParallelismPlan::MAX_GROUPS;
+        assert!(ParallelismPlan::new(1, 1, limit)
+            .validate_structure(&big, &m)
+            .is_ok());
+        let e = ParallelismPlan::new(1, 1, limit + 1)
+            .validate_structure(&big, &m)
+            .unwrap_err();
+        assert!(e.contains("tp1·pp1·dp1025: dp must be at most 1024"), "{e}");
     }
 
     #[test]

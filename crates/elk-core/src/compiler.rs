@@ -11,14 +11,12 @@ use elk_units::Seconds;
 
 use crate::{
     candidate_orders, evaluate, rank_schedule, Catalog, CompileError, DeviceProgram, PlanEstimate,
-    ReorderOptions, Schedule, ScheduleOptions, Scheduler,
+    ReorderOptions, Schedule, Scheduler,
 };
 
 /// End-to-end compiler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct CompilerOptions {
-    /// Scheduling knobs (§4.2–4.3).
-    pub schedule: ScheduleOptions,
     /// Preload-order search knobs (§4.4). Disable for Elk-Dyn.
     pub reorder: ReorderOptions,
     /// Worker threads for catalog construction and preload-order
@@ -105,28 +103,10 @@ impl Compiler {
         Compiler { system, cost, opts }
     }
 
-    /// Creates a compiler reusing an already-fitted cost model (avoids
-    /// re-profiling when sweeping system parameters that do not affect
-    /// per-core costs, e.g. HBM bandwidth).
-    #[must_use]
-    pub fn with_cost_model(
-        system: SystemConfig,
-        cost: LearnedCostModel,
-        opts: CompilerOptions,
-    ) -> Self {
-        Compiler { system, cost, opts }
-    }
-
     /// The target system description.
     #[must_use]
     pub fn system(&self) -> &SystemConfig {
         &self.system
-    }
-
-    /// The fitted cost model the compiler plans with.
-    #[must_use]
-    pub fn cost_model(&self) -> &LearnedCostModel {
-        &self.cost
     }
 
     /// Compiler options in effect.
@@ -148,23 +128,7 @@ impl Compiler {
         }
         let partitioner = Partitioner::new(&self.system.chip, &self.cost);
         let catalog = Catalog::build_par(graph, &partitioner, worker_threads(&self.opts))?;
-        self.compile_with_catalog(graph, &catalog)
-    }
-
-    /// Compiles `graph` reusing a pre-built plan catalog (the catalog only
-    /// depends on the chip and the cost model, so parameter sweeps over
-    /// HBM bandwidth or schedules share it). The same as the free
-    /// [`compile_with_catalog`], which needs no fitted cost model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Compiler::compile`].
-    pub fn compile_with_catalog(
-        &self,
-        graph: &ModelGraph,
-        catalog: &Catalog,
-    ) -> Result<CompiledPlan, CompileError> {
-        compile_with_catalog(&self.system, &self.opts, graph, catalog)
+        compile_with_catalog(&self.system, &self.opts, graph, &catalog)
     }
 }
 
@@ -178,8 +142,8 @@ fn worker_threads(opts: &CompilerOptions) -> usize {
 }
 
 /// Searches preload orders for `graph` over a pre-built plan catalog and
-/// lowers the winner: [`Compiler::compile_with_catalog`] without a
-/// [`Compiler`]. The order search reads only the system and the options
+/// lowers the winner, as [`Compiler::compile`] does after building the
+/// catalog. The order search reads only the system and the options
 /// (the cost model already shaped `catalog`), so callers that hold a
 /// fitted model elsewhere borrow instead of building a compiler.
 ///
@@ -204,13 +168,10 @@ pub fn compile_with_catalog(
     if graph.is_empty() {
         return Err(CompileError::EmptyGraph);
     }
-    let capacity = opts
-        .schedule
-        .capacity_override
-        .unwrap_or_else(|| system.chip.usable_sram_per_core());
+    let capacity = system.chip.usable_sram_per_core();
     let candidates = candidate_orders(graph, catalog, capacity, &opts.reorder);
 
-    let scheduler = Scheduler::new(graph, catalog, system, opts.schedule);
+    let scheduler = Scheduler::new(graph, catalog, system);
 
     // Rank every candidate order on the work pool, keeping the best
     // one's schedule. Keys are unique (the index breaks ties), so the
@@ -291,12 +252,9 @@ mod tests {
         graph: &ModelGraph,
         catalog: &Catalog,
     ) -> Result<CompiledPlan, CompileError> {
-        let capacity = opts
-            .schedule
-            .capacity_override
-            .unwrap_or_else(|| system.chip.usable_sram_per_core());
+        let capacity = system.chip.usable_sram_per_core();
         let candidates = candidate_orders(graph, catalog, capacity, &opts.reorder);
-        let scheduler = Scheduler::new(graph, catalog, system, opts.schedule);
+        let scheduler = Scheduler::new(graph, catalog, system);
         type Key = (usize, Seconds, usize);
         let best: Mutex<Option<(Key, Schedule)>> = Mutex::new(None);
         let feasible: Vec<bool> =

@@ -51,5 +51,5 @@ pub use error::CompileError;
 pub use frontier::{Catalog, OpPlans, PlanMemo};
 pub use program::{DeviceInstr, DeviceProgram, OpSpec};
 pub use reorder::{candidate_orders, inversions, CandidateOrder, ReorderOptions};
-pub use schedule::{identity_order, OpSchedule, Schedule, ScheduleOptions, Scheduler};
+pub use schedule::{identity_order, OpSchedule, Schedule, Scheduler};
 pub use timeline::{evaluate, rank_schedule, PlanEstimate};

@@ -234,7 +234,7 @@ pub(crate) fn issue_order(schedule: &Schedule) -> impl Iterator<Item = DeviceIns
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{identity_order, ScheduleOptions, Scheduler};
+    use crate::{identity_order, Scheduler};
     use elk_cost::AnalyticDevice;
     use elk_hw::presets;
     use elk_model::{zoo, Workload};
@@ -246,7 +246,7 @@ mod tests {
         let dev = AnalyticDevice::of_chip(&system.chip);
         let partitioner = Partitioner::new(&system.chip, &dev);
         let catalog = Catalog::build(&graph, &partitioner).unwrap();
-        let sched = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default())
+        let sched = Scheduler::new(&graph, &catalog, &system)
             .schedule(&identity_order(graph.len()))
             .unwrap();
         let prog = DeviceProgram::lower(&graph, &catalog, &sched);

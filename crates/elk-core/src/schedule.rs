@@ -8,32 +8,6 @@ use elk_units::{ByteRate, Bytes, Seconds};
 use crate::alloc::{allocate_into, Fastest};
 use crate::{Catalog, CompileError, FrontierPoint};
 
-/// Scheduler knobs. The defaults are full Elk behaviour; baselines restrict
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScheduleOptions {
-    /// Cap on the preload number per operator (`None` = memory-bounded
-    /// only). `Some(1)` approximates compilers that only prefetch the next
-    /// operator.
-    pub max_preload_number: Option<usize>,
-    /// Model interconnect contention between overlapped preload traffic
-    /// and execution traffic when estimating execution time.
-    pub model_contention: bool,
-    /// Override the per-core capacity (used by the Ideal roofline, which
-    /// assumes contention- and capacity-free hardware).
-    pub capacity_override: Option<Bytes>,
-}
-
-impl Default for ScheduleOptions {
-    fn default() -> Self {
-        ScheduleOptions {
-            max_preload_number: None,
-            model_contention: true,
-            capacity_override: None,
-        }
-    }
-}
-
 /// Per-operator outcome of the inductive scheduling pass.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OpSchedule {
@@ -91,7 +65,6 @@ pub struct Scheduler<'a> {
     graph: &'a ModelGraph,
     catalog: &'a Catalog,
     system: &'a SystemConfig,
-    opts: ScheduleOptions,
     /// Controller-to-core delivery rate of preloads: HBM injection,
     /// capped by the fabric's bulk bandwidth.
     injection: ByteRate,
@@ -128,12 +101,7 @@ struct Best {
 impl<'a> Scheduler<'a> {
     /// Creates a scheduler over a prepared catalog.
     #[must_use]
-    pub fn new(
-        graph: &'a ModelGraph,
-        catalog: &'a Catalog,
-        system: &'a SystemConfig,
-        opts: ScheduleOptions,
-    ) -> Self {
+    pub fn new(graph: &'a ModelGraph, catalog: &'a Catalog, system: &'a SystemConfig) -> Self {
         let chip = &system.chip;
         let fabric = chip.topology.effective_bulk_bandwidth(chip.cores);
         let hbm_injection = chip.topology.hbm_injection_bandwidth(chip.cores);
@@ -146,7 +114,6 @@ impl<'a> Scheduler<'a> {
             graph,
             catalog,
             system,
-            opts,
             injection: hbm_injection.min(fabric),
             fabric: fabric.bytes_per_sec(),
             available,
@@ -161,12 +128,6 @@ impl<'a> Scheduler<'a> {
     #[must_use]
     pub fn allreduce_time(&self, op: OpId) -> Seconds {
         self.allreduce[op.index()]
-    }
-
-    fn capacity(&self) -> Bytes {
-        self.opts
-            .capacity_override
-            .unwrap_or_else(|| self.system.chip.usable_sram_per_core())
     }
 
     /// Estimated preload duration: the max of the HBM roofline time and
@@ -185,7 +146,7 @@ impl<'a> Scheduler<'a> {
     /// preloads: the execution's interconnect traffic is re-costed at the
     /// fabric capacity left over by HBM delivery.
     fn contention_penalty(&self, p: usize, exec_noc_bytes: Bytes) -> Seconds {
-        if !self.opts.model_contention || p == 0 || exec_noc_bytes.is_zero() {
+        if p == 0 || exec_noc_bytes.is_zero() {
             return Seconds::ZERO;
         }
         let with = exec_noc_bytes.as_f64() / self.available;
@@ -207,7 +168,7 @@ impl<'a> Scheduler<'a> {
             return Err(CompileError::EmptyGraph);
         }
         let pos = positions(order, n)?;
-        let capacity = self.capacity();
+        let capacity = self.system.chip.usable_sram_per_core();
 
         let mut per_op: Vec<Option<OpSchedule>> = (0..n).map(|_| None).collect();
         // Scheduled-but-not-executed preloads in *descending* π position:
@@ -240,9 +201,6 @@ impl<'a> Scheduler<'a> {
                 } else {
                     break;
                 }
-            }
-            if let Some(cap) = self.opts.max_preload_number {
-                max_p = max_p.min(cap);
             }
             // Preloads that π places before op i's own preload but belong
             // to later-executing operators complete before exec(i) and are
@@ -457,7 +415,7 @@ mod tests {
     #[test]
     fn schedules_llama_under_identity_order() {
         let f = fixture();
-        let s = Scheduler::new(&f.graph, &f.catalog, &f.system, ScheduleOptions::default());
+        let s = Scheduler::new(&f.graph, &f.catalog, &f.system);
         let sched = s
             .schedule(&identity_order(f.graph.len()))
             .expect("schedule");
@@ -470,45 +428,11 @@ mod tests {
     }
 
     #[test]
-    fn preload_cap_restricts_overlap() {
-        let f = fixture();
-        let opts = ScheduleOptions {
-            max_preload_number: Some(1),
-            ..ScheduleOptions::default()
-        };
-        let s = Scheduler::new(&f.graph, &f.catalog, &f.system, opts);
-        let sched = s.schedule(&identity_order(f.graph.len())).expect("ok");
-        assert!(sched.per_op.iter().all(|s| s.preload_number <= 1));
-    }
-
-    #[test]
-    fn deeper_preload_improves_estimate() {
-        let f = fixture();
-        let base = ScheduleOptions::default();
-        let shallow = ScheduleOptions {
-            max_preload_number: Some(1),
-            ..base
-        };
-        let full = Scheduler::new(&f.graph, &f.catalog, &f.system, base)
-            .schedule(&identity_order(f.graph.len()))
-            .unwrap();
-        let capped = Scheduler::new(&f.graph, &f.catalog, &f.system, shallow)
-            .schedule(&identity_order(f.graph.len()))
-            .unwrap();
-        assert!(
-            full.est_total <= capped.est_total,
-            "deeper preloading must not hurt: {} vs {}",
-            full.est_total,
-            capped.est_total
-        );
-    }
-
-    #[test]
     fn window_residency_is_nested() {
         // cut must be non-increasing going backwards in a way that keeps
         // window(i) \ {i+1} ⊆ window(i+1): verified via the cut chain.
         let f = fixture();
-        let s = Scheduler::new(&f.graph, &f.catalog, &f.system, ScheduleOptions::default());
+        let s = Scheduler::new(&f.graph, &f.catalog, &f.system);
         let sched = s.schedule(&identity_order(f.graph.len())).unwrap();
         for w in sched.per_op.windows(2) {
             assert!(
@@ -524,7 +448,7 @@ mod tests {
     #[test]
     fn rejects_bad_orders() {
         let f = fixture();
-        let s = Scheduler::new(&f.graph, &f.catalog, &f.system, ScheduleOptions::default());
+        let s = Scheduler::new(&f.graph, &f.catalog, &f.system);
         let short = vec![OpId(0)];
         assert!(matches!(
             s.schedule(&short),
@@ -536,20 +460,5 @@ mod tests {
             s.schedule(&dup),
             Err(CompileError::InvalidPreloadOrder { .. })
         ));
-    }
-
-    #[test]
-    fn ideal_capacity_override_never_downgrades_plans() {
-        let f = fixture();
-        let opts = ScheduleOptions {
-            capacity_override: Some(Bytes::gib(64)),
-            model_contention: false,
-            ..ScheduleOptions::default()
-        };
-        let s = Scheduler::new(&f.graph, &f.catalog, &f.system, opts);
-        let sched = s.schedule(&identity_order(f.graph.len())).unwrap();
-        // Infinite memory: every op keeps its fastest plan and max preload.
-        assert!(sched.per_op.iter().all(|o| o.exec_idx == 0));
-        assert!(sched.per_op.iter().all(|o| o.preload_idx == 0));
     }
 }

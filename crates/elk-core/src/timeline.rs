@@ -249,8 +249,7 @@ fn audit_memory(
 mod tests {
     use super::*;
     use crate::{
-        candidate_orders, identity_order, Catalog, DeviceProgram, OpSpec, ReorderOptions,
-        ScheduleOptions, Scheduler,
+        candidate_orders, identity_order, Catalog, DeviceProgram, OpSpec, ReorderOptions, Scheduler,
     };
     use elk_cost::AnalyticDevice;
     use elk_hw::presets;
@@ -282,7 +281,7 @@ mod tests {
         let dev = AnalyticDevice::of_chip(&system.chip);
         let partitioner = Partitioner::new(&system.chip, &dev);
         let catalog = Catalog::build(&graph, &partitioner).unwrap();
-        let sched = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default())
+        let sched = Scheduler::new(&graph, &catalog, &system)
             .schedule(&identity_order(graph.len()))
             .unwrap();
         (
@@ -413,7 +412,7 @@ mod tests {
         let dev = AnalyticDevice::of_chip(&system.chip);
         let catalog = Catalog::build(&graph, &Partitioner::new(&system.chip, &dev)).unwrap();
         let usable = system.chip.usable_sram_per_core();
-        let scheduler = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default());
+        let scheduler = Scheduler::new(&graph, &catalog, &system);
         let mut tied = 0usize;
         for cand in candidate_orders(&graph, &catalog, usable, &ReorderOptions::default()) {
             let Ok(sched) = scheduler.schedule(&cand.order) else {

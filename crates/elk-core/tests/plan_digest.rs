@@ -6,15 +6,15 @@
 //! over the serialized `Schedule`, `DeviceProgram`, `PlanEstimate` and
 //! `CompileStats` (with the wall-clock `compile_seconds` zeroed), over
 //! full-depth and truncated graphs, three chips, decode and prefill,
-//! all five designs, and the scheduler knobs the baselines restrict. A
+//! all five designs, and the Elk compiler with and without reordering. A
 //! speed-up of the compiler must leave every digest unchanged; a
 //! deliberate change to its decisions re-pins them in
 //! `tests/pins/plan.pins`.
 
 use elk_baselines::{Design, DesignRunner};
 use elk_core::{
-    candidate_orders, identity_order, Catalog, CompileStats, Compiler, CompilerOptions,
-    ReorderOptions, ScheduleOptions, Scheduler,
+    candidate_orders, compile_with_catalog, identity_order, Catalog, CompileStats, CompilerOptions,
+    ReorderOptions, Scheduler,
 };
 use elk_cost::LearnedCostModel;
 use elk_hw::{presets, SystemConfig};
@@ -52,8 +52,8 @@ fn llama(layers: Option<u32>, workload: Workload, tp: u64) -> ModelGraph {
     cfg.build(workload, tp)
 }
 
-/// Adds the digests of every design plus the Elk compiler under each
-/// scheduler variant to `pins`, one `case/label` row per entry.
+/// Adds the digests of every design plus the Elk compiler with and
+/// without reordering to `pins`, one `case/label` row per entry.
 fn add_case(pins: &mut Pins, case: &str, system: &SystemConfig, graph: &ModelGraph) {
     let runner = DesignRunner::new(system.clone()).with_threads(2);
     let catalog = runner.catalog(graph).expect("catalog");
@@ -68,37 +68,13 @@ fn add_case(pins: &mut Pins, case: &str, system: &SystemConfig, graph: &ModelGra
         pins.add(format!("{case}/{design}"), d);
     }
 
-    let cost = LearnedCostModel::of_chip(&system.chip);
-    let variants = [
-        ("full", ScheduleOptions::default(), true),
-        ("dyn", ScheduleOptions::default(), false),
-        (
-            "p1",
-            ScheduleOptions {
-                max_preload_number: Some(1),
-                ..ScheduleOptions::default()
-            },
-            true,
-        ),
-        (
-            "nocontention",
-            ScheduleOptions {
-                model_contention: false,
-                ..ScheduleOptions::default()
-            },
-            true,
-        ),
-    ];
-    for (label, schedule, reorder) in variants {
+    for (label, reorder) in [("full", true), ("dyn", false)] {
         let mut opts = CompilerOptions {
-            schedule,
             threads: 2,
             ..CompilerOptions::default()
         };
         opts.reorder.enable = reorder;
-        let plan = Compiler::with_cost_model(system.clone(), cost.clone(), opts)
-            .compile_with_catalog(graph, &catalog)
-            .expect("compiles");
+        let plan = compile_with_catalog(system, &opts, graph, &catalog).expect("compiles");
         let d = fold_json(
             fold_json(
                 fold_json(fold_json(OFFSET, &plan.schedule), &plan.program),
@@ -156,30 +132,24 @@ fn infeasible_schedule_error_texts_are_pinned() {
     let capacity = system.chip.usable_sram_per_core();
 
     // The first candidate preload order the search discards.
-    let scheduler = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default());
+    let scheduler = Scheduler::new(&graph, &catalog, &system);
     let rejected = candidate_orders(&graph, &catalog, capacity, &ReorderOptions::default())
         .iter()
         .find_map(|cand| scheduler.schedule(&cand.order).err())
         .expect("some candidate order is infeasible");
 
-    let tiny = ScheduleOptions {
-        capacity_override: Some(Bytes::kib(1)),
-        ..ScheduleOptions::default()
-    };
-    let too_small = Scheduler::new(&graph, &catalog, &system, tiny)
+    // The same catalog scheduled on a chip with 1 KiB of usable SRAM.
+    let mut tiny = system.clone();
+    tiny.chip.sram_per_core = tiny.chip.io_buffer_per_core + Bytes::kib(1);
+    let too_small = Scheduler::new(&graph, &catalog, &tiny)
         .schedule(&identity_order(graph.len()))
         .expect_err("nothing fits 1 KiB");
-    let no_order = Compiler::with_cost_model(
-        system.clone(),
-        cost,
-        CompilerOptions {
-            schedule: tiny,
-            threads: 1,
-            ..CompilerOptions::default()
-        },
-    )
-    .compile_with_catalog(&graph, &catalog)
-    .expect_err("no order is feasible");
+    let opts = CompilerOptions {
+        threads: 1,
+        ..CompilerOptions::default()
+    };
+    let no_order =
+        compile_with_catalog(&tiny, &opts, &graph, &catalog).expect_err("no order is feasible");
     assert_eq!(
         rejected.to_string(),
         "invalid preload order: order forces 4 resident preloads at l1.attn_context but nesting allows 2"

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use elk_core::{
     allocate, candidate_orders, evaluate, identity_order, pareto_frontier, rank_schedule, Catalog,
-    DeviceProgram, FrontierPoint, ReorderOptions, ScheduleOptions, Scheduler,
+    DeviceProgram, FrontierPoint, ReorderOptions, Scheduler,
 };
 use elk_cost::AnalyticDevice;
 use elk_hw::presets;
@@ -128,7 +128,7 @@ proptest! {
         let catalog = Catalog::build(&graph, &Partitioner::new(&system.chip, &device))
             .expect("every drawn graph fits the chip");
         let usable = system.chip.usable_sram_per_core();
-        let scheduler = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default());
+        let scheduler = Scheduler::new(&graph, &catalog, &system);
         // Every layer-uniform order, not only the default search's.
         let reorder = ReorderOptions { max_edit_distance: None, ..ReorderOptions::default() };
         for cand in candidate_orders(&graph, &catalog, usable, &reorder) {
@@ -172,7 +172,7 @@ fn backward_pass_estimate_tracks_forward_evaluation() {
     let device = AnalyticDevice::of_chip(&system.chip);
     let partitioner = Partitioner::new(&system.chip, &device);
     let catalog = Catalog::build(&graph, &partitioner).unwrap();
-    let scheduler = Scheduler::new(&graph, &catalog, &system, ScheduleOptions::default());
+    let scheduler = Scheduler::new(&graph, &catalog, &system);
     let sched = scheduler.schedule(&identity_order(graph.len())).unwrap();
     let prog = DeviceProgram::lower(&graph, &catalog, &sched);
     let est = evaluate(&prog, system.chip.usable_sram_per_core());
@@ -187,8 +187,9 @@ fn backward_pass_estimate_tracks_forward_evaluation() {
 
 #[test]
 fn preload_number_zero_for_every_op_matches_serial_program() {
-    // With max_preload_number = 0, the schedule degenerates to strict
-    // alternation: no preload may overlap any execution.
+    // A schedule whose every operator overlaps no preload (cut just past
+    // itself) lowers to strict alternation: no preload may overlap any
+    // execution.
     let system = presets::ipu_pod4();
     let mut cfg = zoo::opt_30b();
     cfg.layers = 2;
@@ -196,15 +197,17 @@ fn preload_number_zero_for_every_op_matches_serial_program() {
     let device = AnalyticDevice::of_chip(&system.chip);
     let partitioner = Partitioner::new(&system.chip, &device);
     let catalog = Catalog::build(&graph, &partitioner).unwrap();
-    let opts = ScheduleOptions {
-        max_preload_number: Some(0),
-        ..ScheduleOptions::default()
-    };
-    let scheduler = Scheduler::new(&graph, &catalog, &system, opts);
-    let sched = scheduler.schedule(&identity_order(graph.len())).unwrap();
-    assert!(sched.per_op.iter().all(|s| s.preload_number == 0));
+    let scheduler = Scheduler::new(&graph, &catalog, &system);
+    let mut sched = scheduler.schedule(&identity_order(graph.len())).unwrap();
+    for (i, s) in sched.per_op.iter_mut().enumerate() {
+        s.exec_len -= s.contention;
+        s.contention = Seconds::ZERO;
+        s.preload_number = 0;
+        s.cut = i + 1;
+    }
     let prog = DeviceProgram::lower(&graph, &catalog, &sched);
     let est = evaluate(&prog, system.chip.usable_sram_per_core());
+    assert_eq!(est.capacity_violations, 0);
     assert!(
         est.overlap_fraction() < 0.05,
         "serial schedule overlapped {:.1}%",

@@ -13,11 +13,10 @@
 //! - [`ObsBuf`]: a plain buffer of events + counters + histograms that
 //!   worker threads fill locally and the parent absorbs in elk-par
 //!   index order;
-//! - [`Recorder`]: the object-safe sink trait, with [`NullRecorder`]
-//!   (all methods no-ops, `enabled() == false`) and [`MemRecorder`]
-//!   (a mutex-guarded [`ObsBuf`]);
-//! - [`Obs`]: the cheap cloneable handle the engines carry, bundling a
-//!   recorder with a per-run sampling cap for high-volume tracks;
+//! - [`MemRecorder`]: the sink, a mutex-guarded [`ObsBuf`];
+//! - [`Obs`]: the cheap cloneable handle the engines carry, bundling an
+//!   optional recorder (none = recording off, every call a no-op) with
+//!   a per-run sampling cap for high-volume tracks;
 //! - [`export`]: Chrome-trace-format JSON (open in Perfetto or
 //!   `chrome://tracing`) and a flat metrics JSON.
 //!
@@ -38,7 +37,6 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use elk_units::Seconds;
@@ -238,34 +236,10 @@ impl ObsBuf {
     }
 }
 
-/// An observation sink. Object-safe; every method defaults to a no-op
-/// so a disabled recorder costs one virtual call at most (and the
-/// [`Obs`] handle skips even that when `enabled()` is false).
-pub trait Recorder: Send + Sync + fmt::Debug {
-    /// `false` means callers may skip building events entirely.
-    fn enabled(&self) -> bool {
-        false
-    }
-    /// Stores one event.
-    fn record(&self, _event: TraceEvent) {}
-    /// Adds `delta` to a named counter.
-    fn counter(&self, _name: &str, _delta: u64) {}
-    /// Records one histogram observation.
-    fn histogram(&self, _name: &str, _value: f64) {}
-    /// Folds a locally-built buffer in (call in deterministic order).
-    fn absorb(&self, _buf: ObsBuf) {}
-}
-
-/// The disabled recorder: drops everything, reports `enabled() == false`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {}
-
 /// An in-memory recorder: a mutex-guarded [`ObsBuf`].
 ///
 /// The mutex serializes access but never ordering-dependent state:
-/// parallel engines record into *local* buffers and [`Recorder::absorb`]
+/// parallel engines record into *local* buffers and [`Obs::absorb`]
 /// them in index order, so the lock is only contended on counters.
 #[derive(Debug, Default)]
 pub struct MemRecorder {
@@ -284,14 +258,9 @@ impl MemRecorder {
     pub fn take_buf(&self) -> ObsBuf {
         std::mem::take(&mut *self.buf.lock().expect("obs buffer poisoned"))
     }
-}
 
-impl Recorder for MemRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&self, event: TraceEvent) {
+    /// Stores one event.
+    pub fn record(&self, event: TraceEvent) {
         self.buf
             .lock()
             .expect("obs buffer poisoned")
@@ -299,12 +268,14 @@ impl Recorder for MemRecorder {
             .push(event);
     }
 
-    fn counter(&self, name: &str, delta: u64) {
+    /// Adds `delta` to a named counter.
+    pub fn counter(&self, name: &str, delta: u64) {
         let mut buf = self.buf.lock().expect("obs buffer poisoned");
         *buf.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    fn histogram(&self, name: &str, value: f64) {
+    /// Records one histogram observation.
+    pub fn histogram(&self, name: &str, value: f64) {
         let mut buf = self.buf.lock().expect("obs buffer poisoned");
         buf.hists
             .entry(name.to_string())
@@ -312,7 +283,8 @@ impl Recorder for MemRecorder {
             .observe(value);
     }
 
-    fn absorb(&self, other: ObsBuf) {
+    /// Folds a locally-built buffer in (call in deterministic order).
+    pub fn absorb(&self, other: ObsBuf) {
         self.buf.lock().expect("obs buffer poisoned").absorb(other);
     }
 }
@@ -320,12 +292,12 @@ impl Recorder for MemRecorder {
 /// The handle engines carry: a shared recorder plus the sampling cap
 /// for high-volume tracks (per-request lanes, kernel dispatch spans).
 ///
-/// Cloning is cheap (`Arc` bump). The default handle is the null
-/// recorder, so instrumented code paths cost one boolean check when
-/// observability is off.
+/// Cloning is cheap (`Arc` bump). The default handle holds no recorder,
+/// so instrumented code paths cost one `None` check when observability
+/// is off.
 #[derive(Debug, Clone)]
 pub struct Obs {
-    rec: Arc<dyn Recorder>,
+    rec: Option<Arc<MemRecorder>>,
     sample: u64,
 }
 
@@ -340,7 +312,7 @@ impl Obs {
     #[must_use]
     pub fn null() -> Self {
         Obs {
-            rec: Arc::new(NullRecorder),
+            rec: None,
             sample: 0,
         }
     }
@@ -348,14 +320,17 @@ impl Obs {
     /// Wraps a recorder with a sampling cap (`sample` = how many
     /// indexed items — requests, dispatches — get full event lanes).
     #[must_use]
-    pub fn new(rec: Arc<dyn Recorder>, sample: u64) -> Self {
-        Obs { rec, sample }
+    pub fn new(rec: Arc<MemRecorder>, sample: u64) -> Self {
+        Obs {
+            rec: Some(rec),
+            sample,
+        }
     }
 
-    /// `true` when the underlying recorder keeps events.
+    /// `true` when the handle holds a recorder.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.rec.enabled()
+        self.rec.is_some()
     }
 
     /// The sampling cap.
@@ -380,8 +355,8 @@ impl Obs {
         dur: Seconds,
         args: &[(&str, String)],
     ) {
-        if self.enabled() {
-            self.rec.record(TraceEvent::Span {
+        if let Some(rec) = &self.rec {
+            rec.record(TraceEvent::Span {
                 track: track.to_string(),
                 name: name.to_string(),
                 start,
@@ -396,8 +371,8 @@ impl Obs {
 
     /// Records an instant marker.
     pub fn instant(&self, track: &str, name: &str, time: Seconds, args: &[(&str, String)]) {
-        if self.enabled() {
-            self.rec.record(TraceEvent::Instant {
+        if let Some(rec) = &self.rec {
+            rec.record(TraceEvent::Instant {
                 track: track.to_string(),
                 name: name.to_string(),
                 time,
@@ -411,8 +386,8 @@ impl Obs {
 
     /// Records one sample of a numeric series.
     pub fn gauge(&self, track: &str, name: &str, time: Seconds, value: f64) {
-        if self.enabled() {
-            self.rec.record(TraceEvent::Gauge {
+        if let Some(rec) = &self.rec {
+            rec.record(TraceEvent::Gauge {
                 track: track.to_string(),
                 name: name.to_string(),
                 time,
@@ -423,23 +398,23 @@ impl Obs {
 
     /// Adds `delta` to a named counter.
     pub fn counter(&self, name: &str, delta: u64) {
-        if self.enabled() {
-            self.rec.counter(name, delta);
+        if let Some(rec) = &self.rec {
+            rec.counter(name, delta);
         }
     }
 
     /// Records a latency observation into a named histogram.
     pub fn histogram(&self, name: &str, value: Seconds) {
-        if self.enabled() {
-            self.rec.histogram(name, value.as_secs());
+        if let Some(rec) = &self.rec {
+            rec.histogram(name, value.as_secs());
         }
     }
 
     /// Folds a locally-built buffer into the shared recorder. Call in
     /// deterministic (elk-par index) order.
     pub fn absorb(&self, buf: ObsBuf) {
-        if self.enabled() && !buf.is_empty() {
-            self.rec.absorb(buf);
+        if let Some(rec) = self.rec.as_ref().filter(|_| !buf.is_empty()) {
+            rec.absorb(buf);
         }
     }
 }
@@ -494,13 +469,43 @@ mod tests {
     }
 
     #[test]
-    fn null_recorder_drops_everything() {
+    fn null_handle_records_nothing_and_a_recorder_keeps_call_order() {
         let obs = Obs::null();
         assert!(!obs.enabled());
         assert!(!obs.sampled(0));
         obs.span("t", "s", Seconds::ZERO, Seconds::ZERO, &[]);
         obs.counter("c", 1);
-        // Nothing to assert beyond "does not panic": NullRecorder has no state.
+        obs.absorb(ObsBuf {
+            counters: BTreeMap::from([("c".to_string(), 1)]),
+            ..ObsBuf::default()
+        });
+        assert!(obs.rec.is_none(), "the null handle holds no recorder");
+
+        let rec = Arc::new(MemRecorder::new());
+        let obs = Obs::new(rec.clone(), 1);
+        assert!(obs.enabled());
+        assert!(obs.sampled(0));
+        for name in ["first", "second", "third"] {
+            let mut buf = ObsBuf::default();
+            buf.events.push(TraceEvent::Instant {
+                track: "x".into(),
+                name: name.into(),
+                time: Seconds::ZERO,
+                args: vec![],
+            });
+            obs.absorb(buf);
+        }
+        obs.instant("x", "fourth", Seconds::ZERO, &[]);
+        let names: Vec<_> = rec
+            .take_buf()
+            .events
+            .iter()
+            .map(|e| match e {
+                TraceEvent::Instant { name, .. } => name.clone(),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(names, ["first", "second", "third", "fourth"]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use elk_obs::export::{chrome_trace, metrics};
-use elk_obs::{Histogram, MemRecorder, Obs, ObsBuf, Recorder};
+use elk_obs::{Histogram, MemRecorder, Obs, ObsBuf};
 use elk_units::Seconds;
 use proptest::prelude::*;
 

@@ -711,7 +711,6 @@ impl ClusterSpec {
         }
         Ok(ClusterOptions {
             microbatches: self.microbatches,
-            baseline: true,
             threads: self.threads,
         })
     }

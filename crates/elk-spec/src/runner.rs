@@ -38,6 +38,15 @@ impl From<ClusterError> for SpecError {
     }
 }
 
+/// Prefixes the scenario path `path` to a cluster engine's
+/// [`ClusterError::Invalid`] message.
+fn cluster_at(path: &str) -> impl FnOnce(ClusterError) -> SpecError + '_ {
+    move |e| match e {
+        ClusterError::Invalid(msg) => SpecError::Invalid(format!("{path}: {msg}")),
+        e => e.into(),
+    }
+}
+
 /// The base runner of one run of `spec`: a fresh fit for the
 /// scenario's system, from which every runner of the run derives.
 ///
@@ -419,12 +428,7 @@ pub fn run_cluster_observed(
         Some(plan) => {
             let report = estimator
                 .estimate(&model, workload, design, &sim, plan)
-                .map_err(|e| match e {
-                    ClusterError::Invalid(msg) => {
-                        SpecError::Invalid(format!("cluster.plan: {msg}"))
-                    }
-                    e => e.into(),
-                })?;
+                .map_err(cluster_at("cluster.plan"))?;
             (false, None, report)
         }
         None => {
@@ -463,17 +467,13 @@ pub fn run_cluster_observed(
                 base.with_system(system.clone()),
                 config.clone(),
                 auto.to_config()?,
-            )?;
+            )
+            .map_err(cluster_at("cluster.autoscale"))?;
             engine.set_obs(obs.clone());
             let rows: Result<_, ClusterError> =
                 designs.iter().map(|&d| engine.run(d, &trace)).collect();
             // A run's one spec error: a controller that ticks too often.
-            autoscale = Some(rows.map_err(|e| match e {
-                ClusterError::Invalid(msg) => {
-                    SpecError::Invalid(format!("cluster.autoscale.interval_ms: {msg}"))
-                }
-                e => e.into(),
-            })?);
+            autoscale = Some(rows.map_err(cluster_at("cluster.autoscale.interval_ms"))?);
         }
         if let Some(split) = &cluster.disaggregate {
             let (prefill, decode) = split.to_plans();
@@ -488,7 +488,8 @@ pub fn run_cluster_observed(
                     shared_chips: split.shared_chips,
                     ..DisaggConfig::new(config.model.clone(), prefill, decode)
                 },
-            )?;
+            )
+            .map_err(cluster_at("cluster.disaggregate"))?;
             engine.set_obs(obs.clone());
             disagg = Some(per_design_and_policy(designs, &cluster.router, |d, p| {
                 engine.run(d, p, &trace)

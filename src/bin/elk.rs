@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use elk::obs::{export, MemRecorder, Obs, Recorder};
+use elk::obs::{export, MemRecorder, Obs};
 use elk::spec::{runner, ScenarioSpec, SpecError};
 use serde::{Serialize, Value};
 
@@ -271,7 +271,7 @@ fn run_scenario(command: &str, opts: &ScenarioArgs) -> Result<(), Fail> {
     let timeline_out = timeline_destination(command, opts, &spec)?;
     let recorder = timeline_out.as_ref().map(|_| Arc::new(MemRecorder::new()));
     let obs = recorder.as_ref().map_or_else(Obs::null, |rec| {
-        Obs::new(Arc::clone(rec) as Arc<dyn Recorder>, spec.observe.sample)
+        Obs::new(Arc::clone(rec), spec.observe.sample)
     });
 
     let report: Value = match command {

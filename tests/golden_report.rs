@@ -10,6 +10,7 @@
 //! cross-platform libm differences.
 
 use elk::compiler::Catalog;
+use elk::cost::LearnedCostModel;
 use elk::partition::Partitioner;
 use elk::prelude::*;
 
@@ -104,6 +105,7 @@ fn small_llama_decode_on_ipu_pod4_matches_pinned_report() {
 #[test]
 fn compilation_is_thread_count_invariant_across_the_zoo() {
     let system = presets::ipu_pod4();
+    let cost = LearnedCostModel::of_chip(&system.chip);
     for mut cfg in [zoo::llama2_13b(), zoo::gemma2_27b(), zoo::opt_30b()] {
         cfg.layers = 2; // the plan space repeats per layer
         let name = cfg.name.clone();
@@ -117,10 +119,9 @@ fn compilation_is_thread_count_invariant_across_the_zoo() {
         let par = Compiler::with_options(system.clone(), opts(8));
 
         // Catalogs: per-operator plan lists and frontiers.
-        let p_seq = Partitioner::new(&system.chip, seq.cost_model());
-        let p_par = Partitioner::new(&system.chip, par.cost_model());
-        let cat_seq = Catalog::build_par(&graph, &p_seq, 1).expect("catalog");
-        let cat_par = Catalog::build_par(&graph, &p_par, 8).expect("catalog");
+        let partitioner = Partitioner::new(&system.chip, &cost);
+        let cat_seq = Catalog::build_par(&graph, &partitioner, 1).expect("catalog");
+        let cat_par = Catalog::build_par(&graph, &partitioner, 8).expect("catalog");
         assert_eq!(cat_seq.len(), cat_par.len());
         for i in 0..cat_seq.len() {
             let id = elk::model::OpId(i);

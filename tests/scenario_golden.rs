@@ -569,6 +569,64 @@ fn sizes_past_their_limits_exit_2_naming_the_field() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Replica-group counts past `ParallelismPlan::MAX_GROUPS` on a pod that
+/// holds them (2⁶⁴−1 chips of 1472 cores) are spec errors naming the
+/// field: disaggregated pools of 2⁶² groups each once panicked on a
+/// capacity overflow (101), and 2⁴⁰ autoscale groups aborted on a
+/// 220 TB allocation (134).
+#[test]
+fn huge_group_counts_exit_2_naming_the_field() {
+    use serde::Value;
+    let dir = std::env::temp_dir().join(format!("elk-groups-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let custom: Value =
+        serde_json::from_str(&read_scenario("custom_chip_dse.json")).expect("valid JSON");
+    let mut pod = custom.get("system").expect("custom chip system").clone();
+    set_path(&mut pod, "chip.cores", Value::U64(1472)).unwrap();
+    set_path(&mut pod, "chips", Value::U64(u64::MAX)).unwrap();
+    let cases: [(&str, &[&str], u64, &str); 2] = [
+        (
+            "disagg_chat.json",
+            &[
+                "cluster.disaggregate.prefill.dp",
+                "cluster.disaggregate.decode.dp",
+            ],
+            1 << 62,
+            "cluster.disaggregate: prefill pool: tp1·pp1·dp4611686018427387904: dp must be at most 1024",
+        ),
+        (
+            "autoscale_burst.json",
+            &["cluster.autoscale.max_groups"],
+            1 << 40,
+            "cluster.autoscale: autoscale max_groups (1099511627776) must be at most 1024",
+        ),
+    ];
+    for (base, paths, groups, message) in cases {
+        let mut doc: Value = serde_json::from_str(&read_scenario(base)).expect("valid JSON");
+        set_path(&mut doc, "system", pod.clone()).unwrap();
+        for path in paths {
+            set_path(&mut doc, path, Value::U64(groups)).unwrap();
+        }
+        let scenario = dir.join("groups.json");
+        std::fs::write(&scenario, serde_json::to_string(&doc).expect("serializes"))
+            .expect("write scenario");
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+            .arg("cluster")
+            .arg(&scenario)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .expect("spawn elk");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{base}: {stderr}");
+        assert!(
+            stderr.contains(message),
+            "{base} must say `{message}`: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A typo'd sweep axis is a spec error (exit 2) that names the unknown
 /// key and lists the valid keys at its level, and no report is written.
 #[test]
