@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # BENCH.json regression guard, shared by every bench step in CI.
 #
-# A bench binary writing into a results directory must *merge* with the
+# `repro` writing into a results directory must *merge* with the
 # experiments already consolidated there — upsert, not clobber. This
 # script asserts that contract after each upsert: every experiment id
 # the caller names must still be present, and every report in the

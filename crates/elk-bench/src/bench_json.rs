@@ -11,9 +11,8 @@
 //!   (events/sec, peak RSS). These are wall-clock-derived, vary run to
 //!   run, and are excluded from every byte-identity check.
 //!
-//! [`update`] merges by experiment id, so the `scale` binary can
-//! refresh its own entry without clobbering a `repro_all` snapshot
-//! (and vice versa).
+//! [`update`] merges by experiment id, so `repro scale` can refresh its
+//! own entry without clobbering a `repro all` snapshot (and vice versa).
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -22,12 +22,12 @@ pub struct Ctx {
     /// Worker threads for compiler-side parallel sections (catalog
     /// construction, order evaluation, serving cache fan-out). Defaults
     /// to `ELK_THREADS` if set and valid, else all available cores; the
-    /// bench binaries override it from `--threads` via [`bin_ctx`].
+    /// `repro` binary overrides it from `--threads`.
     /// Experiment outputs are byte-identical at any setting.
     pub threads: usize,
     /// Headline metrics recorded via [`Ctx::metric`], in insertion
-    /// order. `repro_all` consolidates them into `results/BENCH.json`
-    /// so successive PRs can diff performance machine-readably.
+    /// order. `repro` upserts them into `results/BENCH.json` so
+    /// successive PRs can diff performance machine-readably.
     metrics: Vec<(String, f64)>,
     /// Measured (wall-clock-derived) metrics recorded via
     /// [`Ctx::perf`]: events/sec, peak RSS. Kept separate from
@@ -123,8 +123,8 @@ impl Ctx {
 
     /// The resolved results directory this context writes into — the
     /// single source of the `--out` / `ELK_RESULTS_DIR` policy, so
-    /// consolidators (`repro_all`'s `BENCH.json`) land next to the
-    /// per-experiment files by construction.
+    /// `repro`'s `BENCH.json` lands next to the per-experiment files by
+    /// construction.
     #[must_use]
     pub fn results_dir(&self) -> &std::path::Path {
         &self.results_dir
@@ -202,9 +202,8 @@ pub fn peak_rss_bytes() -> Option<u64> {
 
 /// Extracts `--out DIR` (or `--out=DIR`) from an argument stream,
 /// returning the directory and the remaining arguments in order — the
-/// output-path counterpart of [`elk_par::parse_threads`], shared by
-/// every fig/table/repro bench binary so none of them hardcodes
-/// `results/`.
+/// output-path counterpart of [`elk_par::parse_threads`], so the
+/// `repro` binary hardcodes no `results/`.
 ///
 /// # Errors
 ///
@@ -216,35 +215,6 @@ pub fn parse_out(
     let (values, rest) = elk_par::extract_flag("--out", args)
         .map_err(|_| "--out requires a directory; omit it to write to results/".to_string())?;
     Ok((values.last().map(PathBuf::from), rest))
-}
-
-/// Creates the context for a bench binary: like [`Ctx::new`] but with
-/// the thread count taken from a `--threads N` command-line flag
-/// (default: all available cores; `ELK_THREADS` is honored too) and
-/// the results directory from `--out DIR` (default: `results/`, or
-/// `ELK_RESULTS_DIR`). Prints a usage error and exits 2 on an invalid
-/// value — a zero thread count included — mirroring the examples'
-/// model-name handling.
-#[must_use]
-pub fn bin_ctx(id: &str) -> Ctx {
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
-    let parsed = elk_par::parse_threads(std::env::args().skip(1)).unwrap_or_else(|e| fail(e));
-    let (out, rest) = parse_out(parsed.rest).unwrap_or_else(|e| fail(e));
-    // A misspelled flag must not silently run with defaults — the
-    // typo-safety rule the scenario layer enforces for its files.
-    if let Some(unknown) = rest.iter().find(|arg| arg.starts_with('-')) {
-        fail(format!(
-            "unknown flag '{unknown}': the bench binaries accept --threads N and --out DIR"
-        ));
-    }
-    let ctx = Ctx::new(id).with_threads(parsed.threads);
-    match out {
-        Some(dir) => ctx.with_results_dir(dir),
-        None => ctx,
-    }
 }
 
 /// The paper's default platform: IPU-POD4 + 16 TB/s pod HBM (§6.1).

@@ -8,9 +8,9 @@ use serde::Serialize;
 use elk_baselines::{Design, DesignRunner};
 use elk_hw::SramContention;
 use elk_model::{zoo, Workload};
-use elk_sim::SimOptions;
 
 use crate::ctx::{build_llm, default_system, Ctx};
+use crate::experiments::run_point;
 
 /// One SRAM-scaling point.
 #[derive(Debug, Serialize)]
@@ -41,14 +41,10 @@ pub fn run(ctx: &mut Ctx) {
     ] {
         let mut system = default_system();
         system.chip.sram_contention = contention;
-        let outs = base
-            .with_system(system)
-            .run_designs(
-                &[Design::Basic, Design::ElkFull, Design::Ideal],
-                &graph,
-                &SimOptions::default(),
-            )
-            .expect("designs");
+        let designs = [Design::Basic, Design::ElkFull, Design::Ideal];
+        let Some(outs) = run_point(ctx, &base.with_system(system), &designs, &graph, label) else {
+            continue;
+        };
         for o in &outs {
             cells.push(vec![
                 label.to_string(),

@@ -4,16 +4,17 @@
 //!
 //! Not a paper figure: the paper evaluates one tensor-parallel layout;
 //! this experiment explores every layout the pod supports and reports
-//! the grid, the winner, and its pipeline timeline.
+//! the grid, the winner, and its pipeline timeline. It replays the
+//! checked-in `scenarios/pod4_llama_tp_pp.json` through `elk cluster`'s
+//! runner.
 
 use serde::Serialize;
 
-use elk_baselines::Design;
-use elk_cluster::{ClusterEstimator, ClusterOptions};
-use elk_model::Workload;
-use elk_sim::SimOptions;
+use elk_spec::runner::run_cluster;
+use elk_spec::spec::ModelSpec;
 
-use crate::ctx::{default_system, Ctx};
+use crate::ctx::Ctx;
+use crate::experiments::scenario;
 
 /// One `(tp, pp, dp)` candidate's outcome.
 #[derive(Debug, Serialize)]
@@ -33,34 +34,29 @@ pub struct Row {
 /// Runs the experiment.
 pub fn run(ctx: &mut Ctx) {
     ctx.header("Cluster: (tp, pp, dp) auto-parallelism over the IPU-POD4");
-    // Quick mode trims the model so the grid stays seconds-scale; the
-    // layout ordering is depth-independent for a homogeneous stack.
-    let mut model = elk_model::zoo::llama2_13b();
-    if !ctx.full {
-        model.layers = 4;
-    }
-    let workload = Workload::decode(32, 2048);
-    let est = ClusterEstimator::new(
-        default_system(),
-        ClusterOptions {
-            threads: ctx.threads,
-            ..ClusterOptions::default()
-        },
+    // The scenario trims the model to 4 layers so the grid stays
+    // seconds-scale; the layout ordering is depth-independent for a
+    // homogeneous stack. Full mode runs the full depth.
+    let mut spec = scenario(
+        ctx,
+        include_str!("../../../../scenarios/pod4_llama_tp_pp.json"),
     );
-    let outcome = est
-        .search(&model, workload, Design::ElkFull, &SimOptions::default())
-        .expect("the pod4 grid has feasible plans");
+    if let (true, ModelSpec::Zoo { layers, .. }) = (ctx.full, &mut spec.model) {
+        *layers = None;
+    }
+    let report = run_cluster(&spec).expect("the pod4 grid has feasible plans");
 
-    let best = outcome.best.plan;
-    let rows: Vec<Row> = outcome
+    let e = &report.estimate;
+    let rows: Vec<Row> = report
         .candidates
+        .expect("the scenario pins no plan, so the grid is searched")
         .iter()
         .map(|c| Row {
             tp: c.plan.tp,
             pp: c.plan.pp,
             dp: c.plan.dp,
             step_ms: c.step_total.map(|t| t.as_millis()),
-            chosen: c.plan == best,
+            chosen: c.plan == e.plan,
         })
         .collect();
     let cells: Vec<Vec<String>> = rows
@@ -78,7 +74,6 @@ pub fn run(ctx: &mut Ctx) {
         .collect();
     ctx.table(&["tp", "pp", "dp", "step(ms)", ""], &cells);
 
-    let e = &outcome.best;
     ctx.line("");
     ctx.line(format!(
         "chosen {} on {} of {} chips: step {:.3} ms, bubble {:.1}%, scaling efficiency {}",

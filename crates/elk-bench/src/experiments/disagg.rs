@@ -15,19 +15,19 @@
 //! * on the **chat-heavy** trace, decode capacity binds — colocated
 //!   brings four decode-capable groups to the disaggregated layout's
 //!   two — so colocation wins or ties.
+//!
+//! Each mix is a checked-in scenario (`scenarios/disagg_longprompt.json`,
+//! `scenarios/disagg_chat.json`) replayed through `elk cluster`'s runner;
+//! full mode only lengthens the traces.
 
 use serde::Serialize;
 
-use elk_baselines::{Design, DesignRunner};
-use elk_cluster::{
-    ClusterServeConfig, ClusterServingSim, DisaggConfig, DisaggServingSim, ParallelismPlan,
-};
-use elk_model::{zoo, SeqBuckets, TransformerConfig};
-use elk_serve::{BatchConfig, RequestTrace, RouterPolicy, SloConfig, TraceConfig};
-use elk_trace::{LengthModel, RateShape, TraceGenConfig};
-use elk_units::Seconds;
+use elk_obs::Obs;
+use elk_spec::runner::{base_runner, resolve_trace, run_cluster_observed};
+use elk_spec::TraceSourceSpec;
 
-use crate::ctx::{default_system, Ctx};
+use crate::ctx::Ctx;
+use crate::experiments::scenario;
 
 /// One serving layout's outcome on one trace.
 #[derive(Debug, Serialize)]
@@ -52,138 +52,6 @@ pub struct Row {
     pub handoff_total_ms: f64,
 }
 
-/// The model and batching knobs every layout shares.
-fn tiny_model() -> TransformerConfig {
-    let mut model = zoo::llama2_13b();
-    model.layers = 2;
-    model
-}
-
-fn batch() -> BatchConfig {
-    BatchConfig {
-        max_batch: 8,
-        max_prefill_tokens: 4096,
-        seq_buckets: SeqBuckets::new(256, 4096),
-        bucket_batch: true,
-    }
-}
-
-/// A long-prompt-heavy mix: heavy-tail prompts up to 2048 tokens with
-/// interactive outputs and a tight TPOT SLO the mega prefills threaten.
-fn longprompt_trace(requests: usize) -> RequestTrace {
-    TraceGenConfig {
-        trace: TraceConfig {
-            seed: 808,
-            requests,
-            rate: RateShape::BurstTrain {
-                base_rps: 40.0,
-                burst_rps: 400.0,
-                period_s: 1.0,
-                burst_s: 0.2,
-            },
-            prompt_len: LengthModel::HeavyTail {
-                lo: 128,
-                alpha: 1.2,
-                cap: 2048,
-            },
-            output_len: LengthModel::Uniform { lo: 24, hi: 64 },
-        },
-        tenants: 3,
-    }
-    .generate()
-    .to_request_trace()
-}
-
-/// A chat-heavy mix: short prompts, long outputs, high rate — decode
-/// capacity is the binding resource.
-fn chat_trace(requests: usize) -> RequestTrace {
-    TraceGenConfig {
-        trace: TraceConfig {
-            seed: 909,
-            requests,
-            rate: RateShape::BurstTrain {
-                base_rps: 300.0,
-                burst_rps: 900.0,
-                period_s: 0.5,
-                burst_s: 0.15,
-            },
-            prompt_len: LengthModel::Uniform { lo: 64, hi: 256 },
-            output_len: LengthModel::Uniform { lo: 32, hi: 96 },
-        },
-        tenants: 3,
-    }
-    .generate()
-    .to_request_trace()
-}
-
-/// Runs one trace through both layouts, on runners derived from
-/// `base`, and returns the two rows.
-fn compare(
-    ctx: &Ctx,
-    base: &DesignRunner,
-    label: &str,
-    trace: &RequestTrace,
-    slo: SloConfig,
-) -> Vec<Row> {
-    let system = base.system();
-    let design = Design::ElkFull;
-    let policy = RouterPolicy::LeastOutstanding;
-
-    let mut colo = ClusterServingSim::new(
-        base.with_system(system.clone()),
-        ClusterServeConfig {
-            batch: batch(),
-            slo,
-            threads: ctx.threads,
-            ..ClusterServeConfig::new(tiny_model(), ParallelismPlan::new(1, 1, 4))
-        },
-    )
-    .expect("colocated config is valid");
-    let c = colo.run(design, policy, trace).expect("colocated run");
-
-    let mut disagg = DisaggServingSim::new(
-        base.with_system(system.clone()),
-        DisaggConfig {
-            batch: batch(),
-            slo,
-            threads: ctx.threads,
-            chunk_tokens: 512,
-            ..DisaggConfig::new(
-                tiny_model(),
-                ParallelismPlan::new(1, 1, 2),
-                ParallelismPlan::new(1, 1, 2),
-            )
-        },
-    )
-    .expect("disagg config is valid");
-    let d = disagg.run(design, policy, trace).expect("disagg run");
-
-    vec![
-        Row {
-            trace: label.to_string(),
-            layout: "colocated".to_string(),
-            completed: c.completed,
-            ttft_p99_ms: c.ttft.p99.as_millis(),
-            tpot_p99_ms: c.tpot.p99.as_millis(),
-            slo_attainment: c.slo_attainment,
-            goodput_rps: c.goodput_rps,
-            kv_moved_mib: 0.0,
-            handoff_total_ms: 0.0,
-        },
-        Row {
-            trace: label.to_string(),
-            layout: "disagg".to_string(),
-            completed: d.completed,
-            ttft_p99_ms: d.ttft.p99.as_millis(),
-            tpot_p99_ms: d.tpot.p99.as_millis(),
-            slo_attainment: d.slo_attainment,
-            goodput_rps: d.goodput_rps,
-            kv_moved_mib: d.kv_moved.get() as f64 / (1024.0 * 1024.0),
-            handoff_total_ms: d.handoff_total.as_millis(),
-        },
-    ]
-}
-
 /// Runs the experiment.
 ///
 /// # Panics
@@ -193,9 +61,29 @@ fn compare(
 /// colocation must win or tie on the chat-heavy trace.
 pub fn run(ctx: &mut Ctx) {
     ctx.header("Disaggregation: prefill/decode pools vs colocated batching, two mixes");
-    let (long_n, chat_n) = if ctx.full { (144, 192) } else { (48, 64) };
-    let longprompt = longprompt_trace(long_n);
-    let chat = chat_trace(chat_n);
+    let mixes = [
+        (
+            "longprompt",
+            include_str!("../../../../scenarios/disagg_longprompt.json"),
+            144,
+        ),
+        (
+            "chat",
+            include_str!("../../../../scenarios/disagg_chat.json"),
+            192,
+        ),
+    ]
+    .map(|(label, json, full_requests)| {
+        let mut spec = scenario(ctx, json);
+        if let (true, Some(TraceSourceSpec::Generate(recipe))) =
+            (ctx.full, &mut spec.workload.trace)
+        {
+            recipe.requests = full_requests;
+        }
+        let trace = resolve_trace(&spec).expect("the scenario's trace recipe is valid");
+        (label, spec, trace)
+    });
+    let [(_, _, longprompt), (_, _, chat)] = &mixes;
     ctx.line(format!(
         "longprompt: {} requests over {:.3} s; chat: {} requests over {:.3} s",
         longprompt.len(),
@@ -204,18 +92,36 @@ pub fn run(ctx: &mut Ctx) {
         chat.duration().as_secs()
     ));
 
-    let tight_tpot = SloConfig {
-        ttft: Seconds::from_millis(1000.0),
-        tpot: Seconds::from_millis(0.8),
-    };
-    let chat_slo = SloConfig {
-        ttft: Seconds::from_millis(100.0),
-        tpot: Seconds::from_millis(2.0),
-    };
-    // One fit for both traces and both layouts.
-    let base = DesignRunner::new(default_system());
-    let mut rows = compare(ctx, &base, "longprompt", &longprompt, tight_tpot);
-    rows.extend(compare(ctx, &base, "chat", &chat, chat_slo));
+    // One fit for both traces and both layouts: the mixes share a pod.
+    let base = base_runner(&mixes[0].1).expect("the pod4 preset is valid");
+    let mut rows = Vec::new();
+    for (label, spec, _) in &mixes {
+        let report = run_cluster_observed(&base, spec, &Obs::null()).expect("the scenario runs");
+        let c = &report.serving.expect("the scenario serves")[0];
+        let d = &report.disagg.expect("the scenario disaggregates")[0];
+        rows.push(Row {
+            trace: label.to_string(),
+            layout: "colocated".to_string(),
+            completed: c.completed,
+            ttft_p99_ms: c.ttft.p99.as_millis(),
+            tpot_p99_ms: c.tpot.p99.as_millis(),
+            slo_attainment: c.slo_attainment,
+            goodput_rps: c.goodput_rps,
+            kv_moved_mib: 0.0,
+            handoff_total_ms: 0.0,
+        });
+        rows.push(Row {
+            trace: label.to_string(),
+            layout: "disagg".to_string(),
+            completed: d.completed,
+            ttft_p99_ms: d.ttft.p99.as_millis(),
+            tpot_p99_ms: d.tpot.p99.as_millis(),
+            slo_attainment: d.slo_attainment,
+            goodput_rps: d.goodput_rps,
+            kv_moved_mib: d.kv_moved.get() as f64 / (1024.0 * 1024.0),
+            handoff_total_ms: d.handoff_total.as_millis(),
+        });
+    }
 
     let cells: Vec<Vec<String>> = rows
         .iter()

@@ -5,9 +5,9 @@ use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
 use elk_model::Workload;
-use elk_sim::SimOptions;
 
 use crate::ctx::{build_llm, default_system, llms, ms, Ctx};
+use crate::experiments::run_point;
 
 /// Per-token serving latency of one model/seq/batch point.
 #[derive(Debug, Serialize)]
@@ -42,9 +42,10 @@ pub fn run(ctx: &mut Ctx) {
         for &seq in seqs {
             for &b in &batches {
                 let graph = build_llm(&cfg, Workload::decode(b, seq));
-                let outs = runner
-                    .run_designs(&Design::ALL, &graph, &SimOptions::default())
-                    .expect("designs");
+                let point = format!("{} s{seq} b{b}", cfg.name);
+                let Some(outs) = run_point(ctx, &runner, &Design::ALL, &graph, point) else {
+                    continue;
+                };
                 let lat: Vec<f64> = outs.iter().map(|o| o.report.total.as_millis()).collect();
                 let mut row = vec![cfg.name.clone(), format!("s{seq}"), format!("b{b}")];
                 row.extend(outs.iter().map(|o| ms(o.report.total)));

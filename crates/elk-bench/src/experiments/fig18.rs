@@ -5,10 +5,9 @@
 use serde::Serialize;
 
 use elk_baselines::{Design, DesignRunner};
-use elk_sim::SimOptions;
 
 use crate::ctx::{build_llm, default_system, default_workload, llms, pct, Ctx};
-use crate::experiments::pod_tflops;
+use crate::experiments::{pod_tflops, run_point};
 
 /// Time-breakdown and utilization of one model under one design.
 #[derive(Debug, Serialize)]
@@ -45,9 +44,9 @@ pub fn run(ctx: &mut Ctx) {
 
     for cfg in llms() {
         let graph = build_llm(&cfg, default_workload());
-        let outs = runner
-            .run_designs(&Design::ALL, &graph, &SimOptions::default())
-            .expect("designs");
+        let Some(outs) = run_point(ctx, &runner, &Design::ALL, &graph, &cfg.name) else {
+            continue;
+        };
         for o in &outs {
             let b = o.report.buckets;
             cells.push(vec![

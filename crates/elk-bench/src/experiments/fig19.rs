@@ -1,13 +1,16 @@
 //! Fig. 19: per-token latency vs pod HBM bandwidth, all-to-all and mesh.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use serde::Serialize;
 
 use elk_baselines::{Design, DesignOutcome, DesignRunner};
 use elk_hw::presets;
-use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::{build_llm, default_workload, llms, Ctx};
+use crate::experiments::point_outcomes;
 
 /// Latency across designs for one topology/HBM point.
 #[derive(Debug, Serialize)]
@@ -23,12 +26,31 @@ pub struct Row {
 }
 
 /// One point of the sweep: topology label, model name, pod HBM
-/// bandwidth (TB/s) and each design's outcome in `Design::ALL` order.
-pub type Point = (String, String, f64, Vec<DesignOutcome>);
+/// bandwidth (TB/s) and each design's outcome in `Design::ALL` order,
+/// or the transcript line of an infeasible point.
+pub type Point = (String, String, f64, Result<Vec<DesignOutcome>, String>);
 
-/// The Fig. 19 sweep, which Fig. 21 reports from as well.
+thread_local! {
+    /// The last sweep run on this thread and the `Ctx::full` it ran at.
+    static LAST: RefCell<Option<(bool, Rc<[Point]>)>> = const { RefCell::new(None) };
+}
+
+/// The Fig. 19 sweep, which Fig. 21 reports from as well: run once per
+/// grid, so `repro fig19 fig21` sweeps once.
 #[must_use]
-pub fn sweep(ctx: &Ctx) -> Vec<Point> {
+pub fn sweep(ctx: &Ctx) -> Rc<[Point]> {
+    if let Some((_, points)) = LAST
+        .with_borrow(Clone::clone)
+        .filter(|(full, _)| *full == ctx.full)
+    {
+        return points;
+    }
+    let points: Rc<[Point]> = run_sweep(ctx).into();
+    LAST.set(Some((ctx.full, Rc::clone(&points))));
+    points
+}
+
+fn run_sweep(ctx: &Ctx) -> Vec<Point> {
     let bws: &[f64] = if ctx.full {
         &[4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0]
     } else {
@@ -52,10 +74,13 @@ pub fn sweep(ctx: &Ctx) -> Vec<Point> {
                 let system = topo_runner
                     .system()
                     .with_total_hbm_bandwidth(ByteRate::tib_per_sec(bw));
-                let outs = topo_runner
-                    .with_system(system)
-                    .run_designs(&Design::ALL, &graph, &SimOptions::default())
-                    .expect("designs");
+                let point = format!("{topo_name} {} hbm{bw:.0}", cfg.name);
+                let outs = point_outcomes(
+                    &topo_runner.with_system(system),
+                    &Design::ALL,
+                    &graph,
+                    point,
+                );
                 out.push((topo_name.to_string(), cfg.name.clone(), bw, outs));
             }
         }
@@ -75,6 +100,13 @@ pub fn report(ctx: &mut Ctx, data: &[Point]) {
     let mut rows = Vec::new();
     let mut cells = Vec::new();
     for (topo, model, bw, outs) in data {
+        let outs = match outs {
+            Ok(outs) => outs,
+            Err(line) => {
+                ctx.line(line);
+                continue;
+            }
+        };
         let lat: Vec<f64> = outs.iter().map(|o| o.report.total.as_millis()).collect();
         cells.push(vec![
             topo.clone(),

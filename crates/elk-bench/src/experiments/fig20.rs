@@ -6,10 +6,10 @@ use serde::Serialize;
 use elk_baselines::{Design, DesignRunner};
 use elk_hw::presets;
 use elk_model::zoo;
-use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::{build_llm, default_workload, Ctx};
+use crate::experiments::run_point;
 
 /// Time breakdown for one HBM-bandwidth point under one design.
 #[derive(Debug, Serialize)]
@@ -47,10 +47,11 @@ pub fn run(ctx: &mut Ctx) {
         let system = base
             .system()
             .with_total_hbm_bandwidth(ByteRate::tib_per_sec(bw));
-        let outs = base
-            .with_system(system)
-            .run_designs(&Design::ALL, &graph, &SimOptions::default())
-            .expect("designs");
+        let runner = base.with_system(system);
+        let Some(outs) = run_point(ctx, &runner, &Design::ALL, &graph, format!("hbm{bw:.0}"))
+        else {
+            continue;
+        };
         for o in &outs {
             let b = o.report.buckets;
             cells.push(vec![

@@ -31,6 +31,13 @@ pub fn report(ctx: &mut Ctx, data: &[fig19::Point]) {
     let mut rows = Vec::new();
     let mut cells = Vec::new();
     for (topo, model, bw, outs) in data {
+        let outs = match outs {
+            Ok(outs) => outs,
+            Err(line) => {
+                ctx.line(line);
+                continue;
+            }
+        };
         let util: Vec<f64> = outs.iter().map(|o| o.report.noc_util).collect();
         cells.push(vec![
             topo.clone(),

@@ -6,10 +6,10 @@ use serde::Serialize;
 use elk_baselines::{Design, DesignRunner};
 use elk_hw::{presets, SystemConfig};
 use elk_model::zoo;
-use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::{build_llm, default_workload, Ctx};
+use crate::experiments::run_point;
 
 /// Latency across designs for one NoC/HBM bandwidth point.
 #[derive(Debug, Serialize)]
@@ -55,10 +55,11 @@ pub fn run(ctx: &mut Ctx) {
                 let system = noc_runner
                     .system()
                     .with_total_hbm_bandwidth(ByteRate::tib_per_sec(hbm));
-                let outs = noc_runner
-                    .with_system(system)
-                    .run_designs(&Design::ALL, &graph, &SimOptions::default())
-                    .expect("designs");
+                let runner = noc_runner.with_system(system);
+                let point = format!("{topo_name} noc{noc:.0} hbm{hbm:.0}");
+                let Some(outs) = run_point(ctx, &runner, &Design::ALL, &graph, point) else {
+                    continue;
+                };
                 let lat: Vec<f64> = outs.iter().map(|o| o.report.total.as_millis()).collect();
                 cells.push(vec![
                     topo_name.to_string(),

@@ -6,10 +6,10 @@ use serde::Serialize;
 use elk_baselines::{Design, DesignRunner};
 use elk_hw::presets;
 use elk_model::{zoo, Workload};
-use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::{default_workload, Ctx};
+use crate::experiments::run_point;
 
 /// Latency across designs for one core-count point.
 #[derive(Debug, Serialize)]
@@ -52,19 +52,19 @@ pub fn run(ctx: &mut Ctx) {
         let runner = base.with_system(pod(cores));
         for cfg in &llm_cfgs {
             let graph = cfg.build(default_workload(), 4);
-            let outs = runner
-                .run_designs(&Design::ALL, &graph, &SimOptions::default())
-                .expect("designs");
-            push(&mut rows, &mut cells, &cfg.name, cores, &outs);
+            let point = format!("{} c{cores}", cfg.name);
+            if let Some(outs) = run_point(ctx, &runner, &Design::ALL, &graph, point) {
+                push(&mut rows, &mut cells, &cfg.name, cores, &outs);
+            }
         }
         // DiT-XL on a single chip (paper: up to 1472 cores).
         let dit_runner = runner
             .with_system(presets::single_chip().with_cores_and_hbm_per_core(cores, hbm_per_core));
         let dit = zoo::dit_xl().build(Workload::decode(8, 256), 1);
-        let outs = dit_runner
-            .run_designs(&Design::ALL, &dit, &SimOptions::default())
-            .expect("designs");
-        push(&mut rows, &mut cells, "DiT-XL", cores, &outs);
+        let point = format!("DiT-XL c{cores}");
+        if let Some(outs) = run_point(ctx, &dit_runner, &Design::ALL, &dit, point) {
+            push(&mut rows, &mut cells, "DiT-XL", cores, &outs);
+        }
     }
 
     ctx.table(

@@ -7,11 +7,10 @@ use serde::Serialize;
 use elk_baselines::{Design, DesignRunner};
 use elk_hw::{presets, SystemConfig};
 use elk_model::{zoo, Workload};
-use elk_sim::SimOptions;
 use elk_units::ByteRate;
 
 use crate::ctx::Ctx;
-use crate::experiments::pod_tflops;
+use crate::experiments::{pod_tflops, run_point};
 
 /// Achieved training throughput for one projected-hardware point.
 #[derive(Debug, Serialize)]
@@ -72,9 +71,10 @@ pub fn run(ctx: &mut Ctx) {
                             .system()
                             .with_total_hbm_bandwidth(ByteRate::gib_per_sec(hbm)),
                     );
-                    let outs = runner
-                        .run_designs(&DESIGNS, &graph, &SimOptions::default())
-                        .expect("designs");
+                    let point = format!("{topo_name} noc{noc:.0} x{scale} hbm{hbm:.0}");
+                    let Some(outs) = run_point(ctx, &runner, &DESIGNS, &graph, point) else {
+                        continue;
+                    };
                     let achieved: Vec<f64> = outs
                         .iter()
                         .map(|o| pod_tflops(o, runner.system().chips))

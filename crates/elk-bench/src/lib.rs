@@ -1,20 +1,18 @@
 //! Reproduction harness for the paper's evaluation (§6).
 //!
 //! Every table and figure has a module under [`experiments`] exposing a
-//! `run(&Ctx)` function, a thin binary wrapper in `src/bin/`, and an entry
-//! in the `repro_all` driver. Experiments print the same rows/series the
-//! paper reports and write machine-readable JSON under `results/`.
+//! `run(&mut Ctx)` function, listed once in
+//! [`experiments::REGISTRY`]. The one binary, `repro`, runs experiments
+//! by id. They print the same rows/series the paper reports and write
+//! machine-readable JSON under `results/`; `repro` upserts each
+//! experiment's headline metrics into `results/BENCH.json`.
 //!
-//! Run one experiment:
-//!
-//! ```text
-//! cargo run --release -p elk-bench --bin fig17
-//! ```
-//!
-//! Run everything (writes `results/*.{txt,json}`):
+//! Run one experiment, several, or all of them:
 //!
 //! ```text
-//! cargo run --release -p elk-bench --bin repro_all
+//! cargo run --release -p elk-bench --bin repro -- fig17
+//! cargo run --release -p elk-bench --bin repro -- fig19 fig21
+//! cargo run --release -p elk-bench --bin repro -- all
 //! ```
 //!
 //! Set `ELK_FULL=1` for the complete parameter grids (several times
@@ -45,4 +43,4 @@ pub mod bench_json;
 pub mod ctx;
 pub mod experiments;
 
-pub use ctx::{bin_ctx, parse_out, Ctx};
+pub use ctx::{parse_out, Ctx};

@@ -255,6 +255,12 @@ impl ParallelismPlan {
     /// Every valid plan for `model` on `system` under `workload`, in
     /// deterministic `(tp, pp, dp)` lexicographic order — the
     /// auto-parallelism search grid.
+    ///
+    /// Besides the chip budget, each degree is bounded by the rule
+    /// [`validate`](Self::validate) holds it to — `tp` divides the
+    /// heads, `pp` is at most the layer count, `dp` at most
+    /// [`MAX_GROUPS`](Self::MAX_GROUPS) and the batch — so the walk
+    /// stays small however many chips the pod has.
     #[must_use]
     pub fn enumerate(
         system: &SystemConfig,
@@ -262,10 +268,11 @@ impl ParallelismPlan {
         workload: Workload,
     ) -> Vec<ParallelismPlan> {
         let chips = system.chips;
+        let groups = Self::MAX_GROUPS.min(workload.batch);
         let mut plans = Vec::new();
-        for tp in 1..=chips {
-            for pp in 1..=chips / tp {
-                for dp in 1..=chips / (tp * pp) {
+        for tp in 1..=chips.min(model.heads) {
+            for pp in 1..=(chips / tp).min(model.layers.into()) {
+                for dp in 1..=(chips / (tp * pp)).min(groups) {
                     let plan = ParallelismPlan::new(tp, pp, dp);
                     if plan.validate(system, model, workload).is_ok() {
                         plans.push(plan);
@@ -293,6 +300,49 @@ mod tests {
         let mut cfg = zoo::llama2_13b();
         cfg.layers = 5;
         cfg
+    }
+
+    #[test]
+    fn bounded_enumeration_matches_the_whole_chip_walk() {
+        let walk = |system: &SystemConfig, model: &TransformerConfig, wl: Workload| {
+            let chips = system.chips;
+            let mut plans = Vec::new();
+            for tp in 1..=chips {
+                for pp in 1..=chips / tp {
+                    for dp in 1..=chips / (tp * pp) {
+                        let plan = ParallelismPlan::new(tp, pp, dp);
+                        if plan.validate(system, model, wl).is_ok() {
+                            plans.push(plan);
+                        }
+                    }
+                }
+            }
+            plans
+        };
+        // A pod with more chips than the model has heads, layers or
+        // batch rows, so every bound cuts the walk.
+        let mut small = zoo::llama2_13b();
+        small.heads = 4;
+        small.kv_heads = 4;
+        small.layers = 3;
+        let wide = SystemConfig {
+            chips: 24,
+            ..presets::ipu_pod4()
+        };
+        for (system, model, wl) in [
+            (
+                presets::ipu_pod4(),
+                zoo::llama2_13b(),
+                Workload::decode(32, 2048),
+            ),
+            (presets::ipu_pod4(), model(), Workload::decode(2, 512)),
+            (wide.clone(), small.clone(), Workload::decode(5, 512)),
+            (wide, model(), Workload::decode(64, 512)),
+        ] {
+            let plans = ParallelismPlan::enumerate(&system, &model, wl);
+            assert!(!plans.is_empty());
+            assert_eq!(plans, walk(&system, &model, wl));
+        }
     }
 
     #[test]

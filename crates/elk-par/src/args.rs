@@ -1,4 +1,4 @@
-//! Uniform `--threads` CLI parsing for examples and bench binaries.
+//! Uniform `--threads` CLI parsing for the examples and binaries.
 
 use crate::resolve_threads;
 

@@ -280,9 +280,21 @@ impl ResolvedModel {
 }
 
 impl ResolvedModel {
+    /// The deepest model a scenario may describe: `2¹²` layers, 51× the
+    /// deepest zoo model (Llama-2-70B, 80). A run's graph, catalog and
+    /// chip simulation grow with depth, in time faster than linearly. On
+    /// a 2-core x86 container, `elk simulate` of Llama-2-13B decode (b32,
+    /// s2048) takes 0.3 s and 59 MiB peak at 2¹² layers, 2.0 s and
+    /// 228 MiB at 2¹⁴, and 24 s and 909 MiB at 2¹⁶, and `elk serve` of
+    /// the same scenario 0.5 s at 2¹² and 4.2 s at 2¹⁴; Mixtral and
+    /// DiT-XL stay within 0.4 s and 110 MiB at 2¹². At 2³¹ a run grows
+    /// until the OS kills it.
+    pub const MAX_LAYERS: u32 = 1 << 12;
+
     /// Rejects a zero dimension (which the graph builders would turn
-    /// into a failed plan search or a silently wrong report) and a MoE
-    /// routing more experts per token than it has.
+    /// into a failed plan search or a silently wrong report), a stack
+    /// deeper than [`MAX_LAYERS`](Self::MAX_LAYERS), and a MoE routing
+    /// more experts per token than it has.
     fn check_dims(&self) -> Result<(), SpecError> {
         let (kind, dims): (&str, Vec<(&str, u64)>) = match self {
             ResolvedModel::Llm(c) => (
@@ -326,6 +338,17 @@ impl ResolvedModel {
         if let Some((name, _)) = dims.iter().find(|&&(_, v)| v == 0) {
             return Err(invalid(format!("model.{kind}.{name} must be > 0")));
         }
+        let layers = match self {
+            ResolvedModel::Llm(c) => c.layers,
+            ResolvedModel::Moe(c) => c.layers,
+            ResolvedModel::Dit(c) => c.layers,
+        };
+        if layers > Self::MAX_LAYERS {
+            return Err(invalid(format!(
+                "model.{kind}.layers ({layers}) must be at most {}",
+                Self::MAX_LAYERS
+            )));
+        }
         match self {
             ResolvedModel::Moe(c) if c.experts_per_token > c.experts => Err(invalid(format!(
                 "model.moe.experts_per_token ({}) must not exceed experts ({})",
@@ -341,9 +364,10 @@ impl ModelSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for an unknown zoo alias, a zero
-    /// layer override, a zero dimension in an explicit config, or a MoE
-    /// with `experts_per_token > experts`.
+    /// Returns [`SpecError::Invalid`] for an unknown zoo alias, a layer
+    /// count of zero or above [`ResolvedModel::MAX_LAYERS`], a zero
+    /// dimension in an explicit config, or a MoE with
+    /// `experts_per_token > experts`.
     pub fn resolve(&self) -> Result<ResolvedModel, SpecError> {
         let model = match self {
             ModelSpec::Zoo { zoo, layers } => {
@@ -356,8 +380,11 @@ impl ModelSpec {
                     ),
                 };
                 if let Some(layers) = *layers {
-                    if layers == 0 {
-                        return Err(invalid("model.layers override must be > 0"));
+                    if !(1..=ResolvedModel::MAX_LAYERS).contains(&layers) {
+                        return Err(invalid(format!(
+                            "model.layers override ({layers}) must be in 1..={}",
+                            ResolvedModel::MAX_LAYERS
+                        )));
                     }
                     match &mut model {
                         ResolvedModel::Llm(cfg) => cfg.layers = layers,

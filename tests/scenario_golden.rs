@@ -477,7 +477,7 @@ fn sizes_past_their_limits_exit_2_naming_the_field() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let long_outputs =
         serde_json::from_str(r#"{"Uniform": {"lo": 1, "hi": 4294967295}}"#).expect("valid JSON");
-    let cases: [(&str, &str, Value, &str, &[&str]); 8] = [
+    let cases: [(&str, &str, Value, &str, &[&str]); 10] = [
         (
             "cluster_router_burst.json",
             "cluster.plan.pp",
@@ -533,6 +533,22 @@ fn sizes_past_their_limits_exit_2_naming_the_field() {
             long_outputs,
             "serving.trace.output_len",
             &["serve", "cluster"],
+        ),
+        // 2³¹ layers, past `ResolvedModel::MAX_LAYERS`: the run once grew
+        // until the OS killed it (137).
+        (
+            "paper_default.json",
+            "model.layers",
+            Value::U64(1 << 31),
+            "model.layers",
+            &["simulate", "cluster"],
+        ),
+        (
+            "custom_chip_dse.json",
+            "model.transformer.layers",
+            Value::U64(1 << 31),
+            "model.transformer.layers",
+            &["simulate", "cluster"],
         ),
     ];
     for (base, path, value, field, commands) in cases {
@@ -624,6 +640,60 @@ fn huge_group_counts_exit_2_naming_the_field() {
             "{base} must say `{message}`: {stderr}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The auto-parallelism search on a pod of 2⁴⁰ chips once walked `tp`
+/// over every chip count and never ended. Bounded by the model's heads
+/// and layers and the batch, the grid is 80 plans, and the run ends:
+/// estimate-only with the searched report (exit 0), and with the
+/// serving replay on a compile error (exit 1), since the `tp1·pp1·dp8`
+/// plan the search picks has no feasible `lm_head` partition on this
+/// chip.
+#[test]
+fn auto_search_on_a_huge_pod_finishes() {
+    use serde::Value;
+    let dir = std::env::temp_dir().join(format!("elk-huge-pod-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut doc: Value =
+        serde_json::from_str(&read_scenario("custom_chip_dse.json")).expect("valid JSON");
+    let Value::Map(fields) = &mut doc else {
+        panic!("a scenario is an object")
+    };
+    fields.retain(|(key, _)| key != "sweep");
+    set_path(&mut doc, "system.chips", Value::U64(1 << 40)).unwrap();
+    let run = |doc: &Value| {
+        let scenario = dir.join("huge-pod.json");
+        std::fs::write(&scenario, serde_json::to_string(doc).expect("serializes"))
+            .expect("write scenario");
+        std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+            .arg("cluster")
+            .arg(&scenario)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .expect("spawn elk")
+    };
+
+    let output = run(&doc);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("`lm_head`"), "{stderr}");
+
+    let mut estimate_only = doc.clone();
+    let cluster = serde_json::from_str(r#"{"serve": false}"#).expect("valid JSON");
+    if let Value::Map(fields) = &mut estimate_only {
+        fields.push(("cluster".into(), cluster));
+    }
+    let output = run(&estimate_only);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    let report = std::fs::read_to_string(dir.join("custom_chip_dse.cluster.json")).expect("report");
+    let report: Value = serde_json::from_str(&report).expect("valid JSON");
+    let Some(Value::Seq(candidates)) = report.get("candidates") else {
+        panic!("an auto-search report lists its candidates")
+    };
+    assert_eq!(candidates.len(), 80);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
